@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Build the controller-flow benchmark from source and run one workload.
 #
-#   bash perfbench/run.sh --workload sweep|pctrl|verify|fault \
+#   bash perfbench/run.sh --workload sweep|pctrl|check|verify|fault \
 #        --seed N --seconds S --trace 0|1
 #
 # Run it from the root of a checkout: it needs the repository's dune
-# project and libraries. Build output goes to stderr, so the last line of
+# project and libraries. The build stays inside the checkout (`--root .`,
+# no shared dune cache). Build output goes to stderr, so the last line of
 # stdout is the benchmark's JSON result.
 set -euo pipefail
 
@@ -14,5 +15,5 @@ if [ ! -f dune-project ] || [ ! -d lib ] || [ ! -f perfbench/dune ]; then
   exit 2
 fi
 
-dune build ./perfbench/bench.exe 1>&2
+DUNE_CACHE=disabled dune build --root . ./perfbench/bench.exe 1>&2
 exec ./_build/default/perfbench/bench.exe "$@"
