@@ -136,6 +136,7 @@ let clear_forces s =
   end
 
 let set_pi s slot w = s.values.(s.c.pi_nodes.(slot)) <- w
+let set_latch s slot w = s.state.(slot) <- w
 
 let[@inline] word values l =
   let w = Array.unsafe_get values (l lsr 1) in

@@ -81,6 +81,11 @@ val set_pi : sim -> int -> int -> unit
 (** [set_pi s slot word] — packed stimulus for PI [slot] for the next
     {!step}. Values persist across steps until overwritten. *)
 
+val set_latch : sim -> int -> int -> unit
+(** [set_latch s slot word] — overwrite the state word of latch [slot]
+    (the [slot]-th entry of {!Graph.latches}) for the next {!step}, e.g.
+    to program configuration bits after {!reset}. *)
+
 val step : sim -> unit
 (** One clock edge: evaluate the And schedule over the current PI words
     and latch state, capture packed PO words, then advance every latch to

@@ -291,6 +291,27 @@ let fanout_counts t =
   List.iter (fun (_, l) -> bump l) (pos t);
   fo
 
+let equal a b =
+  let latch_equal ra rb =
+    String.equal ra.lname rb.lname
+    && ra.init = rb.init && ra.reset = rb.reset
+    && ra.is_config = rb.is_config && ra.next = rb.next
+  in
+  let rec nodes id =
+    id >= a.n
+    || (a.kinds.(id) = b.kinds.(id)
+        && (match a.kinds.(id) with
+            | Const -> true
+            | Pi -> String.equal a.names.(id) b.names.(id)
+            | And -> a.fan0.(id) = b.fan0.(id) && a.fan1.(id) = b.fan1.(id)
+            | Latch -> latch_equal (latch_record a id) (latch_record b id))
+        && nodes (id + 1))
+  in
+  a.n = b.n && a.n_pos = b.n_pos && nodes 1
+  && List.equal
+       (fun (na, la) (nb, lb) -> String.equal na nb && la = lb)
+       (pos a) (pos b)
+
 let stats t =
   let lv = levels t in
   let depth =

@@ -111,4 +111,11 @@ val fanout_counts : t -> int array
 (** Number of combinational consumers of each node (latch next-state
     functions and POs count as consumers of their literal's node). *)
 
+val equal : t -> t -> bool
+(** Exact structural identity in O(n): the same node kinds and fanin
+    literals at every index, PI names, latch name, init, reset kind,
+    configuration flag and next-state literal, and the same PO list in
+    order. Equal graphs are indistinguishable to every pass, so a
+    deterministic pass maps them to equal results. *)
+
 val stats : t -> string

@@ -89,7 +89,9 @@ let log2 n =
   lg n 0
 
 (* A block of length 2^j covers variables 0..j-1; its top split is on
-   variable j-1. [memo] is shared across the roots of a support group. *)
+   variable j-1. [memo] maps sub-functions to literals of [ng], so it
+   lives for one build into one graph: a scratch candidate, or the
+   rebuild of one group into the output graph. *)
 let tree_build ng memo leaf_lit resolved =
   let rec build b =
     if is_const_bytes b then
@@ -148,7 +150,28 @@ let exclusive_count g fanout root_nodes nodes =
       end)
     0 nodes
 
+(* A root function's two-level analysis: its espresso cover, the
+   completion that cover picks for the don't-cares, and the zero-fill
+   completion. *)
+type analysis = { cover : Twolevel.Cover.t; resolved : Bytes.t; resolved0 : Bytes.t }
+
+let espresso_calls = Obs.Metrics.counter "synth.collapse.espresso_calls"
+let memo_hits = Obs.Metrics.counter "synth.collapse.memo_hits"
+
 let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
+  (* Generated designs repeat one block per bit-slice, so thousands of
+     groups compute the same few truth functions. The packed window
+     simulation gives each root an exact signature (its dense
+     DC/on/off string, whose length encodes the window size), and the
+     analysis — espresso cover plus both completions — is a
+     deterministic function of it, so it runs once per distinct
+     signature in the pass. The scratch-graph candidate costs are
+     likewise a function of the group's ordered signature list. Only
+     [exclusive_count] and the rebuild depend on the graph itself. *)
+  let an_memo : (Bytes.t, analysis) Hashtbl.t = Hashtbl.create 64 in
+  let cost_memo : (Bytes.t list, int * int * int) Hashtbl.t =
+    Hashtbl.create 64
+  in
   let ng = Aig.create () in
   let node_map : (int, Aig.lit) Hashtbl.t = Hashtbl.create 1024 in
   Hashtbl.replace node_map 0 Aig.false_;
@@ -227,16 +250,6 @@ let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
       window_sim g leaves union_nodes
     in
     let dc = constraint_dc annots leaves in
-    (* Roots of one group frequently compute identical functions (table
-       outputs wired to several consumers). The packed window simulation
-       gives each root an exact signature — its dense value string — so
-       espresso and the candidate completions run once per distinct
-       function instead of once per root. Memoization is transparent:
-       identical signatures mean identical truth functions, and the
-       analysis is deterministic in the truth function. *)
-    let an_memo : (Bytes.t, Twolevel.Cover.t * Bytes.t * Bytes.t) Hashtbl.t =
-      Hashtbl.create 8
-    in
     let analyze rn =
       let read_root = read (Aig.lit_of_node rn false) in
       let signature =
@@ -244,13 +257,17 @@ let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
             if dc m then '\002' else if read_root m then '\001' else '\000')
       in
       match Hashtbl.find_opt an_memo signature with
-      | Some (cover, resolved, resolved0) -> (rn, cover, resolved, resolved0)
+      | Some a ->
+        Obs.Metrics.incr memo_hits;
+        (rn, signature, a)
       | None ->
+        Obs.Metrics.incr espresso_calls;
         let tf =
           Twolevel.Truthfn.of_fun ~nvars:k (fun m ->
-              if dc m then Twolevel.Truthfn.Dc
-              else if read_root m then Twolevel.Truthfn.On
-              else Twolevel.Truthfn.Off)
+              match Bytes.get signature m with
+              | '\002' -> Twolevel.Truthfn.Dc
+              | '\001' -> Twolevel.Truthfn.On
+              | _ -> Twolevel.Truthfn.Off)
         in
         let cover = Twolevel.Espresso.minimize ~max_iters:espresso_iters tf in
         let resolved =
@@ -260,12 +277,11 @@ let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
         (* Alternative completion: don't-cares to zero. It often shares
            better across the group's outputs (the table's own zero-fill). *)
         let resolved0 =
-          Bytes.init (1 lsl k) (fun m ->
-              if Twolevel.Truthfn.get tf m = Twolevel.Truthfn.On then '\001'
-              else '\000')
+          Bytes.map (fun c -> if c = '\001' then '\001' else '\000') signature
         in
-        Hashtbl.replace an_memo signature (cover, resolved, resolved0);
-        (rn, cover, resolved, resolved0)
+        let a = { cover; resolved; resolved0 } in
+        Hashtbl.replace an_memo signature a;
+        (rn, signature, a)
     in
     let analyzed = List.map analyze members in
     (* Exact candidate costs: build each candidate into a private scratch
@@ -280,39 +296,46 @@ let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
       build_all sg (fun j -> pis.(j));
       Aig.num_ands sg
     in
-    let total_sop =
-      scratch_cost (fun sg leaf ->
-          List.iter
-            (fun (_, cover, _, _) -> ignore (sop_build sg leaf cover))
-            analyzed)
-    in
     let tree_total pick =
       scratch_cost (fun sg leaf ->
           let memo = Hashtbl.create 64 in
           List.iter
-            (fun a -> ignore (tree_build sg memo leaf (pick a)))
+            (fun (_, _, a) -> ignore (tree_build sg memo leaf (pick a)))
             analyzed)
     in
-    let total_tree = tree_total (fun (_, _, resolved, _) -> resolved) in
-    let total_tree0 = tree_total (fun (_, _, _, resolved0) -> resolved0) in
+    let costs_key = List.map (fun (_, signature, _) -> signature) analyzed in
+    let total_sop, total_tree, total_tree0 =
+      match Hashtbl.find_opt cost_memo costs_key with
+      | Some costs -> costs
+      | None ->
+        let total_sop =
+          scratch_cost (fun sg leaf ->
+              List.iter
+                (fun (_, _, a) -> ignore (sop_build sg leaf a.cover))
+                analyzed)
+        in
+        let total_tree = tree_total (fun a -> a.resolved) in
+        let total_tree0 = tree_total (fun a -> a.resolved0) in
+        let costs = (total_sop, total_tree, total_tree0) in
+        Hashtbl.replace cost_memo costs_key costs;
+        costs
+    in
     let cost_old = exclusive_count g fanout members union_nodes in
     let best = min total_sop (min total_tree total_tree0) in
     if best < cost_old then begin
       if best = total_sop then
         List.iter
-          (fun (rn, cover, _, _) ->
+          (fun (rn, _, a) ->
             Hashtbl.replace root_map (Aig.lit_of_node rn false)
-              (sop_build ng (leaf_lit leaves) cover))
+              (sop_build ng (leaf_lit leaves) a.cover))
           analyzed
       else begin
         let pick =
-          if best = total_tree then fun (_, _, resolved, _) -> resolved
-          else fun (_, _, _, resolved0) -> resolved0
+          if best = total_tree then fun a -> a.resolved else fun a -> a.resolved0
         in
         let memo = Hashtbl.create 64 in
         List.iter
-          (fun a ->
-            let rn, _, _, _ = a in
+          (fun (rn, _, a) ->
             Hashtbl.replace root_map (Aig.lit_of_node rn false)
               (tree_build ng memo (leaf_lit leaves) (pick a)))
           analyzed

@@ -11,6 +11,10 @@
     in different styles can keep different structures, which is the scatter
     the paper observes around the equal-area line).
 
+    Espresso and the candidate costs are memoized for the whole pass by
+    exact window signature, so roots and groups that repeat a truth
+    function (bit-sliced designs) are analysed once.
+
     Roots with wider cones are copied structurally (this is the flop-boundary
     limitation: the pass never looks through a latch, so an unannotated
     registered one-hot bus is *not* optimized — Fig. 8's "Regular" series). *)

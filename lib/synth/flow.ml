@@ -86,6 +86,8 @@ let traced_pass name ~iter f g =
 
 (* ---------------------------------------------------------------- flow *)
 
+let collapse_skipped = Obs.Metrics.counter "synth.flow.collapse.skipped"
+
 let compile ?(options = default) lib design =
   Obs.Span.with_span
     ~args:[ ("design", Obs.Span.Str design.Rtl.Design.name) ]
@@ -123,8 +125,18 @@ let compile ?(options = default) lib design =
           ~espresso_iters:options.espresso_iters ~annots:(relocate g) g)
       g
   in
-  let g = traced_pass "sweep" ~iter:2 sweep (collapse 1 g) in
-  let g = traced_pass "sweep" ~iter:3 sweep (collapse 2 g) in
+  (* Two collapse/sweep iterations, unless the first is a fixpoint: both
+     passes are deterministic functions of the graph (the annotations are
+     relocated by latch name), so when sweep returns a graph equal to
+     collapse's input, a second iteration would rebuild the same graph. *)
+  let g =
+    let g1 = traced_pass "sweep" ~iter:2 sweep (collapse 1 g) in
+    if Aig.equal g1 g then begin
+      Obs.Metrics.incr collapse_skipped;
+      g1
+    end
+    else traced_pass "sweep" ~iter:3 sweep (collapse 2 g1)
+  in
   if options.self_check then
     Obs.Span.with_span "flow.self_check" (fun () ->
         match Equiv.aig_vs_aig ~seed:4242 lowered.Lower.aig g with

@@ -2,7 +2,9 @@
 
     A flow lowers a design and runs:
     sweep → [retime] → [state propagation] → collapse → sweep → collapse →
-    sweep → map.
+    sweep → map. The second collapse → sweep iteration is left out when
+    the first returns a graph {!Aig.equal} to its input: it would
+    rebuild the same graph, so the result is the same either way.
 
     The option record exposes exactly the knobs the paper's experiments
     turn:

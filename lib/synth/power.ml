@@ -9,16 +9,20 @@ let total e = e.dynamic +. e.leakage
 (* Leakage per µm² — an arbitrary constant; only ratios matter. *)
 let leakage_per_area = 0.01
 
+(* One compiled simulator on lane 0 replaces per-cycle hashtable
+   evaluation. Observed nets sit in flat arrays: mapped instances in the
+   [Hashtbl.iter] order of [Map.run_full], then latches, so the float sum
+   accumulates in a fixed order. [prev.(n) = -1] until node [n] is first
+   seen; the first cycle counts no toggles. *)
 let estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
   let report, instances = Map.run_full lib g in
   let rng = Random.State.make [| 0x70777; seed |] in
-  let state = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      let _, init, _, _ = Aig.latch_info g n in
-      Hashtbl.replace state n init)
-    (Aig.latches g);
-  (* Program the configuration latches. *)
+  let sim = Aig.Compiled.sim (Aig.Compiled.compile g) in
+  let latches = Array.of_list (Aig.latches g) in
+  (* Program the configuration latches; simulator latch slots follow
+     [Aig.latches]. *)
+  let slot = Hashtbl.create (Array.length latches) in
+  Array.iteri (fun j n -> Hashtbl.replace slot n j) latches;
   List.iter
     (fun (tname, contents) ->
       Array.iteri
@@ -26,49 +30,50 @@ let estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
           Bitvec.fold_bits
             (fun b v () ->
               match Aig.find_latch g (Printf.sprintf "%s[%d][%d]" tname e b) with
-              | Some n -> Hashtbl.replace state n v
+              | Some n ->
+                Aig.Compiled.set_latch sim (Hashtbl.find slot n)
+                  (Aig.Compiled.replicate v)
               | None -> ())
             word ())
         contents)
     config;
-  let prev = Hashtbl.create 256 in
+  let n_obs = Hashtbl.length instances + Array.length latches in
+  let obs_node = Array.make n_obs 0 and obs_weight = Array.make n_obs 0.0 in
+  let filled = ref 0 in
+  let add n weight =
+    obs_node.(!filled) <- n;
+    obs_weight.(!filled) <- weight;
+    incr filled
+  in
+  Hashtbl.iter
+    (fun n (inst : Map.instance) -> add n inst.Map.inst_cell.Cells.Cell.area)
+    instances;
+  Array.iter
+    (fun n ->
+      let _, _, reset, is_config = Aig.latch_info g n in
+      add n
+        (if is_config then 0.0 (* configuration bits never toggle *)
+         else (Cells.Library.flop lib reset).Cells.Cell.area))
+    latches;
+  let prev = Array.make (Aig.num_nodes g) (-1) in
+  let n_pis = Aig.num_pis g in
   let weighted = ref 0.0 in
   let toggles = ref 0 in
-  let observe n v weight =
-    (match Hashtbl.find_opt prev n with
-     | Some old when old <> v ->
-       incr toggles;
-       weighted := !weighted +. weight
-     | Some _ -> ()
-     | None -> ());
-    Hashtbl.replace prev n v
-  in
   for _cycle = 1 to cycles do
-    let inputs = Hashtbl.create 16 in
-    List.iter
-      (fun n -> Hashtbl.replace inputs n (Random.State.bool rng))
-      (Aig.pis g);
-    let read =
-      Aig.eval_all g ~pi:(Hashtbl.find inputs) ~latch:(Hashtbl.find state)
-    in
-    Hashtbl.iter
-      (fun n (inst : Map.instance) ->
-        observe n
-          (read (Aig.lit_of_node n false))
-          inst.Map.inst_cell.Cells.Cell.area)
-      instances;
-    List.iter
-      (fun n ->
-        let _, _, reset, is_config = Aig.latch_info g n in
-        let weight =
-          if is_config then 0.0 (* configuration bits never toggle *)
-          else (Cells.Library.flop lib reset).Cells.Cell.area
-        in
-        observe n (Hashtbl.find state n) weight)
-      (Aig.latches g);
-    List.iter
-      (fun n -> Hashtbl.replace state n (read (Aig.latch_next g n)))
-      (Aig.latches g)
+    for p = 0 to n_pis - 1 do
+      Aig.Compiled.set_pi sim p (if Random.State.bool rng then 1 else 0)
+    done;
+    Aig.Compiled.step sim;
+    for i = 0 to n_obs - 1 do
+      let n = obs_node.(i) in
+      let v = Aig.Compiled.node_value sim n land 1 in
+      let old = prev.(n) in
+      if old >= 0 && old <> v then begin
+        incr toggles;
+        weighted := !weighted +. obs_weight.(i)
+      end;
+      prev.(n) <- v
+    done
   done;
   {
     dynamic = !weighted /. float_of_int cycles;

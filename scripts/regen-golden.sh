@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Regenerate the golden fixtures under test/golden/ (Verilog pretty-printer,
-# VCD writer, and DIMACS CNF outputs). Run after an intentional emitter
-# change, then review the diff like any other source change.
+# VCD writer, DIMACS CNF outputs, and the `bench quick` figure tables).
+# Run after an intentional emitter or figure change, then review the diff
+# like any other source change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mkdir -p test/golden
-dune build test/test_io.exe test/test_sat.exe
+dune build test/test_io.exe test/test_sat.exe bench/main.exe
 GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_io.exe test golden
 GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_sat.exe test dimacs
+./_build/default/bench/main.exe quick -j 2 --no-cache > test/golden/quick.stdout
 echo "regenerated:"
 ls -1 test/golden | sed 's/^/  test\/golden\//'

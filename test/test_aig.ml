@@ -85,6 +85,57 @@ let test_fanout () =
   Alcotest.(check int) "a used twice" 2 fo.(Aig.node_of_lit a);
   Alcotest.(check int) "ab used twice" 2 fo.(Aig.node_of_lit ab)
 
+(* A small sequential graph; each optional argument perturbs one field
+   that [Aig.equal] must see. *)
+let equal_fixture ?(init = false) ?(lname = "q") ?(po_name = "o")
+    ?(swap_fanin = false) ?(reset = Rtl.Design.Sync_reset) ?(is_config = false)
+    ?(next_inverted = false) () =
+  let g = Aig.create () in
+  let a = Aig.pi g "a" and b = Aig.pi g "b" in
+  let q = Aig.latch g lname ~init ~reset ~is_config in
+  let ab = Aig.and_ g a (if swap_fanin then Aig.not_ b else b) in
+  let x = Aig.and_ g ab q in
+  Aig.set_next g q (if next_inverted then Aig.not_ x else x);
+  Aig.po g po_name x;
+  g
+
+let test_equal () =
+  let base = equal_fixture () in
+  Alcotest.(check bool) "self" true (Aig.equal base base);
+  Alcotest.(check bool) "rebuilt" true (Aig.equal base (equal_fixture ()));
+  List.iter
+    (fun (what, g) ->
+      Alcotest.(check bool) what false (Aig.equal base g);
+      Alcotest.(check bool) (what ^ " (flipped)") false (Aig.equal g base))
+    [
+      ("latch init", equal_fixture ~init:true ());
+      ("latch name", equal_fixture ~lname:"r" ());
+      ("latch reset", equal_fixture ~reset:Rtl.Design.Async_reset ());
+      ("latch config flag", equal_fixture ~is_config:true ());
+      ("latch next", equal_fixture ~next_inverted:true ());
+      ("po name", equal_fixture ~po_name:"p" ());
+      ("fanin", equal_fixture ~swap_fanin:true ());
+    ];
+  let extra_po = equal_fixture () in
+  Aig.po extra_po "o2" Aig.true_;
+  Alcotest.(check bool) "extra po" false (Aig.equal base extra_po);
+  let po_lit = Aig.create () in
+  let a = Aig.pi po_lit "a" in
+  let other = Aig.create () in
+  ignore (Aig.pi other "a");
+  Aig.po po_lit "o" a;
+  Aig.po other "o" (Aig.not_ a);
+  Alcotest.(check bool) "po literal" false (Aig.equal po_lit other);
+  let renamed = Aig.create () in
+  ignore (Aig.pi renamed "b");
+  Aig.po renamed "o" (Aig.not_ a);
+  Alcotest.(check bool) "pi name" false (Aig.equal other renamed);
+  let bigger = Aig.create () in
+  ignore (Aig.pi bigger "a");
+  ignore (Aig.pi bigger "c");
+  Aig.po bigger "o" (Aig.not_ a);
+  Alcotest.(check bool) "extra node" false (Aig.equal other bigger)
+
 (* ------------------------------------------------------ compiled kernel *)
 
 let test_compiled_ctz () =
@@ -259,6 +310,7 @@ let () =
           Alcotest.test_case "latches" `Quick test_latches;
           Alcotest.test_case "cones" `Quick test_cone;
           Alcotest.test_case "fanout counts" `Quick test_fanout;
+          Alcotest.test_case "structural equality" `Quick test_equal;
         ] );
       ( "compiled",
         [

@@ -135,6 +135,110 @@ let test_power_config_programs () =
     true
     (programmed.Synth.Power.dynamic > empty.Synth.Power.dynamic)
 
+(* The hashtable estimator [Synth.Power.estimate] replaced, kept as an
+   exact oracle: the same draws, the same toggle rule and the same float
+   summation order, so the two must agree bit for bit. *)
+let reference_estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
+  let report, instances = Synth.Map.run_full lib g in
+  let rng = Random.State.make [| 0x70777; seed |] in
+  let state = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      let _, init, _, _ = Aig.latch_info g n in
+      Hashtbl.replace state n init)
+    (Aig.latches g);
+  List.iter
+    (fun (tname, contents) ->
+      Array.iteri
+        (fun e word ->
+          Bitvec.fold_bits
+            (fun b v () ->
+              match Aig.find_latch g (Printf.sprintf "%s[%d][%d]" tname e b) with
+              | Some n -> Hashtbl.replace state n v
+              | None -> ())
+            word ())
+        contents)
+    config;
+  let prev = Hashtbl.create 256 in
+  let weighted = ref 0.0 in
+  let toggles = ref 0 in
+  let observe n v weight =
+    (match Hashtbl.find_opt prev n with
+     | Some old when old <> v ->
+       incr toggles;
+       weighted := !weighted +. weight
+     | Some _ -> ()
+     | None -> ());
+    Hashtbl.replace prev n v
+  in
+  for _cycle = 1 to cycles do
+    let inputs = Hashtbl.create 16 in
+    List.iter
+      (fun n -> Hashtbl.replace inputs n (Random.State.bool rng))
+      (Aig.pis g);
+    let read =
+      Aig.eval_all g ~pi:(Hashtbl.find inputs) ~latch:(Hashtbl.find state)
+    in
+    Hashtbl.iter
+      (fun n (inst : Synth.Map.instance) ->
+        observe n
+          (read (Aig.lit_of_node n false))
+          inst.Synth.Map.inst_cell.Cells.Cell.area)
+      instances;
+    List.iter
+      (fun n ->
+        let _, _, reset, is_config = Aig.latch_info g n in
+        let weight =
+          if is_config then 0.0
+          else (Cells.Library.flop lib reset).Cells.Cell.area
+        in
+        observe n (Hashtbl.find state n) weight)
+      (Aig.latches g);
+    List.iter
+      (fun n -> Hashtbl.replace state n (read (Aig.latch_next g n)))
+      (Aig.latches g)
+  done;
+  {
+    Synth.Power.dynamic = !weighted /. float_of_int cycles;
+    leakage = 0.01 *. Synth.Map.total report;
+    toggles_per_cycle = float_of_int !toggles /. float_of_int cycles;
+  }
+
+let check_power_oracle ?cycles ?config name g =
+  let got = Synth.Power.estimate ?cycles ?config lib g in
+  let want = reference_estimate ?cycles ?config lib g in
+  let bits what f =
+    Alcotest.(check int64) (name ^ " " ^ what)
+      (Int64.bits_of_float (f want)) (Int64.bits_of_float (f got))
+  in
+  bits "dynamic" (fun e -> e.Synth.Power.dynamic);
+  bits "leakage" (fun e -> e.Synth.Power.leakage);
+  bits "toggles/cycle" (fun e -> e.Synth.Power.toggles_per_cycle)
+
+let test_power_matches_reference () =
+  let tt = Workload.Rand_table.generate ~seed:5 ~depth:16 ~width:8 in
+  let flexible = (Synth.Lower.run (Core.Truth_table.to_flexible_rtl tt)).Synth.Lower.aig in
+  check_power_oracle ~cycles:64 "table" flexible;
+  check_power_oracle ~cycles:64 ~config:[ Core.Truth_table.config_binding tt ]
+    "programmed table" flexible;
+  let compiled ?options d = (Synth.Flow.compile ?options lib d).Synth.Flow.aig in
+  check_power_oracle ~cycles:32 "pctrl auto uncached"
+    (compiled (Pctrl.Controller.auto_design Pctrl.Controller.Uncached));
+  check_power_oracle ~cycles:32 "pctrl manual uncached"
+    (compiled ~options:Experiments.Exp_common.annotated_flow
+       (Pctrl.Controller.manual_design Pctrl.Controller.Uncached));
+  check_power_oracle ~cycles:16
+    ~config:(Pctrl.Controller.bindings Pctrl.Controller.Uncached)
+    "pctrl full programmed"
+    (compiled (Pctrl.Controller.full_design ()));
+  for seed = 0 to 19 do
+    let d = Workload.Rand_design.generate ~seed in
+    check_power_oracle (Printf.sprintf "rand %d lowered" seed)
+      (Synth.Lower.run d).Synth.Lower.aig;
+    check_power_oracle ~cycles:64 (Printf.sprintf "rand %d compiled" seed)
+      (compiled d)
+  done
+
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
@@ -263,6 +367,8 @@ let () =
         [
           Alcotest.test_case "sanity" `Quick test_power_sanity;
           Alcotest.test_case "config programming" `Quick test_power_config_programs;
+          Alcotest.test_case "matches hashtable reference" `Quick
+            test_power_matches_reference;
         ] );
       ( "netlist",
         [ Alcotest.test_case "structure" `Quick test_netlist_structure ] );

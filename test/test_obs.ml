@@ -205,6 +205,40 @@ let test_flow_spans () =
      | Some (Obs.Metrics.Counter_v n) -> n >= 1
      | _ -> false)
 
+(* Collapse memo and fixpoint-skip counters are work counts, not timings:
+   two runs of the same compiles must report equal values, and every
+   skipped iteration is one collapse span fewer. *)
+let test_flow_counters_deterministic () =
+  let designs =
+    Pctrl.Controller.auto_design Pctrl.Controller.Uncached
+    :: List.init 12 (fun seed -> Workload.Rand_design.generate ~seed)
+  in
+  let run () =
+    with_obs @@ fun () ->
+    List.iter (fun d -> ignore (Synth.Flow.compile Cells.Library.vt90 d)) designs;
+    let counter name =
+      Obs.Metrics.counter_value (Obs.Metrics.counter name)
+    in
+    let collapses =
+      List.length
+        (List.filter
+           (fun s -> s.Obs.Span.name = "flow.collapse")
+           (Obs.Span.completed ()))
+    in
+    ( counter "synth.collapse.espresso_calls",
+      counter "synth.collapse.memo_hits",
+      counter "synth.flow.collapse.skipped",
+      collapses )
+  in
+  let (espresso, hits, skipped, collapses) as first = run () in
+  Alcotest.(check bool) "second run, same counts" true (first = run ());
+  Alcotest.(check bool) "espresso ran" true (espresso > 0);
+  Alcotest.(check bool) "repeated bit-slices hit the memo" true (hits > 0);
+  Alcotest.(check bool) "some compiles stop after one iteration" true
+    (skipped > 0);
+  Alcotest.(check int) "one collapse span per iteration run"
+    ((2 * List.length designs) - skipped) collapses
+
 (* ---------------------------------------------------- fig5 determinism *)
 
 let capture_fig5 () =
@@ -308,7 +342,12 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
         ] );
       ("metrics", [ Alcotest.test_case "kinds" `Quick test_metric_kinds ]);
-      ("flow", [ Alcotest.test_case "pass spans" `Quick test_flow_spans ]);
+      ( "flow",
+        [
+          Alcotest.test_case "pass spans" `Quick test_flow_spans;
+          Alcotest.test_case "collapse counters deterministic" `Quick
+            test_flow_counters_deterministic;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "fig5 stdout identical under tracing" `Quick

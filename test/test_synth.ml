@@ -314,6 +314,58 @@ let test_flow_self_check_and_idempotence () =
   Alcotest.(check (float 0.001)) "deterministic"
     (Synth.Flow.area r1) (Synth.Flow.area r2)
 
+(* The flow's passes spelled out with both collapse/sweep iterations
+   always run: the reference that [Flow.compile], which may stop after the
+   first, must match. Returns the graphs entering collapse, after
+   iteration 1 and after iteration 2. *)
+let two_iteration_chain (options : Synth.Flow.options) d =
+  let lowered = Synth.Lower.run d in
+  let honored =
+    Synth.Annots.honored ~tool:options.honor_tool_annots
+      ~generator:options.honor_generator_annots
+      ~width_cap:options.annot_width_cap (Synth.Annots.extract lowered)
+  in
+  let relocate g = List.filter_map (Synth.Annots.relocate g) honored in
+  let sweep g = Synth.Sweep.run ~sat:options.sweep_sat g in
+  let g0 = sweep lowered.Synth.Lower.aig in
+  let g0 = if options.retime then Synth.Retime.run g0 else g0 in
+  let g0 =
+    if options.stateprop && honored <> [] then
+      Synth.Stateprop.run ~annots:(relocate g0) g0
+    else g0
+  in
+  let collapse g =
+    Synth.Collapse.run ~cap:options.collapse_cap
+      ~espresso_iters:options.espresso_iters ~annots:(relocate g) g
+  in
+  let g1 = sweep (collapse g0) in
+  (g0, g1, sweep (collapse g1))
+
+let test_flow_fixpoint_skip_transparent () =
+  let fixpoints = ref 0 and second_changed = ref 0 in
+  let check name options d =
+    let g0, g1, g2 = two_iteration_chain options d in
+    if Aig.equal g0 g1 then incr fixpoints
+    else if not (Aig.equal g1 g2) then incr second_changed;
+    let got = (Synth.Flow.compile ~options lib d).Synth.Flow.aig in
+    Alcotest.(check bool) (name ^ ": flow = two-iteration chain") true
+      (Aig.equal got g2)
+  in
+  for seed = 0 to 39 do
+    check (Printf.sprintf "rand %d" seed) Synth.Flow.default
+      (Workload.Rand_design.generate ~seed)
+  done;
+  check "pctrl auto uncached" Synth.Flow.default
+    (Pctrl.Controller.auto_design Pctrl.Controller.Uncached);
+  check "pctrl manual uncached" Experiments.Exp_common.annotated_flow
+    (Pctrl.Controller.manual_design Pctrl.Controller.Uncached);
+  (* The corpus exercises both branches, including designs whose second
+     iteration still changes the graph, so a skip taken too eagerly
+     would fail the equality above. *)
+  Alcotest.(check bool) "some fixpoints" true (!fixpoints > 0);
+  Alcotest.(check bool) "some second iterations change the graph" true
+    (!second_changed > 0)
+
 let () =
   Alcotest.run "synth"
     [
@@ -362,5 +414,7 @@ let () =
         [
           Alcotest.test_case "self-check and determinism" `Quick
             test_flow_self_check_and_idempotence;
+          Alcotest.test_case "fixpoint skip is transparent" `Quick
+            test_flow_fixpoint_skip_transparent;
         ] );
     ]
