@@ -366,6 +366,153 @@ let test_flow_fixpoint_skip_transparent () =
   Alcotest.(check bool) "some second iterations change the graph" true
     (!second_changed > 0)
 
+(* --------------------------------------------------------------- symbolic *)
+
+(* Golden fingerprint of every BDD-backed check: Seq_check verdicts,
+   Reach value sets, Annot_check results and an exact structural digest of
+   Stateprop's output. Any change to variable numbering, budgets or
+   fixpoint shape shows up as a diff against test/golden/symbolic.txt. *)
+
+let invert_first_po g =
+  let u = Aig.create () in
+  let map = Array.make (Aig.num_nodes g) Aig.false_ in
+  let xl l =
+    let m = map.(Aig.node_of_lit l) in
+    if Aig.is_complemented l then Aig.not_ m else m
+  in
+  for n = 0 to Aig.num_nodes g - 1 do
+    match Aig.kind g n with
+    | Aig.Const -> ()
+    | Aig.Pi -> map.(n) <- Aig.pi u (Aig.pi_name g n)
+    | Aig.Latch ->
+      let name, init, reset, is_config = Aig.latch_info g n in
+      map.(n) <- Aig.latch u name ~init ~reset ~is_config
+    | Aig.And ->
+      let f0, f1 = Aig.fanins g n in
+      map.(n) <- Aig.and_ u (xl f0) (xl f1)
+  done;
+  List.iter
+    (fun n -> Aig.set_next u map.(n) (xl (Aig.latch_next g n)))
+    (Aig.latches g);
+  List.iteri
+    (fun i (name, l) -> Aig.po u name (if i = 0 then Aig.not_ (xl l) else xl l))
+    (Aig.pos g);
+  u
+
+let structural_digest g =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  for n = 0 to Aig.num_nodes g - 1 do
+    match Aig.kind g n with
+    | Aig.Const -> add "c;"
+    | Aig.Pi -> add "i%s;" (Aig.pi_name g n)
+    | Aig.Latch ->
+      let name, init, reset, is_config = Aig.latch_info g n in
+      add "l%s,%b,%s,%b,%d;" name init
+        (match reset with
+         | Rtl.Design.No_reset -> "n"
+         | Rtl.Design.Sync_reset -> "s"
+         | Rtl.Design.Async_reset -> "a")
+        is_config (Aig.latch_next g n :> int)
+    | Aig.And ->
+      let f0, f1 = Aig.fanins g n in
+      add "a%d,%d;" (f0 :> int) (f1 :> int)
+  done;
+  List.iter
+    (fun (name, (l : Aig.lit)) -> add "o%s=%d;" name (l :> int))
+    (Aig.pos g);
+  Printf.sprintf "ands=%d md5=%s" (Aig.num_ands g)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let symbolic_fingerprint () =
+  let b = Buffer.create 8192 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let seq = function
+    | Synth.Seq_check.Equivalent -> "equivalent"
+    | Synth.Seq_check.Counterexample o -> "counterexample " ^ o
+    | Synth.Seq_check.Gave_up r -> "gave up: " ^ r
+  in
+  (* Seed 32 alone takes seconds; every other seed below 61 is quick and
+     together they cover all verdicts, both Gave_up reasons included. *)
+  List.iter
+    (fun seed ->
+      let low =
+        (Synth.Lower.run (Workload.Rand_design.generate ~seed)).Synth.Lower.aig
+      in
+      let swept = Synth.Sweep.run low in
+      let mutant = invert_first_po swept in
+      line "design %d run sweep: %s" seed
+        (seq (Synth.Seq_check.run ~max_vars:40 low swept));
+      line "design %d run mutant: %s" seed
+        (seq (Synth.Seq_check.run ~max_vars:40 low mutant));
+      line "design %d run_sat sweep: %s" seed
+        (seq (Synth.Seq_check.run_sat ~max_vars:40 ~frames:8 low swept));
+      line "design %d run_sat mutant: %s" seed
+        (seq (Synth.Seq_check.run_sat ~max_vars:40 ~frames:8 low mutant)))
+    (List.filter (fun s -> s <> 32) (List.init 61 Fun.id));
+  let annot_result = function
+    | Synth.Annot_check.Proved -> "proved"
+    | Synth.Annot_check.Refuted r -> "refuted: " ^ r
+    | Synth.Annot_check.Unproved r -> "unproved: " ^ r
+  in
+  let annotated name (low : Synth.Lower.t) =
+    let g = low.Synth.Lower.aig in
+    let annots = Synth.Annots.extract low in
+    List.iter
+      (fun (a : Synth.Annots.t) ->
+        line "%s annot %s: %s" name a.Synth.Annots.base
+          (annot_result (Synth.Annot_check.inductive g a)))
+      annots;
+    line "%s stateprop: %s" name
+      (structural_digest (Synth.Stateprop.run ~annots g));
+    let swept = Synth.Sweep.run g in
+    let relocated = List.filter_map (Synth.Annots.relocate swept) annots in
+    line "%s swept stateprop: %s" name
+      (structural_digest (Synth.Stateprop.run ~annots:relocated swept))
+  in
+  let reach name g prefix =
+    match Synth.Reach.latch_group g ~prefix with
+    | None -> line "%s reach %s: no group" name prefix
+    | Some group ->
+      line "%s reach %s: %s" name prefix
+        (match Synth.Reach.reachable_values g ~group with
+         | None -> "none"
+         | Some values ->
+           String.concat " "
+             (List.map string_of_int
+                (List.sort compare (List.map Bitvec.to_int values))))
+  in
+  List.iter
+    (fun (seed, m, n, s) ->
+      let fsm =
+        Workload.Rand_fsm.generate ~seed ~num_inputs:m ~num_outputs:n
+          ~num_states:s
+      in
+      let name = Printf.sprintf "fsm %d/%d/%d/%d" seed m n s in
+      let low =
+        Synth.Lower.run
+          (Synth.Partial_eval.bind_tables
+             (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
+             (Core.Fsm_ir.config_bindings fsm))
+      in
+      reach name low.Synth.Lower.aig "state";
+      annotated name low)
+    [ (0, 2, 2, 2); (1, 2, 8, 3); (2, 2, 3, 6); (3, 8, 2, 8); (4, 2, 4, 9);
+      (5, 8, 8, 16); (6, 2, 16, 17); (7, 8, 16, 17) ];
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "onehot %d" n in
+      let low = Synth.Lower.run (onehot_generic n) in
+      reach name low.Synth.Lower.aig "y";
+      annotated name low)
+    [ 2; 4; 8; 16; 32; 64 ];
+  (* PCtrl's Manual annotations: wide, some Unproved on their own. *)
+  annotated "pctrl manual"
+    (Synth.Lower.run (Pctrl.Controller.manual_design Pctrl.Controller.Uncached));
+  Buffer.contents b
+
+let test_symbolic_golden () = Golden.check "symbolic.txt" (symbolic_fingerprint ())
+
 let () =
   Alcotest.run "synth"
     [
@@ -410,6 +557,8 @@ let () =
           Alcotest.test_case "inverter sharing" `Quick test_map_inverter_sharing;
         ] );
       ("reach", [ Alcotest.test_case "matches IR reachability" `Quick test_reach_matches_ir ]);
+      ( "symbolic",
+        [ Alcotest.test_case "golden fingerprint" `Quick test_symbolic_golden ] );
       ( "flow",
         [
           Alcotest.test_case "self-check and determinism" `Quick
