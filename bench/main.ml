@@ -1,12 +1,10 @@
 (* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation (Figs. 5, 6, 8, 9), the ablations documented in DESIGN.md, and
-   Bechamel micro-benchmarks of the synthesis passes.
+   evaluation (Figs. 5, 6, 8, 9) and the ablations documented in DESIGN.md.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe fig5       -- one figure
      dune exec bench/main.exe fault      -- fault-vulnerability comparison
      dune exec bench/main.exe quick      -- subsampled smoke run
-     dune exec bench/main.exe perf       -- Bechamel pass benchmarks only
 
    Engine flags (combine with any command):
      -j N             run synthesis jobs on N worker domains (0 = auto)
@@ -143,86 +141,6 @@ let ablations () =
   Experiments.Ablation.encodings ();
   Experiments.Ablation.library_richness ();
   Experiments.Ablation.microcode_style ();
-  []
-
-(* One Bechamel test per synthesis stage, all in one executable. *)
-let perf () =
-  let open Bechamel in
-  let tt = Workload.Rand_table.generate ~seed:0 ~depth:256 ~width:8 in
-  let bound =
-    Synth.Partial_eval.bind_tables
-      (Core.Truth_table.to_flexible_rtl tt)
-      [ Core.Truth_table.config_binding tt ]
-  in
-  let fsm =
-    Workload.Rand_fsm.generate ~seed:0 ~num_inputs:2 ~num_outputs:8
-      ~num_states:16
-  in
-  let fsm_design =
-    Synth.Partial_eval.bind_tables
-      (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
-      (Core.Fsm_ir.config_bindings fsm)
-  in
-  let lowered_fsm = (Synth.Lower.run fsm_design).Synth.Lower.aig in
-  let tf =
-    let rng = Workload.Rng.make 99 in
-    Twolevel.Truthfn.of_fun ~nvars:10 (fun _ ->
-        if Workload.Rng.int rng 2 = 0 then Twolevel.Truthfn.On
-        else Twolevel.Truthfn.Off)
-  in
-  let lib = Cells.Library.vt90 in
-  let pipe_lowered =
-    Synth.Lower.run
-      (Synth.Partial_eval.bind_tables
-         (Core.Fsm_ir.to_flexible_rtl Pctrl.Datapipe.fsm)
-         (Core.Fsm_ir.config_bindings Pctrl.Datapipe.fsm))
-  in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"passes"
-      [
-        stage "lower-256x8-table" (fun () -> Synth.Lower.run bound);
-        stage "espresso-10var" (fun () -> Twolevel.Espresso.minimize tf);
-        stage "collapse-fsm16" (fun () -> Synth.Collapse.run ~annots:[] lowered_fsm);
-        stage "sweep-fsm16" (fun () -> Synth.Sweep.run lowered_fsm);
-        stage "map-fsm16" (fun () -> Synth.Map.run lib lowered_fsm);
-        stage "flow-fsm16" (fun () -> Synth.Flow.compile lib fsm_design);
-        stage "bdd-reach-pipe" (fun () ->
-            match
-              Synth.Reach.latch_group pipe_lowered.Synth.Lower.aig
-                ~prefix:"state"
-            with
-            | Some group ->
-              ignore
-                (Synth.Reach.reachable_values pipe_lowered.Synth.Lower.aig
-                   ~group)
-            | None -> ());
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "== Bechamel: synthesis pass timings (monotonic clock) ==";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some (t :: _) -> t
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  List.iter
-    (fun (name, ns) ->
-      if ns > 1_000_000.0 then
-        Printf.printf "%-32s %10.3f ms/run\n" name (ns /. 1e6)
-      else Printf.printf "%-32s %10.1f ns/run\n" name ns)
-    (List.sort Stdlib.compare !rows);
-  print_newline ();
   []
 
 (* ------------------------------------------------- simulation microbench *)
@@ -514,7 +432,7 @@ let all ~sim_jobs ?timeout_s ?sim_reps () =
   let figs =
     List.concat
       [ fig5 (); fig6 (); fig8 (); fig9 ();
-        fault ~sim_jobs ?timeout_s (); ablations (); equivbench (); perf ();
+        fault ~sim_jobs ?timeout_s (); ablations (); equivbench ();
         microbench ?reps:sim_reps () ]
   in
   figs
@@ -536,7 +454,7 @@ let engine_stats_json (s : Engine.stats) =
 let usage () =
   prerr_endline
     "usage: main.exe \
-     [all|quick|fig5|fig6|fig8|fig9|fault|ablations|ablate-cone|ablate-twolevel|ablate-cap|ablate-encodings|ablate-library|ablate-ucode|equivbench|perf|microbench]\n\
+     [all|quick|fig5|fig6|fig8|fig9|fault|ablations|ablate-cone|ablate-twolevel|ablate-cap|ablate-encodings|ablate-library|ablate-ucode|equivbench|microbench]\n\
      \       [-j N] [--timeout-s S] [--retries N] [--cache-dir DIR] \
      [--no-cache] [--json PATH] [--trace PATH] [--metrics] [--sim-reps N]";
   exit 2
@@ -627,7 +545,6 @@ let () =
     | "fig9" -> fig9 ()
     | "fault" -> fault ~sim_jobs ?timeout_s:!timeout_s ()
     | "quick" -> quick ()
-    | "perf" -> perf ()
     | "microbench" -> microbench ?reps:!sim_reps ()
     | "equivbench" -> equivbench ()
     | "ablate-cone" -> Experiments.Ablation.cone_cap (); []

@@ -3,9 +3,10 @@ type result =
   | Refuted of string
   | Unproved of string
 
-exception Overflow
+let max_vars = 96
+let max_bdd = 200_000
 
-let inductive ?(max_vars = 96) ?(max_bdd = 200_000) g (a : Annots.t) =
+let inductive g (a : Annots.t) =
   let k = Array.length a.Annots.nodes in
   let all_latches =
     Array.for_all (fun n -> Aig.kind g n = Aig.Latch) a.Annots.nodes
@@ -31,37 +32,9 @@ let inductive ?(max_vars = 96) ?(max_bdd = 200_000) g (a : Annots.t) =
       (* Step case: vars 0..k-1 are the annotated bits; everything else in
          the next-state cones gets a fresh free variable. *)
       let man = Bdd.make_man () in
-      let var_of_node = Hashtbl.create 64 in
-      Array.iteri (fun i n -> Hashtbl.replace var_of_node n i) a.Annots.nodes;
-      let next_var = ref k in
-      let cache = Hashtbl.create 256 in
-      let rec lit_bdd l =
-        let b = node_bdd (Aig.node_of_lit l) in
-        if Aig.is_complemented l then Bdd.not_ b else b
-      and node_bdd n =
-        match Hashtbl.find_opt cache n with
-        | Some b -> b
-        | None ->
-          let b =
-            match Aig.kind g n with
-            | Aig.Const -> Bdd.zero man
-            | Aig.Pi | Aig.Latch ->
-              (match Hashtbl.find_opt var_of_node n with
-               | Some v -> Bdd.var man v
-               | None ->
-                 if !next_var >= max_vars then raise Overflow;
-                 let v = !next_var in
-                 incr next_var;
-                 Hashtbl.replace var_of_node n v;
-                 Bdd.var man v)
-            | Aig.And ->
-              let f0, f1 = Aig.fanins g n in
-              let b = Bdd.and_ (lit_bdd f0) (lit_bdd f1) in
-              if Bdd.size b > max_bdd then raise Overflow;
-              b
-          in
-          Hashtbl.replace cache n b;
-          b
+      let vars = Symbolic.Vars.create ~max_vars ~first:k a.Annots.nodes in
+      let lit =
+        Symbolic.converter man ~max_bdd ~leaf:(Symbolic.Vars.var vars) g
       in
       match
         let chi =
@@ -76,7 +49,7 @@ let inductive ?(max_vars = 96) ?(max_bdd = 200_000) g (a : Annots.t) =
             (Bdd.zero man) a.Annots.values
         in
         let nexts =
-          Array.map (fun n -> lit_bdd (Aig.latch_next g n)) a.Annots.nodes
+          Array.map (fun n -> lit (Aig.latch_next g n)) a.Annots.nodes
         in
         (* Characteristic of "the next value is in the set". *)
         let chi_next =
@@ -96,6 +69,6 @@ let inductive ?(max_vars = 96) ?(max_bdd = 200_000) g (a : Annots.t) =
       | false ->
         Unproved
           "induction step fails with other registers unconstrained"
-      | exception Overflow -> Unproved "BDD effort cap exceeded"
+      | exception Symbolic.Overflow -> Unproved "BDD effort cap exceeded"
     end
   end

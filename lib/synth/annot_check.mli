@@ -18,8 +18,8 @@ type result =
   | Refuted of string  (** genuinely violated, with a reason *)
   | Unproved of string (** out of reach for the method or effort caps *)
 
-val inductive :
-  ?max_vars:int -> ?max_bdd:int -> Aig.t -> Annots.t -> result
+val inductive : Aig.t -> Annots.t -> result
 (** Only annotations whose bits are all latch outputs can be proved;
     input-port annotations are environment assumptions and return
-    [Unproved]. *)
+    [Unproved], as does a step that exceeds 96 BDD variables or 200_000
+    nodes per function. *)

@@ -8,81 +8,40 @@ let latch_group g ~prefix =
   | [] -> None
   | nodes -> Some (Array.of_list nodes)
 
-exception Overflow
+let max_vars = 64
+let max_bdd = 200_000
+let max_states = 4096
+let max_iters = 10_000
 
-let reachable_values ?(max_vars = 64) ?(max_bdd = 200_000) ?(max_states = 4096)
-    ?(max_iters = 10_000) g ~group =
+let reachable_values g ~group =
   let k = Array.length group in
   if k = 0 || k > 24 then None
   else begin
+    (* Group bits are variables 0..k-1, their next state k..2k-1; every
+       other leaf of the next-state cones is a free variable from 2k. *)
     let man = Bdd.make_man () in
-    let var_of_node = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace var_of_node n i) group;
-    let next_free = ref (2 * k) in
-    let bdd_cache = Hashtbl.create 256 in
-    let rec lit_bdd l =
-      let n = Aig.node_of_lit l in
-      let b = node_bdd n in
-      if Aig.is_complemented l then Bdd.not_ b else b
-    and node_bdd n =
-      match Hashtbl.find_opt bdd_cache n with
-      | Some b -> b
-      | None ->
-        let b =
-          match Aig.kind g n with
-          | Aig.Const -> Bdd.zero man
-          | Aig.Pi | Aig.Latch ->
-            (match Hashtbl.find_opt var_of_node n with
-             | Some v -> Bdd.var man v
-             | None ->
-               if !next_free >= max_vars then raise Overflow;
-               let v = !next_free in
-               incr next_free;
-               Hashtbl.replace var_of_node n v;
-               Bdd.var man v)
-          | Aig.And ->
-            let f0, f1 = Aig.fanins g n in
-            let b = Bdd.and_ (lit_bdd f0) (lit_bdd f1) in
-            if Bdd.size b > max_bdd then raise Overflow;
-            b
-        in
-        Hashtbl.replace bdd_cache n b;
-        b
+    let vars = Symbolic.Vars.create ~max_vars ~first:(2 * k) group in
+    let lit =
+      Symbolic.converter man ~max_bdd ~leaf:(Symbolic.Vars.var vars) g
     in
     match
-      let transition =
-        Array.to_list group
-        |> List.mapi (fun i n ->
-               let f = lit_bdd (Aig.latch_next g n) in
-               Bdd.iff (Bdd.var man (k + i)) f)
-        |> List.fold_left Bdd.and_ (Bdd.one man)
-      in
-      if Bdd.size transition > max_bdd then raise Overflow;
+      let next = Array.map (fun n -> lit (Aig.latch_next g n)) group in
       let init =
-        Array.to_list group
-        |> List.mapi (fun i n ->
-               let _, init, _, _ = Aig.latch_info g n in
-               if init then Bdd.var man i else Bdd.nvar man i)
-        |> List.fold_left Bdd.and_ (Bdd.one man)
+        Array.map
+          (fun n ->
+            let _, init, _, _ = Aig.latch_info g n in
+            init)
+          group
       in
-      let quantified_vars =
-        List.init k Fun.id @ List.init (!next_free - 2 * k) (fun j -> 2 * k + j)
+      let m =
+        Symbolic.machine man ~max_bdd ~next ~init
+          ~inputs:(Symbolic.Vars.fresh vars)
       in
-      let image r =
-        let conj = Bdd.and_ transition r in
-        let next_only = Bdd.exists quantified_vars conj in
-        Bdd.rename next_only (fun v -> v - k)
-      in
-      let rec fixpoint i r =
-        if i > max_iters then raise Overflow;
-        let r' = Bdd.or_ r (image r) in
-        if Bdd.equal r r' then r else fixpoint (i + 1) r'
-      in
-      let reached = fixpoint 0 init in
+      let reached, _ = Symbolic.reach ~max_iters m in
       let values = List.of_seq (Bdd.sat_seq reached ~nvars:k) in
-      if List.length values > max_states then raise Overflow;
+      if List.length values > max_states then raise Symbolic.Overflow;
       values
     with
     | values -> Some values
-    | exception Overflow -> None
+    | exception Symbolic.Overflow -> None
   end

@@ -14,15 +14,7 @@ val latch_group : Aig.t -> prefix:string -> int array option
 (** Latch nodes named ["prefix[0]"], ["prefix[1]"], … (LSB first); [None]
     if no such latches exist or indices are not contiguous from 0. *)
 
-val reachable_values :
-  ?max_vars:int ->
-  ?max_bdd:int ->
-  ?max_states:int ->
-  ?max_iters:int ->
-  Aig.t ->
-  group:int array ->
-  Bitvec.t list option
-(** Fixpoint image computation. [None] when an effort cap is exceeded
-    ([max_vars] BDD variables (default 64), [max_bdd] nodes per function
-    (default 200_000), [max_states] results (default 4096), [max_iters]
-    image steps (default 10_000)). *)
+val reachable_values : Aig.t -> group:int array -> Bitvec.t list option
+(** Fixpoint image computation. [None] when an effort cap is exceeded: 64
+    BDD variables, 200_000 nodes per function, 4096 result values or
+    10_000 image steps. *)

@@ -3,7 +3,8 @@ type result =
   | Counterexample of string
   | Gave_up of string
 
-exception Overflow
+let max_bdd = 200_000
+let max_iters = 10_000
 
 let check_interfaces who ga gb =
   let pi_names g = List.sort compare (List.map (Aig.pi_name g) (Aig.pis g)) in
@@ -13,134 +14,69 @@ let check_interfaces who ga gb =
   if po_names ga <> po_names gb then
     invalid_arg ("Seq_check." ^ who ^ ": output interfaces differ")
 
-(* Shared product-machine BDD environment: variables 0..k-1 are the current
+(* Product machine of both netlists: variables 0..k-1 are the current
    joint state (ga's latches then gb's), k..2k-1 the next state, 2k+ the
-   inputs (shared by name). *)
-type env = {
-  man : Bdd.man;
-  k : int;
-  lit_a : Aig.lit -> Bdd.t;
-  lit_b : Aig.lit -> Bdd.t;
-  transition : Bdd.t;
-  init : Bdd.t;
-  input_var : (string, int) Hashtbl.t;
-  num_inputs : int;
-}
-
-let build_env ~max_vars ~max_bdd ga gb =
+   inputs, shared by name and numbered as first met. Returns each graph's
+   literal converter and the machine. *)
+let product ~max_vars ga gb =
   let latches_a = Aig.latches ga and latches_b = Aig.latches gb in
   let k = List.length latches_a + List.length latches_b in
   let man = Bdd.make_man () in
-  let input_var = Hashtbl.create 16 in
-  let next_input = ref (2 * k) in
-  let var_of_input name =
-    match Hashtbl.find_opt input_var name with
-    | Some v -> v
-    | None ->
-      if !next_input >= max_vars then raise Overflow;
-      let v = !next_input in
-      incr next_input;
-      Hashtbl.replace input_var name v;
-      v
-  in
-  (* Per-graph node BDDs over (state vars, input vars). *)
-  let graph_env g latches offset =
+  let inputs = Symbolic.Vars.create ~max_vars ~first:(2 * k) [||] in
+  let converter g latches offset =
     let state_var = Hashtbl.create 16 in
     List.iteri (fun i n -> Hashtbl.replace state_var n (offset + i)) latches;
-    let cache = Hashtbl.create 256 in
-    let rec lit_bdd l =
-      let b = node_bdd (Aig.node_of_lit l) in
-      if Aig.is_complemented l then Bdd.not_ b else b
-    and node_bdd n =
-      match Hashtbl.find_opt cache n with
-      | Some b -> b
-      | None ->
-        let b =
-          match Aig.kind g n with
-          | Aig.Const -> Bdd.zero man
-          | Aig.Pi -> Bdd.var man (var_of_input (Aig.pi_name g n))
-          | Aig.Latch -> Bdd.var man (Hashtbl.find state_var n)
-          | Aig.And ->
-            let f0, f1 = Aig.fanins g n in
-            let b = Bdd.and_ (lit_bdd f0) (lit_bdd f1) in
-            if Bdd.size b > max_bdd then raise Overflow;
-            b
-        in
-        Hashtbl.replace cache n b;
-        b
+    let leaf n =
+      match Aig.kind g n with
+      | Aig.Pi -> Symbolic.Vars.var inputs (Aig.pi_name g n)
+      | _ -> Hashtbl.find state_var n
     in
-    lit_bdd
+    Symbolic.converter man ~max_bdd ~leaf g
   in
-  let lit_a = graph_env ga latches_a 0 in
-  let lit_b = graph_env gb latches_b (List.length latches_a) in
-  let all_latches =
-    List.map (fun n -> (ga, lit_a, n)) latches_a
-    @ List.map (fun n -> (gb, lit_b, n)) latches_b
+  let lit_a = converter ga latches_a 0 in
+  let lit_b = converter gb latches_b (List.length latches_a) in
+  let next_a = List.map (fun n -> lit_a (Aig.latch_next ga n)) latches_a in
+  let next_b = List.map (fun n -> lit_b (Aig.latch_next gb n)) latches_b in
+  let init g n =
+    let _, iv, _, _ = Aig.latch_info g n in
+    iv
   in
-  let transition =
-    List.fold_left
-      (fun (i, acc) (g, lit, n) ->
-        let f = lit (Aig.latch_next g n) in
-        (i + 1, Bdd.and_ acc (Bdd.iff (Bdd.var man (k + i)) f)))
-      (0, Bdd.one man) all_latches
-    |> snd
+  let init = List.map (init ga) latches_a @ List.map (init gb) latches_b in
+  let machine =
+    Symbolic.machine man ~max_bdd
+      ~next:(Array.of_list (next_a @ next_b))
+      ~init:(Array.of_list init) ~inputs:(Symbolic.Vars.fresh inputs)
   in
-  if Bdd.size transition > max_bdd then raise Overflow;
-  let init =
-    List.fold_left
-      (fun (i, acc) (g, _, n) ->
-        let _, iv, _, _ = Aig.latch_info g n in
-        (i + 1, Bdd.and_ acc (if iv then Bdd.var man i else Bdd.nvar man i)))
-      (0, Bdd.one man) all_latches
-    |> snd
-  in
-  {
-    man;
-    k;
-    lit_a;
-    lit_b;
-    transition;
-    init;
-    input_var;
-    num_inputs = !next_input - (2 * k);
-  }
+  (lit_a, lit_b, machine)
 
-let image env r =
-  let quantified =
-    List.init env.k Fun.id
-    @ List.init env.num_inputs (fun j -> (2 * env.k) + j)
-  in
-  let conj = Bdd.and_ env.transition r in
-  Bdd.rename (Bdd.exists quantified conj) (fun v -> v - env.k)
+exception Differs of string
 
-let run ?(max_vars = 64) ?(max_bdd = 200_000) ?(max_iters = 10_000) ga gb =
+let run ?(max_vars = 64) ga gb =
   check_interfaces "run" ga gb;
   let k = Aig.num_latches ga + Aig.num_latches gb in
   if 2 * k >= max_vars then Gave_up "too many latches"
   else
     match
-      let env = build_env ~max_vars ~max_bdd ga gb in
+      let lit_a, lit_b, machine = product ~max_vars ga gb in
       let miters =
         List.map
           (fun (name, la) ->
             let lb = List.assoc name (Aig.pos gb) in
-            (name, Bdd.xor (env.lit_a la) (env.lit_b lb)))
+            (name, Bdd.xor (lit_a la) (lit_b lb)))
           (Aig.pos ga)
       in
-      let rec fixpoint i r =
-        if i > max_iters then raise Overflow;
+      let visit r =
         match
           List.find_opt (fun (_, m) -> not (Bdd.is_zero (Bdd.and_ r m))) miters
         with
-        | Some (name, _) -> Counterexample name
-        | None ->
-          let r' = Bdd.or_ r (image env r) in
-          if Bdd.equal r r' then Equivalent else fixpoint (i + 1) r'
+        | Some (name, _) -> raise (Differs name)
+        | None -> ()
       in
-      fixpoint 0 env.init
+      Symbolic.reach ~visit ~max_iters machine
     with
-    | r -> r
-    | exception Overflow -> Gave_up "BDD effort cap exceeded"
+    | _ -> Equivalent
+    | exception Differs name -> Counterexample name
+    | exception Symbolic.Overflow -> Gave_up "BDD effort cap exceeded"
 
 (* ------------------------------------------------------------ SAT-backed *)
 
@@ -157,8 +93,7 @@ let run ?(max_vars = 64) ?(max_bdd = 200_000) ?(max_iters = 10_000) ga gb =
    BMC ({!Equiv.check_sat}) takes over — refutation stays exact, proofs
    become bounded. *)
 
-let run_sat ?(frames = 16) ?(max_vars = 64) ?(max_bdd = 200_000)
-    ?(max_iters = 10_000) ?on_stats ga gb =
+let run_sat ?(frames = 16) ?(max_vars = 64) ?on_stats ga gb =
   check_interfaces "run_sat" ga gb;
   let fallback reason =
     match Equiv.check_sat ~frames ?on_stats ga gb with
@@ -170,14 +105,9 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?(max_bdd = 200_000)
   if 2 * k >= max_vars then fallback "too many latches for the BDD invariant"
   else
     match
-      let env = build_env ~max_vars ~max_bdd ga gb in
+      let _, _, machine = product ~max_vars ga gb in
       (* Reach fixpoint, no miter checks: R and the diameter bound. *)
-      let rec fixpoint i r =
-        if i > max_iters then raise Overflow;
-        let r' = Bdd.or_ r (image env r) in
-        if Bdd.equal r r' then (r, i) else fixpoint (i + 1) r'
-      in
-      let reach, diameter = fixpoint 0 env.init in
+      let reach, diameter = Symbolic.reach ~max_iters machine in
       (* Miter AIG over shared pseudo-inputs: "state#i" for joint state
          variable i, real input names for the PIs. *)
       let u = Aig.create () in
@@ -215,8 +145,6 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?(max_bdd = 200_000)
       in
       let pos_a = copy ga 0 and pos_b = copy gb (Aig.num_latches ga) in
       (* Reach set R as an AIG: one mux per BDD node, memoized on uid. *)
-      let inv_input = Hashtbl.create 16 in
-      Hashtbl.iter (fun name v -> Hashtbl.replace inv_input v name) env.input_var;
       let bdd_cache = Hashtbl.create 256 in
       let rec of_bdd b =
         if Bdd.is_zero b then Aig.false_
@@ -228,11 +156,9 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?(max_bdd = 200_000)
             let v = Bdd.top_var b in
             let hi = of_bdd (Bdd.cofactor b v true) in
             let lo = of_bdd (Bdd.cofactor b v false) in
-            let sel =
-              if v < env.k then state_lit v
-              else pseudo (Hashtbl.find inv_input v)
-            in
-            let l = Aig.mux_ u sel hi lo in
+            (* R depends on current state only: the image quantifies state
+               and inputs away, then renames next state to current. *)
+            let l = Aig.mux_ u (state_lit v) hi lo in
             Hashtbl.replace bdd_cache (Bdd.uid b) l;
             l
       in
@@ -276,4 +202,4 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?(max_bdd = 200_000)
          end)
     with
     | r -> r
-    | exception Overflow -> fallback "BDD effort cap exceeded"
+    | exception Symbolic.Overflow -> fallback "BDD effort cap exceeded"

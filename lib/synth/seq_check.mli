@@ -13,15 +13,16 @@ type result =
   | Counterexample of string  (** name of a distinguishing output *)
   | Gave_up of string
 
-val run : ?max_vars:int -> ?max_bdd:int -> ?max_iters:int -> Aig.t -> Aig.t -> result
-(** Both graphs must have the same PI and PO names.
+val run : ?max_vars:int -> Aig.t -> Aig.t -> result
+(** Both graphs must have the same PI and PO names. [Gave_up] when current
+    state, next state and inputs do not fit in [max_vars] (default 64) BDD
+    variables, or when a BDD exceeds 200_000 nodes or the fixpoint 10_000
+    image steps.
     @raise Invalid_argument if the interfaces differ. *)
 
 val run_sat :
   ?frames:int ->
   ?max_vars:int ->
-  ?max_bdd:int ->
-  ?max_iters:int ->
   ?on_stats:(Sat.Solver.stats -> unit) ->
   Aig.t ->
   Aig.t ->
@@ -35,8 +36,8 @@ val run_sat :
     checking within the fixpoint's iteration count (the diameter), and
     [Counterexample] then carries the normalized
     {!Equiv.mismatch_to_string} witness instead of just an output name.
-    If R blows the BDD caps ([max_vars]/[max_bdd]/[max_iters]), plain SAT
-    BMC over [frames] cycles (default 16) takes over: refutations stay
-    exact, proofs become [Gave_up] bounds. [on_stats] receives solver
+    If R blows the BDD caps (those of {!run}), plain SAT BMC over [frames]
+    cycles (default 16) takes over: refutations stay exact, proofs become
+    [Gave_up] bounds. [on_stats] receives solver
     statistics (possibly once per internal engine run).
     @raise Invalid_argument if the interfaces differ. *)

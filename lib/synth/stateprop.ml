@@ -2,27 +2,30 @@ type replacement =
   | Repl_const of bool
   | Repl_node of int * bool  (* representative node, complement *)
 
-let run ?(max_vars = 64) ?(max_bdd = 50_000) ~annots g =
+let max_vars = 64
+let max_bdd = 50_000
+
+let run ~annots g =
   if annots = [] then g
   else begin
     let man = Bdd.make_man () in
-    let var_of_node : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let next_var = ref 0 in
-    let assign n =
-      if not (Hashtbl.mem var_of_node n) then begin
-        Hashtbl.replace var_of_node n !next_var;
-        incr next_var
-      end
+    (* Annotated bits are variables 0.., in order of first mention. *)
+    let seen = Hashtbl.create 64 in
+    let bound =
+      List.concat_map (fun (a : Annots.t) -> Array.to_list a.nodes) annots
+      |> List.filter (fun n ->
+             (not (Hashtbl.mem seen n)) && (Hashtbl.replace seen n (); true))
+      |> Array.of_list
     in
-    List.iter (fun (a : Annots.t) -> Array.iter assign a.nodes) annots;
-    let annot_var_count = !next_var in
+    let annot_var_count = Array.length bound in
+    let vars = Symbolic.Vars.create ~max_vars ~first:annot_var_count bound in
     (* Characteristic function of the allowed value combinations. *)
     let chi =
       let annot_chi (a : Annots.t) =
         let minterm v =
           Bitvec.fold_bits
             (fun i b acc ->
-              let var = Hashtbl.find var_of_node a.nodes.(i) in
+              let var = Symbolic.Vars.var vars a.nodes.(i) in
               Bdd.and_ acc (if b then Bdd.var man var else Bdd.nvar man var))
             v (Bdd.one man)
         in
@@ -34,46 +37,23 @@ let run ?(max_vars = 64) ?(max_bdd = 50_000) ~annots g =
         (fun acc a -> Bdd.and_ acc (annot_chi a))
         (Bdd.one man) annots
     in
-    (* Bottom-up BDDs with effort caps. *)
-    let bdds : (int, Bdd.t option) Hashtbl.t = Hashtbl.create 1024 in
-    let leaf_bdd n =
-      match Hashtbl.find_opt var_of_node n with
-      | Some v -> Some (Bdd.var man v)
-      | None ->
-        if !next_var >= max_vars then None
-        else begin
-          assign n;
-          Some (Bdd.var man (Hashtbl.find var_of_node n))
-        end
+    (* Every node in index order, so leaves are numbered in node order;
+       [None] where an effort cap was hit. *)
+    let lit =
+      Symbolic.converter man ~max_bdd ~leaf:(Symbolic.Vars.var vars) g
     in
-    let lit_bdd l =
-      let n = Aig.node_of_lit l in
-      let b = if n = 0 then Some (Bdd.zero man) else Hashtbl.find bdds n in
-      match b with
-      | Some b -> Some (if Aig.is_complemented l then Bdd.not_ b else b)
-      | None -> None
+    let bdds =
+      Array.init (Aig.num_nodes g) (fun n ->
+          match lit (Aig.lit_of_node n false) with
+          | b -> Some b
+          | exception Symbolic.Overflow -> None)
     in
-    for n = 1 to Aig.num_nodes g - 1 do
-      let b =
-        match Aig.kind g n with
-        | Aig.Const -> Some (Bdd.zero man)
-        | Aig.Pi | Aig.Latch -> leaf_bdd n
-        | Aig.And ->
-          let f0, f1 = Aig.fanins g n in
-          (match lit_bdd f0, lit_bdd f1 with
-           | Some a, Some b ->
-             let r = Bdd.and_ a b in
-             if Bdd.size r > max_bdd then None else Some r
-           | None, _ | _, None -> None)
-      in
-      Hashtbl.replace bdds n b
-    done;
     (* Classify nodes under the constraint. *)
     let replacements : (int, replacement) Hashtbl.t = Hashtbl.create 64 in
     let class_reps : (int, int * bool) Hashtbl.t = Hashtbl.create 64 in
     for n = 1 to Aig.num_nodes g - 1 do
       if Aig.kind g n = Aig.And then
-        match Hashtbl.find bdds n with
+        match bdds.(n) with
         | None -> ()
         | Some b ->
           let touches_annot =

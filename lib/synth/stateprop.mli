@@ -13,14 +13,8 @@
 
     Unlike {!Collapse}, this pass handles wide vectors (one-hot buses of
     hundreds of bits) because it never enumerates assignments; resource caps
-    ([max_vars], per-node BDD size) make it give up gracefully instead of
-    blowing up, mirroring a real tool's effort limits. *)
+    (64 BDD variables in total, 50_000 nodes per node's BDD) make it skip a
+    node gracefully instead of blowing up, mirroring a real tool's effort
+    limits. *)
 
-val run :
-  ?max_vars:int ->
-  ?max_bdd:int ->
-  annots:Annots.t list ->
-  Aig.t ->
-  Aig.t
-(** [max_vars] (default 64) bounds the total BDD variables; [max_bdd]
-    (default 50_000) bounds any single node's BDD size. *)
+val run : annots:Annots.t list -> Aig.t -> Aig.t

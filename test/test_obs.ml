@@ -239,6 +239,40 @@ let test_flow_counters_deterministic () =
   Alcotest.(check int) "one collapse span per iteration run"
     ((2 * List.length designs) - skipped) collapses
 
+(* The BDD layer's counters are work counts too: the same checks, run
+   twice, take the same image steps and hit the same budgets. The corpus
+   includes designs that exceed the variable and node budgets. *)
+let test_symbolic_counters_deterministic () =
+  let pairs =
+    List.map
+      (fun seed ->
+        let low =
+          (Synth.Lower.run (Workload.Rand_design.generate ~seed)).Synth.Lower.aig
+        in
+        (low, Synth.Sweep.run low))
+      [ 3; 8; 9; 30; 38; 49 ]
+  in
+  let onehot =
+    Synth.Lower.run
+      (Experiments.Onehot_design.generic ~n:64
+         ~style:(Experiments.Onehot_design.Flop Rtl.Design.Sync_reset))
+  in
+  let run () =
+    with_obs @@ fun () ->
+    List.iter
+      (fun (a, b) -> ignore (Synth.Seq_check.run ~max_vars:40 a b))
+      pairs;
+    ignore
+      (Synth.Stateprop.run ~annots:(Synth.Annots.extract onehot)
+         onehot.Synth.Lower.aig);
+    let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+    (counter "synth.symbolic.image_steps", counter "synth.symbolic.overflow")
+  in
+  let (steps, overflows) as first = run () in
+  Alcotest.(check (pair int int)) "second run, same counts" first (run ());
+  Alcotest.(check bool) "image steps counted" true (steps > 0);
+  Alcotest.(check bool) "overflows counted" true (overflows > 0)
+
 (* ---------------------------------------------------- fig5 determinism *)
 
 let capture_fig5 () =
@@ -342,6 +376,11 @@ let () =
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
         ] );
       ("metrics", [ Alcotest.test_case "kinds" `Quick test_metric_kinds ]);
+      ( "symbolic",
+        [
+          Alcotest.test_case "counters deterministic" `Quick
+            test_symbolic_counters_deterministic;
+        ] );
       ( "flow",
         [
           Alcotest.test_case "pass spans" `Quick test_flow_spans;

@@ -511,6 +511,113 @@ let symbolic_fingerprint () =
     (Synth.Lower.run (Pctrl.Controller.manual_design Pctrl.Controller.Uncached));
   Buffer.contents b
 
+(* An n-bit up-counter from 0: every value is reachable, the last one
+   after 2^n - 1 steps. Returns its graph and latch nodes, LSB first. *)
+let counter_aig n =
+  let g = Aig.create () in
+  let qs =
+    List.init n (fun i ->
+        Aig.latch g (Printf.sprintf "q[%d]" i) ~init:false
+          ~reset:Rtl.Design.No_reset ~is_config:false)
+  in
+  ignore
+    (List.fold_left
+       (fun carry q ->
+         Aig.set_next g q (Aig.xor_ g q carry);
+         Aig.and_ g q carry)
+       Aig.true_ qs);
+  Aig.po g "msb" (List.nth qs (n - 1));
+  (g, Array.of_list (List.map Aig.node_of_lit qs))
+
+let test_symbolic_vars () =
+  let vars = Synth.Symbolic.Vars.create ~max_vars:5 ~first:2 [| "a"; "b" |] in
+  let var = Synth.Symbolic.Vars.var vars in
+  Alcotest.(check (list int)) "bound, then fresh from first" [ 0; 1; 2; 3; 4 ]
+    (List.map var [ "a"; "b"; "x"; "y"; "z" ]);
+  Alcotest.(check bool) "allocating variable max_vars overflows" true
+    (match var "w" with
+     | _ -> false
+     | exception Synth.Symbolic.Overflow -> true);
+  Alcotest.(check int) "known keys still resolve" 3 (var "y");
+  Alcotest.(check (list int)) "fresh" [ 2; 3; 4 ] (Synth.Symbolic.Vars.fresh vars);
+  let over = Synth.Symbolic.Vars.create ~max_vars:1 ~first:3 [| 'a'; 'b'; 'c' |] in
+  Alcotest.(check int) "bound keys ignore the cap" 2
+    (Synth.Symbolic.Vars.var over 'c');
+  (* The converter numbers an AND's second fanin cone first. *)
+  let g = Aig.create () in
+  let x = Aig.and_ g (Aig.pi g "a") (Aig.pi g "b") in
+  let vars = Synth.Symbolic.Vars.create ~max_vars:8 ~first:0 [||] in
+  ignore
+    (Synth.Symbolic.converter (Bdd.make_man ()) ~max_bdd:8
+       ~leaf:(Synth.Symbolic.Vars.var vars) g x);
+  let f0, f1 = Aig.fanins g (Aig.node_of_lit x) in
+  Alcotest.(check (list int)) "f1 before f0" [ 0; 1 ]
+    (List.map
+       (fun l -> Synth.Symbolic.Vars.var vars (Aig.node_of_lit l))
+       [ f1; f0 ])
+
+let test_symbolic_overflow_sticks () =
+  let g = Aig.create () in
+  let a = Aig.pi g "a" and b = Aig.pi g "b" and c = Aig.pi g "c" in
+  let d = Aig.pi g "d" in
+  let ab = Aig.and_ g a b in
+  let abc = Aig.and_ g ab c in
+  let above = Aig.and_ g abc d in
+  let overflows lit x =
+    match lit x with _ -> false | exception Synth.Symbolic.Overflow -> true
+  in
+  (* Node budget: a two-variable AND fits in 2 nodes, three do not. *)
+  let man = Bdd.make_man () in
+  let lit =
+    Synth.Symbolic.converter man ~max_bdd:2 ~leaf:(fun n -> n) g
+  in
+  Alcotest.(check bool) "within budget" false (overflows lit ab);
+  Alcotest.(check bool) "over budget" true (overflows lit abc);
+  Alcotest.(check bool) "again" true (overflows lit abc);
+  Alcotest.(check bool) "AND above" true (overflows lit above);
+  Alcotest.(check bool) "complement too" true (overflows lit (Aig.not_ abc));
+  (* A leaf that overflows only once: its dependents must not be rebuilt. *)
+  let first = ref true in
+  let leaf n =
+    if n = Aig.node_of_lit a && !first then begin
+      first := false;
+      raise Synth.Symbolic.Overflow
+    end;
+    n
+  in
+  let lit = Synth.Symbolic.converter (Bdd.make_man ()) ~max_bdd:100 ~leaf g in
+  Alcotest.(check bool) "leaf overflow" true (overflows lit ab);
+  Alcotest.(check bool) "remembered at the leaf" true (overflows lit a);
+  Alcotest.(check bool) "remembered above" true (overflows lit above);
+  Alcotest.(check bool) "other cones unaffected" false
+    (overflows lit (Aig.and_ g c d))
+
+let test_symbolic_counter_reach () =
+  List.iter
+    (fun n ->
+      let g, qs = counter_aig n in
+      let man = Bdd.make_man () in
+      let vars = Synth.Symbolic.Vars.create ~max_vars:64 ~first:(2 * n) qs in
+      let lit =
+        Synth.Symbolic.converter man ~max_bdd:1000
+          ~leaf:(Synth.Symbolic.Vars.var vars) g
+      in
+      let next = Array.map (fun q -> lit (Aig.latch_next g q)) qs in
+      let m =
+        Synth.Symbolic.machine man ~max_bdd:1000 ~next
+          ~init:(Array.make n false) ~inputs:(Synth.Symbolic.Vars.fresh vars)
+      in
+      let r, steps = Synth.Symbolic.reach ~max_iters:1000 m in
+      let states = 1 lsl n in
+      Alcotest.(check (float 0.)) (Printf.sprintf "%d-bit: all states" n)
+        (float_of_int states) (Bdd.sat_count r ~nvars:n);
+      Alcotest.(check int) (Printf.sprintf "%d-bit: steps" n) (states - 1) steps;
+      Alcotest.(check bool) (Printf.sprintf "%d-bit: iteration cap" n) true
+        (match Synth.Symbolic.reach ~max_iters:(states - 2) m with
+         | _ -> false
+         | exception Synth.Symbolic.Overflow -> true))
+    [ 1; 3; 5 ]
+
 let test_symbolic_golden () = Golden.check "symbolic.txt" (symbolic_fingerprint ())
 
 let () =
@@ -558,7 +665,13 @@ let () =
         ] );
       ("reach", [ Alcotest.test_case "matches IR reachability" `Quick test_reach_matches_ir ]);
       ( "symbolic",
-        [ Alcotest.test_case "golden fingerprint" `Quick test_symbolic_golden ] );
+        [
+          Alcotest.test_case "variable numbering" `Quick test_symbolic_vars;
+          Alcotest.test_case "overflow is remembered" `Quick
+            test_symbolic_overflow_sticks;
+          Alcotest.test_case "counter reach" `Quick test_symbolic_counter_reach;
+          Alcotest.test_case "golden fingerprint" `Quick test_symbolic_golden;
+        ] );
       ( "flow",
         [
           Alcotest.test_case "self-check and determinism" `Quick
