@@ -6,15 +6,10 @@
      dune exec bench/main.exe fault      -- fault-vulnerability comparison
      dune exec bench/main.exe quick      -- subsampled smoke run
 
-   Engine flags (combine with any command):
-     -j N             run synthesis jobs on N worker domains (0 = auto)
-     --timeout-s S    per-job timeout, measured from submission
-     --retries N      re-run failed jobs up to N times (exp. backoff)
-     --cache-dir DIR  persist synthesis results across runs
-     --no-cache       disable result caching entirely
-     --json PATH      also write figure rows + engine stats as JSON
-     --trace PATH     write a Chrome trace (one span per synthesis pass)
-     --metrics        print the process metrics table to stderr
+   Every command takes the shared engine and observability flags of
+   [Cli] (-j, --timeout-s, --retries, --cache-dir, --no-cache, --trace,
+   --metrics) and --json PATH, which also writes the figure rows and the
+   engine statistics as JSON. Flags follow the command name.
 
    Figure tables go to stdout; engine statistics, metrics and traces go to
    stderr or to their own files, so stdout is byte-identical across -j
@@ -22,6 +17,7 @@
    failed compiles still prints every figure (failed cells render as FAIL)
    and exits 1 after listing the failures on stderr. *)
 
+open Cmdliner
 module Json = Report.Json
 
 (* ------------------------------------------------- figure rows as JSON *)
@@ -110,8 +106,10 @@ let fig9 () =
   Experiments.Fig9.print rows;
   [ ("fig9", fig9_json rows) ]
 
-let fault ~sim_jobs ?timeout_s ?(sites = 48) () =
-  let rows = Experiments.Fault_cmp.run ~sites ~jobs:sim_jobs ?timeout_s () in
+let fault (cli : Cli.t) =
+  let rows =
+    Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ?timeout_s:cli.timeout_s ()
+  in
   Experiments.Fault_cmp.print rows;
   [ ("fault", Experiments.Fault_cmp.to_json rows) ]
 
@@ -363,18 +361,7 @@ let equivbench () =
     let bindings =
       match mutate with
       | None -> bindings
-      | Some seed ->
-        let rng = Workload.Rng.make seed in
-        let i = Workload.Rng.int rng (List.length bindings) in
-        let _, contents = List.nth bindings i in
-        let e = Workload.Rng.int rng (Array.length contents) in
-        let b = Workload.Rng.int rng (Bitvec.width contents.(e)) in
-        let contents' = Array.copy contents in
-        contents'.(e) <-
-          Bitvec.set contents.(e) b (not (Bitvec.get contents.(e) b));
-        List.mapi
-          (fun j (n, c) -> if j = i then (n, contents') else (n, c))
-          bindings
+      | Some seed -> fst (Workload.Rng.mutate_bindings ~seed bindings)
     in
     let a = Synth.Partial_eval.bind_aig_tables flex bindings in
     let b =
@@ -428,14 +415,10 @@ let equivbench () =
   print_newline ();
   [ ("equivbench", Json.List rows) ]
 
-let all ~sim_jobs ?timeout_s ?sim_reps () =
-  let figs =
-    List.concat
-      [ fig5 (); fig6 (); fig8 (); fig9 ();
-        fault ~sim_jobs ?timeout_s (); ablations (); equivbench ();
-        microbench ?reps:sim_reps () ]
-  in
-  figs
+let all ?sim_reps cli =
+  List.concat
+    [ fig5 (); fig6 (); fig8 (); fig9 (); fault cli; ablations ();
+      equivbench (); microbench ?reps:sim_reps () ]
 
 (* --------------------------------------------------------- entry point *)
 
@@ -451,114 +434,11 @@ let engine_stats_json (s : Engine.stats) =
       ("wall_s", Json.Float s.Engine.wall_s);
       ("cpu_s", Json.Float s.Engine.cpu_s) ]
 
-let usage () =
-  prerr_endline
-    "usage: main.exe \
-     [all|quick|fig5|fig6|fig8|fig9|fault|ablations|ablate-cone|ablate-twolevel|ablate-cap|ablate-encodings|ablate-library|ablate-ucode|equivbench|microbench]\n\
-     \       [-j N] [--timeout-s S] [--retries N] [--cache-dir DIR] \
-     [--no-cache] [--json PATH] [--trace PATH] [--metrics] [--sim-reps N]";
-  exit 2
-
-let () =
-  let commands = ref [] in
-  let jobs = ref 1 in
-  let timeout_s = ref None in
-  let retries = ref 0 in
-  let cache_dir = ref None in
-  let no_cache = ref false in
-  let json_path = ref None in
-  let trace_path = ref None in
-  let metrics = ref false in
-  let sim_reps = ref None in
-  let rec parse = function
-    | [] -> ()
-    | ("-j" | "--jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 0 -> jobs := n
-       | _ -> usage ());
-      parse rest
-    | [ "-j" ] | [ "--jobs" ] -> usage ()
-    | "--timeout-s" :: s :: rest ->
-      (match float_of_string_opt s with
-       | Some s when s > 0.0 -> timeout_s := Some s
-       | _ -> usage ());
-      parse rest
-    | [ "--timeout-s" ] -> usage ()
-    | "--retries" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 0 -> retries := n
-       | _ -> usage ());
-      parse rest
-    | [ "--retries" ] -> usage ()
-    | "--cache-dir" :: dir :: rest ->
-      cache_dir := Some dir;
-      parse rest
-    | [ "--cache-dir" ] -> usage ()
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
-    | [ "--json" ] -> usage ()
-    | "--trace" :: path :: rest ->
-      trace_path := Some path;
-      parse rest
-    | [ "--trace" ] -> usage ()
-    | "--metrics" :: rest ->
-      metrics := true;
-      parse rest
-    | "--sim-reps" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> sim_reps := Some n
-       | _ -> usage ());
-      parse rest
-    | [ "--sim-reps" ] -> usage ()
-    | cmd :: rest ->
-      commands := !commands @ [ cmd ];
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (* Observability on when either sink was requested. The at_exit hook
-     makes the trace survive the failed-sweep exit-1 path. *)
-  if !metrics || !trace_path <> None then Obs.set_enabled true;
-  Option.iter Obs.Trace.install_at_exit !trace_path;
-  (match
-     Engine.create ~jobs:!jobs ?cache_dir:!cache_dir ~no_cache:!no_cache
-       ?timeout_s:!timeout_s ~retries:!retries Cells.Library.vt90
-   with
-  | e -> Engine.set_default e
-  | exception Invalid_argument msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 2);
-  let sim_jobs =
-    if !jobs = 0 then Domain.recommended_domain_count () else !jobs
-  in
-  let command = match !commands with [] -> "all" | c :: _ -> c in
-  (match !commands with [] | [ _ ] -> () | _ -> usage ());
-  let figures =
-    match command with
-    | "all" -> all ~sim_jobs ?timeout_s:!timeout_s ?sim_reps:!sim_reps ()
-    | "fig5" -> fig5 ()
-    | "fig6" -> fig6 ()
-    | "fig8" -> fig8 ()
-    | "fig9" -> fig9 ()
-    | "fault" -> fault ~sim_jobs ?timeout_s:!timeout_s ()
-    | "quick" -> quick ()
-    | "microbench" -> microbench ?reps:!sim_reps ()
-    | "equivbench" -> equivbench ()
-    | "ablate-cone" -> Experiments.Ablation.cone_cap (); []
-    | "ablate-twolevel" -> Experiments.Ablation.twolevel (); []
-    | "ablate-cap" -> Experiments.Ablation.annot_cap (); []
-    | "ablate-encodings" -> Experiments.Ablation.encodings (); []
-    | "ablate-library" -> Experiments.Ablation.library_richness (); []
-    | "ablate-ucode" -> Experiments.Ablation.microcode_style (); []
-    | "ablations" -> ablations ()
-    | _ -> usage ()
-  in
-  let stats = Engine.stats (Engine.default ()) in
-  prerr_string (Engine.stats_table stats);
-  if !metrics then prerr_string (Obs.Metrics.to_table ());
+(* Run one command's figures, then report: stderr tables, the optional
+   JSON document, and exit 1 after listing any failed synthesis jobs. *)
+let emit command run cli json_path =
+  let figures = run cli in
+  Cli.finish cli;
   let failures = Experiments.Exp_common.failures () in
   Option.iter
     (fun path ->
@@ -568,7 +448,7 @@ let () =
             ("figures", Json.Obj figures);
             ("failures",
              Json.List (List.map (fun m -> Json.String m) failures));
-            ("engine", engine_stats_json stats);
+            ("engine", engine_stats_json (Engine.stats (Engine.default ())));
             ("metrics",
              if Obs.enabled () then Obs.Metrics.to_json () else Json.Null) ]
       in
@@ -576,9 +456,75 @@ let () =
       with Sys_error msg ->
         Printf.eprintf "error: cannot write JSON output: %s\n" msg;
         exit 2)
-    !json_path;
+    json_path;
   if failures <> [] then begin
     Printf.eprintf "%d synthesis job(s) failed:\n" (List.length failures);
     List.iter (fun m -> Printf.eprintf "  %s\n" m) failures;
     exit 1
   end
+
+let json =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"PATH"
+           ~doc:"Also write the figure rows and engine statistics as JSON \
+                 to $(docv).")
+
+let sim_reps =
+  let pos_int =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg "expected a positive integer")),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt (some pos_int) None
+       & info [ "sim-reps" ] ~docv:"N"
+           ~doc:"Best-of-$(docv) repetitions per simulation microbench \
+                 measurement (default 5).")
+
+(* [run] is a term evaluating to the command body, so a command can add
+   its own flags in front of the shared ones. *)
+let term command run = Term.(const (emit command) $ run $ Cli.term $ json)
+let command name ~doc run = Cmd.v (Cmd.info name ~doc) (term name run)
+let plain f = Term.const (fun _ -> f ())
+let ablation f = plain (fun () -> f (); [])
+
+let all_term = Term.(const (fun sim_reps -> all ?sim_reps) $ sim_reps)
+
+let () =
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"Regenerate the paper's figures and ablations."
+  in
+  exit
+    (Cmd.eval
+       (Cmd.group ~default:(term "all" all_term) info
+          [ command "all" ~doc:"Every figure, ablation and benchmark." all_term;
+            command "quick" ~doc:"Subsampled Figs. 5/6/8/9 and fault smoke run."
+              (plain quick);
+            command "fig5" ~doc:"Fig. 5: table vs SOP area." (plain fig5);
+            command "fig6" ~doc:"Fig. 6: FSM implementations." (plain fig6);
+            command "fig8" ~doc:"Fig. 8: one-hot state vectors." (plain fig8);
+            command "fig9" ~doc:"Fig. 9: PCtrl Full/Auto/Manual." (plain fig9);
+            command "fault" ~doc:"Fault-vulnerability comparison."
+              Term.(const fault);
+            command "ablations" ~doc:"Every ablation." (plain ablations);
+            command "ablate-cone" ~doc:"Collapse cone-cap ablation."
+              (ablation Experiments.Ablation.cone_cap);
+            command "ablate-twolevel" ~doc:"Two-level minimizer ablation."
+              (ablation Experiments.Ablation.twolevel);
+            command "ablate-cap" ~doc:"Annotation width-cap ablation."
+              (ablation Experiments.Ablation.annot_cap);
+            command "ablate-encodings" ~doc:"State-encoding ablation."
+              (ablation Experiments.Ablation.encodings);
+            command "ablate-library" ~doc:"Cell-library richness ablation."
+              (ablation Experiments.Ablation.library_richness);
+            command "ablate-ucode" ~doc:"Microcode-style ablation."
+              (ablation Experiments.Ablation.microcode_style);
+            command "equivbench"
+              ~doc:"Timed SAT certification of the PCtrl partial evaluation."
+              (plain equivbench);
+            command "microbench"
+              ~doc:"Scalar vs packed simulation throughput (BENCH_sim.json)."
+              Term.(const (fun reps _ -> microbench ?reps ()) $ sim_reps) ]))

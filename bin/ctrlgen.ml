@@ -10,7 +10,10 @@
      equiv       certify flexible vs partially-evaluated PCtrl equivalence
                  (simulation and/or complete SAT engine)
      fault       run a fault-injection campaign on the PCtrl case study
-     experiment  regenerate a paper figure or ablation *)
+
+   Every subcommand takes the shared engine and observability flags of
+   [Cli]. The paper's figures and ablations are regenerated by
+   bench/main.exe. *)
 
 open Cmdliner
 
@@ -21,130 +24,6 @@ let print_report prefix (report : Synth.Map.report) =
 
 let flow_options ~annotate ~retime =
   { Synth.Flow.default with honor_generator_annots = annotate; retime }
-
-(* ----------------------------------------------------------- job engine *)
-
-(* Shared flags configuring the process-wide synthesis engine. The term
-   configures a default engine over [lib] and evaluates to an [engine_cli]:
-   [reconfigure] rebuilds the default engine with the same flags but a
-   different cell library (the design subcommand's --liberty), and
-   [report_stats] prints the statistics table to stderr when --engine-stats
-   was given. *)
-type engine_cli = {
-  reconfigure : Cells.Library.t -> unit;
-  report_stats : unit -> unit;
-  sim_jobs : int;  (** resolved -j value for simulation batches *)
-  timeout_s : float option;
-  retries : int;
-  cache_dir : string option;
-      (** --cache-dir unless --no-cache; the equiv subcommand keeps its
-          verdict cache here next to the engine's result cache *)
-}
-
-let engine_term =
-  let jobs =
-    let nonneg =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 0 -> Ok n
-            | _ -> Error (`Msg "expected a non-negative integer")),
-          Format.pp_print_int )
-    in
-    Arg.(value & opt nonneg 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Run synthesis jobs on $(docv) worker domains (0 = one \
-                   per available core).")
-  in
-  let cache_dir =
-    Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persist synthesis results under $(docv) and reuse them \
-                   across invocations.")
-  in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Disable synthesis result caching.")
-  in
-  let timeout_s =
-    let pos_float =
-      Arg.conv
-        ( (fun s ->
-            match float_of_string_opt s with
-            | Some f when f > 0.0 -> Ok f
-            | _ -> Error (`Msg "expected a positive number of seconds")),
-          Format.pp_print_float )
-    in
-    Arg.(value & opt (some pos_float) None
-         & info [ "timeout-s" ] ~docv:"S"
-             ~doc:"Abandon any job still running $(docv) seconds after \
-                   submission (the result settles as a timeout error; see \
-                   the pool docs for the cooperative-cancellation caveat).")
-  in
-  let retries =
-    let nonneg =
-      Arg.conv
-        ( (fun s ->
-            match int_of_string_opt s with
-            | Some n when n >= 0 -> Ok n
-            | _ -> Error (`Msg "expected a non-negative integer")),
-          Format.pp_print_int )
-    in
-    Arg.(value & opt nonneg 0
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Re-run failed jobs up to $(docv) extra times with \
-                   bounded exponential backoff.")
-  in
-  let stats =
-    Arg.(value & flag
-         & info [ "engine-stats" ]
-             ~doc:"Print job-engine statistics (hits, misses, retries, \
-                   quarantined cache entries, wall vs cpu time) to stderr \
-                   after the run.")
-  in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"PATH"
-             ~doc:"Write a Chrome trace (chrome://tracing JSON, one span \
-                   per synthesis pass / campaign) to $(docv) on exit. \
-                   Never touches stdout.")
-  in
-  let metrics =
-    Arg.(value & flag
-         & info [ "metrics" ]
-             ~doc:"Print the process metrics table (pass deltas, pool \
-                   queueing, cache traffic, simulated cycles) to stderr \
-                   after the run.")
-  in
-  let setup jobs cache_dir no_cache timeout_s retries stats trace metrics =
-    (* Observability on when either sink was requested; the at_exit hook
-       writes the trace even on nonzero-exit paths. *)
-    if metrics || trace <> None then Obs.set_enabled true;
-    Option.iter Obs.Trace.install_at_exit trace;
-    let reconfigure l =
-      match Engine.create ~jobs ?cache_dir ~no_cache ?timeout_s ~retries l with
-      | e -> Engine.set_default e
-      | exception Invalid_argument msg ->
-        Printf.eprintf "ctrlgen: %s\n" msg;
-        exit 2
-    in
-    reconfigure lib;
-    {
-      reconfigure;
-      report_stats =
-        (fun () ->
-          if stats then
-            prerr_string
-              (Engine.stats_table (Engine.stats (Engine.default ())));
-          if metrics then prerr_string (Obs.Metrics.to_table ()));
-      sim_jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
-      timeout_s;
-      retries;
-      cache_dir = (if no_cache then None else cache_dir);
-    }
-  in
-  Term.(const setup $ jobs $ cache_dir $ no_cache $ timeout_s $ retries $ stats
-        $ trace $ metrics)
 
 let engine_report ?options d =
   Engine.report_exn (Engine.default ()) (Engine.job ?options d)
@@ -169,7 +48,7 @@ let style_arg =
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 
 let synth_cmd =
-  let run eng kind style seed depth width inputs outputs states
+  let run cli kind style seed depth width inputs outputs states
       annotate retime dump_verilog dump_netlist =
     let design =
       match kind with
@@ -221,7 +100,7 @@ let synth_cmd =
         Format.eprintf "synthesis failed: %s@." (Engine.Pool.error_message e);
         exit 1
     end;
-    eng.report_stats ()
+    Cli.finish cli
   in
   let depth = Arg.(value & opt int 64 & info [ "depth" ] ~doc:"Table depth.") in
   let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"Table width.") in
@@ -242,14 +121,14 @@ let synth_cmd =
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"Generate a random controller and synthesize it.")
-    Term.(const run $ engine_term $ synth_kind $ style_arg $ seed_arg $ depth
+    Term.(const run $ Cli.term $ synth_kind $ style_arg $ seed_arg $ depth
           $ width $ inputs $ outputs $ states $ annotate $ retime $ verilog
           $ netlist)
 
 (* -------------------------------------------------------------------- asm *)
 
 let asm_cmd =
-  let run eng file dump_verilog storage do_synth =
+  let run cli file dump_verilog storage do_synth =
     let source = In_channel.with_open_text file In_channel.input_all in
     match Core.Microasm.parse source with
     | exception Core.Microasm.Parse_error (line, msg) ->
@@ -283,7 +162,7 @@ let asm_cmd =
         in
         print_report "mapped" (engine_report design)
       end;
-      eng.report_stats ()
+      Cli.finish cli
   in
   let file =
     Arg.(required & pos 0 (some file) None
@@ -296,12 +175,12 @@ let asm_cmd =
   let do_synth = Arg.(value & flag & info [ "synth" ] ~doc:"Also synthesize.") in
   Cmd.v
     (Cmd.info "asm" ~doc:"Assemble a microprogram and report on it.")
-    Term.(const run $ engine_term $ file $ verilog $ storage $ do_synth)
+    Term.(const run $ Cli.term $ file $ verilog $ storage $ do_synth)
 
 (* ------------------------------------------------------------------ pctrl *)
 
 let pctrl_cmd =
-  let run eng =
+  let run cli =
     let full = Pctrl.Controller.full_design () in
     Format.printf "%s@." (Rtl.Design.stats full);
     print_report "full" (engine_report full);
@@ -317,16 +196,16 @@ let pctrl_cmd =
              (Pctrl.Controller.manual_design mode)))
       [ ("cached", Pctrl.Controller.Cached);
         ("uncached", Pctrl.Controller.Uncached) ];
-    eng.report_stats ()
+    Cli.finish cli
   in
   Cmd.v
     (Cmd.info "pctrl" ~doc:"Synthesize the PCtrl case study at every level.")
-    Term.(const run $ engine_term)
+    Term.(const run $ Cli.term)
 
 (* ----------------------------------------------------------------- design *)
 
 let design_cmd =
-  let run eng file liberty dump_verilog dump_netlist aiger_out do_synth =
+  let run cli file liberty dump_verilog dump_netlist aiger_out do_synth =
     let lib =
       match liberty with
       | None -> lib
@@ -362,10 +241,10 @@ let design_cmd =
         (* [lib] may be a user Liberty library; rebuild the default engine
            around it (fingerprints include the library, so a shared cache
            directory never leaks results across libraries). *)
-        eng.reconfigure lib;
+        cli.Cli.reconfigure lib;
         print_report "mapped" (engine_report design)
       end;
-      eng.report_stats ()
+      Cli.finish cli
   in
   let file =
     Arg.(required & pos 0 (some file) None
@@ -386,68 +265,19 @@ let design_cmd =
   let do_synth = Arg.(value & flag & info [ "synth" ] ~doc:"Synthesize.") in
   Cmd.v
     (Cmd.info "design" ~doc:"Load a serialized design and process it.")
-    Term.(const run $ engine_term $ file $ liberty $ verilog $ netlist
+    Term.(const run $ Cli.term $ file $ liberty $ verilog $ netlist
           $ aiger $ do_synth)
 
 (* ------------------------------------------------------------------ equiv *)
 
-(* Flip one random bit of one random configuration-table entry. Returns the
-   perturbed bindings and a description of the flipped site, so a seeded
-   mutation is reproducible and reportable. *)
-let mutate_bindings ~seed bindings =
-  let rng = Workload.Rng.make seed in
-  let i = Workload.Rng.int rng (List.length bindings) in
-  let tname, contents = List.nth bindings i in
-  let e = Workload.Rng.int rng (Array.length contents) in
-  let b = Workload.Rng.int rng (Bitvec.width contents.(e)) in
-  let contents' = Array.copy contents in
-  contents'.(e) <- Bitvec.set contents.(e) b (not (Bitvec.get contents.(e) b));
-  ( List.mapi
-      (fun j (n, c) -> if j = i then (n, contents') else (n, c))
-      bindings,
-    Printf.sprintf "%s entry %d bit %d" tname e b )
-
-(* A per-engine outcome reduced to what the consistency/expectation checks
-   and the verdict cache need: the normalized witness string, not the
-   tape. *)
-type equiv_outcome = Eq_proved | Eq_refuted of string | Eq_undecided of string
-
-let equiv_outcome_line = function
-  | Eq_proved -> "proved"
-  | Eq_refuted m -> "counterexample: " ^ m
-  | Eq_undecided s -> "undecided: " ^ s
-
-(* Definitive verdicts (proved/refuted) are cached under --cache-dir keyed
-   by a digest of both netlists in AIGER form plus the engine parameters;
-   undecided verdicts depend only on budgets and are always recomputed. *)
-let equiv_cached eng ~key run =
-  match eng.cache_dir with
-  | None -> (run (), false)
-  | Some dir ->
-    let file = Filename.concat dir ("equiv-" ^ key ^ ".verdict") in
-    (match In_channel.with_open_text file In_channel.input_all with
-     | "proved" -> (Eq_proved, true)
-     | s when String.length s > 8 && String.sub s 0 8 = "refuted\t" ->
-       (Eq_refuted (String.sub s 8 (String.length s - 8)), true)
-     | _ | (exception Sys_error _) ->
-       let v = run () in
-       let payload =
-         match v with
-         | Eq_proved -> Some "proved"
-         | Eq_refuted m -> Some ("refuted\t" ^ m)
-         | Eq_undecided _ -> None
-       in
-       Option.iter
-         (fun p ->
-           try
-             if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-             Out_channel.with_open_text file (fun oc -> output_string oc p)
-           with Sys_error _ -> ())
-         payload;
-       (v, false))
+let verdict_line = function
+  | Synth.Equiv.Proved -> "proved"
+  | Synth.Equiv.Refuted c ->
+    "counterexample: " ^ Synth.Equiv.mismatch_to_string c.Synth.Equiv.first
+  | Synth.Equiv.Undecided s -> "undecided: " ^ s
 
 let equiv_cmd =
-  let run eng mode engine frames opt mutate expect =
+  let run cli mode engine frames opt mutate expect =
     let mode_name =
       match mode with
       | Pctrl.Controller.Cached -> "cached"
@@ -458,7 +288,7 @@ let equiv_cmd =
       match mutate with
       | None -> (bindings, None)
       | Some seed ->
-        let bindings', site = mutate_bindings ~seed bindings in
+        let bindings', site = Workload.Rng.mutate_bindings ~seed bindings in
         (bindings', Some (site, seed))
     in
     (* Side A: the flexible controller specialized *after* lowering — the
@@ -485,49 +315,27 @@ let equiv_cmd =
       (fun (site, seed) ->
         Format.printf "mutation: seed %d flips %s@." seed site)
       mutation;
-    let key engine_name =
-      Digest.to_hex
-        (Digest.string
-           (String.concat "\x00"
-              [ Synth.Aiger.write a; Synth.Aiger.write b;
-                string_of_int frames; engine_name ]))
-    in
-    let print_outcome name (v, cached) =
-      Format.printf "%s: %s%s@." name (equiv_outcome_line v)
-        (if cached then " (cached)" else "");
+    let print_verdict name v =
+      Format.printf "%s: %s@." name (verdict_line v);
       v
     in
-    let run_sim () =
-      equiv_cached eng ~key:(key "sim") (fun () ->
-          match Synth.Equiv.check ~seed:0 a b with
-          | Synth.Equiv.Proved -> Eq_proved
-          | Synth.Equiv.Refuted c ->
-            Eq_refuted (Synth.Equiv.mismatch_to_string c.Synth.Equiv.first)
-          | Synth.Equiv.Undecided s -> Eq_undecided s)
-      |> print_outcome "sim"
-    in
+    let run_sim () = print_verdict "sim" (Synth.Equiv.check ~seed:0 a b) in
     let run_sat () =
-      equiv_cached eng ~key:(key "sat") (fun () ->
-          let on_stats (s : Sat.Solver.stats) =
-            Printf.eprintf
-              "sat: %d solve(s), %d conflicts, %d decisions, %d \
-               propagations, %.3fs\n%!"
-              s.Sat.Solver.solves s.Sat.Solver.conflicts
-              s.Sat.Solver.decisions s.Sat.Solver.propagations
-              s.Sat.Solver.solve_s
-          in
-          match Synth.Equiv.check_sat ~frames ~on_stats a b with
-          | Synth.Equiv.Proved -> Eq_proved
-          | Synth.Equiv.Refuted c ->
-            Eq_refuted (Synth.Equiv.mismatch_to_string c.Synth.Equiv.first)
-          | Synth.Equiv.Undecided s -> Eq_undecided s
-          | exception Failure msg ->
-            (* Replay of a SAT model through the scalar simulator failed:
-               an encoder soundness bug, never an input property. *)
-            Format.printf "sat: SOUNDNESS FAILURE: %s@." msg;
-            eng.report_stats ();
-            exit 1)
-      |> print_outcome "sat"
+      let on_stats (s : Sat.Solver.stats) =
+        Printf.eprintf
+          "sat: %d solve(s), %d conflicts, %d decisions, %d propagations, \
+           %.3fs\n%!"
+          s.Sat.Solver.solves s.Sat.Solver.conflicts s.Sat.Solver.decisions
+          s.Sat.Solver.propagations s.Sat.Solver.solve_s
+      in
+      match Synth.Equiv.check_sat ~frames ~on_stats a b with
+      | v -> print_verdict "sat" v
+      | exception Failure msg ->
+        (* Replay of a SAT model through the scalar simulator failed: an
+           encoder soundness bug, never an input property. *)
+        Format.printf "sat: SOUNDNESS FAILURE: %s@." msg;
+        Cli.finish cli;
+        exit 1
     in
     let verdicts =
       match engine with
@@ -537,9 +345,11 @@ let equiv_cmd =
         let s = run_sim () in
         [ s; run_sat () ]
     in
-    eng.report_stats ();
-    let refuted = List.exists (function Eq_refuted _ -> true | _ -> false) verdicts in
-    let proved = List.exists (function Eq_proved -> true | _ -> false) verdicts in
+    Cli.finish cli;
+    let refuted =
+      List.exists (function Synth.Equiv.Refuted _ -> true | _ -> false) verdicts
+    in
+    let proved = List.mem Synth.Equiv.Proved verdicts in
     if refuted && proved then begin
       Format.printf
         "DISAGREEMENT: one engine proved equivalence, another found a \
@@ -613,13 +423,13 @@ let equiv_cmd =
   Cmd.v
     (Cmd.info "equiv"
        ~doc:"Certify flexible-vs-partially-evaluated PCtrl equivalence.")
-    Term.(const run $ engine_term $ mode_arg $ engine_arg $ frames_arg
+    Term.(const run $ Cli.term $ mode_arg $ engine_arg $ frames_arg
           $ opt_arg $ mutate_arg $ expect_arg)
 
 (* ------------------------------------------------------------------ fault *)
 
 let fault_cmd =
-  let run eng impl mode model seed sites cycles journal_path resume_path
+  let run cli impl mode model seed sites cycles journal_path resume_path
       crash_after vcd_path scalar_sim =
     let impl =
       match impl with
@@ -658,8 +468,8 @@ let fault_cmd =
         crash_after
     in
     let report =
-      Fault.Campaign.run ~jobs:eng.sim_jobs ?timeout_s:eng.timeout_s
-        ~retries:eng.retries ?journal ~resume ?on_checkpoint ?aig
+      Fault.Campaign.run ~jobs:cli.Cli.sim_jobs ?timeout_s:cli.timeout_s
+        ~retries:cli.retries ?journal ~resume ?on_checkpoint ?aig
         ~packed:(not scalar_sim) ~seed ~sites ~model spec
     in
     Option.iter Engine.Journal.close journal;
@@ -678,7 +488,7 @@ let fault_cmd =
           Printf.eprintf "ctrlgen: wrote %s (site %s)\n" path
             (Fault.Site.key site))
       vcd_path;
-    eng.report_stats ();
+    Cli.finish cli;
     if report.Fault.Campaign.failed > 0 then exit 1
   in
   let impl_arg =
@@ -757,46 +567,9 @@ let fault_cmd =
   Cmd.v
     (Cmd.info "fault"
        ~doc:"Run a fault-injection campaign on the PCtrl case study.")
-    Term.(const run $ engine_term $ impl_arg $ mode_arg $ model_arg $ seed_arg
+    Term.(const run $ Cli.term $ impl_arg $ mode_arg $ model_arg $ seed_arg
           $ sites_arg $ cycles_arg $ journal_arg $ resume_arg
           $ crash_after_arg $ vcd_arg $ scalar_sim_arg)
-
-(* ------------------------------------------------------------- experiment *)
-
-let experiment_cmd =
-  let run eng name =
-    (match name with
-    | "fig5" -> Experiments.Fig5.print (Experiments.Fig5.run ())
-    | "fig6" -> Experiments.Fig6.print (Experiments.Fig6.run ())
-    | "fig8" -> Experiments.Fig8.print (Experiments.Fig8.run ())
-    | "fig9" -> Experiments.Fig9.print (Experiments.Fig9.run ())
-    | "fault" ->
-      Experiments.Fault_cmp.print
-        (Experiments.Fault_cmp.run ~jobs:eng.sim_jobs ?timeout_s:eng.timeout_s
-           ())
-    | "ablate-cone" -> Experiments.Ablation.cone_cap ()
-    | "ablate-twolevel" -> Experiments.Ablation.twolevel ()
-    | "ablate-cap" -> Experiments.Ablation.annot_cap ()
-    | other ->
-      Format.eprintf "unknown experiment %s@." other;
-      exit 2);
-    eng.report_stats ();
-    (match Experiments.Exp_common.failures () with
-    | [] -> ()
-    | failures ->
-      Format.eprintf "%d synthesis job(s) failed:@." (List.length failures);
-      List.iter (fun m -> Format.eprintf "  %s@." m) failures;
-      exit 1)
-  in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"NAME"
-             ~doc:"fig5, fig6, fig8, fig9, fault, ablate-cone, \
-                   ablate-twolevel or ablate-cap.")
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a paper figure or ablation.")
-    Term.(const run $ engine_term $ name_arg)
 
 let () =
   let info =
@@ -806,5 +579,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ synth_cmd; asm_cmd; design_cmd; pctrl_cmd; equiv_cmd; fault_cmd;
-            experiment_cmd ]))
+          [ synth_cmd; asm_cmd; design_cmd; pctrl_cmd; equiv_cmd; fault_cmd ]))

@@ -1,0 +1,98 @@
+open Cmdliner
+
+type t = {
+  reconfigure : Cells.Library.t -> unit;
+  sim_jobs : int;
+  timeout_s : float option;
+  retries : int;
+  metrics : bool;
+}
+
+let nonneg =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | _ -> Error (`Msg "expected a non-negative integer")),
+      Format.pp_print_int )
+
+let term =
+  let jobs =
+    Arg.(value & opt nonneg 1
+         & info [ "j"; "jobs" ] ~docv:"N"
+             ~doc:"Run synthesis jobs on $(docv) worker domains (0 = one \
+                   per available core).")
+  in
+  let cache_dir =
+    Arg.(value & opt (some string) None
+         & info [ "cache-dir" ] ~docv:"DIR"
+             ~doc:"Persist synthesis results under $(docv) and reuse them \
+                   across invocations.")
+  in
+  let no_cache =
+    Arg.(value & flag
+         & info [ "no-cache" ] ~doc:"Disable synthesis result caching.")
+  in
+  let timeout_s =
+    let pos_float =
+      Arg.conv
+        ( (fun s ->
+            match float_of_string_opt s with
+            | Some f when f > 0.0 -> Ok f
+            | _ -> Error (`Msg "expected a positive number of seconds")),
+          Format.pp_print_float )
+    in
+    Arg.(value & opt (some pos_float) None
+         & info [ "timeout-s" ] ~docv:"S"
+             ~doc:"Abandon any job still running $(docv) seconds after \
+                   submission (the result settles as a timeout error; see \
+                   the pool docs for the cooperative-cancellation caveat).")
+  in
+  let retries =
+    Arg.(value & opt nonneg 0
+         & info [ "retries" ] ~docv:"N"
+             ~doc:"Re-run failed jobs up to $(docv) extra times with \
+                   bounded exponential backoff.")
+  in
+  let trace =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"PATH"
+             ~doc:"Write a Chrome trace (chrome://tracing JSON, one span \
+                   per synthesis pass / campaign) to $(docv) on exit. \
+                   Never touches stdout.")
+  in
+  let metrics =
+    Arg.(value & flag
+         & info [ "metrics" ]
+             ~doc:"Print the process metrics table (pass deltas, pool \
+                   queueing, cache traffic, simulated cycles) to stderr \
+                   after the run.")
+  in
+  let setup jobs cache_dir no_cache timeout_s retries trace metrics =
+    (* Observability on when either sink was requested; the at_exit hook
+       writes the trace even on nonzero-exit paths. *)
+    if metrics || trace <> None then Obs.set_enabled true;
+    Option.iter Obs.Trace.install_at_exit trace;
+    let reconfigure l =
+      match Engine.create ~jobs ?cache_dir ~no_cache ?timeout_s ~retries l with
+      | e -> Engine.set_default e
+      | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 2
+    in
+    reconfigure Cells.Library.vt90;
+    {
+      reconfigure;
+      sim_jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
+      timeout_s;
+      retries;
+      metrics;
+    }
+  in
+  Term.(const setup $ jobs $ cache_dir $ no_cache $ timeout_s $ retries
+        $ trace $ metrics)
+
+let finish t =
+  let stats = Engine.stats (Engine.default ()) in
+  if stats.Engine.submitted > 0 then prerr_string (Engine.stats_table stats);
+  if t.metrics then prerr_string (Obs.Metrics.to_table ())

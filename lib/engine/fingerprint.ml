@@ -3,24 +3,19 @@ let options (o : Synth.Flow.options) =
      until it is added to the canonical form (warning 9 is fatal). *)
   let {
     Synth.Flow.collapse_cap;
-    espresso_iters;
-    honor_tool_annots;
     honor_generator_annots;
     annot_width_cap;
     retime;
-    stateprop;
     sweep_sat;
     self_check;
   } =
     o
   in
   Printf.sprintf
-    "(flow-options (collapse_cap %d) (espresso_iters %d) \
-     (honor_tool_annots %b) (honor_generator_annots %b) \
-     (annot_width_cap %d) (retime %b) (stateprop %b) (sweep_sat %b) \
-     (self_check %b))"
-    collapse_cap espresso_iters honor_tool_annots honor_generator_annots
-    annot_width_cap retime stateprop sweep_sat self_check
+    "(flow-options (collapse_cap %d) (honor_generator_annots %b) \
+     (annot_width_cap %d) (retime %b) (sweep_sat %b) (self_check %b))"
+    collapse_cap honor_generator_annots annot_width_cap retime sweep_sat
+    self_check
 
 let cell (c : Cells.Cell.t) =
   let { Cells.Cell.cname; func; area; delay } = c in

@@ -36,11 +36,11 @@ let extract (low : Lower.t) =
   in
   List.filter_map of_annot low.design.annots
 
-let honored ~tool ~generator ~width_cap annots =
+let honored ~generator ~width_cap annots =
   let keep a =
     let prov_ok =
       match a.provenance with
-      | Rtl.Annot.Tool_detected -> tool
+      | Rtl.Annot.Tool_detected -> true
       | Rtl.Annot.Generator -> generator
     in
     prov_ok && width a <= width_cap

@@ -17,10 +17,10 @@ val extract : Lower.t -> t list
     on intermediate nets carry no extra information for the optimizer — the
     logic implies them — and are skipped). *)
 
-val honored :
-  tool:bool -> generator:bool -> width_cap:int -> t list -> t list
+val honored : generator:bool -> width_cap:int -> t list -> t list
 (** Filter by provenance and by the tool's annotation width limit (the
-    paper's n ≤ 32 cliff). *)
+    paper's n ≤ 32 cliff). Tool-detected annotations always pass the
+    provenance filter; generator-supplied ones only when [generator]. *)
 
 val width : t -> int
 

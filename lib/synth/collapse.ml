@@ -158,7 +158,7 @@ type analysis = { cover : Twolevel.Cover.t; resolved : Bytes.t; resolved0 : Byte
 let espresso_calls = Obs.Metrics.counter "synth.collapse.espresso_calls"
 let memo_hits = Obs.Metrics.counter "synth.collapse.memo_hits"
 
-let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
+let run ?(cap = 14) ~annots g =
   (* Generated designs repeat one block per bit-slice, so thousands of
      groups compute the same few truth functions. The packed window
      simulation gives each root an exact signature (its dense
@@ -269,7 +269,7 @@ let run ?(cap = 14) ?(espresso_iters = 3) ~annots g =
               | '\001' -> Twolevel.Truthfn.On
               | _ -> Twolevel.Truthfn.Off)
         in
-        let cover = Twolevel.Espresso.minimize ~max_iters:espresso_iters tf in
+        let cover = Twolevel.Espresso.minimize tf in
         let resolved =
           Bytes.init (1 lsl k) (fun m ->
               if Twolevel.Cover.eval cover m then '\001' else '\000')

@@ -19,10 +19,5 @@
     limitation: the pass never looks through a latch, so an unannotated
     registered one-hot bus is *not* optimized — Fig. 8's "Regular" series). *)
 
-val run :
-  ?cap:int ->
-  ?espresso_iters:int ->
-  annots:Annots.t list ->
-  Aig.t ->
-  Aig.t
+val run : ?cap:int -> annots:Annots.t list -> Aig.t -> Aig.t
 (** [cap] defaults to 14 (the dense truth-table window limit). *)

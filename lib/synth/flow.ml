@@ -1,11 +1,8 @@
 type options = {
   collapse_cap : int;
-  espresso_iters : int;
-  honor_tool_annots : bool;
   honor_generator_annots : bool;
   annot_width_cap : int;
   retime : bool;
-  stateprop : bool;
   sweep_sat : bool;
   self_check : bool;
 }
@@ -13,12 +10,9 @@ type options = {
 let default =
   {
     collapse_cap = 14;
-    espresso_iters = 3;
-    honor_tool_annots = true;
     honor_generator_annots = false;
     annot_width_cap = 32;
     retime = false;
-    stateprop = true;
     sweep_sat = false;
     self_check = false;
   }
@@ -101,18 +95,15 @@ let compile ?(options = default) lib design =
         l)
   in
   let honored =
-    Annots.honored
-      ~tool:options.honor_tool_annots
-      ~generator:options.honor_generator_annots
-      ~width_cap:options.annot_width_cap
-      (Annots.extract lowered)
+    Annots.honored ~generator:options.honor_generator_annots
+      ~width_cap:options.annot_width_cap (Annots.extract lowered)
   in
   let relocate g = List.filter_map (Annots.relocate g) honored in
   let sweep g = Sweep.run ~sat:options.sweep_sat g in
   let g = traced_pass "sweep" ~iter:1 sweep lowered.Lower.aig in
   let g = if options.retime then traced_pass "retime" ~iter:1 Retime.run g else g in
   let g =
-    if options.stateprop && honored <> [] then
+    if honored <> [] then
       traced_pass "stateprop" ~iter:1
         (fun g -> Stateprop.run ~annots:(relocate g) g)
         g
@@ -120,9 +111,7 @@ let compile ?(options = default) lib design =
   in
   let collapse iter g =
     traced_pass "collapse" ~iter
-      (fun g ->
-        Collapse.run ~cap:options.collapse_cap
-          ~espresso_iters:options.espresso_iters ~annots:(relocate g) g)
+      (fun g -> Collapse.run ~cap:options.collapse_cap ~annots:(relocate g) g)
       g
   in
   (* Two collapse/sweep iterations, unless the first is a fixpoint: both

@@ -1,16 +1,20 @@
 (** Canned synthesis flows (the "tool" the experiments drive).
 
     A flow lowers a design and runs:
-    sweep → [retime] → [state propagation] → collapse → sweep → collapse →
+    sweep → [retime] → state propagation → collapse → sweep → collapse →
     sweep → map. The second collapse → sweep iteration is left out when
     the first returns a graph {!Aig.equal} to its input: it would
     rebuild the same graph, so the result is the same either way.
 
+    FSM-style annotations the tool could infer from coding style (Design
+    Compiler's automatic FSM detection on case-statement RTL) are always
+    honoured, state propagation runs whenever an annotation is honoured,
+    and collapse minimizes with Espresso's default iteration budget.
+
     The option record exposes exactly the knobs the paper's experiments
     turn:
-    - [honor_tool_annots]: whether FSM-style annotations the tool could
-      infer from coding style are used (Design Compiler's automatic FSM
-      detection on case-statement RTL). Default on.
+    - [collapse_cap]: the widest cone collapse resynthesizes
+      ({!Collapse.run}).
     - [honor_generator_annots]: whether generator-supplied annotations
       (the manual [set_fsm_state_vector] / state annotation of the paper)
       are used. Default off — turning it on is the "State annotated"
@@ -26,20 +30,17 @@
 
 type options = {
   collapse_cap : int;
-  espresso_iters : int;
-  honor_tool_annots : bool;
   honor_generator_annots : bool;
   annot_width_cap : int;
   retime : bool;
-  stateprop : bool;
   sweep_sat : bool;
   self_check : bool;
 }
 
 val default : options
-(** [{ collapse_cap = 14; espresso_iters = 3; honor_tool_annots = true;
-      honor_generator_annots = false; annot_width_cap = 32; retime = false;
-      stateprop = true; sweep_sat = false; self_check = false }] *)
+(** [{ collapse_cap = 14; honor_generator_annots = false;
+      annot_width_cap = 32; retime = false; sweep_sat = false;
+      self_check = false }] *)
 
 type result = {
   lowered : Lower.t;  (** pre-optimization netlist *)

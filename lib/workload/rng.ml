@@ -24,3 +24,14 @@ let subset t ~size l =
     end
   in
   go [] l (min size (List.length l))
+
+let mutate_bindings ~seed bindings =
+  let rng = make seed in
+  let i = int rng (List.length bindings) in
+  let tname, contents = List.nth bindings i in
+  let e = int rng (Array.length contents) in
+  let b = int rng (Bitvec.width contents.(e)) in
+  let contents' = Array.copy contents in
+  contents'.(e) <- Bitvec.set contents.(e) b (not (Bitvec.get contents.(e) b));
+  ( List.mapi (fun j (n, c) -> if j = i then (n, contents') else (n, c)) bindings,
+    Printf.sprintf "%s entry %d bit %d" tname e b )

@@ -24,3 +24,12 @@ val pick : t -> 'a list -> 'a
 
 val subset : t -> size:int -> 'a list -> 'a list
 (** A random subset of at most [size] distinct elements. *)
+
+val mutate_bindings :
+  seed:int ->
+  (string * Bitvec.t array) list ->
+  (string * Bitvec.t array) list * string
+(** Flip one seeded-random bit of one entry of one configuration table.
+    Returns the perturbed bindings and the flipped site as
+    ["<table> entry <e> bit <b>"], so a seeded mutation is reproducible
+    and reportable. *)

@@ -12,11 +12,17 @@ dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
 rm -f BENCH_sim.json
-out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+out=$(mktemp) && err=$(mktemp)
+trap 'rm -f "$out" "$err"' EXIT
 
-"$exe" microbench --sim-reps 2 > "$out" 2>/dev/null
+"$exe" microbench --sim-reps 2 > "$out" 2> "$err"
 cat "$out"
+
+# The microbench submits no synthesis job, so no engine table.
+if grep -q 'jobs submitted' "$err"; then
+  echo "error: microbench printed an empty engine table" >&2
+  exit 1
+fi
 
 [ -f BENCH_sim.json ] || { echo "error: BENCH_sim.json not written" >&2; exit 1; }
 grep -q '"agreement":"ok"' BENCH_sim.json || {

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# Observability smoke: the same sweep with and without --trace/--metrics
-# must print byte-identical stdout, and the emitted Chrome trace must be
-# valid enough to carry pass spans and the metrics snapshot. Leaves
+# Observability smoke and figure golden: `bench/main.exe quick` stdout
+# (the Fig. 5/6/8/9 tables) must match the committed
+# test/golden/quick.stdout byte for byte, the same sweep with
+# --trace/--metrics must print the same stdout, and the emitted Chrome
+# trace must be valid enough to carry pass spans and the metrics snapshot.
+# An intentional change to a figure regenerates the golden with
+# scripts/regen-golden.sh, and the diff is reviewed like source. Leaves
 # trace.json in the repo root for CI to upload as an artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,13 +13,20 @@ cd "$(dirname "$0")/.."
 dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
-plain=$(mktemp) && traced=$(mktemp) && err=$(mktemp)
-trap 'rm -f "$plain" "$traced" "$err"' EXIT
+plain=$(mktemp) && plain_err=$(mktemp) && traced=$(mktemp) && err=$(mktemp)
+trap 'rm -f "$plain" "$plain_err" "$traced" "$err"' EXIT
 
 # --no-cache so the traced run actually executes the synthesis passes
 # rather than replaying engine cache hits.
-"$exe" quick -j 2 --no-cache > "$plain" 2>/dev/null
+"$exe" quick -j 2 --no-cache > "$plain" 2> "$plain_err"
 "$exe" quick -j 2 --no-cache --trace trace.json --metrics > "$traced" 2> "$err"
+
+if ! diff -u test/golden/quick.stdout "$plain"; then
+  echo "error: quick stdout differs from test/golden/quick.stdout" >&2
+  exit 1
+fi
+# A run that submitted synthesis jobs reports the engine table on stderr.
+grep -q 'jobs submitted' "$plain_err"
 
 if ! diff -u "$plain" "$traced"; then
   echo "error: stdout changed when observability was enabled" >&2
@@ -27,4 +38,4 @@ grep -q '"flow.compile"' trace.json
 grep -q '"metrics"' trace.json
 grep -q 'engine\.pool\.jobs' "$err"
 grep -q 'synth\.flow\.' "$err"
-echo "observability smoke OK: stdout identical, trace.json valid"
+echo "observability smoke OK: stdout matches the golden, trace.json valid"

@@ -45,13 +45,11 @@ let test_fingerprint_sensitivity () =
   let o = Synth.Flow.default in
   let variants =
     [ ("collapse_cap", { o with Synth.Flow.collapse_cap = 13 });
-      ("espresso_iters", { o with Synth.Flow.espresso_iters = 4 });
-      ("honor_tool_annots", { o with Synth.Flow.honor_tool_annots = false });
       ("honor_generator_annots",
        { o with Synth.Flow.honor_generator_annots = true });
       ("annot_width_cap", { o with Synth.Flow.annot_width_cap = 31 });
       ("retime", { o with Synth.Flow.retime = true });
-      ("stateprop", { o with Synth.Flow.stateprop = false });
+      ("sweep_sat", { o with Synth.Flow.sweep_sat = true });
       ("self_check", { o with Synth.Flow.self_check = true }) ]
   in
   List.iter
@@ -411,6 +409,66 @@ let test_determinism_disk_cache () =
   (* Restore a clean default for any later test. *)
   Engine.set_default (Engine.create ~jobs:1 lib)
 
+(* ------------------------------------------------------------------ cli *)
+
+(* Evaluate the shared flag term on [args], discarding cmdliner's error
+   and help output. *)
+let eval_cli args =
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "cli-test") Cli.term in
+  Cmdliner.Cmd.eval_value ~help:quiet ~err:quiet
+    ~argv:(Array.of_list ("cli-test" :: args))
+    cmd
+
+let test_cli_rejects_bad_values () =
+  List.iter
+    (fun args ->
+      match eval_cli args with
+      | Error (`Parse | `Term) -> ()
+      | _ -> Alcotest.failf "accepted %s" (String.concat " " args))
+    [ [ "-j"; "-1" ]; [ "--retries"; "-1" ]; [ "--timeout-s"; "0" ];
+      [ "--timeout-s"; "x" ] ]
+
+let test_cli_values () =
+  (match eval_cli [ "-j"; "0" ] with
+   | Ok (`Ok (c : Cli.t)) ->
+     Alcotest.(check int) "-j 0 means one job per core"
+       (Domain.recommended_domain_count ()) c.sim_jobs
+   | _ -> Alcotest.fail "-j 0 rejected");
+  (match eval_cli [ "--timeout-s"; "2.5"; "--retries"; "3"; "--no-cache" ] with
+   | Ok (`Ok (c : Cli.t)) ->
+     Alcotest.(check (option (float 0.0))) "timeout" (Some 2.5) c.timeout_s;
+     Alcotest.(check int) "retries" 3 c.retries;
+     Alcotest.(check int) "default -j" 1 c.sim_jobs;
+     Alcotest.(check bool) "no --metrics" false c.metrics
+   | _ -> Alcotest.fail "valid flags rejected");
+  Engine.set_default (Engine.create ~jobs:1 lib)
+
+(* The seeded negative control used by `ctrlgen equiv --mutate` and
+   `bench equivbench`: the site is a pure function of the seed, and
+   exactly one bit changes. *)
+let test_mutate_bindings () =
+  let bindings = Pctrl.Controller.bindings Pctrl.Controller.Cached in
+  let mutated, site = Workload.Rng.mutate_bindings ~seed:8 bindings in
+  Alcotest.(check string) "site" "seq_useq_dt_optable entry 5 bit 1" site;
+  let flipped =
+    List.fold_left2
+      (fun n (name, c) (name', c') ->
+        Alcotest.(check string) "table order" name name';
+        n
+        + Array.fold_left ( + ) 0
+            (Array.map2
+               (fun v v' ->
+                 let d = ref 0 in
+                 for b = 0 to Bitvec.width v - 1 do
+                   if Bitvec.get v b <> Bitvec.get v' b then incr d
+                 done;
+                 !d)
+               c c'))
+      0 bindings mutated
+  in
+  Alcotest.(check int) "one bit flipped" 1 flipped
+
 let () =
   Alcotest.run "engine"
     [
@@ -462,5 +520,13 @@ let () =
             test_determinism_parallel;
           Alcotest.test_case "fig5 cold = warm disk cache" `Quick
             test_determinism_disk_cache;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "rejects bad flag values" `Quick
+            test_cli_rejects_bad_values;
+          Alcotest.test_case "resolves flag values" `Quick test_cli_values;
+          Alcotest.test_case "seeded binding mutation" `Quick
+            test_mutate_bindings;
         ] );
     ]

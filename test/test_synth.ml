@@ -208,7 +208,7 @@ let test_stateprop_folds_onehot () =
   let d = onehot_generic 16 in
   let low = Synth.Lower.run d in
   let annots =
-    Synth.Annots.honored ~tool:true ~generator:true ~width_cap:32
+    Synth.Annots.honored ~generator:true ~width_cap:32
       (Synth.Annots.extract low)
   in
   Alcotest.(check int) "one annotation" 1 (List.length annots);
@@ -229,7 +229,7 @@ let test_stateprop_width_cap () =
   let d = onehot_generic 64 in
   let low = Synth.Lower.run d in
   let annots =
-    Synth.Annots.honored ~tool:true ~generator:true ~width_cap:32
+    Synth.Annots.honored ~generator:true ~width_cap:32
       (Synth.Annots.extract low)
   in
   Alcotest.(check int) "annotation filtered by cap" 0 (List.length annots)
@@ -321,8 +321,7 @@ let test_flow_self_check_and_idempotence () =
 let two_iteration_chain (options : Synth.Flow.options) d =
   let lowered = Synth.Lower.run d in
   let honored =
-    Synth.Annots.honored ~tool:options.honor_tool_annots
-      ~generator:options.honor_generator_annots
+    Synth.Annots.honored ~generator:options.honor_generator_annots
       ~width_cap:options.annot_width_cap (Synth.Annots.extract lowered)
   in
   let relocate g = List.filter_map (Synth.Annots.relocate g) honored in
@@ -330,13 +329,10 @@ let two_iteration_chain (options : Synth.Flow.options) d =
   let g0 = sweep lowered.Synth.Lower.aig in
   let g0 = if options.retime then Synth.Retime.run g0 else g0 in
   let g0 =
-    if options.stateprop && honored <> [] then
-      Synth.Stateprop.run ~annots:(relocate g0) g0
-    else g0
+    if honored <> [] then Synth.Stateprop.run ~annots:(relocate g0) g0 else g0
   in
   let collapse g =
-    Synth.Collapse.run ~cap:options.collapse_cap
-      ~espresso_iters:options.espresso_iters ~annots:(relocate g) g
+    Synth.Collapse.run ~cap:options.collapse_cap ~annots:(relocate g) g
   in
   let g1 = sweep (collapse g0) in
   (g0, g1, sweep (collapse g1))
