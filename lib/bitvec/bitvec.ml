@@ -216,5 +216,5 @@ let fold_bits f v init =
   done;
   !acc
 
-let pp fmt v = Format.fprintf fmt "%d'b%s" v.width (to_binary_string v)
-let to_string v = Format.asprintf "%a" pp v
+let to_string v = string_of_int v.width ^ "'b" ^ to_binary_string v
+let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -39,8 +39,12 @@ let library (l : Cells.Library.t) =
   Printf.sprintf "(library %s %s)" l.Cells.Library.lib_name
     (String.concat " " (List.map cell l.Cells.Library.cells))
 
+(* Bumped on a deliberate change to flow output or to the canonical forms;
+   see the interface. *)
+let version = "(ctrlgen-key v2)"
+
 let job ~lib ~options:o design =
   Digest.to_hex
     (Digest.string
        (String.concat "\n"
-          [ Rtl.Serialize.write design; options o; library lib ]))
+          [ version; Rtl.Serialize.write design; options o; library lib ]))

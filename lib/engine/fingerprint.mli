@@ -10,7 +10,13 @@
     The canonical forms spell out every record field explicitly; adding a
     field to {!Synth.Flow.options} or {!Cells.Cell.t} is a compile error
     here until the fingerprint learns about it, which is exactly the
-    safety property a persistent cache needs. *)
+    safety property a persistent cache needs.
+
+    The key does not cover the flow's code. It starts instead with a
+    constant version tag, currently [(ctrlgen-key v2)]. A deliberate change
+    to flow output (a different netlist or summary for the same inputs) or
+    to any canonical form bumps the tag, so that a persisted [--cache-dir]
+    stops serving summaries of the old flow. *)
 
 val options : Synth.Flow.options -> string
 (** Canonical text of a flow-option record. *)

@@ -6,11 +6,13 @@ let fail fmt = Format.kasprintf (fun m -> raise (Parse_error m)) fmt
 
 type sexp = Atom of string | List of sexp list
 
+(* Flat, like [write]'s entries; only parse errors print a sexp. *)
 let rec pp_sexp fmt = function
   | Atom a -> Format.pp_print_string fmt a
   | List items ->
-    Format.fprintf fmt "@[<hov 1>(%a)@]"
-      (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_sexp)
+    Format.fprintf fmt "(%a)"
+      (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ' ')
+         pp_sexp)
       items
 
 let parse_sexp text =
@@ -57,125 +59,104 @@ let parse_sexp text =
 
 (* --------------------------------------------------------------- writing *)
 
-let bv_atom v = Atom (Bitvec.to_string v)
+(* A name the reader would split or drop (see [parse_sexp]) would not read
+   back as itself, and two designs could then share one engine key. *)
+let name_atom n =
+  if
+    n = ""
+    || String.exists
+         (function ' ' | '\t' | '\n' | '\r' | '(' | ')' | ';' -> true | _ -> false)
+         n
+  then
+    invalid_arg (Printf.sprintf "Serialize.write: %S is not a valid name atom" n);
+  n
 
-let rec expr_sexp (e : Expr.t) =
-  match e with
-  | Expr.Const v -> List [ Atom "const"; bv_atom v ]
-  | Expr.Signal s -> List [ Atom "sig"; Atom s.Signal.name; Atom (string_of_int s.width) ]
-  | Expr.Unop (op, a) ->
-    let name =
-      match op with
-      | Expr.Not -> "not" | Expr.Red_and -> "redand" | Expr.Red_or -> "redor"
-      | Expr.Red_xor -> "redxor"
-    in
-    List [ Atom name; expr_sexp a ]
-  | Expr.Binop (op, a, b) ->
-    let name =
-      match op with
-      | Expr.And -> "and" | Expr.Or -> "or" | Expr.Xor -> "xor"
-      | Expr.Add -> "add" | Expr.Sub -> "sub" | Expr.Eq -> "eq"
-      | Expr.Ne -> "ne" | Expr.Ult -> "ult"
-    in
-    List [ Atom name; expr_sexp a; expr_sexp b ]
-  | Expr.Mux (s, a, b) -> List [ Atom "mux"; expr_sexp s; expr_sexp a; expr_sexp b ]
-  | Expr.Concat es -> List (Atom "concat" :: List.map expr_sexp es)
-  | Expr.Slice { e; hi; lo } ->
-    List [ Atom "slice"; expr_sexp e; Atom (string_of_int hi); Atom (string_of_int lo) ]
-  | Expr.Table_read { table; addr; width } ->
-    List [ Atom "read"; Atom table; Atom (string_of_int width); expr_sexp addr ]
-
-let reset_atom = function
-  | Design.No_reset -> Atom "none"
-  | Design.Sync_reset -> Atom "sync"
-  | Design.Async_reset -> Atom "async"
-
-let design_sexp (d : Design.t) =
-  let inputs =
-    List
-      (Atom "inputs"
-       :: List.map
-            (fun (s : Signal.t) ->
-              List [ Atom s.name; Atom (string_of_int s.width) ])
-            d.inputs)
+let write (d : Design.t) =
+  let b = Buffer.create 4096 in
+  let add = Buffer.add_string b and sp () = Buffer.add_char b ' ' in
+  let name n = add (name_atom n) in
+  (* Digits by hand: [string_of_int] is a formatted C call, and every
+     signal reference carries a width. *)
+  let rec digits i =
+    if i >= 10 then digits (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
   in
-  let nets =
-    List
-      (Atom "nets"
-       :: List.map
-            (fun ((s : Signal.t), e) ->
-              List [ Atom s.name; Atom (string_of_int s.width); expr_sexp e ])
-            d.nets)
+  let int i = if i < 0 then add (string_of_int i) else digits i in
+  let bv v = add (Bitvec.to_string v) in
+  let rec expr (e : Expr.t) =
+    Buffer.add_char b '(';
+    (match e with
+     | Expr.Const v -> add "const "; bv v
+     | Expr.Signal s -> add "sig "; name s.name; sp (); int s.width
+     | Expr.Unop (op, a) ->
+       add
+         (match op with
+          | Expr.Not -> "not " | Expr.Red_and -> "redand "
+          | Expr.Red_or -> "redor " | Expr.Red_xor -> "redxor ");
+       expr a
+     | Expr.Binop (op, a, c) ->
+       add
+         (match op with
+          | Expr.And -> "and " | Expr.Or -> "or " | Expr.Xor -> "xor "
+          | Expr.Add -> "add " | Expr.Sub -> "sub " | Expr.Eq -> "eq "
+          | Expr.Ne -> "ne " | Expr.Ult -> "ult ");
+       expr a; sp (); expr c
+     | Expr.Mux (s, a, c) -> add "mux "; expr s; sp (); expr a; sp (); expr c
+     | Expr.Concat es -> add "concat"; List.iter (fun e -> sp (); expr e) es
+     | Expr.Slice { e; hi; lo } -> add "slice "; expr e; sp (); int hi; sp (); int lo
+     | Expr.Table_read { table; addr; width } ->
+       add "read "; name table; sp (); int width; sp (); expr addr);
+    Buffer.add_char b ')'
   in
-  let regs =
-    List
-      (Atom "regs"
-       :: List.map
-            (fun (r : Design.reg) ->
-              List
-                ([ Atom r.q.Signal.name;
-                   Atom (string_of_int r.q.Signal.width);
-                   List [ Atom "reset"; reset_atom r.reset ];
-                   List [ Atom "init"; bv_atom r.init ];
-                   List [ Atom "config"; Atom (string_of_bool r.is_config) ] ]
-                @ (match r.enable with
-                   | None -> []
-                   | Some en -> [ List [ Atom "enable"; expr_sexp en ] ])
-                @ [ expr_sexp r.d ]))
-            d.regs)
+  (* One section entry per line, everything in it flat. *)
+  let section title entry items =
+    add "\n ("; add title;
+    List.iter (fun x -> add "\n  ("; entry x; Buffer.add_char b ')') items;
+    Buffer.add_char b ')'
   in
-  let tables =
-    List
-      (Atom "tables"
-       :: List.map
-            (fun (t : Design.table) ->
-              List
-                [ Atom t.tname;
-                  Atom (string_of_int t.twidth);
-                  Atom (string_of_int t.depth);
-                  (match t.storage with
-                   | Design.Config -> List [ Atom "config" ]
-                   | Design.Rom contents ->
-                     List (Atom "rom" :: Array.to_list (Array.map bv_atom contents))) ])
-            d.tables)
-  in
-  let outputs =
-    List
-      (Atom "outputs"
-       :: List.map
-            (fun ((s : Signal.t), e) ->
-              List [ Atom s.name; Atom (string_of_int s.width); expr_sexp e ])
-            d.outputs)
-  in
-  let annots =
-    List
-      (Atom "annots"
-       :: List.map
-            (fun (a : Annot.t) ->
-              let kind =
-                match a.kind with
-                | Annot.Value_set _ -> "value_set"
-                | Annot.Fsm_state_vector _ -> "fsm_state_vector"
-              in
-              let prov =
-                match a.provenance with
-                | Annot.Tool_detected -> "tool"
-                | Annot.Generator -> "generator"
-              in
-              List
-                (Atom kind :: Atom a.target :: Atom prov
-                 :: List.map bv_atom (Annot.values a)))
-            d.annots)
-  in
-  List
-    [ Atom "design"; List [ Atom "name"; Atom d.name ]; inputs; nets; regs;
-      tables; outputs; annots ]
-
-let write d = Format.asprintf "%a@." pp_sexp (design_sexp d)
-
-let to_file path d =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (write d))
+  let signal (s : Signal.t) = name s.name; sp (); int s.width in
+  let driven (s, e) = signal s; sp (); expr e in
+  add "(design (name "; name d.name; add ")";
+  section "inputs" signal d.inputs;
+  section "nets" driven d.nets;
+  section "regs"
+    (fun (r : Design.reg) ->
+      signal r.q;
+      add " (reset ";
+      add
+        (match r.reset with
+         | Design.No_reset -> "none"
+         | Design.Sync_reset -> "sync"
+         | Design.Async_reset -> "async");
+      add ") (init "; bv r.init;
+      add ") (config "; add (string_of_bool r.is_config); add ") ";
+      Option.iter (fun en -> add "(enable "; expr en; add ") ") r.enable;
+      expr r.d)
+    d.regs;
+  section "tables"
+    (fun (t : Design.table) ->
+      name t.tname; sp (); int t.twidth; sp (); int t.depth;
+      match t.storage with
+      | Design.Config -> add " (config)"
+      | Design.Rom words ->
+        add " (rom"; Array.iter (fun v -> sp (); bv v) words; add ")")
+    d.tables;
+  section "outputs" driven d.outputs;
+  section "annots"
+    (fun (a : Annot.t) ->
+      add
+        (match a.kind with
+         | Annot.Value_set _ -> "value_set "
+         | Annot.Fsm_state_vector _ -> "fsm_state_vector ");
+      name a.target;
+      add
+        (match a.provenance with
+         | Annot.Tool_detected -> " tool"
+         | Annot.Generator -> " generator");
+      List.iter (fun v -> sp (); bv v) (Annot.values a))
+    d.annots;
+  add ")\n";
+  Buffer.contents b
 
 (* --------------------------------------------------------------- reading *)
 

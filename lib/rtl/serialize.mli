@@ -5,18 +5,27 @@
     reads back exactly ([read (write d)] reproduces the design up to
     expression structure — checked by roundtrip property tests).
 
-    The concrete syntax, loosely:
+    {!write} puts each section entry on its own line and prints everything
+    in it flat, one space between atoms. The same text is the design's part
+    of the engine's cache key ([Engine.Fingerprint.job]). For example:
     {v
-    (design (name counter)
-      (inputs (en 1))
-      (regs (q 3 (reset sync) (init 3'b000) (enable (sig en 1))
-               (add (sig q 3) (const 3'b001))))
-      (outputs (count 3 (sig q 3))))
-    v} *)
+(design (name ctr)
+ (inputs
+  (en 1))
+ (nets)
+ (regs
+  (q 3 (reset sync) (init 3'b000) (config false) (enable (sig en 1)) (add (sig q 3) (const 3'b001))))
+ (tables)
+ (outputs
+  (count 3 (sig q 3)))
+ (annots))
+    v}
+    {!read} ignores whitespace between atoms, so any other layout of the
+    same atoms reads back too. *)
 
 val write : Design.t -> string
-
-val to_file : string -> Design.t -> unit
+(** @raise Invalid_argument on a name that is empty or contains
+    whitespace, [(], [)] or [;]: such a name would not read back as itself. *)
 
 exception Parse_error of string
 

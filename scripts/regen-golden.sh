@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the golden fixtures under test/golden/ (Verilog pretty-printer,
-# VCD writer, DIMACS CNF outputs, the BDD-check fingerprint and the
-# `bench quick` figure tables).
+# VCD writer, design s-expression writer, DIMACS CNF outputs, the BDD-check
+# fingerprint and the `bench quick` figure tables).
 # Run after an intentional emitter or figure change, then review the diff
 # like any other source change.
 set -euo pipefail

@@ -80,6 +80,47 @@ let test_golden_vcd_counter () =
   let vcd = Rtl.Vcd.of_run (counter ()) ~stimulus:stim ~watch:[ "en"; "q" ] in
   check_golden "counter.vcd" vcd
 
+(* One design with every expression form, a register with and without an
+   enable, a configuration register, both table kinds and both annotation
+   kinds: the byte golden of [Rtl.Serialize.write]. *)
+let every_form () =
+  let open Rtl in
+  let b = Builder.create "every_form" in
+  let a = Builder.input b "a" 4 and c = Builder.input b "c" 4 in
+  let s = Builder.input b "s" 1 in
+  Builder.rom b "lut" ~width:4
+    (Array.init 4 (fun i -> Bitvec.of_int ~width:4 (3 * i)));
+  Builder.config_table b "cfg" ~width:2 ~depth:4;
+  let x = Builder.net b "x" Expr.(xor (and_ a c) (or_ a (not_ c))) in
+  let y =
+    Builder.net b "y" Expr.(mux s (add x (of_int ~width:4 5)) (sub x a))
+  in
+  let flags =
+    Builder.net b "flags"
+      Expr.(concat [ red_and a; red_or c; red_xor x; eq a c; ne a c; ult a c ])
+  in
+  let st =
+    Builder.reg_declare b "st" ~width:2 ~reset:Design.Async_reset
+      ~init:(Bitvec.of_int ~width:2 1)
+  in
+  Builder.reg_connect b "st" (Builder.read_table b "cfg" st);
+  let mode = Builder.reg_declare b "mode" ~width:1 ~is_config:true in
+  Builder.reg_connect b "mode" mode;
+  let acc =
+    Builder.reg b "acc" ~reset:Design.No_reset ~enable:mode
+      ~d:(Builder.read_table b "lut" (Expr.slice y ~hi:1 ~lo:0))
+  in
+  Builder.output b "out" (Expr.concat [ acc; flags ]);
+  let bvs w = List.map (Bitvec.of_int ~width:w) in
+  Builder.annotate b
+    (Annot.fsm_state_vector ~provenance:Annot.Tool_detected "st" (bvs 2 [ 1; 2 ]));
+  Builder.annotate b
+    (Annot.value_set ~provenance:Annot.Generator "y" (bvs 4 [ 0; 5; 9 ]));
+  Builder.finish b
+
+let test_golden_design () =
+  check_golden "design.sexp" (Rtl.Serialize.write (every_form ()))
+
 (* ---------------------------------------------------------------- aiger *)
 
 let roundtrip_equivalent g =
@@ -162,7 +203,10 @@ let prop_sexp_roundtrip =
     (QCheck.Test.make ~count:80 ~name:"sexp roundtrip preserves behaviour" arb
        (fun seed ->
          let d = Workload.Rand_design.generate ~seed in
-         let d' = Rtl.Serialize.read (Rtl.Serialize.write d) in
+         let text = Rtl.Serialize.write d in
+         let d' = Rtl.Serialize.read text in
+         if not (String.equal (Rtl.Serialize.write d') text) then
+           QCheck.Test.fail_report "write (read (write d)) <> write d";
          let g = (Synth.Lower.run d).Synth.Lower.aig in
          let g' = (Synth.Lower.run d').Synth.Lower.aig in
          match Synth.Equiv.aig_vs_aig ~seed ~cycles:24 ~runs:2 g g' with
@@ -181,6 +225,41 @@ let test_sexp_errors () =
   bad "(design (name x) (inputs) (nets) (regs) (tables) (outputs) (annots";
   bad "(design (name x) (inputs (a zero)) (nets) (regs) (tables) (outputs) (annots))"
 
+(* [counter ()] as [write] laid it out through Format boxes before it went
+   flat (the example in serialize.mli, in its old layout): files written
+   then must still load. *)
+let old_layout =
+  "(design (name ctr) (inputs (en 1)) (nets)\n\
+  \ (regs\n\
+  \  (q 3 (reset sync) (init 3'b000) (config false) (enable (sig en 1))\n\
+  \   (add (sig q 3) (const 3'b001)))) (tables) (outputs (count 3 (sig q 3)))\n\
+  \ (annots))\n"
+
+let test_sexp_old_layout () =
+  Alcotest.(check string) "same design"
+    (Rtl.Serialize.write (counter ()))
+    (Rtl.Serialize.write (Rtl.Serialize.read old_layout))
+
+(* The engine keys jobs by [write]'s text, so [write] must be injective: a
+   name the reader would split is refused rather than written. *)
+let test_sexp_bad_names () =
+  let d = counter () in
+  let refused what d =
+    match Rtl.Serialize.write d with
+    | _ -> Alcotest.failf "wrote %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun n ->
+      refused (Printf.sprintf "design name %S" n) { d with Rtl.Design.name = n };
+      refused
+        (Printf.sprintf "input name %S" n)
+        { d with Rtl.Design.inputs = [ { Rtl.Signal.name = n; width = 1 } ] })
+    [ ""; "a b"; "a\tb"; "a\nb"; "a\rb"; "a(b"; "a)"; ";a"; "a;b" ];
+  let odd = { d with Rtl.Design.name = "a'b.c[3]" } in
+  Alcotest.(check string) "other punctuation reads back" "a'b.c[3]"
+    (Rtl.Serialize.read (Rtl.Serialize.write odd)).Rtl.Design.name
+
 let () =
   Alcotest.run "io"
     [
@@ -195,6 +274,7 @@ let () =
           Alcotest.test_case "verilog counter" `Quick test_golden_verilog_counter;
           Alcotest.test_case "verilog fsm" `Quick test_golden_verilog_fsm;
           Alcotest.test_case "vcd counter" `Quick test_golden_vcd_counter;
+          Alcotest.test_case "design sexp" `Quick test_golden_design;
         ] );
       ( "aiger",
         [
@@ -208,5 +288,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_sexp_roundtrip_fixed;
           prop_sexp_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_sexp_errors;
+          Alcotest.test_case "old layout reads" `Quick test_sexp_old_layout;
+          Alcotest.test_case "bad names refused" `Quick test_sexp_bad_names;
         ] );
     ]
