@@ -26,8 +26,6 @@ let make_man () =
     ite_cache = Hashtbl.create 1024;
     next_id = 2 }
 
-let node_count m = Hashtbl.length m.unique
-
 let node_id = function
   | Leaf false -> 0
   | Leaf true -> 1
@@ -140,31 +138,49 @@ let constrain f c =
   same_man f c;
   { man = f.man; node = constrain_node f.man f.node c.node }
 
-let quantify combine vars f =
+(* Per-call memo of [and_exists], keyed on a node-id pair packed into one
+   int (ids stay far below 2^31). *)
+module Memo = Hashtbl.Make (Int)
+
+let and_exists vars f g =
+  same_man f g;
   let m = f.man in
-  let sorted = List.sort_uniq Stdlib.compare vars in
-  let tbl = Hashtbl.create 64 in
-  let rec go n =
-    match n with
-    | Leaf _ -> n
-    | Node { id; var; lo; hi; _ } ->
-      match Hashtbl.find_opt tbl id with
-      | Some r -> r
-      | None ->
-        let r =
-          if List.mem var sorted then combine (go lo) (go hi)
-          else mk m var (go lo) (go hi)
-        in
-        Hashtbl.add tbl id r;
-        r
+  let last = List.fold_left max (-1) vars in
+  let quantified = Array.make (last + 1) false in
+  List.iter
+    (fun v ->
+      if v < 0 then invalid_arg "Bdd.and_exists: negative variable";
+      quantified.(v) <- true)
+    vars;
+  let memo = Memo.create 256 in
+  let rec go f g =
+    match (f, g) with
+    | Leaf false, _ | _, Leaf false -> Leaf false
+    | _ ->
+      let v = min (node_var f) (node_var g) in
+      (* Nothing left to quantify below [v]: a plain, globally cached AND. *)
+      if v > last then ite_node m f g (Leaf false)
+      else begin
+        let a = node_id f and b = node_id g in
+        let key = if a <= b then (a lsl 31) lor b else (b lsl 31) lor a in
+        match Memo.find_opt memo key with
+        | Some r -> r
+        | None ->
+          let f0, f1 = branch v f and g0, g1 = branch v g in
+          let r =
+            if quantified.(v) then
+              let r0 = go f0 g0 in
+              if r0 == Leaf true then r0 else ite_node m r0 (Leaf true) (go f1 g1)
+            else mk m v (go f0 g0) (go f1 g1)
+          in
+          Memo.add memo key r;
+          r
+      end
   in
-  { man = m; node = go f.node }
+  { man = m; node = go f.node g.node }
 
-let exists vars f =
-  quantify (fun a b -> ite_node f.man a (Leaf true) b) vars f
-
-let forall vars f =
-  quantify (fun a b -> ite_node f.man a b (Leaf false)) vars f
+let exists vars f = and_exists vars f (one f.man)
+let forall vars f = not_ (exists vars (not_ f))
 
 let support f =
   let seen = Hashtbl.create 64 in
@@ -209,16 +225,6 @@ let eval f assignment =
     | Node { var; lo; hi; _ } -> go (if assignment var then hi else lo)
   in
   go f.node
-
-let any_sat f =
-  let rec go acc = function
-    | Leaf true -> List.rev acc
-    | Leaf false -> raise Not_found
-    | Node { var; lo; hi; _ } ->
-      if hi == Leaf false then go ((var, false) :: acc) lo
-      else go ((var, true) :: acc) hi
-  in
-  go [] f.node
 
 let sat_count f ~nvars =
   let tbl = Hashtbl.create 64 in

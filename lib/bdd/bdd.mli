@@ -18,9 +18,6 @@ type t
 
 val make_man : unit -> man
 
-val node_count : man -> int
-(** Number of live hash-consed nodes (excluding the terminals). *)
-
 (** {1 Constants and variables} *)
 
 val zero : man -> t
@@ -69,6 +66,11 @@ val constrain : t -> t -> t
 val exists : int list -> t -> t
 (** Existential quantification over the listed variables. *)
 
+val and_exists : int list -> t -> t -> t
+(** [and_exists vars f g] is [exists vars (and_ f g)], computed in one
+    memoized pass (the relational product) that never builds [and_ f g].
+    @raise Invalid_argument on a negative variable. *)
+
 val forall : int list -> t -> t
 
 val support : t -> int list
@@ -83,10 +85,6 @@ val rename : t -> (int -> int) -> t
 
 val eval : t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)
-
-val any_sat : t -> (int * bool) list
-(** A satisfying partial assignment (variables not listed are irrelevant).
-    @raise Not_found if the function is zero. *)
 
 val sat_count : t -> nvars:int -> float
 (** Number of satisfying assignments over variables [0 .. nvars-1]. All

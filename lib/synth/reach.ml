@@ -17,8 +17,8 @@ let reachable_values g ~group =
   let k = Array.length group in
   if k = 0 || k > 24 then None
   else begin
-    (* Group bits are variables 0..k-1, their next state k..2k-1; every
-       other leaf of the next-state cones is a free variable from 2k. *)
+    (* Group bits are variables 0..k-1; every other leaf of the next-state
+       cones is a free variable from 2k. *)
     let man = Bdd.make_man () in
     let vars = Symbolic.Vars.create ~max_vars ~first:(2 * k) group in
     let lit =

@@ -15,9 +15,9 @@ let check_interfaces who ga gb =
     invalid_arg ("Seq_check." ^ who ^ ": output interfaces differ")
 
 (* Product machine of both netlists: variables 0..k-1 are the current
-   joint state (ga's latches then gb's), k..2k-1 the next state, 2k+ the
-   inputs, shared by name and numbered as first met. Returns each graph's
-   literal converter and the machine. *)
+   joint state (ga's latches then gb's), 2k+ the inputs, shared by name
+   and numbered as first met. Returns each graph's literal converter and
+   the machine. *)
 let product ~max_vars ga gb =
   let latches_a = Aig.latches ga and latches_b = Aig.latches gb in
   let k = List.length latches_a + List.length latches_b in

@@ -63,32 +63,60 @@ let converter man ~max_bdd ~leaf g =
   in
   lit
 
-type machine = { k : int; trans : Bdd.t; init : Bdd.t; quantified : int list }
+(* Inside a machine current-state bit [i] is variable [2i] and its next
+   state [2i+1]; inputs keep their numbers (from [2k]). [parts] pairs each
+   partition [v_{2i+1} <-> next.(i)] with the variables to quantify right
+   after conjoining it: those it is the last to mention. Variables that no
+   partition mentions go with the first. *)
+type machine = {
+  max_bdd : int;
+  init : Bdd.t;
+  parts : (Bdd.t * int list) list Lazy.t;
+}
+
+let partitions man ~next ~inputs =
+  let k = Array.length next in
+  let spread v = if v < k then 2 * v else v in
+  let parts =
+    List.mapi
+      (fun i f -> Bdd.iff (Bdd.var man ((2 * i) + 1)) (Bdd.rename f spread))
+      (Array.to_list next)
+  in
+  let last = Hashtbl.create 64 in
+  List.iteri
+    (fun j t -> List.iter (fun v -> Hashtbl.replace last v j) (Bdd.support t))
+    parts;
+  let quantified = List.init k (fun i -> 2 * i) @ inputs in
+  let at j v = Option.value (Hashtbl.find_opt last v) ~default:0 = j in
+  List.mapi (fun j t -> (t, List.filter (at j) quantified)) parts
 
 let machine man ~max_bdd ~next ~init ~inputs =
-  let k = Array.length next in
-  let conj f a =
-    snd
-      (Array.fold_left
-         (fun (i, acc) x -> (i + 1, Bdd.and_ acc (f i x)))
-         (0, Bdd.one man) a)
-  in
-  let trans = conj (fun i f -> Bdd.iff (Bdd.var man (k + i)) f) next in
-  if Bdd.size trans > max_bdd then overflow ();
   let init =
-    conj (fun i b -> if b then Bdd.var man i else Bdd.nvar man i) init
+    List.fold_left Bdd.and_ (Bdd.one man)
+      (List.mapi
+         (fun i b -> if b then Bdd.var man i else Bdd.nvar man i)
+         (Array.to_list init))
   in
-  { k; trans; init; quantified = List.init k Fun.id @ inputs }
+  { max_bdd; init; parts = lazy (partitions man ~next ~inputs) }
 
 let image m r =
   Obs.Metrics.incr m_image_steps;
-  Bdd.rename (Bdd.exists m.quantified (Bdd.and_ m.trans r)) (fun v -> v - m.k)
+  let step acc (t, vars) =
+    let acc = Bdd.and_exists vars acc t in
+    if Bdd.size acc > m.max_bdd then overflow ();
+    acc
+  in
+  let r = Bdd.rename r (fun v -> 2 * v) in
+  Bdd.rename (List.fold_left step r (Lazy.force m.parts)) (fun v -> v / 2)
 
+(* Only the frontier's image can add states: the image of [r] minus the
+   frontier is already inside [r]. *)
 let reach ?(visit = ignore) ~max_iters m =
-  let rec go i r =
+  let rec go i r frontier =
     if i > max_iters then overflow ();
     visit r;
-    let r' = Bdd.or_ r (image m r) in
-    if Bdd.equal r r' then (r, i) else go (i + 1) r'
+    let r' = Bdd.or_ r (image m frontier) in
+    if Bdd.equal r r' then (r, i)
+    else go (i + 1) r' (Bdd.and_ r' (Bdd.not_ r))
   in
-  go 0 m.init
+  go 0 m.init m.init

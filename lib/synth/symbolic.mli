@@ -11,8 +11,11 @@
     - {!converter} builds an AND as [Bdd.and_ (lit f0) (lit f1)], and OCaml
       evaluates the arguments right to left, so f1's cone is numbered
       before f0's;
-    - a {!machine} with [k] state bits uses [0..k-1] for the current state
-      and [k..2k-1] for the next state; inputs sit above [2k].
+    - callers of {!machine} with [k] state bits number the current state
+      [0..k-1] and inputs from [2k]; reach sets and iterates use the same
+      numbering. Inside the machine current bit [i] becomes variable [2i]
+      and its next state [2i+1] (inputs keep their numbers), so each bit
+      sits next to its successor in the order.
 
     Counters [synth.symbolic.image_steps] and [synth.symbolic.overflow]
     record the image steps taken and the budgets this module found
@@ -56,16 +59,22 @@ val machine :
   init:bool array ->
   inputs:int list ->
   machine
-(** The monolithic transition relation [∧ᵢ (v_{k+i} ↔ next.(i))] over
-    [k = Array.length next] state bits, started in the single state
-    [init]. [inputs] are the variables besides the current state that an
-    image step quantifies away: read {!Vars.fresh} only after [next] is
-    converted.
-    @raise Overflow when the relation has more than [max_bdd] nodes. *)
+(** A machine with [k = Array.length next] state bits, started in the
+    single state [init]. [next.(i)] may depend on the current state
+    [0..k-1] and on [inputs], the variables (from [2k]) that an image step
+    quantifies away: read {!Vars.fresh} only after [next] is converted.
+    The transition relation is kept partitioned, one [v_{2i+1} ↔ next.(i)]
+    per bit, and is built at the first image step. An image step conjoins
+    the partitions into the current set one at a time with
+    {!Bdd.and_exists}, quantifying each variable right after the last
+    partition that mentions it; [max_bdd] bounds every such partial
+    product. *)
 
 val reach : ?visit:(Bdd.t -> unit) -> max_iters:int -> machine -> Bdd.t * int
 (** Least fixpoint of [R = init ∨ image R] over the current-state
-    variables, with the number of image steps that added states. [visit]
-    sees every iterate before its image is taken and may stop the
-    computation by raising.
-    @raise Overflow when more than [max_iters] steps add states. *)
+    variables, with the number of image steps that added states. Each step
+    takes the image of the states the previous step added only. [visit]
+    sees every iterate before its image is taken, the initial state before
+    any relation is built, and may stop the computation by raising.
+    @raise Overflow when more than [max_iters] steps add states, or when
+    a partial product of an image step has more than [max_bdd] nodes. *)

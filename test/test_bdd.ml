@@ -182,6 +182,54 @@ let tt_props =
         int_of_float (Bdd.sat_count (bdd_of_tt m tt) ~nvars:tt_nvars) = pop tt);
   ]
 
+(* Relational product: [and_exists vars f g] against quantifying [f ∧ g]
+   after the fact, and against an independent Shannon expansion, on random
+   pairs over 2 to 12 variables. The quantified set is empty, every
+   variable, or a random subset. *)
+
+let gen_over rng n =
+  let rec go depth =
+    if depth = 0 || Workload.Rng.int rng 5 = 0 then Var (Workload.Rng.int rng n)
+    else
+      match Workload.Rng.int rng 4 with
+      | 0 -> Not (go (depth - 1))
+      | 1 -> And (go (depth - 1), go (depth - 1))
+      | 2 -> Or (go (depth - 1), go (depth - 1))
+      | _ -> Xor (go (depth - 1), go (depth - 1))
+  in
+  go 6
+
+let arb_product =
+  Prop.make
+    ~show:(fun (n, f, g, vars) ->
+      Printf.sprintf "%d vars, f = %s, g = %s, quantify [%s]" n (print_expr f)
+        (print_expr g)
+        (String.concat "; " (List.map string_of_int vars)))
+    (fun rng ->
+      let n = 2 + Workload.Rng.int rng 11 in
+      let all = List.init n Fun.id in
+      let vars =
+        match Workload.Rng.int rng 4 with
+        | 0 -> []
+        | 1 -> all
+        | _ -> List.filter (fun _ -> Workload.Rng.bool rng) all
+      in
+      (n, gen_over rng n, gen_over rng n, vars))
+
+let product_props =
+  [
+    Prop.test "and_exists = exists of and" arb_product (fun (_, f, g, vars) ->
+        let m = Bdd.make_man () in
+        let f = to_bdd m f and g = to_bdd m g in
+        let r = Bdd.and_exists vars f g in
+        let shannon =
+          List.fold_left
+            (fun acc v -> Bdd.or_ (Bdd.cofactor acc v false) (Bdd.cofactor acc v true))
+            (Bdd.and_ f g) vars
+        in
+        Bdd.equal r (Bdd.exists vars (Bdd.and_ f g)) && Bdd.equal r shannon);
+  ]
+
 let test_basics () =
   let m = Bdd.make_man () in
   Alcotest.(check bool) "zero is zero" true (Bdd.is_zero (Bdd.zero m));
@@ -224,4 +272,5 @@ let () =
         ] );
       ("properties", props);
       ("truth tables", tt_props);
+      ("relational product", product_props);
     ]

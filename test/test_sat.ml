@@ -470,9 +470,12 @@ let prop_sweep_sat_preserves =
        | _ -> ());
       Aig.num_latches g' <= Aig.num_latches g)
 
-(* The BDD+SAT hybrid must agree with the pure-BDD product machine. *)
+(* The BDD+SAT hybrid must agree with the pure-BDD product machine: when
+   both decide they decide alike, neither refutes the sweep, and a proof
+   by [run] is one for [run_sat] too, since both compute the same reach
+   set. *)
 let prop_seq_check_sat_agrees =
-  Prop.test ~iters:60 ~seed:8000 "Seq_check.run_sat vs Seq_check.run"
+  Prop.test ~iters:200 ~seed:8000 "Seq_check.run_sat vs Seq_check.run"
     (Prop.int 1_000_000) (fun dseed ->
       let d = Workload.Rand_design.generate ~seed:dseed in
       let low = (Synth.Lower.run d).Synth.Lower.aig in
@@ -480,10 +483,15 @@ let prop_seq_check_sat_agrees =
       let r1 = Synth.Seq_check.run ~max_vars:40 low swept in
       let r2 = Synth.Seq_check.run_sat ~max_vars:40 ~frames:8 low swept in
       match (r1, r2) with
+      | Synth.Seq_check.Equivalent, Synth.Seq_check.Counterexample w
+      | Synth.Seq_check.Counterexample w, Synth.Seq_check.Equivalent ->
+        failwith ("run and run_sat disagree; the refutation: " ^ w)
       | Synth.Seq_check.Counterexample o, _ ->
         failwith ("BDD product machine refuted the sweep on " ^ o)
       | _, Synth.Seq_check.Counterexample w ->
         failwith ("run_sat refuted the sweep: " ^ w)
+      | Synth.Seq_check.Equivalent, Synth.Seq_check.Gave_up s ->
+        failwith ("run proved the sweep, run_sat gave up: " ^ s)
       | _ -> true)
 
 (* ------------------------------------------- directed engine regressions *)

@@ -614,6 +614,99 @@ let test_symbolic_counter_reach () =
          | exception Synth.Symbolic.Overflow -> true))
     [ 1; 3; 5 ]
 
+(* Oracle for [Symbolic.reach]: one monolithic relation with next state
+   [k+i] ordered after every current-state variable, conjoined with all of
+   R and then quantified at each step. *)
+let monolithic_reach man ~next ~init ~inputs ~visit =
+  let k = Array.length next in
+  let conj f a =
+    snd
+      (Array.fold_left
+         (fun (i, acc) x -> (i + 1, Bdd.and_ acc (f i x)))
+         (0, Bdd.one man) a)
+  in
+  let trans = conj (fun i f -> Bdd.iff (Bdd.var man (k + i)) f) next in
+  let init = conj (fun i b -> if b then Bdd.var man i else Bdd.nvar man i) init in
+  let quantified = List.init k Fun.id @ inputs in
+  let image r =
+    Bdd.rename (Bdd.exists quantified (Bdd.and_ trans r)) (fun v -> v - k)
+  in
+  let rec go i r =
+    visit r;
+    let r' = Bdd.or_ r (image r) in
+    if Bdd.equal r r' then (r, i) else go (i + 1) r'
+  in
+  go 0 init
+
+(* A random machine: 1 to 8 state bits (variables 0..k-1) and 0 to 3
+   inputs (from 2k), each next-state function a random formula over them. *)
+let random_machine man rng =
+  let k = 1 + Workload.Rng.int rng 8 in
+  let inputs = List.init (Workload.Rng.int rng 4) (fun j -> (2 * k) + j) in
+  let leaves = List.init k Fun.id @ inputs in
+  let rec fn depth =
+    if depth = 0 || Workload.Rng.int rng 4 = 0 then
+      let v = Workload.Rng.pick rng leaves in
+      if Workload.Rng.bool rng then Bdd.var man v else Bdd.nvar man v
+    else
+      let a = fn (depth - 1) in
+      let b = fn (depth - 1) in
+      match Workload.Rng.int rng 3 with
+      | 0 -> Bdd.and_ a b
+      | 1 -> Bdd.or_ a b
+      | _ -> Bdd.xor a b
+  in
+  let next = Array.init k (fun _ -> fn 4) in
+  let init = Array.init k (fun _ -> Workload.Rng.bool rng) in
+  (next, init, inputs)
+
+let prop_symbolic_oracle =
+  Prop.test ~iters:300 ~seed:9000 "partitioned image vs monolithic"
+    (Prop.int 1_000_000) (fun seed ->
+      let man = Bdd.make_man () in
+      let next, init, inputs = random_machine man (Workload.Rng.make seed) in
+      let seen = ref [] and seen' = ref [] in
+      let r, d =
+        monolithic_reach man ~next ~init ~inputs ~visit:(fun r -> seen := r :: !seen)
+      in
+      let m = Synth.Symbolic.machine man ~max_bdd:100_000 ~next ~init ~inputs in
+      let r', d' =
+        Synth.Symbolic.reach ~visit:(fun r -> seen' := r :: !seen') ~max_iters:1000 m
+      in
+      Bdd.equal r r' && d = d' && List.equal Bdd.equal !seen !seen')
+
+(* The budget applies to every partial product of an image step; the
+   initial state is visited before the relation is built. *)
+let test_symbolic_image_overflow () =
+  let n = 5 in
+  let g, qs = counter_aig n in
+  let man = Bdd.make_man () in
+  let vars = Synth.Symbolic.Vars.create ~max_vars:64 ~first:(2 * n) qs in
+  let lit =
+    Synth.Symbolic.converter man ~max_bdd:1000 ~leaf:(Synth.Symbolic.Vars.var vars) g
+  in
+  let next = Array.map (fun q -> lit (Aig.latch_next g q)) qs in
+  let m =
+    Synth.Symbolic.machine man ~max_bdd:4 ~next ~init:(Array.make n false)
+      ~inputs:(Synth.Symbolic.Vars.fresh vars)
+  in
+  let overflow = Obs.Metrics.counter "synth.symbolic.overflow" in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let visits = ref 0 in
+  let raised =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () ->
+        match Synth.Symbolic.reach ~visit:(fun _ -> incr visits) ~max_iters:100 m with
+        | _ -> false
+        | exception Synth.Symbolic.Overflow -> true)
+  in
+  Alcotest.(check bool) "image over budget raises" true raised;
+  Alcotest.(check int) "initial state visited first" 1 !visits;
+  Alcotest.(check int) "overflow counted" 1 (Obs.Metrics.counter_value overflow);
+  Obs.reset ()
+
 let test_symbolic_golden () = Golden.check "symbolic.txt" (symbolic_fingerprint ())
 
 let () =
@@ -666,6 +759,8 @@ let () =
           Alcotest.test_case "overflow is remembered" `Quick
             test_symbolic_overflow_sticks;
           Alcotest.test_case "counter reach" `Quick test_symbolic_counter_reach;
+          prop_symbolic_oracle;
+          Alcotest.test_case "image over budget" `Quick test_symbolic_image_overflow;
           Alcotest.test_case "golden fingerprint" `Quick test_symbolic_golden;
         ] );
       ( "flow",
