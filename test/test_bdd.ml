@@ -272,5 +272,5 @@ let () =
         ] );
       ("properties", props);
       ("truth tables", tt_props);
-      ("relational product", product_props);
+      ("product", product_props);
     ]
