@@ -697,6 +697,88 @@ let test_pctrl_mutation_refuted () =
   | Synth.Equiv.Proved -> Alcotest.fail "proved a mutated design"
   | Synth.Equiv.Undecided s -> Alcotest.fail ("undecided: " ^ s)
 
+(* ------------------------------------------------------- equiv golden *)
+
+(* Golden record of the SAT-backed checks: for each pair, the [check_sat]
+   and [run_sat] verdicts (with a digest of every witness tape) and the
+   solver work of each engine run, plus the structural digest of the
+   AIG-level PCtrl binding. The miters are built node for node the same
+   way on every run, so any change to miter construction, obligation
+   order or CNF shows up as a diff against test/golden/equiv.txt. *)
+let equiv_fingerprint () =
+  let b = Buffer.create 8192 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let stats_log = ref [] in
+  let on_stats (s : Sat.Solver.stats) =
+    stats_log :=
+      Printf.sprintf "solves %d conflicts %d decisions %d propagations %d"
+        s.Sat.Solver.solves s.Sat.Solver.conflicts s.Sat.Solver.decisions
+        s.Sat.Solver.propagations
+      :: !stats_log
+  in
+  let with_stats f =
+    stats_log := [];
+    let v = f () in
+    (v, String.concat "; " (List.rev !stats_log))
+  in
+  let tape_digest tape =
+    Array.to_list tape
+    |> List.map (fun row ->
+           String.concat ","
+             (List.map (fun (n, v) -> Printf.sprintf "%s=%b" n v) row))
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
+  in
+  let verdict = function
+    | Synth.Equiv.Proved -> "proved"
+    | Synth.Equiv.Refuted c ->
+      Printf.sprintf "refuted %s (tape %d, %s)"
+        (Synth.Equiv.mismatch_to_string c.first)
+        (Array.length c.tape) (tape_digest c.tape)
+    | Synth.Equiv.Undecided s -> "undecided: " ^ s
+  in
+  let result = function
+    | Synth.Seq_check.Equivalent -> "equivalent"
+    | Synth.Seq_check.Counterexample o -> "counterexample " ^ o
+    | Synth.Seq_check.Gave_up r -> "gave up: " ^ r
+  in
+  let pair ?frames ?max_vars name a b =
+    let v, s = with_stats (fun () -> Synth.Equiv.check_sat ?frames ~on_stats a b) in
+    line "%s check_sat: %s | %s" name (verdict v) s;
+    let r, s =
+      with_stats (fun () -> Synth.Seq_check.run_sat ?frames ?max_vars ~on_stats a b)
+    in
+    line "%s run_sat: %s | %s" name (result r) s
+  in
+  let flex = (Synth.Lower.run (Pctrl.Controller.full_design ())).Synth.Lower.aig in
+  List.iter
+    (fun (mode, mname) ->
+      let bindings = Pctrl.Controller.bindings mode in
+      let a = Synth.Partial_eval.bind_aig_tables flex bindings in
+      let b = (Synth.Lower.run (Pctrl.Controller.auto_design mode)).Synth.Lower.aig in
+      line "pctrl %s bound: %s" mname (Aig_util.structural_digest a);
+      pair ("pctrl " ^ mname) a b;
+      if mode = Pctrl.Controller.Cached then begin
+        let mutated, site = Workload.Rng.mutate_bindings ~seed:8 bindings in
+        let a' = Synth.Partial_eval.bind_aig_tables flex mutated in
+        line "pctrl %s mutation 8 flips %s, bound: %s" mname site
+          (Aig_util.structural_digest a');
+        pair ~frames:6 ("pctrl " ^ mname ^ " mutation 8") a' b
+      end)
+    [ (Pctrl.Controller.Cached, "cached"); (Pctrl.Controller.Uncached, "uncached") ];
+  for seed = 0 to 19 do
+    let low =
+      (Synth.Lower.run (Workload.Rand_design.generate ~seed)).Synth.Lower.aig
+    in
+    let swept = Synth.Sweep.run low in
+    pair ~frames:8 ~max_vars:40 (Printf.sprintf "design %d sweep" seed) low swept;
+    pair ~frames:8 ~max_vars:40
+      (Printf.sprintf "design %d mutant" seed)
+      low (Aig_util.invert_first_po swept)
+  done;
+  Buffer.contents b
+
+let test_equiv_golden () = Golden.check "equiv.txt" (equiv_fingerprint ())
+
 (* ----------------------------------------------------------------- main *)
 
 let () =
@@ -757,5 +839,6 @@ let () =
             test_pctrl_certified;
           Alcotest.test_case "pctrl mutation refuted" `Quick
             test_pctrl_mutation_refuted;
+          Alcotest.test_case "golden equiv.txt" `Quick test_equiv_golden;
         ] );
     ]

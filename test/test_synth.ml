@@ -369,57 +369,6 @@ let test_flow_fixpoint_skip_transparent () =
    Stateprop's output. Any change to variable numbering, budgets or
    fixpoint shape shows up as a diff against test/golden/symbolic.txt. *)
 
-let invert_first_po g =
-  let u = Aig.create () in
-  let map = Array.make (Aig.num_nodes g) Aig.false_ in
-  let xl l =
-    let m = map.(Aig.node_of_lit l) in
-    if Aig.is_complemented l then Aig.not_ m else m
-  in
-  for n = 0 to Aig.num_nodes g - 1 do
-    match Aig.kind g n with
-    | Aig.Const -> ()
-    | Aig.Pi -> map.(n) <- Aig.pi u (Aig.pi_name g n)
-    | Aig.Latch ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      map.(n) <- Aig.latch u name ~init ~reset ~is_config
-    | Aig.And ->
-      let f0, f1 = Aig.fanins g n in
-      map.(n) <- Aig.and_ u (xl f0) (xl f1)
-  done;
-  List.iter
-    (fun n -> Aig.set_next u map.(n) (xl (Aig.latch_next g n)))
-    (Aig.latches g);
-  List.iteri
-    (fun i (name, l) -> Aig.po u name (if i = 0 then Aig.not_ (xl l) else xl l))
-    (Aig.pos g);
-  u
-
-let structural_digest g =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.bprintf b fmt in
-  for n = 0 to Aig.num_nodes g - 1 do
-    match Aig.kind g n with
-    | Aig.Const -> add "c;"
-    | Aig.Pi -> add "i%s;" (Aig.pi_name g n)
-    | Aig.Latch ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      add "l%s,%b,%s,%b,%d;" name init
-        (match reset with
-         | Rtl.Design.No_reset -> "n"
-         | Rtl.Design.Sync_reset -> "s"
-         | Rtl.Design.Async_reset -> "a")
-        is_config (Aig.latch_next g n :> int)
-    | Aig.And ->
-      let f0, f1 = Aig.fanins g n in
-      add "a%d,%d;" (f0 :> int) (f1 :> int)
-  done;
-  List.iter
-    (fun (name, (l : Aig.lit)) -> add "o%s=%d;" name (l :> int))
-    (Aig.pos g);
-  Printf.sprintf "ands=%d md5=%s" (Aig.num_ands g)
-    (Digest.to_hex (Digest.string (Buffer.contents b)))
-
 let symbolic_fingerprint () =
   let b = Buffer.create 8192 in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
@@ -436,7 +385,7 @@ let symbolic_fingerprint () =
         (Synth.Lower.run (Workload.Rand_design.generate ~seed)).Synth.Lower.aig
       in
       let swept = Synth.Sweep.run low in
-      let mutant = invert_first_po swept in
+      let mutant = Aig_util.invert_first_po swept in
       line "design %d run sweep: %s" seed
         (seq (Synth.Seq_check.run ~max_vars:40 low swept));
       line "design %d run mutant: %s" seed
@@ -460,11 +409,11 @@ let symbolic_fingerprint () =
           (annot_result (Synth.Annot_check.inductive g a)))
       annots;
     line "%s stateprop: %s" name
-      (structural_digest (Synth.Stateprop.run ~annots g));
+      (Aig_util.structural_digest (Synth.Stateprop.run ~annots g));
     let swept = Synth.Sweep.run g in
     let relocated = List.filter_map (Synth.Annots.relocate swept) annots in
     line "%s swept stateprop: %s" name
-      (structural_digest (Synth.Stateprop.run ~annots:relocated swept))
+      (Aig_util.structural_digest (Synth.Stateprop.run ~annots:relocated swept))
   in
   let reach name g prefix =
     match Synth.Reach.latch_group g ~prefix with
