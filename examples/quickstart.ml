@@ -43,12 +43,12 @@ let () =
 
   (* Both specialized designs behave identically, cycle for cycle. *)
   match
-    Synth.Equiv.aig_vs_aig ~seed:1
+    Synth.Equiv.check ~seed:1
       (Synth.Flow.compile lib bound).Synth.Flow.aig
       (Synth.Flow.compile lib direct).Synth.Flow.aig
   with
-  | None -> print_endline "equivalence check: specialized == direct"
-  | Some m ->
-    Printf.printf "MISMATCH at cycle %d on %s\n" m.Synth.Equiv.cycle
-      m.Synth.Equiv.output;
+  | Synth.Equiv.Refuted c ->
+    Printf.printf "MISMATCH at cycle %d on %s\n" c.first.cycle c.first.output;
     exit 1
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ ->
+    print_endline "equivalence check: specialized == direct"

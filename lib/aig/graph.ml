@@ -41,7 +41,6 @@ let not_ l = l lxor 1
 let is_complemented l = l land 1 = 1
 let node_of_lit l = l lsr 1
 let lit_of_node n c = (n lsl 1) lor (if c then 1 else 0)
-let lit_of_int i = i
 
 let create () =
   let cap = 64 in
@@ -290,6 +289,18 @@ let fanout_counts t =
     (latches t);
   List.iter (fun (_, l) -> bump l) (pos t);
   fo
+
+let copy_into g ~into ~leaf =
+  let map = Array.make g.n false_ in
+  let xl l = map.(node_of_lit l) lxor (l land 1) in
+  (* Node index order is topological (fanins precede uses). *)
+  for id = 0 to g.n - 1 do
+    match g.kinds.(id) with
+    | Const -> ()
+    | Pi | Latch -> map.(id) <- leaf id
+    | And -> map.(id) <- and_ into (xl g.fan0.(id)) (xl g.fan1.(id))
+  done;
+  xl
 
 let equal a b =
   let latch_equal ra rb =

@@ -17,9 +17,6 @@ type t
 type lit = private int
 (** [2 * node + complement]. *)
 
-val lit_of_int : int -> lit
-(** Unsafe escape hatch for serialization; prefer the constructors. *)
-
 val create : unit -> t
 
 (** {1 Literals} *)
@@ -110,6 +107,14 @@ val levels : t -> (int -> int)
 val fanout_counts : t -> int array
 (** Number of combinational consumers of each node (latch next-state
     functions and POs count as consumers of their literal's node). *)
+
+val copy_into : t -> into:t -> leaf:(int -> lit) -> lit -> lit
+(** [copy_into g ~into ~leaf] rebuilds every node of [g] inside [into], in
+    index order: the constant maps to {!false_}, each PI and latch node [n]
+    to [leaf n] (called once per node, in that order), and each AND is
+    re-made with {!and_}, so structural hashing folds whatever the leaves
+    make constant or equal. Returns the map from [g]'s literals to [into]'s;
+    latch next-state functions and outputs are left to the caller. *)
 
 val equal : t -> t -> bool
 (** Exact structural identity in O(n): the same node kinds and fanin

@@ -47,9 +47,15 @@ let aig_run g ~cycles ~input =
   done;
   (names, List.rev !rows)
 
-let interface_names g =
-  ( List.sort Stdlib.compare (List.map (Aig.pi_name g) (Aig.pis g)),
-    List.sort Stdlib.compare (List.map fst (Aig.pos g)) )
+let check_interfaces who a b =
+  let names g =
+    ( List.sort Stdlib.compare (List.map (Aig.pi_name g) (Aig.pis g)),
+      List.sort Stdlib.compare (List.map fst (Aig.pos g)) )
+  in
+  let pi_a, po_a = names a and pi_b, po_b = names b in
+  if pi_a <> pi_b then invalid_arg (who ^ ": input interfaces differ");
+  if po_a <> po_b then invalid_arg (who ^ ": output interfaces differ");
+  pi_a
 
 (* Positions sorted by (name, position): aligns the k-th occurrence of
    every output name across the two sides in O(n log n) once, instead of
@@ -85,9 +91,7 @@ let find_mismatch (names_a, rows_a) (names_b, rows_b) =
   scan 0 (rows_a, rows_b)
 
 let sim_search ~cycles ~runs ~seed a b =
-  let pi_a, po_a = interface_names a and pi_b, po_b = interface_names b in
-  if pi_a <> pi_b then invalid_arg "Equiv.aig_vs_aig: input interfaces differ";
-  if po_a <> po_b then invalid_arg "Equiv.aig_vs_aig: output interfaces differ";
+  let pi_a = check_interfaces "Equiv.check" a b in
   let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
   let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
   (* Shared stimulus order: sorted PI names, resolved to slots once. *)
@@ -174,9 +178,6 @@ let sim_search ~cycles ~runs ~seed a b =
   in
   run_i 0
 
-let aig_vs_aig ?(cycles = 64) ?(runs = 8) ~seed a b =
-  Option.map fst (sim_search ~cycles ~runs ~seed a b)
-
 let check ?(cycles = 64) ?(runs = 8) ~seed a b =
   match sim_search ~cycles ~runs ~seed a b with
   | Some (first, tape) -> Refuted { tape; first }
@@ -250,10 +251,35 @@ let unique_names profile =
   let names = List.map fst profile in
   List.length (List.sort_uniq String.compare names) = List.length names
 
+(* ------------------------------------------------- miter construction *)
+
+let shared_input u name =
+  match Aig.find_pi u name with
+  | Some n -> Aig.lit_of_node n false
+  | None -> Aig.pi u name
+
+let first_sat cnf u obligations =
+  List.find_map
+    (fun (tag, la, lb) ->
+      let x = Aig.xor_ u la lb in
+      if x = Aig.false_ then None (* structurally identical: free UNSAT *)
+      else
+        match
+          Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] (Sat.Cnf.solver cnf)
+        with
+        | Sat.Solver.Unsat -> None
+        | Sat.Solver.Sat -> Some tag)
+    obligations
+
+(* The model value of miter input [name]. An input that no solved cone
+   reached is unconstrained and reads as false. *)
+let model_input cnf u name =
+  match Option.bind (Aig.find_pi u name) (Sat.Cnf.var_of_node cnf) with
+  | None -> false
+  | Some v -> Sat.Solver.model_value (Sat.Cnf.solver cnf) v
+
 let check_sat ?(frames = 16) ?on_stats a b =
-  let pi_a, po_a = interface_names a and pi_b, po_b = interface_names b in
-  if pi_a <> pi_b then invalid_arg "Equiv.check_sat: input interfaces differ";
-  if po_a <> po_b then invalid_arg "Equiv.check_sat: output interfaces differ";
+  let pi_a = check_interfaces "Equiv.check_sat" a b in
   let solvers = ref [] in
   let new_solver () =
     let s = Sat.Solver.create () in
@@ -279,35 +305,17 @@ let check_sat ?(frames = 16) ?on_stats a b =
      obligation over a single incremental CNF. *)
   let try_induction ~sequential () =
     let u = Aig.create () in
-    let leaf = Hashtbl.create 64 in
-    let pseudo name =
-      match Hashtbl.find_opt leaf name with
-      | Some l -> l
-      | None ->
-        let l = Aig.pi u name in
-        Hashtbl.replace leaf name l;
-        l
-    in
     let copy g =
-      let map = Hashtbl.create (Aig.num_nodes g) in
-      let xl l =
-        let m = Hashtbl.find map (Aig.node_of_lit l) in
-        if Aig.is_complemented l then Aig.not_ m else m
+      let xl =
+        Aig.copy_into g ~into:u ~leaf:(fun n ->
+            match Aig.kind g n with
+            | Aig.Pi -> shared_input u (Aig.pi_name g n)
+            | _ ->
+              let name, _, _, _ = Aig.latch_info g n in
+              (* The "latch:" prefix keeps state pseudo-inputs from
+                 colliding with a real PI of the same name. *)
+              shared_input u ("latch:" ^ name))
       in
-      (* Node index order is topological (fanins precede uses). *)
-      for n = 0 to Aig.num_nodes g - 1 do
-        match Aig.kind g n with
-        | Aig.Const -> Hashtbl.replace map n Aig.false_
-        | Aig.Pi -> Hashtbl.replace map n (pseudo (Aig.pi_name g n))
-        | Aig.Latch ->
-          let name, _, _, _ = Aig.latch_info g n in
-          (* The "latch:" prefix keeps state pseudo-inputs from colliding
-             with a real PI of the same name. *)
-          Hashtbl.replace map n (pseudo ("latch:" ^ name))
-        | Aig.And ->
-          let f0, f1 = Aig.fanins g n in
-          Hashtbl.replace map n (Aig.and_ u (xl f0) (xl f1))
-      done;
       ( List.map (fun (name, l) -> (name, xl l)) (Aig.pos g),
         List.map
           (fun n ->
@@ -328,21 +336,8 @@ let check_sat ?(frames = 16) ?on_stats a b =
           (align_pairs next_a next_b)
       else []
     in
-    let s = new_solver () in
-    let cnf = Sat.Cnf.create s u in
-    let failed = ref None in
-    List.iter
-      (fun (tag, la, lb) ->
-        if !failed = None then begin
-          let x = Aig.xor_ u la lb in
-          if x = Aig.false_ then () (* structurally identical: free UNSAT *)
-          else
-            match Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] s with
-            | Sat.Solver.Unsat -> ()
-            | Sat.Solver.Sat -> failed := Some tag
-        end)
-      obligations;
-    match !failed with
+    let cnf = Sat.Cnf.create (new_solver ()) u in
+    match first_sat cnf u obligations with
     | None -> `Proved
     | Some tag when sequential ->
       (* The witness state may be unreachable; induction is inconclusive,
@@ -350,22 +345,7 @@ let check_sat ?(frames = 16) ?on_stats a b =
       `Inconclusive tag
     | Some _ ->
       (* Combinational: the model's PI values are a real counterexample. *)
-      let tape =
-        [|
-          List.map
-            (fun name ->
-              let v =
-                match Hashtbl.find_opt leaf name with
-                | None -> false (* input never referenced by either side *)
-                | Some l ->
-                  (match Sat.Cnf.var_of_node cnf (Aig.node_of_lit l) with
-                   | None -> false
-                   | Some v -> Sat.Solver.model_value s v)
-              in
-              (name, v))
-            pi_a;
-        |]
-      in
+      let tape = [| List.map (fun name -> (name, model_input cnf u name)) pi_a |] in
       `Refuted (replay_tape a b tape)
   in
   (* Bounded model checking: unroll both netlists frame by frame into one
@@ -376,15 +356,7 @@ let check_sat ?(frames = 16) ?on_stats a b =
     let s = new_solver () in
     let u = Aig.create () in
     let cnf = Sat.Cnf.create s u in
-    let upis = Hashtbl.create 64 in
-    let upi f name =
-      match Hashtbl.find_opt upis (f, name) with
-      | Some l -> l
-      | None ->
-        let l = Aig.pi u (Printf.sprintf "%s@%d" name f) in
-        Hashtbl.replace upis (f, name) l;
-        l
-    in
+    let frame_input f name = Printf.sprintf "%s@%d" name f in
     let mk g =
       let state = Hashtbl.create 16 in
       List.iter
@@ -393,21 +365,12 @@ let check_sat ?(frames = 16) ?on_stats a b =
           Hashtbl.replace state n (if init then Aig.true_ else Aig.false_))
         (Aig.latches g);
       fun f ->
-        let tbl = Hashtbl.create 256 in
-        let xl l =
-          let m = Hashtbl.find tbl (Aig.node_of_lit l) in
-          if Aig.is_complemented l then Aig.not_ m else m
+        let xl =
+          Aig.copy_into g ~into:u ~leaf:(fun n ->
+              match Aig.kind g n with
+              | Aig.Pi -> shared_input u (frame_input f (Aig.pi_name g n))
+              | _ -> Hashtbl.find state n)
         in
-        (* Node index order is topological (fanins precede uses). *)
-        for n = 0 to Aig.num_nodes g - 1 do
-          match Aig.kind g n with
-          | Aig.Const -> Hashtbl.replace tbl n Aig.false_
-          | Aig.Pi -> Hashtbl.replace tbl n (upi f (Aig.pi_name g n))
-          | Aig.Latch -> Hashtbl.replace tbl n (Hashtbl.find state n)
-          | Aig.And ->
-            let f0, f1 = Aig.fanins g n in
-            Hashtbl.replace tbl n (Aig.and_ u (xl f0) (xl f1))
-        done;
         let nexts =
           List.map (fun n -> (n, xl (Aig.latch_next g n))) (Aig.latches g)
         in
@@ -434,16 +397,7 @@ let check_sat ?(frames = 16) ?on_stats a b =
           let tape =
             Array.init (f + 1) (fun c ->
                 List.map
-                  (fun name ->
-                    let v =
-                      match Aig.find_pi u (Printf.sprintf "%s@%d" name c) with
-                      | None -> false (* input never referenced *)
-                      | Some n ->
-                        (match Sat.Cnf.var_of_node cnf n with
-                         | None -> false
-                         | Some v -> Sat.Solver.model_value s v)
-                    in
-                    (name, v))
+                  (fun name -> (name, model_input cnf u (frame_input c name)))
                   pi_a)
           in
           Refuted (replay_tape a b tape)

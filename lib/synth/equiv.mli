@@ -39,8 +39,14 @@ type verdict =
           without a verdict; the string says which budget. *)
 
 val check : ?cycles:int -> ?runs:int -> seed:int -> Aig.t -> Aig.t -> verdict
-(** Simulation engine: {!aig_vs_aig} with the stimulus tape retained.
-    Never returns [Proved].
+(** Simulation engine. Both graphs must have the same PI and PO names
+    (latch sets may differ). Each of the [runs] passes (default 8) drives
+    {!Aig.Compiled.lanes} independent random stimulus streams bit-parallel
+    through both compiled netlists for [cycles] cycles (default 64); on
+    divergence the mismatching lane is recovered from the XOR word and
+    replayed as a single scalar vector, so the counterexample is exact and
+    its tape reproduces it. Never returns [Proved]: agreement on every run
+    is [Undecided].
     @raise Invalid_argument if the interfaces differ. *)
 
 val check_sat :
@@ -72,17 +78,30 @@ val check_sat :
     [on_stats] receives the aggregated solver statistics for the call.
     @raise Invalid_argument if the interfaces differ. *)
 
-val aig_vs_aig :
-  ?cycles:int -> ?runs:int -> seed:int -> Aig.t -> Aig.t -> mismatch option
-(** Both graphs must have the same PI and PO names (latch sets may differ).
-    Each of the [runs] passes drives {!Aig.Compiled.lanes} independent
-    random stimulus streams bit-parallel through both compiled netlists
-    (so the default 8 runs cover ~500 streams for the former cost of 8);
-    on divergence the mismatching lane is recovered from the XOR word and
-    replayed as a single scalar vector, so the reported counterexample
-    (cycle, output) is exact. Returns the first mismatch found, [None] if
-    all runs agree.
-    @raise Invalid_argument if the interfaces differ. *)
+(** {1 Miter construction}
+
+    The pieces every SAT check shares, {!Seq_check.run_sat} included: both
+    graphs are copied ({!Aig.copy_into}) into one structurally hashed miter
+    AIG with inputs shared by name, and the proof obligations are solved in
+    one loop. *)
+
+val check_interfaces : string -> Aig.t -> Aig.t -> string list
+(** [check_interfaces who a b] returns the input names both graphs share,
+    sorted.
+    @raise Invalid_argument (["<who>: input interfaces differ"], or
+    output) unless both graphs have the same PI and PO names. *)
+
+val shared_input : Aig.t -> string -> Aig.lit
+(** [shared_input u name] is the primary input of the miter [u] named
+    [name], created on first use. *)
+
+val first_sat :
+  Sat.Cnf.t -> Aig.t -> (string * Aig.lit * Aig.lit) list -> string option
+(** [first_sat cnf u obligations] solves each obligation [(tag, a, b)] in
+    list order as the assumption [a xor b] over [cnf] (the encoding of
+    [u]) and returns the tag of the first satisfiable one, leaving its
+    model in the solver. An XOR that structural hashing folds to
+    {!Aig.false_} is skipped without a solver call. *)
 
 val rtl_vs_aig :
   ?cycles:int ->

@@ -4,7 +4,6 @@ type options = {
   annot_width_cap : int;
   retime : bool;
   sweep_sat : bool;
-  self_check : bool;
 }
 
 let default =
@@ -14,7 +13,6 @@ let default =
     annot_width_cap = 32;
     retime = false;
     sweep_sat = false;
-    self_check = false;
   }
 
 type result = {
@@ -22,8 +20,6 @@ type result = {
   aig : Aig.t;
   report : Map.report;
 }
-
-exception Self_check_failed of Equiv.mismatch
 
 let area r = Map.total r.report
 
@@ -126,11 +122,6 @@ let compile ?(options = default) lib design =
     end
     else traced_pass "sweep" ~iter:3 sweep (collapse 2 g1)
   in
-  if options.self_check then
-    Obs.Span.with_span "flow.self_check" (fun () ->
-        match Equiv.aig_vs_aig ~seed:4242 lowered.Lower.aig g with
-        | Some m -> raise (Self_check_failed m)
-        | None -> ());
   let report =
     Obs.Span.with_span "flow.map" ~args:(if Obs.enabled () then graph_args "in" g else [])
       (fun () ->

@@ -25,8 +25,10 @@
     - [sweep_sat]: SAT-validated sweep — simulation signatures propose
       constant/duplicate latches, CDCL induction disposes ({!Sweep.run}).
       Default off; off is bit-identical to the historical flow.
-    - [self_check]: after optimizing, random-simulate the result against
-      the freshly lowered netlist and raise on any mismatch. *)
+
+    The flow does not check its own output: callers that want a
+    certificate run {!Equiv.check_sat} (or the simulation engine
+    {!Equiv.check}) on [(lowered.aig, aig)] of the result. *)
 
 type options = {
   collapse_cap : int;
@@ -34,21 +36,17 @@ type options = {
   annot_width_cap : int;
   retime : bool;
   sweep_sat : bool;
-  self_check : bool;
 }
 
 val default : options
 (** [{ collapse_cap = 14; honor_generator_annots = false;
-      annot_width_cap = 32; retime = false; sweep_sat = false;
-      self_check = false }] *)
+      annot_width_cap = 32; retime = false; sweep_sat = false }] *)
 
 type result = {
   lowered : Lower.t;  (** pre-optimization netlist *)
   aig : Aig.t;        (** optimized netlist *)
   report : Map.report;
 }
-
-exception Self_check_failed of Equiv.mismatch
 
 val compile : ?options:options -> Cells.Library.t -> Rtl.Design.t -> result
 

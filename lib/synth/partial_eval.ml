@@ -48,32 +48,24 @@ let bind_aig_tables g bindings =
     bindings;
   let matched = Hashtbl.create 64 in
   let u = Aig.create () in
-  let map = Hashtbl.create (Aig.num_nodes g) in
-  let xl l =
-    let m = Hashtbl.find map (Aig.node_of_lit l) in
-    if Aig.is_complemented l then Aig.not_ m else m
-  in
   let kept = ref [] in
-  (* Node index order is topological (fanins precede uses), so one pass
-     rebuilds the graph; structural hashing folds the constants through the
-     config-read mux trees as they are re-made. *)
-  for n = 0 to Aig.num_nodes g - 1 do
-    match Aig.kind g n with
-    | Aig.Const -> Hashtbl.replace map n Aig.false_
-    | Aig.Pi -> Hashtbl.replace map n (Aig.pi u (Aig.pi_name g n))
-    | Aig.Latch ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      (match if is_config then Hashtbl.find_opt bound name else None with
-       | Some b ->
-         Hashtbl.replace matched name ();
-         Hashtbl.replace map n (if b then Aig.true_ else Aig.false_)
-       | None ->
-         Hashtbl.replace map n (Aig.latch u name ~init ~reset ~is_config);
-         kept := n :: !kept)
-    | Aig.And ->
-      let f0, f1 = Aig.fanins g n in
-      Hashtbl.replace map n (Aig.and_ u (xl f0) (xl f1))
-  done;
+  (* One pass in node order rebuilds the graph; structural hashing folds
+     the constants through the config-read mux trees as they are re-made. *)
+  let xl =
+    Aig.copy_into g ~into:u ~leaf:(fun n ->
+        match Aig.kind g n with
+        | Aig.Pi -> Aig.pi u (Aig.pi_name g n)
+        | _ ->
+          let name, init, reset, is_config = Aig.latch_info g n in
+          (match if is_config then Hashtbl.find_opt bound name else None with
+           | Some b ->
+             Hashtbl.replace matched name ();
+             if b then Aig.true_ else Aig.false_
+           | None ->
+             let q = Aig.latch u name ~init ~reset ~is_config in
+             kept := (q, n) :: !kept;
+             q))
+  in
   if Hashtbl.length matched <> Hashtbl.length bound then
     Hashtbl.iter
       (fun name _ ->
@@ -82,7 +74,7 @@ let bind_aig_tables g bindings =
             ("Partial_eval.bind_aig_tables: no config latch named " ^ name))
       bound;
   List.iter
-    (fun n -> Aig.set_next u (Hashtbl.find map n) (xl (Aig.latch_next g n)))
+    (fun (q, n) -> Aig.set_next u q (xl (Aig.latch_next g n)))
     (List.rev !kept);
   List.iter (fun (name, l) -> Aig.po u name (xl l)) (Aig.pos g);
   u

@@ -6,14 +6,6 @@ type result =
 let max_bdd = 200_000
 let max_iters = 10_000
 
-let check_interfaces who ga gb =
-  let pi_names g = List.sort compare (List.map (Aig.pi_name g) (Aig.pis g)) in
-  let po_names g = List.sort compare (List.map fst (Aig.pos g)) in
-  if pi_names ga <> pi_names gb then
-    invalid_arg ("Seq_check." ^ who ^ ": input interfaces differ");
-  if po_names ga <> po_names gb then
-    invalid_arg ("Seq_check." ^ who ^ ": output interfaces differ")
-
 (* Product machine of both netlists: variables 0..k-1 are the current
    joint state (ga's latches then gb's), 2k+ the inputs, shared by name
    and numbered as first met. Returns each graph's literal converter and
@@ -52,7 +44,7 @@ let product ~max_vars ga gb =
 exception Differs of string
 
 let run ?(max_vars = 64) ga gb =
-  check_interfaces "run" ga gb;
+  ignore (Equiv.check_interfaces "Seq_check.run" ga gb);
   let k = Aig.num_latches ga + Aig.num_latches gb in
   if 2 * k >= max_vars then Gave_up "too many latches"
   else
@@ -80,6 +72,14 @@ let run ?(max_vars = 64) ga gb =
 
 (* ------------------------------------------------------------ SAT-backed *)
 
+(* One [Equiv.check_sat] run read as a result: a refutation keeps its
+   normalized witness, the other verdicts map to [proved] and [undecided]. *)
+let sat_result ~frames ?on_stats ~proved ~undecided ga gb =
+  match Equiv.check_sat ~frames ?on_stats ga gb with
+  | Equiv.Refuted c -> Counterexample (Equiv.mismatch_to_string c.first)
+  | Equiv.Proved -> proved
+  | Equiv.Undecided s -> undecided s
+
 (* [run_sat] keeps the BDDs for what they are good at — the reachable state
    set, computed once as a fixpoint — and hands the per-output obligations
    to the CDCL solver: both netlists are copied into one structurally
@@ -94,12 +94,11 @@ let run ?(max_vars = 64) ga gb =
    become bounded. *)
 
 let run_sat ?(frames = 16) ?(max_vars = 64) ?on_stats ga gb =
-  check_interfaces "run_sat" ga gb;
+  ignore (Equiv.check_interfaces "Seq_check.run_sat" ga gb);
   let fallback reason =
-    match Equiv.check_sat ~frames ?on_stats ga gb with
-    | Equiv.Proved -> Equivalent
-    | Equiv.Refuted c -> Counterexample (Equiv.mismatch_to_string c.first)
-    | Equiv.Undecided s -> Gave_up (reason ^ "; " ^ s)
+    sat_result ~frames ?on_stats ~proved:Equivalent
+      ~undecided:(fun s -> Gave_up (reason ^ "; " ^ s))
+      ga gb
   in
   let k = Aig.num_latches ga + Aig.num_latches gb in
   if 2 * k >= max_vars then fallback "too many latches for the BDD invariant"
@@ -111,36 +110,18 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?on_stats ga gb =
       (* Miter AIG over shared pseudo-inputs: "state#i" for joint state
          variable i, real input names for the PIs. *)
       let u = Aig.create () in
-      let leaf = Hashtbl.create 64 in
-      let pseudo name =
-        match Hashtbl.find_opt leaf name with
-        | Some l -> l
-        | None ->
-          let l = Aig.pi u name in
-          Hashtbl.replace leaf name l;
-          l
-      in
-      let state_lit i = pseudo (Printf.sprintf "state#%d" i) in
+      let state_lit i = Equiv.shared_input u (Printf.sprintf "state#%d" i) in
       let copy g offset =
         let latch_idx = Hashtbl.create 16 in
         List.iteri
           (fun i n -> Hashtbl.replace latch_idx n (offset + i))
           (Aig.latches g);
-        let map = Hashtbl.create (Aig.num_nodes g) in
-        let xl l =
-          let m = Hashtbl.find map (Aig.node_of_lit l) in
-          if Aig.is_complemented l then Aig.not_ m else m
+        let xl =
+          Aig.copy_into g ~into:u ~leaf:(fun n ->
+              match Aig.kind g n with
+              | Aig.Pi -> Equiv.shared_input u (Aig.pi_name g n)
+              | _ -> state_lit (Hashtbl.find latch_idx n))
         in
-        for n = 0 to Aig.num_nodes g - 1 do
-          match Aig.kind g n with
-          | Aig.Const -> Hashtbl.replace map n Aig.false_
-          | Aig.Pi -> Hashtbl.replace map n (pseudo (Aig.pi_name g n))
-          | Aig.Latch ->
-            Hashtbl.replace map n (state_lit (Hashtbl.find latch_idx n))
-          | Aig.And ->
-            let f0, f1 = Aig.fanins g n in
-            Hashtbl.replace map n (Aig.and_ u (xl f0) (xl f1))
-        done;
         List.map (fun (name, l) -> (name, xl l)) (Aig.pos g)
       in
       let pos_a = copy ga 0 and pos_b = copy gb (Aig.num_latches ga) in
@@ -165,41 +146,30 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?on_stats ga gb =
       let s = Sat.Solver.create () in
       let cnf = Sat.Cnf.create s u in
       Sat.Cnf.constrain cnf (of_bdd reach) true;
-      let miter_of name la =
-        let lb = List.assoc name pos_b in
-        Aig.xor_ u la lb
+      (* Obligations in output declaration order, each against the first
+         same-named output of [gb]. *)
+      let failed =
+        Equiv.first_sat cnf u
+          (List.map (fun (name, la) -> (name, la, List.assoc name pos_b)) pos_a)
       in
-      let failed = ref None in
-      List.iter
-        (fun (name, la) ->
-          if !failed = None then begin
-            let x = miter_of name la in
-            if x = Aig.false_ then ()
-            else
-              match Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] s with
-              | Sat.Solver.Unsat -> ()
-              | Sat.Solver.Sat -> failed := Some name
-          end)
-        pos_a;
       (match on_stats with
        | Some f -> f (Sat.Solver.stats s)
        | None -> ());
-      (match !failed with
+      (match failed with
        | None -> Equivalent
        | Some name ->
          (* Genuinely disequivalent (R is exact). A concrete trace exists
             within the reach diameter; recover it with BMC when that bound
             is sane. *)
-         if diameter + 1 > 256 then
+         let unreplayed =
            Counterexample
              (Printf.sprintf "output %s differs on a reachable state" name)
-         else begin
-           match Equiv.check_sat ~frames:(diameter + 1) ?on_stats ga gb with
-           | Equiv.Refuted c -> Counterexample (Equiv.mismatch_to_string c.first)
-           | Equiv.Proved | Equiv.Undecided _ ->
-             Counterexample
-               (Printf.sprintf "output %s differs on a reachable state" name)
-         end)
+         in
+         if diameter + 1 > 256 then unreplayed
+         else
+           sat_result ~frames:(diameter + 1) ?on_stats ~proved:unreplayed
+             ~undecided:(fun _ -> unreplayed)
+             ga gb)
     with
     | r -> r
     | exception Symbolic.Overflow -> fallback "BDD effort cap exceeded"

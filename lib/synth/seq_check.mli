@@ -4,7 +4,7 @@
     latches (inputs shared by name), computes the reachable state set from
     the joint initial state, and checks that no reachable state/input
     combination distinguishes any primary output. Unlike
-    {!Equiv.aig_vs_aig} this is a proof, not a falsifier — but only for
+    {!Equiv.check} this is a proof, not a falsifier — but only for
     designs small enough for the BDD caps, which is exactly the size of the
     unit-test designs it guards. *)
 

@@ -5,24 +5,17 @@
    disequivalent partner for any graph with at least one output. *)
 let invert_first_po g =
   let u = Aig.create () in
-  let map = Array.make (Aig.num_nodes g) Aig.false_ in
-  let xl l =
-    let m = map.(Aig.node_of_lit l) in
-    if Aig.is_complemented l then Aig.not_ m else m
+  let xl =
+    Aig.copy_into g ~into:u ~leaf:(fun n ->
+        match Aig.kind g n with
+        | Aig.Pi -> Aig.pi u (Aig.pi_name g n)
+        | _ ->
+          let name, init, reset, is_config = Aig.latch_info g n in
+          Aig.latch u name ~init ~reset ~is_config)
   in
-  for n = 0 to Aig.num_nodes g - 1 do
-    match Aig.kind g n with
-    | Aig.Const -> ()
-    | Aig.Pi -> map.(n) <- Aig.pi u (Aig.pi_name g n)
-    | Aig.Latch ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      map.(n) <- Aig.latch u name ~init ~reset ~is_config
-    | Aig.And ->
-      let f0, f1 = Aig.fanins g n in
-      map.(n) <- Aig.and_ u (xl f0) (xl f1)
-  done;
   List.iter
-    (fun n -> Aig.set_next u map.(n) (xl (Aig.latch_next g n)))
+    (fun n ->
+      Aig.set_next u (xl (Aig.lit_of_node n false)) (xl (Aig.latch_next g n)))
     (Aig.latches g);
   List.iteri
     (fun i (name, l) -> Aig.po u name (if i = 0 then Aig.not_ (xl l) else xl l))
@@ -55,3 +48,19 @@ let structural_digest g =
     (Aig.pos g);
   Printf.sprintf "ands=%d md5=%s" (Aig.num_ands g)
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* A flow result against its own freshly lowered netlist: random
+   simulation, then the complete SAT engine. Neither may refute. *)
+let check_flow_result name (r : Synth.Flow.result) =
+  let low = r.lowered.Synth.Lower.aig in
+  List.iter
+    (fun (engine, verdict) ->
+      match verdict with
+      | Synth.Equiv.Refuted c ->
+        Alcotest.failf "%s: %s refuted the flow: %s" name engine
+          (Synth.Equiv.mismatch_to_string c.first)
+      | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ())
+    [
+      ("simulation", Synth.Equiv.check ~seed:4242 low r.aig);
+      ("SAT", Synth.Equiv.check_sat low r.aig);
+    ]

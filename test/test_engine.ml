@@ -49,8 +49,7 @@ let test_fingerprint_sensitivity () =
        { o with Synth.Flow.honor_generator_annots = true });
       ("annot_width_cap", { o with Synth.Flow.annot_width_cap = 31 });
       ("retime", { o with Synth.Flow.retime = true });
-      ("sweep_sat", { o with Synth.Flow.sweep_sat = true });
-      ("self_check", { o with Synth.Flow.self_check = true }) ]
+      ("sweep_sat", { o with Synth.Flow.sweep_sat = true }) ]
   in
   List.iter
     (fun (what, options) ->

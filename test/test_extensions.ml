@@ -233,11 +233,11 @@ let test_vertical_equivalent () =
   let v = Core.Microcode.to_rtl ~style:`Vertical ~storage:`Rom p in
   let gh = (Synth.Lower.run h).Synth.Lower.aig in
   let gv = (Synth.Lower.run v).Synth.Lower.aig in
-  (match Synth.Equiv.aig_vs_aig ~seed:2 gh gv with
-   | None -> ()
-   | Some m ->
-     Alcotest.failf "styles diverge at cycle %d on %s" m.Synth.Equiv.cycle
-       m.Synth.Equiv.output);
+  (match Synth.Equiv.check ~seed:2 gh gv with
+   | Synth.Equiv.Refuted c ->
+     Alcotest.failf "styles diverge at cycle %d on %s" c.first.cycle
+       c.first.output
+   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
   match Synth.Seq_check.run gh gv with
   | Synth.Seq_check.Equivalent -> ()
   | Synth.Seq_check.Counterexample o -> Alcotest.failf "differ on %s" o
@@ -281,12 +281,13 @@ let test_vertical_saves_config_bits () =
       (Core.Microcode.config_bindings ~style p)
   in
   match
-    Synth.Equiv.aig_vs_aig ~seed:4
+    Synth.Equiv.check ~seed:4
       (Synth.Lower.run (bind `Horizontal)).Synth.Lower.aig
       (Synth.Lower.run (bind `Vertical)).Synth.Lower.aig
   with
-  | None -> ()
-  | Some m -> Alcotest.failf "bound styles diverge on %s" m.Synth.Equiv.output
+  | Synth.Equiv.Refuted c ->
+    Alcotest.failf "bound styles diverge on %s" c.first.output
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 (* ----------------------------------------------------------- seq_check *)
 

@@ -4,11 +4,11 @@
 let lib = Cells.Library.vt90
 
 let check_equiv name a b =
-  match Synth.Equiv.aig_vs_aig ~seed:11 a b with
-  | None -> ()
-  | Some m ->
+  match Synth.Equiv.check ~seed:11 a b with
+  | Synth.Equiv.Refuted { first = m; _ } ->
     Alcotest.failf "%s: mismatch at cycle %d on %s (got %b)" name m.cycle
       m.output m.got
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 let compile ?options d = Synth.Flow.compile ?options lib d
 
@@ -71,7 +71,7 @@ let test_fsm_rtl_vs_ir_semantics () =
       Rtl.Eval.step st)
     inputs expected
 
-let test_self_check_flow () =
+let test_flow_output_checked () =
   let fsm =
     Workload.Rand_fsm.generate ~seed:9 ~num_inputs:2 ~num_outputs:2 ~num_states:3
   in
@@ -80,10 +80,8 @@ let test_self_check_flow () =
       (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
       (Core.Fsm_ir.config_bindings fsm)
   in
-  let options =
-    { Synth.Flow.default with self_check = true; honor_generator_annots = true }
-  in
-  ignore (compile ~options design)
+  let options = { Synth.Flow.default with honor_generator_annots = true } in
+  Aig_util.check_flow_result "fsm seed 9" (compile ~options design)
 
 let test_sequencer_roundtrip () =
   let src = {|
@@ -132,7 +130,7 @@ let () =
           Alcotest.test_case "fsm: RTL vs IR semantics" `Quick
             test_fsm_rtl_vs_ir_semantics;
           Alcotest.test_case "flow self-check passes" `Quick
-            test_self_check_flow;
+            test_flow_output_checked;
           Alcotest.test_case "sequencer: asm -> rtl -> synth" `Quick
             test_sequencer_roundtrip;
         ] );

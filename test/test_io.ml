@@ -126,11 +126,11 @@ let test_golden_design () =
 let roundtrip_equivalent g =
   let text = Synth.Aiger.write g in
   let g' = Synth.Aiger.read text in
-  match Synth.Equiv.aig_vs_aig ~seed:7 ~cycles:32 ~runs:3 g g' with
-  | None -> true
-  | Some m ->
+  match Synth.Equiv.check ~seed:7 ~cycles:32 ~runs:3 g g' with
+  | Synth.Equiv.Refuted c ->
     QCheck.Test.fail_reportf "roundtrip mismatch on %s at cycle %d"
-      m.Synth.Equiv.output m.Synth.Equiv.cycle
+      c.first.output c.first.cycle
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true
 
 let test_aiger_roundtrip_fsm () =
   let fsm =
@@ -209,10 +209,10 @@ let prop_sexp_roundtrip =
            QCheck.Test.fail_report "write (read (write d)) <> write d";
          let g = (Synth.Lower.run d).Synth.Lower.aig in
          let g' = (Synth.Lower.run d').Synth.Lower.aig in
-         match Synth.Equiv.aig_vs_aig ~seed ~cycles:24 ~runs:2 g g' with
-         | None -> true
-         | Some m ->
-           QCheck.Test.fail_reportf "mismatch on %s" m.Synth.Equiv.output))
+         match Synth.Equiv.check ~seed ~cycles:24 ~runs:2 g g' with
+         | Synth.Equiv.Refuted c ->
+           QCheck.Test.fail_reportf "mismatch on %s" c.first.output
+         | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true))
 
 let test_sexp_errors () =
   let bad text =

@@ -156,13 +156,13 @@ let test_manual_equivalent_to_auto () =
       lib (Pctrl.Controller.manual_design mode)
   in
   match
-    Synth.Equiv.aig_vs_aig ~seed:3 ~cycles:48 ~runs:4 auto.Synth.Flow.aig
+    Synth.Equiv.check ~seed:3 ~cycles:48 ~runs:4 auto.Synth.Flow.aig
       manual.Synth.Flow.aig
   with
-  | None -> ()
-  | Some m ->
-    Alcotest.failf "manual/auto diverge at cycle %d on %s" m.Synth.Equiv.cycle
-      m.Synth.Equiv.output
+  | Synth.Equiv.Refuted c ->
+    Alcotest.failf "manual/auto diverge at cycle %d on %s" c.first.cycle
+      c.first.output
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 let test_fig9_ordering () =
   let report ?options d = (Synth.Flow.compile ?options lib d).Synth.Flow.report in

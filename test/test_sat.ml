@@ -360,26 +360,18 @@ let copy_perturbed ~perturb ~seed g =
     | _ -> -1
   in
   let ng = Aig.create () in
-  let map = Hashtbl.create 64 in
-  Hashtbl.replace map 0 Aig.false_;
-  let xl l =
-    let m = Hashtbl.find map (Aig.node_of_lit l) in
-    if Aig.is_complemented l then Aig.not_ m else m
+  let xl =
+    Aig.copy_into g ~into:ng ~leaf:(fun n ->
+        match Aig.kind g n with
+        | Aig.Pi -> Aig.pi ng (Aig.pi_name g n)
+        | _ ->
+          let name, init, reset, is_config = Aig.latch_info g n in
+          let init = if n = flip_latch then not init else init in
+          Aig.latch ng name ~init ~reset ~is_config)
   in
-  for n = 0 to Aig.num_nodes g - 1 do
-    match Aig.kind g n with
-    | Aig.Const -> ()
-    | Aig.Pi -> Hashtbl.replace map n (Aig.pi ng (Aig.pi_name g n))
-    | Aig.Latch ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      let init = if n = flip_latch then not init else init in
-      Hashtbl.replace map n (Aig.latch ng name ~init ~reset ~is_config)
-    | Aig.And ->
-      let f0, f1 = Aig.fanins g n in
-      Hashtbl.replace map n (Aig.and_ ng (xl f0) (xl f1))
-  done;
   List.iter
-    (fun n -> Aig.set_next ng (Hashtbl.find map n) (xl (Aig.latch_next g n)))
+    (fun n ->
+      Aig.set_next ng (xl (Aig.lit_of_node n false)) (xl (Aig.latch_next g n)))
     (Aig.latches g);
   let npos = List.length (Aig.pos g) in
   let hit = if npos = 0 then -1 else Workload.Rng.int rng npos in
@@ -460,10 +452,10 @@ let prop_sweep_sat_preserves =
       let d = Workload.Rand_design.generate ~seed:dseed in
       let g = (Synth.Lower.run d).Synth.Lower.aig in
       let g' = Synth.Sweep.run ~sat:true g in
-      (match Synth.Equiv.aig_vs_aig ~cycles:32 ~runs:3 ~seed:dseed g g' with
-       | Some m ->
-         failwith ("sweep broke: " ^ Synth.Equiv.mismatch_to_string m)
-       | None -> ());
+      (match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:dseed g g' with
+       | Synth.Equiv.Refuted c ->
+         failwith ("sweep broke: " ^ Synth.Equiv.mismatch_to_string c.first)
+       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
       (match Synth.Equiv.check_sat ~frames:6 g g' with
        | Synth.Equiv.Refuted c ->
          failwith ("sweep refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
@@ -617,10 +609,10 @@ let test_sweep_sat_strengthens () =
   let sat = Synth.Sweep.run ~sat:true g in
   Alcotest.(check int) "syntactic keeps both" 2 (Aig.num_latches syn);
   Alcotest.(check int) "sat merges" 1 (Aig.num_latches sat);
-  (match Synth.Equiv.aig_vs_aig ~cycles:32 ~runs:3 ~seed:1 g sat with
-   | None -> ()
-   | Some m ->
-     Alcotest.fail ("merge broke: " ^ Synth.Equiv.mismatch_to_string m));
+  (match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:1 g sat with
+   | Synth.Equiv.Refuted c ->
+     Alcotest.fail ("merge broke: " ^ Synth.Equiv.mismatch_to_string c.first)
+   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
   match Synth.Equiv.check_sat g sat with
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("merge refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
@@ -641,10 +633,10 @@ let test_sweep_sat_const () =
   let sat = Synth.Sweep.run ~sat:true g in
   Alcotest.(check int) "syntactic keeps both" 2 (Aig.num_latches syn);
   Alcotest.(check int) "sat folds the dead latch" 1 (Aig.num_latches sat);
-  match Synth.Equiv.aig_vs_aig ~cycles:32 ~runs:3 ~seed:1 g sat with
-  | None -> ()
-  | Some m ->
-    Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string m)
+  match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:1 g sat with
+  | Synth.Equiv.Refuted c ->
+    Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 (* -------------------------------------------------- PCtrl certification *)
 

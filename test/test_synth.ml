@@ -1,11 +1,11 @@
 let lib = Cells.Library.vt90
 
 let check_equiv name a b =
-  match Synth.Equiv.aig_vs_aig ~seed:5 a b with
-  | None -> ()
-  | Some m ->
-    Alcotest.failf "%s: mismatch at cycle %d on %s" name m.Synth.Equiv.cycle
-      m.Synth.Equiv.output
+  match Synth.Equiv.check ~seed:5 a b with
+  | Synth.Equiv.Refuted c ->
+    Alcotest.failf "%s: mismatch at cycle %d on %s" name c.first.cycle
+      c.first.output
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 (* --------------------------------------------------------------- lowering *)
 
@@ -297,7 +297,7 @@ let test_reach_matches_ir () =
 
 (* ------------------------------------------------------------------ flow *)
 
-let test_flow_self_check_and_idempotence () =
+let test_flow_checked_and_idempotence () =
   let fsm =
     Workload.Rand_fsm.generate ~seed:4 ~num_inputs:2 ~num_outputs:4 ~num_states:9
   in
@@ -306,10 +306,9 @@ let test_flow_self_check_and_idempotence () =
       (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
       (Core.Fsm_ir.config_bindings fsm)
   in
-  let options =
-    { Synth.Flow.default with self_check = true; honor_generator_annots = true }
-  in
+  let options = { Synth.Flow.default with honor_generator_annots = true } in
   let r1 = Synth.Flow.compile ~options lib d in
+  Aig_util.check_flow_result "fsm seed 4" r1;
   let r2 = Synth.Flow.compile ~options lib d in
   Alcotest.(check (float 0.001)) "deterministic"
     (Synth.Flow.area r1) (Synth.Flow.area r2)
@@ -715,7 +714,7 @@ let () =
       ( "flow",
         [
           Alcotest.test_case "self-check and determinism" `Quick
-            test_flow_self_check_and_idempotence;
+            test_flow_checked_and_idempotence;
           Alcotest.test_case "fixpoint skip is transparent" `Quick
             test_flow_fixpoint_skip_transparent;
         ] );

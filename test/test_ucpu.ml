@@ -155,14 +155,10 @@ let test_control_annotations_sound () =
       | Synth.Annot_check.Proved | Synth.Annot_check.Unproved _ -> ())
     (Synth.Annots.extract low);
   (* And honouring them preserves behaviour. *)
-  let result =
-    Synth.Flow.compile
-      ~options:
-        { Synth.Flow.default with honor_generator_annots = true;
-          self_check = true }
-      lib d
-  in
-  ignore result
+  Aig_util.check_flow_result "ucpu control"
+    (Synth.Flow.compile
+       ~options:{ Synth.Flow.default with honor_generator_annots = true }
+       lib d)
 
 (* Random-program fuzzing against the golden model. *)
 let arb_program =
