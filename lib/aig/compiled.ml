@@ -195,7 +195,6 @@ let step s =
 let po s k = s.po_words.(k)
 let latch_word s j = s.state.(j)
 let node_value s id = s.values.(id)
-let lit_word s l = word s.values ((l : Graph.lit) :> int)
 let steps s = s.nsteps
 
 let with_metrics ?(active_lanes = lanes) s f =

@@ -101,8 +101,6 @@ val node_value : sim -> int -> int
 (** Packed value of an arbitrary node as of the last {!step} — the probe
     the signature pass reads. *)
 
-val lit_word : sim -> Graph.lit -> int
-
 val steps : sim -> int
 (** Cumulative {!step} count (for metrics). *)
 

@@ -86,8 +86,6 @@ let to_int v =
   |> List.rev
   |> List.fold_left (fun acc limb -> (acc lsl limb_bits) lor limb) 0
 
-let to_bits v = List.init v.width (get v)
-
 let to_binary_string v =
   String.init v.width (fun i -> if get v (v.width - 1 - i) then '1' else '0')
 

@@ -49,9 +49,6 @@ val to_int : t -> int
 val to_binary_string : t -> string
 (** Most-significant-bit-first string of ['0']/['1']; [""] for width 0. *)
 
-val to_bits : t -> bool list
-(** Bits, least significant first. *)
-
 val popcount : t -> int
 
 val is_zero : t -> bool

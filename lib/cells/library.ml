@@ -35,8 +35,6 @@ let flop t reset =
       | Cell.Comb _ -> false)
     t.cells
 
-let comb_cells t = List.filter (fun c -> not (Cell.is_flop c)) t.cells
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>library %s@," t.lib_name;
   List.iter (fun c -> Format.fprintf fmt "  %a@," Cell.pp c) t.cells;

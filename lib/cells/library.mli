@@ -14,6 +14,4 @@ val find : t -> string -> Cell.t
 val flop : t -> Rtl.Design.reset_kind -> Cell.t
 (** The flip-flop cell for a reset style. *)
 
-val comb_cells : t -> Cell.t list
-
 val pp : Format.formatter -> t -> unit

@@ -3,20 +3,10 @@ type style =
   | Flexible_annotated
   | Direct
 
-let table_design tt = function
-  | Flexible | Flexible_annotated -> Truth_table.to_flexible_rtl tt
-  | Direct -> Truth_table.to_sop_rtl tt
-
 let fsm_design fsm = function
   | Flexible -> Fsm_ir.to_flexible_rtl ~annotate:false fsm
   | Flexible_annotated -> Fsm_ir.to_flexible_rtl ~annotate:true fsm
   | Direct -> Fsm_ir.to_direct_rtl fsm
-
-let sequencer_design ?(registered_outputs = false) p = function
-  | Flexible -> Microcode.to_rtl ~registered_outputs ~storage:`Config p
-  | Flexible_annotated ->
-    Microcode.to_rtl ~registered_outputs ~annotate:true ~storage:`Config p
-  | Direct -> Microcode.to_rtl ~registered_outputs ~storage:`Rom p
 
 let specialize = Synth.Partial_eval.bind_tables
 

@@ -19,13 +19,7 @@ type style =
   | Flexible_annotated  (** + generator-emitted state/value-set annotations *)
   | Direct              (** hand-written style (SOP / case statements) *)
 
-val table_design : Truth_table.t -> style -> Rtl.Design.t
 val fsm_design : Fsm_ir.t -> style -> Rtl.Design.t
-
-val sequencer_design :
-  ?registered_outputs:bool -> Microcode.program -> style -> Rtl.Design.t
-(** [Direct] for a microprogram means the ROM-bound structure (the paper
-    treats the specialized sequencer as the direct form). *)
 
 val specialize : Rtl.Design.t -> (string * Bitvec.t array) list -> Rtl.Design.t
 (** Partial evaluation entry point: bind configuration memories. *)

@@ -55,9 +55,6 @@ val word_width : program -> int
 val upc_bits : program -> int
 val depth : program -> int
 
-val field_value : program -> uop -> string -> int
-(** Value of a field in a microinstruction (0 when unlisted). *)
-
 val encode_word : program -> int -> Bitvec.t
 (** The memory word at an address (zero beyond the code). *)
 

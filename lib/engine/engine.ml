@@ -165,16 +165,6 @@ let stats t =
     retried = t.retried; mem_hits = t.mem_hits; disk_hits = t.disk_hits;
     quarantined; wall_s = t.wall_s; cpu_s = t.cpu_s }
 
-let reset_stats t =
-  t.submitted <- 0;
-  t.executed <- 0;
-  t.failed <- 0;
-  t.retried <- 0;
-  t.mem_hits <- 0;
-  t.disk_hits <- 0;
-  t.wall_s <- 0.0;
-  t.cpu_s <- 0.0
-
 let stats_table (s : stats) =
   let f = Printf.sprintf "%.3f" in
   Report.Table.render

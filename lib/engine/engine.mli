@@ -79,9 +79,6 @@ val report_exn : t -> job -> Synth.Map.report
 
 val stats : t -> stats
 
-val reset_stats : t -> unit
-(** Zeroes the engine's counters (the cache contents are kept). *)
-
 val stats_table : stats -> string
 (** Two-column rendering via {!Report.Table}. *)
 

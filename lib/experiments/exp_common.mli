@@ -16,8 +16,6 @@ val retimed_flow : Synth.Flow.options
 val compile_area : ?options:Synth.Flow.options -> Rtl.Design.t -> float
 (** Total mapped area of the optimized design. *)
 
-val compile_report : ?options:Synth.Flow.options -> Rtl.Design.t -> Synth.Map.report
-
 val reports : Engine.job list -> Synth.Map.report list
 (** One batch through the engine — cache-deduplicated, parallel when the
     engine has workers. Results in job order.
@@ -31,11 +29,9 @@ val areas_result : Engine.job list -> (float, string) result list
     also appended to the process-wide {!failures} list so front-ends can
     print a summary and exit nonzero. *)
 
-val record_failure : string -> unit
-
 val failures : unit -> string list
-(** Every failure recorded by {!areas_result} (or {!record_failure}) so
-    far, in occurrence order. *)
+(** Every failure recorded by {!areas_result} so far, in occurrence
+    order. *)
 
 val fmt_area_result : (float, string) result -> string
 (** As {!Report.Table.fmt_area}, with ["FAIL"] for errors. *)

@@ -17,8 +17,6 @@
 
 type flop_style = Comb | Flop of Rtl.Design.reset_kind
 
-val data_width : int
-
 val generic : n:int -> style:flop_style -> Rtl.Design.t
 val direct : n:int -> style:flop_style -> Rtl.Design.t
 

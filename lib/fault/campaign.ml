@@ -7,14 +7,6 @@ let model_name = function
   | Stuck -> "stuck"
   | All -> "all"
 
-let model_of_string = function
-  | "control" -> Ok Control
-  | "tables" -> Ok Tables
-  | "regs" -> Ok Regs
-  | "stuck" -> Ok Stuck
-  | "all" -> Ok All
-  | s -> Error (Printf.sprintf "unknown fault model %S" s)
-
 type row = { site : Site.t; result : (Sim.outcome, string) result }
 
 type report = {

@@ -16,8 +16,6 @@ type model =
 
 val model_name : model -> string
 
-val model_of_string : string -> (model, string) result
-
 type row = { site : Site.t; result : (Sim.outcome, string) result }
 (** [Error] carries a rendered job-failure message (crash/timeout), not a
     fault classification. *)
@@ -33,8 +31,6 @@ type report = {
   failed : int;  (** jobs that errored rather than classified *)
   rows : row list;  (** in site order *)
 }
-
-val outcome_codec : Sim.outcome Engine.Batch.codec
 
 val run :
   ?jobs:int ->

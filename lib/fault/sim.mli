@@ -71,12 +71,9 @@ val run_site : spec -> golden -> Site.t -> outcome
     {!Hang}. @raise Invalid_argument on {!Site.Stuck_at} — netlist faults
     go through {!aig_run_site}. *)
 
-val trace_site : spec -> Site.t -> Bitvec.t list list
-(** The faulty watch-signal trace over the stimulus window (no hang
-    extension) — one row per cycle, one column per [watch] signal. *)
-
 val vcd_site : spec -> Site.t -> string
-(** {!trace_site} rendered as a VCD document via {!Rtl.Vcd.of_samples}. *)
+(** The faulty watch-signal trace over the stimulus window (no hang
+    extension), rendered as a VCD document via {!Rtl.Vcd.of_samples}. *)
 
 (** {1 Netlist (AIG) stuck-at simulation} *)
 

@@ -32,9 +32,6 @@ val bindings : mode -> (string * Bitvec.t array) list
 
 val auto_design : mode -> Rtl.Design.t
 
-val manual_annotations : mode -> Rtl.Annot.t list
-
 val manual_design : mode -> Rtl.Design.t
 
-val pipe_count : int
 val beat_width : int

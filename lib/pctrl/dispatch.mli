@@ -18,10 +18,6 @@ type mode = Cached | Uncached
 val depth : int
 (** Fixed microcode memory depth (64 — sized for the cached program). *)
 
-val line_beats : int
-(** Beats per line transfer (cache line size / access width; 4 here). *)
-
-val sel_none : int
 val sel_src : int
 val sel_dst : int
 

@@ -10,9 +10,6 @@ type opcode =
 
 let opcode_bits = 3
 
-let all_opcodes =
-  [ Nop; Read_line; Write_line; Copy_line; Evict; Unc_read; Unc_write; Sync ]
-
 let encode_opcode = function
   | Nop -> 0
   | Read_line -> 1
@@ -40,17 +37,3 @@ let cmd_read = 1
 let cmd_write = 2
 let cmd_line_read = 3
 let cmd_line_write = 4
-
-let pp_opcode fmt op =
-  let s =
-    match op with
-    | Nop -> "nop"
-    | Read_line -> "read_line"
-    | Write_line -> "write_line"
-    | Copy_line -> "copy_line"
-    | Evict -> "evict"
-    | Unc_read -> "unc_read"
-    | Unc_write -> "unc_write"
-    | Sync -> "sync"
-  in
-  Format.pp_print_string fmt s

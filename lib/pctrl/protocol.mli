@@ -16,7 +16,6 @@ type opcode =
 val opcode_bits : int
 val encode_opcode : opcode -> int
 val decode_opcode : int -> opcode
-val all_opcodes : opcode list
 
 (** Pipe commands (3 bits). *)
 
@@ -35,5 +34,3 @@ val cmd_line_read : int
 
 val cmd_line_write : int
 (** Streaming line write. *)
-
-val pp_opcode : Format.formatter -> opcode -> unit

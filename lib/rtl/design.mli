@@ -71,7 +71,6 @@ val with_rom_contents : t -> string -> Bitvec.t array -> t
     @raise Invalid_argument if geometry does not match, [Not_found] if there
     is no such table. *)
 
-val config_tables : t -> table list
 val config_bit_count : t -> int
 (** Total configuration storage bits ([Config] tables plus [is_config]
     registers). *)

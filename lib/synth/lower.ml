@@ -4,11 +4,6 @@ type t = {
   design : Rtl.Design.t;
 }
 
-let signal_lits t name =
-  match Hashtbl.find_opt t.signals name with
-  | Some lits -> lits
-  | None -> raise Not_found
-
 let bit_name base i = Printf.sprintf "%s[%d]" base i
 
 let const_lits v =

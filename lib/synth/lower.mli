@@ -25,6 +25,3 @@ type t = {
 }
 
 val run : Rtl.Design.t -> t
-
-val signal_lits : t -> string -> Aig.lit array
-(** @raise Not_found on an unknown signal name. *)

@@ -11,12 +11,6 @@ val bind_tables : Rtl.Design.t -> (string * Bitvec.t array) list -> Rtl.Design.t
     @raise Invalid_argument on geometry mismatch, [Not_found] on unknown
     table. *)
 
-val bind_input : Rtl.Design.t -> string -> Bitvec.t -> Rtl.Design.t
-(** Substitute a constant for an input port everywhere and remove the port.
-    Annotations on the port are dropped.
-    @raise Not_found if no such input, [Invalid_argument] on width
-    mismatch. *)
-
 val bind_aig_tables : Aig.t -> (string * Bitvec.t array) list -> Aig.t
 (** AIG-level specialization: rebuild the graph with every configuration
     latch of the named tables (Lower's ["<table>[entry][bit]"] naming)

@@ -36,10 +36,6 @@ let combine a b =
 
 let drop_var c i = { mask = c.mask land lnot (1 lsl i); value = c.value land lnot (1 lsl i) }
 
-let with_literal c i b =
-  let bit = 1 lsl i in
-  { mask = c.mask lor bit; value = (c.value land lnot bit) lor (if b then bit else 0) }
-
 let has_literal c i = c.mask lsr i land 1 = 1
 
 let literal_value c i =

@@ -37,9 +37,6 @@ val combine : t -> t -> t option
 val drop_var : t -> int -> t
 (** Remove variable [i] from the cube's literals (no-op if absent). *)
 
-val with_literal : t -> int -> bool -> t
-(** Add/overwrite literal [i] with the given polarity. *)
-
 val has_literal : t -> int -> bool
 val literal_value : t -> int -> bool
 (** @raise Invalid_argument if the literal is absent. *)

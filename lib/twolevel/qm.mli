@@ -3,16 +3,6 @@
     Exponential in the worst case; intended for functions of at most ~10
     variables (ablation A2 compares it against {!Espresso}). *)
 
-val primes : Truthfn.t -> Cube.t list
-(** All prime implicants of the ON ∪ DC set. *)
-
-val select_greedy : Truthfn.t -> Cube.t list -> Cube.t list
-(** Essential primes first, then greedy set cover of the remaining ON-set. *)
-
-val select_exact : ?node_limit:int -> Truthfn.t -> Cube.t list -> Cube.t list option
-(** Branch-and-bound minimum-cube cover. Returns [None] if the search
-    exceeds [node_limit] (default 200_000) branch nodes. *)
-
 val minimize : ?exact:bool -> Truthfn.t -> Cover.t
 (** Prime generation followed by covering; [exact] defaults to [false]
     (greedy). Falls back to greedy if exact search exceeds its limit. *)

@@ -34,8 +34,6 @@ let filter_set t v =
 
 let on_set t = filter_set t On
 let dc_set t = filter_set t Dc
-let off_set t = filter_set t Off
-
 let count t v = List.length (filter_set t v)
 
 let cube_within t c =

@@ -24,8 +24,6 @@ val copy : t -> t
 
 val on_set : t -> int list
 val dc_set : t -> int list
-val off_set : t -> int list
-
 val count : t -> value -> int
 
 val cube_within : t -> Cube.t -> bool

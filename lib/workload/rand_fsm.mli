@@ -9,9 +9,5 @@
 val generate :
   seed:int -> num_inputs:int -> num_outputs:int -> num_states:int -> Core.Fsm_ir.t
 
-val paper_inputs : int list
-val paper_outputs : int list
-val paper_states : int list
-
 val paper_grid : (int * int * int) list
 (** All (m, n, s) combinations of the paper's sweep. *)

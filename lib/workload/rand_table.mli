@@ -5,7 +5,6 @@
 
 val generate : seed:int -> depth:int -> width:int -> Core.Truth_table.t
 
-val paper_depths : int list
 val paper_widths : int list
 
 val paper_grid : (int * int) list
