@@ -3,40 +3,6 @@ type 'b codec = {
   decode : string -> ('b, string) result;
 }
 
-let retry_failures ~jobs ?timeout_s ~retries ~backoff_s f xs results =
-  (* [xs] and [results] are aligned; rerun the failed slots up to [retries]
-     times, sleeping [backoff_s * 2^attempt] before each wave. *)
-  let rec go attempt results =
-    let any_failed =
-      List.exists (function Error _ -> true | Ok _ -> false) results
-    in
-    if (not any_failed) || attempt >= retries then results
-    else begin
-      Unix.sleepf (backoff_s *. (2.0 ** float_of_int attempt));
-      let to_retry =
-        List.concat
-          (List.map2
-             (fun x r -> match r with Error _ -> [ x ] | Ok _ -> [])
-             xs results)
-      in
-      let retried = ref (Pool.map ~jobs ?timeout_s f to_retry) in
-      let results =
-        List.map
-          (function
-            | Ok _ as r -> r
-            | Error _ ->
-              (match !retried with
-               | r :: rest ->
-                 retried := rest;
-                 r
-               | [] -> assert false))
-          results
-      in
-      go (attempt + 1) results
-    end
-  in
-  go 0 results
-
 let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
     ?(resume = []) ?chunk ?on_checkpoint ~key ~codec f items =
   let chunk_size =
@@ -78,11 +44,10 @@ let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
         | tl -> (List.rev acc, tl)
       in
       let batch, rest = take chunk_size [] rest in
-      let raw = Pool.map ~jobs ?timeout_s (fun (_k, x) -> f x) batch in
-      let raw =
-        retry_failures ~jobs ?timeout_s ~retries ~backoff_s
+      let raw, _ =
+        Pool.map_retry ~jobs ?timeout_s ~retries ~backoff_s
           (fun (_k, x) -> f x)
-          batch raw
+          batch
       in
       List.iter2
         (fun (k, _x) r ->

@@ -102,34 +102,16 @@ let run t jobs =
     let r = Synth.Flow.compile ~options:j.options t.lib j.design in
     Summary.of_flow ~wall_s:(now () -. jt0) r
   in
-  let results =
-    Pool.map ~jobs:t.jobs ?timeout_s:t.timeout_s compile
-      (Array.to_list distinct)
-    |> Array.of_list
-  in
   (* Transient-failure absorption: re-run failed jobs up to [retries] times
      with exponential backoff. Compiles are deterministic, so this only
      helps against environmental failures (resource exhaustion, timeouts on
      a loaded machine) — which is exactly the point. *)
-  let attempt = ref 0 in
-  let has_failures () =
-    Array.exists (function Error _ -> true | Ok _ -> false) results
+  let results, retried =
+    Pool.map_retry ~jobs:t.jobs ?timeout_s:t.timeout_s ~retries:t.retries
+      ~backoff_s:t.backoff_s compile (Array.to_list distinct)
   in
-  while !attempt < t.retries && has_failures () do
-    Unix.sleepf (t.backoff_s *. (2.0 ** float_of_int !attempt));
-    let failed_idx = ref [] in
-    Array.iteri
-      (fun i -> function Error _ -> failed_idx := i :: !failed_idx | Ok _ -> ())
-      results;
-    let failed_idx = List.rev !failed_idx in
-    t.retried <- t.retried + List.length failed_idx;
-    let rerun =
-      Pool.map ~jobs:t.jobs ?timeout_s:t.timeout_s compile
-        (List.map (fun i -> distinct.(i)) failed_idx)
-    in
-    List.iter2 (fun i r -> results.(i) <- r) failed_idx rerun;
-    incr attempt
-  done;
+  let results = Array.of_list results in
+  t.retried <- t.retried + retried;
   t.executed <- t.executed + Array.length results;
   Array.iteri
     (fun i result ->

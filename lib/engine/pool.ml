@@ -238,3 +238,26 @@ let map ?(jobs = 1) ?queue_cap ?timeout_s f xs =
     shutdown t;
     results
   end
+
+let map_retry ?jobs ?timeout_s ~retries ~backoff_s f xs =
+  let xs = Array.of_list xs in
+  let results = Array.of_list (map ?jobs ?timeout_s f (Array.to_list xs)) in
+  let rerun = ref 0 in
+  let rec wave n =
+    let failed =
+      List.filter
+        (fun i -> Result.is_error results.(i))
+        (List.init (Array.length xs) Fun.id)
+    in
+    if failed <> [] && n < retries then begin
+      Unix.sleepf (backoff_s *. (2.0 ** float_of_int n));
+      rerun := !rerun + List.length failed;
+      List.iter2
+        (fun i r -> results.(i) <- r)
+        failed
+        (map ?jobs ?timeout_s f (List.map (fun i -> xs.(i)) failed));
+      wave (n + 1)
+    end
+  in
+  wave 0;
+  (Array.to_list results, !rerun)

@@ -58,3 +58,16 @@ val map :
 (** Convenience: run [f] over the list on a transient pool, results in input
     order. [jobs <= 1] (the default) runs inline on the calling domain —
     same isolation and timeout semantics, no domains spawned. *)
+
+val map_retry :
+  ?jobs:int ->
+  ?timeout_s:float ->
+  retries:int ->
+  backoff_s:float ->
+  ('a -> 'b) ->
+  'a list ->
+  ('b, error) result list * int
+(** {!map}, then up to [retries] waves that re-run only the items still
+    failing; wave [n] (from 0) first sleeps [backoff_s * 2^n]. Returns the
+    final results in input order and the number of item runs the waves
+    made. *)
