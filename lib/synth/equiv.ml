@@ -259,14 +259,13 @@ let shared_input u name =
   | None -> Aig.pi u name
 
 let first_sat cnf u obligations =
+  let s = Sat.Cnf.solver cnf in
   List.find_map
     (fun (tag, la, lb) ->
       let x = Aig.xor_ u la lb in
       if x = Aig.false_ then None (* structurally identical: free UNSAT *)
       else
-        match
-          Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] (Sat.Cnf.solver cnf)
-        with
+        match Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] s with
         | Sat.Solver.Unsat -> None
         | Sat.Solver.Sat -> Some tag)
     obligations
@@ -345,7 +344,9 @@ let check_sat ?(frames = 16) ?on_stats a b =
       `Inconclusive tag
     | Some _ ->
       (* Combinational: the model's PI values are a real counterexample. *)
-      let tape = [| List.map (fun name -> (name, model_input cnf u name)) pi_a |] in
+      let tape =
+        [| List.map (fun name -> (name, model_input cnf u name)) pi_a |]
+      in
       `Refuted (replay_tape a b tape)
   in
   (* Bounded model checking: unroll both netlists frame by frame into one

@@ -22,6 +22,9 @@ val reduce : Truthfn.t -> Cube.t list -> Cube.t list
 
 val minimize : ?max_iters:int -> ?initial:Cube.t list -> Truthfn.t -> Cover.t
 (** Full loop. [initial] defaults to the canonical minterm cover of the
-    ON-set; [max_iters] (default 3) bounds the improvement iterations. The
-    returned cover always implements the function (checked by assertion in
-    debug builds). *)
+    ON-set; [max_iters] (default 3) bounds the improvement iterations.
+    Nothing checks the returned cover against the function, and it can be
+    wrong: {!reduce} counts each ON-minterm's covering cubes once, so two
+    cubes that share a minterm can both shrink away from it and leave it
+    uncovered (seen from 7 variables up). {!Truthfn.cover_agrees} checks a
+    cover. *)

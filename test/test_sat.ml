@@ -734,10 +734,13 @@ let equiv_fingerprint () =
     | Synth.Seq_check.Gave_up r -> "gave up: " ^ r
   in
   let pair ?frames ?max_vars name a b =
-    let v, s = with_stats (fun () -> Synth.Equiv.check_sat ?frames ~on_stats a b) in
+    let v, s =
+      with_stats (fun () -> Synth.Equiv.check_sat ?frames ~on_stats a b)
+    in
     line "%s check_sat: %s | %s" name (verdict v) s;
     let r, s =
-      with_stats (fun () -> Synth.Seq_check.run_sat ?frames ?max_vars ~on_stats a b)
+      with_stats (fun () ->
+          Synth.Seq_check.run_sat ?frames ?max_vars ~on_stats a b)
     in
     line "%s run_sat: %s | %s" name (result r) s
   in
