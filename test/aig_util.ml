@@ -1,5 +1,6 @@
-(* AIG helpers shared by the golden fingerprints of test_synth and
-   test_sat: a seeded output mutant and an exact structural digest. *)
+(* AIG helpers shared by several suites: an output mutant and an exact
+   structural digest for the golden fingerprints of test_synth and
+   test_sat, and the equivalence check of a flow result. *)
 
 (* A copy of [g] with its first primary output complemented: a known
    disequivalent partner for any graph with at least one output. *)
