@@ -7,9 +7,9 @@
      dune exec bench/main.exe quick      -- subsampled smoke run
 
    Every command takes the shared engine and observability flags of
-   [Cli] (-j, --timeout-s, --retries, --cache-dir, --no-cache, --trace,
-   --metrics) and --json PATH, which also writes the figure rows and the
-   engine statistics as JSON. Flags follow the command name.
+   [Cli] (-j, --cache-dir, --no-cache, --trace, --metrics) and --json
+   PATH, which also writes the figure rows and the engine statistics as
+   JSON. Flags follow the command name.
 
    Figure tables go to stdout; engine statistics, metrics and traces go to
    stderr or to their own files, so stdout is byte-identical across -j
@@ -107,9 +107,7 @@ let fig9 () =
   [ ("fig9", fig9_json rows) ]
 
 let fault (cli : Cli.t) =
-  let rows =
-    Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ?timeout_s:cli.timeout_s ()
-  in
+  let rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs () in
   Experiments.Fault_cmp.print rows;
   [ ("fault", Experiments.Fault_cmp.to_json rows) ]
 
@@ -427,7 +425,6 @@ let engine_stats_json (s : Engine.stats) =
     [ ("submitted", Json.Int s.Engine.submitted);
       ("executed", Json.Int s.Engine.executed);
       ("failed", Json.Int s.Engine.failed);
-      ("retried", Json.Int s.Engine.retried);
       ("mem_hits", Json.Int s.Engine.mem_hits);
       ("disk_hits", Json.Int s.Engine.disk_hits);
       ("quarantined", Json.Int s.Engine.quarantined);

@@ -430,7 +430,7 @@ let equiv_cmd =
 
 let fault_cmd =
   let run cli impl mode model seed sites cycles journal_path resume_path
-      crash_after vcd_path scalar_sim =
+      crash_after vcd_path =
     let impl =
       match impl with
       | `Flexible -> Experiments.Fault_cmp.Flexible
@@ -468,9 +468,8 @@ let fault_cmd =
         crash_after
     in
     let report =
-      Fault.Campaign.run ~jobs:cli.Cli.sim_jobs ?timeout_s:cli.timeout_s
-        ~retries:cli.retries ?journal ~resume ?on_checkpoint ?aig
-        ~packed:(not scalar_sim) ~seed ~sites ~model spec
+      Fault.Campaign.run ~jobs:cli.Cli.sim_jobs ?journal ~resume
+        ?on_checkpoint ?aig ~seed ~sites ~model spec
     in
     Option.iter Engine.Journal.close journal;
     Fault.Campaign.print stdout report;
@@ -557,19 +556,12 @@ let fault_cmd =
              ~doc:"Write the faulty trace of the first mismatching RTL site \
                    to $(docv) as VCD.")
   in
-  let scalar_sim_arg =
-    Arg.(value & flag
-         & info [ "scalar-sim" ]
-             ~doc:"Classify stuck-at sites one per simulation pass instead \
-                   of bit-parallel (debugging aid; the report is \
-                   byte-identical either way, just slower).")
-  in
   Cmd.v
     (Cmd.info "fault"
        ~doc:"Run a fault-injection campaign on the PCtrl case study.")
     Term.(const run $ Cli.term $ impl_arg $ mode_arg $ model_arg $ seed_arg
           $ sites_arg $ cycles_arg $ journal_arg $ resume_arg
-          $ crash_after_arg $ vcd_arg $ scalar_sim_arg)
+          $ crash_after_arg $ vcd_arg)
 
 let () =
   let info =

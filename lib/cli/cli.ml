@@ -3,8 +3,6 @@ open Cmdliner
 type t = {
   reconfigure : Cells.Library.t -> unit;
   sim_jobs : int;
-  timeout_s : float option;
-  retries : int;
   metrics : bool;
 }
 
@@ -33,27 +31,6 @@ let term =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Disable synthesis result caching.")
   in
-  let timeout_s =
-    let pos_float =
-      Arg.conv
-        ( (fun s ->
-            match float_of_string_opt s with
-            | Some f when f > 0.0 -> Ok f
-            | _ -> Error (`Msg "expected a positive number of seconds")),
-          Format.pp_print_float )
-    in
-    Arg.(value & opt (some pos_float) None
-         & info [ "timeout-s" ] ~docv:"S"
-             ~doc:"Abandon any job still running $(docv) seconds after \
-                   submission (the result settles as a timeout error; see \
-                   the pool docs for the cooperative-cancellation caveat).")
-  in
-  let retries =
-    Arg.(value & opt nonneg 0
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Re-run failed jobs up to $(docv) extra times with \
-                   bounded exponential backoff.")
-  in
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"PATH"
@@ -65,16 +42,16 @@ let term =
     Arg.(value & flag
          & info [ "metrics" ]
              ~doc:"Print the process metrics table (pass deltas, pool \
-                   queueing, cache traffic, simulated cycles) to stderr \
-                   after the run.")
+                   wait and run times, cache traffic, simulated cycles) to \
+                   stderr after the run.")
   in
-  let setup jobs cache_dir no_cache timeout_s retries trace metrics =
+  let setup jobs cache_dir no_cache trace metrics =
     (* Observability on when either sink was requested; the at_exit hook
        writes the trace even on nonzero-exit paths. *)
     if metrics || trace <> None then Obs.set_enabled true;
     Option.iter Obs.Trace.install_at_exit trace;
     let reconfigure l =
-      match Engine.create ~jobs ?cache_dir ~no_cache ?timeout_s ~retries l with
+      match Engine.create ~jobs ?cache_dir ~no_cache l with
       | e -> Engine.set_default e
       | exception Invalid_argument msg ->
         Printf.eprintf "error: %s\n" msg;
@@ -84,13 +61,10 @@ let term =
     {
       reconfigure;
       sim_jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
-      timeout_s;
-      retries;
       metrics;
     }
   in
-  Term.(const setup $ jobs $ cache_dir $ no_cache $ timeout_s $ retries
-        $ trace $ metrics)
+  Term.(const setup $ jobs $ cache_dir $ no_cache $ trace $ metrics)
 
 let finish t =
   let stats = Engine.stats (Engine.default ()) in

@@ -1,20 +1,17 @@
 (** The command-line flags shared by every executable: the process-wide
     synthesis engine and the observability sinks.
 
-    [term] parses [-j/--jobs], [--cache-dir], [--no-cache], [--timeout-s],
-    [--retries], [--trace] and [--metrics]. Evaluating it turns
-    observability on when either sink was requested and installs the
-    default engine over {!Cells.Library.vt90}; an engine the flags cannot
-    build (e.g. a [--cache-dir] that names a file) exits the process with
-    status 2. *)
+    [term] parses [-j/--jobs], [--cache-dir], [--no-cache], [--trace] and
+    [--metrics]. Evaluating it turns observability on when either sink was
+    requested and installs the default engine over {!Cells.Library.vt90};
+    an engine the flags cannot build (e.g. a [--cache-dir] that names a
+    file) exits the process with status 2. *)
 
 type t = {
   reconfigure : Cells.Library.t -> unit;
       (** rebuild the default engine with the same flags over another cell
           library *)
   sim_jobs : int;  (** resolved [-j] value for simulation batches *)
-  timeout_s : float option;
-  retries : int;
   metrics : bool;  (** [--metrics] was given *)
 }
 

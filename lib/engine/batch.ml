@@ -3,11 +3,10 @@ type 'b codec = {
   decode : string -> ('b, string) result;
 }
 
-let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
-    ?(resume = []) ?chunk ?on_checkpoint ~key ~codec f items =
-  let chunk_size =
-    match chunk with Some c -> max 1 c | None -> max 1 (4 * max 1 jobs)
-  in
+let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
+    items =
+  (* A kill loses at most the chunk in flight. *)
+  let chunk_size = 4 * max 1 jobs in
   let resumed : (string, (string, string) result) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -44,11 +43,7 @@ let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
         | tl -> (List.rev acc, tl)
       in
       let batch, rest = take chunk_size [] rest in
-      let raw, _ =
-        Pool.map_retry ~jobs ?timeout_s ~retries ~backoff_s
-          (fun (_k, x) -> f x)
-          batch
-      in
+      let raw = Pool.map ~jobs (fun (_k, x) -> f x) batch in
       List.iter2
         (fun (k, _x) r ->
           let r =

@@ -1,6 +1,6 @@
-(** Crash-resilient batch execution: {!Pool} scheduling plus per-item retry
-    with bounded exponential backoff, and an append-only {!Journal}
-    checkpoint so a killed batch restarts where it left off.
+(** Crash-resilient batch execution: {!Pool.map} scheduling plus an
+    append-only {!Journal} checkpoint so a killed batch restarts where it
+    left off.
 
     Unlike {!Engine.run} this is generic — items are anything with a stable
     string key and a string codec for results. Fault campaigns
@@ -19,12 +19,8 @@ type 'b codec = {
 
 val run :
   ?jobs:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
   ?journal:Journal.t ->
   ?resume:Journal.entry list ->
-  ?chunk:int ->
   ?on_checkpoint:(int -> unit) ->
   key:('a -> string) ->
   codec:'b codec ->
@@ -35,17 +31,14 @@ val run :
     [Error] carrying its rendered {!Pool.error} message, never an
     exception.
 
-    - [jobs]/[timeout_s]: {!Pool.map} scheduling of each chunk.
-    - [retries]/[backoff_s]: each failing item is re-run up to [retries]
-      times; wave [n] sleeps [backoff_s * 2^n] first (defaults 0 / 0.05 s).
+    - [jobs]: items run in chunks of [4 * jobs] through {!Pool.map}, so a
+      kill loses at most the chunk in flight.
     - [journal]: every settled item is appended (encoded via [codec]) and
       flushed, in item order, chunk by chunk.
     - [resume]: entries from {!Journal.load}; items whose key appears are
       not re-run — [Ok] payloads decode through [codec] (a payload that
       fails to decode is recomputed), [Error] entries are preserved as
       error results. Resumed items are not re-journaled.
-    - [chunk]: items scheduled per pool wave (default [4 * jobs]); bounds
-      how much completed work a kill can lose to the in-flight wave.
     - [on_checkpoint]: called after each newly journaled item with the
       count of items journaled by this run — the hook crash-injection
       tests use to die at a deterministic point. *)

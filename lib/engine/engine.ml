@@ -20,7 +20,6 @@ type stats = {
   submitted : int;
   executed : int;
   failed : int;
-  retried : int;
   mem_hits : int;
   disk_hits : int;
   quarantined : int;
@@ -31,29 +30,22 @@ type stats = {
 type t = {
   lib : Cells.Library.t;
   jobs : int;
-  timeout_s : float option;
-  retries : int;
-  backoff_s : float;
   cache : Cache.t option;
   mutable submitted : int;
   mutable executed : int;
   mutable failed : int;
-  mutable retried : int;
   mutable mem_hits : int;
   mutable disk_hits : int;
   mutable wall_s : float;
   mutable cpu_s : float;
 }
 
-let create ?(jobs = 1) ?cache_dir ?(no_cache = false) ?timeout_s
-    ?(retries = 0) ?(backoff_s = 0.05) lib =
+let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 0";
-  if retries < 0 then invalid_arg "Engine.create: retries must be >= 0";
   let cache = if no_cache then None else Some (Cache.create ?dir:cache_dir ()) in
-  { lib; jobs; timeout_s; retries; backoff_s; cache; submitted = 0;
-    executed = 0; failed = 0; retried = 0; mem_hits = 0; disk_hits = 0;
-    wall_s = 0.0; cpu_s = 0.0 }
+  { lib; jobs; cache; submitted = 0; executed = 0; failed = 0; mem_hits = 0;
+    disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
 
 let library t = t.lib
 
@@ -102,16 +94,9 @@ let run t jobs =
     let r = Synth.Flow.compile ~options:j.options t.lib j.design in
     Summary.of_flow ~wall_s:(now () -. jt0) r
   in
-  (* Transient-failure absorption: re-run failed jobs up to [retries] times
-     with exponential backoff. Compiles are deterministic, so this only
-     helps against environmental failures (resource exhaustion, timeouts on
-     a loaded machine) — which is exactly the point. *)
-  let results, retried =
-    Pool.map_retry ~jobs:t.jobs ?timeout_s:t.timeout_s ~retries:t.retries
-      ~backoff_s:t.backoff_s compile (Array.to_list distinct)
+  let results =
+    Array.of_list (Pool.map ~jobs:t.jobs compile (Array.to_list distinct))
   in
-  let results = Array.of_list results in
-  t.retried <- t.retried + retried;
   t.executed <- t.executed + Array.length results;
   Array.iteri
     (fun i result ->
@@ -144,7 +129,7 @@ let stats t =
     | None -> 0
   in
   { submitted = t.submitted; executed = t.executed; failed = t.failed;
-    retried = t.retried; mem_hits = t.mem_hits; disk_hits = t.disk_hits;
+    mem_hits = t.mem_hits; disk_hits = t.disk_hits;
     quarantined; wall_s = t.wall_s; cpu_s = t.cpu_s }
 
 let stats_table (s : stats) =
@@ -159,7 +144,6 @@ let stats_table (s : stats) =
       [ "cache entries quarantined"; string_of_int s.quarantined ];
       [ "jobs executed"; string_of_int s.executed ];
       [ "jobs failed"; string_of_int s.failed ];
-      [ "jobs retried"; string_of_int s.retried ];
       [ "wall time (s)"; f s.wall_s ];
       [ "cpu time (s)"; f s.cpu_s ];
       [ "parallel speedup";

@@ -9,9 +9,9 @@
       triple, within a run or across runs;
     - coalesces duplicate jobs inside one batch (each distinct key compiles
       once, every requester shares the result);
-    - executes cache misses on a {!Pool} of worker domains with a bounded
-      queue, per-job timeout, and exception isolation: a crashing or
-      timed-out job yields an [Error] outcome for itself only.
+    - executes cache misses with {!Pool.map} on worker domains, under
+      exception isolation: a crashing job yields an [Error] outcome for
+      itself only.
 
     Determinism: [Synth.Flow.compile] is a pure function of the job inputs,
     so outcomes are independent of worker count, scheduling order, and
@@ -39,8 +39,7 @@ type outcome = (Summary.t, Pool.error) result
 type stats = {
   submitted : int;  (** jobs requested through [run]/[run_one] *)
   executed : int;   (** jobs that actually compiled *)
-  failed : int;     (** executed jobs that settled in [Error] after retries *)
-  retried : int;    (** re-executions triggered by the retry policy *)
+  failed : int;     (** executed jobs that settled in [Error] *)
   mem_hits : int;   (** served from memory, incl. batch coalescing *)
   disk_hits : int;  (** served from the on-disk cache *)
   quarantined : int; (** corrupt disk entries renamed aside ({!Cache}) *)
@@ -54,18 +53,12 @@ val create :
   ?jobs:int ->
   ?cache_dir:string ->
   ?no_cache:bool ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
   Cells.Library.t ->
   t
 (** [jobs]: worker domains for cache-miss execution; [1] (default) compiles
     on the calling domain, [0] means [Domain.recommended_domain_count ()].
     [no_cache] disables result caching entirely ([cache_dir] is then
-    ignored). [timeout_s] bounds each job from submission. [retries]
-    (default 0) re-runs failed jobs that many extra times, sleeping
-    [backoff_s * 2^wave] (default 0.05 s) before each wave — transient
-    failures heal, deterministic ones still settle as [Error]. *)
+    ignored). *)
 
 val library : t -> Cells.Library.t
 

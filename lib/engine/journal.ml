@@ -27,79 +27,25 @@ let close t =
 
 (* ------------------------------------------------- reading journals back *)
 
-(* Minimal parser for the only shape [append] writes: a flat JSON object
-   whose values are strings. Anything else on a line (including a line
-   truncated by a mid-write crash) is rejected and skipped by [load]. *)
-
-exception Bad of string
-
-let parse_string s pos =
-  let n = String.length s in
-  if pos >= n || s.[pos] <> '"' then raise (Bad "expected string");
-  let b = Buffer.create 16 in
-  let rec go i =
-    if i >= n then raise (Bad "unterminated string")
-    else
-      match s.[i] with
-      | '"' -> (Buffer.contents b, i + 1)
-      | '\\' ->
-        if i + 1 >= n then raise (Bad "dangling escape")
-        else begin
-          (match s.[i + 1] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 'r' -> Buffer.add_char b '\r'
-           | 't' -> Buffer.add_char b '\t'
-           | 'u' ->
-             if i + 5 >= n then raise (Bad "short \\u escape");
-             let code =
-               try int_of_string ("0x" ^ String.sub s (i + 2) 4)
-               with Failure _ -> raise (Bad "bad \\u escape")
-             in
-             (* The writer only emits \u for control bytes < 0x20. *)
-             if code > 0xff then raise (Bad "non-byte \\u escape")
-             else Buffer.add_char b (Char.chr code)
-           | c -> raise (Bad (Printf.sprintf "unknown escape \\%c" c)));
-          go (i + if s.[i + 1] = 'u' then 6 else 2)
-        end
-      | c -> Buffer.add_char b c; go (i + 1)
-  in
-  go (pos + 1)
-
-let parse_line line =
-  let n = String.length line in
-  let expect pos c =
-    if pos >= n || line.[pos] <> c then
-      raise (Bad (Printf.sprintf "expected %c" c));
-    pos + 1
-  in
-  let pos = expect 0 '{' in
-  let rec fields pos acc =
-    let k, pos = parse_string line pos in
-    let pos = expect pos ':' in
-    let v, pos = parse_string line pos in
-    let acc = (k, v) :: acc in
-    if pos < n && line.[pos] = ',' then fields (pos + 1) acc
-    else (List.rev acc, expect pos '}')
-  in
-  let kvs, pos = fields pos [] in
-  if pos <> n then raise (Bad "trailing bytes");
-  match (List.assoc_opt "k" kvs, List.assoc_opt "v" kvs, List.assoc_opt "e" kvs) with
-  | Some key, Some v, None -> { key; value = Ok v }
-  | Some key, None, Some e -> { key; value = Error e }
-  | _ -> raise (Bad "not a journal record")
+(* A record is an object with a string [k] and exactly one of a string [v]
+   or a string [e]. Any other line, including one truncated by a mid-write
+   kill, is skipped. *)
+let record line =
+  let open Report.Json in
+  match of_string line with
+  | Ok (Obj fields) ->
+    (match
+       ( List.assoc_opt "k" fields,
+         List.assoc_opt "v" fields,
+         List.assoc_opt "e" fields )
+     with
+     | Some (String key), Some (String v), None -> Some { key; value = Ok v }
+     | Some (String key), None, Some (String e) -> Some { key; value = Error e }
+     | _ -> None)
+  | _ -> None
 
 let load path =
   if not (Sys.file_exists path) then []
-  else begin
-    let lines = In_channel.with_open_text path In_channel.input_lines in
-    List.filter_map
-      (fun line ->
-        if String.trim line = "" then None
-        else match parse_line line with
-          | entry -> Some entry
-          | exception Bad _ -> None)
-      lines
-  end
+  else
+    List.filter_map record
+      (In_channel.with_open_text path In_channel.input_lines)

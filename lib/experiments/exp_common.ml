@@ -7,8 +7,8 @@ let annotated_flow = { Synth.Flow.default with honor_generator_annots = true }
 let retimed_flow = { Synth.Flow.default with retime = true }
 
 (* All figure synthesis funnels through the process-wide engine: repeated
-   (design, options) pairs are served from its cache and batches run on its
-   worker pool when the front-end configured -j. The default engine uses
+   (design, options) pairs are served from its cache and batches run on
+   several domains when the front-end configured -j. The default engine uses
    vt90, matching [lib]. *)
 let engine () = Engine.default ()
 

@@ -37,8 +37,7 @@ let models =
   [ Fault.Campaign.Control; Fault.Campaign.Tables; Fault.Campaign.Regs;
     Fault.Campaign.Stuck ]
 
-let run ?(seed = 0) ?(sites = 48) ?(cycles = default_cycles) ?(jobs = 1)
-    ?timeout_s () =
+let run ?(seed = 0) ?(sites = 48) ?(cycles = default_cycles) ?(jobs = 1) () =
   let campaigns impl =
     let spec = spec_of ~cycles impl in
     (* The stuck-at population lives on the synthesized netlist; the
@@ -60,7 +59,7 @@ let run ?(seed = 0) ?(sites = 48) ?(cycles = default_cycles) ?(jobs = 1)
         in
         { impl; model;
           report =
-            Fault.Campaign.run ~jobs ?timeout_s ?aig ~seed ~sites ~model spec })
+            Fault.Campaign.run ~jobs ?aig ~seed ~sites ~model spec })
       models
   in
   campaigns Flexible @ campaigns Bound

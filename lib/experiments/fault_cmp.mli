@@ -36,7 +36,6 @@ val run :
   ?sites:int ->
   ?cycles:int ->
   ?jobs:int ->
-  ?timeout_s:float ->
   unit ->
   row list
 (** Campaigns for both implementations under each model, deterministic in

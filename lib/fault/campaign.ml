@@ -68,9 +68,8 @@ let enumerate ?aig ~seed ~sites ~model (spec : Sim.spec) =
   in
   (population, sampled)
 
-let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
-    ?(resume = []) ?on_checkpoint ?aig ?(packed = true) ~seed ~sites ~model
-    (spec : Sim.spec) =
+let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
+    ~model (spec : Sim.spec) =
   Obs.Span.with_span
     ~args:
       [
@@ -87,8 +86,8 @@ let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
   let needs_aig =
     List.exists (function Site.Stuck_at _ -> true | _ -> false) injected
   in
-  (* Goldens are computed once, before the pool forks, and shared read-only
-     with every worker. *)
+  (* Goldens are computed once, before the batch starts, and shared
+     read-only with every worker. *)
   let g = if needs_rtl then Some (Sim.golden spec) else None in
   let ag =
     match (needs_aig, aig) with
@@ -96,14 +95,14 @@ let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
     | _ -> None
   in
   (* Packed pre-pass: classify every fresh stuck-at site up front,
-     {!Aig.Compiled.lanes} sites per simulation pass, before the pool
-     forks — workers then answer those sites from a read-only table.
+     {!Aig.Compiled.lanes} sites per simulation pass, before the batch
+     starts — workers then answer those sites from a read-only table.
      Sites already settled in the resume journal are excluded (the batch
      layer never re-runs them), so resumed campaigns do not pay for
      packed passes over work they are about to skip. *)
   let packed_results : (string, Sim.outcome) Hashtbl.t = Hashtbl.create 64 in
-  (match (packed, aig, ag) with
-   | true, Some a, Some golden ->
+  (match (aig, ag) with
+   | Some a, Some golden ->
      let resumed = Hashtbl.create (List.length resume) in
      List.iter
        (fun (e : Engine.Journal.entry) -> Hashtbl.replace resumed e.key ())
@@ -132,8 +131,8 @@ let run ?(jobs = 1) ?timeout_s ?(retries = 0) ?(backoff_s = 0.05) ?journal
     | _ -> Sim.run_site spec (Option.get g) site
   in
   let results =
-    Engine.Batch.run ~jobs ?timeout_s ~retries ~backoff_s ?journal ~resume
-      ?on_checkpoint ~key:Site.key ~codec:outcome_codec run_one injected
+    Engine.Batch.run ~jobs ?journal ~resume ?on_checkpoint ~key:Site.key
+      ~codec:outcome_codec run_one injected
   in
   let rows = List.map2 (fun site result -> { site; result }) injected results in
   let count p = List.length (List.filter p rows) in

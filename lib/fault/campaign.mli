@@ -17,7 +17,7 @@ type model =
 val model_name : model -> string
 
 type row = { site : Site.t; result : (Sim.outcome, string) result }
-(** [Error] carries a rendered job-failure message (crash/timeout), not a
+(** [Error] carries a rendered job-failure message (a crash), not a
     fault classification. *)
 
 type report = {
@@ -34,14 +34,10 @@ type report = {
 
 val run :
   ?jobs:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
   ?journal:Engine.Journal.t ->
   ?resume:Engine.Journal.entry list ->
   ?on_checkpoint:(int -> unit) ->
   ?aig:Sim.aig_spec ->
-  ?packed:bool ->
   seed:int ->
   sites:int ->
   model:model ->
@@ -49,19 +45,17 @@ val run :
   report
 (** [sites <= 0] runs the exhaustive population; otherwise a seeded sample
     of that many sites (model [All] always retains the control site).
-    [jobs]/[timeout_s]/[retries]/[backoff_s]/[journal]/[resume]/
-    [on_checkpoint] are passed to {!Engine.Batch.run}. Model [Stuck]
-    without [~aig] has an empty population.
+    [jobs]/[journal]/[resume]/[on_checkpoint] are passed to
+    {!Engine.Batch.run}. Model [Stuck] without [~aig] has an empty
+    population.
 
-    [packed] (default [true]) classifies stuck-at sites bit-parallel via
+    Stuck-at sites are classified bit-parallel via
     {!Sim.aig_run_sites_packed} in a pre-pass — {!Aig.Compiled.lanes}
-    sites per simulation — before the job pool starts; pool workers then
-    answer stuck-at sites from the precomputed table. Classifications,
-    the journal, and the rendered report are byte-identical to
-    [~packed:false] (the packed pass preserves scalar mismatch
-    attribution, and any packed failure falls back to scalar per site).
-    Sites already settled by [resume] are never re-simulated, packed or
-    not. *)
+    sites per simulation — before the batch starts; batch workers then
+    answer them from the precomputed table. Classifications equal
+    {!Sim.aig_run_site} site by site (the packed pass preserves scalar
+    mismatch attribution, and any packed failure falls back to scalar per
+    site). Sites already settled by [resume] are never re-simulated. *)
 
 val first_mismatch : report -> Site.t option
 (** The first site classified as a mismatch — the one worth a VCD dump. *)

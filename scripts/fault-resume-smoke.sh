@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Crash-resilience smoke test for `ctrlgen fault`.
 #
-# Runs a tiny seeded fault campaign to completion, then runs the same
-# campaign again with a journal and `--crash-after` so the process kills
-# itself mid-run (exit 3), resumes it with `--resume` on the same journal,
-# and requires the resumed stdout to be byte-identical to the
-# uninterrupted run. Exercises: JSONL checkpoint journal, torn-run
-# recovery, and deterministic site ordering under `-j 4`.
+# For each of two seeded campaigns: run it to completion, then run it
+# again with a journal and `--crash-after` so the process kills itself
+# mid-run (exit 3), resume it with `--resume` on the same journal, and
+# require the resumed stdout to be byte-identical to the uninterrupted
+# run. Exercises: JSONL checkpoint journal, torn-run recovery and
+# deterministic site ordering under `-j 4`. The second campaign is
+# stuck-at on the bound netlist, so the packed pre-pass, its exclusion of
+# resumed sites and the multi-domain map run together.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,33 +21,43 @@ fi
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-ARGS=(fault --model tables --seed 3 --sites 12 --cycles 24 -j 4)
+# check NAME SITES ARGS...: SITES is the campaign's site count.
+check() {
+  local name=$1 sites=$2
+  shift 2
+  local args=(fault "$@" --sites "$sites" --cycles 24 -j 4)
+  local dir="$workdir/$name"
+  mkdir "$dir"
 
-echo "fault-resume-smoke: reference run" >&2
-"$CTRLGEN" "${ARGS[@]}" > "$workdir/reference.out"
+  echo "fault-resume-smoke[$name]: reference run" >&2
+  "$CTRLGEN" "${args[@]}" > "$dir/reference.out"
 
-echo "fault-resume-smoke: interrupted run (--crash-after 5)" >&2
-rc=0
-"$CTRLGEN" "${ARGS[@]}" --journal "$workdir/journal.jsonl" --crash-after 5 \
-  > "$workdir/crashed.out" || rc=$?
-if [ "$rc" -ne 3 ]; then
-  echo "fault-resume-smoke: expected exit 3 from --crash-after, got $rc" >&2
-  exit 1
-fi
-lines=$(wc -l < "$workdir/journal.jsonl")
-if [ "$lines" -lt 1 ] || [ "$lines" -ge 12 ]; then
-  echo "fault-resume-smoke: journal has $lines lines, expected a partial run" >&2
-  exit 1
-fi
+  echo "fault-resume-smoke[$name]: interrupted run (--crash-after 5)" >&2
+  local rc=0
+  "$CTRLGEN" "${args[@]}" --journal "$dir/journal.jsonl" --crash-after 5 \
+    > "$dir/crashed.out" || rc=$?
+  if [ "$rc" -ne 3 ]; then
+    echo "fault-resume-smoke[$name]: expected exit 3 from --crash-after, got $rc" >&2
+    exit 1
+  fi
+  local lines
+  lines=$(wc -l < "$dir/journal.jsonl")
+  if [ "$lines" -lt 1 ] || [ "$lines" -ge "$sites" ]; then
+    echo "fault-resume-smoke[$name]: journal has $lines lines, expected a partial run" >&2
+    exit 1
+  fi
 
-echo "fault-resume-smoke: resumed run ($lines sites journaled)" >&2
-"$CTRLGEN" "${ARGS[@]}" --journal "$workdir/journal.jsonl" \
-  --resume "$workdir/journal.jsonl" > "$workdir/resumed.out"
+  echo "fault-resume-smoke[$name]: resumed run ($lines sites journaled)" >&2
+  "$CTRLGEN" "${args[@]}" --journal "$dir/journal.jsonl" \
+    --resume "$dir/journal.jsonl" > "$dir/resumed.out"
 
-if ! cmp -s "$workdir/reference.out" "$workdir/resumed.out"; then
-  echo "fault-resume-smoke: resumed stdout differs from uninterrupted run:" >&2
-  diff "$workdir/reference.out" "$workdir/resumed.out" >&2 || true
-  exit 1
-fi
+  if ! cmp -s "$dir/reference.out" "$dir/resumed.out"; then
+    echo "fault-resume-smoke[$name]: resumed stdout differs from uninterrupted run:" >&2
+    diff "$dir/reference.out" "$dir/resumed.out" >&2 || true
+    exit 1
+  fi
+  echo "fault-resume-smoke[$name]: OK (resumed output byte-identical)" >&2
+}
 
-echo "fault-resume-smoke: OK (resumed output byte-identical)" >&2
+check tables 12 --model tables --seed 3
+check stuck 12 --impl bound --model stuck
