@@ -102,11 +102,17 @@ let synth_cmd =
     end;
     Cli.finish cli
   in
-  let depth = Arg.(value & opt int 64 & info [ "depth" ] ~doc:"Table depth.") in
-  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"Table width.") in
-  let inputs = Arg.(value & opt int 2 & info [ "inputs" ] ~doc:"FSM input bits.") in
-  let outputs = Arg.(value & opt int 8 & info [ "outputs" ] ~doc:"FSM output bits.") in
-  let states = Arg.(value & opt int 8 & info [ "states" ] ~doc:"FSM state count.") in
+  let positive default name doc =
+    Arg.(value & opt (Cli.range 1) default & info [ name ] ~doc)
+  in
+  let depth = positive 64 "depth" "Table depth." in
+  let width = positive 8 "width" "Table width." in
+  let inputs =
+    Arg.(value & opt (Cli.range ~max:16 1) 2
+         & info [ "inputs" ] ~doc:"FSM input bits (1 to 16).")
+  in
+  let outputs = positive 8 "outputs" "FSM output bits." in
+  let states = positive 8 "states" "FSM state count." in
   let annotate =
     Arg.(value & flag
          & info [ "annotate" ] ~doc:"Emit and honour generator annotations.")
@@ -291,22 +297,15 @@ let equiv_cmd =
         let bindings', site = Workload.Rng.mutate_bindings ~seed bindings in
         (bindings', Some (site, seed))
     in
-    (* Side A: the flexible controller specialized *after* lowering — the
-       mode's configuration bits substituted for the config latches of the
-       flexible AIG. Side B: the same specialization done *before*
-       lowering by RTL partial evaluation (with --opt, additionally run
-       through the full optimizing flow). Equivalence certifies that
-       partial evaluation (and optionally the optimizer) preserved the
-       programmed behaviour. *)
-    let a =
-      Synth.Partial_eval.bind_aig_tables
-        (Synth.Lower.run (Pctrl.Controller.full_design ())).Synth.Lower.aig
-        bindings
-    in
+    (* With --opt, side B is the partially evaluated design run through
+       the full optimizing flow, so equivalence also certifies the
+       optimizer. *)
+    let a, b = Pctrl.Controller.certification_pair ~bindings mode in
     let b =
-      let auto = Pctrl.Controller.auto_design mode in
-      if opt then (Synth.Flow.compile lib auto).Synth.Flow.aig
-      else (Synth.Lower.run auto).Synth.Lower.aig
+      if opt then
+        (Synth.Flow.compile lib (Pctrl.Controller.auto_design mode))
+          .Synth.Flow.aig
+      else b
     in
     Format.printf "equiv: pctrl %s, flexible(bound at AIG level) vs %s@."
       mode_name
@@ -389,7 +388,7 @@ let equiv_cmd =
                    induction with BMC fallback) or $(b,both).")
   in
   let frames_arg =
-    Arg.(value & opt int 16
+    Arg.(value & opt (Cli.range 1) 16
          & info [ "frames" ] ~docv:"N"
              ~doc:"BMC depth when the SAT engine cannot close an induction.")
   in
@@ -523,12 +522,12 @@ let fault_cmd =
                    upsets), $(b,stuck) (netlist stuck-at) or $(b,all).")
   in
   let sites_arg =
-    Arg.(value & opt int 64
+    Arg.(value & opt (Cli.range 0) 64
          & info [ "sites" ] ~docv:"N"
              ~doc:"Sample at most $(docv) fault sites (0 = exhaustive).")
   in
   let cycles_arg =
-    Arg.(value & opt int 40
+    Arg.(value & opt (Cli.range 0) 40
          & info [ "cycles" ] ~docv:"N" ~doc:"Stimulus length in cycles.")
   in
   let journal_arg =

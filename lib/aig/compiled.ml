@@ -16,7 +16,6 @@ let ctz w =
   !n
 
 type t = {
-  graph : Graph.t;
   n : int;
   sched : int array;       (* And node ids, ascending = topological *)
   fan0 : int array;        (* fanin literals, indexed like [sched] *)
@@ -67,7 +66,6 @@ let compile g =
   done;
   assert (!k = n_ands);
   {
-    graph = g;
     n;
     sched = Array.sub sched 0 n_ands;
     fan0 = Array.sub fan0 0 n_ands;
@@ -82,7 +80,6 @@ let compile g =
     po_lits;
   }
 
-let source c = c.graph
 let num_pis c = Array.length c.pi_nodes
 let num_latches c = Array.length c.latch_nodes
 let num_pos c = Array.length c.po_lits

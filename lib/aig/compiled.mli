@@ -43,12 +43,9 @@ val compile : Graph.t -> t
 (** One-shot compilation. Every latch must have its next-state set
     ({!Graph.set_next}); raises [Invalid_argument] otherwise. *)
 
-val source : t -> Graph.t
-
 val num_pis : t -> int
 val num_latches : t -> int
 val num_pos : t -> int
-val num_ands : t -> int
 
 val pi_index : t -> string -> int option
 (** Slot of a primary input by name, in {!Graph.pis} order. *)

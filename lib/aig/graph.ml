@@ -241,8 +241,6 @@ let eval_all t ~pi ~latch =
     let x = values.(node_of_lit l) in
     if is_complemented l then not x else x
 
-let eval t ~pi ~latch l = eval_all t ~pi ~latch l
-
 let cone t roots =
   let visited = Hashtbl.create 64 in
   let leaves = ref [] in

@@ -87,10 +87,6 @@ val find_latch : t -> string -> int option
 
 (** {1 Evaluation} *)
 
-val eval : t -> pi:(int -> bool) -> latch:(int -> bool) -> lit -> bool
-(** Combinational evaluation of one literal given values for PI and latch
-    nodes (memoized internally per call). *)
-
 val eval_all : t -> pi:(int -> bool) -> latch:(int -> bool) -> (lit -> bool)
 (** Evaluate the whole graph once; the returned function reads any literal
     in O(1). *)

@@ -117,8 +117,6 @@ let compare a b =
   let c = Stdlib.compare a.width b.width in
   if c <> 0 then c else compare_value a b
 
-let hash v = Hashtbl.hash (v.width, v.limbs)
-
 let map2 name f a b =
   if a.width <> b.width then invalid_arg (name ^ ": width mismatch");
   canonicalize a.width (Array.init (Array.length a.limbs)

@@ -72,8 +72,6 @@ val compare_value : t -> t -> int
 (** Unsigned value order of two vectors of equal width.
     @raise Invalid_argument on width mismatch. *)
 
-val hash : t -> int
-
 (** {1 Bitwise operations}
 
     Binary bitwise operations require equal widths and raise

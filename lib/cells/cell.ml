@@ -18,11 +18,6 @@ let make_comb cname ~arity ~table ~area ~delay =
 let make_flop cname ~reset ~area ~delay =
   { cname; func = Flop reset; area; delay }
 
-let arity c =
-  match c.func with
-  | Comb { arity; _ } -> arity
-  | Flop _ -> 1
-
 let eval_comb c assignment =
   match c.func with
   | Comb { arity; table } ->
@@ -32,6 +27,3 @@ let eval_comb c assignment =
   | Flop _ -> invalid_arg "Cell.eval_comb: sequential cell"
 
 let is_flop c = match c.func with Flop _ -> true | Comb _ -> false
-
-let pp fmt c =
-  Format.fprintf fmt "%s (area %.2f, delay %.3f)" c.cname c.area c.delay

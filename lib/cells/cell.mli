@@ -25,13 +25,8 @@ val make_comb : string -> arity:int -> table:int -> area:float -> delay:float ->
 
 val make_flop : string -> reset:Rtl.Design.reset_kind -> area:float -> delay:float -> t
 
-val arity : t -> int
-(** Number of data inputs (flops: 1). *)
-
 val eval_comb : t -> int -> bool
 (** [eval_comb c assignment] — output for the given input assignment.
     @raise Invalid_argument on a flop. *)
 
 val is_flop : t -> bool
-
-val pp : Format.formatter -> t -> unit

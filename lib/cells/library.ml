@@ -34,8 +34,3 @@ let flop t reset =
       | Cell.Flop r -> r = reset
       | Cell.Comb _ -> false)
     t.cells
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>library %s@," t.lib_name;
-  List.iter (fun c -> Format.fprintf fmt "  %a@," Cell.pp c) t.cells;
-  Format.fprintf fmt "@]"

@@ -13,5 +13,3 @@ val find : t -> string -> Cell.t
 
 val flop : t -> Rtl.Design.reset_kind -> Cell.t
 (** The flip-flop cell for a reset style. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,17 +6,23 @@ type t = {
   metrics : bool;
 }
 
-let nonneg =
+let range ?max min =
+  let expected =
+    match max with
+    | None -> Printf.sprintf "expected an integer >= %d" min
+    | Some max -> Printf.sprintf "expected an integer from %d to %d" min max
+  in
+  let max = Option.value max ~default:max_int in
   Arg.conv
     ( (fun s ->
         match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok n
-        | _ -> Error (`Msg "expected a non-negative integer")),
+        | Some n when n >= min && n <= max -> Ok n
+        | _ -> Error (`Msg expected)),
       Format.pp_print_int )
 
 let term =
   let jobs =
-    Arg.(value & opt nonneg 1
+    Arg.(value & opt (range 0) 1
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Run synthesis jobs on $(docv) worker domains (0 = one \
                    per available core).")

@@ -17,6 +17,11 @@ type t = {
 
 val term : t Cmdliner.Term.t
 
+val range : ?max:int -> int -> int Cmdliner.Arg.conv
+(** [range ?max min] parses a decimal integer from [min] to [max]
+    inclusive ([max] unbounded when absent); anything else is a usage
+    error, which cmdliner reports with exit status 124. *)
+
 val finish : t -> unit
 (** Print the end-of-run tables to stderr: the engine statistics when the
     default engine saw at least one job, then the process metrics when

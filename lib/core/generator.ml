@@ -8,8 +8,6 @@ let fsm_design fsm = function
   | Flexible_annotated -> Fsm_ir.to_flexible_rtl ~annotate:true fsm
   | Direct -> Fsm_ir.to_direct_rtl fsm
 
-let specialize = Synth.Partial_eval.bind_tables
-
 let fsm_manual_annotation fsm =
   Rtl.Annot.fsm_state_vector "state" (Fsm_ir.reachable_codes fsm)
 

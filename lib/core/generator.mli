@@ -7,9 +7,9 @@
     + emit either the *flexible* table-based RTL (configuration memories,
       optionally with the generator's knowledge attached as annotations) or
       the *direct* RTL;
-    + when the configuration is known, {!specialize} the flexible design
-      (partial evaluation — tables become ROMs) and let the synthesis flow
-      fold it;
+    + when the configuration is known, specialize the flexible design with
+      {!Synth.Partial_eval.bind_tables} (tables become ROMs) and let the
+      synthesis flow fold it;
     + for *Manual*-grade results, add {!val-fsm_manual_annotation} /
       {!val-program_manual_annotations} — the reachability facts a tool
       cannot currently derive across flop boundaries. *)
@@ -20,9 +20,6 @@ type style =
   | Direct              (** hand-written style (SOP / case statements) *)
 
 val fsm_design : Fsm_ir.t -> style -> Rtl.Design.t
-
-val specialize : Rtl.Design.t -> (string * Bitvec.t array) list -> Rtl.Design.t
-(** Partial evaluation entry point: bind configuration memories. *)
 
 val fsm_manual_annotation : Fsm_ir.t -> Rtl.Annot.t
 (** State vector restricted to *reachable* states — what the paper's manual

@@ -47,8 +47,6 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   { lib; jobs; cache; submitted = 0; executed = 0; failed = 0; mem_hits = 0;
     disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
 
-let library t = t.lib
-
 let now () = Unix.gettimeofday ()
 
 (* Each batch entry resolves to a cached summary or to an index into the

@@ -60,8 +60,6 @@ val create :
     [no_cache] disables result caching entirely ([cache_dir] is then
     ignored). *)
 
-val library : t -> Cells.Library.t
-
 val run : t -> job list -> outcome list
 (** Outcomes in request order. Never raises on job failure. *)
 

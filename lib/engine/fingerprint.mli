@@ -18,13 +18,6 @@
     to any canonical form bumps the tag, so that a persisted [--cache-dir]
     stops serving summaries of the old flow. *)
 
-val options : Synth.Flow.options -> string
-(** Canonical text of a flow-option record. *)
-
-val library : Cells.Library.t -> string
-(** Canonical text of a cell library (name, every cell's function, area and
-    delay — bit-exact floats). *)
-
 val job :
   lib:Cells.Library.t -> options:Synth.Flow.options -> Rtl.Design.t -> string
 (** Hex MD5 key for (design, options, library). *)

@@ -17,20 +17,6 @@ let compile_report ?options d =
 
 let compile_area ?options d = Synth.Map.total (compile_report ?options d)
 
-let reports jobs =
-  let e = engine () in
-  List.map2
-    (fun (j : Engine.job) outcome ->
-      match outcome with
-      | Ok (s : Engine.Summary.t) -> s.Engine.Summary.report
-      | Error err ->
-        failwith
-          (Printf.sprintf "synthesis job %s failed: %s" j.Engine.jname
-             (Engine.Pool.error_message err)))
-    jobs (Engine.run e jobs)
-
-let areas jobs = List.map Synth.Map.total (reports jobs)
-
 let failure_log : string list ref = ref []
 
 let record_failure msg = failure_log := msg :: !failure_log

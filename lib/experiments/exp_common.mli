@@ -16,17 +16,11 @@ val retimed_flow : Synth.Flow.options
 val compile_area : ?options:Synth.Flow.options -> Rtl.Design.t -> float
 (** Total mapped area of the optimized design. *)
 
-val reports : Engine.job list -> Synth.Map.report list
-(** One batch through the engine — cache-deduplicated, parallel when the
-    engine has workers. Results in job order.
-    @raise Failure naming the first job whose compile failed. *)
-
-val areas : Engine.job list -> float list
-
 val areas_result : Engine.job list -> (float, string) result list
-(** Graceful variant of {!areas}: a failed compile yields [Error message]
-    for its slot instead of aborting the whole sweep, and the message is
-    also appended to the process-wide {!failures} list so front-ends can
+(** Total mapped area of each job, from one batch through the engine —
+    cache-deduplicated, parallel when the engine has workers, results in
+    job order. A failed compile yields [Error message] for its slot instead
+    of aborting the whole sweep, and the message is also appended to the process-wide {!failures} list so front-ends can
     print a summary and exit nonzero. *)
 
 val failures : unit -> string list

@@ -44,9 +44,6 @@ val run :
     stuck-at model compiles the implementation's netlist on demand and
     simulates [cycles] random netlist-stimulus cycles from [seed]. *)
 
-val vulnerability : Fault.Campaign.report -> float option
-(** (mismatches + hangs) / injected; [None] for an empty campaign. *)
-
 val print : row list -> unit
 
 val to_json : row list -> Report.Json.t

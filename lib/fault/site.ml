@@ -12,15 +12,6 @@ let key = function
   | Stuck_at { node; value } ->
     Printf.sprintf "stuck:%d:%d" node (if value then 1 else 0)
 
-let describe = function
-  | No_fault -> "no fault (control)"
-  | Table_bit { table; entry; bit } ->
-    Printf.sprintf "bit flip in table %s, entry %d, bit %d" table entry bit
-  | Reg_bit { reg; bit; cycle } ->
-    Printf.sprintf "upset of register %s bit %d at cycle %d" reg bit cycle
-  | Stuck_at { node; value } ->
-    Printf.sprintf "netlist node %d stuck at %d" node (if value then 1 else 0)
-
 let table_sites (d : Rtl.Design.t) ~config =
   (* Only configuration memories count: their bits live in real storage
      after fabrication. ROM tables are folded into fixed logic by synthesis

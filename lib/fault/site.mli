@@ -24,8 +24,6 @@ val key : t -> string
 (** Stable, unique identifier — the journal/checkpoint key
     (e.g. ["table:pc.ucode:3:7"], ["reg:state:2@14"], ["stuck:41:1"]). *)
 
-val describe : t -> string
-
 val table_sites :
   Rtl.Design.t -> config:(string * Bitvec.t array) list -> t list
 (** One site per bit of every [Config] table bound in [config]. ROM tables

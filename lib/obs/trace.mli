@@ -5,12 +5,6 @@
     microseconds, one thread lane per OCaml domain. Load the file with
     [chrome://tracing] or [ui.perfetto.dev]. *)
 
-val to_json : unit -> Report.Json.t
-(** [{"traceEvents": [...], "metrics": {...}, "displayTimeUnit": "ms"}]:
-    spans plus the current {!Metrics} snapshot (viewers ignore the extra
-    key); a [droppedSpans] count appears when the span cap truncated the
-    trace. *)
-
 val write : string -> unit
 (** Atomic write (temp file + rename in the destination directory).
     @raise Sys_error when the destination is not writable. *)

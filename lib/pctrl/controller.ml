@@ -116,6 +116,12 @@ let bindings mode =
 let auto_design mode =
   Synth.Partial_eval.bind_tables (full_design ()) (bindings mode)
 
+let certification_pair ?bindings:config mode =
+  let config = Option.value config ~default:(bindings mode) in
+  let lower d = (Synth.Lower.run d).Synth.Lower.aig in
+  let a = Synth.Partial_eval.bind_aig_tables (lower (full_design ())) config in
+  (a, lower (auto_design mode))
+
 let manual_annotations mode =
   let p = Dispatch.program mode in
   let seq_annots =

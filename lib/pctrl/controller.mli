@@ -32,6 +32,16 @@ val bindings : mode -> (string * Bitvec.t array) list
 
 val auto_design : mode -> Rtl.Design.t
 
+val certification_pair :
+  ?bindings:(string * Bitvec.t array) list -> mode -> Aig.t * Aig.t
+(** The two sides of the partial-evaluation certificate. Side A is the
+    lowered {!full_design} specialized at the AIG level: [bindings]
+    (default {!bindings}[ mode]) replace its configuration latches through
+    {!Synth.Partial_eval.bind_aig_tables}. Side B is the lowered
+    [auto_design mode], specialized before lowering. Equivalence certifies
+    that RTL partial evaluation preserved the programmed behaviour; a
+    mutated [bindings] gives a pair that must be refuted. *)
+
 val manual_design : mode -> Rtl.Design.t
 
 val beat_width : int

@@ -20,8 +20,6 @@ val out_buf_we : int
 val out_done : int
 val out_busy : int
 
-val num_outputs : int
-
 val streaming_states : string list
 (** Names of the states only line commands reach. *)
 

@@ -15,16 +15,11 @@
 
 type mode = Cached | Uncached
 
-val depth : int
-(** Fixed microcode memory depth (64 — sized for the cached program). *)
-
 val sel_src : int
 val sel_dst : int
 
-val format : Core.Microcode.field list
-
 val program : mode -> Core.Microcode.program
-(** The microprogram for a memory configuration; padded to {!depth}. Both
+(** The microprogram for a memory configuration; padded to 96 entries. Both
     modes share [pname = "useq"], so their configuration bindings target the
     same hardware tables. *)
 

@@ -47,8 +47,6 @@ let create ?(config = []) d =
   Obs.Metrics.incr m_instances;
   { d; ordered_nets = Design.net_order d; tables; inputs; regs; rst = false }
 
-let design st = st.d
-
 let set_input st name v =
   match List.find_opt (fun (s : Signal.t) -> s.name = name) st.d.inputs with
   | None -> invalid_arg ("Eval.set_input: unknown input " ^ name)

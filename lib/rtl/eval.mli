@@ -15,8 +15,6 @@ val create : ?config:(string * Bitvec.t array) list -> Design.t -> state
     [config] binds the contents of [Config] tables; reading an unbound
     configuration table raises [Invalid_argument]. *)
 
-val design : state -> Design.t
-
 val set_input : state -> string -> Bitvec.t -> unit
 (** @raise Invalid_argument on unknown port or wrong width. *)
 

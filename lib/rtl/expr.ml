@@ -67,8 +67,6 @@ let zero_extend e w =
   if w < we then invalid_arg "Expr.zero_extend: narrowing";
   if w = we then e else concat [ of_int ~width:(w - we) 0; e ]
 
-let bits e = List.init (width e) (fun i -> bit e i)
-
 let table_read ~table ~width ~addr =
   if width <= 0 then invalid_arg "Expr.table_read: width must be positive";
   Table_read { table; addr; width }
@@ -135,33 +133,3 @@ let rec eval lookup read_table e =
   | Concat es -> Bitvec.concat (List.map recur es)
   | Slice { e; hi; lo } -> Bitvec.slice (recur e) ~hi ~lo
   | Table_read { table; addr; _ } -> read_table table (recur addr)
-
-let rec pp fmt e =
-  match e with
-  | Const v -> Bitvec.pp fmt v
-  | Signal s -> Format.pp_print_string fmt s.Signal.name
-  | Unop (Not, a) -> Format.fprintf fmt "~%a" pp_atom a
-  | Unop (Red_and, a) -> Format.fprintf fmt "&%a" pp_atom a
-  | Unop (Red_or, a) -> Format.fprintf fmt "|%a" pp_atom a
-  | Unop (Red_xor, a) -> Format.fprintf fmt "^%a" pp_atom a
-  | Binop (op, a, b) ->
-    let sym =
-      match op with
-      | And -> "&" | Or -> "|" | Xor -> "^" | Add -> "+" | Sub -> "-"
-      | Eq -> "==" | Ne -> "!=" | Ult -> "<"
-    in
-    Format.fprintf fmt "%a %s %a" pp_atom a sym pp_atom b
-  | Mux (s, a, b) -> Format.fprintf fmt "%a ? %a : %a" pp_atom s pp_atom a pp_atom b
-  | Concat es ->
-    Format.fprintf fmt "{%a}"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp)
-      es
-  | Slice { e; hi; lo } ->
-    if hi = lo then Format.fprintf fmt "%a[%d]" pp_atom e lo
-    else Format.fprintf fmt "%a[%d:%d]" pp_atom e hi lo
-  | Table_read { table; addr; _ } -> Format.fprintf fmt "%s[%a]" table pp addr
-
-and pp_atom fmt e =
-  match e with
-  | Const _ | Signal _ | Slice _ | Table_read _ | Concat _ | Unop _ -> pp fmt e
-  | Binop _ | Mux _ -> Format.fprintf fmt "(%a)" pp e

@@ -51,9 +51,6 @@ val zero_extend : t -> int -> t
 (** [zero_extend e w] pads with zero bits up to width [w] (identity if equal).
     @raise Invalid_argument if [w] is smaller than the width of [e]. *)
 
-val bits : t -> t list
-(** All 1-bit slices, least significant first. *)
-
 val table_read : table:string -> width:int -> addr:t -> t
 
 val select : t -> (int * t) list -> default:t -> t
@@ -75,5 +72,3 @@ val map_leaves :
 
 val eval : (Signal.t -> Bitvec.t) -> (string -> Bitvec.t -> Bitvec.t) -> t -> Bitvec.t
 (** [eval lookup read_table e] — direct interpreter. *)
-
-val pp : Format.formatter -> t -> unit

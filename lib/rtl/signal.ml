@@ -4,7 +4,3 @@ let make name width =
   if width <= 0 then invalid_arg "Signal.make: width must be positive";
   if name = "" then invalid_arg "Signal.make: empty name";
   { name; width }
-
-let equal a b = a.name = b.name && a.width = b.width
-let compare = Stdlib.compare
-let pp fmt s = Format.fprintf fmt "%s[%d]" s.name s.width

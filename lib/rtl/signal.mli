@@ -5,7 +5,3 @@ type t = { name : string; width : int }
 
 val make : string -> int -> t
 (** @raise Invalid_argument if the width is not positive or the name empty. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -92,7 +92,3 @@ let of_run ?config (d : Design.t) ~stimulus ~watch =
       stimulus
   in
   of_samples ~name:d.name ~signals rows
-
-let to_file ?config path d ~stimulus ~watch =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (of_run ?config d ~stimulus ~watch))

@@ -29,11 +29,3 @@ val of_run :
     (as in {!Eval.run}); [watch] lists the signals to record (inputs, nets,
     registers or outputs). Only value *changes* are emitted, per the
     format. *)
-
-val to_file :
-  ?config:(string * Bitvec.t array) list ->
-  string ->
-  Design.t ->
-  stimulus:(string * Bitvec.t) list list ->
-  watch:string list ->
-  unit

@@ -7,5 +7,3 @@
     port is outside the modelled scope, as in the paper's PCtrl figures). *)
 
 val emit : Design.t -> string
-
-val pp : Format.formatter -> Design.t -> unit

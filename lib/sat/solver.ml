@@ -98,7 +98,6 @@ let create () =
     st_solve_s = 0.0;
   }
 
-let nvars s = s.nvars
 let ok s = s.ok
 
 (* ------------------------------------------------------- decision heap *)

@@ -24,8 +24,6 @@ val create : unit -> t
 val new_var : t -> int
 (** Allocate a fresh variable; the first call returns 1. *)
 
-val nvars : t -> int
-
 val ok : t -> bool
 (** [false] once the clause database is unsatisfiable at level 0 (an empty
     clause was added or derived); {!solve} then returns [Unsat] without

@@ -182,5 +182,3 @@ let read text =
       Aig.po g (name_of 'o' i (Printf.sprintf "o%d" i)) (resolve lineno v))
     output_defs;
   g
-
-let of_file path = read (In_channel.with_open_text path In_channel.input_all)

@@ -21,5 +21,3 @@ exception Parse_error of int * string
 
 val read : string -> Aig.t
 (** @raise Parse_error on malformed input. *)
-
-val of_file : string -> Aig.t

@@ -3,35 +3,6 @@ let bind_tables d bindings =
     (fun d (name, contents) -> Rtl.Design.with_rom_contents d name contents)
     d bindings
 
-let bind_input (d : Rtl.Design.t) name value =
-  let port =
-    match List.find_opt (fun (s : Rtl.Signal.t) -> s.name = name) d.inputs with
-    | Some s -> s
-    | None -> raise Not_found
-  in
-  if Bitvec.width value <> port.width then
-    invalid_arg "Partial_eval.bind_input: width mismatch";
-  let subst e =
-    Rtl.Expr.map_leaves
-      ~signal:(fun s ->
-        if s.Rtl.Signal.name = name then Rtl.Expr.const value
-        else Rtl.Expr.signal s)
-      ~table:(fun t addr width -> Rtl.Expr.table_read ~table:t ~width ~addr)
-      e
-  in
-  {
-    d with
-    inputs = List.filter (fun (s : Rtl.Signal.t) -> s.name <> name) d.inputs;
-    nets = List.map (fun (s, e) -> (s, subst e)) d.nets;
-    outputs = List.map (fun (s, e) -> (s, subst e)) d.outputs;
-    regs =
-      List.map
-        (fun (r : Rtl.Design.reg) ->
-          { r with d = subst r.d; enable = Option.map subst r.enable })
-        d.regs;
-    annots = List.filter (fun (a : Rtl.Annot.t) -> a.target <> name) d.annots;
-  }
-
 let bind_aig_tables g bindings =
   (* Configuration latch names follow Lower's scheme: "<table>[entry][bit]". *)
   let bound = Hashtbl.create 64 in
@@ -78,9 +49,3 @@ let bind_aig_tables g bindings =
     (List.rev !kept);
   List.iter (fun (name, l) -> Aig.po u name (xl l)) (Aig.pos g);
   u
-
-let specialize ?(inputs = []) ?(tables = []) d =
-  let d = bind_tables d tables in
-  let d = List.fold_left (fun d (n, v) -> bind_input d n v) d inputs in
-  Rtl.Design.validate d;
-  d

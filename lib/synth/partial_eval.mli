@@ -1,10 +1,9 @@
 (** Design-level partial evaluation.
 
     The "Auto" step of the paper: once the generator knows the microcode
-    (table contents) and the mode pins, the flexible design specializes —
-    configuration memories become ROMs and mode inputs become constants.
-    Downstream, lowering + collapse fold everything away; no separate
-    optimizer is needed, which is the paper's thesis. *)
+    (table contents), the flexible design specializes — configuration
+    memories become ROMs. Downstream, lowering + collapse fold everything
+    away; no separate optimizer is needed, which is the paper's thesis. *)
 
 val bind_tables : Rtl.Design.t -> (string * Bitvec.t array) list -> Rtl.Design.t
 (** Replace the storage of the named (typically [Config]) tables.
@@ -20,10 +19,3 @@ val bind_aig_tables : Aig.t -> (string * Bitvec.t array) list -> Aig.t
     induction ({!Equiv.check_sat}) — the paper's specialization claim as a
     provable statement.
     @raise Invalid_argument if a bound bit has no matching config latch. *)
-
-val specialize :
-  ?inputs:(string * Bitvec.t) list ->
-  ?tables:(string * Bitvec.t array) list ->
-  Rtl.Design.t ->
-  Rtl.Design.t
-(** Apply both binding kinds and revalidate. *)

@@ -80,7 +80,3 @@ let estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
     leakage = leakage_per_area *. Map.total report;
     toggles_per_cycle = float_of_int !toggles /. float_of_int cycles;
   }
-
-let pp fmt e =
-  Format.fprintf fmt "power: dynamic %.1f + leakage %.1f = %.1f (%.1f toggles/cycle)"
-    e.dynamic e.leakage (total e) e.toggles_per_cycle

@@ -34,5 +34,3 @@ val estimate :
     ["table[entry][bit]"]) with real contents before simulating — without
     it, a flexible design idles on all-zero microcode and its dynamic power
     is meaninglessly low. *)
-
-val pp : Format.formatter -> estimate -> unit

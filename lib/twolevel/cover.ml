@@ -27,8 +27,3 @@ let of_truthfn tf =
   { nvars; cubes = List.map (Cube.of_minterm ~nvars) (Truthfn.on_set tf) }
 
 let agrees t tf = Truthfn.cover_agrees tf t.cubes
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter (fun c -> Format.fprintf fmt "%a@," (Cube.pp ~nvars:t.nvars) c) t.cubes;
-  Format.fprintf fmt "@]"

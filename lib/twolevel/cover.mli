@@ -20,5 +20,3 @@ val of_truthfn : Truthfn.t -> t
 
 val agrees : t -> Truthfn.t -> bool
 (** Does this cover implement the incompletely-specified function? *)
-
-val pp : Format.formatter -> t -> unit

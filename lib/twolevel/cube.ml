@@ -79,13 +79,3 @@ let exists_minterm ~nvars p c =
 
 let equal a b = a.mask = b.mask && a.value = b.value
 let compare = Stdlib.compare
-
-let pp ~nvars fmt c =
-  for i = 0 to nvars - 1 do
-    let ch =
-      if not (has_literal c i) then '-'
-      else if literal_value c i then '1'
-      else '0'
-    in
-    Format.pp_print_char fmt ch
-  done

@@ -53,5 +53,3 @@ val exists_minterm : nvars:int -> (int -> bool) -> t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : nvars:int -> Format.formatter -> t -> unit
-(** Prints positional-cube notation, e.g. [1-0] (variable 0 is leftmost). *)

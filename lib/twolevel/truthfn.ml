@@ -27,15 +27,11 @@ let of_fun ~nvars f =
   done;
   t
 
-let copy t = { nvars = t.nvars; cells = Bytes.copy t.cells }
-
 let filter_set t v =
   List.filter (fun m -> get t m = v) (List.init (size t) Fun.id)
 
 let on_set t = filter_set t On
 let dc_set t = filter_set t Dc
-let count t v = List.length (filter_set t v)
-
 let cube_within t c =
   not
     (Cube.exists_minterm ~nvars:t.nvars
@@ -51,13 +47,3 @@ let cover_agrees t cubes =
     | Dc -> true
   in
   List.for_all ok (List.init (size t) Fun.id)
-
-let equal a b = a.nvars = b.nvars && Bytes.equal a.cells b.cells
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  for m = 0 to size t - 1 do
-    let ch = match get t m with Off -> '0' | On -> '1' | Dc -> '-' in
-    Format.fprintf fmt "%*d: %c@," t.nvars m ch
-  done;
-  Format.fprintf fmt "@]"

@@ -20,11 +20,9 @@ val get : t -> int -> value
 val set : t -> int -> value -> unit
 
 val of_fun : nvars:int -> (int -> value) -> t
-val copy : t -> t
 
 val on_set : t -> int list
 val dc_set : t -> int list
-val count : t -> value -> int
 
 val cube_within : t -> Cube.t -> bool
 (** Is every minterm of the cube ON or DC (i.e. does the cube avoid the
@@ -33,6 +31,3 @@ val cube_within : t -> Cube.t -> bool
 val cover_agrees : t -> Cube.t list -> bool
 (** Does the cover evaluate to true on every ON minterm and false on every
     OFF minterm (DC minterms unconstrained)? *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,6 @@
     demonstrated by {!patched_program}: the same hardware, with SUB's
     handler re-pointed at the ALU's AND function — a pure change of bits. *)
 
-val fields : Core.Microcode.field list
-
 (** Field names (1 bit unless noted). *)
 
 val f_ir_ld : string

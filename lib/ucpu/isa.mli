@@ -24,7 +24,6 @@ type instruction =
   | Hlt
 
 val opcode : instruction -> int
-val operand : instruction -> int
 
 val encode : instruction -> Bitvec.t
 (** 8 bits: opcode in [7:5], operand in [4:0]. *)

@@ -124,5 +124,3 @@ let generate ~seed =
       (expr (1 + Rng.int rng 2) (Rng.pick rng widths))
   done;
   Rtl.Builder.finish b
-
-let stats = Rtl.Design.stats

@@ -13,5 +13,3 @@
 
 val generate : seed:int -> Rtl.Design.t
 (** Deterministic in [seed]. *)
-
-val stats : Rtl.Design.t -> string

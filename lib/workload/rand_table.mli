@@ -5,7 +5,5 @@
 
 val generate : seed:int -> depth:int -> width:int -> Core.Truth_table.t
 
-val paper_widths : int list
-
 val paper_grid : (int * int) list
 (** All (depth, width) pairs of the paper's sweep. *)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the golden fixtures under test/golden/ (Verilog pretty-printer,
-# VCD writer, design s-expression writer, DIMACS CNF outputs, the BDD-check
-# and SAT-check fingerprints and the `bench quick` figure tables).
+# VCD writer, design s-expression writer, the BDD-check and SAT-check
+# fingerprints and the `bench quick` figure tables).
 # Run after an intentional emitter or figure change, then review the diff
 # like any other source change.
 set -euo pipefail
@@ -10,7 +10,6 @@ cd "$(dirname "$0")/.."
 mkdir -p test/golden
 dune build test/test_io.exe test/test_sat.exe test/test_synth.exe bench/main.exe
 GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_io.exe test golden
-GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_sat.exe test dimacs
 GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_sat.exe test equiv
 GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_synth.exe test symbolic
 ./_build/default/bench/main.exe quick -j 2 --no-cache > test/golden/quick.stdout

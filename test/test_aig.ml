@@ -203,59 +203,81 @@ let random_word st =
   in
   go 0 0
 
-(* The tentpole oracle: packed simulation of a randomly generated lowered
-   design agrees with the scalar [Aig.eval_all] interpreter on every lane
-   of every PO word of every cycle. *)
+(* The tentpole oracle: packed simulation of [g] agrees with the scalar
+   [Aig.eval_all] interpreter on every lane of every PO word of every one
+   of [cycles] cycles of random stimulus. *)
+let packed_matches_eval_all ~cycles ~seed g =
+  let c = Aig.Compiled.compile g in
+  let st = Random.State.make [| 0xfeed; seed |] in
+  let npis = Aig.Compiled.num_pis c in
+  let npos = Aig.Compiled.num_pos c in
+  let tape =
+    Array.init cycles (fun _ -> Array.init npis (fun _ -> random_word st))
+  in
+  let s = Aig.Compiled.sim c in
+  let packed =
+    Array.init cycles (fun cyc ->
+        Array.iteri (fun i w -> Aig.Compiled.set_pi s i w) tape.(cyc);
+        Aig.Compiled.step s;
+        Array.init npos (Aig.Compiled.po s))
+  in
+  let pis = Array.of_list (Aig.pis g) in
+  let pslot = Hashtbl.create 16 in
+  Array.iteri (fun i n -> Hashtbl.replace pslot n i) pis;
+  let latches = Aig.latches g in
+  let pos = Array.of_list (Aig.pos g) in
+  let ok = ref true in
+  for lane = 0 to Aig.Compiled.lanes - 1 do
+    let state = Hashtbl.create 16 in
+    List.iter
+      (fun n ->
+        let _, init, _, _ = Aig.latch_info g n in
+        Hashtbl.replace state n init)
+      latches;
+    for cyc = 0 to cycles - 1 do
+      let pi n = tape.(cyc).(Hashtbl.find pslot n) lsr lane land 1 = 1 in
+      let read = Aig.eval_all g ~pi ~latch:(Hashtbl.find state) in
+      Array.iteri
+        (fun k (_, l) ->
+          if packed.(cyc).(k) lsr lane land 1 = 1 <> read l then
+            ok := false)
+        pos;
+      let next =
+        List.map (fun n -> (n, read (Aig.latch_next g n))) latches
+      in
+      List.iter (fun (n, v) -> Hashtbl.replace state n v) next
+    done
+  done;
+  !ok
+
+(* Besides random lowered designs, three fixed netlists of the paper's
+   workloads: the lowered Auto PCtrl (cached mode, about 26k ANDs), the
+   bound 256x8 random table and the annotated, bound 16-state FSM. *)
 let prop_packed_matches_eval_all =
-  Prop.test ~iters:40 "packed sim = eval_all on every lane"
-    (Prop.int 100_000)
-    (fun seed ->
-      let d = Workload.Rand_design.generate ~seed in
-      let g = (Synth.Lower.run d).Synth.Lower.aig in
-      let c = Aig.Compiled.compile g in
-      let st = Random.State.make [| 0xfeed; seed |] in
-      let cycles = 8 in
-      let npis = Aig.Compiled.num_pis c in
-      let npos = Aig.Compiled.num_pos c in
-      let tape =
-        Array.init cycles (fun _ ->
-            Array.init npis (fun _ -> random_word st))
+  let name = "packed sim = eval_all on every lane" in
+  Alcotest.test_case name `Quick (fun () ->
+      let lower d = (Synth.Lower.run d).Synth.Lower.aig in
+      let tt = Workload.Rand_table.generate ~seed:0 ~depth:256 ~width:8 in
+      let fsm =
+        Workload.Rand_fsm.generate ~seed:0 ~num_inputs:2 ~num_outputs:8
+          ~num_states:16
       in
-      let s = Aig.Compiled.sim c in
-      let packed =
-        Array.init cycles (fun cyc ->
-            Array.iteri (fun i w -> Aig.Compiled.set_pi s i w) tape.(cyc);
-            Aig.Compiled.step s;
-            Array.init npos (Aig.Compiled.po s))
-      in
-      let pis = Array.of_list (Aig.pis g) in
-      let pslot = Hashtbl.create 16 in
-      Array.iteri (fun i n -> Hashtbl.replace pslot n i) pis;
-      let latches = Aig.latches g in
-      let pos = Array.of_list (Aig.pos g) in
-      let ok = ref true in
-      for lane = 0 to Aig.Compiled.lanes - 1 do
-        let state = Hashtbl.create 16 in
-        List.iter
-          (fun n ->
-            let _, init, _, _ = Aig.latch_info g n in
-            Hashtbl.replace state n init)
-          latches;
-        for cyc = 0 to cycles - 1 do
-          let pi n = tape.(cyc).(Hashtbl.find pslot n) lsr lane land 1 = 1 in
-          let read = Aig.eval_all g ~pi ~latch:(Hashtbl.find state) in
-          Array.iteri
-            (fun k (_, l) ->
-              if packed.(cyc).(k) lsr lane land 1 = 1 <> read l then
-                ok := false)
-            pos;
-          let next =
-            List.map (fun n -> (n, read (Aig.latch_next g n))) latches
-          in
-          List.iter (fun (n, v) -> Hashtbl.replace state n v) next
-        done
-      done;
-      !ok)
+      List.iter
+        (fun (design, d) ->
+          if not (packed_matches_eval_all ~cycles:16 ~seed:0 (lower d)) then
+            Alcotest.failf "%s: packed simulation disagrees on %s" name design)
+        [ ("pctrl", Pctrl.Controller.auto_design Pctrl.Controller.Cached);
+          ("table 256x8",
+           Synth.Partial_eval.bind_tables
+             (Core.Truth_table.to_flexible_rtl tt)
+             [ Core.Truth_table.config_binding tt ]);
+          ("fsm 16 states",
+           Synth.Partial_eval.bind_tables
+             (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
+             (Core.Fsm_ir.config_bindings fsm)) ];
+      Prop.check ~iters:40 ~name (Prop.int 100_000) (fun seed ->
+          packed_matches_eval_all ~cycles:8 ~seed
+            (lower (Workload.Rand_design.generate ~seed))))
 
 let prop_strash_never_duplicates =
   (* Random construction: building the same expression twice yields the

@@ -366,7 +366,25 @@ let test_cli_rejects_bad_values () =
       match eval_cli args with
       | Error (`Parse | `Term) -> ()
       | _ -> Alcotest.failf "accepted %s" (String.concat " " args))
-    [ [ "-j"; "-1" ] ]
+    [ [ "-j"; "-1" ]; [ "-j=-1" ]; [ "-j"; "two" ] ];
+  (* The range converter behind -j and ctrlgen's counts: both bounds are
+     inclusive, and anything outside them or not an integer is refused. *)
+  let parse = Cmdliner.Arg.conv_parser (Cli.range ~max:16 1) in
+  List.iter
+    (fun s ->
+      match parse s with
+      | Error (`Msg _) -> ()
+      | Ok n -> Alcotest.failf "range 1..16 accepted %S as %d" s n)
+    [ "0"; "17"; "-3"; ""; "1.5"; "x" ];
+  List.iter
+    (fun n ->
+      Alcotest.(check (result int reject))
+        (Printf.sprintf "range 1..16 takes %d" n)
+        (Ok n) (parse (string_of_int n)))
+    [ 1; 16 ];
+  Alcotest.(check bool) "no upper bound by default" true
+    (Cmdliner.Arg.conv_parser (Cli.range 0) (string_of_int max_int)
+     = Ok max_int)
 
 let test_cli_values () =
   (match eval_cli [ "-j"; "0" ] with

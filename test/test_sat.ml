@@ -1,8 +1,8 @@
 (* SAT layer: CDCL solver unit regressions, brute-force differential on
-   random small CNFs, DIMACS round-trip + golden fixtures, Tseitin encoding
-   checked against AIG evaluation, and the equivalence-engine differential
-   suite (sim vs SAT must never disagree; every SAT counterexample must
-   replay to a concrete scalar-sim mismatch). *)
+   random small CNFs, Tseitin encoding checked against AIG evaluation, and
+   the equivalence-engine differential suite (sim vs SAT must never
+   disagree; every SAT counterexample must replay to a concrete scalar-sim
+   mismatch). *)
 
 let lit_value s sl =
   let v = Sat.Solver.model_value s (abs sl) in
@@ -125,7 +125,13 @@ let gen_cnf rng =
   (nvars, clauses)
 
 let cnf_prop =
-  Prop.make ~show:(fun (n, cs) -> Sat.Dimacs.print { nvars = n; clauses = cs })
+  Prop.make
+    ~show:(fun (n, cs) ->
+      Printf.sprintf "%d vars: %s" n
+        (String.concat " "
+           (List.map
+              (fun c -> "(" ^ String.concat " " (List.map string_of_int c) ^ ")")
+              cs)))
     ~shrink:(fun (n, cs) ->
       (* Drop one clause at a time. *)
       List.mapi (fun i _ -> (n, List.filteri (fun j _ -> j <> i) cs)) cs)
@@ -173,75 +179,6 @@ let prop_incremental_assumptions =
       let after = Sat.Solver.solve s in
       let fresh = Sat.Solver.solve (solver_of_cnf nvars clauses) in
       incremental = monolithic && after = fresh)
-
-(* --------------------------------------------------------------- dimacs *)
-
-let test_dimacs_roundtrip_fixed () =
-  let t = { Sat.Dimacs.nvars = 4; clauses = [ [ 1; -2 ]; [ 3; 4; -1 ]; [] ] } in
-  let t' = Sat.Dimacs.parse (Sat.Dimacs.print t) in
-  Alcotest.(check bool) "roundtrip" true (t = t')
-
-let prop_dimacs_roundtrip =
-  Prop.test ~iters:200 ~seed:3000 "dimacs print/parse roundtrip" cnf_prop
-    (fun (nvars, clauses) ->
-      let t = { Sat.Dimacs.nvars; clauses } in
-      Sat.Dimacs.parse (Sat.Dimacs.print t) = t)
-
-let test_dimacs_parse_errors () =
-  let expect_error text =
-    match Sat.Dimacs.parse text with
-    | _ -> Alcotest.failf "accepted malformed input %S" text
-    | exception Sat.Dimacs.Parse_error _ -> ()
-  in
-  List.iter expect_error
-    [
-      "";                                (* missing header *)
-      "p cnf 2\n1 0\n";                  (* short header *)
-      "1 0\np cnf 2 1\n";                (* clause before header *)
-      "p cnf 2 1\n3 0\n";                (* var out of range *)
-      "p cnf 2 1\n1 -2\n";               (* unterminated clause *)
-      "p cnf 2 2\n1 0\n";                (* clause count mismatch *)
-      "p cnf 2 1\n1 x 0\n";              (* bad literal *)
-      "p cnf 1 1\np cnf 1 1\n1 0\n";     (* duplicate header *)
-    ]
-
-let test_dimacs_parse_features () =
-  let t =
-    Sat.Dimacs.parse
-      "c a comment\np cnf 3 2\nc another\n1 -2\n3 0\n-1 2 -3 0\n"
-  in
-  Alcotest.(check int) "nvars" 3 t.Sat.Dimacs.nvars;
-  Alcotest.(check bool) "clauses (spanning lines)" true
-    (t.Sat.Dimacs.clauses = [ [ 1; -2; 3 ]; [ -1; 2; -3 ] ])
-
-let test_dimacs_load () =
-  let t =
-    { Sat.Dimacs.nvars = 3; clauses = [ [ 1 ]; [ -1; 2 ]; [ -2; 3 ] ] }
-  in
-  let s = Sat.Solver.create () in
-  Sat.Dimacs.load s t;
-  Alcotest.(check int) "nvars" 3 (Sat.Solver.nvars s);
-  Alcotest.(check bool) "sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
-  Alcotest.(check bool) "chain forced" true (Sat.Solver.model_value s 3);
-  (* Loading into a used solver is an error (variable numbering would skew). *)
-  match Sat.Dimacs.load s t with
-  | _ -> Alcotest.fail "load into non-fresh solver accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_golden_dimacs_hand () =
-  let t =
-    {
-      Sat.Dimacs.nvars = 5;
-      clauses = [ [ 1; -2 ]; [ 2; 3; -4 ]; [ -1; 4; 5 ]; [ -5 ]; [ 1; 2; 3 ] ];
-    }
-  in
-  Golden.check "hand.cnf" (Sat.Dimacs.print t)
-
-let test_golden_dimacs_rand () =
-  (* Canonical printer output for a seeded random CNF: pins both the
-     generator and the printer. *)
-  let nvars, clauses = gen_cnf (Workload.Rng.make 42) in
-  Golden.check "rand.cnf" (Sat.Dimacs.print { Sat.Dimacs.nvars; clauses })
 
 (* -------------------------------------------------------------- tseitin *)
 
@@ -640,21 +577,8 @@ let test_sweep_sat_const () =
 
 (* -------------------------------------------------- PCtrl certification *)
 
-let pctrl_sides () =
-  let bindings = Pctrl.Controller.bindings Pctrl.Controller.Cached in
-  let flex =
-    (Synth.Lower.run (Pctrl.Controller.full_design ())).Synth.Lower.aig
-  in
-  let a = Synth.Partial_eval.bind_aig_tables flex bindings in
-  let b =
-    (Synth.Lower.run
-       (Pctrl.Controller.auto_design Pctrl.Controller.Cached))
-      .Synth.Lower.aig
-  in
-  (flex, bindings, a, b)
-
 let test_pctrl_certified () =
-  let _, _, a, b = pctrl_sides () in
+  let a, b = Pctrl.Controller.certification_pair Pctrl.Controller.Cached in
   match Synth.Equiv.check_sat a b with
   | Synth.Equiv.Proved -> ()
   | Synth.Equiv.Refuted c ->
@@ -665,21 +589,11 @@ let test_pctrl_mutation_refuted () =
   (* Seed 8 flips a dispatch-table bit whose effect surfaces within a few
      cycles (seen first by simulation, then certified here): the SAT
      engine must refute with a concrete replayed witness. *)
-  let flex, bindings, _, b = pctrl_sides () in
-  let rng = Workload.Rng.make 8 in
-  let i = Workload.Rng.int rng (List.length bindings) in
-  let _, contents = List.nth bindings i in
-  let e = Workload.Rng.int rng (Array.length contents) in
-  let bit = Workload.Rng.int rng (Bitvec.width contents.(e)) in
-  let contents' = Array.copy contents in
-  contents'.(e) <-
-    Bitvec.set contents.(e) bit (not (Bitvec.get contents.(e) bit));
-  let bindings' =
-    List.mapi
-      (fun j (n, c) -> if j = i then (n, contents') else (n, c))
-      bindings
+  let mode = Pctrl.Controller.Cached in
+  let bindings, _ =
+    Workload.Rng.mutate_bindings ~seed:8 (Pctrl.Controller.bindings mode)
   in
-  let a' = Synth.Partial_eval.bind_aig_tables flex bindings' in
+  let a', b = Pctrl.Controller.certification_pair ~bindings mode in
   match Synth.Equiv.check_sat ~frames:6 a' b with
   | Synth.Equiv.Refuted c ->
     Alcotest.(check bool) "within the BMC bound" true
@@ -744,17 +658,16 @@ let equiv_fingerprint () =
     in
     line "%s run_sat: %s | %s" name (result r) s
   in
-  let flex = (Synth.Lower.run (Pctrl.Controller.full_design ())).Synth.Lower.aig in
   List.iter
     (fun (mode, mname) ->
-      let bindings = Pctrl.Controller.bindings mode in
-      let a = Synth.Partial_eval.bind_aig_tables flex bindings in
-      let b = (Synth.Lower.run (Pctrl.Controller.auto_design mode)).Synth.Lower.aig in
+      let a, b = Pctrl.Controller.certification_pair mode in
       line "pctrl %s bound: %s" mname (Aig_util.structural_digest a);
       pair ("pctrl " ^ mname) a b;
       if mode = Pctrl.Controller.Cached then begin
-        let mutated, site = Workload.Rng.mutate_bindings ~seed:8 bindings in
-        let a' = Synth.Partial_eval.bind_aig_tables flex mutated in
+        let mutated, site =
+          Workload.Rng.mutate_bindings ~seed:8 (Pctrl.Controller.bindings mode)
+        in
+        let a', _ = Pctrl.Controller.certification_pair ~bindings:mutated mode in
         line "pctrl %s mutation 8 flips %s, bound: %s" mname site
           (Aig_util.structural_digest a');
         pair ~frames:6 ("pctrl " ^ mname ^ " mutation 8") a' b
@@ -793,16 +706,6 @@ let () =
           Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole;
           prop_cdcl_vs_brute;
           prop_incremental_assumptions;
-        ] );
-      ( "dimacs",
-        [
-          Alcotest.test_case "roundtrip fixed" `Quick test_dimacs_roundtrip_fixed;
-          prop_dimacs_roundtrip;
-          Alcotest.test_case "parse errors" `Quick test_dimacs_parse_errors;
-          Alcotest.test_case "parse features" `Quick test_dimacs_parse_features;
-          Alcotest.test_case "load into solver" `Quick test_dimacs_load;
-          Alcotest.test_case "golden hand.cnf" `Quick test_golden_dimacs_hand;
-          Alcotest.test_case "golden rand.cnf" `Quick test_golden_dimacs_rand;
         ] );
       ( "tseitin",
         [

@@ -81,7 +81,26 @@ let test_espresso_phases () =
         (Printf.sprintf "cube %d essential" i)
         false
         (Twolevel.Truthfn.cover_agrees tf without))
-    irr
+    irr;
+  (* REDUCE shrinks each cube inside itself and keeps every ON-minterm
+     that only one cube covered. Whether the reduced cover still covers the
+     shared ones is not checked here. *)
+  let reduced = Twolevel.Espresso.reduce tf irr in
+  Alcotest.(check bool) "reduce shrinks" true
+    (List.for_all
+       (fun r -> List.exists (fun c -> Twolevel.Cube.subsumes c r) irr)
+       reduced);
+  List.iter
+    (fun m ->
+      let covering =
+        List.filter (fun c -> Twolevel.Cube.covers_minterm c m) irr
+      in
+      if List.length covering = 1 then
+        Alcotest.(check bool)
+          (Printf.sprintf "unique minterm %d kept" m)
+          true
+          (List.exists (fun r -> Twolevel.Cube.covers_minterm r m) reduced))
+    (Twolevel.Truthfn.on_set tf)
 
 let test_cover_subsumed () =
   let nvars = 3 in
