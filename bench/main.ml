@@ -185,10 +185,12 @@ let equivbench () =
         (s.Sat.Solver.solves, s.Sat.Solver.conflicts,
          s.Sat.Solver.propagations)
     in
-    Printf.printf
-      "%-24s %-9s %8.3fs  %4d solve(s) %6d conflicts %9d propagations%s\n"
-      name verdict_name wall_s solves conflicts propagations
+    (* The wall time goes to stderr and the JSON, keeping stdout
+       byte-identical across runs. *)
+    Printf.printf "%-24s %-9s %4d solve(s) %6d conflicts %9d propagations%s\n"
+      name verdict_name solves conflicts propagations
       (match witness with None -> "" | Some w -> "  [" ^ w ^ "]");
+    Printf.eprintf "equivbench %s: %.3fs\n" name wall_s;
     Json.Obj
       [ ("case", Json.String name);
         ("verdict", Json.String verdict_name);
