@@ -274,6 +274,16 @@ let run ?(cap = 14) ~annots g =
           Bytes.init (1 lsl k) (fun m ->
               if Twolevel.Cover.eval cover m then '\001' else '\000')
         in
+        (* Invariant: the cover implements the window on every cared
+           assignment. A miss would be a miscompile, so it raises. *)
+        Bytes.iteri
+          (fun m c ->
+            if c <> '\002' && c <> Bytes.get resolved m then
+              failwith
+                (Printf.sprintf
+                   "Collapse: Espresso cover disagrees with its window at \
+                    assignment %d of %d leaves" m k))
+          signature;
         (* Alternative completion: don't-cares to zero. It often shares
            better across the group's outputs (the table's own zero-fill). *)
         let resolved0 =

@@ -80,8 +80,21 @@ let reduce tf cubes =
       end
     in
     Cube.iter_minterms ~nvars visit c;
-    if !first < 0 then None
-    else Some (Cube.make ~mask:!agree ~value:(!first land !agree))
+    let reduced =
+      if !first < 0 then None
+      else Some (Cube.make ~mask:!agree ~value:(!first land !agree))
+    in
+    (* Release the ON minterms this cube gives up, so a later cube that
+       shares one sees itself as its only cover and keeps it. *)
+    let kept m =
+      match reduced with Some r -> Cube.covers_minterm r m | None -> false
+    in
+    Cube.iter_minterms ~nvars
+      (fun m ->
+        if Truthfn.get tf m = Truthfn.On && not (kept m) then
+          counts.(m) <- counts.(m) - 1)
+      c;
+    reduced
   in
   List.filter_map shrink cubes
 

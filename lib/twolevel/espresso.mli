@@ -17,14 +17,12 @@ val irredundant : Truthfn.t -> Cube.t list -> Cube.t list
 (** Remove cubes whose ON-minterms are covered by the remaining cubes. *)
 
 val reduce : Truthfn.t -> Cube.t list -> Cube.t list
-(** Shrink each cube to the supercube of the ON-minterms only it covers
-    (dropping cubes that cover nothing uniquely). *)
+(** Shrink each cube, in order, to the supercube of the ON-minterms only
+    it covers (dropping cubes that cover nothing uniquely). The ON-minterms
+    a cube gives up count as uncovered by it for the cubes after it, so the
+    reduced cover still covers the ON-set. *)
 
 val minimize : ?max_iters:int -> ?initial:Cube.t list -> Truthfn.t -> Cover.t
 (** Full loop. [initial] defaults to the canonical minterm cover of the
     ON-set; [max_iters] (default 3) bounds the improvement iterations.
-    Nothing checks the returned cover against the function, and it can be
-    wrong: {!reduce} counts each ON-minterm's covering cubes once, so two
-    cubes that share a minterm can both shrink away from it and leave it
-    uncovered (seen from 7 variables up). {!Truthfn.cover_agrees} checks a
-    cover. *)
+    {!Truthfn.cover_agrees} checks a cover. *)

@@ -69,7 +69,21 @@ let test_collapse_preserves () =
   in
   let g = (Synth.Lower.run d).Synth.Lower.aig in
   let g' = Synth.Collapse.run ~annots:[] g in
-  check_equiv "collapse" g g'
+  check_equiv "collapse" g g';
+  (* Fig. 5's flexible 256x64 seed-2 table: Espresso's REDUCE once let two
+     cubes shrink away from a shared ON minterm, and the flow miscompiled
+     this table. *)
+  let tt = Workload.Rand_table.generate ~seed:2 ~depth:256 ~width:64 in
+  let d =
+    Synth.Partial_eval.bind_tables
+      (Core.Truth_table.to_flexible_rtl tt)
+      [ Core.Truth_table.config_binding tt ]
+  in
+  let r = Synth.Flow.compile lib d in
+  match Synth.Equiv.rtl_vs_aig ~seed:5 d r.Synth.Flow.aig with
+  | None -> ()
+  | Some m ->
+    Alcotest.failf "t256x64_s2: mismatch at cycle %d on %s" m.cycle m.output
 
 let test_collapse_with_constraints () =
   (* out = (y == 3) with y annotated to {0,1}: must fold to constant 0. *)

@@ -82,9 +82,8 @@ let test_espresso_phases () =
         false
         (Twolevel.Truthfn.cover_agrees tf without))
     irr;
-  (* REDUCE shrinks each cube inside itself and keeps every ON-minterm
-     that only one cube covered. Whether the reduced cover still covers the
-     shared ones is not checked here. *)
+  (* REDUCE shrinks each cube inside itself, keeps every ON-minterm that
+     only one cube covered, and still covers the ones cubes shared. *)
   let reduced = Twolevel.Espresso.reduce tf irr in
   Alcotest.(check bool) "reduce shrinks" true
     (List.for_all
@@ -100,7 +99,9 @@ let test_espresso_phases () =
           (Printf.sprintf "unique minterm %d kept" m)
           true
           (List.exists (fun r -> Twolevel.Cube.covers_minterm r m) reduced))
-    (Twolevel.Truthfn.on_set tf)
+    (Twolevel.Truthfn.on_set tf);
+  Alcotest.(check bool) "reduce keeps the cover" true
+    (Twolevel.Truthfn.cover_agrees tf reduced)
 
 let test_cover_subsumed () =
   let nvars = 3 in
