@@ -1,13 +1,15 @@
-(* Minimal property-testing harness: seeded generation, a fixed iteration
-   budget, and greedy shrinking. Unlike the QCheck tests elsewhere in this
-   suite, every case is a pure function of a printed integer seed, so any
-   failure reproduces in one command:
+(* The property-testing harness of every suite: seeded generation, a fixed
+   iteration budget, fixed regression examples and greedy shrinking. Every
+   generated case is a pure function of a printed integer seed, so any
+   failure reproduces in one command, and the suite prints the same output
+   on every run:
 
      FUZZ_SEED=<seed> dune exec test/<binary>.exe
 
    FUZZ_ITERS=<n> overrides every iteration budget (soak or quick runs);
-   FUZZ_SEED=<s> runs exactly one iteration on that seed. No dependencies
-   beyond Alcotest (reporting) and Workload.Rng (generation). *)
+   FUZZ_SEED=<s> runs exactly one iteration on that seed and skips the
+   fixed examples. No dependencies beyond Alcotest (reporting) and
+   Workload.Rng (generation). *)
 
 type 'a t = {
   gen : Workload.Rng.t -> 'a;
@@ -108,25 +110,41 @@ let minimize p prop x0 =
   in
   go 1000 x0
 
-let check ?(iters = 200) ?(seed = 0) ~name p prop =
+let falsified ~name ~origin p prop x =
+  let min_x = minimize p prop x in
+  Alcotest.failf
+    "%s falsified\n\
+    \  %s\n\
+    \  counterexample: %s\n\
+    \  shrunk to: %s (%s)"
+    name origin (p.show x) (p.show min_x) (explain prop min_x)
+
+(* [examples] are fixed regression inputs, checked before the generated
+   cases. *)
+let check ?(iters = 200) ?(seed = 0) ?(examples = []) ~name p prop =
+  if fixed_seed = None then
+    List.iteri
+      (fun i x ->
+        if not (holds prop x) then
+          falsified ~name ~origin:(Printf.sprintf "fixed example %d" i) p
+            prop x)
+      examples;
   let iters = budget iters in
   for i = 0 to iters - 1 do
     let case_seed =
       match fixed_seed with Some s -> s | None -> seed + i
     in
     let x = p.gen (Workload.Rng.make case_seed) in
-    if not (holds prop x) then begin
-      let min_x = minimize p prop x in
-      Alcotest.failf
-        "%s falsified\n\
-        \  seed: %d (iteration %d/%d)\n\
-        \  counterexample: %s\n\
-        \  shrunk to: %s (%s)\n\
-        \  reproduce: FUZZ_SEED=%d dune exec <this test binary>"
-        name case_seed i iters (p.show x) (p.show min_x)
-        (explain prop min_x) case_seed
-    end
+    if not (holds prop x) then
+      falsified ~name
+        ~origin:
+          (Printf.sprintf
+             "seed: %d (iteration %d/%d)\n\
+             \  reproduce: FUZZ_SEED=%d dune exec <this test binary>"
+             case_seed i iters case_seed)
+        p prop x
   done
 
-let test ?iters ?seed name p prop =
-  Alcotest.test_case name `Quick (fun () -> check ?iters ?seed ~name p prop)
+let test ?iters ?seed ?examples name p prop =
+  Alcotest.test_case name `Quick (fun () ->
+      check ?iters ?seed ?examples ~name p prop)

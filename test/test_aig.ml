@@ -282,44 +282,29 @@ let prop_packed_matches_eval_all =
 let prop_strash_never_duplicates =
   (* Random construction: building the same expression twice yields the
      same literal, and the node count does not grow. *)
-  let arb = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 10_000) in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:100 ~name:"rebuilding is free" arb (fun seed ->
-         let rng = Random.State.make [| seed |] in
-         let g = Aig.create () in
-         let pis = Array.init 4 (fun i -> Aig.pi g (Printf.sprintf "x%d" i)) in
-         let rec build depth =
-           if depth = 0 then begin
-             let l = pis.(Random.State.int rng 4) in
-             if Random.State.bool rng then Aig.not_ l else l
-           end
-           else begin
-             let a = build (depth - 1) and b = build (depth - 1) in
-             match Random.State.int rng 3 with
-             | 0 -> Aig.and_ g a b
-             | 1 -> Aig.or_ g a b
-             | _ -> Aig.xor_ g a b
-           end
-         in
-         let rng_copy = Random.State.copy rng in
-         let l1 = build 4 in
-         let count1 = Aig.num_ands g in
-         (* Replay the same random choices. *)
-         let rec build2 rng depth =
-           if depth = 0 then begin
-             let l = pis.(Random.State.int rng 4) in
-             if Random.State.bool rng then Aig.not_ l else l
-           end
-           else begin
-             let a = build2 rng (depth - 1) and b = build2 rng (depth - 1) in
-             match Random.State.int rng 3 with
-             | 0 -> Aig.and_ g a b
-             | 1 -> Aig.or_ g a b
-             | _ -> Aig.xor_ g a b
-           end
-         in
-         let l2 = build2 rng_copy 4 in
-         l1 = l2 && Aig.num_ands g = count1))
+  Prop.test ~iters:100 "rebuilding is free" (Prop.int 10_001) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let g = Aig.create () in
+      let pis = Array.init 4 (fun i -> Aig.pi g (Printf.sprintf "x%d" i)) in
+      let rec build rng depth =
+        if depth = 0 then begin
+          let l = pis.(Random.State.int rng 4) in
+          if Random.State.bool rng then Aig.not_ l else l
+        end
+        else begin
+          let a = build rng (depth - 1) and b = build rng (depth - 1) in
+          match Random.State.int rng 3 with
+          | 0 -> Aig.and_ g a b
+          | 1 -> Aig.or_ g a b
+          | _ -> Aig.xor_ g a b
+        end
+      in
+      let rng_copy = Random.State.copy rng in
+      let l1 = build rng 4 in
+      let count1 = Aig.num_ands g in
+      (* Replay the same random choices. *)
+      let l2 = build rng_copy 4 in
+      l1 = l2 && Aig.num_ands g = count1)
 
 let () =
   Alcotest.run "aig"

@@ -31,21 +31,35 @@ let rec to_bdd m = function
 
 let nvars = 6
 
-let gen_expr =
-  QCheck.Gen.(
-    sized @@ fix (fun self size ->
-        if size <= 1 then
-          oneof [ map (fun i -> Var i) (0 -- (nvars - 1)); map (fun b -> Const b) bool ]
-        else
-          let sub = self (size / 2) in
-          oneof
-            [
-              map (fun a -> Not a) sub;
-              map2 (fun a b -> And (a, b)) sub sub;
-              map2 (fun a b -> Or (a, b)) sub sub;
-              map2 (fun a b -> Xor (a, b)) sub sub;
-              map3 (fun c a b -> Ite (c, a, b)) sub sub sub;
-            ]))
+(* Recursive expressions over [nvars] variables. The size budget halves at
+   each level; it is below 10 half the time and sometimes up to 10000. *)
+let gen_expr rng =
+  let int = Workload.Rng.int rng in
+  let rec gen size =
+    if size <= 1 then
+      if Workload.Rng.bool rng then Var (int nvars)
+      else Const (Workload.Rng.bool rng)
+    else
+      let sub () = gen (size / 2) in
+      match int 5 with
+      | 0 -> Not (sub ())
+      | 1 -> And (sub (), sub ())
+      | 2 -> Or (sub (), sub ())
+      | 3 -> Xor (sub (), sub ())
+      | _ -> Ite (sub (), sub (), sub ())
+  in
+  let p = int 100 in
+  gen
+    (int
+       (if p < 50 then 10 else if p < 75 then 100 else if p < 95 then 1000
+        else 10_000))
+
+(* A failing expression shrinks to one of its operands. *)
+let shrink_expr = function
+  | Var _ | Const _ -> []
+  | Not a -> [ a ]
+  | And (a, b) | Or (a, b) | Xor (a, b) -> [ a; b ]
+  | Ite (c, a, b) -> [ c; a; b ]
 
 let rec print_expr = function
   | Var i -> Printf.sprintf "x%d" i
@@ -57,15 +71,14 @@ let rec print_expr = function
   | Ite (c, a, b) ->
     Printf.sprintf "(%s ? %s : %s)" (print_expr c) (print_expr a) (print_expr b)
 
-let arb_expr = QCheck.make ~print:print_expr gen_expr
+let arb_expr = Prop.make ~show:print_expr ~shrink:shrink_expr gen_expr
 
 let all_envs f =
   Seq.for_all
     (fun v -> f (fun i -> Bitvec.get v i))
     (Bitvec.all_values nvars)
 
-let prop name f =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:200 ~name arb_expr f)
+let prop name f = Prop.test ~iters:200 name arb_expr f
 
 let props =
   [

@@ -72,18 +72,22 @@ let test_all_values () =
 
 (* Property tests. *)
 
+(* Same-width pairs of width 1-80; shrinking drops the top bit of both. *)
 let arb_pair_same_width =
-  QCheck.make
-    ~print:(fun (a, b) -> Bitvec.to_string a ^ ", " ^ Bitvec.to_string b)
-    QCheck.Gen.(
-      let* w = 1 -- 80 in
-      let bits = list_repeat w bool in
-      let* a = bits and* b = bits in
-      return (Bitvec.of_bits a, Bitvec.of_bits b))
+  Prop.make
+    ~show:(fun (a, b) -> Bitvec.to_string a ^ ", " ^ Bitvec.to_string b)
+    ~shrink:(fun (a, b) ->
+      let w = Bitvec.width a in
+      if w = 1 then []
+      else
+        let low v = Bitvec.slice v ~hi:(w - 2) ~lo:0 in
+        [ (low a, low b) ])
+    (fun rng ->
+      let width = 1 + Workload.Rng.int rng 80 in
+      let a = Workload.Rng.bitvec rng ~width in
+      (a, Workload.Rng.bitvec rng ~width))
 
-let prop name f =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name arb_pair_same_width f)
+let prop name f = Prop.test ~iters:300 name arb_pair_same_width f
 
 let props =
   [

@@ -1,55 +1,16 @@
 (* Flow fuzzing: every pass must preserve the sequential behaviour of every
-   randomly generated design. A failure prints a one-command repro line.
-
-   Environment knobs:
-     FUZZ_ITERS=<n>  override every property's iteration count (soak runs
-                     or quick smokes); defaults below are unchanged.
-     FUZZ_SEED=<s>   run each property exactly once on that seed. *)
+   randomly generated design. Each property draws design seeds from
+   0-5000 through [Prop], so a failure prints its FUZZ_SEED repro line. *)
 
 let lib = Cells.Library.vt90
 
-let fuzz_iters = Option.bind (Sys.getenv_opt "FUZZ_ITERS") int_of_string_opt
-
-let fuzz_seed = Option.bind (Sys.getenv_opt "FUZZ_SEED") int_of_string_opt
-
-let arb_seed =
-  let gen =
-    match fuzz_seed with
-    | Some s -> QCheck.Gen.return s
-    | None -> QCheck.Gen.(0 -- 5000)
-  in
-  QCheck.make ~print:(Printf.sprintf "seed=%d") gen
-
-let prop ?(count = 150) name f =
-  let count =
-    match (fuzz_seed, fuzz_iters) with
-    | Some _, _ -> 1
-    | None, Some n when n > 0 -> n
-    | None, _ -> count
-  in
-  let repro seed =
-    Printf.eprintf
-      "property %S failed on seed %d\n\
-      \  reproduce: FUZZ_SEED=%d dune exec test/test_fuzz.exe\n\
-       %!"
-      name seed seed
-  in
-  let wrapped seed =
-    let ok =
-      try f seed
-      with e ->
-        repro seed;
-        raise e
-    in
-    if not ok then repro seed;
-    ok
-  in
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb_seed wrapped)
+let prop ?(iters = 150) ?examples ~seed name f =
+  Prop.test ~iters ~seed ?examples name (Prop.int 5001) f
 
 let no_mismatch = function
   | None -> true
   | Some (m : Synth.Equiv.mismatch) ->
-    QCheck.Test.fail_reportf "mismatch at cycle %d on %s" m.cycle m.output
+    Printf.ksprintf failwith "mismatch at cycle %d on %s" m.cycle m.output
 
 let no_refutation = function
   | Synth.Equiv.Refuted c -> no_mismatch (Some c.first)
@@ -87,7 +48,7 @@ let seq_check_agrees seed =
   match Synth.Seq_check.run ~max_vars:40 low.Synth.Lower.aig opt with
   | Synth.Seq_check.Equivalent | Synth.Seq_check.Gave_up _ -> true
   | Synth.Seq_check.Counterexample o ->
-    QCheck.Test.fail_reportf "seq_check counterexample on %s" o
+    Printf.ksprintf failwith "seq_check counterexample on %s" o
 
 let mapper_is_functional seed =
   (* Gate-level netlist vs AIG, both on the raw lowered graph (irregular
@@ -98,13 +59,13 @@ let mapper_is_functional seed =
   let check g =
     match Synth.Map.selfcheck ~samples:16 lib g with
     | Ok () -> true
-    | Error m -> QCheck.Test.fail_reportf "%s" m
+    | Error m -> failwith m
   in
   check low && check opt
   &&
   match Synth.Map.selfcheck ~samples:16 ~complex_cells:false lib opt with
   | Ok () -> true
-  | Error m -> QCheck.Test.fail_reportf "simple cells: %s" m
+  | Error m -> failwith ("simple cells: " ^ m)
 
 let verilog_emits seed =
   let d = Workload.Rand_design.generate ~seed in
@@ -119,7 +80,7 @@ let netlist_counts_match seed =
   let nc = Synth.Netlist.instance_counts lib g in
   if nc = r.Synth.Map.cell_counts then true
   else
-    QCheck.Test.fail_reportf "report %s vs netlist %s"
+    Printf.ksprintf failwith "report %s vs netlist %s"
       (String.concat ","
          (List.map (fun (c, k) -> Printf.sprintf "%s:%d" c k) r.Synth.Map.cell_counts))
       (String.concat ","
@@ -130,13 +91,20 @@ let () =
     [
       ( "random designs",
         [
-          prop "lowering matches the interpreter" lower_matches;
-          prop "full flow preserves behaviour" flow_preserves;
-          prop "retiming preserves behaviour" ~count:80 retime_preserves;
-          prop "flow never adds flops" ~count:80 flow_never_grows_flops;
-          prop "exact equivalence (when in reach)" ~count:60 seq_check_agrees;
-          prop "mapped netlist is functional" ~count:60 mapper_is_functional;
-          prop "verilog writer total" ~count:60 verilog_emits;
-          prop "netlist counts match report" ~count:60 netlist_counts_match;
+          prop "lowering matches the interpreter" ~seed:1000 lower_matches;
+          (* Design seed 2987 hit Espresso's lost-minterm REDUCE bug. *)
+          prop "full flow preserves behaviour" ~seed:2000 ~examples:[ 2987 ]
+            flow_preserves;
+          prop "retiming preserves behaviour" ~iters:80 ~seed:3000
+            retime_preserves;
+          prop "flow never adds flops" ~iters:80 ~seed:4000
+            flow_never_grows_flops;
+          prop "exact equivalence (when in reach)" ~iters:60 ~seed:5000
+            ~examples:[ 2987 ] seq_check_agrees;
+          prop "mapped netlist is functional" ~iters:60 ~seed:6000
+            mapper_is_functional;
+          prop "verilog writer total" ~iters:60 ~seed:7000 verilog_emits;
+          prop "netlist counts match report" ~iters:60 ~seed:8000
+            netlist_counts_match;
         ] );
     ]

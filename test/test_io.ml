@@ -128,7 +128,7 @@ let roundtrip_equivalent g =
   let g' = Synth.Aiger.read text in
   match Synth.Equiv.check ~seed:7 ~cycles:32 ~runs:3 g g' with
   | Synth.Equiv.Refuted c ->
-    QCheck.Test.fail_reportf "roundtrip mismatch on %s at cycle %d"
+    Printf.ksprintf failwith "roundtrip mismatch on %s at cycle %d"
       c.first.output c.first.cycle
   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true
 
@@ -150,14 +150,10 @@ let test_aiger_roundtrip_fsm () =
     (List.map (Aig.pi_name g') (Aig.pis g'))
 
 let prop_aiger_roundtrip =
-  let arb =
-    QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(0 -- 2000)
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:60 ~name:"aiger roundtrip preserves behaviour" arb
-       (fun seed ->
-         let d = Workload.Rand_design.generate ~seed in
-         roundtrip_equivalent (Synth.Lower.run d).Synth.Lower.aig))
+  Prop.test ~iters:60 "aiger roundtrip preserves behaviour" (Prop.int 2001)
+    (fun seed ->
+      let d = Workload.Rand_design.generate ~seed in
+      roundtrip_equivalent (Synth.Lower.run d).Synth.Lower.aig)
 
 let test_aiger_errors () =
   let bad text =
@@ -196,23 +192,19 @@ let test_sexp_roundtrip_fixed () =
     (Rtl.Design.config_bit_count d')
 
 let prop_sexp_roundtrip =
-  let arb =
-    QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(0 -- 2000)
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:80 ~name:"sexp roundtrip preserves behaviour" arb
-       (fun seed ->
-         let d = Workload.Rand_design.generate ~seed in
-         let text = Rtl.Serialize.write d in
-         let d' = Rtl.Serialize.read text in
-         if not (String.equal (Rtl.Serialize.write d') text) then
-           QCheck.Test.fail_report "write (read (write d)) <> write d";
-         let g = (Synth.Lower.run d).Synth.Lower.aig in
-         let g' = (Synth.Lower.run d').Synth.Lower.aig in
-         match Synth.Equiv.check ~seed ~cycles:24 ~runs:2 g g' with
-         | Synth.Equiv.Refuted c ->
-           QCheck.Test.fail_reportf "mismatch on %s" c.first.output
-         | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true))
+  Prop.test ~iters:80 "sexp roundtrip preserves behaviour" (Prop.int 2001)
+    (fun seed ->
+      let d = Workload.Rand_design.generate ~seed in
+      let text = Rtl.Serialize.write d in
+      let d' = Rtl.Serialize.read text in
+      if not (String.equal (Rtl.Serialize.write d') text) then
+        failwith "write (read (write d)) <> write d";
+      let g = (Synth.Lower.run d).Synth.Lower.aig in
+      let g' = (Synth.Lower.run d').Synth.Lower.aig in
+      match Synth.Equiv.check ~seed ~cycles:24 ~runs:2 g g' with
+      | Synth.Equiv.Refuted c ->
+        Printf.ksprintf failwith "mismatch on %s" c.first.output
+      | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true)
 
 let test_sexp_errors () =
   let bad text =

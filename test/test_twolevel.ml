@@ -112,35 +112,37 @@ let test_cover_subsumed () =
   let cleaned = Twolevel.Cover.remove_subsumed cover in
   Alcotest.(check int) "one left" 1 (Twolevel.Cover.num_cubes cleaned)
 
-let prop_minimizers_agree =
-  let arb =
-    QCheck.make
-      ~print:(fun (n, s) -> Printf.sprintf "nvars=%d seed=%d" n s)
-      QCheck.Gen.(pair (2 -- 7) (0 -- 1000))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:80 ~name:"qm and espresso both implement the function"
-       arb
-       (fun (nvars, seed) ->
-         let tf = random_tf ~nvars ~seed ~dc:true in
-         let qm = Twolevel.Qm.minimize tf in
-         let esp = Twolevel.Espresso.minimize tf in
-         Twolevel.Cover.agrees qm tf && Twolevel.Cover.agrees esp tf))
+(* (nvars, seed, dc): a random function of [nvars] variables, with or
+   without don't-cares. *)
+let arb_tf ~min_vars ~max_vars =
+  Prop.make
+    ~show:(fun (n, s, dc) -> Printf.sprintf "nvars=%d seed=%d dc=%b" n s dc)
+    (fun rng ->
+      let nvars = min_vars + Workload.Rng.int rng (max_vars - min_vars + 1) in
+      let seed = Workload.Rng.int rng 1001 in
+      (nvars, seed, Workload.Rng.bool rng))
 
+let prop_minimizers_agree =
+  Prop.test ~iters:80 "qm and espresso both implement the function"
+    (arb_tf ~min_vars:2 ~max_vars:7) (fun (nvars, seed, dc) ->
+      let tf = random_tf ~nvars ~seed ~dc in
+      let qm = Twolevel.Qm.minimize tf in
+      let esp = Twolevel.Espresso.minimize tf in
+      Twolevel.Cover.agrees qm tf && Twolevel.Cover.agrees esp tf)
+
+(* Up to 12 variables drawn, plus fixed 13- and 14-variable functions:
+   collapse windows reach 14 leaves, and REDUCE once lost shared ON
+   minterms on most functions that wide. *)
 let prop_espresso_not_worse_than_minterms =
-  let arb =
-    QCheck.make
-      ~print:(fun (n, s) -> Printf.sprintf "nvars=%d seed=%d" n s)
-      QCheck.Gen.(pair (2 -- 8) (0 -- 1000))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:60 ~name:"espresso never worse than canonical cover"
-       arb
-       (fun (nvars, seed) ->
-         let tf = random_tf ~nvars ~seed ~dc:false in
-         let esp = Twolevel.Espresso.minimize tf in
-         Twolevel.Cover.num_cubes esp
-         <= Twolevel.Cover.num_cubes (Twolevel.Cover.of_truthfn tf)))
+  Prop.test ~iters:60 "espresso never worse than canonical cover"
+    (arb_tf ~min_vars:2 ~max_vars:12)
+    ~examples:[ (13, 1, true); (14, 0, false) ]
+    (fun (nvars, seed, dc) ->
+      let tf = random_tf ~nvars ~seed ~dc in
+      let esp = Twolevel.Espresso.minimize tf in
+      Twolevel.Cover.agrees esp tf
+      && Twolevel.Cover.num_cubes esp
+         <= Twolevel.Cover.num_cubes (Twolevel.Cover.of_truthfn tf))
 
 let () =
   Alcotest.run "twolevel"

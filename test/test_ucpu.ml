@@ -50,28 +50,31 @@ let test_fib_golden () =
 
 (* ------------------------------------------------------------ hardware *)
 
+(* Bound the golden run so that, at the documented 2-3 cycles per
+   instruction, the worst case still fits under the RTL cycle cap of
+   [rtl_matches_golden]: otherwise a long-but-halting random program times
+   out on the RTL side and is misreported as a mismatch. *)
+let golden_run program = Ucpu.Isa.run ~max_steps:1200 ~program ()
+
 let rtl_matches_golden program =
-  (* Bound the golden run so that, at the documented 2-3 cycles per
-     instruction, the worst case still fits under the RTL cycle cap below —
-     otherwise a long-but-halting random program times out on the RTL side
-     and is misreported as a mismatch. *)
-  let golden = Ucpu.Isa.run ~max_steps:1200 ~program () in
-  QCheck.assume golden.Ucpu.Isa.halted;
+  let golden = golden_run program in
+  if not golden.Ucpu.Isa.halted then
+    failwith "golden model did not halt within 1200 steps";
   let d = Ucpu.Machine.specialized ~program () in
   let max_cycles = 4000 in
   let st, cycles = Ucpu.Machine.run_rtl ~max_cycles d in
   if cycles >= max_cycles then
-    QCheck.Test.fail_reportf "RTL machine did not halt within %d cycles"
+    Printf.ksprintf failwith "RTL machine did not halt within %d cycles"
       max_cycles;
   let acc = Bitvec.to_int (Rtl.Eval.peek st "acc") in
   if acc <> golden.Ucpu.Isa.acc then
-    QCheck.Test.fail_reportf "acc %d vs golden %d (in %d cycles)" acc
+    Printf.ksprintf failwith "acc %d vs golden %d (in %d cycles)" acc
       golden.Ucpu.Isa.acc cycles;
   List.for_all
     (fun i ->
       let got = Bitvec.to_int (Rtl.Eval.peek st (Printf.sprintf "m%d" i)) in
       got = golden.Ucpu.Isa.mem.(i)
-      || QCheck.Test.fail_reportf "m%d: %d vs golden %d" i got
+      || Printf.ksprintf failwith "m%d: %d vs golden %d" i got
            golden.Ucpu.Isa.mem.(i))
     (List.init 32 Fun.id)
 
@@ -160,34 +163,38 @@ let test_control_annotations_sound () =
        ~options:{ Synth.Flow.default with honor_generator_annots = true }
        lib d)
 
-(* Random-program fuzzing against the golden model. *)
+(* Random-program fuzzing against the golden model. A drawn program that
+   does not halt is redrawn, up to 100 times; after that the property
+   reports the non-halting program. *)
 let arb_program =
-  let open QCheck.Gen in
-  let instr =
-    frequency
-      [
-        (3, map (fun a -> Ucpu.Isa.Ldi a) (0 -- 31));
-        (2, map (fun a -> Ucpu.Isa.Lda a) (0 -- 31));
-        (3, map (fun a -> Ucpu.Isa.Sta a) (0 -- 31));
-        (2, map (fun a -> Ucpu.Isa.Add a) (0 -- 31));
-        (2, map (fun a -> Ucpu.Isa.Sub a) (0 -- 31));
-        (1, map (fun a -> Ucpu.Isa.Jnz a) (0 -- 31));
-      ]
+  let instr rng =
+    let a = Workload.Rng.int rng 32 in
+    match Workload.Rng.int rng 13 with
+    | 0 | 1 | 2 -> Ucpu.Isa.Ldi a
+    | 3 | 4 -> Ucpu.Isa.Lda a
+    | 5 | 6 | 7 -> Ucpu.Isa.Sta a
+    | 8 | 9 -> Ucpu.Isa.Add a
+    | 10 | 11 -> Ucpu.Isa.Sub a
+    | _ -> Ucpu.Isa.Jnz a
   in
-  let gen =
-    let* body = list_size (5 -- 24) instr in
-    return (Ucpu.Isa.assemble (body @ [ Ucpu.Isa.Hlt ]))
+  let draw rng =
+    let body = List.init (5 + Workload.Rng.int rng 20) (fun _ -> instr rng) in
+    Ucpu.Isa.assemble (body @ [ Ucpu.Isa.Hlt ])
   in
-  QCheck.make
-    ~print:(fun p ->
+  let rec halting rng redraws =
+    let program = draw rng in
+    if redraws = 0 || (golden_run program).Ucpu.Isa.halted then program
+    else halting rng (redraws - 1)
+  in
+  Prop.make
+    ~show:(fun p ->
       String.concat "; "
         (Array.to_list (Array.map (fun w -> Bitvec.to_string w) p)))
-    gen
+    (fun rng -> halting rng 100)
 
 let prop_random_programs =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:40 ~name:"random programs match the golden model"
-       arb_program rtl_matches_golden)
+  Prop.test ~iters:40 "random programs match the golden model" arb_program
+    rtl_matches_golden
 
 let () =
   Alcotest.run "ucpu"
