@@ -281,8 +281,8 @@ let run ?(cap = 14) ~annots g =
             if c <> '\002' && c <> Bytes.get resolved m then
               failwith
                 (Printf.sprintf
-                   "Collapse: Espresso cover disagrees with its window at \
-                    assignment %d of %d leaves" m k))
+                   "Collapse: Espresso cover disagrees with its %d-leaf \
+                    window at assignment %d" k m))
           signature;
         (* Alternative completion: don't-cares to zero. It often shares
            better across the group's outputs (the table's own zero-fill). *)

@@ -16,8 +16,10 @@ normalize() {
 out1=$(mktemp) && out2=$(mktemp)
 trap 'rm -f "$out1" "$out2"' EXIT
 
-dune runtest --force 2>&1 | normalize > "$out1"
-dune runtest --force 2>&1 | normalize > "$out2"
+# One job at a time: dune prints each suite's output when it finishes, so
+# parallel runs would order the suites by finishing time.
+dune runtest --force -j 1 2>&1 | normalize > "$out1"
+dune runtest --force -j 1 2>&1 | normalize > "$out2"
 
 if ! diff -u "$out1" "$out2"; then
   echo "error: dune runtest output differs between two forced runs" >&2

@@ -66,28 +66,6 @@ let triple a b c =
         Printf.sprintf "(%s, %s, %s)" (a.show x) (b.show y) (c.show z));
   }
 
-let quad a b c d =
-  {
-    gen = (fun rng -> (a.gen rng, b.gen rng, c.gen rng, d.gen rng));
-    shrink =
-      (fun (x, y, z, w) ->
-        List.map (fun x' -> (x', y, z, w)) (a.shrink x)
-        @ List.map (fun y' -> (x, y', z, w)) (b.shrink y)
-        @ List.map (fun z' -> (x, y, z', w)) (c.shrink z)
-        @ List.map (fun w' -> (x, y, z, w')) (d.shrink w));
-    show =
-      (fun (x, y, z, w) ->
-        Printf.sprintf "(%s, %s, %s, %s)" (a.show x) (b.show y) (c.show z)
-          (d.show w));
-  }
-
-let map ~f ~show ?(shrink = fun _ -> []) inner =
-  {
-    gen = (fun rng -> f (inner.gen rng));
-    shrink;
-    show;
-  }
-
 (* ----------------------------------------------------------------- check *)
 
 let holds prop x = match prop x with b -> b | exception _ -> false
