@@ -671,6 +671,76 @@ let test_symbolic_image_overflow () =
 
 let test_symbolic_golden () = Golden.check "symbolic.txt" (symbolic_fingerprint ())
 
+(* ----------------------------------------------------------------- passes *)
+
+(* Golden structural digest of every rebuilding pass's output on the
+   lowered graph (stateprop and collapse on the swept graph, with the
+   design's annotations relocated onto it), and of the whole flow under
+   the figures' three configurations. A pass that creates the same nodes
+   in another order changes a digest here even when no area moves. PCtrl
+   runs the default flow only: the single passes cost 12-57 s per PCtrl
+   design. *)
+
+let passes_fingerprint () =
+  let b = Buffer.create 16384 in
+  let row name what g =
+    Printf.bprintf b "%s %s: %s\n" name what (Aig_util.structural_digest g)
+  in
+  let flow name (fname, options) d =
+    row name ("flow " ^ fname) (Synth.Flow.compile ~options lib d).Synth.Flow.aig
+  in
+  let flows =
+    Experiments.Exp_common.
+      [ ("default", default_flow); ("annotated", annotated_flow);
+        ("retimed", retimed_flow) ]
+  in
+  let all name d =
+    let low = Synth.Lower.run d in
+    let g = low.Synth.Lower.aig in
+    let swept = Synth.Sweep.run g in
+    let annots =
+      List.filter_map (Synth.Annots.relocate swept) (Synth.Annots.extract low)
+    in
+    row name "sweep" swept;
+    row name "sweep sat" (Synth.Sweep.run ~sat:true g);
+    row name "retime" (Synth.Retime.run g);
+    row name "stateprop" (Synth.Stateprop.run ~annots swept);
+    row name "collapse" (Synth.Collapse.run ~annots swept);
+    List.iter (fun f -> flow name f d) flows
+  in
+  for seed = 0 to 30 do
+    all (Printf.sprintf "design %d" seed) (Workload.Rand_design.generate ~seed)
+  done;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (sname, style) ->
+          all (Printf.sprintf "onehot generic %d %s" n sname)
+            (Experiments.Onehot_design.generic ~n ~style);
+          all (Printf.sprintf "onehot direct %d %s" n sname)
+            (Experiments.Onehot_design.direct ~n ~style))
+        Experiments.Onehot_design.all_styles)
+    [ 2; 8; 32 ];
+  List.iter
+    (fun (seed, m, n, s) ->
+      let fsm =
+        Workload.Rand_fsm.generate ~seed ~num_inputs:m ~num_outputs:n
+          ~num_states:s
+      in
+      all (Printf.sprintf "fsm %d/%d/%d/%d" seed m n s)
+        (Synth.Partial_eval.bind_tables
+           (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
+           (Core.Fsm_ir.config_bindings fsm)))
+    [ (0, 2, 2, 2); (2, 2, 3, 6); (5, 8, 8, 16); (7, 8, 16, 17) ];
+  List.iter
+    (fun (mname, mode) ->
+      flow ("pctrl auto " ^ mname) (List.hd flows)
+        (Pctrl.Controller.auto_design mode))
+    [ ("cached", Pctrl.Controller.Cached); ("uncached", Pctrl.Controller.Uncached) ];
+  Buffer.contents b
+
+let test_passes_golden () = Golden.check "passes.txt" (passes_fingerprint ())
+
 let () =
   Alcotest.run "synth"
     [
@@ -732,4 +802,5 @@ let () =
           Alcotest.test_case "fixpoint skip is transparent" `Quick
             test_flow_fixpoint_skip_transparent;
         ] );
+      ("passes", [ Alcotest.test_case "golden digests" `Quick test_passes_golden ]);
     ]
