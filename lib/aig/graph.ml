@@ -288,17 +288,50 @@ let fanout_counts t =
   List.iter (fun (_, l) -> bump l) (pos t);
   fo
 
+(* The one routine that maps nodes of [g] to literals of [into]: an
+   array memo filled by [preset], then on demand — [node] decides first,
+   and an AND it leaves alone is re-made with [and_]. OCaml evaluates
+   arguments right to left, so [copy f1] runs before [copy f0]; every
+   pinned graph depends on that order. *)
+let copier g ~into ~preset ~node =
+  let map = Array.make g.n (-1) in
+  map.(0) <- false_;
+  preset (fun id l -> map.(id) <- l);
+  let rec copy l =
+    let id = node_of_lit l in
+    if map.(id) < 0 then
+      map.(id) <-
+        (match node copy id with
+         | Some m -> m
+         | None ->
+           if g.kinds.(id) <> And then invalid_arg "Aig: leaf without a copy";
+           and_ into (copy g.fan0.(id)) (copy g.fan1.(id)));
+    map.(id) lxor (l land 1)
+  in
+  copy
+
 let copy_into g ~into ~leaf =
-  let map = Array.make g.n false_ in
-  let xl l = map.(node_of_lit l) lxor (l land 1) in
+  let copy =
+    copier g ~into ~preset:ignore ~node:(fun _ id ->
+        if g.kinds.(id) = And then None else Some (leaf id))
+  in
   (* Node index order is topological (fanins precede uses). *)
-  for id = 0 to g.n - 1 do
-    match g.kinds.(id) with
-    | Const -> ()
-    | Pi | Latch -> map.(id) <- leaf id
-    | And -> map.(id) <- and_ into (xl g.fan0.(id)) (xl g.fan1.(id))
+  for id = 1 to g.n - 1 do
+    ignore (copy (lit_of_node id false))
   done;
-  xl
+  copy
+
+let rebuild ?(keep_latch = fun _ -> true) ?(node = fun _ _ -> None) g ~into =
+  copier g ~into ~node ~preset:(fun set ->
+      List.iter (fun id -> set id (pi into g.names.(id))) (pis g);
+      List.iter
+        (fun id ->
+          if keep_latch id then
+            let r = latch_record g id in
+            set id
+              (latch into r.lname ~init:r.init ~reset:r.reset
+                 ~is_config:r.is_config))
+        (latches g))
 
 let equal a b =
   let latch_equal ra rb =

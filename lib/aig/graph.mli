@@ -112,6 +112,19 @@ val copy_into : t -> into:t -> leaf:(int -> lit) -> lit -> lit
     make constant or equal. Returns the map from [g]'s literals to [into]'s;
     latch next-state functions and outputs are left to the caller. *)
 
+val rebuild :
+  ?keep_latch:(int -> bool) ->
+  ?node:((lit -> lit) -> int -> lit option) ->
+  t -> into:t -> lit -> lit
+(** [rebuild g ~into] is the pass form of {!copy_into}: it first re-creates
+    [g]'s PIs, then each latch [n] with [keep_latch n] (default: all), in
+    order and with the same names and flags, and returns [copy], which maps
+    [g]'s literals to [into]'s on demand. The first request for any other
+    node asks [node copy n] (default: [None]); on [None] an AND is re-made
+    as [and_ into (copy f0) (copy f1)], so logic no request reaches is
+    dropped. Latches not kept need [node] to map them. Next-state
+    functions and outputs are left to the caller. *)
+
 val equal : t -> t -> bool
 (** Exact structural identity in O(n): the same node kinds and fanin
     literals at every index, PI names, latch name, init, reset kind,

@@ -173,35 +173,10 @@ let run ?(cap = 14) ~annots g =
     Hashtbl.create 64
   in
   let ng = Aig.create () in
-  let node_map : (int, Aig.lit) Hashtbl.t = Hashtbl.create 1024 in
-  Hashtbl.replace node_map 0 Aig.false_;
-  List.iter
-    (fun n -> Hashtbl.replace node_map n (Aig.pi ng (Aig.pi_name g n)))
-    (Aig.pis g);
-  List.iter
-    (fun n ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      Hashtbl.replace node_map n (Aig.latch ng name ~init ~reset ~is_config))
-    (Aig.latches g);
-  let rec copy_node n =
-    match Hashtbl.find_opt node_map n with
-    | Some l -> l
-    | None ->
-      let f0, f1 = Aig.fanins g n in
-      let l = Aig.and_ ng (copy_lit f0) (copy_lit f1) in
-      Hashtbl.replace node_map n l;
-      l
-  and copy_lit l =
-    let nl = copy_node (Aig.node_of_lit l) in
-    if Aig.is_complemented l then Aig.not_ nl else nl
-  in
+  let copy = Aig.rebuild g ~into:ng in
   let root_map : (Aig.lit, Aig.lit) Hashtbl.t = Hashtbl.create 64 in
   let fanout = Aig.fanout_counts g in
-  let leaf_lit leaves j =
-    match Hashtbl.find_opt node_map leaves.(j) with
-    | Some l -> l
-    | None -> assert false
-  in
+  let leaf_lit leaves j = copy (Aig.lit_of_node leaves.(j) false) in
   (* Gather all combinational roots (in processing order). *)
   let all_roots =
     List.map snd (Aig.pos g)
@@ -357,13 +332,11 @@ let run ?(cap = 14) ~annots g =
     let rn = Aig.node_of_lit r in
     match Hashtbl.find_opt root_map (Aig.lit_of_node rn false) with
     | Some l -> if Aig.is_complemented r then Aig.not_ l else l
-    | None -> copy_lit r
+    | None -> copy r
   in
   List.iter (fun (name, l) -> Aig.po ng name (resolve_root l)) (Aig.pos g);
   List.iter
     (fun n ->
-      let d = Aig.latch_next g n in
-      let q' = Hashtbl.find node_map n in
-      Aig.set_next ng q' (resolve_root d))
+      Aig.set_next ng (copy (Aig.lit_of_node n false)) (resolve_root (Aig.latch_next g n)))
     (Aig.latches g);
   ng

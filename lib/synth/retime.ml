@@ -13,27 +13,13 @@ let movable g l =
 let round serial g =
   let moved = ref 0 in
   let ng = Aig.create () in
-  let node_map : (int, Aig.lit) Hashtbl.t = Hashtbl.create 1024 in
-  Hashtbl.replace node_map 0 Aig.false_;
-  List.iter
-    (fun n -> Hashtbl.replace node_map n (Aig.pi ng (Aig.pi_name g n)))
-    (Aig.pis g);
-  List.iter
-    (fun n ->
-      let name, init, reset, is_config = Aig.latch_info g n in
-      Hashtbl.replace node_map n (Aig.latch ng name ~init ~reset ~is_config))
-    (Aig.latches g);
   (* New latches created by the move, with their (old-graph) next literal to
-     connect at the end. *)
+     connect at the end: (new latch q, old d0, old d1) where d0/d1 are
+     complement-adjusted next-state literals of the source latches. *)
   let pending : (Aig.lit * Aig.lit * Aig.lit) list ref = ref [] in
-  (* (new latch q, old d0, old d1) where d0/d1 are complement-adjusted
-     next-state literals of the source latches. *)
-  let rec copy_node n =
-    match Hashtbl.find_opt node_map n with
-    | Some l -> l
-    | None ->
-      let f0, f1 = Aig.fanins g n in
-      let l =
+  let copy =
+    Aig.rebuild g ~into:ng ~node:(fun _ n ->
+        let f0, f1 = Aig.fanins g n in
         if movable g f0 && movable g f1 then begin
           let source f =
             let ln = Aig.node_of_lit f in
@@ -51,23 +37,16 @@ let round serial g =
               ~init:(i0 && i1) ~reset:Rtl.Design.No_reset ~is_config:false
           in
           pending := (q, d0, d1) :: !pending;
-          q
+          Some q
         end
-        else Aig.and_ ng (copy_lit f0) (copy_lit f1)
-      in
-      Hashtbl.replace node_map n l;
-      l
-  and copy_lit l =
-    let nl = copy_node (Aig.node_of_lit l) in
-    if Aig.is_complemented l then Aig.not_ nl else nl
+        else None)
   in
-  List.iter (fun (name, l) -> Aig.po ng name (copy_lit l)) (Aig.pos g);
+  List.iter (fun (name, l) -> Aig.po ng name (copy l)) (Aig.pos g);
   List.iter
     (fun n ->
-      let q' = Hashtbl.find node_map n in
-      Aig.set_next ng q' (copy_lit (Aig.latch_next g n)))
+      Aig.set_next ng (copy (Aig.lit_of_node n false)) (copy (Aig.latch_next g n)))
     (Aig.latches g);
-  List.iter (fun (q, d0, d1) -> Aig.set_next ng q (Aig.and_ ng (copy_lit d0) (copy_lit d1)))
+  List.iter (fun (q, d0, d1) -> Aig.set_next ng q (Aig.and_ ng (copy d0) (copy d1)))
     !pending;
   (!moved, ng)
 

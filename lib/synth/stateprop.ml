@@ -81,41 +81,17 @@ let run ~annots g =
     done;
     (* Rebuild with substitutions. *)
     let ng = Aig.create () in
-    let node_map : (int, Aig.lit) Hashtbl.t = Hashtbl.create 1024 in
-    Hashtbl.replace node_map 0 Aig.false_;
-    List.iter
-      (fun n -> Hashtbl.replace node_map n (Aig.pi ng (Aig.pi_name g n)))
-      (Aig.pis g);
-    List.iter
-      (fun n ->
-        let name, init, reset, is_config = Aig.latch_info g n in
-        Hashtbl.replace node_map n (Aig.latch ng name ~init ~reset ~is_config))
-      (Aig.latches g);
-    let rec copy_node n =
-      match Hashtbl.find_opt node_map n with
-      | Some l -> l
-      | None ->
-        let l =
+    let copy =
+      Aig.rebuild g ~into:ng ~node:(fun copy n ->
           match Hashtbl.find_opt replacements n with
-          | Some (Repl_const v) -> if v then Aig.true_ else Aig.false_
-          | Some (Repl_node (rep, compl)) ->
-            let rl = copy_node rep in
-            if compl then Aig.not_ rl else rl
-          | None ->
-            let f0, f1 = Aig.fanins g n in
-            Aig.and_ ng (copy_lit f0) (copy_lit f1)
-        in
-        Hashtbl.replace node_map n l;
-        l
-    and copy_lit l =
-      let nl = copy_node (Aig.node_of_lit l) in
-      if Aig.is_complemented l then Aig.not_ nl else nl
+          | Some (Repl_const v) -> Some (if v then Aig.true_ else Aig.false_)
+          | Some (Repl_node (rep, compl)) -> Some (copy (Aig.lit_of_node rep compl))
+          | None -> None)
     in
-    List.iter (fun (name, l) -> Aig.po ng name (copy_lit l)) (Aig.pos g);
+    List.iter (fun (name, l) -> Aig.po ng name (copy l)) (Aig.pos g);
     List.iter
       (fun n ->
-        let q' = Hashtbl.find node_map n in
-        Aig.set_next ng q' (copy_lit (Aig.latch_next g n)))
+        Aig.set_next ng (copy (Aig.lit_of_node n false)) (copy (Aig.latch_next g n)))
       (Aig.latches g);
     ng
   end

@@ -244,57 +244,29 @@ let run_once ?sigs ?sat_known ?sat_rep g =
       drain ()
   in
   drain ();
-  (* Rebuild. *)
+  (* Rebuild: live unmerged latches are kept; known latches become their
+     constant, merged ones their representative, and a dead latch a fresh
+     latch, so the copy stays total. *)
+  let kept n = Hashtbl.mem live n && not (Hashtbl.mem representative n) in
   let ng = Aig.create () in
-  let node_map : (int, Aig.lit) Hashtbl.t = Hashtbl.create 1024 in
-  Hashtbl.replace node_map 0 Aig.false_;
-  List.iter
-    (fun n -> Hashtbl.replace node_map n (Aig.pi ng (Aig.pi_name g n)))
-    (Aig.pis g);
-  List.iter
-    (fun n ->
-      if Hashtbl.mem live n && not (Hashtbl.mem representative n) then begin
-        let name, init, reset, is_config = Aig.latch_info g n in
-        Hashtbl.replace node_map n (Aig.latch ng name ~init ~reset ~is_config)
-      end)
-    (Aig.latches g);
-  let rec copy_lit l =
-    let n = Aig.node_of_lit l in
-    let nl = copy_node n in
-    if Aig.is_complemented l then Aig.not_ nl else nl
-  and copy_node n =
-    match Hashtbl.find_opt node_map n with
-    | Some l -> l
-    | None ->
-      let l =
-        match Aig.kind g n with
-        | Aig.Const -> Aig.false_
-        | Aig.Pi -> assert false
-        | Aig.Latch ->
-          (match Hashtbl.find_opt known n with
-           | Some v -> if v then Aig.true_ else Aig.false_
-           | None ->
-             let rep = resolve n in
-             if rep <> n then copy_node rep
-             else
-               (* A dead latch referenced nowhere live; give it a node anyway
-                  to keep copying total. *)
-               let name, init, reset, is_config = Aig.latch_info g n in
-               Aig.latch ng name ~init ~reset ~is_config)
-        | Aig.And ->
-          let f0, f1 = Aig.fanins g n in
-          Aig.and_ ng (copy_lit f0) (copy_lit f1)
-      in
-      Hashtbl.replace node_map n l;
-      l
+  let copy =
+    Aig.rebuild g ~into:ng ~keep_latch:kept ~node:(fun copy n ->
+        if Aig.kind g n <> Aig.Latch then None
+        else
+          match Hashtbl.find_opt known n with
+          | Some v -> Some (if v then Aig.true_ else Aig.false_)
+          | None ->
+            let rep = resolve n in
+            if rep <> n then Some (copy (Aig.lit_of_node rep false))
+            else
+              let name, init, reset, is_config = Aig.latch_info g n in
+              Some (Aig.latch ng name ~init ~reset ~is_config))
   in
-  List.iter (fun (name, l) -> Aig.po ng name (copy_lit l)) (Aig.pos g);
+  List.iter (fun (name, l) -> Aig.po ng name (copy l)) (Aig.pos g);
   List.iter
     (fun n ->
-      if Hashtbl.mem live n && not (Hashtbl.mem representative n) then begin
-        let q' = Hashtbl.find node_map n in
-        Aig.set_next ng q' (copy_lit (Aig.latch_next g n))
-      end)
+      if kept n then
+        Aig.set_next ng (copy (Aig.lit_of_node n false)) (copy (Aig.latch_next g n)))
     (Aig.latches g);
   ng
 
