@@ -213,41 +213,47 @@ let run_once ?sigs ?sat_known ?sat_rep g =
         | None -> Hashtbl.replace by_signature signature n
       end)
     (Aig.latches g);
-  (* Which latches are live (reachable from the POs)? *)
-  let live = Hashtbl.create 16 in
+  (* Which latches are live (reachable from the POs)? One DFS from the
+     outputs: each latch leaf makes its representative live, and a newly
+     live latch's next-state cone joins the walk. *)
   let rec resolve n =
     match Hashtbl.find_opt representative n with
     | Some r -> resolve r
     | None -> n
   in
-  let frontier = ref [] in
-  let mark_roots roots =
-    let leaves, _ = Aig.cone g roots in
-    List.iter
-      (fun n ->
-        if Aig.kind g n = Aig.Latch && not (Hashtbl.mem known n) then begin
-          let n = resolve n in
-          if not (Hashtbl.mem live n) then begin
-            Hashtbl.replace live n ();
-            frontier := n :: !frontier
-          end
-        end)
-      leaves
+  let visited = Array.make (Aig.num_nodes g) false in
+  let live = Array.make (Aig.num_nodes g) false in
+  let work = ref [] in
+  let push l =
+    let n = Aig.node_of_lit l in
+    if not visited.(n) then begin
+      visited.(n) <- true;
+      work := n :: !work
+    end
   in
-  mark_roots (List.map snd (Aig.pos g));
-  let rec drain () =
-    match !frontier with
-    | [] -> ()
-    | n :: rest ->
-      frontier := rest;
-      mark_roots [ Aig.latch_next g n ];
-      drain ()
-  in
-  drain ();
+  List.iter (fun (_, l) -> push l) (Aig.pos g);
+  while !work <> [] do
+    let n = List.hd !work in
+    work := List.tl !work;
+    match Aig.kind g n with
+    | Aig.Const | Aig.Pi -> ()
+    | Aig.And ->
+      let f0, f1 = Aig.fanins g n in
+      push f0;
+      push f1
+    | Aig.Latch ->
+      if not (Hashtbl.mem known n) then begin
+        let r = resolve n in
+        if not live.(r) then begin
+          live.(r) <- true;
+          push (Aig.latch_next g r)
+        end
+      end
+  done;
   (* Rebuild: live unmerged latches are kept; known latches become their
      constant, merged ones their representative, and a dead latch a fresh
      latch, so the copy stays total. *)
-  let kept n = Hashtbl.mem live n && not (Hashtbl.mem representative n) in
+  let kept n = live.(n) && not (Hashtbl.mem representative n) in
   let ng = Aig.create () in
   let copy =
     Aig.rebuild g ~into:ng ~keep_latch:kept ~node:(fun copy n ->
