@@ -50,7 +50,11 @@ let round serial g =
     !pending;
   (!moved, ng)
 
-let run ?(max_rounds = 512) g =
+(* Each round is followed by a sweep; stop at a fixpoint or after this
+   many rounds. *)
+let max_rounds = 512
+
+let run g =
   let rec go i g =
     if i >= max_rounds then g
     else begin

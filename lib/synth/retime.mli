@@ -11,5 +11,6 @@
     observation that retiming helps only for some flop styles. Original
     latches left without fanout are removed by {!Sweep}. *)
 
-val run : ?max_rounds:int -> Aig.t -> Aig.t
-(** Iterates to a fixpoint or [max_rounds] (default 512). *)
+val run : Aig.t -> Aig.t
+(** Iterates rounds, each followed by a {!Sweep}, until one moves no
+    latch, or for at most 512 rounds. *)
