@@ -42,12 +42,20 @@ let fmt_area_result = function
   | Ok a -> Report.Table.fmt_area a
   | Error _ -> "FAIL"
 
+(* A reference design whose whole area folds away (everything constant)
+   gives no meaningful ratio: its cell prints "const", and summaries skip
+   it like a failed compile. *)
+let folds_to_const area = area <= 0.5
+
+let ratio_opt a b =
+  match (a, b) with
+  | Ok a, Ok b when not (folds_to_const b) -> Some (a /. b)
+  | _ -> None
+
 let fmt_ratio_result a b =
   match (a, b) with
-  | Ok a, Ok b -> Report.Table.fmt_ratio (a /. b)
-  | _ -> "-"
-
-let ratio_opt a b = match (a, b) with Ok a, Ok b -> Some (a /. b) | _ -> None
+  | Ok _, Ok b when folds_to_const b -> "const"
+  | _ -> Option.fold ~none:"-" ~some:Report.Table.fmt_ratio (ratio_opt a b)
 
 let geomean = function
   | [] -> 1.0

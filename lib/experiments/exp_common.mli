@@ -32,10 +32,13 @@ val fmt_area_result : (float, string) result -> string
 
 val fmt_ratio_result :
   (float, string) result -> (float, string) result -> string
-(** [a / b] formatted, or ["-"] when either side failed. *)
+(** [a / b] formatted; ["const"] when both compiled and [b]'s area folds
+    to zero, ["-"] when either side failed. *)
 
 val ratio_opt :
   (float, string) result -> (float, string) result -> float option
+(** [Some (a / b)] exactly where {!fmt_ratio_result} prints a number:
+    summaries take their members from it. *)
 
 val geomean : float list -> float
 (** Geometric mean; 1.0 on the empty list. *)

@@ -57,12 +57,7 @@ let print rows =
        ~header:[ "depth"; "width"; "seed"; "table um^2"; "sop um^2"; "ratio" ]
        body);
   let ratios =
-    List.filter_map
-      (fun r ->
-        match (r.table_area, r.sop_area) with
-        | Ok t, Ok s when s > 0.5 -> Some (t /. s)
-        | _ -> None)
-      rows
+    List.filter_map (fun r -> Exp_common.ratio_opt r.table_area r.sop_area) rows
   in
   let table_wins = List.length (List.filter (fun x -> x < 1.0) ratios) in
   if ratios = [] then

@@ -66,11 +66,8 @@ let print rows =
            "reg/dir"; "ann/dir" ]
        body);
   (* Degenerate controllers (everything folds to constants) have no
-     meaningful ratio; neither do rows with a failed compile. *)
-  let rows =
-    List.filter (fun r -> match r.direct_area with Ok a -> a > 0.5 | Error _ -> false) rows
-  in
-  let ratios f = List.filter_map f rows in
+     meaningful ratio; neither do rows with a failed compile. [ratio_opt]
+     leaves both out. *)
   let odd = List.filter (fun r -> r.s = 3 || r.s = 17) rows in
   let even = List.filter (fun r -> not (r.s = 3 || r.s = 17)) rows in
   let gm sel l = Exp_common.geomean (List.filter_map sel l) in
@@ -78,7 +75,6 @@ let print rows =
   let ann_dir r = Exp_common.ratio_opt r.annotated_area r.direct_area in
   Exp_common.printf
     "geomean regular/direct: %.3f (s in {3,17}: %.3f; others: %.3f)@."
-    (Exp_common.geomean (ratios reg_dir))
-    (gm reg_dir odd) (gm reg_dir even);
+    (gm reg_dir rows) (gm reg_dir odd) (gm reg_dir even);
   Exp_common.printf "geomean annotated/direct: %.3f@.@."
-    (Exp_common.geomean (ratios ann_dir))
+    (gm ann_dir rows)

@@ -333,6 +333,12 @@ let test_sweep_degrades_gracefully () =
     (Experiments.Exp_common.fmt_area_result (Error "x"));
   Alcotest.(check string) "failed ratio renders dash" "-"
     (Experiments.Exp_common.fmt_ratio_result (Error "x") (Ok 1.0));
+  (* A reference that folds to zero area prints "const", never "-nan",
+     and has no ratio for a summary to take in. *)
+  Alcotest.(check string) "folded ratio renders const" "const"
+    (Experiments.Exp_common.fmt_ratio_result (Ok 0.0) (Ok 0.0));
+  Alcotest.(check (option (float 0.))) "folded ratio left out" None
+    (Experiments.Exp_common.ratio_opt (Ok 3.0) (Ok 0.0));
   Engine.set_default (Engine.create ~jobs:1 lib)
 
 let test_determinism_disk_cache () =
