@@ -223,18 +223,17 @@ let run_once ?sigs ?sat_known ?sat_rep g =
   in
   let visited = Array.make (Aig.num_nodes g) false in
   let live = Array.make (Aig.num_nodes g) false in
-  let work = ref [] in
+  let work = Stack.create () in
   let push l =
     let n = Aig.node_of_lit l in
     if not visited.(n) then begin
       visited.(n) <- true;
-      work := n :: !work
+      Stack.push n work
     end
   in
   List.iter (fun (_, l) -> push l) (Aig.pos g);
-  while !work <> [] do
-    let n = List.hd !work in
-    work := List.tl !work;
+  while not (Stack.is_empty work) do
+    let n = Stack.pop work in
     match Aig.kind g n with
     | Aig.Const | Aig.Pi -> ()
     | Aig.And ->
@@ -242,12 +241,10 @@ let run_once ?sigs ?sat_known ?sat_rep g =
       push f0;
       push f1
     | Aig.Latch ->
-      if not (Hashtbl.mem known n) then begin
-        let r = resolve n in
-        if not live.(r) then begin
-          live.(r) <- true;
-          push (Aig.latch_next g r)
-        end
+      let r = resolve n in
+      if (not (Hashtbl.mem known n)) && not live.(r) then begin
+        live.(r) <- true;
+        push (Aig.latch_next g r)
       end
   done;
   (* Rebuild: live unmerged latches are kept; known latches become their
