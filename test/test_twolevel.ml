@@ -144,6 +144,43 @@ let prop_espresso_not_worse_than_minterms =
       && Twolevel.Cover.num_cubes esp
          <= Twolevel.Cover.num_cubes (Twolevel.Cover.of_truthfn tf))
 
+(* Golden cube lists of Espresso on seeded functions over 2-14
+   variables, with and without don't-cares: the minimized cover and one
+   EXPAND, IRREDUNDANT and REDUCE phase, each in its order. Collapse
+   builds its SOP candidates from these lists, so a kernel change that
+   keeps every cover but not its order still shows up here. *)
+let espresso_fingerprint () =
+  let b = Buffer.create 65536 in
+  let row name cubes =
+    Buffer.add_string b name;
+    List.iter
+      (fun (c : Twolevel.Cube.t) -> Printf.bprintf b " %x:%x" c.mask c.value)
+      cubes;
+    Buffer.add_char b '\n'
+  in
+  let fn (nvars, dc) =
+    let seed = 100 + nvars in
+    let tf = random_tf ~nvars ~seed ~dc in
+    Printf.bprintf b "nvars=%d seed=%d dc=%b\n" nvars seed dc;
+    row "minimize" (Twolevel.Espresso.minimize tf).Twolevel.Cover.cubes;
+    let expanded =
+      Twolevel.Espresso.expand tf (Twolevel.Cover.of_truthfn tf).cubes
+    in
+    let irr = Twolevel.Espresso.irredundant tf expanded in
+    row "expand" expanded;
+    row "irredundant" irr;
+    row "reduce" (Twolevel.Espresso.reduce tf irr)
+  in
+  (* Both don't-care modes up to 12 variables; one each at 13 and 14
+     keeps the file small. *)
+  List.iter fn
+    (List.concat_map (fun n -> [ (n, false); (n, true) ]) (List.init 11 (( + ) 2))
+    @ [ (13, true); (14, false) ]);
+  Buffer.contents b
+
+let test_espresso_golden () =
+  Golden.check "espresso.txt" (espresso_fingerprint ())
+
 let () =
   Alcotest.run "twolevel"
     [
@@ -162,4 +199,6 @@ let () =
         ] );
       ( "properties",
         [ prop_minimizers_agree; prop_espresso_not_worse_than_minterms ] );
+      ( "golden",
+        [ Alcotest.test_case "espresso covers" `Quick test_espresso_golden ] );
     ]
