@@ -1,12 +1,13 @@
 let bits_per_limb = 62
 
 (* Parallel window simulation: each cone node gets one bit per leaf
-   assignment, packed into int limbs. *)
-let window_sim g (leaves : int array) (nodes : int list) =
+   assignment, packed into int limbs. [values] is indexed by node id and
+   shared by every group of a pass: a group writes its leaves and nodes
+   before it reads them, and reads nothing else. *)
+let window_sim g values (leaves : int array) (nodes : int list) =
   let k = Array.length leaves in
   let npat = 1 lsl k in
   let nlimbs = (npat + bits_per_limb - 1) / bits_per_limb in
-  let values : (int, int array) Hashtbl.t = Hashtbl.create 256 in
   let leaf_pattern j =
     let arr = Array.make nlimbs 0 in
     for i = 0 to npat - 1 do
@@ -17,19 +18,17 @@ let window_sim g (leaves : int array) (nodes : int list) =
     done;
     arr
   in
-  Array.iteri (fun j n -> Hashtbl.replace values n (leaf_pattern j)) leaves;
+  Array.iteri (fun j n -> values.(n) <- leaf_pattern j) leaves;
   let value_of_lit l =
     let n = Aig.node_of_lit l in
-    let arr =
-      if n = 0 then Array.make nlimbs 0 else Hashtbl.find values n
-    in
+    let arr = if n = 0 then Array.make nlimbs 0 else values.(n) in
     if Aig.is_complemented l then Array.map lnot arr else arr
   in
   List.iter
     (fun n ->
       let f0, f1 = Aig.fanins g n in
       let a = value_of_lit f0 and b = value_of_lit f1 in
-      Hashtbl.replace values n (Array.init nlimbs (fun i -> a.(i) land b.(i))))
+      values.(n) <- Array.init nlimbs (fun i -> a.(i) land b.(i)))
     nodes;
   fun l ->
     let arr = value_of_lit l in
@@ -129,26 +128,25 @@ let sop_build ng leaf_lit (cover : Twolevel.Cover.t) =
   Aig.or_list ng (List.map cube_lit cover.Twolevel.Cover.cubes)
 
 (* Exclusive (MFFC-approximate) size of a node set: members all of whose
-   fanout stays inside the set, plus the root nodes themselves. *)
-let exclusive_count g fanout root_nodes nodes =
-  let uses = Hashtbl.create 64 in
-  let bump l =
-    let n = Aig.node_of_lit l in
-    Hashtbl.replace uses n (1 + Option.value ~default:0 (Hashtbl.find_opt uses n))
+   fanout stays inside the set, plus the root nodes themselves. [uses] is
+   indexed by node id, all zero on entry, and zero again on return. *)
+let exclusive_count g fanout uses root_nodes nodes =
+  let add d n =
+    let f0, f1 = Aig.fanins g n in
+    let n0 = Aig.node_of_lit f0 and n1 = Aig.node_of_lit f1 in
+    uses.(n0) <- d uses.(n0);
+    uses.(n1) <- d uses.(n1)
   in
-  List.iter
-    (fun n ->
-      let f0, f1 = Aig.fanins g n in
-      bump f0; bump f1)
-    nodes;
-  List.fold_left
-    (fun acc n ->
-      if List.mem n root_nodes then acc + 1
-      else begin
-        let used_here = Option.value ~default:0 (Hashtbl.find_opt uses n) in
-        if fanout.(n) <= used_here then acc + 1 else acc
-      end)
-    0 nodes
+  List.iter (add succ) nodes;
+  let count =
+    List.fold_left
+      (fun acc n ->
+        if List.mem n root_nodes || fanout.(n) <= uses.(n) then acc + 1
+        else acc)
+      0 nodes
+  in
+  List.iter (add (fun _ -> 0)) nodes;
+  count
 
 (* A root function's two-level analysis: its espresso cover, the
    completion that cover picks for the don't-cares, and the zero-fill
@@ -176,6 +174,8 @@ let run ?(cap = 14) ~annots g =
   let copy = Aig.rebuild g ~into:ng in
   let root_map : (Aig.lit, Aig.lit) Hashtbl.t = Hashtbl.create 64 in
   let fanout = Aig.fanout_counts g in
+  let values = Array.make (Aig.num_nodes g) [||] in
+  let uses = Array.make (Aig.num_nodes g) 0 in
   let leaf_lit leaves j = copy (Aig.lit_of_node leaves.(j) false) in
   (* Gather all combinational roots (in processing order). *)
   let all_roots =
@@ -221,9 +221,7 @@ let run ?(cap = 14) ~annots g =
       List.sort_uniq Stdlib.compare
         (List.concat_map (fun rn -> snd (Hashtbl.find root_cones rn)) members)
     in
-    let read =
-      window_sim g leaves union_nodes
-    in
+    let read = window_sim g values leaves union_nodes in
     let dc = constraint_dc annots leaves in
     let analyze rn =
       let read_root = read (Aig.lit_of_node rn false) in
@@ -237,18 +235,16 @@ let run ?(cap = 14) ~annots g =
         (rn, signature, a)
       | None ->
         Obs.Metrics.incr espresso_calls;
-        let tf =
-          Twolevel.Truthfn.of_fun ~nvars:k (fun m ->
-              match Bytes.get signature m with
-              | '\002' -> Twolevel.Truthfn.Dc
-              | '\001' -> Twolevel.Truthfn.On
-              | _ -> Twolevel.Truthfn.Off)
-        in
+        (* The signature bytes are the function's codes; Espresso only
+           reads them, so the memo key can be adopted as is. *)
+        let tf = Twolevel.Truthfn.of_codes ~nvars:k signature in
         let cover = Twolevel.Espresso.minimize tf in
-        let resolved =
-          Bytes.init (1 lsl k) (fun m ->
-              if Twolevel.Cover.eval cover m then '\001' else '\000')
-        in
+        (* The completion the cover picks: paint each cube's minterms. *)
+        let resolved = Bytes.make (1 lsl k) '\000' in
+        List.iter
+          (Twolevel.Cube.iter_minterms ~nvars:k (fun m ->
+               Bytes.set resolved m '\001'))
+          cover.Twolevel.Cover.cubes;
         (* Invariant: the cover implements the window on every cared
            assignment. A miss would be a miscompile, so it raises. *)
         Bytes.iteri
@@ -305,7 +301,7 @@ let run ?(cap = 14) ~annots g =
         Hashtbl.replace cost_memo costs_key costs;
         costs
     in
-    let cost_old = exclusive_count g fanout members union_nodes in
+    let cost_old = exclusive_count g fanout uses members union_nodes in
     let best = min total_sop (min total_tree total_tree0) in
     if best < cost_old then begin
       if best = total_sop then

@@ -2,8 +2,6 @@ type t = { nvars : int; cubes : Cube.t list }
 
 let make ~nvars cubes = { nvars; cubes }
 
-let eval t m = List.exists (fun c -> Cube.covers_minterm c m) t.cubes
-
 let num_cubes t = List.length t.cubes
 
 let literals t =

@@ -4,9 +4,6 @@ type t = { nvars : int; cubes : Cube.t list }
 
 val make : nvars:int -> Cube.t list -> t
 
-val eval : t -> int -> bool
-(** Value of the disjunction on an input assignment. *)
-
 val num_cubes : t -> int
 
 val literals : t -> int

@@ -13,8 +13,9 @@ let of_minterm ~nvars m =
   let mask = (1 lsl nvars) - 1 in
   { mask; value = m land mask }
 
+(* Each step clears the lowest set bit. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
+  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
   go x 0
 
 let num_literals c = popcount c.mask
@@ -57,25 +58,36 @@ let minterms ~nvars c =
   in
   Seq.init (1 lsl k) expand
 
-(* Enumerate covered minterms by counting j over the free variables and
-   scattering its bits onto the free positions — no allocation per minterm. *)
+(* The covered minterms are [c.value lor s] for the subsets [s] of the
+   free mask. [s := (s - free) land free] steps to the next larger subset
+   and wraps to 0 after the last, so they come in increasing order: the
+   order of [minterms], which counts over the free variables and scatters
+   the count's bits onto them. No allocation per minterm. *)
+let free_mask ~nvars c = ((1 lsl nvars) - 1) land lnot c.mask
+
 let iter_minterms ~nvars f c =
-  let free = Array.of_list (free_vars ~nvars c) in
-  let k = Array.length free in
-  for j = 0 to (1 lsl k) - 1 do
-    let m = ref c.value in
-    for bit = 0 to k - 1 do
-      if j lsr bit land 1 = 1 then m := !m lor (1 lsl free.(bit))
-    done;
-    f !m
+  let free = free_mask ~nvars c in
+  let s = ref 0 and more = ref true in
+  while !more do
+    f (c.value lor !s);
+    s := (!s - free) land free;
+    more := !s <> 0
   done
 
-exception Found
-
 let exists_minterm ~nvars p c =
-  match iter_minterms ~nvars (fun m -> if p m then raise Found) c with
-  | () -> false
-  | exception Found -> true
+  let free = free_mask ~nvars c in
+  let s = ref 0 and found = ref false and more = ref true in
+  while !more do
+    if p (c.value lor !s) then begin
+      found := true;
+      more := false
+    end
+    else begin
+      s := (!s - free) land free;
+      more := !s <> 0
+    end
+  done;
+  !found
 
 let equal a b = a.mask = b.mask && a.value = b.value
 let compare = Stdlib.compare

@@ -42,14 +42,16 @@ val literal_value : t -> int -> bool
 (** @raise Invalid_argument if the literal is absent. *)
 
 val minterms : nvars:int -> t -> int Seq.t
-(** All assignments covered by the cube over [nvars] variables. *)
+(** All assignments covered by the cube over [nvars] variables, in
+    increasing order. *)
 
 val iter_minterms : nvars:int -> (int -> unit) -> t -> unit
-(** Allocation-free enumeration of the covered assignments (hot path of the
-    minimizers). *)
+(** Allocation-free enumeration of the covered assignments, in the order
+    of {!minterms} (hot path of the minimizers). *)
 
 val exists_minterm : nvars:int -> (int -> bool) -> t -> bool
-(** Early-exit search over the covered assignments. *)
+(** Early-exit search over the covered assignments, in the order of
+    {!minterms}. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -26,7 +26,7 @@ let coverage tf cubes =
   let counts = Array.make (Truthfn.size tf) 0 in
   let add c =
     Cube.iter_minterms ~nvars
-      (fun m -> if Truthfn.get tf m = Truthfn.On then counts.(m) <- counts.(m) + 1)
+      (fun m -> if Truthfn.is_on tf m then counts.(m) <- counts.(m) + 1)
       c
   in
   List.iter add cubes;
@@ -44,12 +44,12 @@ let irredundant tf cubes =
   let redundant c =
     not
       (Cube.exists_minterm ~nvars
-         (fun m -> Truthfn.get tf m = Truthfn.On && counts.(m) <= 1)
+         (fun m -> Truthfn.is_on tf m && counts.(m) <= 1)
          c)
   in
   let remove c =
     Cube.iter_minterms ~nvars
-      (fun m -> if Truthfn.get tf m = Truthfn.On then counts.(m) <- counts.(m) - 1)
+      (fun m -> if Truthfn.is_on tf m then counts.(m) <- counts.(m) - 1)
       c
   in
   let keep kept c =
@@ -71,7 +71,7 @@ let reduce tf cubes =
     let first = ref (-1) in
     let agree = ref 0 in
     let visit m =
-      if Truthfn.get tf m = Truthfn.On && counts.(m) = 1 then begin
+      if Truthfn.is_on tf m && counts.(m) = 1 then begin
         if !first < 0 then begin
           first := m;
           agree := (1 lsl nvars) - 1
@@ -91,7 +91,7 @@ let reduce tf cubes =
     in
     Cube.iter_minterms ~nvars
       (fun m ->
-        if Truthfn.get tf m = Truthfn.On && not (kept m) then
+        if Truthfn.is_on tf m && not (kept m) then
           counts.(m) <- counts.(m) - 1)
       c;
     reduced

@@ -16,10 +16,19 @@ val nvars : t -> int
 val size : t -> int
 (** [2^nvars]. *)
 
-val get : t -> int -> value
+val is_on : t -> int -> bool
+(** Is the function ON at this assignment? *)
+
 val set : t -> int -> value -> unit
 
 val of_fun : nvars:int -> (int -> value) -> t
+
+val of_codes : nvars:int -> Bytes.t -> t
+(** The function whose value on assignment [m] is byte [m]: ['\000'] Off,
+    ['\001'] On, ['\002'] Dc. Adopts the bytes without copying, so the
+    caller must not mutate them while the function is in use.
+    @raise Invalid_argument if [nvars] is out of range or the length is
+    not [2^nvars]. *)
 
 val on_set : t -> int list
 val dc_set : t -> int list

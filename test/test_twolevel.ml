@@ -27,14 +27,36 @@ let test_cube_combine () =
   Alcotest.(check bool) "distance 2 no merge" true
     (Twolevel.Cube.combine a c = None)
 
-let test_cube_minterms () =
-  let c = cube3 0b100 0b100 in
-  let by_seq = List.of_seq (Twolevel.Cube.minterms ~nvars:3 c) in
-  let by_iter = ref [] in
-  Twolevel.Cube.iter_minterms ~nvars:3 (fun m -> by_iter := m :: !by_iter) c;
-  Alcotest.(check (list int)) "same sets" (List.sort compare by_seq)
-    (List.sort compare !by_iter);
-  Alcotest.(check int) "count" 4 (List.length by_seq)
+(* [minterms] is the counting-and-scatter enumeration, kept as the
+   oracle: [iter_minterms] must yield its sequence in order, and
+   [exists_minterm] must agree with [Seq.exists] on it. The predicate
+   holds on the minterms whose bits under [pred_mask] equal [pred_value],
+   so it is false on some cubes and true partway through others. *)
+let arb_cube =
+  Prop.make
+    ~show:(fun (nvars, mask, value, pm, pv) ->
+      Printf.sprintf "nvars=%d mask=%x value=%x pred=%x:%x" nvars mask value
+        pm pv)
+    (fun rng ->
+      let nvars = Workload.Rng.int rng 15 in
+      let bits () = Workload.Rng.int rng (1 lsl nvars) in
+      let mask = bits () in
+      let value = bits () in
+      let pm = bits () in
+      let pv = bits () in
+      (nvars, mask, value, pm, pv))
+
+let prop_cube_minterms =
+  Prop.test ~iters:300 "minterm iteration" arb_cube
+    ~examples:[ (0, 0, 0, 0, 0); (14, 0, 0, 0x2001, 0x2001); (3, 0b100, 0b100, 0, 0) ]
+    (fun (nvars, mask, value, pm, pv) ->
+      let c = Twolevel.Cube.make ~mask ~value in
+      let oracle = Twolevel.Cube.minterms ~nvars c in
+      let by_iter = ref [] in
+      Twolevel.Cube.iter_minterms ~nvars (fun m -> by_iter := m :: !by_iter) c;
+      let p m = m land pm = pv land pm in
+      List.rev !by_iter = List.of_seq oracle
+      && Twolevel.Cube.exists_minterm ~nvars p c = Seq.exists p oracle)
 
 let random_tf ~nvars ~seed ~dc =
   let rng = Random.State.make [| seed; nvars |] in
@@ -188,7 +210,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_cube_basics;
           Alcotest.test_case "combine" `Quick test_cube_combine;
-          Alcotest.test_case "minterm iteration" `Quick test_cube_minterms;
+          prop_cube_minterms;
         ] );
       ( "minimize",
         [
