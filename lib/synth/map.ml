@@ -20,16 +20,18 @@ type pattern =
 
 let detect_patterns ~complex_cells g =
   let fanout = Aig.fanout_counts g in
-  let patterns : (int, pattern) Hashtbl.t = Hashtbl.create 64 in
-  let covered : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* Indexed by node id: the pattern a node roots, and whether a
+     pattern's root absorbed the node. *)
+  let patterns : pattern option array = Array.make (Aig.num_nodes g) None in
+  let covered = Array.make (Aig.num_nodes g) false in
   let claimable c =
-    Aig.kind g c = Aig.And && fanout.(c) = 1 && not (Hashtbl.mem covered c)
-    && not (Hashtbl.mem patterns c)
+    Aig.kind g c = Aig.And && fanout.(c) = 1 && (not covered.(c))
+    && Option.is_none patterns.(c)
   in
   (* First scan: 3-node XOR / MUX shapes (the biggest win). Top-down so a
      parent claims its children before they claim others. *)
   for n = Aig.num_nodes g - 1 downto 1 do
-    if Aig.kind g n = Aig.And && not (Hashtbl.mem covered n) then begin
+    if Aig.kind g n = Aig.And && not covered.(n) then begin
       let f0, f1 = Aig.fanins g n in
       let x = Aig.node_of_lit f0 and y = Aig.node_of_lit f1 in
       if
@@ -49,9 +51,9 @@ let detect_patterns ~complex_cells g =
         in
         match pat with
         | Some p ->
-          Hashtbl.replace patterns n p;
-          Hashtbl.replace covered x ();
-          Hashtbl.replace covered y ()
+          patterns.(n) <- Some p;
+          covered.(x) <- true;
+          covered.(y) <- true
         | None -> ()
       end
     end
@@ -69,8 +71,8 @@ let detect_patterns ~complex_cells g =
     for n = Aig.num_nodes g - 1 downto 1 do
       if
         Aig.kind g n = Aig.And
-        && (not (Hashtbl.mem covered n))
-        && not (Hashtbl.mem patterns n)
+        && (not covered.(n))
+        && Option.is_none patterns.(n)
       then begin
         let f0, f1 = Aig.fanins g n in
         let try_child f g_other =
@@ -103,8 +105,8 @@ let detect_patterns ~complex_cells g =
         in
         match chosen with
         | Some (x, p) ->
-          Hashtbl.replace patterns n p;
-          Hashtbl.replace covered x ()
+          patterns.(n) <- Some p;
+          covered.(x) <- true
         | None -> ()
       end
     done;
@@ -130,7 +132,7 @@ let run_full ?(complex_cells = true) lib g =
       Hashtbl.replace (if Aig.is_complemented l then need_neg else need_pos) n ()
   in
   let pin_needs n =
-    match Hashtbl.find_opt patterns n with
+    match patterns.(n) with
     | Some (Pxor (a, b)) ->
       (* Parity is absorbed by the XOR2/XNOR2 variant: pins take the
          positive value of each input node. *)
@@ -154,7 +156,7 @@ let run_full ?(complex_cells = true) lib g =
       end
   in
   for n = 1 to Aig.num_nodes g - 1 do
-    if Aig.kind g n = Aig.And && not (Hashtbl.mem covered n) then pin_needs n
+    if Aig.kind g n = Aig.And && not covered.(n) then pin_needs n
   done;
   List.iter (fun (_, l) -> need l) (Aig.pos g);
   List.iter (fun n -> need (Aig.latch_next g n)) (Aig.latches g);
@@ -192,11 +194,11 @@ let run_full ?(complex_cells = true) lib g =
       Hashtbl.replace produced n true;
       Hashtbl.replace arrival n (flop_arrival n)
     | Aig.And ->
-      if not (Hashtbl.mem covered n) then begin
+      if not covered.(n) then begin
         let p, ng_ = wants n in
         let prefer_pos = p || not ng_ in
         let cell, out_pos, pins =
-          match Hashtbl.find_opt patterns n with
+          match patterns.(n) with
           | Some (Pxor (a, b)) ->
             let parity = Aig.is_complemented a <> Aig.is_complemented b in
             (* positive n = XOR(pos a, pos b) xor parity *)
