@@ -131,13 +131,13 @@ let sop_build ng leaf_lit (cover : Twolevel.Cover.t) =
    fanout stays inside the set, plus the root nodes themselves. [uses] is
    indexed by node id, all zero on entry, and zero again on return. *)
 let exclusive_count g fanout uses root_nodes nodes =
-  let add d n =
+  let update_fanins f n =
     let f0, f1 = Aig.fanins g n in
     let n0 = Aig.node_of_lit f0 and n1 = Aig.node_of_lit f1 in
-    uses.(n0) <- d uses.(n0);
-    uses.(n1) <- d uses.(n1)
+    uses.(n0) <- f uses.(n0);
+    uses.(n1) <- f uses.(n1)
   in
-  List.iter (add succ) nodes;
+  List.iter (update_fanins succ) nodes;
   let count =
     List.fold_left
       (fun acc n ->
@@ -145,7 +145,7 @@ let exclusive_count g fanout uses root_nodes nodes =
         else acc)
       0 nodes
   in
-  List.iter (add (fun _ -> 0)) nodes;
+  List.iter (update_fanins (fun _ -> 0)) nodes;
   count
 
 (* A root function's two-level analysis: its espresso cover, the

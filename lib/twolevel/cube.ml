@@ -13,7 +13,6 @@ let of_minterm ~nvars m =
   let mask = (1 lsl nvars) - 1 in
   { mask; value = m land mask }
 
-(* Each step clears the lowest set bit. *)
 let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
   go x 0
