@@ -4,6 +4,13 @@ let all_lanes = -1
 
 let replicate b = if b then all_lanes else 0
 
+let random_word st =
+  let rec go acc k =
+    if k >= lanes then acc
+    else go (acc lor (Random.State.bits st lsl k)) (k + 30)
+  in
+  go 0 0
+
 let ctz w =
   if w = 0 then invalid_arg "Compiled.ctz: zero word";
   let n = ref 0 and w = ref w in
@@ -24,6 +31,7 @@ type t = {
   pi_names : string array;
   pi_slot : (string, int) Hashtbl.t;
   latch_nodes : int array;
+  slot_of : int array;     (* node id -> latch slot, -1 for non-latches *)
   latch_init : int array;  (* init bit replicated across lanes *)
   latch_next : int array;  (* next-state literals *)
   po_names : string array;
@@ -37,6 +45,8 @@ let compile g =
   let pi_slot = Hashtbl.create (Array.length pi_nodes) in
   Array.iteri (fun i name -> Hashtbl.replace pi_slot name i) pi_names;
   let latch_nodes = Array.of_list (Graph.latches g) in
+  let slot_of = Array.make n (-1) in
+  Array.iteri (fun j id -> slot_of.(id) <- j) latch_nodes;
   let latch_init =
     Array.map
       (fun id ->
@@ -74,6 +84,7 @@ let compile g =
     pi_names;
     pi_slot;
     latch_nodes;
+    slot_of;
     latch_init;
     latch_next;
     po_names;
@@ -87,6 +98,10 @@ let num_ands c = Array.length c.sched
 let pi_index c name = Hashtbl.find_opt c.pi_slot name
 let pi_name c i = c.pi_names.(i)
 let po_name c k = c.po_names.(k)
+
+let latch_slot c id =
+  if id < 0 || id >= c.n || c.slot_of.(id) < 0 then None
+  else Some c.slot_of.(id)
 
 type sim = {
   c : t;

@@ -35,6 +35,10 @@ val all_lanes : int
 val replicate : bool -> int
 (** [replicate b] — [b] broadcast to every lane. *)
 
+val random_word : Random.State.t -> int
+(** One packed stimulus word: {!lanes} independent random bits, drawn 30
+    at a time from the stdlib generator. *)
+
 val ctz : int -> int
 (** Index of the least-significant set bit — recovers the lowest
     mismatching lane from an XOR word. Undefined on [0]. *)
@@ -49,6 +53,10 @@ val num_pos : t -> int
 
 val pi_index : t -> string -> int option
 (** Slot of a primary input by name, in {!Graph.pis} order. *)
+
+val latch_slot : t -> int -> int option
+(** Slot of a latch by node id: its position in {!Graph.latches}, the
+    index {!set_latch} and {!latch_word} take. [None] for any other node. *)
 
 val pi_name : t -> int -> string
 val po_name : t -> int -> string

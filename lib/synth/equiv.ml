@@ -18,15 +18,6 @@ type verdict = Proved | Refuted of cex | Undecided of string
 
 let lanes = Aig.Compiled.lanes
 
-(* One packed random word per draw: [lanes] independent bits, 30 at a
-   time from the stdlib generator. *)
-let random_word st =
-  let rec go acc k =
-    if k >= lanes then acc
-    else go (acc lor (Random.State.bits st lsl k)) (k + 30)
-  in
-  go 0 0
-
 (* One sequential run of an AIG through the compiled kernel: feed
    per-cycle input bits by PI name, return the PO name row (declaration
    order) plus one bool array per cycle. *)
@@ -118,7 +109,7 @@ let sim_search ~cycles ~runs ~seed a b =
     let cycle = ref 0 in
     while !found = None && !cycle < cycles do
       for p = 0 to Array.length pi_names - 1 do
-        let w = random_word st in
+        let w = Aig.Compiled.random_word st in
         Aig.Compiled.set_pi sa slots_a.(p) w;
         Aig.Compiled.set_pi sb slots_b.(p) w
       done;
@@ -147,7 +138,7 @@ let sim_search ~cycles ~runs ~seed a b =
       Array.iter
         (fun name ->
           Hashtbl.replace tbl (cycle, name)
-            (random_word st lsr lane land 1 = 1))
+            (Aig.Compiled.random_word st lsr lane land 1 = 1))
         pi_names
     done;
     let tape =

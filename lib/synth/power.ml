@@ -17,12 +17,10 @@ let leakage_per_area = 0.01
 let estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
   let report, instances = Map.run_full lib g in
   let rng = Random.State.make [| 0x70777; seed |] in
-  let sim = Aig.Compiled.sim (Aig.Compiled.compile g) in
+  let c = Aig.Compiled.compile g in
+  let sim = Aig.Compiled.sim c in
   let latches = Array.of_list (Aig.latches g) in
-  (* Program the configuration latches; simulator latch slots follow
-     [Aig.latches]. *)
-  let slot = Hashtbl.create (Array.length latches) in
-  Array.iteri (fun j n -> Hashtbl.replace slot n j) latches;
+  (* Program the configuration latches. *)
   List.iter
     (fun (tname, contents) ->
       Array.iteri
@@ -31,7 +29,8 @@ let estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
             (fun b v () ->
               match Aig.find_latch g (Printf.sprintf "%s[%d][%d]" tname e b) with
               | Some n ->
-                Aig.Compiled.set_latch sim (Hashtbl.find slot n)
+                Aig.Compiled.set_latch sim
+                  (Option.get (Aig.Compiled.latch_slot c n))
                   (Aig.Compiled.replicate v)
               | None -> ())
             word ())

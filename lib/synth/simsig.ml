@@ -1,71 +1,45 @@
 type t = {
-  node_sig : int array;
+  c : Aig.Compiled.t;
+  latch_sig : int array;      (* per latch slot: hash of its state words *)
   latch_changed : int array;  (* per latch slot: OR of (state XOR init) *)
-  latch_slot : (int, int) Hashtbl.t;
 }
 
 let fnv_fold h w = (h * 0x100_0193) lxor (w land max_int)
 
-let random_word st =
-  (* Sys.int_size independent random bits, 30 at a time. *)
-  let rec go acc k =
-    if k >= Aig.Compiled.lanes then acc
-    else go (acc lor (Random.State.bits st lsl k)) (k + 30)
-  in
-  go 0 0
-
-let compute ?(rounds = 2) ?(cycles = 12) ?(seed = 0x51b5) g =
+let compute g =
   let c = Aig.Compiled.compile g in
   let s = Aig.Compiled.sim c in
-  let n = Aig.num_nodes g in
-  let node_sig = Array.make n 0 in
   let nl = Aig.Compiled.num_latches c in
+  let latch_sig = Array.make nl 0 in
   let latch_changed = Array.make nl 0 in
-  let latch_slot = Hashtbl.create (max nl 1) in
-  List.iteri (fun j id -> Hashtbl.replace latch_slot id j) (Aig.latches g);
-  let inits = Array.init nl (fun j -> Aig.Compiled.latch_word s j) in
+  let inits = Array.init nl (Aig.Compiled.latch_word s) in
   Aig.Compiled.with_metrics s @@ fun () ->
-  for round = 0 to rounds - 1 do
+  for round = 0 to 1 do
     Aig.Compiled.reset s;
-    let st = Random.State.make [| 0x516; seed; round |] in
-    for _cycle = 0 to cycles - 1 do
+    let st = Random.State.make [| 0x516; 0x51b5; round |] in
+    for _cycle = 0 to 11 do
       for i = 0 to Aig.Compiled.num_pis c - 1 do
-        Aig.Compiled.set_pi s i (random_word st)
+        Aig.Compiled.set_pi s i (Aig.Compiled.random_word st)
+      done;
+      (* A latch node's value during a step is its state word before it. *)
+      for j = 0 to nl - 1 do
+        latch_sig.(j) <- fnv_fold latch_sig.(j) (Aig.Compiled.latch_word s j)
       done;
       Aig.Compiled.step s;
-      for id = 0 to n - 1 do
-        node_sig.(id) <- fnv_fold node_sig.(id) (Aig.Compiled.node_value s id)
-      done;
       for j = 0 to nl - 1 do
         latch_changed.(j) <-
           latch_changed.(j) lor (Aig.Compiled.latch_word s j lxor inits.(j))
       done
     done
   done;
-  { node_sig; latch_changed; latch_slot }
+  { c; latch_sig; latch_changed }
 
-let node_signature t id = t.node_sig.(id)
+let slot t fn id =
+  match Aig.Compiled.latch_slot t.c id with
+  | Some j -> j
+  | None -> invalid_arg ("Simsig." ^ fn ^ ": not a latch")
 
-let lit_signature t l =
-  (* Complement folded in so [x] and [not x] stay distinguishable while
-     identical literals share a signature. *)
-  let base = t.node_sig.(Aig.node_of_lit l) in
-  if Aig.is_complemented l then lnot base else base
+let latch_signature t id = t.latch_sig.(slot t "latch_signature" id)
 
 let latch_may_be_const t id =
-  match Hashtbl.find_opt t.latch_slot id with
-  | None -> invalid_arg "Simsig.latch_may_be_const: not a latch"
-  | Some j -> t.latch_changed.(j) = 0
-
-let classes t =
-  let by_sig = Hashtbl.create 256 in
-  let order = ref [] in
-  Array.iteri
-    (fun id sg ->
-      match Hashtbl.find_opt by_sig sg with
-      | Some l -> l := id :: !l
-      | None ->
-        Hashtbl.replace by_sig sg (ref [ id ]);
-        order := sg :: !order)
-    t.node_sig;
-  List.rev_map (fun sg -> List.rev !(Hashtbl.find by_sig sg)) !order
+  t.latch_changed.(slot t "latch_may_be_const" id) = 0

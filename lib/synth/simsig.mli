@@ -1,13 +1,13 @@
-(** Packed random-simulation signatures (ABC-style candidate filtering).
+(** Packed random-simulation signatures for latches (ABC-style candidate
+    filtering).
 
-    A few rounds of {!Aig.Compiled} bit-parallel simulation from the
-    initial state give every node a signature — a hash of its packed
-    value words across all simulated cycles — and every latch a
-    changed-bits word. Signatures partition nodes into candidate
-    equivalence classes: nodes with different signatures are proven
-    inequivalent by a witnessed input sequence, so the expensive exact
-    passes (the sweep constant-latch fixpoint, BDD reachability) need
-    only examine signature-equal survivors.
+    Two rounds of twelve {!Aig.Compiled} bit-parallel cycles from the
+    initial state give every latch a signature — a hash of its packed
+    state words across all simulated cycles — and a changed-bits word.
+    Latches with different signatures are proven inequivalent by a
+    witnessed input sequence, so the sweep's exact passes (the
+    constant-latch fixpoint and the SAT inductions) need only examine
+    signature-equal survivors.
 
     The filter is one-sided by construction: simulation can only
     {e refute} equivalence/constancy, never prove it, so consumers treat
@@ -15,26 +15,20 @@
 
 type t
 
-val compute : ?rounds:int -> ?cycles:int -> ?seed:int -> Aig.t -> t
-(** [rounds] independent random stimulus streams (default 2) of [cycles]
-    packed cycles each (default 12) — every cycle drives all
-    {!Aig.Compiled.lanes} lanes with fresh random values, so the default
-    covers [2 * 12 * 63] scalar patterns. Requires every latch's
-    next-state to be set. Deterministic in [seed]. *)
+val compute : Aig.t -> t
+(** Every cycle drives all {!Aig.Compiled.lanes} lanes with fresh random
+    values from a fixed seed, so the result is deterministic and covers
+    [2 * 12 * 63] scalar patterns. Requires every latch's next-state to be
+    set. *)
 
-val node_signature : t -> int -> int
-(** Hash of the node's packed value stream. Equal signatures = candidate
+val latch_signature : t -> int -> int
+(** Hash of the latch's packed state stream. Equal signatures = candidate
     equivalent; different signatures = proven inequivalent (under the
-    simulated reachable states). *)
-
-val lit_signature : t -> Aig.lit -> int
-(** As {!node_signature} with the complement bit folded in. *)
+    simulated reachable states).
+    @raise Invalid_argument if the node is not a latch. *)
 
 val latch_may_be_const : t -> int -> bool
 (** [false] means the latch was observed leaving its init value in some
     lane/cycle — it can never satisfy the sweep's constant criterion, so
     the fixpoint may skip it. [true] keeps it as a candidate.
     @raise Invalid_argument if the node is not a latch. *)
-
-val classes : t -> int list list
-(** All nodes partitioned by signature, in first-seen order. *)

@@ -10,11 +10,10 @@ let run ~annots g =
   else begin
     let man = Bdd.make_man () in
     (* Annotated bits are variables 0.., in order of first mention. *)
-    let seen = Hashtbl.create 64 in
+    let seen = Array.make (Aig.num_nodes g) false in
     let bound =
       List.concat_map (fun (a : Annots.t) -> Array.to_list a.nodes) annots
-      |> List.filter (fun n ->
-             (not (Hashtbl.mem seen n)) && (Hashtbl.replace seen n (); true))
+      |> List.filter (fun n -> (not seen.(n)) && (seen.(n) <- true; true))
       |> Array.of_list
     in
     let annot_var_count = Array.length bound in
@@ -49,7 +48,7 @@ let run ~annots g =
           | exception Symbolic.Overflow -> None)
     in
     (* Classify nodes under the constraint. *)
-    let replacements : (int, replacement) Hashtbl.t = Hashtbl.create 64 in
+    let replacements = Array.make (Aig.num_nodes g) None in
     let class_reps : (int, int * bool) Hashtbl.t = Hashtbl.create 64 in
     for n = 1 to Aig.num_nodes g - 1 do
       if Aig.kind g n = Aig.And then
@@ -62,9 +61,9 @@ let run ~annots g =
           if touches_annot then begin
             let c = Bdd.constrain b chi in
             if Bdd.is_zero c then
-              Hashtbl.replace replacements n (Repl_const false)
+              replacements.(n) <- Some (Repl_const false)
             else if Bdd.is_one c then
-              Hashtbl.replace replacements n (Repl_const true)
+              replacements.(n) <- Some (Repl_const true)
             else begin
               let cn = Bdd.not_ c in
               let key, phase =
@@ -74,8 +73,7 @@ let run ~annots g =
               match Hashtbl.find_opt class_reps key with
               | None -> Hashtbl.replace class_reps key (n, phase)
               | Some (rep, rep_phase) ->
-                Hashtbl.replace replacements n
-                  (Repl_node (rep, phase <> rep_phase))
+                replacements.(n) <- Some (Repl_node (rep, phase <> rep_phase))
             end
           end
     done;
@@ -83,7 +81,7 @@ let run ~annots g =
     let ng = Aig.create () in
     let copy =
       Aig.rebuild g ~into:ng ~node:(fun copy n ->
-          match Hashtbl.find_opt replacements n with
+          match replacements.(n) with
           | Some (Repl_const v) -> Some (if v then Aig.true_ else Aig.false_)
           | Some (Repl_node (rep, compl)) -> Some (copy (Aig.lit_of_node rep compl))
           | None -> None)

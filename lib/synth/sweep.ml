@@ -19,9 +19,10 @@
      structurally different — invisible to the syntactic merge below.
 
    Both inductions only strengthen the syntactic passes: their verdicts
-   seed [run_once]'s fixpoint and merge maps, and anything not proven is
-   left exactly as the syntactic pass would leave it. *)
-let sat_analysis g sigs =
+   fill [const] and [rep] before [run_once]'s fixpoint and merge extend
+   them, and anything not proven is left exactly as the syntactic pass
+   would leave it. *)
+let sat_analysis g sigs ~const ~rep =
   let latches =
     List.filter
       (fun n ->
@@ -56,15 +57,14 @@ let sat_analysis g sigs =
     in
     if drop = [] then stable := true else cands := keep
   done;
-  let sat_known = Hashtbl.create 16 in
-  List.iter (fun (n, init) -> Hashtbl.replace sat_known n init) !cands;
+  List.iter (fun (n, init) -> const.(n) <- Bool.to_int init) !cands;
   (* Duplicate-latch class induction. *)
   let grouped = Hashtbl.create 16 in
   List.iter
     (fun n ->
-      if not (Hashtbl.mem sat_known n) then begin
+      if const.(n) < 0 then begin
         let _, init, reset, _ = Aig.latch_info g n in
-        let key = (Simsig.node_signature sigs n, init, reset) in
+        let key = (Simsig.latch_signature sigs n, init, reset) in
         let prev = try Hashtbl.find grouped key with Not_found -> [] in
         Hashtbl.replace grouped key (n :: prev)
       end)
@@ -81,9 +81,9 @@ let sat_analysis g sigs =
   while not !stable do
     let s = Sat.Solver.create () in
     let cnf = Sat.Cnf.create s g in
-    Hashtbl.iter
-      (fun n init -> Sat.Cnf.constrain cnf (state_lit n) init)
-      sat_known;
+    List.iter
+      (fun (n, init) -> Sat.Cnf.constrain cnf (state_lit n) init)
+      !cands;
     List.iter
       (fun (rep, members) ->
         let lr = Sat.Cnf.lit cnf (state_lit rep) in
@@ -113,14 +113,31 @@ let sat_analysis g sigs =
         members := keep)
       classes
   done;
-  let sat_rep = Hashtbl.create 16 in
   List.iter
-    (fun (rep, members) ->
-      List.iter (fun m -> Hashtbl.replace sat_rep m rep) !members)
-    classes;
-  (sat_known, sat_rep)
+    (fun (r, members) -> List.iter (fun m -> rep.(m) <- r) !members)
+    classes
 
-let run_once ?sigs ?sat_known ?sat_rep g =
+(* Latch facts live in two node-indexed arrays: [const.(n)] is -1 while
+   latch [n] is not known constant, else its value as 0/1; [rep.(n)] is
+   the latch [n] merges into, or -1. *)
+let run_once ~sat g =
+  let num_nodes = Aig.num_nodes g in
+  let const = Array.make num_nodes (-1) in
+  let rep = Array.make num_nodes (-1) in
+  (* A couple of packed random-simulation rounds cost O(cycles * n) word
+     ops and typically disqualify most latches from the fixpoint. The
+     syntactic pass skips them below two latches; the SAT inductions need
+     them for any latch. Compilation fails when a next-state was never
+     set, and the fixpoint itself raises on those graphs anyway. *)
+  let sigs =
+    if Aig.num_latches g < (if sat then 1 else 2) then None
+    else match Simsig.compute g with
+      | s -> Some s
+      | exception Invalid_argument _ -> None
+  in
+  (match sigs with
+   | Some s when sat -> sat_analysis g s ~const ~rep
+   | _ -> ());
   (* Simulation-guided candidate filter: a latch observed leaving its
      init value under packed random simulation can never satisfy the
      constant criterion below (which implies the latch holds init on
@@ -132,97 +149,68 @@ let run_once ?sigs ?sat_known ?sat_rep g =
     | Some s -> fun n -> Simsig.latch_may_be_const s n
     | None -> fun _ -> true
   in
-  (* Fixpoint: which (non-config) latches are provably constant? Seeded
-     with any SAT-proven constants, which the syntactic pass then
-     propagates. *)
-  let known : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-  (match sat_known with
-   | Some t -> Hashtbl.iter (fun n v -> Hashtbl.replace known n v) t
-   | None -> ());
-  let rec const_of_lit memo l =
-    let n = Aig.node_of_lit l in
-    let v =
-      match Aig.kind g n with
-      | Aig.Const -> Some false
-      | Aig.Pi -> None
-      | Aig.Latch -> Hashtbl.find_opt known n
-      | Aig.And ->
-        (match Hashtbl.find_opt memo n with
-         | Some v -> v
-         | None ->
-           let f0, f1 = Aig.fanins g n in
-           let a = const_of_lit memo f0 and b = const_of_lit memo f1 in
-           let v =
-             match a, b with
-             | Some false, _ | _, Some false -> Some false
-             | Some true, Some true -> Some true
-             | Some true, None | None, Some true | None, None -> None
-           in
-           Hashtbl.replace memo n v;
-           v)
-    in
-    match v with
-    | Some v -> Some (if Aig.is_complemented l then not v else v)
-    | None -> None
+  (* Fixpoint: which (non-config) latches are provably constant? Extends
+     any SAT-proven constants. [memo.(n)] caches an And node's value as
+     [const] does (-1 not constant), with -2 for not yet evaluated; it is
+     refilled each round, since [const] grows within one. *)
+  let memo = Array.make num_nodes (-2) in
+  let rec const_of_node n =
+    match Aig.kind g n with
+    | Aig.Const -> 0
+    | Aig.Pi -> -1
+    | Aig.Latch -> const.(n)
+    | Aig.And ->
+      if memo.(n) = -2 then begin
+        let f0, f1 = Aig.fanins g n in
+        let a = const_of_lit f0 and b = const_of_lit f1 in
+        memo.(n) <-
+          (if a = 0 || b = 0 then 0 else if a = 1 && b = 1 then 1 else -1)
+      end;
+      memo.(n)
+  and const_of_lit l =
+    let v = const_of_node (Aig.node_of_lit l) in
+    if v >= 0 && Aig.is_complemented l then 1 - v else v
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    let memo = Hashtbl.create 256 in
+    Array.fill memo 0 num_nodes (-2);
     List.iter
       (fun n ->
         let _, init, _, is_config = Aig.latch_info g n in
-        if (not is_config) && may_be_const n && not (Hashtbl.mem known n)
-        then begin
+        if (not is_config) && may_be_const n && const.(n) < 0 then begin
           let d = Aig.latch_next g n in
-          let folds =
-            if d = Aig.lit_of_node n false then true (* self-hold *)
-            else
-              match const_of_lit memo d with
-              | Some v -> v = init
-              | None -> false
-          in
-          if folds then begin
-            Hashtbl.replace known n init;
+          (* A self-holding latch folds too. *)
+          if d = Aig.lit_of_node n false || const_of_lit d = Bool.to_int init
+          then begin
+            const.(n) <- Bool.to_int init;
             changed := true
           end
         end)
       (Aig.latches g)
   done;
-  (* Merge duplicate latches (same next literal, init, reset). Seeded with
-     SAT-proven equal pairs; a latch already represented by the solver's
-     verdict is skipped here so it cannot become a syntactic class
-     representative (chains stay representative-terminated and [resolve]
-     walks them). *)
-  let representative : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (match sat_rep with
-   | Some t -> Hashtbl.iter (fun m r -> Hashtbl.replace representative m r) t
-   | None -> ());
+  (* Merge duplicate latches (same next literal, init, reset), extending
+     any SAT-proven equal pairs; a latch already represented by the
+     solver's verdict is skipped here so it cannot become a syntactic
+     class representative (chains stay representative-terminated and
+     [resolve] walks them). *)
   let by_signature = Hashtbl.create 16 in
   List.iter
     (fun n ->
       let _, init, reset, is_config = Aig.latch_info g n in
-      if
-        (not is_config)
-        && (not (Hashtbl.mem known n))
-        && not (Hashtbl.mem representative n)
-      then begin
+      if (not is_config) && const.(n) < 0 && rep.(n) < 0 then begin
         let signature = (Aig.latch_next g n, init, reset) in
         match Hashtbl.find_opt by_signature signature with
-        | Some rep -> Hashtbl.replace representative n rep
+        | Some r -> rep.(n) <- r
         | None -> Hashtbl.replace by_signature signature n
       end)
     (Aig.latches g);
   (* Which latches are live (reachable from the POs)? One DFS from the
      outputs: each latch leaf makes its representative live, and a newly
      live latch's next-state cone joins the walk. *)
-  let rec resolve n =
-    match Hashtbl.find_opt representative n with
-    | Some r -> resolve r
-    | None -> n
-  in
-  let visited = Array.make (Aig.num_nodes g) false in
-  let live = Array.make (Aig.num_nodes g) false in
+  let rec resolve n = if rep.(n) < 0 then n else resolve rep.(n) in
+  let visited = Array.make num_nodes false in
+  let live = Array.make num_nodes false in
   let work = Stack.create () in
   let push l =
     let n = Aig.node_of_lit l in
@@ -242,28 +230,23 @@ let run_once ?sigs ?sat_known ?sat_rep g =
       push f1
     | Aig.Latch ->
       let r = resolve n in
-      if (not (Hashtbl.mem known n)) && not live.(r) then begin
+      if const.(n) < 0 && not live.(r) then begin
         live.(r) <- true;
         push (Aig.latch_next g r)
       end
   done;
   (* Rebuild: live unmerged latches are kept; known latches become their
-     constant, merged ones their representative, and a dead latch a fresh
-     latch, so the copy stays total. *)
-  let kept n = live.(n) && not (Hashtbl.mem representative n) in
+     constant and merged ones their representative. The copy walks the
+     cones the liveness DFS walked, so it reaches no other latch. *)
+  let kept n = live.(n) && rep.(n) < 0 in
   let ng = Aig.create () in
   let copy =
     Aig.rebuild g ~into:ng ~keep_latch:kept ~node:(fun copy n ->
         if Aig.kind g n <> Aig.Latch then None
-        else
-          match Hashtbl.find_opt known n with
-          | Some v -> Some (if v then Aig.true_ else Aig.false_)
-          | None ->
-            let rep = resolve n in
-            if rep <> n then Some (copy (Aig.lit_of_node rep false))
-            else
-              let name, init, reset, is_config = Aig.latch_info g n in
-              Some (Aig.latch ng name ~init ~reset ~is_config))
+        else if const.(n) >= 0 then
+          Some (if const.(n) = 1 then Aig.true_ else Aig.false_)
+        else if rep.(n) >= 0 then Some (copy (Aig.lit_of_node (resolve n) false))
+        else invalid_arg "Sweep: the copy reached a dead latch")
   in
   List.iter (fun (name, l) -> Aig.po ng name (copy l)) (Aig.pos g);
   List.iter
@@ -279,25 +262,7 @@ let run ?(sat = false) g =
   let rec go i g =
     if i > 8 then g
     else begin
-      (* A couple of packed random-simulation rounds cost O(cycles * n)
-         word ops and typically disqualify most latches from the
-         fixpoint; skipped for latch-free graphs (nothing to filter) and
-         when compilation is impossible (e.g. a next-state never set —
-         the fixpoint itself would raise on those anyway). *)
-      let sigs =
-        if Aig.num_latches g < 2 then None
-        else match Simsig.compute g with
-          | s -> Some s
-          | exception Invalid_argument _ -> None
-      in
-      let sat_known, sat_rep =
-        match (sat, sigs) with
-        | true, Some s ->
-          let k, r = sat_analysis g s in
-          (Some k, Some r)
-        | _ -> (None, None)
-      in
-      let g' = run_once ?sigs ?sat_known ?sat_rep g in
+      let g' = run_once ~sat g in
       if Aig.num_latches g' = Aig.num_latches g && Aig.num_ands g' = Aig.num_ands g
       then g'
       else go (i + 1) g'

@@ -14,8 +14,7 @@
     duplicates). This merges latches whose next-state functions are
     logically but not structurally equal, which the syntactic pass cannot
     see. Everything SAT proves is seeded into the syntactic pass; nothing
-    unproven changes behaviour, so [run ~sat:false] output is bit-identical
-    to the previous sweep.
+    unproven changes behaviour.
 
     Configuration latches ([is_config]) are exempt from constant folding and
     merging: their contents are runtime-programmable (the write port is

@@ -195,14 +195,6 @@ let test_compiled_force () =
   Alcotest.(check int) "forces cleared" Aig.Compiled.all_lanes
     (Aig.Compiled.po s 0)
 
-(* Packed random word: [lanes] fresh bits, 30 at a time. *)
-let random_word st =
-  let rec go acc k =
-    if k >= Aig.Compiled.lanes then acc
-    else go (acc lor (Random.State.bits st lsl k)) (k + 30)
-  in
-  go 0 0
-
 (* The tentpole oracle: packed simulation of [g] agrees with the scalar
    [Aig.eval_all] interpreter on every lane of every PO word of every one
    of [cycles] cycles of random stimulus. *)
@@ -212,7 +204,7 @@ let packed_matches_eval_all ~cycles ~seed g =
   let npis = Aig.Compiled.num_pis c in
   let npos = Aig.Compiled.num_pos c in
   let tape =
-    Array.init cycles (fun _ -> Array.init npis (fun _ -> random_word st))
+    Array.init cycles (fun _ -> Array.init npis (fun _ -> Aig.Compiled.random_word st))
   in
   let s = Aig.Compiled.sim c in
   let packed =

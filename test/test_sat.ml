@@ -389,6 +389,7 @@ let prop_sweep_sat_preserves =
       let d = Workload.Rand_design.generate ~seed:dseed in
       let g = (Synth.Lower.run d).Synth.Lower.aig in
       let g' = Synth.Sweep.run ~sat:true g in
+      let syn = Synth.Sweep.run g in
       (match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:dseed g g' with
        | Synth.Equiv.Refuted c ->
          failwith ("sweep broke: " ^ Synth.Equiv.mismatch_to_string c.first)
@@ -397,7 +398,8 @@ let prop_sweep_sat_preserves =
        | Synth.Equiv.Refuted c ->
          failwith ("sweep refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
        | _ -> ());
-      Aig.num_latches g' <= Aig.num_latches g)
+      Aig.num_latches g' <= Aig.num_latches g
+      && Aig.num_latches g' <= Aig.num_latches syn)
 
 (* The BDD+SAT hybrid must agree with the pure-BDD product machine: when
    both decide they decide alike, neither refutes the sweep, and a proof
@@ -575,6 +577,27 @@ let test_sweep_sat_const () =
     Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
+let test_sweep_sat_single_latch () =
+  (* The only latch, init 1, with a next state that is constant 1 but not
+     syntactically so: SAT must run even though a lone latch leaves the
+     syntactic pass without signatures. *)
+  let g = Aig.create () in
+  let a = Aig.pi g "a" in
+  let b = Aig.pi g "b" in
+  let q = Aig.latch g "q" ~init:true ~reset:Rtl.Design.No_reset ~is_config:false in
+  Aig.set_next g q
+    (Aig.or_list g
+       [ Aig.and_ g a b; Aig.and_ g a (Aig.not_ b); Aig.not_ a ]);
+  Aig.po g "f" (Aig.and_ g q b);
+  Alcotest.(check int) "syntactic keeps it" 1
+    (Aig.num_latches (Synth.Sweep.run ~sat:false g));
+  let sat = Synth.Sweep.run ~sat:true g in
+  Alcotest.(check int) "sat folds it" 0 (Aig.num_latches sat);
+  match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:1 g sat with
+  | Synth.Equiv.Refuted c ->
+    Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
+
 (* -------------------------------------------------- PCtrl certification *)
 
 let test_pctrl_certified () =
@@ -733,6 +756,8 @@ let () =
             test_sweep_sat_strengthens;
           Alcotest.test_case "sweep sat folds hidden constants" `Quick
             test_sweep_sat_const;
+          Alcotest.test_case "sweep sat folds a lone latch" `Quick
+            test_sweep_sat_single_latch;
           Alcotest.test_case "pctrl partial evaluation certified" `Quick
             test_pctrl_certified;
           Alcotest.test_case "pctrl mutation refuted" `Quick

@@ -145,8 +145,8 @@ let test_sweep_keeps_config () =
 let test_simsig_latch_filter () =
   (* A toggling latch leaves its init under simulation and must be
      disqualified as a constant candidate; a self-holding latch never
-     moves and stays one. Complemented literals hash to distinct
-     signatures. *)
+     moves and stays one. Their state streams differ, so do their
+     signatures; a non-latch node has neither. *)
   let g = Aig.create () in
   let x = Aig.pi g "x" in
   let t =
@@ -159,15 +159,16 @@ let test_simsig_latch_filter () =
   Aig.set_next g h h;
   Aig.po g "o" (Aig.and_ g (Aig.and_ g t h) x);
   let sigs = Synth.Simsig.compute g in
+  let t = Aig.node_of_lit t and h = Aig.node_of_lit h in
   Alcotest.(check bool) "toggler disqualified" false
-    (Synth.Simsig.latch_may_be_const sigs (Aig.node_of_lit t));
+    (Synth.Simsig.latch_may_be_const sigs t);
   Alcotest.(check bool) "self-holder stays candidate" true
-    (Synth.Simsig.latch_may_be_const sigs (Aig.node_of_lit h));
-  Alcotest.(check bool) "complement changes the signature" true
-    (Synth.Simsig.lit_signature sigs x
-     <> Synth.Simsig.lit_signature sigs (Aig.not_ x));
-  Alcotest.(check bool) "classes partition is non-trivial" true
-    (List.length (Synth.Simsig.classes sigs) > 1)
+    (Synth.Simsig.latch_may_be_const sigs h);
+  Alcotest.(check bool) "toggler and self-holder differ" true
+    (Synth.Simsig.latch_signature sigs t <> Synth.Simsig.latch_signature sigs h);
+  Alcotest.check_raises "a PI is not a latch"
+    (Invalid_argument "Simsig.latch_signature: not a latch") (fun () ->
+      ignore (Synth.Simsig.latch_signature sigs (Aig.node_of_lit x)))
 
 let test_sweep_simfilter_two_latches () =
   (* Two latches puts Sweep.run on the signature-filtered path: the
