@@ -188,14 +188,8 @@ let aig_stimulus spec =
      identically for golden and faulty runs. *)
   let rng = Workload.Rng.make spec.seed in
   let num_pis = Aig.num_pis spec.aig in
-  let stim = Array.make spec.cycles [||] in
-  for c = 0 to spec.cycles - 1 do
-    stim.(c) <- Array.init num_pis (fun _ -> true) ;
-    for i = 0 to num_pis - 1 do
-      stim.(c).(i) <- Workload.Rng.bool rng
-    done
-  done;
-  stim
+  Array.init spec.cycles (fun _ ->
+      Array.init num_pis (fun _ -> Workload.Rng.bool rng))
 
 (* Register a stuck-at force for one lane of a packed pass. RTL-state
    sites cannot be expressed as a netlist force and raise. *)

@@ -6,7 +6,13 @@
 
     Out-of-range table reads (possible when the depth is not a power of two)
     return zero; generators in this project avoid them, and the lowering makes
-    the same choice so simulator and netlist agree. *)
+    the same choice so simulator and netlist agree.
+
+    Every input, register and net has a slot, and every expression is
+    compiled against those slots once, in {!create}. The nets are evaluated
+    once per cycle, on the first {!peek} or {!step} that needs them, and
+    stay cached until {!set_input}, {!poke_reg}, {!step} or {!reset}. A
+    cycle whose evaluation raised is not cached. *)
 
 type state
 

@@ -23,7 +23,9 @@ val pick : t -> 'a list -> 'a
 (** @raise Invalid_argument on an empty list. *)
 
 val subset : t -> size:int -> 'a list -> 'a list
-(** A random subset of at most [size] distinct elements. *)
+(** A random subset of at most [size] distinct elements, in draw order;
+    empty when [size <= 0]. Elements are compared structurally, so
+    duplicates in the list count once. *)
 
 val mutate_bindings :
   seed:int ->

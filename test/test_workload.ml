@@ -27,7 +27,44 @@ let test_rng_helpers () =
   Alcotest.(check int) "subset distinct" 3
     (List.length (List.sort_uniq compare sub));
   Alcotest.(check bool) "pick member" true
-    (List.mem (Workload.Rng.pick t [ 1; 2; 3 ]) [ 1; 2; 3 ])
+    (List.mem (Workload.Rng.pick t [ 1; 2; 3 ]) [ 1; 2; 3 ]);
+  Alcotest.(check (list int)) "negative subset size" []
+    (Workload.Rng.subset t ~size:(-1) [ 1; 2; 3 ])
+
+(* The list implementation [Rng.subset] replaced, kept as its oracle: pick
+   uniformly from the pool, then drop every copy of the pick. *)
+let subset_oracle t ~size l =
+  let rec go acc pool k =
+    if k = 0 || pool = [] then List.rev acc
+    else begin
+      let x = Workload.Rng.pick t pool in
+      go (x :: acc) (List.filter (fun y -> y <> x) pool) (k - 1)
+    end
+  in
+  go [] l (min size (List.length l))
+
+(* Lists of 0-40 ints over 1-60 values (duplicates are common), a size from
+   0 to two past the length, and the seed both implementations draw with. *)
+let arb_subset_case =
+  let show (l, size, seed) =
+    Printf.sprintf "size %d, seed %d, [%s]" size seed
+      (String.concat "; " (List.map string_of_int l))
+  in
+  Prop.make ~show
+    ~shrink:(fun (l, size, seed) ->
+      List.mapi (fun i _ -> (List.filteri (fun j _ -> j <> i) l, size, seed)) l
+      @ if size > 0 then [ (l, size - 1, seed) ] else [])
+    (fun rng ->
+      let n = Workload.Rng.int rng 41 in
+      let values = 1 + Workload.Rng.int rng 60 in
+      let l = List.init n (fun _ -> 1 + Workload.Rng.int rng values) in
+      (l, Workload.Rng.int rng (n + 3), Workload.Rng.int rng 1_000_000))
+
+let prop_subset_matches_oracle =
+  Prop.test ~iters:2000 "subset matches list oracle" arb_subset_case
+    (fun (l, size, seed) ->
+      Workload.Rng.subset (Workload.Rng.make seed) ~size l
+      = subset_oracle (Workload.Rng.make seed) ~size l)
 
 let test_table_generator () =
   let tt = Workload.Rand_table.generate ~seed:1 ~depth:24 ~width:7 in
@@ -72,6 +109,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "helpers" `Quick test_rng_helpers;
+          prop_subset_matches_oracle;
         ] );
       ( "generators",
         [
