@@ -215,10 +215,17 @@ let equivbench () =
   print_newline ();
   [ ("equivbench", Json.List rows) ]
 
+(* Each section is bound in paper order: the elements of a list literal
+   are evaluated right to left. *)
 let all cli =
-  List.concat
-    [ fig5 (); fig6 (); fig8 (); fig9 (); fault cli; ablations ();
-      equivbench () ]
+  let f5 = fig5 () in
+  let f6 = fig6 () in
+  let f8 = fig8 () in
+  let f9 = fig9 () in
+  let fl = fault cli in
+  let ab = ablations () in
+  let eq = equivbench () in
+  List.concat [ f5; f6; f8; f9; fl; ab; eq ]
 
 (* --------------------------------------------------------- entry point *)
 

@@ -209,6 +209,15 @@ let latch_word s j = s.state.(j)
 let node_value s id = s.values.(id)
 let steps s = s.nsteps
 
+let run s ~cycles ~input =
+  let np = num_pis s.c and no = num_pos s.c in
+  Array.init cycles (fun cycle ->
+      for i = 0 to np - 1 do
+        set_pi s i (replicate (input cycle i))
+      done;
+      step s;
+      Array.init no (fun k -> s.po_words.(k) land 1 = 1))
+
 let with_metrics ?(active_lanes = lanes) s f =
   if not (Obs.enabled ()) then f ()
   else

@@ -109,6 +109,13 @@ val node_value : sim -> int -> int
 val steps : sim -> int
 (** Cumulative {!step} count (for metrics). *)
 
+val run : sim -> cycles:int -> input:(int -> int -> bool) -> bool array array
+(** [run s ~cycles ~input] replays one scalar stimulus from the sim's
+    current state: each cycle, PI slot [i] gets [input cycle i] on every
+    lane, then one {!step}. Row [c] holds lane 0 of every PO slot after
+    cycle [c]. Force masks apply as in {!step}; no metrics are recorded
+    (wrap the call in {!with_metrics} for that). *)
+
 (** {1 Observability} *)
 
 val with_metrics : ?active_lanes:int -> sim -> (unit -> 'a) -> 'a

@@ -6,14 +6,13 @@ let options (o : Synth.Flow.options) =
     honor_generator_annots;
     annot_width_cap;
     retime;
-    sweep_sat;
   } =
     o
   in
   Printf.sprintf
     "(flow-options (collapse_cap %d) (honor_generator_annots %b) \
-     (annot_width_cap %d) (retime %b) (sweep_sat %b))"
-    collapse_cap honor_generator_annots annot_width_cap retime sweep_sat
+     (annot_width_cap %d) (retime %b))"
+    collapse_cap honor_generator_annots annot_width_cap retime
 
 let cell (c : Cells.Cell.t) =
   let { Cells.Cell.cname; func; area; delay } = c in
@@ -39,7 +38,7 @@ let library (l : Cells.Library.t) =
 
 (* Bumped on a deliberate change to flow output or to the canonical forms;
    see the interface. *)
-let version = "(ctrlgen-key v3)"
+let version = "(ctrlgen-key v4)"
 
 let job ~lib ~options:o design =
   Digest.to_hex

@@ -13,7 +13,7 @@
     safety property a persistent cache needs.
 
     The key does not cover the flow's code. It starts instead with a
-    constant version tag, currently [(ctrlgen-key v3)]. A deliberate change
+    constant version tag, currently [(ctrlgen-key v4)]. A deliberate change
     to flow output (a different netlist or summary for the same inputs) or
     to any canonical form bumps the tag, so that a persisted [--cache-dir]
     stops serving summaries of the old flow. *)

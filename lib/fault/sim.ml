@@ -181,7 +181,7 @@ let vcd_site spec site =
 
 type aig_spec = { aig : Aig.t; cycles : int; seed : int }
 
-type aig_golden = (string * bool) list array
+type aig_golden = bool array array
 
 let aig_stimulus spec =
   (* One row of PI values per cycle, deterministic in [seed] and generated
@@ -191,72 +191,46 @@ let aig_stimulus spec =
   Array.init spec.cycles (fun _ ->
       Array.init num_pis (fun _ -> Workload.Rng.bool rng))
 
-(* Register a stuck-at force for one lane of a packed pass. RTL-state
-   sites cannot be expressed as a netlist force and raise. *)
-let add_site_force s lane site =
+(* The one place a site becomes a netlist force: [site_force site s lane]
+   makes [lane] of [s] see the stuck node at its stuck value. RTL-state
+   sites cannot be expressed as a netlist force and raise as soon as the
+   site is given, before any simulation. *)
+let site_force site =
   match site with
   | Site.Stuck_at { node; value } ->
-    if value then Aig.Compiled.add_force s ~node ~set:(1 lsl lane) ~clear:0
-    else Aig.Compiled.add_force s ~node ~set:0 ~clear:(1 lsl lane)
-  | Site.No_fault -> ()
+    fun s lane ->
+      let m = 1 lsl lane in
+      if value then Aig.Compiled.add_force s ~node ~set:m ~clear:0
+      else Aig.Compiled.add_force s ~node ~set:0 ~clear:m
+  | Site.No_fault -> fun _ _ -> ()
   | Site.Table_bit _ | Site.Reg_bit _ ->
     invalid_arg "Fault.Sim: RTL-state faults simulate on the RTL (run_site)"
 
-let aig_run spec ~force =
-  let c = Aig.Compiled.compile spec.aig in
-  let s = Aig.Compiled.sim c in
-  (match force with
-   | Some (node, value) ->
-     if value then
-       Aig.Compiled.add_force s ~node ~set:Aig.Compiled.all_lanes ~clear:0
-     else Aig.Compiled.add_force s ~node ~set:0 ~clear:Aig.Compiled.all_lanes
-   | None -> ());
+(* A scalar run forces lane 0 only: lane 0 of every word depends on
+   lane-0 bits alone, so the other lanes are never read. *)
+let aig_run spec force =
+  let s = Aig.Compiled.sim (Aig.Compiled.compile spec.aig) in
+  force s 0;
   let stim = aig_stimulus spec in
-  let npis = Aig.Compiled.num_pis c in
-  let npos = Aig.Compiled.num_pos c in
-  let po_names = Array.init npos (Aig.Compiled.po_name c) in
-  let out = Array.make spec.cycles [] in
   Aig.Compiled.with_metrics ~active_lanes:1 s (fun () ->
-      for cycle = 0 to spec.cycles - 1 do
-        let piv = stim.(cycle) in
-        for i = 0 to npis - 1 do
-          Aig.Compiled.set_pi s i (Aig.Compiled.replicate piv.(i))
-        done;
-        Aig.Compiled.step s;
-        out.(cycle) <-
-          List.init npos (fun k ->
-              (po_names.(k), Aig.Compiled.po s k land 1 = 1))
-      done);
-  out
+      Aig.Compiled.run s ~cycles:spec.cycles ~input:(fun c i -> stim.(c).(i)))
 
-let aig_golden spec = aig_run spec ~force:None
+let aig_golden spec = aig_run spec (site_force Site.No_fault)
 
 let aig_run_site spec (g : aig_golden) site =
-  let force =
-    match site with
-    | Site.Stuck_at { node; value } -> Some (node, value)
-    | Site.No_fault -> None
-    | Site.Table_bit _ | Site.Reg_bit _ ->
-      invalid_arg "Fault.Sim: RTL-state faults simulate on the RTL (run_site)"
-  in
-  match aig_run spec ~force with
+  let force = site_force site in
+  match aig_run spec force with
   | exception e -> Hang ("simulation raised: " ^ Printexc.to_string e)
   | faulty ->
-    let rec rows cycle =
+    let names = Array.of_list (List.map fst (Aig.pos spec.aig)) in
+    let rec scan cycle k =
       if cycle >= spec.cycles then Masked
-      else
-        let rec cells gs fs =
-          match (gs, fs) with
-          | [], [] -> None
-          | (name, gv) :: gs, (_, fv) :: fs ->
-            if gv = (fv : bool) then cells gs fs else Some name
-          | _ -> assert false
-        in
-        match cells g.(cycle) faulty.(cycle) with
-        | Some signal -> Mismatch { cycle; signal }
-        | None -> rows (cycle + 1)
+      else if k >= Array.length names then scan (cycle + 1) 0
+      else if g.(cycle).(k) <> faulty.(cycle).(k) then
+        Mismatch { cycle; signal = names.(k) }
+      else scan cycle (k + 1)
     in
-    rows 0
+    scan 0 0
 
 let rec take_chunk k acc = function
   | rest when k = 0 -> (List.rev acc, rest)
@@ -278,13 +252,7 @@ let aig_run_sites_packed spec (g : aig_golden) sites =
     let npos = Aig.Compiled.num_pos c in
     let po_names = Array.init npos (Aig.Compiled.po_name c) in
     (* Golden PO words, replicated across lanes once per call. *)
-    let golden_words =
-      Array.map
-        (fun row ->
-          Array.of_list
-            (List.map (fun (_, v) -> Aig.Compiled.replicate v) row))
-        g
-    in
+    let golden_words = Array.map (Array.map Aig.Compiled.replicate) g in
     let s = Aig.Compiled.sim c in
     (* One packed pass: lane [i] carries site [i] of the chunk via its
        force masks; every undecided lane is compared against the golden
@@ -296,7 +264,7 @@ let aig_run_sites_packed spec (g : aig_golden) sites =
       let nsites = Array.length site_arr in
       Aig.Compiled.clear_forces s;
       Aig.Compiled.reset s;
-      Array.iteri (fun lane site -> add_site_force s lane site) site_arr;
+      Array.iteri (fun lane site -> site_force site s lane) site_arr;
       let outcomes = Array.make nsites Masked in
       let undecided =
         ref

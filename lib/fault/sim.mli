@@ -12,10 +12,10 @@
 
     RTL faults ({!Site.Table_bit}, {!Site.Reg_bit}) simulate through
     {!Rtl.Eval}; netlist stuck-at faults simulate on the {!Aig} through
-    the {!Aig.Compiled} bit-parallel kernel — scalar per-site runs force
-    the stuck node across all lanes, while {!aig_run_sites_packed}
-    classifies up to {!Aig.Compiled.lanes} sites per simulation pass with
-    per-lane force masks. Both paths are pure functions of (spec, site),
+    the {!Aig.Compiled} bit-parallel kernel — a scalar per-site run
+    forces the stuck node on lane 0 and reads lane 0 only, while
+    {!aig_run_sites_packed} classifies up to {!Aig.Compiled.lanes} sites
+    per simulation pass with per-lane force masks. Both paths are pure functions of (spec, site),
     safe to run concurrently from {!Engine} pool workers. *)
 
 type outcome =
@@ -82,7 +82,7 @@ type aig_spec = { aig : Aig.t; cycles : int; seed : int }
     values drawn deterministically from [seed] — identical for golden and
     faulty runs. Latches start at their declared init values. *)
 
-type aig_golden = (string * bool) list array
+type aig_golden
 (** Per-cycle primary-output values of the fault-free run. *)
 
 val aig_golden : aig_spec -> aig_golden

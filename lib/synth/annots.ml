@@ -49,7 +49,7 @@ let honored ~generator ~width_cap annots =
 
 let relocate g t =
   let find i =
-    let name = Printf.sprintf "%s[%d]" t.base i in
+    let name = Lower.bit_name t.base i in
     match Aig.find_latch g name with
     | Some n -> Some n
     | None -> Aig.find_pi g name

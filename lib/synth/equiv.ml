@@ -23,20 +23,9 @@ let lanes = Aig.Compiled.lanes
    order) plus one bool array per cycle. *)
 let aig_run g ~cycles ~input =
   let c = Aig.Compiled.compile g in
-  let s = Aig.Compiled.sim c in
-  let npis = Aig.Compiled.num_pis c in
-  let npos = Aig.Compiled.num_pos c in
-  let names = Array.init npos (Aig.Compiled.po_name c) in
-  let rows = ref [] in
-  for cycle = 0 to cycles - 1 do
-    for i = 0 to npis - 1 do
-      Aig.Compiled.set_pi s i
-        (Aig.Compiled.replicate (input cycle (Aig.Compiled.pi_name c i)))
-    done;
-    Aig.Compiled.step s;
-    rows := Array.init npos (fun k -> Aig.Compiled.po s k land 1 = 1) :: !rows
-  done;
-  (names, List.rev !rows)
+  ( Array.init (Aig.Compiled.num_pos c) (Aig.Compiled.po_name c),
+    Aig.Compiled.run (Aig.Compiled.sim c) ~cycles ~input:(fun cycle i ->
+        input cycle (Aig.Compiled.pi_name c i)) )
 
 let check_interfaces who a b =
   let names g =
@@ -64,22 +53,23 @@ let sorted_perm names =
 let find_mismatch (names_a, rows_a) (names_b, rows_b) =
   let pa = sorted_perm names_a and pb = sorted_perm names_b in
   let k = Array.length pa in
-  let rec scan cycle = function
-    | [], [] -> None
-    | (row_a : bool array) :: rest_a, row_b :: rest_b ->
-      let rec cols j =
-        if j >= k then scan (cycle + 1) (rest_a, rest_b)
-        else begin
-          let va = row_a.(pa.(j)) and vb = row_b.(pb.(j)) in
-          if va <> vb then
-            Some { cycle; output = names_a.(pa.(j)); got = va; expected = vb }
-          else cols (j + 1)
-        end
-      in
-      cols 0
-    | _, _ -> assert false
+  let rec scan cycle j =
+    if cycle >= Array.length rows_a then None
+    else if j >= k then scan (cycle + 1) 0
+    else
+      let va = rows_a.(cycle).(pa.(j)) and vb = rows_b.(cycle).(pb.(j)) in
+      if va <> vb then
+        Some { cycle; output = names_a.(pa.(j)); got = va; expected = vb }
+      else scan cycle (j + 1)
   in
-  scan 0 (rows_a, rows_b)
+  scan 0 0
+
+(* The first mismatch, in sorted output order, of both netlists' scalar
+   runs on one input tape. *)
+let replay a b (tape : (string * bool) list array) =
+  let cycles = Array.length tape in
+  let input c name = List.assoc name tape.(c) in
+  find_mismatch (aig_run a ~cycles ~input) (aig_run b ~cycles ~input)
 
 let sim_search ~cycles ~runs ~seed a b =
   let pi_a = check_interfaces "Equiv.check" a b in
@@ -128,26 +118,15 @@ let sim_search ~cycles ~runs ~seed a b =
     done;
     !found
   in
-  (* Exact single-vector replay of one lane: regenerate the packed tape,
-     extract the lane's bit per (cycle, PI), and re-simulate both graphs
-     on that scalar stream — the reported counterexample is exact. *)
-  let replay i lane =
+  (* One lane of run [i] as a scalar tape: regenerate the packed words and
+     keep the lane's bit per (cycle, PI). Replaying it makes the reported
+     counterexample exact. *)
+  let lane_tape i lane =
     let st = Random.State.make [| seed; i |] in
-    let tbl = Hashtbl.create 256 in
-    for cycle = 0 to cycles - 1 do
-      Array.iter
-        (fun name ->
-          Hashtbl.replace tbl (cycle, name)
-            (Aig.Compiled.random_word st lsr lane land 1 = 1))
-        pi_names
-    done;
-    let tape =
-      Array.init cycles (fun c ->
-          Array.to_list
-            (Array.map (fun name -> (name, Hashtbl.find tbl (c, name))) pi_names))
-    in
-    let input cycle name = Hashtbl.find tbl (cycle, name) in
-    (find_mismatch (aig_run a ~cycles ~input) (aig_run b ~cycles ~input), tape)
+    Array.init cycles (fun _ ->
+        List.map
+          (fun name -> (name, Aig.Compiled.random_word st lsr lane land 1 = 1))
+          pi_a)
   in
   let trim tape m = Array.sub tape 0 (m.cycle + 1) in
   let rec run_i i =
@@ -156,9 +135,10 @@ let sim_search ~cycles ~runs ~seed a b =
       match packed_pass i with
       | None -> run_i (i + 1)
       | Some (cycle, j, lane) ->
-        (match replay i lane with
-         | Some m, tape -> Some (m, trim tape m)
-         | None, tape ->
+        let tape = lane_tape i lane in
+        (match replay a b tape with
+         | Some m -> Some (m, trim tape m)
+         | None ->
            (* Replay and packed kernel disagree — report the packed
               evidence rather than mask it. *)
            let got = Aig.Compiled.po sa pa.(j) lsr lane land 1 = 1 in
@@ -217,13 +197,11 @@ let align_pairs pos_a pos_b =
   List.init (Array.length pa) (fun k ->
       (names_a.(pa.(k)), lits_a.(pa.(k)), lits_b.(pb.(k))))
 
-(* Replay an input tape through both scalar simulators. A SAT witness that
-   fails to replay means the CNF encoding is unsound — reported loudly, not
-   masked; [Refuted] always carries a concrete simulation mismatch. *)
-let replay_tape a b (tape : (string * bool) list array) =
-  let cycles = Array.length tape in
-  let input c name = List.assoc name tape.(c) in
-  match find_mismatch (aig_run a ~cycles ~input) (aig_run b ~cycles ~input) with
+(* A SAT witness that fails to replay means the CNF encoding is unsound —
+   reported loudly, not masked; [Refuted] always carries a concrete
+   simulation mismatch. *)
+let replay_tape a b tape =
+  match replay a b tape with
   | Some m -> { tape = Array.sub tape 0 (m.cycle + 1); first = m }
   | None ->
     failwith
@@ -248,6 +226,20 @@ let shared_input u name =
   match Aig.find_pi u name with
   | Some n -> Aig.lit_of_node n false
   | None -> Aig.pi u name
+
+let copy_side u g ~pi ~latch =
+  let xl =
+    Aig.copy_into g ~into:u ~leaf:(fun n ->
+        match Aig.kind g n with
+        | Aig.Pi -> shared_input u (pi (Aig.pi_name g n))
+        | _ -> latch n)
+  in
+  ( List.map (fun (name, l) -> (name, xl l)) (Aig.pos g),
+    fun n -> xl (Aig.latch_next g n) )
+
+let latch_name g n =
+  let name, _, _, _ = Aig.latch_info g n in
+  name
 
 let first_sat cnf u obligations =
   let s = Sat.Cnf.solver cnf in
@@ -296,25 +288,16 @@ let check_sat ?(frames = 16) ?on_stats a b =
   let try_induction ~sequential () =
     let u = Aig.create () in
     let copy g =
-      let xl =
-        Aig.copy_into g ~into:u ~leaf:(fun n ->
-            match Aig.kind g n with
-            | Aig.Pi -> shared_input u (Aig.pi_name g n)
-            | _ ->
-              let name, _, _, _ = Aig.latch_info g n in
-              (* The "latch:" prefix keeps state pseudo-inputs from
-                 colliding with a real PI of the same name. *)
-              shared_input u ("latch:" ^ name))
-      in
-      ( List.map (fun (name, l) -> (name, xl l)) (Aig.pos g),
-        List.map
-          (fun n ->
-            let name, _, _, _ = Aig.latch_info g n in
-            (name, xl (Aig.latch_next g n)))
-          (Aig.latches g) )
+      (* The "latch:" prefix keeps state pseudo-inputs from colliding with
+         a real PI of the same name. *)
+      copy_side u g ~pi:Fun.id ~latch:(fun n ->
+          shared_input u ("latch:" ^ latch_name g n))
     in
     let pos_a, next_a = copy a in
     let pos_b, next_b = copy b in
+    let nexts g next =
+      List.map (fun n -> (latch_name g n, next n)) (Aig.latches g)
+    in
     let obligations =
       List.map
         (fun (name, la, lb) -> ("output " ^ name, la, lb))
@@ -323,7 +306,7 @@ let check_sat ?(frames = 16) ?on_stats a b =
       if sequential then
         List.map
           (fun (name, la, lb) -> ("next-state of latch " ^ name, la, lb))
-          (align_pairs next_a next_b)
+          (align_pairs (nexts a next_a) (nexts b next_b))
       else []
     in
     let cnf = Sat.Cnf.create (new_solver ()) u in
@@ -357,17 +340,10 @@ let check_sat ?(frames = 16) ?on_stats a b =
           Hashtbl.replace state n (if init then Aig.true_ else Aig.false_))
         (Aig.latches g);
       fun f ->
-        let xl =
-          Aig.copy_into g ~into:u ~leaf:(fun n ->
-              match Aig.kind g n with
-              | Aig.Pi -> shared_input u (frame_input f (Aig.pi_name g n))
-              | _ -> Hashtbl.find state n)
+        let pos, next =
+          copy_side u g ~pi:(frame_input f) ~latch:(Hashtbl.find state)
         in
-        let nexts =
-          List.map (fun n -> (n, xl (Aig.latch_next g n))) (Aig.latches g)
-        in
-        let pos = List.map (fun (name, l) -> (name, xl l)) (Aig.pos g) in
-        List.iter (fun (n, l) -> Hashtbl.replace state n l) nexts;
+        List.iter (fun n -> Hashtbl.replace state n (next n)) (Aig.latches g);
         pos
     in
     let step_a = mk a and step_b = mk b in
@@ -414,6 +390,43 @@ let check_sat ?(frames = 16) ?on_stats a b =
 
 let rtl_vs_aig ?(cycles = 64) ?(runs = 8) ?(config = []) ~seed
     (d : Rtl.Design.t) g =
+  let inputs = Array.of_list d.inputs in
+  let c = Aig.Compiled.compile g in
+  let s = Aig.Compiled.sim c in
+  (* Every AIG input slot as (RTL input position, bit), from Lower's bit
+     names, and every RTL output bit as (name, PO slot): resolved once. *)
+  let input_bit = Hashtbl.create 64 in
+  Array.iteri
+    (fun k (sg : Rtl.Signal.t) ->
+      for b = 0 to sg.width - 1 do
+        Hashtbl.replace input_bit (Lower.bit_name sg.name b) (k, b)
+      done)
+    inputs;
+  let pi_bits =
+    Array.init (Aig.Compiled.num_pis c) (fun i ->
+        let name = Aig.Compiled.pi_name c i in
+        match Hashtbl.find_opt input_bit name with
+        | Some kb -> kb
+        | None ->
+          invalid_arg
+            ("Equiv.rtl_vs_aig: AIG input " ^ name ^ " is not an RTL input bit"))
+  in
+  let po_slot = Hashtbl.create 64 in
+  for k = 0 to Aig.Compiled.num_pos c - 1 do
+    Hashtbl.replace po_slot (Aig.Compiled.po_name c k) k
+  done;
+  let outputs =
+    List.map
+      (fun ((sg : Rtl.Signal.t), _) ->
+        ( sg.name,
+          Array.init sg.width (fun b ->
+              let name = Lower.bit_name sg.name b in
+              match Hashtbl.find_opt po_slot name with
+              | Some k -> (b, name, k)
+              | None -> invalid_arg ("Equiv.rtl_vs_aig: no AIG output " ^ name))
+        ))
+      d.outputs
+  in
   let rec run_i i =
     if i >= runs then None
     else begin
@@ -422,64 +435,42 @@ let rtl_vs_aig ?(cycles = 64) ?(runs = 8) ?(config = []) ~seed
       (* Pre-draw the whole input tape so both sides see the same bits. *)
       let tape =
         Array.init cycles (fun _ ->
-            List.map
-              (fun (s : Rtl.Signal.t) ->
-                ( s.name,
-                  Bitvec.of_bits
-                    (List.init s.width (fun _ -> Random.State.bool rng)) ))
-              d.inputs)
+            Array.map
+              (fun (sg : Rtl.Signal.t) ->
+                Bitvec.of_bits
+                  (List.init sg.width (fun _ -> Random.State.bool rng)))
+              inputs)
       in
-      let input cycle name =
-        (* name is "sig[i]" *)
-        let base, idx =
-          match String.index_opt name '[' with
-          | Some k ->
-            ( String.sub name 0 k,
-              int_of_string (String.sub name (k + 1) (String.length name - k - 2)) )
-          | None -> (name, 0)
-        in
-        Bitvec.get (List.assoc base tape.(cycle)) idx
+      Aig.Compiled.reset s;
+      let rows =
+        Aig.Compiled.run s ~cycles ~input:(fun cycle i ->
+            let k, b = pi_bits.(i) in
+            Bitvec.get tape.(cycle).(k) b)
       in
-      let aig_names, aig_rows = aig_run g ~cycles ~input in
-      let aig_pos = Hashtbl.create (Array.length aig_names) in
-      Array.iteri (fun k name -> Hashtbl.replace aig_pos name k) aig_names;
-      let rec cycle_loop cycle aig_rows =
-        match aig_rows with
-        | [] -> None
-        | (row : bool array) :: rest ->
-          List.iter
-            (fun (name, v) -> Rtl.Eval.set_input st name v)
-            tape.(cycle);
-          let bad =
-            List.fold_left
-              (fun acc ((s : Rtl.Signal.t), _) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                  let v = Rtl.Eval.peek st s.name in
-                  let rec check i =
-                    if i >= s.width then None
-                    else begin
-                      let expected = Bitvec.get v i in
-                      let name = Printf.sprintf "%s[%d]" s.name i in
-                      let got = row.(Hashtbl.find aig_pos name) in
-                      if got <> expected then
-                        Some { cycle; output = name; got; expected }
-                      else check (i + 1)
-                    end
-                  in
-                  check 0)
-              None d.outputs
+      let rec cycle_loop cycle =
+        if cycle >= cycles then None
+        else begin
+          Array.iteri
+            (fun k (sg : Rtl.Signal.t) ->
+              Rtl.Eval.set_input st sg.name tape.(cycle).(k))
+            inputs;
+          let differs (sname, bits) =
+            let v = Rtl.Eval.peek st sname in
+            Array.find_map
+              (fun (b, output, k) ->
+                let expected = Bitvec.get v b and got = rows.(cycle).(k) in
+                if got <> expected then Some { cycle; output; got; expected }
+                else None)
+              bits
           in
-          (match bad with
-           | Some m -> Some m
-           | None ->
-             Rtl.Eval.step st;
-             cycle_loop (cycle + 1) rest)
+          match List.find_map differs outputs with
+          | None ->
+            Rtl.Eval.step st;
+            cycle_loop (cycle + 1)
+          | found -> found
+        end
       in
-      match cycle_loop 0 aig_rows with
-      | Some m -> Some m
-      | None -> run_i (i + 1)
+      match cycle_loop 0 with None -> run_i (i + 1) | found -> found
     end
   in
   run_i 0

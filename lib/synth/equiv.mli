@@ -95,6 +95,20 @@ val shared_input : Aig.t -> string -> Aig.lit
 (** [shared_input u name] is the primary input of the miter [u] named
     [name], created on first use. *)
 
+val copy_side :
+  Aig.t ->
+  Aig.t ->
+  pi:(string -> string) ->
+  latch:(int -> Aig.lit) ->
+  (string * Aig.lit) list * (int -> Aig.lit)
+(** [copy_side u g ~pi ~latch] copies all of [g] into the miter [u]
+    ({!Aig.copy_into}): a PI named [x] becomes [shared_input u (pi x)] and
+    latch node [n] becomes [latch n], each leaf made once, in node order.
+    Returns [g]'s outputs (name, copied literal) in declaration order and
+    the lookup from a latch node of [g] to its copied next-state literal.
+    Every miter in this library, {!Seq_check.run_sat}'s included, is built
+    through it. *)
+
 val first_sat :
   Sat.Cnf.t -> Aig.t -> (string * Aig.lit * Aig.lit) list -> string option
 (** [first_sat cnf u obligations] solves each obligation [(tag, a, b)] in
@@ -115,4 +129,6 @@ val rtl_vs_aig :
     binds configuration tables on the RTL side; on the AIG side the same
     contents must already be reflected (bound designs) — flexible designs
     with unbound configuration latches can only be compared with all-zero
-    config. *)
+    config. Bits are matched by {!Lower.bit_name}.
+    @raise Invalid_argument naming the bit if an AIG input is not an RTL
+    input bit, or an RTL output bit has no AIG output. *)

@@ -3,7 +3,6 @@ type options = {
   honor_generator_annots : bool;
   annot_width_cap : int;
   retime : bool;
-  sweep_sat : bool;
 }
 
 let default =
@@ -12,7 +11,6 @@ let default =
     honor_generator_annots = false;
     annot_width_cap = 32;
     retime = false;
-    sweep_sat = false;
   }
 
 type result = {
@@ -95,8 +93,7 @@ let compile ?(options = default) lib design =
       ~width_cap:options.annot_width_cap (Annots.extract lowered)
   in
   let relocate g = List.filter_map (Annots.relocate g) honored in
-  let sweep g = Sweep.run ~sat:options.sweep_sat g in
-  let g = traced_pass "sweep" ~iter:1 sweep lowered.Lower.aig in
+  let g = traced_pass "sweep" ~iter:1 Sweep.run lowered.Lower.aig in
   let g = if options.retime then traced_pass "retime" ~iter:1 Retime.run g else g in
   let g =
     if honored <> [] then
@@ -115,12 +112,12 @@ let compile ?(options = default) lib design =
      relocated by latch name), so when sweep returns a graph equal to
      collapse's input, a second iteration would rebuild the same graph. *)
   let g =
-    let g1 = traced_pass "sweep" ~iter:2 sweep (collapse 1 g) in
+    let g1 = traced_pass "sweep" ~iter:2 Sweep.run (collapse 1 g) in
     if Aig.equal g1 g then begin
       Obs.Metrics.incr collapse_skipped;
       g1
     end
-    else traced_pass "sweep" ~iter:3 sweep (collapse 2 g1)
+    else traced_pass "sweep" ~iter:3 Sweep.run (collapse 2 g1)
   in
   let report =
     Obs.Span.with_span "flow.map" ~args:(if Obs.enabled () then graph_args "in" g else [])

@@ -22,9 +22,9 @@
     - [annot_width_cap]: annotations on vectors wider than this are ignored
       (the paper's n ≤ 32 cliff).
     - [retime]: forward retiming before optimization (Fig. 8's "Retimed").
-    - [sweep_sat]: SAT-validated sweep — simulation signatures propose
-      constant/duplicate latches, CDCL induction disposes ({!Sweep.run}).
-      Default off; off is bit-identical to the historical flow.
+
+    Sweep always runs in its syntactic form; the SAT-validated sweep
+    ([Sweep.run ~sat:true]) is a separate entry point, not a flow knob.
 
     The flow does not check its own output: callers that want a
     certificate run {!Equiv.check_sat} (or the simulation engine
@@ -35,12 +35,11 @@ type options = {
   honor_generator_annots : bool;
   annot_width_cap : int;
   retime : bool;
-  sweep_sat : bool;
 }
 
 val default : options
 (** [{ collapse_cap = 14; honor_generator_annots = false;
-      annot_width_cap = 32; retime = false; sweep_sat = false }] *)
+      annot_width_cap = 32; retime = false }] *)
 
 type result = {
   lowered : Lower.t;  (** pre-optimization netlist *)

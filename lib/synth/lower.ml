@@ -5,6 +5,7 @@ type t = {
 }
 
 let bit_name base i = Printf.sprintf "%s[%d]" base i
+let config_bit_name table e b = Printf.sprintf "%s[%d][%d]" table e b
 
 let const_lits v =
   Array.init (Bitvec.width v) (fun i ->
@@ -52,9 +53,7 @@ let run (d : Rtl.Design.t) =
         let entry e =
           Array.init t.twidth (fun b ->
               let q =
-                Aig.latch g
-                  (Printf.sprintf "%s[%d][%d]" t.tname e b)
-                  ~init:false ~reset:Rtl.Design.No_reset ~is_config:true
+                Aig.latch g (config_bit_name t.tname e b) ~init:false ~reset:Rtl.Design.No_reset ~is_config:true
               in
               Aig.set_next g q q;
               q)

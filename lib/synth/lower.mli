@@ -2,9 +2,11 @@
 
     Every named RTL signal maps to a vector of AIG literals (bit 0 first),
     retrievable from the result — annotations and debugging hang off this
-    map. Naming convention for the bit-level objects: input/register bit [i]
-    of signal [s] is ["s[i]"]; bit [b] of entry [e] of configuration table
-    [t] is ["t[e][b]"].
+    map. Naming convention for the bit-level objects: input/register/output
+    bit [i] of signal [s] is ["s[i]"] ({!bit_name}); bit [b] of entry [e]
+    of configuration table [t] is ["t[e][b]"] ({!config_bit_name}). Other
+    modules that look bits up by name call these two functions rather than
+    spell the convention themselves.
 
     Elaboration choices that matter to the experiments:
     - ROM reads become mux trees over the address bits with constant leaves;
@@ -25,3 +27,11 @@ type t = {
 }
 
 val run : Rtl.Design.t -> t
+
+val bit_name : string -> int -> string
+(** [bit_name s i] is ["s[i]"]: the PI, latch or PO of bit [i] of signal
+    [s]. *)
+
+val config_bit_name : string -> int -> int -> string
+(** [config_bit_name t e b] is ["t[e][b]"]: the configuration latch of bit
+    [b] of entry [e] of table [t]. *)

@@ -4,7 +4,6 @@ let bind_tables d bindings =
     d bindings
 
 let bind_aig_tables g bindings =
-  (* Configuration latch names follow Lower's scheme: "<table>[entry][bit]". *)
   let bound = Hashtbl.create 64 in
   List.iter
     (fun (tname, contents) ->
@@ -12,7 +11,7 @@ let bind_aig_tables g bindings =
         (fun e v ->
           for b = 0 to Bitvec.width v - 1 do
             Hashtbl.replace bound
-              (Printf.sprintf "%s[%d][%d]" tname e b)
+              (Lower.config_bit_name tname e b)
               (Bitvec.get v b)
           done)
         contents)

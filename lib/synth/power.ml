@@ -27,7 +27,7 @@ let estimate ?(cycles = 256) ?(seed = 1) ?(config = []) lib g =
         (fun e word ->
           Bitvec.fold_bits
             (fun b v () ->
-              match Aig.find_latch g (Printf.sprintf "%s[%d][%d]" tname e b) with
+              match Aig.find_latch g (Lower.config_bit_name tname e b) with
               | Some n ->
                 Aig.Compiled.set_latch sim
                   (Option.get (Aig.Compiled.latch_slot c n))

@@ -1,6 +1,6 @@
 let latch_group g ~prefix =
   let rec collect i acc =
-    match Aig.find_latch g (Printf.sprintf "%s[%d]" prefix i) with
+    match Aig.find_latch g (Lower.bit_name prefix i) with
     | Some n -> collect (i + 1) (n :: acc)
     | None -> List.rev acc
   in

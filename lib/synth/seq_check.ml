@@ -116,13 +116,9 @@ let run_sat ?(frames = 16) ?(max_vars = 64) ?on_stats ga gb =
         List.iteri
           (fun i n -> Hashtbl.replace latch_idx n (offset + i))
           (Aig.latches g);
-        let xl =
-          Aig.copy_into g ~into:u ~leaf:(fun n ->
-              match Aig.kind g n with
-              | Aig.Pi -> Equiv.shared_input u (Aig.pi_name g n)
-              | _ -> state_lit (Hashtbl.find latch_idx n))
-        in
-        List.map (fun (name, l) -> (name, xl l)) (Aig.pos g)
+        fst
+          (Equiv.copy_side u g ~pi:Fun.id ~latch:(fun n ->
+               state_lit (Hashtbl.find latch_idx n)))
       in
       let pos_a = copy ga 0 and pos_b = copy gb (Aig.num_latches ga) in
       (* Reach set R as an AIG: one mux per BDD node, memoized on uid. *)

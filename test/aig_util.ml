@@ -2,9 +2,9 @@
    structural digest for the golden fingerprints of test_synth and
    test_sat, and the equivalence check of a flow result. *)
 
-(* A copy of [g] with its first primary output complemented: a known
-   disequivalent partner for any graph with at least one output. *)
-let invert_first_po g =
+(* A copy of [g] with primary output [k] complemented: a known
+   disequivalent partner for any graph with more than [k] outputs. *)
+let invert_po k g =
   let u = Aig.create () in
   let xl =
     Aig.copy_into g ~into:u ~leaf:(fun n ->
@@ -19,9 +19,11 @@ let invert_first_po g =
       Aig.set_next u (xl (Aig.lit_of_node n false)) (xl (Aig.latch_next g n)))
     (Aig.latches g);
   List.iteri
-    (fun i (name, l) -> Aig.po u name (if i = 0 then Aig.not_ (xl l) else xl l))
+    (fun i (name, l) -> Aig.po u name (if i = k then Aig.not_ (xl l) else xl l))
     (Aig.pos g);
   u
+
+let invert_first_po g = invert_po 0 g
 
 (* Node count plus an MD5 over every node, latch and output literal in
    index order: equal digests mean node-for-node identical graphs. *)

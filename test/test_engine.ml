@@ -48,8 +48,7 @@ let test_fingerprint_sensitivity () =
       ("honor_generator_annots",
        { o with Synth.Flow.honor_generator_annots = true });
       ("annot_width_cap", { o with Synth.Flow.annot_width_cap = 31 });
-      ("retime", { o with Synth.Flow.retime = true });
-      ("sweep_sat", { o with Synth.Flow.sweep_sat = true }) ]
+      ("retime", { o with Synth.Flow.retime = true }) ]
   in
   List.iter
     (fun (what, options) ->

@@ -195,6 +195,92 @@ let prop_packed_sites_identical =
       in
       Fault.Sim.aig_run_sites_packed aspec golden sites = scalar)
 
+(* The scalar netlist run as it stood before it shared [Aig.Compiled.run]
+   and the packed pass's force helper, kept as the oracle of
+   [Fault.Sim.aig_run_site]: it forces the stuck node on every lane, reads
+   PO names off each row and compares against a (PO name, value) golden. *)
+let oracle_aig_run (spec : Fault.Sim.aig_spec) ~force =
+  let c = Aig.Compiled.compile spec.aig in
+  let s = Aig.Compiled.sim c in
+  (match force with
+   | Some (node, value) ->
+     if value then
+       Aig.Compiled.add_force s ~node ~set:Aig.Compiled.all_lanes ~clear:0
+     else Aig.Compiled.add_force s ~node ~set:0 ~clear:Aig.Compiled.all_lanes
+   | None -> ());
+  let rng = Workload.Rng.make spec.seed in
+  let stim =
+    Array.init spec.cycles (fun _ ->
+        Array.init (Aig.num_pis spec.aig) (fun _ -> Workload.Rng.bool rng))
+  in
+  let npis = Aig.Compiled.num_pis c in
+  let npos = Aig.Compiled.num_pos c in
+  let out = Array.make spec.cycles [] in
+  for cycle = 0 to spec.cycles - 1 do
+    for i = 0 to npis - 1 do
+      Aig.Compiled.set_pi s i (Aig.Compiled.replicate stim.(cycle).(i))
+    done;
+    Aig.Compiled.step s;
+    out.(cycle) <-
+      List.init npos (fun k ->
+          (Aig.Compiled.po_name c k, Aig.Compiled.po s k land 1 = 1))
+  done;
+  out
+
+let oracle_aig_run_site spec golden site =
+  let force =
+    match site with
+    | Fault.Site.Stuck_at { node; value } -> Some (node, value)
+    | Fault.Site.No_fault -> None
+    | Fault.Site.Table_bit _ | Fault.Site.Reg_bit _ ->
+      invalid_arg "oracle: RTL-state site"
+  in
+  match oracle_aig_run spec ~force with
+  | exception e -> Fault.Sim.Hang ("simulation raised: " ^ Printexc.to_string e)
+  | faulty ->
+    let rec rows cycle =
+      if cycle >= spec.Fault.Sim.cycles then Fault.Sim.Masked
+      else
+        let rec cells gs fs =
+          match (gs, fs) with
+          | [], [] -> None
+          | (name, gv) :: gs, (_, fv) :: fs ->
+            if gv = (fv : bool) then cells gs fs else Some name
+          | _ -> assert false
+        in
+        match cells golden.(cycle) faulty.(cycle) with
+        | Some signal -> Fault.Sim.Mismatch { cycle; signal }
+        | None -> rows (cycle + 1)
+    in
+    rows 0
+
+let prop_scalar_site_matches_oracle =
+  Prop.test ~iters:40 "scalar site run = all-lane oracle" (Prop.int 100_000)
+    (fun seed ->
+      let aig = lowered_aig seed in
+      let aspec = { Fault.Sim.aig; cycles = 12; seed = seed + 3 } in
+      let golden = Fault.Sim.aig_golden aspec in
+      let oracle_golden = oracle_aig_run aspec ~force:None in
+      List.for_all
+        (fun site ->
+          Fault.Sim.aig_run_site aspec golden site
+          = oracle_aig_run_site aspec oracle_golden site)
+        (Fault.Site.No_fault :: Fault.Site.stuck_sites aig))
+
+let test_rtl_site_on_netlist_raises () =
+  let aig = lowered_aig 2 in
+  let aspec = { Fault.Sim.aig; cycles = 4; seed = 1 } in
+  let golden = Fault.Sim.aig_golden aspec in
+  List.iter
+    (fun site ->
+      match Fault.Sim.aig_run_site aspec golden site with
+      | exception Invalid_argument _ -> ()
+      | o ->
+        Alcotest.failf "RTL-state site on the netlist classified as %s"
+          (Fault.Sim.outcome_to_string o))
+    [ Fault.Site.Table_bit { table = "t"; entry = 0; bit = 0 };
+      Fault.Site.Reg_bit { reg = "r"; bit = 0; cycle = 0 } ]
+
 let test_campaign_packed_identical () =
   let aig = lowered_aig 6 in
   let aspec = { Fault.Sim.aig; cycles = 12; seed = 21 } in
@@ -284,6 +370,9 @@ let () =
           Alcotest.test_case "stuck-at on the mapped AIG" `Quick
             test_stuck_at_netlist;
           prop_packed_sites_identical;
+          prop_scalar_site_matches_oracle;
+          Alcotest.test_case "RTL-state site raises" `Quick
+            test_rtl_site_on_netlist_raises;
           Alcotest.test_case "campaign packed = scalar" `Quick
             test_campaign_packed_identical;
           Alcotest.test_case "campaign packed resume identical" `Quick

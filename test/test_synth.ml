@@ -44,6 +44,121 @@ let test_lower_matches_eval () =
   in
   List.iter check_one [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
+(* [Equiv.rtl_vs_aig] as it stood before it resolved names once, kept as
+   its oracle: it compiles the AIG on every run, parses each PI name
+   ["sig[i]"] back into (input, bit) on every lookup, and finds each
+   output bit's PO by a formatted name. *)
+let oracle_rtl_vs_aig ?(cycles = 64) ?(runs = 8) ~seed (d : Rtl.Design.t) g =
+  let aig_run ~input =
+    let c = Aig.Compiled.compile g in
+    let s = Aig.Compiled.sim c in
+    let npos = Aig.Compiled.num_pos c in
+    let names = Array.init npos (Aig.Compiled.po_name c) in
+    let rows = ref [] in
+    for cycle = 0 to cycles - 1 do
+      for i = 0 to Aig.Compiled.num_pis c - 1 do
+        Aig.Compiled.set_pi s i
+          (Aig.Compiled.replicate (input cycle (Aig.Compiled.pi_name c i)))
+      done;
+      Aig.Compiled.step s;
+      rows := Array.init npos (fun k -> Aig.Compiled.po s k land 1 = 1) :: !rows
+    done;
+    (names, List.rev !rows)
+  in
+  let rec run_i i =
+    if i >= runs then None
+    else begin
+      let rng = Random.State.make [| seed; i; 77 |] in
+      let st = Rtl.Eval.create d in
+      let tape =
+        Array.init cycles (fun _ ->
+            List.map
+              (fun (s : Rtl.Signal.t) ->
+                ( s.name,
+                  Bitvec.of_bits
+                    (List.init s.width (fun _ -> Random.State.bool rng)) ))
+              d.inputs)
+      in
+      let input cycle name =
+        let base, idx =
+          match String.index_opt name '[' with
+          | Some k ->
+            ( String.sub name 0 k,
+              int_of_string (String.sub name (k + 1) (String.length name - k - 2)) )
+          | None -> (name, 0)
+        in
+        Bitvec.get (List.assoc base tape.(cycle)) idx
+      in
+      let aig_names, aig_rows = aig_run ~input in
+      let aig_pos = Hashtbl.create (Array.length aig_names) in
+      Array.iteri (fun k name -> Hashtbl.replace aig_pos name k) aig_names;
+      let rec cycle_loop cycle = function
+        | [] -> None
+        | (row : bool array) :: rest ->
+          List.iter (fun (name, v) -> Rtl.Eval.set_input st name v) tape.(cycle);
+          let bad =
+            List.fold_left
+              (fun acc ((s : Rtl.Signal.t), _) ->
+                match acc with
+                | Some _ -> acc
+                | None ->
+                  let v = Rtl.Eval.peek st s.name in
+                  let rec check i =
+                    if i >= s.width then None
+                    else begin
+                      let expected = Bitvec.get v i in
+                      let name = Printf.sprintf "%s[%d]" s.name i in
+                      let got = row.(Hashtbl.find aig_pos name) in
+                      if got <> expected then
+                        Some { Synth.Equiv.cycle; output = name; got; expected }
+                      else check (i + 1)
+                    end
+                  in
+                  check 0)
+              None d.outputs
+          in
+          (match bad with
+           | Some m -> Some m
+           | None ->
+             Rtl.Eval.step st;
+             cycle_loop (cycle + 1) rest)
+      in
+      match cycle_loop 0 aig_rows with
+      | Some m -> Some m
+      | None -> run_i (i + 1)
+    end
+  in
+  run_i 0
+
+(* Lowered and flow netlists of a random design, each also with one PO
+   complemented so refutations are compared too. *)
+let prop_rtl_vs_aig_matches_oracle =
+  Prop.test ~iters:60 "rtl_vs_aig matches oracle" (Prop.int 100_000)
+    (fun seed ->
+      let d = Workload.Rand_design.generate ~seed in
+      let low = (Synth.Lower.run d).Synth.Lower.aig in
+      let opt = (Synth.Flow.compile lib d).Synth.Flow.aig in
+      let flip g = Aig_util.invert_po (seed mod List.length (Aig.pos g)) g in
+      List.for_all
+        (fun g ->
+          Synth.Equiv.rtl_vs_aig ~cycles:24 ~runs:3 ~seed d g
+          = oracle_rtl_vs_aig ~cycles:24 ~runs:3 ~seed d g)
+        [ low; opt; flip low; flip opt ])
+
+let test_rtl_vs_aig_unknown_input () =
+  let d = Workload.Rand_design.generate ~seed:3 in
+  let g = (Synth.Lower.run d).Synth.Lower.aig in
+  ignore (Aig.pi g "bogus[0]");
+  match Synth.Equiv.rtl_vs_aig ~seed:1 d g with
+  | exception Invalid_argument msg ->
+    let needle = "bogus[0]" in
+    let n = String.length needle in
+    let rec mem i =
+      i + n <= String.length msg && (String.sub msg i n = needle || mem (i + 1))
+    in
+    if not (mem 0) then Alcotest.failf "message does not name the input: %s" msg
+  | _ -> Alcotest.fail "an AIG input that is no RTL input bit was accepted"
+
 let test_lower_rom_folds () =
   (* A constant table lowers to pure logic: no latches at all. *)
   let tt = Workload.Rand_table.generate ~seed:1 ~depth:16 ~width:4 in
@@ -339,7 +454,7 @@ let two_iteration_chain (options : Synth.Flow.options) d =
       ~width_cap:options.annot_width_cap (Synth.Annots.extract lowered)
   in
   let relocate g = List.filter_map (Synth.Annots.relocate g) honored in
-  let sweep g = Synth.Sweep.run ~sat:options.sweep_sat g in
+  let sweep g = Synth.Sweep.run g in
   let g0 = sweep lowered.Synth.Lower.aig in
   let g0 = if options.retime then Synth.Retime.run g0 else g0 in
   let g0 =
@@ -750,6 +865,9 @@ let () =
           Alcotest.test_case "matches RTL eval" `Quick test_lower_matches_eval;
           Alcotest.test_case "rom folds to logic" `Quick test_lower_rom_folds;
           Alcotest.test_case "config becomes latches" `Quick test_lower_config_latches;
+          prop_rtl_vs_aig_matches_oracle;
+          Alcotest.test_case "unknown AIG input raises" `Quick
+            test_rtl_vs_aig_unknown_input;
         ] );
       ( "collapse",
         [
