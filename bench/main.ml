@@ -67,21 +67,12 @@ let fig8_json rows =
        rows)
 
 let fig9_json rows =
-  let mode_name = function
-    | Pctrl.Controller.Cached -> "cached"
-    | Pctrl.Controller.Uncached -> "uncached"
-  in
-  let level_name = function
-    | Experiments.Fig9.Full -> "full"
-    | Experiments.Fig9.Auto -> "auto"
-    | Experiments.Fig9.Manual -> "manual"
-  in
   Json.List
     (List.map
        (fun (r : Experiments.Fig9.row) ->
          Json.Obj
-           [ ("config", Json.String (mode_name r.mode));
-             ("level", Json.String (level_name r.level));
+           [ ("config", Json.String (Experiments.Fig9.mode_name r.mode));
+             ("level", Json.String (Experiments.Fig9.level_name r.level));
              ("comb_area", Json.Float r.comb);
              ("seq_area", Json.Float r.seq);
              ("power", Json.Float r.power) ])

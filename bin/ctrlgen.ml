@@ -156,18 +156,13 @@ let asm_cmd =
                (List.map string_of_int
                   (Core.Microcode.field_value_set p f.fname))))
         p.Core.Microcode.format;
-      let storage = if storage = "config" then `Config else `Rom in
-      let design = Core.Microcode.to_rtl ~storage p in
+      let flexible = Core.Microcode.to_rtl p in
+      let bound =
+        Synth.Partial_eval.bind_tables flexible (Core.Microcode.config_bindings p)
+      in
+      let design = match storage with `Rom -> bound | `Config -> flexible in
       if dump_verilog then print_string (Rtl.Verilog.emit design);
-      if do_synth then begin
-        let design =
-          match storage with
-          | `Rom -> design
-          | `Config ->
-            Synth.Partial_eval.bind_tables design (Core.Microcode.config_bindings p)
-        in
-        print_report "mapped" (engine_report design)
-      end;
+      if do_synth then print_report "mapped" (engine_report bound);
       Cli.finish cli
   in
   let file =
@@ -176,7 +171,9 @@ let asm_cmd =
   in
   let verilog = Arg.(value & flag & info [ "verilog" ] ~doc:"Dump Verilog.") in
   let storage =
-    Arg.(value & opt string "rom" & info [ "storage" ] ~doc:"rom or config.")
+    Arg.(value
+         & opt (enum [ ("rom", `Rom); ("config", `Config) ]) `Rom
+         & info [ "storage" ] ~doc:"rom or config.")
   in
   let do_synth = Arg.(value & flag & info [ "synth" ] ~doc:"Also synthesize.") in
   Cmd.v
@@ -284,11 +281,6 @@ let verdict_line = function
 
 let equiv_cmd =
   let run cli mode engine frames opt mutate expect =
-    let mode_name =
-      match mode with
-      | Pctrl.Controller.Cached -> "cached"
-      | Pctrl.Controller.Uncached -> "uncached"
-    in
     let bindings = Pctrl.Controller.bindings mode in
     let bindings, mutation =
       match mutate with
@@ -308,7 +300,7 @@ let equiv_cmd =
       else b
     in
     Format.printf "equiv: pctrl %s, flexible(bound at AIG level) vs %s@."
-      mode_name
+      (Experiments.Fig9.mode_name mode)
       (if opt then "partially evaluated + optimized" else "partially evaluated");
     Option.iter
       (fun (site, seed) ->

@@ -60,7 +60,7 @@ let () =
   (* Hardware: flexible sequencer vs its partial evaluation. *)
   let lib = Cells.Library.vt90 in
   let area d = Synth.Map.total (Synth.Flow.compile lib d).Synth.Flow.report in
-  let flexible = Core.Microcode.to_rtl ~storage:`Config p in
+  let flexible = Core.Microcode.to_rtl p in
   let bound =
     Synth.Partial_eval.bind_tables flexible (Core.Microcode.config_bindings p)
   in
@@ -68,8 +68,7 @@ let () =
   Printf.printf "area partially evaluated:      %7.1f um^2\n" (area bound);
 
   (* The RTL and the ISA semantics agree cycle by cycle. *)
-  let design = Core.Microcode.to_rtl ~storage:`Rom p in
-  let st = Rtl.Eval.create design in
+  let st = Rtl.Eval.create bound in
   let agree =
     List.for_all2
       (fun op fields ->

@@ -55,7 +55,7 @@ let () =
 
   let lib = Cells.Library.vt90 in
   let area style ~bound =
-    let d = Core.Microcode.to_rtl ~style ~storage:`Config p in
+    let d = Core.Microcode.to_rtl ~style p in
     let d =
       if bound then
         Synth.Partial_eval.bind_tables d (Core.Microcode.config_bindings ~style p)
@@ -76,8 +76,7 @@ let () =
 
   (* Gate-level netlist of the specialized horizontal version. *)
   let d =
-    Synth.Partial_eval.bind_tables
-      (Core.Microcode.to_rtl ~storage:`Config p)
+    Synth.Partial_eval.bind_tables (Core.Microcode.to_rtl p)
       (Core.Microcode.config_bindings p)
   in
   let result = Synth.Flow.compile lib d in

@@ -143,88 +143,52 @@ let is_moore t =
     (fun row -> Array.for_all (fun v -> Bitvec.equal v row.(0)) row)
     t.out
 
-let check_table_encoding = function
-  | Binary | Gray -> ()
-  | One_hot ->
-    invalid_arg
-      "Fsm_ir: one-hot encoding addresses an exponentially deep table; use \
-       the direct style for one-hot machines"
-
-let table_depth t = 1 lsl (state_bits t + t.num_inputs)
-
 let ns_table_name t = t.name ^ "_ns_mem"
 let out_table_name t = t.name ^ "_out_mem"
 
-let config_bindings ?(encoding = Binary) t =
-  check_table_encoding encoding;
+let config_bindings t =
   let k = state_bits t in
-  let cols = 1 lsl t.num_inputs in
-  (* Tables are addressed by the state *code*; invert the encoding. *)
-  let index_of_code = Hashtbl.create (num_states t) in
-  List.iteri
-    (fun s code -> Hashtbl.replace index_of_code (Bitvec.to_int code) s)
-    (state_codes_with encoding t);
-  let entry_of a =
-    let code = a lsr t.num_inputs and i = a land (cols - 1) in
-    match Hashtbl.find_opt index_of_code code with
-    | Some s -> Some (s, i)
-    | None -> None
+  (* Entry [a] of a table read at {state, [bits] inputs} holds [f s i] for
+     state index [s = a lsr bits] and input [i], the low [bits] of [a]. *)
+  let table ~bits ~zero f =
+    Array.init (1 lsl (k + bits)) (fun a ->
+        let s = a lsr bits in
+        if s < num_states t then f s (a land ((1 lsl bits) - 1)) else zero)
   in
   let ns =
-    Array.init (table_depth t) (fun a ->
-        match entry_of a with
-        | Some (s, i) -> encode_with encoding t t.next.(s).(i)
-        | None -> Bitvec.zero k)
+    table ~bits:t.num_inputs ~zero:(Bitvec.zero k) (fun s i ->
+        encode t t.next.(s).(i))
   in
   let out =
-    if is_moore t then
-      Array.init (1 lsl k) (fun code ->
-          match Hashtbl.find_opt index_of_code code with
-          | Some s -> t.out.(s).(0)
-          | None -> Bitvec.zero t.num_outputs)
-    else
-      Array.init (table_depth t) (fun a ->
-          match entry_of a with
-          | Some (s, i) -> t.out.(s).(i)
-          | None -> Bitvec.zero t.num_outputs)
+    table
+      ~bits:(if is_moore t then 0 else t.num_inputs)
+      ~zero:(Bitvec.zero t.num_outputs)
+      (fun s i -> t.out.(s).(i))
   in
   [ (ns_table_name t, ns); (out_table_name t, out) ]
 
 let annotation ?(provenance = Rtl.Annot.Generator) ~encoding t =
   Rtl.Annot.fsm_state_vector ~provenance "state" (state_codes_with encoding t)
 
-let flexible_rtl ~encoding ~storage ~annotate t =
-  check_table_encoding encoding;
+let to_flexible_rtl ?(annotate = false) t =
   let b = Rtl.Builder.create t.name in
-  let k = state_bits_with encoding t in
   let inp = Rtl.Builder.input b "in" t.num_inputs in
   let state =
-    Rtl.Builder.reg_declare b "state" ~width:k ~reset:Rtl.Design.Sync_reset
-      ~init:(encode_with encoding t t.reset)
+    Rtl.Builder.reg_declare b "state" ~width:(state_bits t)
+      ~reset:Rtl.Design.Sync_reset ~init:(encode t t.reset)
   in
-  let bindings = config_bindings ~encoding t in
   List.iter
     (fun (name, contents) ->
-      match storage with
-      | `Config ->
-        Rtl.Builder.config_table b name ~width:(Bitvec.width contents.(0))
-          ~depth:(Array.length contents)
-      | `Rom ->
-        Rtl.Builder.rom b name ~width:(Bitvec.width contents.(0)) contents)
-    bindings;
+      Rtl.Builder.config_table b name ~width:(Bitvec.width contents.(0))
+        ~depth:(Array.length contents))
+    (config_bindings t);
   let addr = Rtl.Expr.concat [ state; inp ] in
   Rtl.Builder.reg_connect b "state"
     (Rtl.Builder.read_table b (ns_table_name t) addr);
   let out_addr = if is_moore t then state else addr in
   Rtl.Builder.output b "out" (Rtl.Builder.read_table b (out_table_name t) out_addr);
-  if annotate then Rtl.Builder.annotate b (annotation ~encoding t);
+  if annotate then Rtl.Builder.annotate b (annotation ~encoding:Binary t);
   Rtl.Builder.finish b
-
-let to_flexible_rtl ?(encoding = Binary) ?(annotate = false) t =
-  flexible_rtl ~encoding ~storage:`Config ~annotate t
-
-let to_rom_rtl ?(encoding = Binary) ?(annotate = false) t =
-  flexible_rtl ~encoding ~storage:`Rom ~annotate t
 
 (* Shannon tree over the inputs a state actually uses — what a designer's
    nested if/case would look like. *)

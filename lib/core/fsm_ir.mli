@@ -52,13 +52,14 @@ val is_moore : t -> bool
 (** Outputs independent of the inputs. A Moore machine's flexible
     implementation uses a compact state-indexed output memory. *)
 
-(** State encodings. The paper's Fig. 6 observes that state counts that do
-    not fill a binary code space (s ∈ {3, 17}) synthesize poorly without
-    annotations; encoding choice is the generator-side counterpart. *)
+(** State encodings of the direct style. The paper's Fig. 6 observes that
+    state counts that do not fill a binary code space (s ∈ {3, 17})
+    synthesize poorly without annotations; encoding choice is the
+    generator-side counterpart. The flexible style is always binary. *)
 type encoding =
   | Binary
   | Gray     (** same width as binary; adjacent indices differ in one bit *)
-  | One_hot  (** |S| bits; only usable with the direct (case) style *)
+  | One_hot  (** |S| bits *)
 
 val state_bits_with : encoding -> t -> int
 val encode_with : encoding -> t -> int -> Bitvec.t
@@ -93,18 +94,15 @@ val simulate : t -> int list -> Bitvec.t list
 val input_support : t -> int -> int list
 (** Input bits that influence the next state or output in a given state. *)
 
-val to_flexible_rtl : ?encoding:encoding -> ?annotate:bool -> t -> Rtl.Design.t
-(** Ports: input [in] (m bits), output [out] (n bits). [annotate] (default
-    false) adds the generator state-vector annotation. [encoding] defaults
-    to [Binary]; @raise Invalid_argument on [One_hot] (a one-hot-addressed
-    table would be exponentially deep — re-encode at the direct level
-    instead). *)
+val to_flexible_rtl : ?annotate:bool -> t -> Rtl.Design.t
+(** Ports: input [in] (m bits), output [out] (n bits). The binary-coded
+    state register addresses both tables, so the tables are indexed by
+    state number directly. [annotate] (default false) adds the generator
+    state-vector annotation. Binding the tables with
+    {!Synth.Partial_eval.bind_tables} and {!config_bindings} gives the
+    fixed (ROM) design. *)
 
-val config_bindings : ?encoding:encoding -> t -> (string * Bitvec.t array) list
+val config_bindings : t -> (string * Bitvec.t array) list
 (** Contents for the two configuration memories of the flexible design. *)
-
-val to_rom_rtl : ?encoding:encoding -> ?annotate:bool -> t -> Rtl.Design.t
-(** Flexible structure with tables bound (the partially-evaluated Auto
-    design's input). *)
 
 val to_direct_rtl : ?encoding:encoding -> t -> Rtl.Design.t

@@ -1,13 +1,3 @@
-type style =
-  | Flexible
-  | Flexible_annotated
-  | Direct
-
-let fsm_design fsm = function
-  | Flexible -> Fsm_ir.to_flexible_rtl ~annotate:false fsm
-  | Flexible_annotated -> Fsm_ir.to_flexible_rtl ~annotate:true fsm
-  | Direct -> Fsm_ir.to_direct_rtl fsm
-
 let fsm_manual_annotation fsm =
   Rtl.Annot.fsm_state_vector "state" (Fsm_ir.reachable_codes fsm)
 

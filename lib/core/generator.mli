@@ -9,17 +9,11 @@
       the *direct* RTL;
     + when the configuration is known, specialize the flexible design with
       {!Synth.Partial_eval.bind_tables} (tables become ROMs) and let the
-      synthesis flow fold it;
+      synthesis flow fold it — no generator emits a fixed design any other
+      way;
     + for *Manual*-grade results, add {!val-fsm_manual_annotation} /
       {!val-program_manual_annotations} — the reachability facts a tool
       cannot currently derive across flop boundaries. *)
-
-type style =
-  | Flexible            (** configuration memories, no annotations *)
-  | Flexible_annotated  (** + generator-emitted state/value-set annotations *)
-  | Direct              (** hand-written style (SOP / case statements) *)
-
-val fsm_design : Fsm_ir.t -> style -> Rtl.Design.t
 
 val fsm_manual_annotation : Fsm_ir.t -> Rtl.Annot.t
 (** State vector restricted to *reachable* states — what the paper's manual

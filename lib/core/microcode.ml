@@ -222,8 +222,7 @@ let config_bindings ?(style = `Horizontal) p =
   in
   umem @ dts
 
-let to_rtl ?(style = `Horizontal) ?(registered_outputs = false)
-    ?(annotate = false) ~storage p =
+let to_rtl ?(style = `Horizontal) ?(registered_outputs = false) p =
   if style = `Vertical && p.format = [] then
     invalid_arg "Microcode.to_rtl: vertical style needs control fields";
   let b = Rtl.Builder.create p.pname in
@@ -233,14 +232,11 @@ let to_rtl ?(style = `Horizontal) ?(registered_outputs = false)
     Rtl.Builder.reg_declare b "upc" ~width:a ~reset:Rtl.Design.Sync_reset
       ~init:(Bitvec.of_int ~width:a p.entry)
   in
-  let declare_table (name, contents) =
-    match storage with
-    | `Config ->
+  List.iter
+    (fun (name, contents) ->
       Rtl.Builder.config_table b name ~width:(Bitvec.width contents.(0))
-        ~depth:(Array.length contents)
-    | `Rom -> Rtl.Builder.rom b name ~width:(Bitvec.width contents.(0)) contents
-  in
-  List.iter declare_table (config_bindings ~style p);
+        ~depth:(Array.length contents))
+    (config_bindings ~style p);
   let word = Rtl.Builder.net b "uword" (Rtl.Builder.read_table b (umem_name p) upc) in
   (* Position of the sequencing fields within the memory word, and the
      control word the field slices read from. *)
@@ -288,20 +284,7 @@ let to_rtl ?(style = `Horizontal) ?(registered_outputs = false)
           else raw
         in
         Rtl.Builder.output b f.fname driver;
-        if annotate && registered_outputs then begin
-          let values =
-            List.map
-              (Bitvec.of_int ~width:f.fwidth)
-              (field_value_set p f.fname)
-          in
-          Rtl.Builder.annotate b
-            (Rtl.Annot.value_set (f.fname ^ "_r") values)
-        end;
         lo + f.fwidth)
       0 p.format
   in
-  if annotate then begin
-    let upc_values = List.map (Bitvec.of_int ~width:a) (reachable_addrs p) in
-    Rtl.Builder.annotate b (Rtl.Annot.value_set "upc" upc_values)
-  end;
   Rtl.Builder.finish b

@@ -12,11 +12,13 @@
     a 2-bit sequencing mode (0 = next, 1 = jump, 2 = dispatch), then the
     target field (jump address, or dispatch-table index).
 
-    The generated hardware reads the word from a configuration memory
-    ([`Config]) or a ROM ([`Rom]); with [registered_outputs] every control
+    The generated hardware reads the word from a configuration memory;
+    binding it with {!Synth.Partial_eval.bind_tables} and {!config_bindings}
+    gives the fixed (ROM) sequencer. With [registered_outputs] every control
     field goes through a pipeline register before its output port — which is
     where the paper's post-flop state-propagation problem (and the value of
-    generator annotations) shows up. *)
+    generator annotations, {!Generator.program_manual_annotations}) shows
+    up. *)
 
 type field = { fname : string; fwidth : int; onehot : bool }
 
@@ -99,19 +101,12 @@ val distinct_control_words : program -> int
 (** Distinct control-field combinations across the whole memory (including
     the all-zero padding word). *)
 
-val to_rtl :
-  ?style:style ->
-  ?registered_outputs:bool ->
-  ?annotate:bool ->
-  storage:[ `Config | `Rom ] ->
-  program ->
-  Rtl.Design.t
+val to_rtl : ?style:style -> ?registered_outputs:bool -> program -> Rtl.Design.t
 (** Ports: input [op] ([opcode_bits] wide); one output per control field,
-    named after it. [annotate] emits generator value-set annotations on the
-    microprogram counter and (when [registered_outputs]) on each field
-    register. *)
+    named after it. The microcode memory, decode memory and dispatch tables
+    are configuration memories. *)
 
 val config_bindings : ?style:style -> program -> (string * Bitvec.t array) list
 (** Contents of the microcode memory, decode memory (vertical only) and
-    dispatch tables, for partial evaluation of the [`Config] variant. Must
-    use the same [style] as {!to_rtl}. *)
+    dispatch tables, for partial evaluation of {!to_rtl}. Must use the same
+    [style] as {!to_rtl}. *)

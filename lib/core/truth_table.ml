@@ -30,18 +30,12 @@ let table_name t = t.name ^ "_mem"
 
 let config_binding t = (table_name t, t.entries)
 
-let base_design t ~storage =
+let to_flexible_rtl t =
   let b = Rtl.Builder.create t.name in
   let addr = Rtl.Builder.input b "addr" (addr_bits t) in
-  (match storage with
-   | `Config ->
-     Rtl.Builder.config_table b (table_name t) ~width:t.width ~depth:(depth t)
-   | `Rom -> Rtl.Builder.rom b (table_name t) ~width:t.width t.entries);
+  Rtl.Builder.config_table b (table_name t) ~width:t.width ~depth:(depth t);
   Rtl.Builder.output b "data" (Rtl.Builder.read_table b (table_name t) addr);
   Rtl.Builder.finish b
-
-let to_flexible_rtl t = base_design t ~storage:`Config
-let to_rom_rtl t = base_design t ~storage:`Rom
 
 let to_sop_rtl t =
   let b = Rtl.Builder.create (t.name ^ "_sop") in

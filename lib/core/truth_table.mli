@@ -2,12 +2,12 @@
 
     The simplest controller building block (Section II of the paper): a
     function with [addr_bits] inputs and [width] outputs stored as a table
-    of [depth] entries. Three hardware realizations:
+    of [depth] entries. Two hardware realizations:
 
     - {!to_flexible_rtl}: the table lives in a *configuration memory*
       (programmable bits + read mux tree) — the reconfigurable design.
-    - {!to_rom_rtl}: the same structure with the contents known — what the
-      flexible design becomes after partial evaluation.
+      Binding it with {!Synth.Partial_eval.bind_tables} and
+      {!config_binding} gives the fixed (ROM) design.
     - {!to_sop_rtl}: the "direct" implementation the paper compares against:
       one sum-of-products assignment per output bit.
 
@@ -38,9 +38,6 @@ val to_flexible_rtl : t -> Rtl.Design.t
 
 val config_binding : t -> string * Bitvec.t array
 (** The (table name, contents) pair for {!Synth.Partial_eval.bind_tables}. *)
-
-val to_rom_rtl : t -> Rtl.Design.t
-(** The flexible design with contents already bound. *)
 
 val to_sop_rtl : t -> Rtl.Design.t
 (** Direct style: canonical sum-of-products per output bit (the synthesis

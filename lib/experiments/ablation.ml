@@ -1,4 +1,5 @@
-let cone_cap ?(caps = [ 4; 6; 8; 10; 12; 14 ]) () =
+let cone_cap () =
+  let caps = [ 4; 6; 8; 10; 12; 14 ] in
   let cells = [ (16, 4); (64, 8); (256, 4) ] in
   let row cap =
     let ratios =
@@ -29,7 +30,8 @@ let cone_cap ?(caps = [ 4; 6; 8; 10; 12; 14 ]) () =
           @ [ "geomean" ])
        (List.map row caps))
 
-let twolevel ?(nvars_list = [ 4; 6; 8 ]) ?(seeds = [ 0; 1; 2 ]) () =
+let twolevel () =
+  let nvars_list = [ 4; 6; 8 ] and seeds = [ 0; 1; 2 ] in
   let random_fn nvars seed =
     let rng = Workload.Rng.make (Hashtbl.hash ("ablate2", nvars, seed)) in
     Twolevel.Truthfn.of_fun ~nvars (fun _ ->
@@ -80,7 +82,8 @@ let twolevel ?(nvars_list = [ 4; 6; 8 ]) ?(seeds = [ 0; 1; 2 ]) () =
        ~header:[ "nvars"; "seed"; "qm s"; "esp s" ]
        (List.map snd rows))
 
-let encodings ?(cases = [ (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 8, 17) ]) () =
+let encodings () =
+  let cases = [ (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 8, 17) ] in
   let row (m, n, s) =
     let fsm =
       Workload.Rand_fsm.generate ~seed:0 ~num_inputs:m ~num_outputs:n
@@ -109,7 +112,8 @@ let encodings ?(cases = [ (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 8, 17) ]) () =
        ~header:[ "m/n/s"; "binary"; "gray"; "one-hot"; "one-hot+annot" ]
        (List.map row cases))
 
-let library_richness ?(cases = [ (64, 8); (256, 16) ]) () =
+let library_richness () =
+  let cases = [ (64, 8); (256, 16) ] in
   (* The "discrete nature of the standard cell library": the same netlist
      mapped with and without the 3-input cells. *)
   let row (depth, width) =
@@ -142,17 +146,12 @@ let microcode_style () =
   (* Horizontal vs vertical microcode stores (paper Section II-B) on the
      PCtrl dispatch programs. *)
   let row (name, p) =
-    let bits style =
-      Rtl.Design.config_bit_count
-        (Core.Microcode.to_rtl ~style ~storage:`Config p)
-    in
-    let area style =
-      Exp_common.compile_area (Core.Microcode.to_rtl ~style ~storage:`Config p)
-    in
+    let flexible style = Core.Microcode.to_rtl ~style p in
+    let bits style = Rtl.Design.config_bit_count (flexible style) in
+    let area style = Exp_common.compile_area (flexible style) in
     let bound_area style =
       Exp_common.compile_area
-        (Synth.Partial_eval.bind_tables
-           (Core.Microcode.to_rtl ~style ~storage:`Config p)
+        (Synth.Partial_eval.bind_tables (flexible style)
            (Core.Microcode.config_bindings ~style p))
     in
     [
@@ -182,7 +181,8 @@ let microcode_style () =
             ("pctrl-uncached", Pctrl.Dispatch.program Pctrl.Dispatch.Uncached);
           ]))
 
-let annot_cap ?(n = 64) ?(caps = [ 8; 16; 32; 64; 128 ]) () =
+let annot_cap () =
+  let n = 64 and caps = [ 8; 16; 32; 64; 128 ] in
   let generic =
     Onehot_design.generic ~n ~style:(Onehot_design.Flop Rtl.Design.Sync_reset)
   in

@@ -12,12 +12,12 @@
       Fig. 6 workload — the generator-side answer to "s ∈ {3, 17} aren't
       efficiently coded in binary". *)
 
-val cone_cap : ?caps:int list -> unit -> unit
-val twolevel : ?nvars_list:int list -> ?seeds:int list -> unit -> unit
-val annot_cap : ?n:int -> ?caps:int list -> unit -> unit
-val encodings : ?cases:(int * int * int) list -> unit -> unit
+val cone_cap : unit -> unit
+val twolevel : unit -> unit
+val annot_cap : unit -> unit
+val encodings : unit -> unit
 
-val library_richness : ?cases:(int * int) list -> unit -> unit
+val library_richness : unit -> unit
 (** A5: the same optimized netlists mapped with and without the 3-input
     cells (NAND3/NOR3/AOI21/OAI21) — quantifying the "discrete standard
     cell library" effect the paper blames for residual scatter. *)

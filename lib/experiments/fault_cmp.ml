@@ -37,9 +37,10 @@ let models =
   [ Fault.Campaign.Control; Fault.Campaign.Tables; Fault.Campaign.Regs;
     Fault.Campaign.Stuck ]
 
-let run ?(seed = 0) ?(sites = 48) ?(cycles = default_cycles) ?(jobs = 1) () =
+let run ?(sites = 48) ?(jobs = 1) () =
+  let seed = 0 and cycles = default_cycles in
   let campaigns impl =
-    let spec = spec_of ~cycles impl in
+    let spec = spec_of impl in
     (* The stuck-at population lives on the synthesized netlist; the
        compile is deferred so the RTL-only models never pay for it. *)
     let aig =

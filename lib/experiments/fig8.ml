@@ -18,8 +18,7 @@ let flow_of = function
   | Retimed -> Exp_common.retimed_flow
   | Annotated -> Exp_common.annotated_flow
 
-let run ?(widths = Onehot_design.paper_widths)
-    ?(styles = Onehot_design.all_styles) () =
+let run ?(widths = Onehot_design.paper_widths) () =
   let points =
     List.concat_map
       (fun n ->
@@ -28,7 +27,7 @@ let run ?(widths = Onehot_design.paper_widths)
             List.map
               (fun variant -> (n, style, variant))
               [ Regular; Retimed; Annotated ])
-          styles)
+          Onehot_design.all_styles)
       widths
   in
   let jobs =

@@ -23,7 +23,7 @@ type row = {
           and the failure is recorded in {!Exp_common.failures}. *)
 }
 
-val run : ?widths:int list -> ?styles:(string * Onehot_design.flop_style) list -> unit -> row list
+val run : ?widths:int list -> unit -> row list
 
 val print : row list -> unit
 

@@ -23,6 +23,12 @@ type row = {
   power : float;  (** activity-based estimate, arbitrary units *)
 }
 
+val mode_name : Pctrl.Controller.mode -> string
+(** ["cached"] / ["uncached"]. *)
+
+val level_name : level -> string
+(** ["full"] / ["auto"] / ["manual"]. *)
+
 val run : unit -> row list
 
 val print : row list -> unit

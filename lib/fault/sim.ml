@@ -39,11 +39,13 @@ type spec = {
   stimulus : (string * Bitvec.t) list list;
   watch : string list;
   done_signal : string option;
-  hang_factor : int;
 }
 
-let spec ?(config = []) ?done_signal ?(hang_factor = 2) ~stimulus ~watch
-    design =
+(* A faulty run that has not asserted [done] by twice the stimulus length
+   hangs. *)
+let hang_factor = 2
+
+let spec ?(config = []) ?done_signal ~stimulus ~watch design =
   (* The hang detector compares [done_signal] cycle by cycle too: a fault
      that merely delays completion shows up as a mismatch, not a hang. *)
   let watch =
@@ -51,7 +53,7 @@ let spec ?(config = []) ?done_signal ?(hang_factor = 2) ~stimulus ~watch
     | Some s when not (List.mem s watch) -> watch @ [ s ]
     | _ -> watch
   in
-  { design; config; stimulus; watch; done_signal; hang_factor }
+  { design; config; stimulus; watch; done_signal }
 
 type golden = { samples : Bitvec.t list list; done_seen : bool }
 
@@ -118,7 +120,7 @@ let run_traced spec site ~extend =
      to [hang_factor] times the stimulus length, watching for [done]. *)
   let base = List.length spec.stimulus in
   if extend && Option.is_some spec.done_signal && not !done_seen then begin
-    let budget = max 0 ((spec.hang_factor - 1) * base) in
+    let budget = max 0 ((hang_factor - 1) * base) in
     (try
        for cycle = base to base + budget - 1 do
          inject cycle;
@@ -160,7 +162,7 @@ let run_site spec (g : golden) site =
       Hang
         (Printf.sprintf "%s never asserted within %d cycles"
            (Option.get spec.done_signal)
-           (spec.hang_factor * List.length spec.stimulus))
+           (hang_factor * List.length spec.stimulus))
     else compare_samples spec ~golden:g.samples ~faulty
 
 let trace_site spec site = fst (run_traced spec site ~extend:false)

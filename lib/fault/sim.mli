@@ -7,8 +7,8 @@
     - {!Mismatch}: the first cycle and signal where the faulty trace
       diverged.
     - {!Hang}: the golden run asserted the [done_signal] but the faulty
-      run never did, even when clocked for [hang_factor] times the
-      stimulus length with inputs held — or the faulty simulation raised.
+      run never did, even when clocked for twice the stimulus length with
+      inputs held — or the faulty simulation raised.
 
     RTL faults ({!Site.Table_bit}, {!Site.Reg_bit}) simulate through
     {!Rtl.Eval}; netlist stuck-at faults simulate on the {!Aig} through
@@ -43,19 +43,17 @@ type spec = {
       (** per-cycle input bindings, as for {!Rtl.Eval.run} *)
   watch : string list;  (** signals compared against the golden trace *)
   done_signal : string option;
-  hang_factor : int;
 }
 
 val spec :
   ?config:(string * Bitvec.t array) list ->
   ?done_signal:string ->
-  ?hang_factor:int ->
   stimulus:(string * Bitvec.t) list list ->
   watch:string list ->
   Rtl.Design.t ->
   spec
-(** [hang_factor] defaults to 2. [done_signal], when given, is appended to
-    [watch] if absent so delayed completion reads as a mismatch. *)
+(** [done_signal], when given, is appended to [watch] if absent so delayed
+    completion reads as a mismatch. *)
 
 type golden = { samples : Bitvec.t list list; done_seen : bool }
 

@@ -22,8 +22,7 @@ let full_design () =
   (* Dispatch unit: microcode sequencer with registered (pipelined) control
      fields. *)
   let seq_design =
-    Core.Microcode.to_rtl ~registered_outputs:true ~storage:`Config
-      (sequencer_geometry ())
+    Core.Microcode.to_rtl ~registered_outputs:true (sequencer_geometry ())
   in
   let seq = Rtl.Compose.instantiate b ~name:"seq" seq_design ~inputs:[ ("op", op) ] in
   let sel_mode = seq "sel_mode" in

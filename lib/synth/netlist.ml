@@ -14,8 +14,8 @@ let sanitize name =
 
 let pin_names = [| "A"; "B"; "C"; "D" |]
 
-let build ?complex_cells lib g =
-  let _report, instances = Map.run_full ?complex_cells lib g in
+let build lib ~name g =
+  let _report, instances = Map.run_full lib g in
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let counts = Hashtbl.create 16 in
@@ -113,7 +113,7 @@ let build ?complex_cells lib g =
     @ List.map (fun (name, _) -> "output " ^ sanitize name) (Aig.pos g)
   in
   out "// mapped with library %s\n" lib.Cells.Library.lib_name;
-  out "module %%NAME%% (\n  %s\n);\n" (String.concat ",\n  " ports);
+  out "module %s (\n  %s\n);\n" (sanitize name) (String.concat ",\n  " ports);
   out "  wire zero = 1'b0;\n  wire one = 1'b1;\n";
   List.iter
     (fun n ->
@@ -128,34 +128,9 @@ let build ?complex_cells lib g =
   out "endmodule\n";
   (Buffer.contents buf, counts)
 
-let replace_marker text value =
-  let marker = "%NAME%" in
-  match String.index_opt text '%' with
-  | None -> text
-  | Some _ ->
-    let buf = Buffer.create (String.length text) in
-    let ml = String.length marker in
-    let rec go i =
-      if i >= String.length text then ()
-      else if
-        i + ml <= String.length text && String.sub text i ml = marker
-      then begin
-        Buffer.add_string buf value;
-        go (i + ml)
-      end
-      else begin
-        Buffer.add_char buf text.[i];
-        go (i + 1)
-      end
-    in
-    go 0;
-    Buffer.contents buf
+let emit lib ~name g = fst (build lib ~name g)
 
-let emit ?complex_cells lib ~name g =
-  let text, _ = build ?complex_cells lib g in
-  replace_marker text (sanitize name)
-
-let instance_counts ?complex_cells lib g =
-  let _, counts = build ?complex_cells lib g in
+let instance_counts lib g =
+  let _, counts = build lib ~name:"" g in
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
   |> List.sort Stdlib.compare

@@ -6,9 +6,8 @@
     instance counts in the output match {!Map.report} cell for cell (a
     property the tests check). *)
 
-val emit : ?complex_cells:bool -> Cells.Library.t -> name:string -> Aig.t -> string
+val emit : Cells.Library.t -> name:string -> Aig.t -> string
 
-val instance_counts :
-  ?complex_cells:bool -> Cells.Library.t -> Aig.t -> (string * int) list
+val instance_counts : Cells.Library.t -> Aig.t -> (string * int) list
 (** Cells instantiated by {!emit}, sorted by name — for cross-checking
     against {!Map.run}. *)

@@ -24,13 +24,12 @@ val total : estimate -> float
 
 val estimate :
   ?cycles:int ->
-  ?seed:int ->
   ?config:(string * Bitvec.t array) list ->
   Cells.Library.t ->
   Aig.t ->
   estimate
-(** Simulates [cycles] (default 256) random-input clock cycles from the
-    initial state. [config] loads configuration latches (named
+(** Simulates [cycles] (default 256) random-input clock cycles, from a
+    fixed seed, from the initial state. [config] loads configuration latches (named
     ["table[entry][bit]"]) with real contents before simulating — without
     it, a flexible design idles on all-zero microcode and its dynamic power
     is meaninglessly low. *)

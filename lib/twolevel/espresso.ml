@@ -102,13 +102,11 @@ let cost cubes =
   ( List.length cubes,
     List.fold_left (fun acc c -> acc + Cube.num_literals c) 0 cubes )
 
-let minimize ?(max_iters = 3) ?initial tf =
+let max_iters = 3
+
+let minimize tf =
   let nvars = Truthfn.nvars tf in
-  let initial =
-    match initial with
-    | Some cs -> cs
-    | None -> List.map (Cube.of_minterm ~nvars) (Truthfn.on_set tf)
-  in
+  let initial = List.map (Cube.of_minterm ~nvars) (Truthfn.on_set tf) in
   let first = irredundant tf (expand tf initial) in
   let rec loop i best =
     if i >= max_iters then best

@@ -22,7 +22,6 @@ val reduce : Truthfn.t -> Cube.t list -> Cube.t list
     a cube gives up count as uncovered by it for the cubes after it, so the
     reduced cover still covers the ON-set. *)
 
-val minimize : ?max_iters:int -> ?initial:Cube.t list -> Truthfn.t -> Cover.t
-(** Full loop. [initial] defaults to the canonical minterm cover of the
-    ON-set; [max_iters] (default 3) bounds the improvement iterations.
-    {!Truthfn.cover_agrees} checks a cover. *)
+val minimize : Truthfn.t -> Cover.t
+(** Full loop from the canonical minterm cover of the ON-set, with at most
+    3 improvement iterations. {!Truthfn.cover_agrees} checks a cover. *)

@@ -1,8 +1,8 @@
 let mem_size = 32
 
-let build ~storage ~program () =
+let full ~program =
   if Array.length program <> mem_size then
-    invalid_arg "Machine.build: program must have 32 entries";
+    invalid_arg "Machine.full: program must have 32 entries";
   let b = Rtl.Builder.create "ucpu" in
   (* Architectural registers first: the sequencer dispatches on IR. *)
   let ir = Rtl.Builder.reg_declare b "ir" ~width:8 ~reset:Rtl.Design.Sync_reset in
@@ -11,7 +11,7 @@ let build ~storage ~program () =
   let opcode = Rtl.Expr.slice ir ~hi:7 ~lo:5 in
   let ir_addr = Rtl.Expr.slice ir ~hi:4 ~lo:0 in
   (* Control unit. *)
-  let seq_design = Core.Microcode.to_rtl ~storage Control.program in
+  let seq_design = Core.Microcode.to_rtl Control.program in
   let seq =
     Rtl.Compose.instantiate b ~name:"seq" seq_design ~inputs:[ ("op", opcode) ]
   in
@@ -72,8 +72,6 @@ let build ~storage ~program () =
   Rtl.Builder.output b "halted"
     (Rtl.Expr.eq_const opcode (Isa.opcode Isa.Hlt));
   Rtl.Builder.finish b
-
-let full ~program = build ~storage:`Config ~program ()
 
 let control_bindings ?(patched = false) () =
   let p = if patched then Control.patched_program else Control.program in

@@ -5,6 +5,23 @@ let expect_invalid name f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   | exception Invalid_argument _ -> ()
 
+(* The bound (ROM) designs: each flexible design partially evaluated under
+   its own configuration. *)
+let bound_table tt =
+  Synth.Partial_eval.bind_tables
+    (Core.Truth_table.to_flexible_rtl tt)
+    [ Core.Truth_table.config_binding tt ]
+
+let bound_fsm ?annotate fsm =
+  Synth.Partial_eval.bind_tables
+    (Core.Fsm_ir.to_flexible_rtl ?annotate fsm)
+    (Core.Fsm_ir.config_bindings fsm)
+
+let bound_program ?style ?registered_outputs p =
+  Synth.Partial_eval.bind_tables
+    (Core.Microcode.to_rtl ?style ?registered_outputs p)
+    (Core.Microcode.config_bindings ?style p)
+
 (* ------------------------------------------------------------ truth table *)
 
 let test_table_eval () =
@@ -20,7 +37,7 @@ let test_table_eval () =
 
 let test_table_implementations_agree () =
   let tt = Workload.Rand_table.generate ~seed:11 ~depth:13 ~width:5 in
-  let rom = Core.Truth_table.to_rom_rtl tt in
+  let rom = bound_table tt in
   let sop = Core.Truth_table.to_sop_rtl tt in
   let flexible = Core.Truth_table.to_flexible_rtl tt in
   let name, contents = Core.Truth_table.config_binding tt in
@@ -112,7 +129,7 @@ let test_fsm_input_support () =
 let test_fsm_rtl_equivalence () =
   let fsm = sample_fsm in
   let direct = Rtl.Eval.create (Core.Fsm_ir.to_direct_rtl fsm) in
-  let rom = Rtl.Eval.create (Core.Fsm_ir.to_rom_rtl fsm) in
+  let rom = Rtl.Eval.create (bound_fsm fsm) in
   let rng = Random.State.make [| 42 |] in
   let inputs = List.init 50 (fun _ -> Random.State.int rng 4) in
   let expected = Core.Fsm_ir.simulate fsm inputs in
@@ -177,7 +194,7 @@ let test_microcode_analysis () =
 
 let test_microcode_rtl_match () =
   let p = demo_program in
-  let d = Core.Microcode.to_rtl ~storage:`Rom p in
+  let d = bound_program p in
   let st = Rtl.Eval.create d in
   let ops = [ 1; 0; 0; 3; 1; 0; 0; 0 ] in
   let trace = Core.Microcode.run p ~ops in
@@ -194,7 +211,7 @@ let test_microcode_rtl_match () =
 
 let test_microcode_registered_outputs () =
   let p = demo_program in
-  let d = Core.Microcode.to_rtl ~registered_outputs:true ~storage:`Rom p in
+  let d = bound_program ~registered_outputs:true p in
   let st = Rtl.Eval.create d in
   (* Registered fields lag the combinational trace by one cycle. *)
   let ops = [ 1; 0; 0; 0 ] in
@@ -277,9 +294,9 @@ let test_asm_errors () =
 
 let test_generator_styles () =
   let fsm = sample_fsm in
-  let flex = Core.Generator.fsm_design fsm Core.Generator.Flexible in
-  let annotated = Core.Generator.fsm_design fsm Core.Generator.Flexible_annotated in
-  let direct = Core.Generator.fsm_design fsm Core.Generator.Direct in
+  let flex = Core.Fsm_ir.to_flexible_rtl fsm in
+  let annotated = Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm in
+  let direct = Core.Fsm_ir.to_direct_rtl fsm in
   Alcotest.(check int) "no annots on flexible" 0
     (List.length flex.Rtl.Design.annots);
   Alcotest.(check int) "generator annot" 1
@@ -293,6 +310,71 @@ let test_generator_styles () =
   Alcotest.(check int) "manual values = reachable"
     (List.length (Core.Fsm_ir.reachable fsm))
     (List.length (Rtl.Annot.values manual))
+
+(* ----------------------------------------------------------------- golden *)
+
+(* Digest of the serialized bound (ROM) design of every generator: random
+   tables and FSMs, the PCtrl dispatch and µCPU microprograms in both
+   store styles, and the DMA micro-assembly example. *)
+let bound_fingerprint () =
+  let line name d =
+    Printf.sprintf "%s %s\n" name
+      (Digest.to_hex (Digest.string (Rtl.Serialize.write d)))
+  in
+  let tables =
+    List.mapi
+      (fun i (seed, depth, width) ->
+        let tt = Workload.Rand_table.generate ~seed ~depth ~width in
+        line (Printf.sprintf "table%d" i) (bound_table tt))
+      [ (1, 16, 4); (2, 13, 5); (3, 64, 8); (4, 5, 1) ]
+  in
+  let fsms =
+    List.concat_map
+      (fun (seed, m, n, s) ->
+        let fsm =
+          Workload.Rand_fsm.generate ~seed ~num_inputs:m ~num_outputs:n
+            ~num_states:s
+        in
+        List.map
+          (fun annotate ->
+            line
+              (Printf.sprintf "fsm%d%s" seed (if annotate then "+annot" else ""))
+              (bound_fsm ~annotate fsm))
+          [ false; true ])
+      [ (1, 2, 4, 5); (2, 1, 3, 3); (3, 3, 2, 17); (4, 2, 8, 8) ]
+  in
+  let programs =
+    [
+      ("pctrl-cached", Pctrl.Dispatch.program Pctrl.Dispatch.Cached);
+      ("pctrl-uncached", Pctrl.Dispatch.program Pctrl.Dispatch.Uncached);
+      ("ucpu", Ucpu.Control.program);
+    ]
+  in
+  let microcode =
+    List.concat_map
+      (fun (name, p) ->
+        List.concat_map
+          (fun (sname, style) ->
+            List.map
+              (fun registered_outputs ->
+                line
+                  (Printf.sprintf "%s-%s%s" name sname
+                     (if registered_outputs then "-reg" else ""))
+                  (bound_program ~style ~registered_outputs p))
+              [ false; true ])
+          [ ("h", `Horizontal); ("v", `Vertical) ])
+      programs
+  in
+  let dma =
+    Core.Microasm.parse
+      (In_channel.with_open_text "../examples/data/dma.uasm"
+         In_channel.input_all)
+  in
+  String.concat ""
+    (tables @ fsms @ microcode
+     @ [ line "dma.uasm" (bound_program dma) ])
+
+let test_bound_golden () = Golden.check "bound.txt" (bound_fingerprint ())
 
 let () =
   Alcotest.run "core"
@@ -322,6 +404,7 @@ let () =
             test_microcode_registered_outputs;
           Alcotest.test_case "validation" `Quick test_microcode_validation;
         ] );
+      ("golden", [ Alcotest.test_case "bound designs" `Quick test_bound_golden ]);
       ( "microasm",
         [
           Alcotest.test_case "parse" `Quick test_asm_parse;

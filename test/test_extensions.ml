@@ -71,11 +71,17 @@ let test_spec_errors () =
     { dma_spec with handlers = [ (1, Core.Ctrl_spec.Emit [ ("beat", 9) ]) ] };
   expect { dma_spec with handlers = [ (9, Core.Ctrl_spec.Emit []) ] }
 
+(* A microprogram's bound (ROM) sequencer: the flexible one partially
+   evaluated under the program. *)
+let bound_program ?style p =
+  Synth.Partial_eval.bind_tables
+    (Core.Microcode.to_rtl ?style p)
+    (Core.Microcode.config_bindings ?style p)
+
 let test_spec_hardware () =
   (* The compiled program's hardware behaves like the ISA semantics. *)
   let p = Core.Ctrl_spec.compile dma_spec in
-  let d = Core.Microcode.to_rtl ~storage:`Rom p in
-  let st = Rtl.Eval.create d in
+  let st = Rtl.Eval.create (bound_program p) in
   let ops = [ 1; 0; 0; 0; 0; 2; 0; 1; 0 ] in
   List.iter2
     (fun op fields ->
@@ -131,14 +137,7 @@ let test_encodings_equivalent () =
   in
   check_design "direct gray" (Core.Fsm_ir.to_direct_rtl ~encoding:Core.Fsm_ir.Gray f);
   check_design "direct one-hot"
-    (Core.Fsm_ir.to_direct_rtl ~encoding:Core.Fsm_ir.One_hot f);
-  check_design "rom gray"
-    (Core.Fsm_ir.to_rom_rtl ~encoding:Core.Fsm_ir.Gray f)
-
-let test_onehot_table_rejected () =
-  match Core.Fsm_ir.to_flexible_rtl ~encoding:Core.Fsm_ir.One_hot sample_fsm with
-  | _ -> Alcotest.fail "one-hot table accepted"
-  | exception Invalid_argument _ -> ()
+    (Core.Fsm_ir.to_direct_rtl ~encoding:Core.Fsm_ir.One_hot f)
 
 (* --------------------------------------------------------- annot_check *)
 
@@ -229,8 +228,8 @@ let test_pctrl_manual_annotations_proved () =
 
 let test_vertical_equivalent () =
   let p = Core.Ctrl_spec.compile dma_spec in
-  let h = Core.Microcode.to_rtl ~style:`Horizontal ~storage:`Rom p in
-  let v = Core.Microcode.to_rtl ~style:`Vertical ~storage:`Rom p in
+  let h = bound_program ~style:`Horizontal p in
+  let v = bound_program ~style:`Vertical p in
   let gh = (Synth.Lower.run h).Synth.Lower.aig in
   let gv = (Synth.Lower.run v).Synth.Lower.aig in
   (match Synth.Equiv.check ~seed:2 gh gv with
@@ -266,8 +265,7 @@ let test_vertical_saves_config_bits () =
   Alcotest.(check int) "three distinct words" 3
     (Core.Microcode.distinct_control_words p);
   let bits style =
-    Rtl.Design.config_bit_count
-      (Core.Microcode.to_rtl ~style ~storage:`Config p)
+    Rtl.Design.config_bit_count (Core.Microcode.to_rtl ~style p)
   in
   Alcotest.(check bool)
     (Printf.sprintf "vertical (%d) < horizontal (%d)" (bits `Vertical)
@@ -275,15 +273,10 @@ let test_vertical_saves_config_bits () =
     true
     (bits `Vertical < bits `Horizontal);
   (* And the two flexible structures agree once programmed. *)
-  let bind style =
-    Synth.Partial_eval.bind_tables
-      (Core.Microcode.to_rtl ~style ~storage:`Config p)
-      (Core.Microcode.config_bindings ~style p)
-  in
   match
     Synth.Equiv.check ~seed:4
-      (Synth.Lower.run (bind `Horizontal)).Synth.Lower.aig
-      (Synth.Lower.run (bind `Vertical)).Synth.Lower.aig
+      (Synth.Lower.run (bound_program ~style:`Horizontal p)).Synth.Lower.aig
+      (Synth.Lower.run (bound_program ~style:`Vertical p)).Synth.Lower.aig
   with
   | Synth.Equiv.Refuted c ->
     Alcotest.failf "bound styles diverge on %s" c.first.output
@@ -366,8 +359,6 @@ let () =
         [
           Alcotest.test_case "codes" `Quick test_encoding_codes;
           Alcotest.test_case "equivalent behaviour" `Quick test_encodings_equivalent;
-          Alcotest.test_case "one-hot table rejected" `Quick
-            test_onehot_table_rejected;
         ] );
       ( "vertical microcode",
         [

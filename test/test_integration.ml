@@ -57,7 +57,11 @@ let test_fsm_rtl_vs_ir_semantics () =
   let fsm =
     Workload.Rand_fsm.generate ~seed:21 ~num_inputs:3 ~num_outputs:4 ~num_states:5
   in
-  let design = Core.Fsm_ir.to_rom_rtl fsm in
+  let design =
+    Synth.Partial_eval.bind_tables
+      (Core.Fsm_ir.to_flexible_rtl fsm)
+      (Core.Fsm_ir.config_bindings fsm)
+  in
   let st = Rtl.Eval.create design in
   let inputs = [ 0; 1; 7; 3; 2; 5; 6; 4; 1; 0; 2; 7 ] in
   let expected = Core.Fsm_ir.simulate fsm inputs in
@@ -98,13 +102,14 @@ work:
   ; jump idle
 |} in
   let p = Core.Microasm.parse src in
-  let rom = Core.Microcode.to_rtl ~storage:`Rom p in
-  let flex = Core.Microcode.to_rtl ~storage:`Config p in
-  let bound = Synth.Partial_eval.bind_tables flex (Core.Microcode.config_bindings p) in
-  let rr = compile rom and rb = compile bound in
-  check_equiv "sequencer" rr.Synth.Flow.aig rb.Synth.Flow.aig;
+  let bound =
+    Synth.Partial_eval.bind_tables (Core.Microcode.to_rtl p)
+      (Core.Microcode.config_bindings p)
+  in
+  check_equiv "sequencer" (Synth.Lower.run bound).Synth.Lower.aig
+    (compile bound).Synth.Flow.aig;
   (* ISA-level vs RTL-level agreement. *)
-  let st = Rtl.Eval.create rom in
+  let st = Rtl.Eval.create bound in
   let ops = [ 1; 0; 0; 0; 2; 1; 0; 0 ] in
   let trace = Core.Microcode.run p ~ops in
   List.iter2

@@ -162,7 +162,12 @@ let test_rtl_vs_aig_unknown_input () =
 let test_lower_rom_folds () =
   (* A constant table lowers to pure logic: no latches at all. *)
   let tt = Workload.Rand_table.generate ~seed:1 ~depth:16 ~width:4 in
-  let low = Synth.Lower.run (Core.Truth_table.to_rom_rtl tt) in
+  let low =
+    Synth.Lower.run
+      (Synth.Partial_eval.bind_tables
+         (Core.Truth_table.to_flexible_rtl tt)
+         [ Core.Truth_table.config_binding tt ])
+  in
   Alcotest.(check int) "no latches" 0 (Aig.num_latches low.Synth.Lower.aig)
 
 let test_lower_config_latches () =
