@@ -260,6 +260,34 @@ let cone t roots =
   List.iter (fun l -> visit (node_of_lit l)) roots;
   (List.rev !leaves, List.rev !internal)
 
+exception Too_wide
+
+let bounded_cone t ~cap =
+  (* Node [id] is visited in the current walk iff [mark.(id) = !walk]. *)
+  let mark = Array.make t.n 0 and walk = ref 0 in
+  fun root ->
+    incr walk;
+    let w = !walk in
+    let leaves = ref [] and width = ref 0 and internal = ref [] in
+    let rec visit id =
+      if mark.(id) <> w then begin
+        mark.(id) <- w;
+        match t.kinds.(id) with
+        | Const -> ()
+        | Pi | Latch ->
+          incr width;
+          if !width > cap then raise_notrace Too_wide;
+          leaves := id :: !leaves
+        | And ->
+          visit (node_of_lit t.fan0.(id));
+          visit (node_of_lit t.fan1.(id));
+          internal := id :: !internal
+      end
+    in
+    match visit root with
+    | () -> Some (List.rev !leaves, List.rev !internal)
+    | exception Too_wide -> None
+
 let levels t =
   let lv = Array.make t.n 0 in
   for id = 1 to t.n - 1 do

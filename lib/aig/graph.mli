@@ -97,6 +97,13 @@ val cone : t -> lit list -> int list * int list
 (** [cone t roots] = (leaves, internal nodes in topological order): the
     transitive combinational fan-in, where leaves are PIs and latches. *)
 
+val bounded_cone : t -> cap:int -> int -> (int list * int list) option
+(** [bounded_cone t ~cap] is a walker: applied to node [n], it returns
+    [Some (cone t [lit_of_node n false])] when that cone has at most [cap]
+    leaves, and [None] as soon as the walk finds leaf [cap + 1]. The walker
+    reuses one node-indexed mark array across calls, so [t] must not grow
+    while it is in use. *)
+
 val levels : t -> (int -> int)
 (** Combinational level of each node (PIs/latches at level 0). *)
 

@@ -55,12 +55,15 @@ let set v i b =
   { width = v.width; limbs }
 
 let of_bits bits =
-  let v = zero (List.length bits) in
-  let _, v =
-    List.fold_left (fun (i, v) b -> (i + 1, if b then set v i true else v))
-      (0, v) bits
-  in
-  v
+  let width = List.length bits in
+  let limbs = Array.make (limb_count width) 0 in
+  List.iteri
+    (fun i b ->
+      if b then
+        let j = i / limb_bits in
+        limbs.(j) <- limbs.(j) lor (1 lsl (i mod limb_bits)))
+    bits;
+  { width; limbs }
 
 let of_binary_string s =
   let bits =
@@ -166,40 +169,49 @@ let shift_right v k =
 
 let ult a b = compare_value a b < 0
 
+(* The [limb_bits] bits of [limbs] from bit [p] up, zero past the end. *)
+let bits_from limbs p =
+  let j = p / limb_bits and k = p mod limb_bits in
+  let limb i = if i < Array.length limbs then limbs.(i) else 0 in
+  if k = 0 then limb j
+  else ((limb j lsr k) lor (limb (j + 1) lsl (limb_bits - k))) land limb_mask
+
 let slice v ~hi ~lo =
   if lo < 0 || hi < lo || hi >= v.width then
     invalid_arg "Bitvec.slice: bad range";
-  let out = ref (zero (hi - lo + 1)) in
-  for i = lo to hi do
-    if get v i then out := set !out (i - lo) true
-  done;
-  !out
+  let w = hi - lo + 1 in
+  canonicalize w
+    (Array.init (limb_count w) (fun i -> bits_from v.limbs (lo + (i * limb_bits))))
 
 let resize v w =
   if w < 0 then invalid_arg "Bitvec.resize: negative width";
   if w = v.width then v
   else if w < v.width then (if w = 0 then zero 0 else slice v ~hi:(w - 1) ~lo:0)
   else begin
-    let out = ref (zero w) in
-    for i = 0 to v.width - 1 do
-      if get v i then out := set !out i true
-    done;
-    !out
+    let limbs = Array.make (limb_count w) 0 in
+    Array.blit v.limbs 0 limbs 0 (Array.length v.limbs);
+    { width = w; limbs }
   end
 
 let concat vs =
   let total = List.fold_left (fun acc v -> acc + v.width) 0 vs in
-  (* Head of the list is the most significant part. *)
-  let out = ref (zero total) in
+  (* Head of the list is the most significant part. Each source limb is
+     canonical, so it lands in at most two output limbs. *)
+  let out = Array.make (limb_count total) 0 in
   let pos = ref total in
   let place v =
     pos := !pos - v.width;
-    for i = 0 to v.width - 1 do
-      if get v i then out := set !out (!pos + i) true
-    done
+    Array.iteri
+      (fun i x ->
+        let p = !pos + (i * limb_bits) in
+        let j = p / limb_bits and k = p mod limb_bits in
+        out.(j) <- out.(j) lor ((x lsl k) land limb_mask);
+        if k > 0 && j + 1 < Array.length out then
+          out.(j + 1) <- out.(j + 1) lor (x lsr (limb_bits - k)))
+      v.limbs
   in
   List.iter place vs;
-  !out
+  { width = total; limbs = out }
 
 let all_values w =
   if w < 0 || w > 24 then invalid_arg "Bitvec.all_values: width out of range";

@@ -31,6 +31,7 @@ type t = {
   lib : Cells.Library.t;
   jobs : int;
   cache : Cache.t option;
+  memo : Synth.Collapse.memo;
   mutable submitted : int;
   mutable executed : int;
   mutable failed : int;
@@ -44,8 +45,9 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 0";
   let cache = if no_cache then None else Some (Cache.create ?dir:cache_dir ()) in
-  { lib; jobs; cache; submitted = 0; executed = 0; failed = 0; mem_hits = 0;
-    disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
+  { lib; jobs; cache; memo = Synth.Collapse.create_memo (); submitted = 0;
+    executed = 0; failed = 0; mem_hits = 0; disk_hits = 0; wall_s = 0.0;
+    cpu_s = 0.0 }
 
 let now () = Unix.gettimeofday ()
 
@@ -89,7 +91,7 @@ let run t jobs =
   let distinct = Array.of_list (List.rev !to_run) in
   let compile (_key, j) =
     let jt0 = now () in
-    let r = Synth.Flow.compile ~options:j.options t.lib j.design in
+    let r = Synth.Flow.compile ~options:j.options ~memo:t.memo t.lib j.design in
     Summary.of_flow ~wall_s:(now () -. jt0) r
   in
   let results =

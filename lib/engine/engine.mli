@@ -11,7 +11,10 @@
       once, every requester shares the result);
     - executes cache misses with {!Pool.map} on worker domains, under
       exception isolation: a crashing job yields an [Error] outcome for
-      itself only.
+      itself only;
+    - gives every compile it runs one shared collapse analysis memo
+      ({!Synth.Collapse.memo}), created with the engine, so a window
+      function that recurs across jobs is minimized once per engine.
 
     Determinism: [Synth.Flow.compile] is a pure function of the job inputs,
     so outcomes are independent of worker count, scheduling order, and

@@ -148,28 +148,102 @@ let exclusive_count g fanout uses root_nodes nodes =
   List.iter (update_fanins (fun _ -> 0)) nodes;
   count
 
-(* A root function's two-level analysis: its espresso cover, the
-   completion that cover picks for the don't-cares, and the zero-fill
-   completion. *)
-type analysis = { cover : Twolevel.Cover.t; resolved : Bytes.t; resolved0 : Bytes.t }
+(* A root function's two-level analysis, keyed by its window signature
+   [key] (the memo's own copy, which the cost keys share): its espresso
+   cover, the completion that cover picks for the don't-cares, and the
+   zero-fill completion. Without a don't-care both completions equal the
+   signature, so all three fields are [key] itself. *)
+type analysis = {
+  key : Bytes.t;
+  cover : Twolevel.Cover.t;
+  resolved : Bytes.t;
+  resolved0 : Bytes.t;
+  has_dc : bool;
+}
 
 let espresso_calls = Obs.Metrics.counter "synth.collapse.espresso_calls"
 let memo_hits = Obs.Metrics.counter "synth.collapse.memo_hits"
 
-let run ?(cap = 14) ~annots g =
+let analysis_of_signature k signature =
+  (* The signature bytes are the function's codes; Espresso only reads
+     them, so the memo key can be adopted as is. *)
+  let tf = Twolevel.Truthfn.of_codes ~nvars:k signature in
+  let cover = Twolevel.Espresso.minimize tf in
+  (* The completion the cover picks: paint each cube's minterms. *)
+  let resolved = Bytes.make (1 lsl k) '\000' in
+  List.iter
+    (Twolevel.Cube.iter_minterms ~nvars:k (fun m -> Bytes.set resolved m '\001'))
+    cover.Twolevel.Cover.cubes;
+  (* Invariant: the cover implements the window on every cared
+     assignment. A miss would be a miscompile, so it raises. *)
+  Bytes.iteri
+    (fun m c ->
+      if c <> '\002' && c <> Bytes.get resolved m then
+        failwith
+          (Printf.sprintf
+             "Collapse: Espresso cover disagrees with its %d-leaf window at \
+              assignment %d" k m))
+    signature;
+  if not (Bytes.contains signature '\002') then
+    { key = signature; cover; resolved = signature; resolved0 = signature;
+      has_dc = false }
+  else
+    (* Alternative completion: don't-cares to zero. It often shares
+       better across the group's outputs (the table's own zero-fill). *)
+    let resolved0 =
+      Bytes.map (fun c -> if c = '\001' then '\001' else '\000') signature
+    in
+    { key = signature; cover; resolved; resolved0; has_dc = true }
+
+type memo = {
+  lock : Mutex.t;
+  analyses : (Bytes.t, analysis) Hashtbl.t;
+  costs : (Bytes.t list, int * int * int) Hashtbl.t;
+}
+
+let create_memo () =
+  { lock = Mutex.create (); analyses = Hashtbl.create 64;
+    costs = Hashtbl.create 64 }
+
+let memo_find memo tbl key =
+  Mutex.protect memo.lock (fun () -> Hashtbl.find_opt tbl key)
+
+(* Misses are computed outside the lock; the first value inserted for a
+   key wins, and [memo_add] returns it with whether this call inserted
+   it. *)
+let memo_add memo tbl key v =
+  Mutex.protect memo.lock (fun () ->
+      match Hashtbl.find_opt tbl key with
+      | Some v' -> (v', false)
+      | None ->
+        Hashtbl.add tbl key v;
+        (v, true))
+
+(* Espresso runs are counted where their result enters the memo, so
+   [espresso_calls] is the number of distinct signatures in the memo's
+   scope and the two counters do not depend on domain scheduling. *)
+let memo_analysis memo k signature =
+  match memo_find memo memo.analyses signature with
+  | Some a ->
+    Obs.Metrics.incr memo_hits;
+    a
+  | None ->
+    let a, inserted =
+      memo_add memo memo.analyses signature (analysis_of_signature k signature)
+    in
+    Obs.Metrics.incr (if inserted then espresso_calls else memo_hits);
+    a
+
+let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
   (* Generated designs repeat one block per bit-slice, so thousands of
      groups compute the same few truth functions. The packed window
      simulation gives each root an exact signature (its dense
      DC/on/off string, whose length encodes the window size), and the
      analysis — espresso cover plus both completions — is a
      deterministic function of it, so it runs once per distinct
-     signature in the pass. The scratch-graph candidate costs are
+     signature in [memo]'s scope. The scratch-graph candidate costs are
      likewise a function of the group's ordered signature list. Only
      [exclusive_count] and the rebuild depend on the graph itself. *)
-  let an_memo : (Bytes.t, analysis) Hashtbl.t = Hashtbl.create 64 in
-  let cost_memo : (Bytes.t list, int * int * int) Hashtbl.t =
-    Hashtbl.create 64
-  in
   let ng = Aig.create () in
   let copy = Aig.rebuild g ~into:ng in
   let root_map : (Aig.lit, Aig.lit) Hashtbl.t = Hashtbl.create 64 in
@@ -189,28 +263,24 @@ let run ?(cap = 14) ~annots g =
   (* Group collapsible roots by their (canonically ordered) leaf set so the
      rebuild decision accounts for logic shared between the outputs of one
      block — per-root decisions would keep structures whose sharing is an
-     illusion once each consumer is considered alone. *)
+     illusion once each consumer is considered alone. A cone walk stops at
+     leaf [cap + 1]: wider roots are only copied. *)
+  let cone = Aig.bounded_cone g ~cap in
   let root_cones = Hashtbl.create 64 in
-  List.iter
-    (fun rn ->
-      let leaves, nodes = Aig.cone g [ Aig.lit_of_node rn false ] in
-      let leaves = Array.of_list (List.sort Stdlib.compare leaves) in
-      Hashtbl.replace root_cones rn (leaves, nodes))
-    root_nodes;
   let groups : (int list, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let group_order = ref [] in
   List.iter
     (fun rn ->
-      let leaves, _ = Hashtbl.find root_cones rn in
-      let k = Array.length leaves in
-      if k > 0 && k <= cap then begin
-        let key = Array.to_list leaves in
-        match Hashtbl.find_opt groups key with
-        | Some l -> l := rn :: !l
-        | None ->
-          Hashtbl.replace groups key (ref [ rn ]);
-          group_order := key :: !group_order
-      end)
+      match cone rn with
+      | None | Some ([], _) -> ()
+      | Some (leaves, nodes) ->
+        let key = List.sort Stdlib.compare leaves in
+        Hashtbl.replace root_cones rn nodes;
+        (match Hashtbl.find_opt groups key with
+         | Some l -> l := rn :: !l
+         | None ->
+           Hashtbl.replace groups key (ref [ rn ]);
+           group_order := key :: !group_order))
     root_nodes;
   (* Decide and rebuild each group. *)
   let process_group key =
@@ -219,7 +289,7 @@ let run ?(cap = 14) ~annots g =
     let k = Array.length leaves in
     let union_nodes =
       List.sort_uniq Stdlib.compare
-        (List.concat_map (fun rn -> snd (Hashtbl.find root_cones rn)) members)
+        (List.concat_map (Hashtbl.find root_cones) members)
     in
     let read = window_sim g values leaves union_nodes in
     let dc = constraint_dc annots leaves in
@@ -229,40 +299,7 @@ let run ?(cap = 14) ~annots g =
         Bytes.init (1 lsl k) (fun m ->
             if dc m then '\002' else if read_root m then '\001' else '\000')
       in
-      match Hashtbl.find_opt an_memo signature with
-      | Some a ->
-        Obs.Metrics.incr memo_hits;
-        (rn, signature, a)
-      | None ->
-        Obs.Metrics.incr espresso_calls;
-        (* The signature bytes are the function's codes; Espresso only
-           reads them, so the memo key can be adopted as is. *)
-        let tf = Twolevel.Truthfn.of_codes ~nvars:k signature in
-        let cover = Twolevel.Espresso.minimize tf in
-        (* The completion the cover picks: paint each cube's minterms. *)
-        let resolved = Bytes.make (1 lsl k) '\000' in
-        List.iter
-          (Twolevel.Cube.iter_minterms ~nvars:k (fun m ->
-               Bytes.set resolved m '\001'))
-          cover.Twolevel.Cover.cubes;
-        (* Invariant: the cover implements the window on every cared
-           assignment. A miss would be a miscompile, so it raises. *)
-        Bytes.iteri
-          (fun m c ->
-            if c <> '\002' && c <> Bytes.get resolved m then
-              failwith
-                (Printf.sprintf
-                   "Collapse: Espresso cover disagrees with its %d-leaf \
-                    window at assignment %d" k m))
-          signature;
-        (* Alternative completion: don't-cares to zero. It often shares
-           better across the group's outputs (the table's own zero-fill). *)
-        let resolved0 =
-          Bytes.map (fun c -> if c = '\001' then '\001' else '\000') signature
-        in
-        let a = { cover; resolved; resolved0 } in
-        Hashtbl.replace an_memo signature a;
-        (rn, signature, a)
+      (rn, memo_analysis memo k signature)
     in
     let analyzed = List.map analyze members in
     (* Exact candidate costs: build each candidate into a private scratch
@@ -279,34 +316,39 @@ let run ?(cap = 14) ~annots g =
     in
     let tree_total pick =
       scratch_cost (fun sg leaf ->
-          let memo = Hashtbl.create 64 in
+          let shared = Hashtbl.create 64 in
           List.iter
-            (fun (_, _, a) -> ignore (tree_build sg memo leaf (pick a)))
+            (fun (_, a) -> ignore (tree_build sg shared leaf (pick a)))
             analyzed)
     in
-    let costs_key = List.map (fun (_, signature, _) -> signature) analyzed in
+    let costs_key = List.map (fun (_, a) -> a.key) analyzed in
     let total_sop, total_tree, total_tree0 =
-      match Hashtbl.find_opt cost_memo costs_key with
+      match memo_find memo memo.costs costs_key with
       | Some costs -> costs
       | None ->
         let total_sop =
           scratch_cost (fun sg leaf ->
               List.iter
-                (fun (_, _, a) -> ignore (sop_build sg leaf a.cover))
+                (fun (_, a) -> ignore (sop_build sg leaf a.cover))
                 analyzed)
         in
         let total_tree = tree_total (fun a -> a.resolved) in
-        let total_tree0 = tree_total (fun a -> a.resolved0) in
-        let costs = (total_sop, total_tree, total_tree0) in
-        Hashtbl.replace cost_memo costs_key costs;
-        costs
+        (* Without a don't-care the zero-fill completion is [resolved]. *)
+        let total_tree0 =
+          if List.exists (fun (_, a) -> a.has_dc) analyzed then
+            tree_total (fun a -> a.resolved0)
+          else total_tree
+        in
+        fst
+          (memo_add memo memo.costs costs_key
+             (total_sop, total_tree, total_tree0))
     in
     let cost_old = exclusive_count g fanout uses members union_nodes in
     let best = min total_sop (min total_tree total_tree0) in
     if best < cost_old then begin
       if best = total_sop then
         List.iter
-          (fun (rn, _, a) ->
+          (fun (rn, a) ->
             Hashtbl.replace root_map (Aig.lit_of_node rn false)
               (sop_build ng (leaf_lit leaves) a.cover))
           analyzed
@@ -314,11 +356,11 @@ let run ?(cap = 14) ~annots g =
         let pick =
           if best = total_tree then fun a -> a.resolved else fun a -> a.resolved0
         in
-        let memo = Hashtbl.create 64 in
+        let shared = Hashtbl.create 64 in
         List.iter
-          (fun (rn, _, a) ->
+          (fun (rn, a) ->
             Hashtbl.replace root_map (Aig.lit_of_node rn false)
-              (tree_build ng memo (leaf_lit leaves) (pick a)))
+              (tree_build ng shared (leaf_lit leaves) (pick a)))
           analyzed
       end
     end

@@ -11,13 +11,29 @@
     in different styles can keep different structures, which is the scatter
     the paper observes around the equal-area line).
 
-    Espresso and the candidate costs are memoized for the whole pass by
-    exact window signature, so roots and groups that repeat a truth
-    function (bit-sliced designs) are analysed once.
+    Espresso and the candidate costs are memoized by exact window
+    signature in a {!memo} that outlives the pass: {!Flow.compile}
+    shares one across its collapse iterations, and an engine shares one
+    across every compile it runs. Roots and groups that repeat a truth
+    function (bit-sliced designs, a table and its direct SOP) are analysed
+    once per memo.
 
     Roots with wider cones are copied structurally (this is the flop-boundary
     limitation: the pass never looks through a latch, so an unannotated
     registered one-hot bus is *not* optimized — Fig. 8's "Regular" series). *)
 
-val run : ?cap:int -> annots:Annots.t list -> Aig.t -> Aig.t
-(** [cap] defaults to 14 (the dense truth-table window limit). *)
+type memo
+(** Window signature → Espresso cover and both completions, and ordered
+    signature list → candidate costs. Both are pure functions of their
+    keys, so a memo can be shared by any passes, designs and domains (a
+    [Mutex] guards it) without changing a result. Each signature is
+    stored once; the cost keys share it. The counter
+    [synth.collapse.espresso_calls] counts insertions, i.e. distinct
+    signatures, and [synth.collapse.memo_hits] every other lookup, so
+    both are independent of domain scheduling. *)
+
+val create_memo : unit -> memo
+
+val run : ?cap:int -> ?memo:memo -> annots:Annots.t list -> Aig.t -> Aig.t
+(** [cap] defaults to 14 (the dense truth-table window limit); [memo]
+    defaults to a fresh one. *)

@@ -76,7 +76,7 @@ let traced_pass name ~iter f g =
 
 let collapse_skipped = Obs.Metrics.counter "synth.flow.collapse.skipped"
 
-let compile ?(options = default) lib design =
+let compile ?(options = default) ?(memo = Collapse.create_memo ()) lib design =
   Obs.Span.with_span
     ~args:[ ("design", Obs.Span.Str design.Rtl.Design.name) ]
     "flow.compile"
@@ -104,7 +104,8 @@ let compile ?(options = default) lib design =
   in
   let collapse iter g =
     traced_pass "collapse" ~iter
-      (fun g -> Collapse.run ~cap:options.collapse_cap ~annots:(relocate g) g)
+      (fun g ->
+        Collapse.run ~cap:options.collapse_cap ~memo ~annots:(relocate g) g)
       g
   in
   (* Two collapse/sweep iterations, unless the first is a fixpoint: both

@@ -47,7 +47,15 @@ type result = {
   report : Map.report;
 }
 
-val compile : ?options:options -> Cells.Library.t -> Rtl.Design.t -> result
+val compile :
+  ?options:options ->
+  ?memo:Collapse.memo ->
+  Cells.Library.t ->
+  Rtl.Design.t ->
+  result
+(** [memo] is shared by both collapse iterations; it defaults to a fresh
+    one per call. Passing one memo to many compiles (as an engine does)
+    saves their repeated window analyses and changes no result. *)
 
 val area : result -> float
 (** Total mapped area, µm². *)

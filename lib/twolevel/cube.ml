@@ -88,5 +88,4 @@ let exists_minterm ~nvars p c =
   done;
   !found
 
-let equal a b = a.mask = b.mask && a.value = b.value
 let compare = Stdlib.compare

@@ -53,5 +53,4 @@ val exists_minterm : nvars:int -> (int -> bool) -> t -> bool
 (** Early-exit search over the covered assignments, in the order of
     {!minterms}. *)
 
-val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -4,15 +4,20 @@
 
 let expand tf cubes =
   let nvars = Truthfn.nvars tf in
+  (* Once [c] lies within ON u DC, dropping literal [v] stays within iff
+     the half-cube the drop adds (literal [v] flipped) does. A cube that
+     meets the OFF-set cannot grow at all. *)
   let grow c =
-    let try_drop c v =
+    let try_drop (c : Cube.t) v =
       if Cube.has_literal c v then begin
-        let c' = Cube.drop_var c v in
-        if Truthfn.cube_within tf c' then c' else c
+        let added = Cube.make ~mask:c.mask ~value:(c.value lxor (1 lsl v)) in
+        if Truthfn.cube_within tf added then Cube.drop_var c v else c
       end
       else c
     in
-    List.fold_left try_drop c (List.init nvars Fun.id)
+    if Truthfn.cube_within tf c then
+      List.fold_left try_drop c (List.init nvars Fun.id)
+    else c
   in
   let step kept c =
     if List.exists (fun k -> Cube.subsumes k c) kept then kept
@@ -60,8 +65,11 @@ let irredundant tf cubes =
     else c :: kept
   in
   (* Restore the original cube order for determinism downstream. *)
-  let kept = List.fold_left keep [] by_specificity in
-  List.filter (fun c -> List.exists (Cube.equal c) kept) cubes
+  let kept = Hashtbl.create 64 in
+  List.iter
+    (fun c -> Hashtbl.replace kept c ())
+    (List.fold_left keep [] by_specificity);
+  List.filter (Hashtbl.mem kept) cubes
 
 let reduce tf cubes =
   let nvars = Truthfn.nvars tf in

@@ -3,7 +3,8 @@
 # (the Fig. 5/6/8/9 tables) must match the committed
 # test/golden/quick.stdout byte for byte, the same sweep with
 # --trace/--metrics must print the same stdout, and the emitted Chrome
-# trace must be valid enough to carry pass spans and the metrics snapshot.
+# trace must be valid enough to carry pass spans and the metrics snapshot,
+# and the collapse memo counters must read the same at -j 1 as at -j 2.
 # An intentional change to a figure regenerates the golden with
 # scripts/regen-golden.sh, and the diff is reviewed like source. Leaves
 # trace.json in the repo root for CI to upload as an artifact.
@@ -14,7 +15,8 @@ dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
 plain=$(mktemp) && plain_err=$(mktemp) && traced=$(mktemp) && err=$(mktemp)
-trap 'rm -f "$plain" "$plain_err" "$traced" "$err"' EXIT
+serial_err=$(mktemp)
+trap 'rm -f "$plain" "$plain_err" "$traced" "$err" "$serial_err"' EXIT
 
 # --no-cache so the traced run actually executes the synthesis passes
 # rather than replaying engine cache hits.
@@ -38,4 +40,15 @@ grep -q '"flow.compile"' trace.json
 grep -q '"metrics"' trace.json
 grep -q 'engine\.pool\.jobs' "$err"
 grep -q 'synth\.flow\.' "$err"
-echo "observability smoke OK: stdout matches the golden, trace.json valid"
+
+# The collapse memo counts an Espresso run where its result enters the
+# engine's shared memo, so the counters must not depend on the number of
+# worker domains.
+"$exe" quick -j 1 --no-cache --metrics > /dev/null 2> "$serial_err"
+memo_rows() { grep -E '^synth\.collapse\.(espresso_calls|memo_hits) ' "$1"; }
+if [ "$(memo_rows "$err" | wc -l)" -ne 2 ] ||
+  ! diff -u <(memo_rows "$err") <(memo_rows "$serial_err"); then
+  echo "error: collapse memo counters differ between -j 2 and -j 1" >&2
+  exit 1
+fi
+echo "observability smoke OK: stdout matches the golden, trace.json valid, memo counters equal at -j 1 and -j 2"

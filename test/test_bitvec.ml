@@ -190,6 +190,100 @@ let model_props =
         = a land mask w');
   ]
 
+(* Limb-wise structure operations against the bit-by-bit loops they
+   replaced, kept here as the oracle. Widths 0-200 span several 32-bit
+   limbs; the generators lean on widths next to limb boundaries. *)
+
+let oracle_slice v ~hi ~lo =
+  let out = ref (Bitvec.zero (hi - lo + 1)) in
+  for i = lo to hi do
+    if Bitvec.get v i then out := Bitvec.set !out (i - lo) true
+  done;
+  !out
+
+let oracle_resize v w =
+  let out = ref (Bitvec.zero w) in
+  for i = 0 to min w (Bitvec.width v) - 1 do
+    if Bitvec.get v i then out := Bitvec.set !out i true
+  done;
+  !out
+
+let oracle_concat vs =
+  let total = List.fold_left (fun acc v -> acc + Bitvec.width v) 0 vs in
+  let out = ref (Bitvec.zero total) in
+  let pos = ref total in
+  List.iter
+    (fun v ->
+      pos := !pos - Bitvec.width v;
+      for i = 0 to Bitvec.width v - 1 do
+        if Bitvec.get v i then out := Bitvec.set !out (!pos + i) true
+      done)
+    vs;
+  !out
+
+let oracle_of_bits bits =
+  List.fold_left
+    (fun (i, v) b -> (i + 1, if b then Bitvec.set v i true else v))
+    (0, Bitvec.zero (List.length bits))
+    bits
+  |> snd
+
+let boundary_widths = [ 31; 32; 33; 62; 63; 64; 65; 96; 124; 125; 128; 200 ]
+
+let gen_width rng =
+  if Workload.Rng.bool rng then Workload.Rng.int rng 201
+  else
+    let w = List.nth boundary_widths (Workload.Rng.int rng 12) in
+    max 0 (w - 1 + Workload.Rng.int rng 3)
+
+let gen_vec rng = Workload.Rng.bitvec rng ~width:(gen_width rng)
+
+let arb_vecs =
+  Prop.make
+    ~show:(fun vs -> String.concat ", " (List.map Bitvec.to_string vs))
+    ~shrink:(fun vs -> match vs with [] -> [] | _ :: tl -> [ tl ])
+    (fun rng -> List.init (Workload.Rng.int rng 5) (fun _ -> gen_vec rng))
+
+let arb_vec_width =
+  Prop.make
+    ~show:(fun (v, w) -> Printf.sprintf "%s to %d" (Bitvec.to_string v) w)
+    (fun rng -> (gen_vec rng, gen_width rng))
+
+let test_slice_exhaustive () =
+  let rng = Workload.Rng.make 7 in
+  List.iter
+    (fun w ->
+      let v = Workload.Rng.bitvec rng ~width:w in
+      for lo = 0 to w - 1 do
+        for hi = lo to w - 1 do
+          if not (Bitvec.equal (Bitvec.slice v ~hi ~lo) (oracle_slice v ~hi ~lo))
+          then Alcotest.failf "slice w=%d hi=%d lo=%d" w hi lo
+        done
+      done)
+    (1 :: boundary_widths)
+
+let limb_props =
+  [
+    Alcotest.test_case "slice every hi/lo" `Quick test_slice_exhaustive;
+    Prop.test "slice matches bit loop" arb_vec_width (fun (v, r) ->
+        let w = Bitvec.width v in
+        w = 0
+        ||
+        let lo = r mod w in
+        let hi = lo + (r * 7919 mod (w - lo)) in
+        Bitvec.equal (Bitvec.slice v ~hi ~lo) (oracle_slice v ~hi ~lo));
+    Prop.test "resize matches bit loop" arb_vec_width (fun (v, w) ->
+        Bitvec.equal (Bitvec.resize v w) (oracle_resize v w));
+    Prop.test "concat matches bit loop" arb_vecs (fun vs ->
+        Bitvec.equal (Bitvec.concat vs) (oracle_concat vs));
+    Prop.test "of_bits matches bit loop" arb_vecs (fun vs ->
+        List.for_all
+          (fun v ->
+            let bits = List.init (Bitvec.width v) (Bitvec.get v) in
+            Bitvec.equal (Bitvec.of_bits bits) (oracle_of_bits bits))
+          vs);
+  ]
+
 let () =
   Alcotest.run "bitvec"
     [
@@ -204,4 +298,5 @@ let () =
         ] );
       ("properties", props);
       ("integer model", model_props);
+      ("limb-wise", limb_props);
     ]

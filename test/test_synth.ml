@@ -224,6 +224,105 @@ let test_collapse_with_constraints () =
   let g' = Synth.Sweep.run g' in
   Alcotest.(check int) "logic folded away" 0 (Aig.num_ands g')
 
+(* One memo shared across designs, passes, orders and domains returns the
+   same covers as a fresh memo per compile: the final graphs and areas
+   match exactly, and the counters (espresso calls at insertion, hits
+   otherwise) do not depend on the worker count. *)
+let memo_corpus () =
+  let tt = Workload.Rand_table.generate ~seed:0 ~depth:256 ~width:64 in
+  let fsm =
+    Workload.Rand_fsm.generate ~seed:0 ~num_inputs:8 ~num_outputs:8
+      ~num_states:8
+  in
+  let default = Synth.Flow.default in
+  List.init 30 (fun seed -> (default, Workload.Rand_design.generate ~seed))
+  @ [
+      ( default,
+        Synth.Partial_eval.bind_tables
+          (Core.Truth_table.to_flexible_rtl tt)
+          [ Core.Truth_table.config_binding tt ] );
+      (default, Core.Truth_table.to_sop_rtl tt);
+      ( Experiments.Exp_common.annotated_flow,
+        Synth.Partial_eval.bind_tables
+          (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
+          (Core.Fsm_ir.config_bindings fsm) );
+      (default, Pctrl.Controller.auto_design Pctrl.Controller.Uncached);
+    ]
+
+let test_collapse_shared_memo () =
+  let corpus = memo_corpus () in
+  let fresh =
+    List.map (fun (options, d) -> Synth.Flow.compile ~options lib d) corpus
+  in
+  let memo = Synth.Collapse.create_memo () in
+  let shared order =
+    List.map
+      (fun (options, d) -> Synth.Flow.compile ~options ~memo lib d)
+      order
+  in
+  let forward = shared corpus in
+  let reverse = List.rev (shared (List.rev corpus)) in
+  List.iteri
+    (fun i (f, (fw, rv)) ->
+      let same (r : Synth.Flow.result) =
+        Aig.equal f.Synth.Flow.aig r.Synth.Flow.aig
+        && Synth.Flow.area f = Synth.Flow.area r
+      in
+      if not (same fw && same rv) then
+        Alcotest.failf "%s (corpus item %d): shared memo changed the result"
+          (snd (List.nth corpus i)).Rtl.Design.name i)
+    (List.combine fresh (List.combine forward reverse));
+  let batch jobs =
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let engine = Engine.create ~jobs ~no_cache:true lib in
+        let summaries =
+          List.map
+            (function
+              | Ok s -> { s with Engine.Summary.wall_s = 0.0 }
+              | Error e -> Alcotest.fail (Engine.Pool.error_message e))
+            (Engine.run engine
+               (List.map (fun (options, d) -> Engine.job ~options d) corpus))
+        in
+        let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+        ( summaries,
+          counter "synth.collapse.espresso_calls",
+          counter "synth.collapse.memo_hits" ))
+  in
+  let s1, calls1, hits1 = batch 1 and s2, calls2, hits2 = batch 2 in
+  Alcotest.(check bool) "summaries equal at -j 1 and -j 2" true (s1 = s2);
+  Alcotest.(check bool) "engine areas match fresh compiles" true
+    (List.map Engine.Summary.area s1 = List.map Synth.Flow.area fresh);
+  Alcotest.(check int) "espresso_calls equal at -j 1 and -j 2" calls1 calls2;
+  Alcotest.(check int) "memo_hits equal at -j 1 and -j 2" hits1 hits2;
+  Alcotest.(check bool) "the batch reuses analyses" true (hits1 > 0)
+
+(* The bounded walk collapse groups roots with: the same leaves and nodes
+   as [Aig.cone] up to [cap] leaves, "too wide" beyond, with one mark
+   array reused across every root of the graph. *)
+let arb_cone_case =
+  Prop.make
+    ~show:(fun (seed, cap) -> Printf.sprintf "design %d, cap %d" seed cap)
+    (fun rng -> (Workload.Rng.int rng 1000, Workload.Rng.int rng 21))
+
+let prop_bounded_cone =
+  Prop.test ~iters:25 "bounded cone = Aig.cone" arb_cone_case (fun (seed, cap) ->
+      let d = Workload.Rand_design.generate ~seed in
+      let g = (Synth.Lower.run d).Synth.Lower.aig in
+      let walk = Aig.bounded_cone g ~cap in
+      List.for_all
+        (fun n ->
+          let ((leaves, _) as cone) = Aig.cone g [ Aig.lit_of_node n false ] in
+          match walk n with
+          | Some c -> List.length leaves <= cap && c = cone
+          | None -> List.length leaves > cap)
+        (List.init (Aig.num_nodes g) Fun.id))
+
 (* ------------------------------------------------------------------ sweep *)
 
 let test_sweep_constant_latch () =
@@ -878,6 +977,9 @@ let () =
         [
           Alcotest.test_case "preserves behaviour" `Quick test_collapse_preserves;
           Alcotest.test_case "exploits value-set DCs" `Quick test_collapse_with_constraints;
+          Alcotest.test_case "shared memo = fresh memo" `Quick
+            test_collapse_shared_memo;
+          prop_bounded_cone;
         ] );
       ( "sweep",
         [
