@@ -25,9 +25,6 @@ let print_report prefix (report : Synth.Map.report) =
 let flow_options ~annotate ~retime =
   { Synth.Flow.default with honor_generator_annots = annotate; retime }
 
-let engine_report ?options d =
-  Engine.report_exn (Engine.default ()) (Engine.job ?options d)
-
 (* ------------------------------------------------------------------ synth *)
 
 let synth_kind =
@@ -162,7 +159,8 @@ let asm_cmd =
       in
       let design = match storage with `Rom -> bound | `Config -> flexible in
       if dump_verilog then print_string (Rtl.Verilog.emit design);
-      if do_synth then print_report "mapped" (engine_report bound);
+      if do_synth then
+        print_report "mapped" (Experiments.Exp_common.compile_report bound);
       Cli.finish cli
   in
   let file =
@@ -186,16 +184,17 @@ let pctrl_cmd =
   let run cli =
     let full = Pctrl.Controller.full_design () in
     Format.printf "%s@." (Rtl.Design.stats full);
-    print_report "full" (engine_report full);
+    print_report "full" (Experiments.Exp_common.compile_report full);
     List.iter
       (fun (name, mode) ->
         print_report
           (Printf.sprintf "auto %s" name)
-          (engine_report (Pctrl.Controller.auto_design mode));
+          (Experiments.Exp_common.compile_report
+             (Pctrl.Controller.auto_design mode));
         print_report
           (Printf.sprintf "manual %s" name)
-          (engine_report
-             ~options:{ Synth.Flow.default with honor_generator_annots = true }
+          (Experiments.Exp_common.compile_report
+             ~options:Experiments.Exp_common.annotated_flow
              (Pctrl.Controller.manual_design mode)))
       [ ("cached", Pctrl.Controller.Cached);
         ("uncached", Pctrl.Controller.Uncached) ];
@@ -245,7 +244,7 @@ let design_cmd =
            around it (fingerprints include the library, so a shared cache
            directory never leaks results across libraries). *)
         cli.Cli.reconfigure lib;
-        print_report "mapped" (engine_report design)
+        print_report "mapped" (Experiments.Exp_common.compile_report design)
       end;
       Cli.finish cli
   in

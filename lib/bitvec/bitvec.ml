@@ -7,6 +7,13 @@ let limb_mask = 0xFFFFFFFF
 
 type t = { width : int; limbs : int array }
 
+(* The least [w >= 1] with [2^w >= n]; past bit 61, [1 lsl w] would wrap. *)
+let index_width n =
+  let rec go w =
+    if w >= Sys.int_size - 1 || 1 lsl w >= n then max w 1 else go (w + 1)
+  in
+  go 0
+
 let limb_count width = (width + limb_bits - 1) / limb_bits
 
 (* Mask the top limb in place; [limbs] must already have the right length. *)

@@ -8,6 +8,12 @@
 
 type t
 
+(** {1 Widths} *)
+
+val index_width : int -> int
+(** [index_width n] is the number of bits that index [n] items:
+    [ceil (log2 n)], and at least 1 (so [index_width 0 = index_width 1 = 1]). *)
+
 (** {1 Construction} *)
 
 val zero : int -> t

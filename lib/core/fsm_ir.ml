@@ -58,9 +58,7 @@ type encoding =
   | Gray
   | One_hot
 
-let state_bits t =
-  let rec bits n acc = if n <= 1 then max acc 1 else bits ((n + 1) / 2) (acc + 1) in
-  bits (num_states t) 0
+let state_bits t = Bitvec.index_width (num_states t)
 
 let state_bits_with enc t =
   match enc with

@@ -64,9 +64,7 @@ let make ~name ~format ?(dispatch = []) ?(opcode_bits = 1) ?(entry = 0) code =
 
 let depth p = Array.length p.code
 
-let upc_bits p =
-  let rec bits n acc = if n <= 1 then max acc 1 else bits ((n + 1) / 2) (acc + 1) in
-  bits (depth p) 0
+let upc_bits p = Bitvec.index_width (depth p)
 
 let ctl_width p = List.fold_left (fun acc f -> acc + f.fwidth) 0 p.format
 
@@ -128,9 +126,7 @@ let decode_entries p =
 
 let distinct_control_words p = Array.length (decode_entries p)
 
-let index_bits p =
-  let rec bits n acc = if n <= 1 then max acc 1 else bits ((n + 1) / 2) (acc + 1) in
-  bits (distinct_control_words p) 0
+let index_bits p = Bitvec.index_width (distinct_control_words p)
 
 let step p ~upc ~op =
   let u = uop_at p upc in

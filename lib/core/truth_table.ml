@@ -18,9 +18,7 @@ let of_fun ~name ~width ~depth f =
 
 let depth t = Array.length t.entries
 
-let addr_bits t =
-  let rec bits n acc = if n <= 1 then max acc 1 else bits ((n + 1) / 2) (acc + 1) in
-  bits (depth t) 0
+let addr_bits t = Bitvec.index_width (depth t)
 
 let eval t a =
   if a < 0 then invalid_arg "Truth_table.eval: negative address";

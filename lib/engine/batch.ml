@@ -3,71 +3,72 @@ type 'b codec = {
   decode : string -> ('b, string) result;
 }
 
-let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
-    items =
-  (* A kill loses at most the chunk in flight. *)
-  let chunk_size = 4 * max 1 jobs in
-  let resumed : (string, (string, string) result) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  List.iter
-    (fun (e : Journal.entry) ->
-      if not (Hashtbl.mem resumed e.key) then Hashtbl.add resumed e.key e.value)
-    resume;
-  (* Plan every item up front: resumed items decode from the journal, the
-     rest run. A resumed payload that no longer decodes (foreign or corrupt
-     journal) is recomputed rather than trusted. *)
+let map ~jobs ~key ~settled ~settle f items =
+  (* Each item resolves to a settled answer or to the slot of a fresh run;
+     a key seen earlier in the batch shares that item's resolution. *)
+  let seen = Hashtbl.create 64 and fresh = ref [] and n = ref 0 in
   let plan =
     List.map
       (fun x ->
         let k = key x in
-        match Hashtbl.find_opt resumed k with
-        | Some (Ok enc) ->
-          (match codec.decode enc with
-           | Ok b -> `Done (k, Ok b)
-           | Error _ -> `Todo (k, x))
-        | Some (Error e) -> `Done (k, Error e)
-        | None -> `Todo (k, x))
+        match Hashtbl.find_opt seen k with
+        | Some p -> p
+        | None ->
+          let p =
+            match settled k with
+            | Some b -> `Settled b
+            | None ->
+              fresh := (k, x) :: !fresh;
+              incr n;
+              `Fresh (!n - 1)
+          in
+          Hashtbl.add seen k p;
+          p)
       items
   in
-  let todo =
-    List.filter_map (function `Todo kx -> Some kx | `Done _ -> None) plan
-  in
-  let computed : (string, ('b, string) result) Hashtbl.t = Hashtbl.create 64 in
+  let fresh = List.rev !fresh in
+  let results = Array.of_list (Pool.map ~jobs (fun (_, x) -> f x) fresh) in
+  List.iteri (fun i (k, _) -> settle k results.(i)) fresh;
+  List.map (function `Settled b -> Ok b | `Fresh i -> results.(i)) plan
+
+let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
+    items =
+  (* A resumed payload that no longer decodes (foreign or corrupt journal)
+     is recomputed rather than trusted; a resumed error stays an error. *)
+  let resumed = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Journal.entry) ->
+      if not (Hashtbl.mem resumed e.key) then
+        Hashtbl.add resumed e.key
+          (match e.value with
+           | Ok enc ->
+             (match codec.decode enc with Ok b -> Some (Ok b) | Error _ -> None)
+           | Error m -> Some (Error m)))
+    resume;
+  let settled k = Option.join (Hashtbl.find_opt resumed k) in
+  let flatten = function Ok r -> r | Error e -> Error (Pool.error_message e) in
   let journaled = ref 0 in
-  let rec chunks = function
-    | [] -> ()
+  let settle k r =
+    let r = flatten r in
+    (* Later chunks see this item as settled. *)
+    Hashtbl.replace resumed k (Some r);
+    Option.iter
+      (fun j -> Journal.append j ~key:k ~value:(Result.map codec.encode r))
+      journal;
+    incr journaled;
+    Option.iter (fun cb -> cb !journaled) on_checkpoint
+  in
+  (* A kill loses at most the chunk in flight. *)
+  let chunk_size = 4 * max 1 jobs in
+  let rec chunks acc = function
+    | [] -> List.rev acc
     | rest ->
       let rec take n acc = function
         | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
         | tl -> (List.rev acc, tl)
       in
-      let batch, rest = take chunk_size [] rest in
-      let raw = Pool.map ~jobs (fun (_k, x) -> f x) batch in
-      List.iter2
-        (fun (k, _x) r ->
-          let r =
-            match r with
-            | Ok b -> Ok b
-            | Error e -> Error (Pool.error_message e)
-          in
-          Hashtbl.replace computed k r;
-          Option.iter
-            (fun j ->
-              Journal.append j ~key:k
-                ~value:
-                  (match r with
-                   | Ok b -> Ok (codec.encode b)
-                   | Error e -> Error e))
-            journal;
-          incr journaled;
-          Option.iter (fun cb -> cb !journaled) on_checkpoint)
-        batch raw;
-      chunks rest
+      let chunk, rest = take chunk_size [] rest in
+      let rs = map ~jobs ~key ~settled ~settle (fun x -> Ok (f x)) chunk in
+      chunks (List.rev_append rs acc) rest
   in
-  chunks todo;
-  List.map
-    (function
-      | `Done (_k, r) -> r
-      | `Todo (k, _x) -> Hashtbl.find computed k)
-    plan
+  List.map flatten (chunks [] items)

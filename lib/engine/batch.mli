@@ -1,16 +1,30 @@
-(** Crash-resilient batch execution: {!Pool.map} scheduling plus an
-    append-only {!Journal} checkpoint so a killed batch restarts where it
-    left off.
+(** The engine's one keyed batch runner, and its crash-resilient form.
 
-    Unlike {!Engine.run} this is generic — items are anything with a stable
-    string key and a string codec for results. Fault campaigns
-    ([lib/fault]) are the main client.
+    {!map} serves both kinds of batch: {!Engine.run} settles synthesis
+    jobs against the result cache, and {!run} settles fault sites against
+    an append-only {!Journal}, so a killed campaign restarts where it left
+    off. Fault campaigns ([lib/fault]) are {!run}'s main client.
 
     Determinism: results come back in item order regardless of [jobs], and
     an item resumed from a journal yields the decoded payload of the
     original run — so a resumed batch's output equals the uninterrupted
     one, byte for byte, as long as [f] itself is a pure function of the
     item. *)
+
+val map :
+  jobs:int ->
+  key:('a -> string) ->
+  settled:(string -> 'b option) ->
+  settle:(string -> ('b, Pool.error) result -> unit) ->
+  ('a -> 'b) ->
+  'a list ->
+  ('b, Pool.error) result list
+(** [map ~jobs ~key ~settled ~settle f items] keys each item once. An
+    item runs only if [settled] has no answer for its key and no earlier
+    item had the same key: duplicates share one answer. The items that run
+    go through {!Pool.map} on [jobs] workers, and each fresh result goes
+    to [settle], in item order, before [map] returns. Results come back in
+    item order. *)
 
 type 'b codec = {
   encode : 'b -> string;
@@ -27,12 +41,12 @@ val run :
   ('a -> 'b) ->
   'a list ->
   ('b, string) result list
-(** [run ~key ~codec f items] — results in item order; a failed item is an
-    [Error] carrying its rendered {!Pool.error} message, never an
-    exception.
+(** [run ~key ~codec f items] is {!map} over chunks of the items; a failed
+    item is an [Error] carrying its rendered {!Pool.error} message, never
+    an exception.
 
-    - [jobs]: items run in chunks of [4 * jobs] through {!Pool.map}, so a
-      kill loses at most the chunk in flight.
+    - [jobs]: items run in chunks of [4 * jobs], so a kill loses at most
+      the chunk in flight.
     - [journal]: every settled item is appended (encoded via [codec]) and
       flushed, in item order, chunk by chunk.
     - [resume]: entries from {!Journal.load}; items whose key appears are

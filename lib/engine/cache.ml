@@ -1,23 +1,10 @@
-type stats = {
-  mem_hits : int;
-  disk_hits : int;
-  misses : int;
-  stores : int;
-  quarantined : int;
-}
-
 type t = {
   table : (string, Summary.t) Hashtbl.t;
   dir : string option;
-  mutable mem_hits : int;
-  mutable disk_hits : int;
-  mutable misses : int;
-  mutable stores : int;
   mutable quarantined : int;
 }
 
-(* Process-wide cache metrics, aggregated across cache instances (each
-   instance additionally keeps its own [stats] for the engine table). *)
+(* Process-wide cache metrics, aggregated across cache instances. *)
 let m_mem_hits = Obs.Metrics.counter "engine.cache.mem_hits"
 let m_disk_hits = Obs.Metrics.counter "engine.cache.disk_hits"
 let m_misses = Obs.Metrics.counter "engine.cache.misses"
@@ -40,10 +27,9 @@ let create ?dir () =
         invalid_arg
           (Printf.sprintf "Engine.Cache.create: %s is not a directory" d))
     dir;
-  { table = Hashtbl.create 64; dir; mem_hits = 0; disk_hits = 0;
-    misses = 0; stores = 0; quarantined = 0 }
+  { table = Hashtbl.create 64; dir; quarantined = 0 }
 
-let entry_path dir key = Filename.concat dir (key ^ ".summary")
+let entry_path dir key = Filename.concat dir (key ^ ".json")
 
 let quarantine_path dir key = Filename.concat dir (key ^ ".corrupt")
 
@@ -85,27 +71,21 @@ let disk_store dir key summary =
 let find t key =
   match Hashtbl.find_opt t.table key with
   | Some s ->
-    t.mem_hits <- t.mem_hits + 1;
     Obs.Metrics.incr m_mem_hits;
     Some (s, `Memory)
   | None ->
     (match Option.bind t.dir (fun dir -> disk_find t dir key) with
      | Some s ->
        Hashtbl.replace t.table key s;
-       t.disk_hits <- t.disk_hits + 1;
        Obs.Metrics.incr m_disk_hits;
        Some (s, `Disk)
      | None ->
-       t.misses <- t.misses + 1;
        Obs.Metrics.incr m_misses;
        None)
 
 let store t key summary =
   Hashtbl.replace t.table key summary;
-  t.stores <- t.stores + 1;
   Obs.Metrics.incr m_stores;
   Option.iter (fun dir -> disk_store dir key summary) t.dir
 
-let stats t =
-  { mem_hits = t.mem_hits; disk_hits = t.disk_hits; misses = t.misses;
-    stores = t.stores; quarantined = t.quarantined }
+let quarantined t = t.quarantined

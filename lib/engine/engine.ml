@@ -35,7 +35,6 @@ type t = {
   mutable submitted : int;
   mutable executed : int;
   mutable failed : int;
-  mutable mem_hits : int;
   mutable disk_hits : int;
   mutable wall_s : float;
   mutable cpu_s : float;
@@ -46,71 +45,42 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 0";
   let cache = if no_cache then None else Some (Cache.create ?dir:cache_dir ()) in
   { lib; jobs; cache; memo = Synth.Collapse.create_memo (); submitted = 0;
-    executed = 0; failed = 0; mem_hits = 0; disk_hits = 0; wall_s = 0.0;
-    cpu_s = 0.0 }
+    executed = 0; failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
 
 let now () = Unix.gettimeofday ()
 
-(* Each batch entry resolves to a cached summary or to an index into the
-   list of distinct jobs actually executed. *)
-type plan = Cached of Summary.t | Computed of int
-
+(* A job neither settled in the cache nor coalesced with an earlier one
+   compiles; its summary comes back with the compile's own time. *)
 let run t jobs =
   let t0 = now () in
   t.submitted <- t.submitted + List.length jobs;
-  let planned = Hashtbl.create 16 in
-  let to_run = ref [] and n_run = ref 0 in
-  let plan =
-    List.map
-      (fun j ->
-        let key = Fingerprint.job ~lib:t.lib ~options:j.options j.design in
-        match Hashtbl.find_opt planned key with
-        | Some p ->
-          (* Duplicate within the batch: share the cached entry or the
-             single execution — either way it is a hit. *)
-          t.mem_hits <- t.mem_hits + 1;
-          p
-        | None ->
-          let p =
-            match Option.bind t.cache (fun c -> Cache.find c key) with
-            | Some (s, `Memory) ->
-              t.mem_hits <- t.mem_hits + 1;
-              Cached s
-            | Some (s, `Disk) ->
-              t.disk_hits <- t.disk_hits + 1;
-              Cached s
-            | None ->
-              to_run := (key, j) :: !to_run;
-              incr n_run;
-              Computed (!n_run - 1)
-          in
-          Hashtbl.add planned key p;
-          p)
-      jobs
+  let settled key =
+    match Option.bind t.cache (fun c -> Cache.find c key) with
+    | Some (s, where) ->
+      if where = `Disk then t.disk_hits <- t.disk_hits + 1;
+      Some (s, 0.0)
+    | None -> None
   in
-  let distinct = Array.of_list (List.rev !to_run) in
-  let compile (_key, j) =
+  let settle key r =
+    t.executed <- t.executed + 1;
+    match r with
+    | Ok (s, dt) ->
+      t.cpu_s <- t.cpu_s +. dt;
+      Option.iter (fun c -> Cache.store c key s) t.cache
+    | Error _ -> t.failed <- t.failed + 1
+  in
+  let compile j =
     let jt0 = now () in
     let r = Synth.Flow.compile ~options:j.options ~memo:t.memo t.lib j.design in
-    Summary.of_flow ~wall_s:(now () -. jt0) r
+    (Summary.of_flow r, now () -. jt0)
   in
-  let results =
-    Array.of_list (Pool.map ~jobs:t.jobs compile (Array.to_list distinct))
+  let outcomes =
+    Batch.map ~jobs:t.jobs
+      ~key:(fun j -> Fingerprint.job ~lib:t.lib ~options:j.options j.design)
+      ~settled ~settle compile jobs
   in
-  t.executed <- t.executed + Array.length results;
-  Array.iteri
-    (fun i result ->
-      let key, _ = distinct.(i) in
-      match result with
-      | Ok s ->
-        t.cpu_s <- t.cpu_s +. s.Summary.wall_s;
-        Option.iter (fun c -> Cache.store c key s) t.cache
-      | Error _ -> t.failed <- t.failed + 1)
-    results;
   t.wall_s <- t.wall_s +. (now () -. t0);
-  List.map
-    (function Cached s -> Ok s | Computed i -> results.(i))
-    plan
+  List.map (Result.map fst) outcomes
 
 let run_one t j = List.hd (run t [ j ])
 
@@ -122,15 +92,14 @@ let report_exn t j =
       (Printf.sprintf "synthesis job %s failed: %s" j.jname
          (Pool.error_message e))
 
+(* Every submitted job compiled, came from disk, or came from memory (an
+   earlier batch or an earlier duplicate in its own batch). *)
 let stats t =
-  let quarantined =
-    match t.cache with
-    | Some c -> (Cache.stats c).Cache.quarantined
-    | None -> 0
-  in
   { submitted = t.submitted; executed = t.executed; failed = t.failed;
-    mem_hits = t.mem_hits; disk_hits = t.disk_hits;
-    quarantined; wall_s = t.wall_s; cpu_s = t.cpu_s }
+    mem_hits = t.submitted - t.executed - t.disk_hits;
+    disk_hits = t.disk_hits;
+    quarantined = Option.fold ~none:0 ~some:Cache.quarantined t.cache;
+    wall_s = t.wall_s; cpu_s = t.cpu_s }
 
 let stats_table (s : stats) =
   let f = Printf.sprintf "%.3f" in

@@ -9,9 +9,9 @@
       triple, within a run or across runs;
     - coalesces duplicate jobs inside one batch (each distinct key compiles
       once, every requester shares the result);
-    - executes cache misses with {!Pool.map} on worker domains, under
-      exception isolation: a crashing job yields an [Error] outcome for
-      itself only;
+    - executes cache misses on worker domains, under exception isolation:
+      a crashing job yields an [Error] outcome for itself only. All three
+      are one call of {!Batch.map}, the runner fault campaigns use too;
     - gives every compile it runs one shared collapse analysis memo
       ({!Synth.Collapse.memo}), created with the engine, so a window
       function that recurs across jobs is minimized once per engine.
@@ -43,7 +43,9 @@ type stats = {
   submitted : int;  (** jobs requested through [run]/[run_one] *)
   executed : int;   (** jobs that actually compiled *)
   failed : int;     (** executed jobs that settled in [Error] *)
-  mem_hits : int;   (** served from memory, incl. batch coalescing *)
+  mem_hits : int;
+      (** served from memory, incl. batch coalescing:
+          [submitted - executed - disk_hits] *)
   disk_hits : int;  (** served from the on-disk cache *)
   quarantined : int; (** corrupt disk entries renamed aside ({!Cache}) *)
   wall_s : float;   (** wall-clock spent inside [run] *)

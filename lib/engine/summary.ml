@@ -2,110 +2,72 @@ type t = {
   report : Synth.Map.report;
   aig_ands : int;
   aig_latches : int;
-  wall_s : float;
 }
 
-let of_flow ~wall_s (r : Synth.Flow.result) =
+let of_flow (r : Synth.Flow.result) =
   {
     report = r.Synth.Flow.report;
     aig_ands = Aig.num_ands r.Synth.Flow.aig;
     aig_latches = Aig.num_latches r.Synth.Flow.aig;
-    wall_s;
   }
 
 let area t = Synth.Map.total t.report
 
-let magic = "ctrlgen-summary v1"
-
 let to_string t =
-  let {
-    Synth.Map.comb_area;
-    seq_area;
-    cell_counts;
-    critical_delay;
-    num_flops;
-    config_bits;
-  } =
-    t.report
-  in
-  let b = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "%s" magic;
-  line "comb_area %h" comb_area;
-  line "seq_area %h" seq_area;
-  line "critical_delay %h" critical_delay;
-  line "num_flops %d" num_flops;
-  line "config_bits %d" config_bits;
-  line "aig_ands %d" t.aig_ands;
-  line "aig_latches %d" t.aig_latches;
-  line "wall_s %h" t.wall_s;
-  List.iter (fun (cname, n) -> line "cell %s %d" cname n) cell_counts;
-  Buffer.contents b
+  let open Report.Json in
+  let r = t.report in
+  let float f = String (Printf.sprintf "%h" f) in
+  to_string
+    (Obj
+       [
+         ("comb_area", float r.Synth.Map.comb_area);
+         ("seq_area", float r.seq_area);
+         ("critical_delay", float r.critical_delay);
+         ("num_flops", Int r.num_flops);
+         ("config_bits", Int r.config_bits);
+         ("aig_ands", Int t.aig_ands);
+         ("aig_latches", Int t.aig_latches);
+         ( "cells",
+           List (List.map (fun (c, n) -> List [ String c; Int n ]) r.cell_counts)
+         );
+       ])
 
 let of_string text =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
+  let open Report.Json in
+  let ( let* ) = Result.bind in
+  let* fields =
+    match of_string text with
+    | Ok (Obj fields) -> Ok fields
+    | Ok _ -> Error "not a JSON object"
+    | Error m -> Error m
   in
-  match lines with
-  | m :: rest when m = magic ->
-    let fields = Hashtbl.create 8 in
-    let cells = ref [] in
-    let rec scan = function
-      | [] -> Ok ()
-      | l :: tl ->
-        (match String.split_on_char ' ' l with
-         | [ "cell"; cname; n ] ->
-           (match int_of_string_opt n with
-            | Some n ->
-              cells := (cname, n) :: !cells;
-              scan tl
-            | None -> err "bad cell count in %S" l)
-         | [ key; v ] ->
-           Hashtbl.replace fields key v;
-           scan tl
-         | _ -> err "malformed line %S" l)
-    in
-    let float_field key k =
-      match Hashtbl.find_opt fields key with
-      | None -> err "missing field %s" key
-      | Some v ->
-        (match float_of_string_opt v with
-         | Some f -> k f
-         | None -> err "bad float for %s: %S" key v)
-    in
-    let int_field key k =
-      match Hashtbl.find_opt fields key with
-      | None -> err "missing field %s" key
-      | Some v ->
-        (match int_of_string_opt v with
-         | Some i -> k i
-         | None -> err "bad int for %s: %S" key v)
-    in
-    (match scan rest with
-     | Error _ as e -> e
-     | Ok () ->
-       float_field "comb_area" @@ fun comb_area ->
-       float_field "seq_area" @@ fun seq_area ->
-       float_field "critical_delay" @@ fun critical_delay ->
-       int_field "num_flops" @@ fun num_flops ->
-       int_field "config_bits" @@ fun config_bits ->
-       int_field "aig_ands" @@ fun aig_ands ->
-       int_field "aig_latches" @@ fun aig_latches ->
-       float_field "wall_s" @@ fun wall_s ->
-       Ok
-         {
-           report =
-             {
-               Synth.Map.comb_area;
-               seq_area;
-               cell_counts = List.rev !cells;
-               critical_delay;
-               num_flops;
-               config_bits;
-             };
-           aig_ands;
-           aig_latches;
-           wall_s;
-         })
-  | _ -> err "missing %S header" magic
+  let field name conv =
+    match Option.bind (List.assoc_opt name fields) conv with
+    | Some v -> Ok v
+    | None -> Error ("missing or malformed field " ^ name)
+  in
+  let float = function String s -> float_of_string_opt s | _ -> None in
+  let int = function Int i -> Some i | _ -> None in
+  let cell = function List [ String c; Int n ] -> Some (c, n) | _ -> None in
+  let cells = function
+    | List l ->
+      let cs = List.filter_map cell l in
+      if List.length cs = List.length l then Some cs else None
+    | _ -> None
+  in
+  let* comb_area = field "comb_area" float in
+  let* seq_area = field "seq_area" float in
+  let* critical_delay = field "critical_delay" float in
+  let* num_flops = field "num_flops" int in
+  let* config_bits = field "config_bits" int in
+  let* aig_ands = field "aig_ands" int in
+  let* aig_latches = field "aig_latches" int in
+  let* cell_counts = field "cells" cells in
+  Ok
+    {
+      report =
+        { Synth.Map.comb_area; seq_area; cell_counts; critical_delay;
+          num_flops; config_bits };
+      aig_ands;
+      aig_latches;
+    }

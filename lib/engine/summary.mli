@@ -3,21 +3,21 @@
     Deliberately *not* the full {!Synth.Flow.result}: netlists are large and
     cheap to regenerate when actually needed, while sweeps only consume the
     mapped report and coarse AIG statistics. The summary is small enough to
-    persist for every job ever run.
+    persist for every job ever run, and it is a pure function of the job:
+    it records no timing.
 
-    [to_string]/[of_string] give a stable line-oriented text form whose
-    floats are hexadecimal ([%h]), so a summary read back from disk is
-    bit-identical to the one written — warm-cache runs reproduce cold-run
-    figures exactly. *)
+    [to_string]/[of_string] write and read one {!Report.Json} object whose
+    floats are hexadecimal ([%h]) strings, so a summary read back from disk
+    is bit-identical to the one written without relying on the decimal
+    printer — warm-cache runs reproduce cold-run figures exactly. *)
 
 type t = {
   report : Synth.Map.report;
   aig_ands : int;     (** AND nodes of the optimized AIG *)
   aig_latches : int;  (** latches of the optimized AIG *)
-  wall_s : float;     (** wall-clock seconds the compile took when it ran *)
 }
 
-val of_flow : wall_s:float -> Synth.Flow.result -> t
+val of_flow : Synth.Flow.result -> t
 
 val area : t -> float
 (** Total mapped area, µm². *)
@@ -25,4 +25,5 @@ val area : t -> float
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
-(** Inverse of [to_string]; [Error] describes the first malformed line. *)
+(** Inverse of [to_string]; [Error] names the first missing or malformed
+    field. *)

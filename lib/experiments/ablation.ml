@@ -1,3 +1,5 @@
+let area ?options d = Synth.Map.total (Exp_common.compile_report ?options d)
+
 let cone_cap () =
   let caps = [ 4; 6; 8; 10; 12; 14 ] in
   let cells = [ (16, 4); (64, 8); (256, 4) ] in
@@ -13,8 +15,7 @@ let cone_cap () =
           in
           let direct = Core.Truth_table.to_sop_rtl tt in
           let options = { Synth.Flow.default with collapse_cap = cap } in
-          Exp_common.compile_area ~options flexible
-          /. Exp_common.compile_area ~options direct)
+          area ~options flexible /. area ~options direct)
         cells
     in
     string_of_int cap
@@ -89,7 +90,6 @@ let encodings () =
       Workload.Rand_fsm.generate ~seed:0 ~num_inputs:m ~num_outputs:n
         ~num_states:s
     in
-    let area ?options d = Exp_common.compile_area ?options d in
     let direct enc = area (Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm) in
     let direct_annotated enc =
       area ~options:Exp_common.annotated_flow
@@ -148,9 +148,9 @@ let microcode_style () =
   let row (name, p) =
     let flexible style = Core.Microcode.to_rtl ~style p in
     let bits style = Rtl.Design.config_bit_count (flexible style) in
-    let area style = Exp_common.compile_area (flexible style) in
+    let flexible_area style = area (flexible style) in
     let bound_area style =
-      Exp_common.compile_area
+      area
         (Synth.Partial_eval.bind_tables (flexible style)
            (Core.Microcode.config_bindings ~style p))
     in
@@ -160,8 +160,8 @@ let microcode_style () =
       string_of_int (Core.Microcode.distinct_control_words p);
       string_of_int (bits `Horizontal);
       string_of_int (bits `Vertical);
-      Report.Table.fmt_area (area `Horizontal);
-      Report.Table.fmt_area (area `Vertical);
+      Report.Table.fmt_area (flexible_area `Horizontal);
+      Report.Table.fmt_area (flexible_area `Vertical);
       Report.Table.fmt_area (bound_area `Horizontal);
       Report.Table.fmt_area (bound_area `Vertical);
     ]
@@ -197,8 +197,8 @@ let annot_cap () =
             honor_generator_annots = true;
             annot_width_cap = cap }
         in
-        let g = Exp_common.compile_area ~options generic in
-        let d = Exp_common.compile_area ~options direct in
+        let g = area ~options generic in
+        let d = area ~options direct in
         [
           string_of_int cap;
           Report.Table.fmt_area g;

@@ -15,8 +15,6 @@ let engine () = Engine.default ()
 let compile_report ?options d =
   Engine.report_exn (engine ()) (Engine.job ?options d)
 
-let compile_area ?options d = Synth.Map.total (compile_report ?options d)
-
 let failure_log : string list ref = ref []
 
 let record_failure msg = failure_log := msg :: !failure_log
@@ -28,7 +26,7 @@ let areas_result jobs =
   List.map2
     (fun (j : Engine.job) outcome ->
       match outcome with
-      | Ok (s : Engine.Summary.t) -> Ok (Synth.Map.total s.Engine.Summary.report)
+      | Ok s -> Ok (Engine.Summary.area s)
       | Error err ->
         let msg =
           Printf.sprintf "synthesis job %s failed: %s" j.Engine.jname

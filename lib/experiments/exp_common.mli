@@ -13,8 +13,10 @@ val annotated_flow : Synth.Flow.options
 
 val retimed_flow : Synth.Flow.options
 
-val compile_area : ?options:Synth.Flow.options -> Rtl.Design.t -> float
-(** Total mapped area of the optimized design. *)
+val compile_report :
+  ?options:Synth.Flow.options -> Rtl.Design.t -> Synth.Map.report
+(** Mapped report of the optimized design, through the engine.
+    @raise Failure naming the design when its compile fails. *)
 
 val areas_result : Engine.job list -> (float, string) result list
 (** Total mapped area of each job, from one batch through the engine —

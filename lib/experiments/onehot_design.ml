@@ -12,10 +12,6 @@ let all_styles =
     ("async", Flop Rtl.Design.Async_reset);
   ]
 
-let sel_bits n =
-  let rec bits k acc = if k <= 1 then max acc 1 else bits ((k + 1) / 2) (acc + 1) in
-  bits n 0
-
 (* Total one-hot decode: bit 0 also catches out-of-range selectors (possible
    when n is not a power of two), so the one-hot claim is a true invariant —
    Annot_check.inductive verifies exactly this. *)
@@ -31,7 +27,7 @@ let decode b sel n =
 
 (* Shared front end: sel input, decoder, optional register; returns y. *)
 let front b ~n ~style =
-  let sel = Rtl.Builder.input b "sel" (sel_bits n) in
+  let sel = Rtl.Builder.input b "sel" (Bitvec.index_width n) in
   let y0 = decode b sel n in
   match style with
   | Comb -> Rtl.Builder.net b "y" y0

@@ -20,9 +20,7 @@ type table = {
   storage : storage;
 }
 
-let addr_bits t =
-  let rec bits n acc = if n <= 1 then max acc 1 else bits ((n + 1) / 2) (acc + 1) in
-  bits t.depth 0
+let addr_bits t = Bitvec.index_width t.depth
 
 type t = {
   name : string;

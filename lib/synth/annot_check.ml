@@ -38,30 +38,16 @@ let inductive g (a : Annots.t) =
       in
       match
         let chi =
-          List.fold_left
-            (fun acc v ->
-              Bdd.or_ acc
-                (Bitvec.fold_bits
-                   (fun i bit acc ->
-                     Bdd.and_ acc
-                       (if bit then Bdd.var man i else Bdd.nvar man i))
-                   v (Bdd.one man)))
-            (Bdd.zero man) a.Annots.values
+          Symbolic.value_set man a.Annots.values ~bit:(fun i b ->
+              if b then Bdd.var man i else Bdd.nvar man i)
         in
         let nexts =
           Array.map (fun n -> lit (Aig.latch_next g n)) a.Annots.nodes
         in
         (* Characteristic of "the next value is in the set". *)
         let chi_next =
-          List.fold_left
-            (fun acc v ->
-              Bdd.or_ acc
-                (Bitvec.fold_bits
-                   (fun i bit acc ->
-                     Bdd.and_ acc
-                       (if bit then nexts.(i) else Bdd.not_ nexts.(i)))
-                   v (Bdd.one man)))
-            (Bdd.zero man) a.Annots.values
+          Symbolic.value_set man a.Annots.values ~bit:(fun i b ->
+              if b then nexts.(i) else Bdd.not_ nexts.(i))
         in
         Bdd.is_one (Bdd.imp chi chi_next)
       with

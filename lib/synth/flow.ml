@@ -14,7 +14,6 @@ let default =
   }
 
 type result = {
-  lowered : Lower.t;
   aig : Aig.t;
   report : Map.report;
 }
@@ -128,4 +127,4 @@ let compile ?(options = default) ?(memo = Collapse.create_memo ()) lib design =
           Obs.Span.add_args [ ("area", Obs.Span.Float (Map.total r)) ];
         r)
   in
-  { lowered; aig = g; report }
+  { aig = g; report }

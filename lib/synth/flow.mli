@@ -28,7 +28,9 @@
 
     The flow does not check its own output: callers that want a
     certificate run {!Equiv.check_sat} (or the simulation engine
-    {!Equiv.check}) on [(lowered.aig, aig)] of the result. *)
+    {!Equiv.check}) on the design's {!Lower.run} netlist against the
+    result's [aig]. The result keeps no pre-optimization netlist, so a
+    retained result costs only its optimized graph. *)
 
 type options = {
   collapse_cap : int;
@@ -42,8 +44,7 @@ val default : options
       annot_width_cap = 32; retime = false }] *)
 
 type result = {
-  lowered : Lower.t;  (** pre-optimization netlist *)
-  aig : Aig.t;        (** optimized netlist *)
+  aig : Aig.t;  (** optimized netlist *)
   report : Map.report;
 }
 

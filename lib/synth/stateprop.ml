@@ -21,16 +21,9 @@ let run ~annots g =
     (* Characteristic function of the allowed value combinations. *)
     let chi =
       let annot_chi (a : Annots.t) =
-        let minterm v =
-          Bitvec.fold_bits
-            (fun i b acc ->
-              let var = Symbolic.Vars.var vars a.nodes.(i) in
-              Bdd.and_ acc (if b then Bdd.var man var else Bdd.nvar man var))
-            v (Bdd.one man)
-        in
-        List.fold_left
-          (fun acc v -> Bdd.or_ acc (minterm v))
-          (Bdd.zero man) a.values
+        Symbolic.value_set man a.values ~bit:(fun i b ->
+            let var = Symbolic.Vars.var vars a.nodes.(i) in
+            if b then Bdd.var man var else Bdd.nvar man var)
       in
       List.fold_left
         (fun acc a -> Bdd.and_ acc (annot_chi a))

@@ -63,6 +63,13 @@ let converter man ~max_bdd ~leaf g =
   in
   lit
 
+let value_set man ~bit values =
+  List.fold_left
+    (fun acc v ->
+      let minterm = Bitvec.fold_bits (fun i b acc -> Bdd.and_ acc (bit i b)) in
+      Bdd.or_ acc (minterm v (Bdd.one man)))
+    (Bdd.zero man) values
+
 (* Inside a machine current-state bit [i] is variable [2i] and its next
    state [2i+1]; inputs keep their numbers (from [2k]). [parts] pairs each
    partition [v_{2i+1} <-> next.(i)] with the variables to quantify right

@@ -50,6 +50,14 @@ val converter :
     when [leaf] raises it. A node that raised once, directly or through a
     fanin, raises again without being recomputed. *)
 
+val value_set :
+  Bdd.man -> bit:(int -> bool -> Bdd.t) -> Bitvec.t list -> Bdd.t
+(** [value_set man ~bit values] is the OR over [values] of the AND over
+    each value's bits, low bit first, of [bit i b] — the BDD for "bit [i]
+    is [b]". Values are visited in list order and [bit] is called once per
+    bit in that order, so a [bit] that numbers variables on first use
+    numbers them the same way on every caller. *)
+
 type machine
 
 val machine :

@@ -3,16 +3,19 @@
 # fault table, the six ablations and the equivbench verdicts must match
 # the committed test/golden/all.stdout byte for byte in three runs: cold
 # at -j 2, cold at -j 1, and warm from a --cache-dir filled by a first
-# pass. Timings go to stderr, so stdout carries none. An intentional
-# figure change regenerates the golden with scripts/regen-golden.sh.
+# pass. Timings go to stderr, so stdout carries none. The cached runs'
+# engine tables (stderr) must show no quarantined entry, and the warm one
+# no executed job: a cache that silently missed would still match. An
+# intentional figure change regenerates the golden with
+# scripts/regen-golden.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
-out=$(mktemp) && cache=$(mktemp -d)
-trap 'rm -rf "$out" "$cache"' EXIT
+out=$(mktemp) && err=$(mktemp) && cache=$(mktemp -d)
+trap 'rm -rf "$out" "$err" "$cache"' EXIT
 
 check() {
   if ! diff -u test/golden/all.stdout "$out"; then
@@ -22,9 +25,21 @@ check() {
   echo "all-golden: $1 matches"
 }
 
+# engine_row RUN ROW VALUE: the engine table of RUN reads VALUE in ROW.
+engine_row() {
+  if ! grep -qE "^$2 +$3\$" "$err"; then
+    echo "error: bench all ($1): engine table lacks \"$2 $3\"" >&2
+    cat "$err" >&2
+    exit 1
+  fi
+}
+
 "$exe" all -j 2 --no-cache > "$out" 2> /dev/null
 check "cold, -j 2"
-"$exe" all -j 1 --cache-dir "$cache" > "$out" 2> /dev/null
+"$exe" all -j 1 --cache-dir "$cache" > "$out" 2> "$err"
 check "cold, -j 1"
-"$exe" all -j 2 --cache-dir "$cache" > "$out" 2> /dev/null
+engine_row "cold, -j 1" "cache entries quarantined" 0
+"$exe" all -j 2 --cache-dir "$cache" > "$out" 2> "$err"
 check "warm cache"
+engine_row "warm cache" "cache entries quarantined" 0
+engine_row "warm cache" "jobs executed" 0

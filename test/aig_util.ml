@@ -52,10 +52,10 @@ let structural_digest g =
   Printf.sprintf "ands=%d md5=%s" (Aig.num_ands g)
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
-(* A flow result against its own freshly lowered netlist: random
-   simulation, then the complete SAT engine. Neither may refute. *)
-let check_flow_result name (r : Synth.Flow.result) =
-  let low = r.lowered.Synth.Lower.aig in
+(* A flow result against the freshly lowered netlist of its design:
+   random simulation, then the complete SAT engine. Neither may refute. *)
+let check_flow_result name design (r : Synth.Flow.result) =
+  let low = (Synth.Lower.run design).Synth.Lower.aig in
   List.iter
     (fun (engine, verdict) ->
       match verdict with

@@ -284,6 +284,26 @@ let limb_props =
           vs);
   ]
 
+(* The ceil-log2 loop that six generators each carried before
+   [Bitvec.index_width], kept as its oracle. *)
+let oracle_index_width n =
+  let rec bits n acc = if n <= 1 then max acc 1 else bits ((n + 1) / 2) (acc + 1) in
+  bits n 0
+
+let test_index_width () =
+  for n = 0 to 70_000 do
+    if Bitvec.index_width n <> oracle_index_width n then
+      Alcotest.failf "index_width %d = %d, oracle %d" n (Bitvec.index_width n)
+        (oracle_index_width n)
+  done;
+  (* Around every power of two the int range holds. *)
+  for k = 1 to Sys.int_size - 2 do
+    let p = 1 lsl k in
+    Alcotest.(check int) (Printf.sprintf "2^%d" k) k (Bitvec.index_width p);
+    Alcotest.(check int) (Printf.sprintf "2^%d + 1" k) (k + 1)
+      (Bitvec.index_width (p + 1))
+  done
+
 let () =
   Alcotest.run "bitvec"
     [
@@ -295,6 +315,7 @@ let () =
           Alcotest.test_case "structure" `Quick test_structure;
           Alcotest.test_case "comparison" `Quick test_compare;
           Alcotest.test_case "all_values" `Quick test_all_values;
+          Alcotest.test_case "index_width = old loop" `Quick test_index_width;
         ] );
       ("properties", props);
       ("integer model", model_props);

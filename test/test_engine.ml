@@ -68,9 +68,7 @@ let test_fingerprint_sensitivity () =
 
 (* -------------------------------------------------------------- summary *)
 
-let compile_summary d =
-  Engine.Summary.of_flow ~wall_s:0.015625
-    (Synth.Flow.compile lib d)
+let compile_summary d = Engine.Summary.of_flow (Synth.Flow.compile lib d)
 
 let test_summary_roundtrip () =
   let s = compile_summary (fsm_design 7) in
@@ -83,12 +81,72 @@ let test_summary_roundtrip () =
         (Engine.Summary.to_string s) (Engine.Summary.to_string s')
 
 let test_summary_rejects_garbage () =
-  (match Engine.Summary.of_string "not a summary" with
-   | Ok _ -> Alcotest.fail "parsed garbage"
-   | Error _ -> ());
-  match Engine.Summary.of_string "ctrlgen-summary v1\ncomb_area nope\n" with
-  | Ok _ -> Alcotest.fail "parsed bad float"
-  | Error _ -> ()
+  let rejects what text =
+    match Engine.Summary.of_string text with
+    | Ok _ -> Alcotest.failf "parsed %s" what
+    | Error _ -> ()
+  in
+  rejects "garbage" "not a summary";
+  rejects "the old line format" "ctrlgen-summary v1\ncomb_area 0x1p+0\n";
+  rejects "a JSON list" "[1, 2]";
+  (* A well-formed record with one field spoiled. *)
+  let spoil name v =
+    match
+      Report.Json.of_string
+        (Engine.Summary.to_string (compile_summary (fsm_design 7)))
+    with
+    | Ok (Report.Json.Obj fields) ->
+      Report.Json.to_string
+        (Report.Json.Obj
+           (List.map (fun (k, x) -> (k, if k = name then v else x)) fields))
+    | _ -> Alcotest.fail "summary is not a JSON object"
+  in
+  rejects "a bad float" (spoil "comb_area" (Report.Json.String "nope"));
+  rejects "a float where a hex string belongs"
+    (spoil "seq_area" (Report.Json.Float 1.5));
+  rejects "a bad cell" (spoil "cells" (Report.Json.List [ Report.Json.Int 3 ]))
+
+(* Every float, integral or needing all 17 significant digits (such as
+   0.1 + 0.2 = 0.30000000000000004), reads back with the same bits. *)
+let prop_summary_floats_exact =
+  let special = [ 0.0; -0.0; 1.0; 4096.0; 0.1 +. 0.2; 1.0 /. 3.0 ] in
+  let gen rng =
+    let pick () =
+      match Workload.Rng.int rng 3 with
+      | 0 -> Workload.Rng.pick rng special
+      | 1 -> float_of_int (Workload.Rng.int rng 1_000_000)
+      | _ ->
+        float_of_int (Workload.Rng.int rng 1_000_000_000)
+        /. float_of_int (1 + Workload.Rng.int rng 999)
+    in
+    let a = pick () in
+    let b = pick () in
+    (a, b, pick ())
+  in
+  let show (a, b, c) = Printf.sprintf "(%h, %h, %h)" a b c in
+  Prop.test ~iters:300 "float round-trip bit-exact"
+    ~examples:[ (0.0, 1.0, 0.1 +. 0.2); (-0.0, 1e300, 5e-324) ]
+    (Prop.make ~show gen)
+    (fun (comb_area, seq_area, critical_delay) ->
+      let s =
+        {
+          Engine.Summary.report =
+            { Synth.Map.comb_area; seq_area; critical_delay;
+              cell_counts = [ ("INV", 2); ("a \"b\"", 0) ];
+              num_flops = 3; config_bits = 0 };
+          aig_ands = 12;
+          aig_latches = 3;
+        }
+      in
+      let bits x = Int64.bits_of_float x in
+      match Engine.Summary.of_string (Engine.Summary.to_string s) with
+      | Ok s' ->
+        let r = s.report and r' = s'.report in
+        bits r.comb_area = bits r'.comb_area
+        && bits r.seq_area = bits r'.seq_area
+        && bits r.critical_delay = bits r'.critical_delay
+        && s = s'
+      | Error _ -> false)
 
 (* ----------------------------------------------------------- disk cache *)
 
@@ -108,12 +166,9 @@ let test_cache_disk_roundtrip () =
   (match Engine.Cache.find c2 "somekey" with
    | Some (_, `Memory) -> ()
    | _ -> Alcotest.fail "expected a memory hit");
-  let stats = Engine.Cache.stats c2 in
-  Alcotest.(check int) "disk hits" 1 stats.Engine.Cache.disk_hits;
-  Alcotest.(check int) "mem hits" 1 stats.Engine.Cache.mem_hits;
   (* A corrupt entry is a miss, not a crash. *)
   Out_channel.with_open_text
-    (Filename.concat dir "badkey.summary")
+    (Filename.concat dir "badkey.json")
     (fun oc -> Out_channel.output_string oc "garbage");
   (match Engine.Cache.find c2 "badkey" with
    | None -> ()
@@ -158,18 +213,27 @@ let test_cache_quarantine () =
   let c1 = Engine.Cache.create ~dir () in
   Engine.Cache.store c1 "goodkey" s;
   Out_channel.with_open_text
-    (Filename.concat dir "rotkey.summary")
+    (Filename.concat dir "rotkey.json")
     (fun oc -> Out_channel.output_string oc "not a summary at all");
+  (* An entry in the old line format has the old name: it is neither read
+     nor quarantined. *)
+  Out_channel.with_open_text
+    (Filename.concat dir "oldkey.summary")
+    (fun oc -> Out_channel.output_string oc "ctrlgen-summary v1\n");
   let c2 = Engine.Cache.create ~dir () in
   (match Engine.Cache.find c2 "rotkey" with
    | None -> ()
    | Some _ -> Alcotest.fail "corrupt entry should miss");
-  Alcotest.(check int) "quarantined count" 1
-    (Engine.Cache.stats c2).Engine.Cache.quarantined;
+  (match Engine.Cache.find c2 "oldkey" with
+   | None -> ()
+   | Some _ -> Alcotest.fail "an old-format entry was read");
+  Alcotest.(check int) "quarantined count" 1 (Engine.Cache.quarantined c2);
   Alcotest.(check bool) "entry moved aside" true
     (Sys.file_exists (Filename.concat dir "rotkey.corrupt"));
   Alcotest.(check bool) "original gone" false
-    (Sys.file_exists (Filename.concat dir "rotkey.summary"));
+    (Sys.file_exists (Filename.concat dir "rotkey.json"));
+  Alcotest.(check bool) "old-format entry left alone" true
+    (Sys.file_exists (Filename.concat dir "oldkey.summary"));
   (match Engine.Cache.find c2 "goodkey" with
    | Some (s', `Disk) when s' = s -> ()
    | _ -> Alcotest.fail "good entry lost after quarantine")
@@ -235,6 +299,31 @@ let test_batch_error_rows () =
   | [ Ok 10; Ok 20; Error _; Ok 40 ] -> ()
   | _ -> Alcotest.fail "unexpected batch results"
 
+let test_batch_map_coalesces () =
+  (* Duplicate keys run once; a settled key never runs; every position gets
+     its answer, and each fresh result is settled once, in item order. *)
+  let calls = Atomic.make 0 in
+  let f x =
+    Atomic.incr calls;
+    x * 10
+  in
+  let settled_keys = ref [] in
+  let results =
+    Engine.Batch.map ~jobs:2 ~key:string_of_int
+      ~settled:(fun k -> if k = "7" then Some 700 else None)
+      ~settle:(fun k r ->
+        settled_keys := k :: !settled_keys;
+        if Result.is_error r then Alcotest.failf "item %s failed" k)
+      f [ 3; 1; 3; 7; 1; 3; 7; 5 ]
+  in
+  Alcotest.(check int) "each distinct unsettled key ran once" 3
+    (Atomic.get calls);
+  Alcotest.(check (list string)) "settled in item order" [ "3"; "1"; "5" ]
+    (List.rev !settled_keys);
+  match results with
+  | [ Ok 30; Ok 10; Ok 30; Ok 700; Ok 10; Ok 30; Ok 700; Ok 50 ] -> ()
+  | _ -> Alcotest.fail "unexpected map results"
+
 let test_batch_journal_resume () =
   let path = Filename.temp_file "batch" ".jsonl" in
   Sys.remove path;
@@ -277,6 +366,11 @@ let test_engine_coalesces_and_isolates () =
   let s = Engine.stats e in
   Alcotest.(check int) "executed once" 1 s.Engine.executed;
   Alcotest.(check int) "coalesced twice" 2 s.Engine.mem_hits;
+  (* The same job in a later batch comes from the memory cache. *)
+  ignore (Engine.run e [ Engine.job d ]);
+  let s = Engine.stats e in
+  Alcotest.(check int) "still executed once" 1 s.Engine.executed;
+  Alcotest.(check int) "memory hit" 3 s.Engine.mem_hits;
   (* A malformed design (nets referencing inputs that are gone) crashes its
      own job during lowering and nothing else. *)
   let bad_design = { d with Rtl.Design.inputs = [] } in
@@ -451,6 +545,7 @@ let () =
           Alcotest.test_case "text round-trip" `Quick test_summary_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick
             test_summary_rejects_garbage;
+          prop_summary_floats_exact;
         ] );
       ( "cache",
         [
@@ -469,6 +564,8 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "error rows" `Quick test_batch_error_rows;
+          Alcotest.test_case "map coalesces duplicate keys" `Quick
+            test_batch_map_coalesces;
           Alcotest.test_case "journal resume" `Quick test_batch_journal_resume;
         ] );
       ( "engine",

@@ -324,6 +324,57 @@ let test_campaign_packed_resume () =
   Alcotest.(check bool) "packed resume = fresh report" true (fresh = resumed);
   Sys.remove path
 
+let test_campaign_packed_resume_garbage () =
+  (* Every site is journaled, but one payload no longer decodes. Resumed
+     sites are left out of the packed pre-pass, so that one site is
+     recomputed through the scalar [Fault.Sim.aig_run_site] fallback. *)
+  let aig = lowered_aig 7 in
+  let aspec = { Fault.Sim.aig; cycles = 12; seed = 33 } in
+  let spec = flexible_spec 7 in
+  let model = Fault.Campaign.Stuck in
+  let run ?journal resume =
+    Fault.Campaign.run ?journal ~resume ~aig:aspec ~seed:3 ~sites:70 ~model
+      spec
+  in
+  let path = Filename.temp_file "fault-garbage" ".jsonl" in
+  Sys.remove path;
+  let j = Engine.Journal.open_append path in
+  let fresh = run ~journal:j [] in
+  Engine.Journal.close j;
+  let entries = Engine.Journal.load path in
+  Sys.remove path;
+  let spoiled = List.nth entries 17 in
+  let resume =
+    List.map
+      (fun (e : Engine.Journal.entry) ->
+        if e.key = spoiled.key then { e with value = Ok "no such outcome" }
+        else e)
+      entries
+  in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let j = Engine.Journal.open_append path in
+  let resumed, packed =
+    Fun.protect
+      ~finally:(fun () ->
+        Engine.Journal.close j;
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let r = run ~journal:j resume in
+        ( r,
+          Obs.Metrics.counter_value
+            (Obs.Metrics.counter "fault.campaign.packed_sites") ))
+  in
+  let recomputed = Engine.Journal.load path in
+  Sys.remove path;
+  Alcotest.(check int) "no packed pass" 0 packed;
+  Alcotest.(check (list string)) "only the spoiled site ran" [ spoiled.key ]
+    (List.map (fun (e : Engine.Journal.entry) -> e.key) recomputed);
+  Alcotest.(check bool) "its payload is recomputed exactly" true
+    ((List.hd recomputed).value = spoiled.value);
+  Alcotest.(check bool) "resumed report = fresh report" true (fresh = resumed)
+
 (* ----------------------------------------------------------------- vcd *)
 
 let contains hay needle =
@@ -377,6 +428,8 @@ let () =
             test_campaign_packed_identical;
           Alcotest.test_case "campaign packed resume identical" `Quick
             test_campaign_packed_resume;
+          Alcotest.test_case "packed resume recomputes a bad payload" `Quick
+            test_campaign_packed_resume_garbage;
         ] );
       ( "vcd", [ Alcotest.test_case "first mismatch trace" `Quick
                    test_vcd_of_first_mismatch ] );

@@ -85,7 +85,7 @@ let test_flow_output_checked () =
       (Core.Fsm_ir.config_bindings fsm)
   in
   let options = { Synth.Flow.default with honor_generator_annots = true } in
-  Aig_util.check_flow_result "fsm seed 9" (compile ~options design)
+  Aig_util.check_flow_result "fsm seed 9" design (compile ~options design)
 
 let test_sequencer_roundtrip () =
   let src = {|

@@ -284,7 +284,7 @@ let test_collapse_shared_memo () =
         let summaries =
           List.map
             (function
-              | Ok s -> { s with Engine.Summary.wall_s = 0.0 }
+              | Ok s -> s
               | Error e -> Alcotest.fail (Engine.Pool.error_message e))
             (Engine.run engine
                (List.map (fun (options, d) -> Engine.job ~options d) corpus))
@@ -542,7 +542,7 @@ let test_flow_checked_and_idempotence () =
   in
   let options = { Synth.Flow.default with honor_generator_annots = true } in
   let r1 = Synth.Flow.compile ~options lib d in
-  Aig_util.check_flow_result "fsm seed 4" r1;
+  Aig_util.check_flow_result "fsm seed 4" d r1;
   let r2 = Synth.Flow.compile ~options lib d in
   Alcotest.(check (float 0.001)) "deterministic"
     (Synth.Flow.area r1) (Synth.Flow.area r2)

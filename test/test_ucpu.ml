@@ -158,7 +158,7 @@ let test_control_annotations_sound () =
       | Synth.Annot_check.Proved | Synth.Annot_check.Unproved _ -> ())
     (Synth.Annots.extract low);
   (* And honouring them preserves behaviour. *)
-  Aig_util.check_flow_result "ucpu control"
+  Aig_util.check_flow_result "ucpu control" d
     (Synth.Flow.compile
        ~options:{ Synth.Flow.default with honor_generator_annots = true }
        lib d)
