@@ -107,7 +107,7 @@ let fault (cli : Cli.t) =
   Experiments.Fault_cmp.print rows;
   [ ("fault", Experiments.Fault_cmp.to_json rows) ]
 
-let quick () =
+let quick (cli : Cli.t) =
   let r5 =
     Experiments.Fig5.run ~seeds:[ 0 ] ~grid:Experiments.Fig5.quick_grid ()
   in
@@ -120,7 +120,7 @@ let quick () =
   Experiments.Fig8.print r8;
   let r9 = Experiments.Fig9.run () in
   Experiments.Fig9.print r9;
-  let fault_rows = Experiments.Fault_cmp.run ~sites:8 () in
+  let fault_rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ~sites:8 () in
   Experiments.Fault_cmp.print fault_rows;
   [ ("fig5", fig5_json r5); ("fig6", fig6_json r6); ("fig8", fig8_json r8);
     ("fig9", fig9_json r9);
@@ -247,7 +247,9 @@ let emit command run cli json_path =
              Json.List (List.map (fun m -> Json.String m) failures));
             ("engine", engine_stats_json (Engine.stats (Engine.default ())));
             ("metrics",
-             if Obs.enabled () then Obs.Metrics.to_json () else Json.Null) ]
+             if Obs.enabled () then Obs.Metrics.to_json () else Json.Null);
+            ("spans",
+             if Obs.enabled () then Obs.Span.to_json () else Json.Null) ]
       in
       try Out_channel.with_open_text path (fun oc -> Json.to_channel oc doc)
       with Sys_error msg ->
@@ -281,7 +283,7 @@ let () =
        (Cmd.group ~default:(term "all" all) info
           [ command "all" ~doc:"Every figure, ablation and benchmark." all;
             command "quick" ~doc:"Subsampled Figs. 5/6/8/9 and fault smoke run."
-              (plain quick);
+              quick;
             command "fig5" ~doc:"Fig. 5: table vs SOP area." (plain fig5);
             command "fig6" ~doc:"Fig. 6: FSM implementations." (plain fig6);
             command "fig8" ~doc:"Fig. 8: one-hot state vectors." (plain fig8);

@@ -229,18 +229,13 @@ let with_metrics ?(active_lanes = lanes) s f =
         ]
       "aig.sim"
     @@ fun () ->
-    let t0 = Obs.now_us () in
     let steps0 = s.nsteps in
     Fun.protect f ~finally:(fun () ->
-        let dt_us = Obs.now_us () -. t0 in
         let cycles = s.nsteps - steps0 in
-        let patterns = cycles * active_lanes in
-        Obs.Metrics.incr ~by:patterns (Obs.Metrics.counter "aig.sim.patterns");
+        Obs.Metrics.incr
+          ~by:(cycles * active_lanes)
+          (Obs.Metrics.counter "aig.sim.patterns");
         Obs.Metrics.incr
           ~by:(cycles * num_ands s.c)
           (Obs.Metrics.counter "aig.sim.words_evaluated");
-        if patterns > 0 then
-          Obs.Metrics.set
-            (Obs.Metrics.gauge "aig.sim.ns_per_pattern_cycle")
-            (dt_us *. 1e3 /. float_of_int patterns);
         Obs.Span.add_args [ ("cycles", Obs.Span.Int cycles) ])

@@ -120,8 +120,8 @@ val run : sim -> cycles:int -> input:(int -> int -> bool) -> bool array array
 
 val with_metrics : ?active_lanes:int -> sim -> (unit -> 'a) -> 'a
 (** Run a simulation loop under an [aig.sim] {!Obs.Span}, then account the
-    steps it performed to the kernel metrics: [aig.sim.patterns] (lanes x
-    cycles simulated), [aig.sim.words_evaluated] (And-gate words), and the
-    [aig.sim.ns_per_pattern_cycle] gauge. [active_lanes] (default
+    steps it performed to the kernel counters: [aig.sim.patterns] (lanes x
+    cycles simulated) and [aig.sim.words_evaluated] (And-gate words); the
+    span keeps the time. [active_lanes] (default
     {!lanes}) scales the pattern count when a pass uses fewer lanes. Free
     when observability is disabled. *)

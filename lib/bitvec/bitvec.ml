@@ -158,22 +158,6 @@ let sub a b =
 let succ a =
   if a.width = 0 then a else add a (of_int ~width:a.width 1)
 
-let shift_left v k =
-  if k < 0 then invalid_arg "Bitvec.shift_left: negative shift";
-  let out = ref (zero v.width) in
-  for i = 0 to v.width - 1 - k do
-    if get v i then out := set !out (i + k) true
-  done;
-  !out
-
-let shift_right v k =
-  if k < 0 then invalid_arg "Bitvec.shift_right: negative shift";
-  let out = ref (zero v.width) in
-  for i = k to v.width - 1 do
-    if get v i then out := set !out (i - k) true
-  done;
-  !out
-
 let ult a b = compare_value a b < 0
 
 (* The [limb_bits] bits of [limbs] from bit [p] up, zero past the end. *)

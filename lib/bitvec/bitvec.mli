@@ -96,8 +96,6 @@ val set : t -> int -> bool -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val succ : t -> t
-val shift_left : t -> int -> t
-val shift_right : t -> int -> t
 
 val ult : t -> t -> bool
 (** Unsigned less-than of equal-width vectors. *)

@@ -47,11 +47,12 @@ let term =
   let metrics =
     Arg.(value & flag
          & info [ "metrics" ]
-             ~doc:"Print the process metrics table (pass deltas, pool \
-                   wait and run times, cache traffic, simulated cycles) to \
-                   stderr after the run.")
+             ~doc:"Print the process metrics table (pass deltas, cache \
+                   traffic, simulated cycles) and the time spent per span \
+                   name to stderr after the run.")
   in
   let setup jobs cache_dir no_cache trace metrics =
+    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
     (* Observability on when either sink was requested; the at_exit hook
        writes the trace even on nonzero-exit paths. *)
     if metrics || trace <> None then Obs.set_enabled true;
@@ -64,15 +65,14 @@ let term =
         exit 2
     in
     reconfigure Cells.Library.vt90;
-    {
-      reconfigure;
-      sim_jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
-      metrics;
-    }
+    { reconfigure; sim_jobs = jobs; metrics }
   in
   Term.(const setup $ jobs $ cache_dir $ no_cache $ trace $ metrics)
 
 let finish t =
   let stats = Engine.stats (Engine.default ()) in
   if stats.Engine.submitted > 0 then prerr_string (Engine.stats_table stats);
-  if t.metrics then prerr_string (Obs.Metrics.to_table ())
+  if t.metrics then begin
+    prerr_string (Obs.Metrics.to_table ());
+    prerr_string (Obs.Span.to_table ())
+  end

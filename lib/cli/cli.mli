@@ -11,7 +11,9 @@ type t = {
   reconfigure : Cells.Library.t -> unit;
       (** rebuild the default engine with the same flags over another cell
           library *)
-  sim_jobs : int;  (** resolved [-j] value for simulation batches *)
+  sim_jobs : int;
+      (** resolved [-j] value, the engine's worker count too; [-j 0] is
+          [Domain.recommended_domain_count ()] *)
   metrics : bool;  (** [--metrics] was given *)
 }
 
@@ -24,5 +26,6 @@ val range : ?max:int -> int -> int Cmdliner.Arg.conv
 
 val finish : t -> unit
 (** Print the end-of-run tables to stderr: the engine statistics when the
-    default engine saw at least one job, then the process metrics when
-    [--metrics] was given. Stdout is never touched. *)
+    default engine saw at least one job, then, when [--metrics] was given,
+    the process metrics and the time per span name ({!Obs.Span.to_table}).
+    Stdout is never touched. *)

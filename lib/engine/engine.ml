@@ -41,8 +41,7 @@ type t = {
 }
 
 let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
-  let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
-  if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 0";
+  if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   let cache = if no_cache then None else Some (Cache.create ?dir:cache_dir ()) in
   { lib; jobs; cache; memo = Synth.Collapse.create_memo (); submitted = 0;
     executed = 0; failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }

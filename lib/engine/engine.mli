@@ -61,9 +61,9 @@ val create :
   Cells.Library.t ->
   t
 (** [jobs]: worker domains for cache-miss execution; [1] (default) compiles
-    on the calling domain, [0] means [Domain.recommended_domain_count ()].
-    [no_cache] disables result caching entirely ([cache_dir] is then
-    ignored). *)
+    on the calling domain. [no_cache] disables result caching entirely
+    ([cache_dir] is then ignored).
+    @raise Invalid_argument if [jobs < 1]. *)
 
 val run : t -> job list -> outcome list
 (** Outcomes in request order. Never raises on job failure. *)

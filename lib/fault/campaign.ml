@@ -78,7 +78,6 @@ let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
       ]
     "fault.campaign"
   @@ fun () ->
-  let t_start = Obs.now_us () in
   let population, injected = enumerate ?aig ~seed ~sites ~model spec in
   let needs_rtl =
     List.exists (function Site.Stuck_at _ -> false | _ -> true) injected
@@ -161,14 +160,9 @@ let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
     c "fault.mismatches" report.mismatches;
     c "fault.hangs" report.hangs;
     c "fault.failed" report.failed;
-    (* Throughput counts injected sites (= packed lanes), not packed
-       passes: a pass that classifies 63 lanes contributes 63. *)
+    (* Counts sites (= packed lanes), not packed passes: a pass that
+       classifies 63 lanes contributes 63. *)
     c "fault.campaign.packed_sites" (Hashtbl.length packed_results);
-    let dt_s = (Obs.now_us () -. t_start) /. 1e6 in
-    if dt_s > 0.0 then
-      Obs.Metrics.set
-        (Obs.Metrics.gauge "fault.campaign.sites_per_s")
-        (float_of_int report.injected /. dt_s);
     Obs.Span.add_args
       [
         ("sites", Obs.Span.Int report.injected);

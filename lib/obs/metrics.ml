@@ -1,24 +1,17 @@
 (* Process-wide metrics registry.
 
-   Counters are [Atomic.t int] (lock-free, safe from any domain); gauges
-   and histograms share the registry mutex per update — they are orders of
-   magnitude rarer than counter bumps. Registration is get-or-create by
-   name, so instrumented modules can hold a handle created at module
-   initialization and [reset] zeroes values in place without invalidating
-   those handles. *)
+   Every metric is an [int Atomic.t], so updates are lock-free and safe
+   from any domain; only registration takes the registry mutex. Counters
+   add, gauges keep a high-water mark through a compare-and-set loop.
+   Registration is get-or-create by name, so instrumented modules can
+   hold a handle created at module initialization and [reset] zeroes
+   values in place without invalidating those handles. *)
 
 type counter = int Atomic.t
 
-type gauge = { mutable g_value : float; mutable g_set : bool }
+type gauge = int Atomic.t
 
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
-}
-
-type metric = Counter of counter | Gauge of gauge | Hist of hist
+type metric = Counter of counter | Gauge of gauge
 
 let mutex = Mutex.create ()
 
@@ -50,56 +43,24 @@ let counter name =
 
 let gauge name =
   get_or_create name
-    (fun () -> Gauge { g_value = 0.0; g_set = false })
+    (fun () -> Gauge (Atomic.make 0))
     (function Gauge g -> Some g | _ -> None)
     "non-gauge"
-
-let histogram name =
-  get_or_create name
-    (fun () -> Hist { h_count = 0; h_sum = 0.0; h_min = 0.0; h_max = 0.0 })
-    (function Hist h -> Some h | _ -> None)
-    "non-histogram"
 
 let incr ?(by = 1) c = if Ctl.on () then ignore (Atomic.fetch_and_add c by)
 
 let counter_value c = Atomic.get c
 
-let set g v =
-  if Ctl.on () then begin
-    Mutex.lock mutex;
-    g.g_value <- v;
-    g.g_set <- true;
-    Mutex.unlock mutex
-  end
-
 let set_max g v =
   if Ctl.on () then begin
-    Mutex.lock mutex;
-    if (not g.g_set) || v > g.g_value then g.g_value <- v;
-    g.g_set <- true;
-    Mutex.unlock mutex
+    let rec raise_to () =
+      let cur = Atomic.get g in
+      if v > cur && not (Atomic.compare_and_set g cur v) then raise_to ()
+    in
+    raise_to ()
   end
 
-let observe h v =
-  if Ctl.on () then begin
-    Mutex.lock mutex;
-    if h.h_count = 0 then begin
-      h.h_min <- v;
-      h.h_max <- v
-    end
-    else begin
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v
-    end;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    Mutex.unlock mutex
-  end
-
-type snapshot =
-  | Counter_v of int
-  | Gauge_v of float
-  | Hist_v of { count : int; sum : float; min_v : float; max_v : float }
+type snapshot = Counter_v of int | Gauge_v of int
 
 let snapshot () =
   Mutex.lock mutex;
@@ -109,11 +70,7 @@ let snapshot () =
         let s =
           match m with
           | Counter c -> Counter_v (Atomic.get c)
-          | Gauge g -> Gauge_v g.g_value
-          | Hist h ->
-            Hist_v
-              { count = h.h_count; sum = h.h_sum; min_v = h.h_min;
-                max_v = h.h_max }
+          | Gauge g -> Gauge_v (Atomic.get g)
         in
         (name, s) :: acc)
       registry []
@@ -123,48 +80,28 @@ let snapshot () =
 
 let reset () =
   Mutex.lock mutex;
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> Atomic.set c 0
-      | Gauge g ->
-        g.g_value <- 0.0;
-        g.g_set <- false
-      | Hist h ->
-        h.h_count <- 0;
-        h.h_sum <- 0.0;
-        h.h_min <- 0.0;
-        h.h_max <- 0.0)
-    registry;
+  Hashtbl.iter (fun _ (Counter a | Gauge a) -> Atomic.set a 0) registry;
   Mutex.unlock mutex
+
+let kind_value = function
+  | Counter_v v -> ("counter", v)
+  | Gauge_v v -> ("gauge", v)
 
 (* Rendering: zero-valued metrics are kept — a counter stuck at 0 (e.g.
    cache.quarantined) is information, and a fixed row set keeps diffs of
    two runs alignable. *)
 
-let fmt_f v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
-
 let to_table () =
   let rows =
     List.map
       (fun (name, s) ->
-        match s with
-        | Counter_v v -> [ name; "counter"; string_of_int v; ""; ""; "" ]
-        | Gauge_v v -> [ name; "gauge"; fmt_f v; ""; ""; "" ]
-        | Hist_v { count; sum; min_v; max_v } ->
-          let mean = if count = 0 then 0.0 else sum /. float_of_int count in
-          [ name; "hist"; string_of_int count; fmt_f mean; fmt_f min_v;
-            fmt_f max_v ])
+        let kind, v = kind_value s in
+        [ name; kind; string_of_int v ])
       (snapshot ())
   in
   Report.Table.render
-    ~align:
-      [ Report.Table.Left; Report.Table.Left; Report.Table.Right;
-        Report.Table.Right; Report.Table.Right; Report.Table.Right ]
-    ~header:[ "metric"; "kind"; "count/value"; "mean"; "min"; "max" ]
+    ~align:[ Report.Table.Left; Report.Table.Left; Report.Table.Right ]
+    ~header:[ "metric"; "kind"; "value" ]
     rows
 
 let to_json () =
@@ -172,16 +109,6 @@ let to_json () =
   Obj
     (List.map
        (fun (name, s) ->
-         let v =
-           match s with
-           | Counter_v v ->
-             Obj [ ("kind", String "counter"); ("value", Int v) ]
-           | Gauge_v v -> Obj [ ("kind", String "gauge"); ("value", Float v) ]
-           | Hist_v { count; sum; min_v; max_v } ->
-             Obj
-               [ ("kind", String "histogram"); ("count", Int count);
-                 ("sum", Float sum); ("min", Float min_v);
-                 ("max", Float max_v) ]
-         in
-         (name, v))
+         let kind, v = kind_value s in
+         (name, Obj [ ("kind", String kind); ("value", Int v) ]))
        (snapshot ()))

@@ -1,39 +1,34 @@
-(** Process-wide counters, gauges and histograms.
+(** Process-wide work counts: counters and high-water gauges.
 
-    Handles are get-or-create by name, so instrumented modules create them
-    once at initialization and bump them from any domain: counters are
-    atomic, gauges and histograms take the registry mutex per update. All
-    record operations are no-ops while observability is disabled (see
-    {!Obs.set_enabled}); {!reset} zeroes values in place without
-    invalidating existing handles.
+    Metrics count work; spans keep time (see {!Span.to_table}). Every
+    value is an integer that two runs of the same work report equally,
+    whatever the number of worker domains. Handles are get-or-create by
+    name, so instrumented modules create them once at initialization and
+    update them lock-free from any domain. All record operations are
+    no-ops while observability is disabled (see {!Obs.set_enabled});
+    {!reset} zeroes values in place without invalidating existing
+    handles.
 
     Naming scheme (see DESIGN.md §10): dot-separated
-    [<subsystem>.<object>.<quantity>], with seconds suffixed [_s] —
-    e.g. [engine.pool.wait_s], [synth.flow.collapse.nodes_removed]. *)
+    [<subsystem>.<object>.<quantity>] — e.g. [engine.pool.jobs],
+    [synth.flow.collapse.ands_removed]. *)
 
 type counter
 type gauge
-type hist
 
 val counter : string -> counter
 (** @raise Invalid_argument if the name is registered as another kind. *)
 
 val gauge : string -> gauge
-val histogram : string -> hist
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
-val set : gauge -> float -> unit
-val set_max : gauge -> float -> unit
-(** Keep the maximum of the recorded values (high-water mark). *)
+val set_max : gauge -> int -> unit
+(** Keep the maximum of the recorded values (high-water mark); a gauge
+    reads 0 until a larger value is recorded. *)
 
-val observe : hist -> float -> unit
-
-type snapshot =
-  | Counter_v of int
-  | Gauge_v of float
-  | Hist_v of { count : int; sum : float; min_v : float; max_v : float }
+type snapshot = Counter_v of int | Gauge_v of int
 
 val snapshot : unit -> (string * snapshot) list
 (** All registered metrics, sorted by name. *)

@@ -6,9 +6,10 @@
     behave identically — instrumentation may only write to stderr or to
     explicitly requested files, never stdout.
 
-    {!Span} times nested regions (synthesis passes, campaigns), {!Metrics}
-    counts process-wide events (cache hits, queue depths, simulated
-    cycles), {!Trace} serializes completed spans to Chrome trace JSON.
+    {!Span} times nested regions (synthesis passes, campaigns) and sums
+    them per span name, {!Metrics} counts work (cache hits, removed nodes,
+    simulated cycles), {!Trace} serializes completed spans to Chrome trace
+    JSON.
     All three are safe to use from any OCaml 5 domain. *)
 
 module Span = Span
@@ -21,7 +22,7 @@ val enabled : unit -> bool
 
 val now_us : unit -> float
 (** Microseconds since the process-wide anchor — the span clock, exposed
-    so instrumented code can derive rates without a Unix dependency. *)
+    so code can time a region without a Unix dependency. *)
 
 val reset : unit -> unit
 (** Clear completed spans and zero all metrics (registrations survive). *)

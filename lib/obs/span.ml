@@ -104,6 +104,54 @@ let dropped_count () =
   Mutex.unlock finished_mutex;
   d
 
+type total = { count : int; total_s : float; self_s : float }
+
+(* Spans complete children-first within a domain, so a child-time
+   accumulator per (domain, depth) holds exactly a span's direct children
+   when it closes; reading it also clears it for the next sibling. *)
+let totals spans =
+  let child = Hashtbl.create 16 and acc = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      let below = (s.tid, s.depth + 1) in
+      let covered = Option.value ~default:0.0 (Hashtbl.find_opt child below) in
+      Hashtbl.remove child below;
+      let here = (s.tid, s.depth) in
+      Hashtbl.replace child here
+        (s.dur_us +. Option.value ~default:0.0 (Hashtbl.find_opt child here));
+      let t =
+        Option.value (Hashtbl.find_opt acc s.name)
+          ~default:{ count = 0; total_s = 0.0; self_s = 0.0 }
+      in
+      Hashtbl.replace acc s.name
+        { count = t.count + 1;
+          total_s = t.total_s +. (s.dur_us /. 1e6);
+          self_s = t.self_s +. ((s.dur_us -. covered) /. 1e6) })
+    spans;
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun name t rows -> (name, t) :: rows) acc [])
+
+let to_table () =
+  Report.Table.render
+    ~header:[ "span"; "count"; "total s"; "self s" ]
+    (List.map
+       (fun (name, t) ->
+         [ name; string_of_int t.count; Printf.sprintf "%.3f" t.total_s;
+           Printf.sprintf "%.3f" t.self_s ])
+       (totals (completed ())))
+
+let to_json () =
+  let open Report.Json in
+  Obj
+    (List.map
+       (fun (name, t) ->
+         ( name,
+           Obj
+             [ ("count", Int t.count); ("total_s", Float t.total_s);
+               ("self_s", Float t.self_s) ] ))
+       (totals (completed ())))
+
 let reset () =
   Mutex.lock finished_mutex;
   finished := [];

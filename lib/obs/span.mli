@@ -37,3 +37,24 @@ val dropped_count : unit -> int
 
 val reset : unit -> unit
 (** Forget completed spans (open spans are unaffected). *)
+
+(** {1 Time per span name} *)
+
+type total = {
+  count : int;      (** completed spans of this name *)
+  total_s : float;  (** summed durations *)
+  self_s : float;
+      (** summed self times: a span's duration minus those of its direct
+          children (same domain, depth + 1) *)
+}
+
+val totals : finished list -> (string * total) list
+(** Fold spans given in completion order, as {!completed} returns them,
+    into one row per name, sorted by name. *)
+
+val to_table : unit -> string
+(** {!totals} of {!completed} as a {!Report.Table}: span, count, total s,
+    self s. *)
+
+val to_json : unit -> Report.Json.t
+(** {!totals} of {!completed} as an object keyed by span name. *)

@@ -418,12 +418,7 @@ let record_metrics s ~d0 ~c0 ~p0 ~l0 ~t0 =
     bump "sat.solver.conflicts" (s.st_conflicts - c0);
     bump "sat.solver.propagations" (s.st_propagations - p0);
     bump "sat.solver.learned_clauses" (s.st_learned - l0);
-    Obs.Metrics.observe
-      (Obs.Metrics.histogram "sat.solver.solve_s")
-      (now_s () -. t0);
-    Obs.Metrics.set_max
-      (Obs.Metrics.gauge "sat.solver.vars")
-      (float_of_int s.nvars)
+    Obs.Metrics.set_max (Obs.Metrics.gauge "sat.solver.vars") s.nvars
   end
 
 let solve ?(assumptions = []) s =

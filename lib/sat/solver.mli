@@ -13,9 +13,10 @@
     miter output (or one BMC frame) at a time over a single shared CNF.
 
     Every completed {!solve} accounts its work to the [sat.solver.*]
-    {!Obs.Metrics} counters (conflicts, decisions, propagations, learned
-    clauses) and the [sat.solver.solve_s] histogram, so solver effort shows
-    up in traces and metric tables alongside the synthesis passes. *)
+    {!Obs.Metrics} counters (solves, conflicts, decisions, propagations,
+    learned clauses) and the [sat.solver.vars] high-water gauge, so solver
+    effort shows up in metric tables alongside the synthesis passes; solve
+    time is in {!stats}. *)
 
 type t
 

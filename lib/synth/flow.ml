@@ -50,9 +50,7 @@ let traced_pass name ~iter f g =
       ~args:(("iter", Obs.Span.Int iter) :: graph_args "in" g)
       ("flow." ^ name)
       (fun () ->
-        let t0 = Obs.now_us () in
         let g' = f g in
-        let dt_s = (Obs.now_us () -. t0) /. 1e6 in
         Obs.Span.add_args
           (graph_args "out" g'
            @ [
@@ -66,9 +64,6 @@ let traced_pass name ~iter f g =
         Obs.Metrics.incr
           ~by:(Aig.num_latches g - Aig.num_latches g')
           (Obs.Metrics.counter ("synth.flow." ^ name ^ ".latches_removed"));
-        Obs.Metrics.observe
-          (Obs.Metrics.histogram ("synth.flow." ^ name ^ "_s"))
-          dt_s;
         g')
 
 (* ---------------------------------------------------------------- flow *)

@@ -4,7 +4,8 @@
 # test/golden/quick.stdout byte for byte, the same sweep with
 # --trace/--metrics must print the same stdout, and the emitted Chrome
 # trace must be valid enough to carry pass spans and the metrics snapshot,
-# and the collapse memo counters must read the same at -j 1 as at -j 2.
+# and the --metrics counter/gauge table must read the same at -j 1 as at
+# -j 2.
 # An intentional change to a figure regenerates the golden with
 # scripts/regen-golden.sh, and the diff is reviewed like source. Leaves
 # trace.json in the repo root for CI to upload as an artifact.
@@ -41,14 +42,16 @@ grep -q '"metrics"' trace.json
 grep -q 'engine\.pool\.jobs' "$err"
 grep -q 'synth\.flow\.' "$err"
 
-# The collapse memo counts an Espresso run where its result enters the
-# engine's shared memo, so the counters must not depend on the number of
-# worker domains.
+# Metrics count work, so the whole counter/gauge table must not depend on
+# the number of worker domains. The engine table before it and the span
+# time table after it hold wall times and are left out.
 "$exe" quick -j 1 --no-cache --metrics > /dev/null 2> "$serial_err"
-memo_rows() { grep -E '^synth\.collapse\.(espresso_calls|memo_hits) ' "$1"; }
-if [ "$(memo_rows "$err" | wc -l)" -ne 2 ] ||
-  ! diff -u <(memo_rows "$err") <(memo_rows "$serial_err"); then
-  echo "error: collapse memo counters differ between -j 2 and -j 1" >&2
+metric_rows() { awk '/^metric /{on=1} /^span /{on=0} on' "$1"; }
+if [ "$(metric_rows "$err" | grep -c '^synth\.collapse\.')" -lt 2 ] ||
+  ! diff -u <(metric_rows "$err") <(metric_rows "$serial_err"); then
+  echo "error: metrics table differs between -j 2 and -j 1" >&2
   exit 1
 fi
-echo "observability smoke OK: stdout matches the golden, trace.json valid, memo counters equal at -j 1 and -j 2"
+grep -qE '^span +count +total s +self s' "$err"
+grep -qE '^flow\.compile ' "$err"
+echo "observability smoke OK: stdout matches the golden, trace.json valid, metrics equal at -j 1 and -j 2"

@@ -37,10 +37,6 @@ let test_wide () =
   let v = Bitvec.set (Bitvec.zero 100) 77 true in
   Alcotest.(check bool) "bit 77" true (Bitvec.get v 77);
   Alcotest.(check int) "popcount" 1 (Bitvec.popcount v);
-  let w = Bitvec.shift_left v 10 in
-  Alcotest.(check bool) "shifted" true (Bitvec.get w 87);
-  let u = Bitvec.shift_right w 87 in
-  Alcotest.(check int) "back to bit 0" 1 (Bitvec.to_int (Bitvec.resize u 60));
   let sum = Bitvec.add (Bitvec.ones 100) (Bitvec.of_int ~width:100 1) in
   Alcotest.(check bool) "wraparound" true (Bitvec.is_zero sum)
 
@@ -171,11 +167,6 @@ let model_props =
         = (a < b));
     Prop.test "popcount matches int model" arb_model (fun (w, a, _) ->
         Bitvec.popcount (Bitvec.of_int ~width:w a) = int_popcount a);
-    Prop.test "shifts match int model" arb_model (fun (w, a, b) ->
-        let s = b mod w in
-        let v = Bitvec.of_int ~width:w a in
-        Bitvec.to_int (Bitvec.shift_left v s) = (a lsl s) land mask w
-        && Bitvec.to_int (Bitvec.shift_right v s) = a lsr s);
     Prop.test "concat matches int model" arb_model (fun (w, a, b) ->
         let c =
           Bitvec.concat [ Bitvec.of_int ~width:w a; Bitvec.of_int ~width:w b ]

@@ -356,6 +356,12 @@ let test_batch_journal_resume () =
 
 (* --------------------------------------------------------------- engine *)
 
+(* The CLI resolves [-j 0]; the engine takes only a worker count. *)
+let test_engine_rejects_zero_jobs () =
+  match Engine.create ~jobs:0 lib with
+  | _ -> Alcotest.fail "~jobs:0 accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_engine_coalesces_and_isolates () =
   let e = Engine.create ~jobs:1 lib in
   let d = fsm_design 13 in
@@ -578,6 +584,8 @@ let () =
             test_determinism_disk_cache;
           Alcotest.test_case "fig5 sequential = -j 4 = warm" `Quick
             test_determinism_parallel;
+          Alcotest.test_case "rejects ~jobs:0" `Quick
+            test_engine_rejects_zero_jobs;
         ] );
       ( "cli",
         [

@@ -29,6 +29,10 @@ let rec json_equal a b =
          x y
   | _ -> false
 
+let json_field k = function
+  | Report.Json.Obj fields -> List.assoc_opt k fields
+  | _ -> None
+
 let test_json_roundtrip () =
   let open Report.Json in
   let doc =
@@ -138,22 +142,10 @@ let test_metric_kinds () =
   Obs.Metrics.incr ~by:4 c;
   Alcotest.(check int) "counter" 5 (Obs.Metrics.counter_value c);
   let g = Obs.Metrics.gauge "test.kinds.gauge" in
-  Obs.Metrics.set g 2.0;
-  Obs.Metrics.set_max g 1.0;
-  Obs.Metrics.set_max g 7.5;
-  let h = Obs.Metrics.histogram "test.kinds.hist_s" in
-  List.iter (Obs.Metrics.observe h) [ 3.0; 1.0; 2.0 ];
-  let snap = Obs.Metrics.snapshot () in
-  (match List.assoc "test.kinds.gauge" snap with
-   | Obs.Metrics.Gauge_v v -> Alcotest.(check (float 1e-9)) "high-water" 7.5 v
+  List.iter (Obs.Metrics.set_max g) [ 2; 1; 7; 3 ];
+  (match List.assoc "test.kinds.gauge" (Obs.Metrics.snapshot ()) with
+   | Obs.Metrics.Gauge_v v -> Alcotest.(check int) "high-water" 7 v
    | _ -> Alcotest.fail "gauge kind");
-  (match List.assoc "test.kinds.hist_s" snap with
-   | Obs.Metrics.Hist_v { count; sum; min_v; max_v } ->
-     Alcotest.(check int) "hist count" 3 count;
-     Alcotest.(check (float 1e-9)) "hist sum" 6.0 sum;
-     Alcotest.(check (float 1e-9)) "hist min" 1.0 min_v;
-     Alcotest.(check (float 1e-9)) "hist max" 3.0 max_v
-   | _ -> Alcotest.fail "hist kind");
   (* Same name, different kind: rejected. *)
   (match Obs.Metrics.gauge "test.kinds.counter" with
    | _ -> Alcotest.fail "kind mismatch accepted"
@@ -163,6 +155,104 @@ let test_metric_kinds () =
   Alcotest.(check int) "reset counter" 0 (Obs.Metrics.counter_value c);
   Obs.Metrics.incr c;
   Alcotest.(check int) "handle survives reset" 1 (Obs.Metrics.counter_value c)
+
+(* ------------------------------------------------------- span totals *)
+
+(* A forest of span trees, one per domain. *)
+type tree = Node of string * tree list
+
+let rec gen_tree rng depth =
+  let name = [| "a"; "b"; "c" |].(Workload.Rng.int rng 3) in
+  let kids = if depth = 0 then 0 else Workload.Rng.int rng 4 in
+  Node (name, List.init kids (fun _ -> gen_tree rng (depth - 1)))
+
+let rec show_tree (Node (name, kids)) =
+  if kids = [] then name
+  else name ^ "(" ^ String.concat " " (List.map show_tree kids) ^ ")"
+
+let arb_forest =
+  Prop.make
+    ~show:(fun ts -> String.concat " | " (List.map show_tree ts))
+    (fun rng -> List.init (1 + Workload.Rng.int rng 3) (fun _ -> gen_tree rng 3))
+
+(* Every span spends a few microseconds of its own before and after its
+   children, so self times are not all zero. *)
+let spin () =
+  let t = Obs.now_us () in
+  while Obs.now_us () -. t < 2.0 do () done
+
+let rec run_tree (Node (name, kids)) =
+  Obs.Span.with_span name (fun () ->
+      spin ();
+      List.iter run_tree kids;
+      spin ())
+
+let trace_forest = function
+  | [] -> ()
+  | t :: rest ->
+    let helpers = List.map (fun t -> Domain.spawn (fun () -> run_tree t)) rest in
+    run_tree t;
+    List.iter Domain.join helpers
+
+(* Brute force: a span's children are the spans of its domain one level
+   deeper whose interval lies inside its own. *)
+let oracle spans =
+  let ends (s : Obs.Span.finished) = s.start_us +. s.dur_us in
+  let self (s : Obs.Span.finished) =
+    List.fold_left
+      (fun acc (t : Obs.Span.finished) ->
+        if t.tid = s.tid && t.depth = s.depth + 1
+           && t.start_us >= s.start_us -. 1e-3 && ends t <= ends s +. 1e-3
+        then acc -. t.dur_us
+        else acc)
+      s.dur_us spans
+  in
+  let names =
+    List.sort_uniq String.compare
+      (List.map (fun (s : Obs.Span.finished) -> s.name) spans)
+  in
+  List.map
+    (fun name ->
+      let mine = List.filter (fun (s : Obs.Span.finished) -> s.name = name) spans in
+      let sum f = List.fold_left (fun a s -> a +. (f s /. 1e6)) 0.0 mine in
+      ( name,
+        { Obs.Span.count = List.length mine;
+          total_s = sum (fun s -> s.Obs.Span.dur_us);
+          self_s = sum self } ))
+    names
+
+let trace_event_names () =
+  let path = Filename.temp_file "obs_totals" ".json" in
+  Obs.Trace.write path;
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  match Result.map (json_field "traceEvents") (Report.Json.of_string text) with
+  | Ok (Some (Report.Json.List events)) ->
+    List.filter_map
+      (fun e ->
+        match json_field "name" e with
+        | Some (Report.Json.String n) -> Some n
+        | _ -> None)
+      events
+  | _ -> []
+
+let prop_totals_oracle forest =
+  with_obs @@ fun () ->
+  trace_forest forest;
+  let spans = Obs.Span.completed () in
+  let folded = Obs.Span.totals spans and expected = oracle spans in
+  let events = trace_event_names () in
+  let close a b = Float.abs (a -. b) < 1e-9 in
+  List.map fst folded = List.map fst expected
+  && List.for_all2
+       (fun (_, (t : Obs.Span.total)) (_, (o : Obs.Span.total)) ->
+         t.count = o.count && close t.total_s o.total_s
+         && close t.self_s o.self_s)
+       folded expected
+  && List.for_all
+       (fun (name, (t : Obs.Span.total)) ->
+         t.count = List.length (List.filter (String.equal name) events))
+       folded
 
 (* ---------------------------------------------------------- flow spans *)
 
@@ -293,10 +383,6 @@ let json_mem k = function
   | Report.Json.Obj fields -> List.mem_assoc k fields
   | _ -> false
 
-let json_field k = function
-  | Report.Json.Obj fields -> List.assoc_opt k fields
-  | _ -> None
-
 let test_fig5_determinism () =
   (* Traced run first: the process-wide engine caches compile results, so a
      second identical sweep would skip Synth.Flow and record no pass spans. *)
@@ -374,6 +460,8 @@ let () =
           Alcotest.test_case "args" `Quick test_span_args;
           Alcotest.test_case "recorded on raise" `Quick test_span_on_raise;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
+          Prop.test ~iters:30 "totals = brute-force oracle" arb_forest
+            prop_totals_oracle;
         ] );
       ("metrics", [ Alcotest.test_case "kinds" `Quick test_metric_kinds ]);
       ( "symbolic",
