@@ -159,7 +159,9 @@ let equivbench () =
     let stats = ref None in
     let t0 = Obs.now_us () in
     let verdict =
-      Synth.Equiv.check_sat ~frames ~on_stats:(fun s -> stats := Some s) a b
+      Synth.Equiv.run
+        ~on_stats:(fun s -> stats := Some s)
+        (Synth.Equiv.Sat { frames }) a b
     in
     let wall_s = (Obs.now_us () -. t0) /. 1e6 in
     let verdict_name, witness =

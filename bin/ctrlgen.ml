@@ -309,7 +309,22 @@ let equiv_cmd =
       Format.printf "%s: %s@." name (verdict_line v);
       v
     in
-    let run_sim () = print_verdict "sim" (Synth.Equiv.check ~seed:0 a b) in
+    (* One span per engine call. They open here rather than inside
+       [Equiv], where perfbench would file their time under [flow]. *)
+    let span engine f =
+      let args =
+        ("mode", Obs.Span.Str (Experiments.Fig9.mode_name mode))
+        :: Option.fold ~none:[]
+             ~some:(fun (_, seed) -> [ ("mutation", Obs.Span.Int seed) ])
+             mutation
+      in
+      Obs.Span.with_span ~args ("equiv." ^ engine) f
+    in
+    let run_sim () =
+      print_verdict "sim"
+        (span "sim" (fun () ->
+             Synth.Equiv.run (Synth.Equiv.Sim { seed = 0 }) a b))
+    in
     let run_sat () =
       let on_stats (s : Sat.Solver.stats) =
         Printf.eprintf
@@ -318,7 +333,10 @@ let equiv_cmd =
           s.Sat.Solver.solves s.Sat.Solver.conflicts s.Sat.Solver.decisions
           s.Sat.Solver.propagations s.Sat.Solver.solve_s
       in
-      match Synth.Equiv.check_sat ~frames ~on_stats a b with
+      match
+        span "sat" (fun () ->
+            Synth.Equiv.run ~on_stats (Synth.Equiv.Sat { frames }) a b)
+      with
       | v -> print_verdict "sat" v
       | exception Failure msg ->
         (* Replay of a SAT model through the scalar simulator failed: an

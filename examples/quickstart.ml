@@ -43,7 +43,7 @@ let () =
 
   (* Both specialized designs behave identically, cycle for cycle. *)
   match
-    Synth.Equiv.check ~seed:1
+    Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 })
       (Synth.Flow.compile lib bound).Synth.Flow.aig
       (Synth.Flow.compile lib direct).Synth.Flow.aig
   with

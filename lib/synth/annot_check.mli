@@ -10,8 +10,11 @@
 
     [Unproved] therefore means "not provable by this argument", not
     "wrong": an annotation whose invariance depends on another register's
-    behaviour lands there. The generators in this repository emit
-    annotations that pass ([Proved]) — the tests check exactly that. *)
+    behaviour lands there. No annotation the generators in this repository
+    emit is [Refuted], and the FSM and one-hot ones are [Proved]; the
+    Manual PCtrl's per-pipe [pipeN_state] sets are [Unproved], because
+    their invariance depends on other registers
+    (test/golden/symbolic.txt pins each verdict). *)
 
 type result =
   | Proved

@@ -16,7 +16,16 @@ type cex = {
 
 type verdict = Proved | Refuted of cex | Undecided of string
 
+type engine =
+  | Sim of { seed : int }
+  | Sat of { frames : int }
+  | Bdd of { max_vars : int }
+
 let lanes = Aig.Compiled.lanes
+
+(* Stimulus per simulation check: [runs] packed passes of [cycles] cycles. *)
+let cycles = 64
+let runs = 8
 
 (* One sequential run of an AIG through the compiled kernel: feed
    per-cycle input bits by PI name, return the PO name row (declaration
@@ -27,14 +36,15 @@ let aig_run g ~cycles ~input =
     Aig.Compiled.run (Aig.Compiled.sim c) ~cycles ~input:(fun cycle i ->
         input cycle (Aig.Compiled.pi_name c i)) )
 
-let check_interfaces who a b =
+(* The input names both graphs share, sorted. *)
+let check_interfaces a b =
   let names g =
     ( List.sort Stdlib.compare (List.map (Aig.pi_name g) (Aig.pis g)),
       List.sort Stdlib.compare (List.map fst (Aig.pos g)) )
   in
   let pi_a, po_a = names a and pi_b, po_b = names b in
-  if pi_a <> pi_b then invalid_arg (who ^ ": input interfaces differ");
-  if po_a <> po_b then invalid_arg (who ^ ": output interfaces differ");
+  if pi_a <> pi_b then invalid_arg "Equiv.run: input interfaces differ";
+  if po_a <> po_b then invalid_arg "Equiv.run: output interfaces differ";
   pi_a
 
 (* Positions sorted by (name, position): aligns the k-th occurrence of
@@ -71,8 +81,7 @@ let replay a b (tape : (string * bool) list array) =
   let input c name = List.assoc name tape.(c) in
   find_mismatch (aig_run a ~cycles ~input) (aig_run b ~cycles ~input)
 
-let sim_search ~cycles ~runs ~seed a b =
-  let pi_a = check_interfaces "Equiv.check" a b in
+let sim ~seed pi_a a b =
   let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
   let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
   (* Shared stimulus order: sorted PI names, resolved to slots once. *)
@@ -147,10 +156,7 @@ let sim_search ~cycles ~runs ~seed a b =
            in
            Some (m, trim tape m))
   in
-  run_i 0
-
-let check ?(cycles = 64) ?(runs = 8) ~seed a b =
-  match sim_search ~cycles ~runs ~seed a b with
+  match run_i 0 with
   | Some (first, tape) -> Refuted { tape; first }
   | None ->
     Undecided
@@ -205,7 +211,7 @@ let replay_tape a b tape =
   | Some m -> { tape = Array.sub tape 0 (m.cycle + 1); first = m }
   | None ->
     failwith
-      "Equiv.check_sat: SAT counterexample failed to replay through the \
+      "Equiv.run: SAT counterexample failed to replay through the \
        scalar simulator (encoder soundness bug)"
 
 let latch_profile g =
@@ -241,18 +247,6 @@ let latch_name g n =
   let name, _, _, _ = Aig.latch_info g n in
   name
 
-let first_sat cnf u obligations =
-  let s = Sat.Cnf.solver cnf in
-  List.find_map
-    (fun (tag, la, lb) ->
-      let x = Aig.xor_ u la lb in
-      if x = Aig.false_ then None (* structurally identical: free UNSAT *)
-      else
-        match Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] s with
-        | Sat.Solver.Unsat -> None
-        | Sat.Solver.Sat -> Some tag)
-    obligations
-
 (* The model value of miter input [name]. An input that no solved cone
    reached is unconstrained and reads as false. *)
 let model_input cnf u name =
@@ -260,135 +254,224 @@ let model_input cnf u name =
   | None -> false
   | Some v -> Sat.Solver.model_value (Sat.Cnf.solver cnf) v
 
-let check_sat ?(frames = 16) ?on_stats a b =
-  let pi_a = check_interfaces "Equiv.check_sat" a b in
-  let solvers = ref [] in
-  let new_solver () =
-    let s = Sat.Solver.create () in
-    solvers := s :: !solvers;
-    s
+(* Combinational equivalence ([sequential = false]) or register-
+   correspondence induction: both graphs are rebuilt into ONE
+   structurally-hashed miter AIG whose primary inputs (and, for induction,
+   latch states as free pseudo-inputs) are shared by name. Cones that are
+   structurally equal fold their XOR obligation to constant false and cost
+   no solver work at all — only genuinely different logic reaches CDCL, one
+   assumption per obligation over a single incremental CNF. [None] is an
+   inconclusive induction. *)
+let induction ~sequential new_solver pi_a a b =
+  let u = Aig.create () in
+  let copy g =
+    (* The "latch:" prefix keeps state pseudo-inputs from colliding with
+       a real PI of the same name. *)
+    copy_side u g ~pi:Fun.id ~latch:(fun n ->
+        shared_input u ("latch:" ^ latch_name g n))
   in
-  let finish v =
-    (match on_stats with
-     | None -> ()
-     | Some f ->
-       f
-         (List.fold_left
-            (fun acc s -> add_stats acc (Sat.Solver.stats s))
-            zero_stats !solvers));
-    v
+  let pos_a, next_a = copy a in
+  let pos_b, next_b = copy b in
+  let nexts g next =
+    List.map (fun n -> (latch_name g n, next n)) (Aig.latches g)
   in
-  (* Shared machinery for combinational CEC and register-correspondence
-     induction: both graphs are rebuilt into ONE structurally-hashed miter
-     AIG whose primary inputs (and, for induction, latch states as free
-     pseudo-inputs) are shared by name. Cones that are structurally equal
-     fold their XOR obligation to constant false and cost no solver work at
-     all — only genuinely different logic reaches CDCL, one assumption per
-     obligation over a single incremental CNF. *)
-  let try_induction ~sequential () =
-    let u = Aig.create () in
-    let copy g =
-      (* The "latch:" prefix keeps state pseudo-inputs from colliding with
-         a real PI of the same name. *)
-      copy_side u g ~pi:Fun.id ~latch:(fun n ->
-          shared_input u ("latch:" ^ latch_name g n))
-    in
-    let pos_a, next_a = copy a in
-    let pos_b, next_b = copy b in
-    let nexts g next =
-      List.map (fun n -> (latch_name g n, next n)) (Aig.latches g)
-    in
-    let obligations =
-      List.map
-        (fun (name, la, lb) -> ("output " ^ name, la, lb))
-        (align_pairs pos_a pos_b)
-      @
-      if sequential then
-        List.map
-          (fun (name, la, lb) -> ("next-state of latch " ^ name, la, lb))
-          (align_pairs (nexts a next_a) (nexts b next_b))
-      else []
-    in
-    let cnf = Sat.Cnf.create (new_solver ()) u in
-    match first_sat cnf u obligations with
-    | None -> `Proved
-    | Some tag when sequential ->
-      (* The witness state may be unreachable; induction is inconclusive,
-         not a refutation. *)
-      `Inconclusive tag
-    | Some _ ->
-      (* Combinational: the model's PI values are a real counterexample. *)
-      let tape =
-        [| List.map (fun name -> (name, model_input cnf u name)) pi_a |]
-      in
-      `Refuted (replay_tape a b tape)
+  (* Aligned output pairs, then (for induction) next-state pairs, solved
+     in that order; the first satisfiable one leaves its model. *)
+  let obligations =
+    align_pairs pos_a pos_b
+    @ if sequential then align_pairs (nexts a next_a) (nexts b next_b) else []
   in
-  (* Bounded model checking: unroll both netlists frame by frame into one
-     fresh structurally-hashed miter AIG (frame-f inputs shared by name,
-     initial states folded as constants), encode incrementally, and ask
-     per frame whether any aligned output pair can differ. *)
-  let bmc () =
-    let s = new_solver () in
-    let u = Aig.create () in
-    let cnf = Sat.Cnf.create s u in
-    let frame_input f name = Printf.sprintf "%s@%d" name f in
-    let mk g =
-      let state = Hashtbl.create 16 in
-      List.iter
-        (fun n ->
-          let _, init, _, _ = Aig.latch_info g n in
-          Hashtbl.replace state n (if init then Aig.true_ else Aig.false_))
-        (Aig.latches g);
-      fun f ->
-        let pos, next =
-          copy_side u g ~pi:(frame_input f) ~latch:(Hashtbl.find state)
-        in
-        List.iter (fun n -> Hashtbl.replace state n (next n)) (Aig.latches g);
-        pos
-    in
-    let step_a = mk a and step_b = mk b in
-    let rec frame f =
-      if f >= frames then
-        Undecided
-          (Printf.sprintf
-             "BMC: no counterexample within %d frames (not a proof)" frames)
-      else begin
-        let goal =
-          Aig.or_list u
-            (List.map
-               (fun (_, la, lb) -> Aig.xor_ u la lb)
-               (align_pairs (step_a f) (step_b f)))
-        in
-        match Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf goal ] s with
-        | Sat.Solver.Unsat -> frame (f + 1)
-        | Sat.Solver.Sat ->
-          let tape =
-            Array.init (f + 1) (fun c ->
-                List.map
-                  (fun name -> (name, model_input cnf u (frame_input c name)))
-                  pi_a)
-          in
-          Refuted (replay_tape a b tape)
-      end
-    in
-    frame 0
+  let cnf = Sat.Cnf.create (new_solver ()) u in
+  let differs (_, la, lb) =
+    let x = Aig.xor_ u la lb in
+    (* A structurally identical pair folds to false: UNSAT for free. *)
+    x <> Aig.false_
+    && Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf x ] (Sat.Cnf.solver cnf)
+       = Sat.Solver.Sat
   in
-  if Aig.num_latches a = 0 && Aig.num_latches b = 0 then
-    match try_induction ~sequential:false () with
-    | `Proved -> finish Proved
-    | `Refuted cex -> finish (Refuted cex)
-    | `Inconclusive _ -> assert false
-  else begin
-    let la = latch_profile a and lb = latch_profile b in
-    if la = lb && unique_names la then
-      match try_induction ~sequential:true () with
-      | `Proved -> finish Proved
-      | `Inconclusive _ -> finish (bmc ())
-      | `Refuted _ -> assert false
-    else finish (bmc ())
-  end
+  if not (List.exists differs obligations) then Some Proved
+  else if sequential then
+    (* The witness state may be unreachable; induction is inconclusive,
+       not a refutation. *)
+    None
+  else
+    (* Combinational: the model's PI values are a real counterexample. *)
+    let tape =
+      [| List.map (fun name -> (name, model_input cnf u name)) pi_a |]
+    in
+    Some (Refuted (replay_tape a b tape))
 
-let rtl_vs_aig ?(cycles = 64) ?(runs = 8) ?(config = []) ~seed
+(* Bounded model checking: unroll both netlists frame by frame into one
+   fresh structurally-hashed miter AIG (frame-f inputs shared by name,
+   initial states folded as constants), encode incrementally, and ask per
+   frame whether any aligned output pair can differ. *)
+let bmc ~frames new_solver pi_a a b =
+  let s = new_solver () in
+  let u = Aig.create () in
+  let cnf = Sat.Cnf.create s u in
+  let frame_input f name = Printf.sprintf "%s@%d" name f in
+  let mk g =
+    let state = Hashtbl.create 16 in
+    List.iter
+      (fun n ->
+        let _, init, _, _ = Aig.latch_info g n in
+        Hashtbl.replace state n (if init then Aig.true_ else Aig.false_))
+      (Aig.latches g);
+    fun f ->
+      let pos, next =
+        copy_side u g ~pi:(frame_input f) ~latch:(Hashtbl.find state)
+      in
+      List.iter (fun n -> Hashtbl.replace state n (next n)) (Aig.latches g);
+      pos
+  in
+  let step_a = mk a and step_b = mk b in
+  let rec frame f =
+    if f >= frames then
+      Undecided
+        (Printf.sprintf
+           "BMC: no counterexample within %d frames (not a proof)" frames)
+    else begin
+      let goal =
+        Aig.or_list u
+          (List.map
+             (fun (_, la, lb) -> Aig.xor_ u la lb)
+             (align_pairs (step_a f) (step_b f)))
+      in
+      match Sat.Solver.solve ~assumptions:[ Sat.Cnf.lit cnf goal ] s with
+      | Sat.Solver.Unsat -> frame (f + 1)
+      | Sat.Solver.Sat ->
+        let tape =
+          Array.init (f + 1) (fun c ->
+              List.map
+                (fun name -> (name, model_input cnf u (frame_input c name)))
+                pi_a)
+        in
+        Refuted (replay_tape a b tape)
+    end
+  in
+  frame 0
+
+(* [f new_solver], then the summed statistics of every solver it made go
+   to [on_stats], once. *)
+let with_solvers ?on_stats f =
+  let solvers = ref [] in
+  let v =
+    f (fun () ->
+        let s = Sat.Solver.create () in
+        solvers := s :: !solvers;
+        s)
+  in
+  Option.iter
+    (fun k ->
+      k
+        (List.fold_left
+           (fun acc s -> add_stats acc (Sat.Solver.stats s))
+           zero_stats !solvers))
+    on_stats;
+  v
+
+(* No latches: combinational equivalence, complete. Same unique latch
+   names and initial values: induction, then BMC if it is inconclusive.
+   Otherwise BMC alone. *)
+let sat ~frames new_solver pi_a a b =
+  let profile = latch_profile a in
+  let tried =
+    if profile = latch_profile b && unique_names profile then
+      induction ~sequential:(profile <> []) new_solver pi_a a b
+    else None
+  in
+  match tried with Some v -> v | None -> bmc ~frames new_solver pi_a a b
+
+(* ------------------------------------------------------------ BDD engine *)
+
+let max_bdd = 200_000
+let max_iters = 10_000
+
+(* Product machine of both netlists: variables 0..k-1 are the current
+   joint state (a's latches then b's), 2k+ the inputs, shared by name and
+   numbered as first met. Returns each graph's literal converter and the
+   machine. *)
+let product ~max_vars a b =
+  let latches_a = Aig.latches a and latches_b = Aig.latches b in
+  let k = List.length latches_a + List.length latches_b in
+  let man = Bdd.make_man () in
+  let inputs = Symbolic.Vars.create ~max_vars ~first:(2 * k) [||] in
+  let converter g latches offset =
+    let state_var = Hashtbl.create 16 in
+    List.iteri (fun i n -> Hashtbl.replace state_var n (offset + i)) latches;
+    let leaf n =
+      match Aig.kind g n with
+      | Aig.Pi -> Symbolic.Vars.var inputs (Aig.pi_name g n)
+      | _ -> Hashtbl.find state_var n
+    in
+    Symbolic.converter man ~max_bdd ~leaf g
+  in
+  let lit_a = converter a latches_a 0 in
+  let lit_b = converter b latches_b (List.length latches_a) in
+  let next_a = List.map (fun n -> lit_a (Aig.latch_next a n)) latches_a in
+  let next_b = List.map (fun n -> lit_b (Aig.latch_next b n)) latches_b in
+  let init g n =
+    let _, iv, _, _ = Aig.latch_info g n in
+    iv
+  in
+  let init = List.map (init a) latches_a @ List.map (init b) latches_b in
+  let machine =
+    Symbolic.machine man ~max_bdd
+      ~next:(Array.of_list (next_a @ next_b))
+      ~init:(Array.of_list init) ~inputs:(Symbolic.Vars.fresh inputs)
+  in
+  (lit_a, lit_b, machine)
+
+exception Differs
+
+let bdd ~max_vars ?on_stats pi_a a b =
+  if 2 * (Aig.num_latches a + Aig.num_latches b) >= max_vars then
+    Undecided "too many latches"
+  else
+    let iterate = ref 0 in
+    match
+      let lit_a, lit_b, machine = product ~max_vars a b in
+      (* One miter per output of [a], against the first same-named output
+         of [b]. *)
+      let miters =
+        List.map
+          (fun (name, la) ->
+            Bdd.xor (lit_a la) (lit_b (List.assoc name (Aig.pos b))))
+          (Aig.pos a)
+      in
+      Symbolic.reach ~max_iters machine ~visit:(fun r ->
+          if List.exists (fun m -> not (Bdd.is_zero (Bdd.and_ r m))) miters
+          then raise Differs;
+          incr iterate)
+    with
+    | _ -> Proved
+    | exception Symbolic.Overflow -> Undecided "BDD effort cap exceeded"
+    | exception Differs -> (
+      (* Iterate i holds the states reachable within i steps and is the
+         first to distinguish an output, so the first difference is at
+         cycle i: BMC over i + 1 frames finds it and the tape replays. *)
+      with_solvers ?on_stats @@ fun new_solver ->
+      match bmc ~frames:(!iterate + 1) new_solver pi_a a b with
+      | Refuted c -> Refuted c
+      | Proved | Undecided _ ->
+        failwith
+          (Printf.sprintf
+             "Equiv.run: the BDD miter fired at iterate %d but BMC found no \
+              counterexample there (engine soundness bug)"
+             !iterate))
+
+let run ?on_stats engine a b =
+  let pi_a = check_interfaces a b in
+  match engine with
+  | Sim { seed } -> sim ~seed pi_a a b
+  | Sat { frames } ->
+    with_solvers ?on_stats (fun new_solver -> sat ~frames new_solver pi_a a b)
+  | Bdd { max_vars } -> bdd ~max_vars ?on_stats pi_a a b
+
+let check ~seed a b = run (Sim { seed }) a b
+let check_sat ?(frames = 16) ?on_stats a b = run ?on_stats (Sat { frames }) a b
+
+let rtl_vs_aig ?(config = []) ~seed
     (d : Rtl.Design.t) g =
   let inputs = Array.of_list d.inputs in
   let c = Aig.Compiled.compile g in

@@ -1,16 +1,17 @@
-(** Equivalence checking: random simulation (fast falsifier) and a complete
-    SAT engine.
+(** Equivalence checking: one entry point, {!run}, over three engines.
 
-    The simulation side drives two sequential netlists from their initial
-    states with the same random input streams and compares outputs cycle by
-    cycle — an integration-level safety net, not a proof. The SAT side
-    ({!check_sat}) is complete on combinational netlists and on sequential
-    pairs whose latches correspond by name (register-correspondence
-    induction), with bounded model checking as the fallback. Both engines
-    normalize their witnesses the same way — the first differing output in
-    sorted name order, replayed through the scalar simulator — so a sim
-    counterexample and a SAT counterexample for the same bug print
-    identically. *)
+    - {!Sim}: random simulation from the initial states, a fast falsifier
+      and never a proof.
+    - {!Sat}: a complete SAT engine on combinational netlists and on
+      sequential pairs whose latches correspond by name
+      (register-correspondence induction), with bounded model checking
+      as the fallback.
+    - {!Bdd}: exact reachability of the product machine, a proof for
+      designs small enough for the BDD caps.
+
+    Every engine normalizes its witness the same way — the first
+    differing output in sorted name order, replayed through the scalar
+    simulator — so one bug prints identically whichever engine found it. *)
 
 type mismatch = {
   cycle : int;
@@ -32,22 +33,55 @@ type cex = {
 }
 
 type verdict =
-  | Proved  (** Equivalence certified (UNSAT miter) — SAT engine only. *)
+  | Proved  (** Equivalence certified — SAT or BDD engine only. *)
   | Refuted of cex  (** Concrete counterexample, replayed and confirmed. *)
   | Undecided of string
-      (** The engine exhausted its budget (simulation runs, BMC depth)
-          without a verdict; the string says which budget. *)
+      (** The engine exhausted its budget (simulation runs, BMC depth, BDD
+          caps) without a verdict; the string says which budget. *)
 
-val check : ?cycles:int -> ?runs:int -> seed:int -> Aig.t -> Aig.t -> verdict
-(** Simulation engine. Both graphs must have the same PI and PO names
-    (latch sets may differ). Each of the [runs] passes (default 8) drives
-    {!Aig.Compiled.lanes} independent random stimulus streams bit-parallel
-    through both compiled netlists for [cycles] cycles (default 64); on
-    divergence the mismatching lane is recovered from the XOR word and
-    replayed as a single scalar vector, so the counterexample is exact and
-    its tape reproduces it. Never returns [Proved]: agreement on every run
-    is [Undecided].
+type engine =
+  | Sim of { seed : int }
+      (** Each of 8 passes drives {!Aig.Compiled.lanes} independent random
+          stimulus streams, seeded from [seed], bit-parallel through both
+          compiled netlists for 64 cycles. On divergence the mismatching
+          lane is replayed as a single scalar tape. Agreement on every run
+          is [Undecided]. *)
+  | Sat of { frames : int }
+      (** Both graphs are Tseitin-encoded into one incremental solver with
+          primary inputs shared by name; each proof obligation (one aligned
+          output pair, or one matched latch's next-state function) is an
+          assumption-gated XOR over the shared CNF.
+          - No latches on either side: combinational equivalence, complete.
+          - Same unique latch names and initial values on both sides:
+            register-correspondence induction (latch states become shared
+            free pseudo-inputs). All obligations UNSAT is a complete
+            sequential proof; a satisfiable one may be an unreachable-state
+            artifact, so the engine falls back to BMC instead of refuting.
+          - Otherwise: bounded model checking — both netlists unrolled
+            [frames] cycles into one structurally-hashed miter, solved frame
+            by frame. Exhausting the bound is [Undecided]. *)
+  | Bdd of { max_vars : int }
+      (** One BDD transition relation over the union of both netlists'
+          latches (inputs shared by name); each iterate of the reachable
+          set from the joint initial state is checked against every output
+          miter. A miter that fires at iterate [i] is replayed by BMC over
+          [i + 1] frames. [Undecided] when current state, next state and
+          inputs do not fit in [max_vars] BDD variables, or when a BDD
+          exceeds 200_000 nodes or the fixpoint 10_000 image steps. *)
+
+val run :
+  ?on_stats:(Sat.Solver.stats -> unit) -> engine -> Aig.t -> Aig.t -> verdict
+(** [run engine a b] checks [a] against [b]; both graphs must have the same
+    PI and PO names (latch sets may differ). [Refuted] always carries a
+    tape that replays through the scalar simulator; [Failure] is raised if
+    a SAT model does not replay, or if BMC cannot reproduce a BDD
+    refutation — an engine soundness bug. [on_stats] receives the summed
+    solver statistics, once per call that used the solver: every [Sat]
+    call and every [Bdd] refutation.
     @raise Invalid_argument if the interfaces differ. *)
+
+val check : seed:int -> Aig.t -> Aig.t -> verdict
+(** [run (Sim { seed })], kept for [perfbench/]. *)
 
 val check_sat :
   ?frames:int ->
@@ -55,80 +89,20 @@ val check_sat :
   Aig.t ->
   Aig.t ->
   verdict
-(** Complete SAT engine. Both graphs are Tseitin-encoded into one
-    incremental solver with primary inputs shared by name; each proof
-    obligation (one aligned output pair, or one matched latch's next-state
-    function) is an assumption-gated XOR solved over the shared CNF.
-
-    - No latches on either side: combinational equivalence, complete —
-      returns [Proved] or [Refuted].
-    - Same latch names and initial values on both sides:
-      register-correspondence induction (latch states become shared free
-      pseudo-inputs). All obligations UNSAT is a complete sequential proof.
-      A satisfiable obligation may be an unreachable-state artifact, so the
-      engine falls back to BMC instead of refuting.
-    - Otherwise: bounded model checking — both netlists unrolled [frames]
-      cycles (default 16) into a fresh structurally-hashed miter, solved
-      incrementally frame by frame. SAT yields [Refuted]; exhausting the
-      bound yields [Undecided].
-
-    Every SAT model is replayed through the scalar simulator before being
-    reported, so [Refuted] always carries a concrete, confirmed witness
-    ([Failure] is raised if replay disagrees — an encoder soundness bug).
-    [on_stats] receives the aggregated solver statistics for the call.
-    @raise Invalid_argument if the interfaces differ. *)
-
-(** {1 Miter construction}
-
-    The pieces every SAT check shares, {!Seq_check.run_sat} included: both
-    graphs are copied ({!Aig.copy_into}) into one structurally hashed miter
-    AIG with inputs shared by name, and the proof obligations are solved in
-    one loop. *)
-
-val check_interfaces : string -> Aig.t -> Aig.t -> string list
-(** [check_interfaces who a b] returns the input names both graphs share,
-    sorted.
-    @raise Invalid_argument (["<who>: input interfaces differ"], or
-    output) unless both graphs have the same PI and PO names. *)
-
-val shared_input : Aig.t -> string -> Aig.lit
-(** [shared_input u name] is the primary input of the miter [u] named
-    [name], created on first use. *)
-
-val copy_side :
-  Aig.t ->
-  Aig.t ->
-  pi:(string -> string) ->
-  latch:(int -> Aig.lit) ->
-  (string * Aig.lit) list * (int -> Aig.lit)
-(** [copy_side u g ~pi ~latch] copies all of [g] into the miter [u]
-    ({!Aig.copy_into}): a PI named [x] becomes [shared_input u (pi x)] and
-    latch node [n] becomes [latch n], each leaf made once, in node order.
-    Returns [g]'s outputs (name, copied literal) in declaration order and
-    the lookup from a latch node of [g] to its copied next-state literal.
-    Every miter in this library, {!Seq_check.run_sat}'s included, is built
-    through it. *)
-
-val first_sat :
-  Sat.Cnf.t -> Aig.t -> (string * Aig.lit * Aig.lit) list -> string option
-(** [first_sat cnf u obligations] solves each obligation [(tag, a, b)] in
-    list order as the assumption [a xor b] over [cnf] (the encoding of
-    [u]) and returns the tag of the first satisfiable one, leaving its
-    model in the solver. An XOR that structural hashing folds to
-    {!Aig.false_} is skipped without a solver call. *)
+(** [run ?on_stats (Sat { frames })], [frames] 16 by default, kept for
+    [perfbench/]. *)
 
 val rtl_vs_aig :
-  ?cycles:int ->
-  ?runs:int ->
   ?config:(string * Bitvec.t array) list ->
   seed:int ->
   Rtl.Design.t ->
   Aig.t ->
   mismatch option
-(** Compare the RTL interpreter against a lowered/optimized AIG. [config]
-    binds configuration tables on the RTL side; on the AIG side the same
-    contents must already be reflected (bound designs) — flexible designs
-    with unbound configuration latches can only be compared with all-zero
-    config. Bits are matched by {!Lower.bit_name}.
+(** Compare the RTL interpreter against a lowered/optimized AIG over 8 runs
+    of 64 random cycles. [config] binds configuration tables on the RTL
+    side; on the AIG side the same contents must already be reflected
+    (bound designs) — flexible designs with unbound configuration latches
+    can only be compared with all-zero config. Bits are matched by
+    {!Lower.bit_name}.
     @raise Invalid_argument naming the bit if an AIG input is not an RTL
     input bit, or an RTL output bit has no AIG output. *)

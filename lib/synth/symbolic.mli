@@ -1,8 +1,9 @@
 (** The one AIG→BDD layer.
 
-    {!Reach}, {!Annot_check}, {!Seq_check} and {!Stateprop} build every BDD
-    through this module, so variable numbering, effort budgets, the
-    transition relation and the image step exist once.
+    {!Equiv}'s [Bdd] engine, {!Annot_check} and {!Stateprop} build every
+    BDD through this module, as does the reachability oracle in the tests,
+    so variable numbering, effort budgets, the transition relation and the
+    image step exist once.
 
     Variable-order contract (the BDD order is the integer order):
     - pre-bound keys of a {!Vars} numbering come first, in the order given;

@@ -38,7 +38,10 @@ if [ -z "$sim_witness" ] || [ "$sim_witness" != "$sat_witness" ]; then
 fi
 echo "sat-smoke: mutation refuted by both engines ($sat_witness)"
 
-# Solver effort must be visible in the observability outputs.
+# Solver effort must be visible in the observability outputs, and each
+# engine call must be one row of the --metrics span table.
 grep -q 'sat\.solver\.' "$err"
+grep -qE '^equiv\.sim +1 ' "$err"
+grep -qE '^equiv\.sat +1 ' "$err"
 grep -q '"traceEvents"' sat-trace.json
 echo "sat-smoke OK"

@@ -64,6 +64,7 @@ let check_flow_result name design (r : Synth.Flow.result) =
           (Synth.Equiv.mismatch_to_string c.first)
       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ())
     [
-      ("simulation", Synth.Equiv.check ~seed:4242 low r.aig);
-      ("SAT", Synth.Equiv.check_sat low r.aig);
+      ( "simulation",
+        Synth.Equiv.run (Synth.Equiv.Sim { seed = 4242 }) low r.aig );
+      ("SAT", Synth.Equiv.run (Synth.Equiv.Sat { frames = 16 }) low r.aig);
     ]

@@ -1,3 +1,5 @@
+open Synth
+
 let latch_group g ~prefix =
   let rec collect i acc =
     match Aig.find_latch g (Lower.bit_name prefix i) with

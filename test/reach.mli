@@ -6,9 +6,9 @@
     unreachable and may become a don't-care.
 
     This is the "tool-side" way to find the unreachable states the paper's
-    *Manual* optimization removes; the generator-side way (walking the
-    microprogram/FSM IR) lives in {!Core} and the tests cross-check the
-    two. *)
+    *Manual* optimization removes, kept as the oracle for the
+    generator-side way (walking the microprogram/FSM IR in {!Core}), which
+    the tests cross-check against it. *)
 
 val latch_group : Aig.t -> prefix:string -> int array option
 (** Latch nodes named ["prefix[0]"], ["prefix[1]"], … (LSB first); [None]

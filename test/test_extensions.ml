@@ -224,6 +224,16 @@ let test_pctrl_manual_annotations_proved () =
       | Synth.Annot_check.Proved | Synth.Annot_check.Unproved _ -> ())
     annots
 
+(* The exact product-machine check, used from here on. *)
+let bdd a b = Synth.Equiv.run (Synth.Equiv.Bdd { max_vars = 64 }) a b
+
+let bdd_proves a b =
+  match bdd a b with
+  | Synth.Equiv.Proved -> ()
+  | Synth.Equiv.Refuted c ->
+    Alcotest.failf "differs: %s" (Synth.Equiv.mismatch_to_string c.first)
+  | Synth.Equiv.Undecided r -> Alcotest.failf "undecided: %s" r
+
 (* ------------------------------------------------------ vertical ucode *)
 
 let test_vertical_equivalent () =
@@ -232,15 +242,14 @@ let test_vertical_equivalent () =
   let v = bound_program ~style:`Vertical p in
   let gh = (Synth.Lower.run h).Synth.Lower.aig in
   let gv = (Synth.Lower.run v).Synth.Lower.aig in
-  (match Synth.Equiv.check ~seed:2 gh gv with
+  (match Synth.Equiv.run (Synth.Equiv.Sim { seed = 2 }) gh gv with
    | Synth.Equiv.Refuted c ->
      Alcotest.failf "styles diverge at cycle %d on %s" c.first.cycle
        c.first.output
    | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
-  match Synth.Seq_check.run gh gv with
-  | Synth.Seq_check.Equivalent -> ()
-  | Synth.Seq_check.Counterexample o -> Alcotest.failf "differ on %s" o
-  | Synth.Seq_check.Gave_up _ -> ()
+  match bdd gh gv with
+  | Synth.Equiv.Refuted c -> Alcotest.failf "differ on %s" c.first.output
+  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 let test_vertical_saves_config_bits () =
   (* A program with few distinct control words but wide fields. *)
@@ -274,7 +283,7 @@ let test_vertical_saves_config_bits () =
     (bits `Vertical < bits `Horizontal);
   (* And the two flexible structures agree once programmed. *)
   match
-    Synth.Equiv.check ~seed:4
+    Synth.Equiv.run (Synth.Equiv.Sim { seed = 4 })
       (Synth.Lower.run (bound_program ~style:`Horizontal p)).Synth.Lower.aig
       (Synth.Lower.run (bound_program ~style:`Vertical p)).Synth.Lower.aig
   with
@@ -295,10 +304,7 @@ let test_seq_check_proves_flow () =
   in
   let low = Synth.Lower.run d in
   let opt = (Synth.Flow.compile lib d).Synth.Flow.aig in
-  match Synth.Seq_check.run low.Synth.Lower.aig opt with
-  | Synth.Seq_check.Equivalent -> ()
-  | Synth.Seq_check.Counterexample o -> Alcotest.failf "differs on %s" o
-  | Synth.Seq_check.Gave_up r -> Alcotest.failf "gave up: %s" r
+  bdd_proves low.Synth.Lower.aig opt
 
 let test_seq_check_proves_retime () =
   let b = Rtl.Builder.create "rt" in
@@ -307,10 +313,7 @@ let test_seq_check_proves_retime () =
   Rtl.Builder.output b "o" (Rtl.Expr.red_and r);
   let low = Synth.Lower.run (Rtl.Builder.finish b) in
   let g = low.Synth.Lower.aig in
-  match Synth.Seq_check.run g (Synth.Retime.run g) with
-  | Synth.Seq_check.Equivalent -> ()
-  | Synth.Seq_check.Counterexample o -> Alcotest.failf "differs on %s" o
-  | Synth.Seq_check.Gave_up r -> Alcotest.failf "gave up: %s" r
+  bdd_proves g (Synth.Retime.run g)
 
 let test_seq_check_finds_bugs () =
   (* An inverted output must be caught. *)
@@ -321,28 +324,40 @@ let test_seq_check_finds_bugs () =
     Rtl.Builder.output b "o" (if invert then Rtl.Expr.not_ r else r);
     (Synth.Lower.run (Rtl.Builder.finish b)).Synth.Lower.aig
   in
-  match Synth.Seq_check.run (build false) (build true) with
-  | Synth.Seq_check.Counterexample "o[0]" -> ()
-  | Synth.Seq_check.Counterexample o -> Alcotest.failf "wrong output %s" o
-  | Synth.Seq_check.Equivalent -> Alcotest.fail "missed the bug"
-  | Synth.Seq_check.Gave_up r -> Alcotest.failf "gave up: %s" r
+  match bdd (build false) (build true) with
+  | Synth.Equiv.Refuted c ->
+    Alcotest.(check string) "output" "o[0]" c.first.output
+  | Synth.Equiv.Proved -> Alcotest.fail "missed the bug"
+  | Synth.Equiv.Undecided r -> Alcotest.failf "undecided: %s" r
 
 let test_seq_check_deep_counter () =
-  (* Bug only reachable after 8 steps: a counter that misbehaves at 7.
-     Random simulation from reset finds this too, but the point is the
-     exact reachability proof. *)
+  (* A 3-bit counter from 0 whose buggy copy stalls at 6: the two first
+     differ at cycle 7, when the good one reaches 7. The BDD engine finds
+     the difference at iterate 7 and replays it by BMC over 8 frames. *)
   let build buggy =
     let b = Rtl.Builder.create "c" in
     let q = Rtl.Builder.reg_declare b "q" ~width:3 in
-    Rtl.Builder.reg_connect b "q" (Rtl.Expr.add q (Rtl.Expr.of_int ~width:3 1));
-    let top = Rtl.Expr.eq_const q 7 in
-    Rtl.Builder.output b "o" (if buggy then Rtl.Expr.not_ top else top);
+    let enable =
+      if buggy then Some (Rtl.Expr.not_ (Rtl.Expr.eq_const q 6)) else None
+    in
+    Rtl.Builder.reg_connect b ?enable "q"
+      (Rtl.Expr.add q (Rtl.Expr.of_int ~width:3 1));
+    Rtl.Builder.output b "o" q;
     (Synth.Lower.run (Rtl.Builder.finish b)).Synth.Lower.aig
   in
-  match Synth.Seq_check.run (build false) (build true) with
-  | Synth.Seq_check.Counterexample _ -> ()
-  | Synth.Seq_check.Equivalent -> Alcotest.fail "missed the deep bug"
-  | Synth.Seq_check.Gave_up r -> Alcotest.failf "gave up: %s" r
+  let stats_calls = ref 0 in
+  match
+    Synth.Equiv.run
+      ~on_stats:(fun _ -> incr stats_calls)
+      (Synth.Equiv.Bdd { max_vars = 64 })
+      (build false) (build true)
+  with
+  | Synth.Equiv.Refuted c ->
+    Alcotest.(check int) "first differs at cycle 7" 7 c.first.cycle;
+    Alcotest.(check int) "tape of 8 cycles" 8 (Array.length c.tape);
+    Alcotest.(check int) "one on_stats call" 1 !stats_calls
+  | Synth.Equiv.Proved -> Alcotest.fail "missed the deep bug"
+  | Synth.Equiv.Undecided r -> Alcotest.failf "undecided: %s" r
 
 let () =
   Alcotest.run "extensions"

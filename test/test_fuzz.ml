@@ -19,19 +19,20 @@ let no_refutation = function
 let lower_matches seed =
   let d = Workload.Rand_design.generate ~seed in
   let low = Synth.Lower.run d in
-  no_mismatch (Synth.Equiv.rtl_vs_aig ~cycles:32 ~runs:3 ~seed d low.Synth.Lower.aig)
+  no_mismatch (Synth.Equiv.rtl_vs_aig ~seed d low.Synth.Lower.aig)
 
 let flow_preserves seed =
   let d = Workload.Rand_design.generate ~seed in
   let low = Synth.Lower.run d in
   let opt = (Synth.Flow.compile lib d).Synth.Flow.aig in
   no_refutation
-    (Synth.Equiv.check ~cycles:32 ~runs:3 ~seed low.Synth.Lower.aig opt)
+    (Synth.Equiv.run (Synth.Equiv.Sim { seed }) low.Synth.Lower.aig opt)
 
 let retime_preserves seed =
   let d = Workload.Rand_design.generate ~seed in
   let g = (Synth.Lower.run d).Synth.Lower.aig in
-  no_refutation (Synth.Equiv.check ~cycles:32 ~runs:3 ~seed g (Synth.Retime.run g))
+  no_refutation
+    (Synth.Equiv.run (Synth.Equiv.Sim { seed }) g (Synth.Retime.run g))
 
 let flow_never_grows_flops seed =
   let d = Workload.Rand_design.generate ~seed in
@@ -45,10 +46,9 @@ let seq_check_agrees seed =
   let d = Workload.Rand_design.generate ~seed in
   let low = Synth.Lower.run d in
   let opt = (Synth.Flow.compile lib d).Synth.Flow.aig in
-  match Synth.Seq_check.run ~max_vars:40 low.Synth.Lower.aig opt with
-  | Synth.Seq_check.Equivalent | Synth.Seq_check.Gave_up _ -> true
-  | Synth.Seq_check.Counterexample o ->
-    Printf.ksprintf failwith "seq_check counterexample on %s" o
+  no_refutation
+    (Synth.Equiv.run (Synth.Equiv.Bdd { max_vars = 40 }) low.Synth.Lower.aig
+       opt)
 
 let mapper_is_functional seed =
   (* Gate-level netlist vs AIG, both on the raw lowered graph (irregular

@@ -4,7 +4,7 @@
 let lib = Cells.Library.vt90
 
 let check_equiv name a b =
-  match Synth.Equiv.check ~seed:11 a b with
+  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 11 }) a b with
   | Synth.Equiv.Refuted { first = m; _ } ->
     Alcotest.failf "%s: mismatch at cycle %d on %s (got %b)" name m.cycle
       m.output m.got

@@ -126,7 +126,7 @@ let test_golden_design () =
 let roundtrip_equivalent g =
   let text = Synth.Aiger.write g in
   let g' = Synth.Aiger.read text in
-  match Synth.Equiv.check ~seed:7 ~cycles:32 ~runs:3 g g' with
+  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 7 }) g g' with
   | Synth.Equiv.Refuted c ->
     Printf.ksprintf failwith "roundtrip mismatch on %s at cycle %d"
       c.first.output c.first.cycle
@@ -201,7 +201,7 @@ let prop_sexp_roundtrip =
         failwith "write (read (write d)) <> write d";
       let g = (Synth.Lower.run d).Synth.Lower.aig in
       let g' = (Synth.Lower.run d').Synth.Lower.aig in
-      match Synth.Equiv.check ~seed ~cycles:24 ~runs:2 g g' with
+      match Synth.Equiv.run (Synth.Equiv.Sim { seed }) g g' with
       | Synth.Equiv.Refuted c ->
         Printf.ksprintf failwith "mismatch on %s" c.first.output
       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true)

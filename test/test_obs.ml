@@ -350,7 +350,8 @@ let test_symbolic_counters_deterministic () =
   let run () =
     with_obs @@ fun () ->
     List.iter
-      (fun (a, b) -> ignore (Synth.Seq_check.run ~max_vars:40 a b))
+      (fun (a, b) ->
+        ignore (Synth.Equiv.run (Synth.Equiv.Bdd { max_vars = 40 }) a b))
       pairs;
     ignore
       (Synth.Stateprop.run ~annots:(Synth.Annots.extract onehot)

@@ -156,7 +156,7 @@ let test_manual_equivalent_to_auto () =
       lib (Pctrl.Controller.manual_design mode)
   in
   match
-    Synth.Equiv.check ~seed:3 ~cycles:48 ~runs:4 auto.Synth.Flow.aig
+    Synth.Equiv.run (Synth.Equiv.Sim { seed = 3 }) auto.Synth.Flow.aig
       manual.Synth.Flow.aig
   with
   | Synth.Equiv.Refuted c ->

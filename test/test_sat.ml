@@ -330,45 +330,92 @@ let copy_perturbed ~perturb ~seed g =
     (Aig.pos g);
   ng
 
-(* The differential satellite: on seeded random designs, the simulation
-   engine and the complete SAT engine must never disagree on a
-   DISEQUIVALENT verdict, and perturbations that are disequivalent by
-   construction must be refuted by the SAT engine. Witness soundness is
-   enforced inside [check_sat] itself: every SAT model is replayed through
-   the scalar simulator and a non-reproducing model raises [Failure],
-   which this harness counts as a falsification. *)
+(* One differential check over [engines]: no two of them split [Proved]
+   and [Refuted], simulation never claims a proof, and every tape ends at
+   its mismatch. Each engine replays its witness through the scalar
+   simulator, and a witness that does not replay raises [Failure], which
+   the harness counts as a falsification. Returns the verdicts by name. *)
+let refuted = function Synth.Equiv.Refuted _ -> true | _ -> false
+
+let differential engines a b =
+  let verdicts =
+    List.map (fun (name, engine) -> (name, Synth.Equiv.run engine a b)) engines
+  in
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | Synth.Equiv.Refuted c
+        when Array.length c.tape <> c.first.Synth.Equiv.cycle + 1 ->
+        failwith (name ^ " tape does not end at its mismatch")
+      | Synth.Equiv.Proved when name = "sim" ->
+        failwith "simulation engine claimed a proof"
+      | _ -> ())
+    verdicts;
+  if
+    List.exists (fun (_, v) -> v = Synth.Equiv.Proved) verdicts
+    && List.exists (fun (_, v) -> refuted v) verdicts
+  then failwith "DISAGREEMENT: one engine proved what another refuted";
+  verdicts
+
+let perturbation = function
+  | 0 -> `None
+  | 1 -> `Invert_po
+  | 2 -> `Xor_po_pi
+  | _ -> `Flip_init
+
+(* Simulation against the complete SAT engine on seeded random designs and
+   their perturbations; the perturbations that are disequivalent by
+   construction must be refuted by SAT. *)
 let prop_engines_agree =
   let p = Prop.pair (Prop.int 1_000_000) (Prop.int 4) in
   Prop.test ~iters:200 ~seed:5000 "sim/SAT engines agree on random designs" p
     (fun (dseed, kind) ->
       let d = Workload.Rand_design.generate ~seed:dseed in
       let a = (Synth.Lower.run d).Synth.Lower.aig in
-      let perturb =
-        match kind with
-        | 0 -> `None
-        | 1 -> `Invert_po
-        | 2 -> `Xor_po_pi
-        | _ -> `Flip_init
-      in
+      let perturb = perturbation kind in
       let b = copy_perturbed ~perturb ~seed:dseed a in
-      let sim = Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:dseed a b in
-      let sat = Synth.Equiv.check_sat ~frames:8 a b in
-      (match sim with
-       | Synth.Equiv.Proved -> failwith "simulation engine claimed a proof"
-       | _ -> ());
-      match (sim, sat) with
-      | Synth.Equiv.Refuted _, Synth.Equiv.Proved ->
-        failwith "DISAGREEMENT: sim refuted what SAT proved"
-      | _ ->
-        (match (perturb, sat) with
-         | (`Invert_po | `Xor_po_pi), Synth.Equiv.Refuted _ -> true
-         | (`Invert_po | `Xor_po_pi), _ ->
-           (* Disequivalent by construction (an output is inverted /
-              xor-ed with an input): only a latch-free, output-free or
-              input-free degenerate design escapes. *)
-           Aig.num_pos a = 0
-           || (perturb = `Xor_po_pi && Aig.num_pis a = 0)
-         | (`None | `Flip_init), _ -> true))
+      let verdicts =
+        differential
+          [
+            ("sim", Synth.Equiv.Sim { seed = dseed });
+            ("SAT", Synth.Equiv.Sat { frames = 8 });
+          ]
+          a b
+      in
+      match (perturb, List.assoc "SAT" verdicts) with
+      | (`Invert_po | `Xor_po_pi), Synth.Equiv.Refuted _ -> true
+      | (`Invert_po | `Xor_po_pi), _ ->
+        (* Disequivalent by construction (an output is inverted / xor-ed
+           with an input): only a latch-free, output-free or input-free
+           degenerate design escapes. *)
+        Aig.num_pos a = 0 || (perturb = `Xor_po_pi && Aig.num_pis a = 0)
+      | (`None | `Flip_init), _ -> true)
+
+(* The BDD product machine against the SAT engine, on each random design
+   paired with its sweep (which neither may refute) and with its
+   perturbations. *)
+let prop_bdd_agrees =
+  let p = Prop.pair (Prop.int 1_000_000) (Prop.int 4) in
+  Prop.test ~iters:200 ~seed:8000 "BDD engine vs SAT engine" p
+    (fun (dseed, kind) ->
+      let d = Workload.Rand_design.generate ~seed:dseed in
+      let a = (Synth.Lower.run d).Synth.Lower.aig in
+      let b =
+        match perturbation kind with
+        | `None -> Synth.Sweep.run a
+        | perturb -> copy_perturbed ~perturb ~seed:dseed a
+      in
+      let verdicts =
+        differential
+          [
+            ("SAT", Synth.Equiv.Sat { frames = 8 });
+            ("BDD", Synth.Equiv.Bdd { max_vars = 40 });
+          ]
+          a b
+      in
+      if kind = 0 && List.exists (fun (_, v) -> refuted v) verdicts then
+        failwith "an engine refuted the sweep";
+      true)
 
 (* The optimizing flow must never be refuted by the complete engine. *)
 let prop_flow_never_refuted =
@@ -377,7 +424,7 @@ let prop_flow_never_refuted =
       let d = Workload.Rand_design.generate ~seed:dseed in
       let low = (Synth.Lower.run d).Synth.Lower.aig in
       let opt = (Synth.Flow.compile lib d).Synth.Flow.aig in
-      match Synth.Equiv.check_sat ~frames:6 low opt with
+      match Synth.Equiv.run (Synth.Equiv.Sat { frames = 6 }) low opt with
       | Synth.Equiv.Refuted c ->
         failwith ("flow refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true)
@@ -390,40 +437,16 @@ let prop_sweep_sat_preserves =
       let g = (Synth.Lower.run d).Synth.Lower.aig in
       let g' = Synth.Sweep.run ~sat:true g in
       let syn = Synth.Sweep.run g in
-      (match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:dseed g g' with
+      (match Synth.Equiv.run (Synth.Equiv.Sim { seed = dseed }) g g' with
        | Synth.Equiv.Refuted c ->
          failwith ("sweep broke: " ^ Synth.Equiv.mismatch_to_string c.first)
        | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
-      (match Synth.Equiv.check_sat ~frames:6 g g' with
+      (match Synth.Equiv.run (Synth.Equiv.Sat { frames = 6 }) g g' with
        | Synth.Equiv.Refuted c ->
          failwith ("sweep refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
        | _ -> ());
       Aig.num_latches g' <= Aig.num_latches g
       && Aig.num_latches g' <= Aig.num_latches syn)
-
-(* The BDD+SAT hybrid must agree with the pure-BDD product machine: when
-   both decide they decide alike, neither refutes the sweep, and a proof
-   by [run] is one for [run_sat] too, since both compute the same reach
-   set. *)
-let prop_seq_check_sat_agrees =
-  Prop.test ~iters:200 ~seed:8000 "Seq_check.run_sat vs Seq_check.run"
-    (Prop.int 1_000_000) (fun dseed ->
-      let d = Workload.Rand_design.generate ~seed:dseed in
-      let low = (Synth.Lower.run d).Synth.Lower.aig in
-      let swept = Synth.Sweep.run low in
-      let r1 = Synth.Seq_check.run ~max_vars:40 low swept in
-      let r2 = Synth.Seq_check.run_sat ~max_vars:40 ~frames:8 low swept in
-      match (r1, r2) with
-      | Synth.Seq_check.Equivalent, Synth.Seq_check.Counterexample w
-      | Synth.Seq_check.Counterexample w, Synth.Seq_check.Equivalent ->
-        failwith ("run and run_sat disagree; the refutation: " ^ w)
-      | Synth.Seq_check.Counterexample o, _ ->
-        failwith ("BDD product machine refuted the sweep on " ^ o)
-      | _, Synth.Seq_check.Counterexample w ->
-        failwith ("run_sat refuted the sweep: " ^ w)
-      | Synth.Seq_check.Equivalent, Synth.Seq_check.Gave_up s ->
-        failwith ("run proved the sweep, run_sat gave up: " ^ s)
-      | _ -> true)
 
 (* ------------------------------------------- directed engine regressions *)
 
@@ -435,7 +458,10 @@ let test_check_sat_comb_refute () =
     Aig.po g "f" (op g a b);
     g
   in
-  match Synth.Equiv.check_sat (mk Aig.and_) (mk Aig.or_) with
+  match
+    Synth.Equiv.run (Synth.Equiv.Sat { frames = 16 }) (mk Aig.and_)
+      (mk Aig.or_)
+  with
   | Synth.Equiv.Refuted c ->
     Alcotest.(check int) "cycle" 0 c.first.Synth.Equiv.cycle;
     Alcotest.(check string) "output" "f" c.first.Synth.Equiv.output
@@ -459,7 +485,9 @@ let test_check_sat_induction_proof () =
     Aig.po g "f" f;
     g
   in
-  match Synth.Equiv.check_sat (mk false) (mk true) with
+  match
+    Synth.Equiv.run (Synth.Equiv.Sat { frames = 16 }) (mk false) (mk true)
+  with
   | Synth.Equiv.Proved -> ()
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
@@ -491,7 +519,7 @@ let bmc_pair ~inverted =
 
 let test_check_sat_bmc_refute () =
   let ga, gb = bmc_pair ~inverted:false in
-  match Synth.Equiv.check_sat ~frames:4 ga gb with
+  match Synth.Equiv.run (Synth.Equiv.Sat { frames = 4 }) ga gb with
   | Synth.Equiv.Refuted c ->
     Alcotest.(check int) "cycle" 1 c.first.Synth.Equiv.cycle;
     Alcotest.(check string) "output" "f" c.first.Synth.Equiv.output
@@ -502,7 +530,7 @@ let test_check_sat_bmc_bound () =
   (* Equivalent but with disjoint latch names: BMC can only bound, and the
      verdict must say so rather than claim a proof. *)
   let ga, gb = bmc_pair ~inverted:true in
-  match Synth.Equiv.check_sat ~frames:4 ga gb with
+  match Synth.Equiv.run (Synth.Equiv.Sat { frames = 4 }) ga gb with
   | Synth.Equiv.Undecided s ->
     Alcotest.(check bool) "mentions BMC" true
       (String.length s >= 3 && String.sub s 0 3 = "BMC")
@@ -510,23 +538,25 @@ let test_check_sat_bmc_bound () =
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
 
-let test_seq_check_sat_proof () =
+let test_bdd_renamed_proof () =
   (* The same renamed pair BMC could only bound: the BDD reach set closes
      it into a complete proof. *)
   let ga, gb = bmc_pair ~inverted:true in
-  match Synth.Seq_check.run_sat ~frames:4 ga gb with
-  | Synth.Seq_check.Equivalent -> ()
-  | Synth.Seq_check.Counterexample w -> Alcotest.fail ("refuted: " ^ w)
-  | Synth.Seq_check.Gave_up s -> Alcotest.fail ("gave up: " ^ s)
+  match Synth.Equiv.run (Synth.Equiv.Bdd { max_vars = 64 }) ga gb with
+  | Synth.Equiv.Proved -> ()
+  | Synth.Equiv.Refuted c ->
+    Alcotest.fail ("refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
+  | Synth.Equiv.Undecided s -> Alcotest.fail ("undecided: " ^ s)
 
-let test_seq_check_sat_cex () =
+let test_bdd_cex () =
   let ga, gb = bmc_pair ~inverted:false in
-  match Synth.Seq_check.run_sat ~frames:4 ga gb with
-  | Synth.Seq_check.Counterexample w ->
+  match Synth.Equiv.run (Synth.Equiv.Bdd { max_vars = 64 }) ga gb with
+  | Synth.Equiv.Refuted c ->
     Alcotest.(check string) "normalized witness"
-      "cycle 1, output f: false vs true" w
-  | Synth.Seq_check.Equivalent -> Alcotest.fail "proved inequivalent pair"
-  | Synth.Seq_check.Gave_up s -> Alcotest.fail ("gave up: " ^ s)
+      "cycle 1, output f: false vs true"
+      (Synth.Equiv.mismatch_to_string c.first)
+  | Synth.Equiv.Proved -> Alcotest.fail "proved inequivalent pair"
+  | Synth.Equiv.Undecided s -> Alcotest.fail ("undecided: " ^ s)
 
 (* ------------------------------------------------- SAT-validated sweep *)
 
@@ -548,11 +578,11 @@ let test_sweep_sat_strengthens () =
   let sat = Synth.Sweep.run ~sat:true g in
   Alcotest.(check int) "syntactic keeps both" 2 (Aig.num_latches syn);
   Alcotest.(check int) "sat merges" 1 (Aig.num_latches sat);
-  (match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:1 g sat with
+  (match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) g sat with
    | Synth.Equiv.Refuted c ->
      Alcotest.fail ("merge broke: " ^ Synth.Equiv.mismatch_to_string c.first)
    | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
-  match Synth.Equiv.check_sat g sat with
+  match Synth.Equiv.run (Synth.Equiv.Sat { frames = 16 }) g sat with
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("merge refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
@@ -572,7 +602,7 @@ let test_sweep_sat_const () =
   let sat = Synth.Sweep.run ~sat:true g in
   Alcotest.(check int) "syntactic keeps both" 2 (Aig.num_latches syn);
   Alcotest.(check int) "sat folds the dead latch" 1 (Aig.num_latches sat);
-  match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:1 g sat with
+  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) g sat with
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
@@ -593,7 +623,7 @@ let test_sweep_sat_single_latch () =
     (Aig.num_latches (Synth.Sweep.run ~sat:false g));
   let sat = Synth.Sweep.run ~sat:true g in
   Alcotest.(check int) "sat folds it" 0 (Aig.num_latches sat);
-  match Synth.Equiv.check ~cycles:32 ~runs:3 ~seed:1 g sat with
+  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) g sat with
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
@@ -602,7 +632,7 @@ let test_sweep_sat_single_latch () =
 
 let test_pctrl_certified () =
   let a, b = Pctrl.Controller.certification_pair Pctrl.Controller.Cached in
-  match Synth.Equiv.check_sat a b with
+  match Synth.Equiv.run (Synth.Equiv.Sat { frames = 16 }) a b with
   | Synth.Equiv.Proved -> ()
   | Synth.Equiv.Refuted c ->
     Alcotest.fail ("refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
@@ -617,7 +647,7 @@ let test_pctrl_mutation_refuted () =
     Workload.Rng.mutate_bindings ~seed:8 (Pctrl.Controller.bindings mode)
   in
   let a', b = Pctrl.Controller.certification_pair ~bindings mode in
-  match Synth.Equiv.check_sat ~frames:6 a' b with
+  match Synth.Equiv.run (Synth.Equiv.Sat { frames = 6 }) a' b with
   | Synth.Equiv.Refuted c ->
     Alcotest.(check bool) "within the BMC bound" true
       (c.first.Synth.Equiv.cycle < 6);
@@ -628,28 +658,15 @@ let test_pctrl_mutation_refuted () =
 
 (* ------------------------------------------------------- equiv golden *)
 
-(* Golden record of the SAT-backed checks: for each pair, the [check_sat]
-   and [run_sat] verdicts (with a digest of every witness tape) and the
-   solver work of each engine run, plus the structural digest of the
-   AIG-level PCtrl binding. The miters are built node for node the same
-   way on every run, so any change to miter construction, obligation
-   order or CNF shows up as a diff against test/golden/equiv.txt. *)
+(* Golden record of the SAT engine: for each pair, the verdict (with a
+   digest of every witness tape) and the solver work, plus the structural
+   digest of the AIG-level PCtrl binding. The miters are built node for
+   node the same way on every run, so any change to miter construction,
+   obligation order or CNF shows up as a diff against
+   test/golden/equiv.txt. *)
 let equiv_fingerprint () =
   let b = Buffer.create 8192 in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
-  let stats_log = ref [] in
-  let on_stats (s : Sat.Solver.stats) =
-    stats_log :=
-      Printf.sprintf "solves %d conflicts %d decisions %d propagations %d"
-        s.Sat.Solver.solves s.Sat.Solver.conflicts s.Sat.Solver.decisions
-        s.Sat.Solver.propagations
-      :: !stats_log
-  in
-  let with_stats f =
-    stats_log := [];
-    let v = f () in
-    (v, String.concat "; " (List.rev !stats_log))
-  in
   let tape_digest tape =
     Array.to_list tape
     |> List.map (fun row ->
@@ -665,21 +682,16 @@ let equiv_fingerprint () =
         (Array.length c.tape) (tape_digest c.tape)
     | Synth.Equiv.Undecided s -> "undecided: " ^ s
   in
-  let result = function
-    | Synth.Seq_check.Equivalent -> "equivalent"
-    | Synth.Seq_check.Counterexample o -> "counterexample " ^ o
-    | Synth.Seq_check.Gave_up r -> "gave up: " ^ r
-  in
-  let pair ?frames ?max_vars name a b =
-    let v, s =
-      with_stats (fun () -> Synth.Equiv.check_sat ?frames ~on_stats a b)
+  let pair ?(frames = 16) name a b =
+    let stats = ref "" in
+    let on_stats (s : Sat.Solver.stats) =
+      stats :=
+        Printf.sprintf "solves %d conflicts %d decisions %d propagations %d"
+          s.Sat.Solver.solves s.Sat.Solver.conflicts s.Sat.Solver.decisions
+          s.Sat.Solver.propagations
     in
-    line "%s check_sat: %s | %s" name (verdict v) s;
-    let r, s =
-      with_stats (fun () ->
-          Synth.Seq_check.run_sat ?frames ?max_vars ~on_stats a b)
-    in
-    line "%s run_sat: %s | %s" name (result r) s
+    let v = Synth.Equiv.run ~on_stats (Synth.Equiv.Sat { frames }) a b in
+    line "%s check_sat: %s | %s" name (verdict v) !stats
   in
   List.iter
     (fun (mode, mname) ->
@@ -701,8 +713,8 @@ let equiv_fingerprint () =
       (Synth.Lower.run (Workload.Rand_design.generate ~seed)).Synth.Lower.aig
     in
     let swept = Synth.Sweep.run low in
-    pair ~frames:8 ~max_vars:40 (Printf.sprintf "design %d sweep" seed) low swept;
-    pair ~frames:8 ~max_vars:40
+    pair ~frames:8 (Printf.sprintf "design %d sweep" seed) low swept;
+    pair ~frames:8
       (Printf.sprintf "design %d mutant" seed)
       low (Aig_util.invert_first_po swept)
   done;
@@ -738,9 +750,9 @@ let () =
       ( "equiv",
         [
           prop_engines_agree;
+          prop_bdd_agrees;
           prop_flow_never_refuted;
           prop_sweep_sat_preserves;
-          prop_seq_check_sat_agrees;
           Alcotest.test_case "combinational refutation" `Quick
             test_check_sat_comb_refute;
           Alcotest.test_case "induction proof" `Quick
@@ -748,10 +760,9 @@ let () =
           Alcotest.test_case "BMC refutation" `Quick test_check_sat_bmc_refute;
           Alcotest.test_case "BMC bound is not a proof" `Quick
             test_check_sat_bmc_bound;
-          Alcotest.test_case "run_sat completes renamed proof" `Quick
-            test_seq_check_sat_proof;
-          Alcotest.test_case "run_sat concrete witness" `Quick
-            test_seq_check_sat_cex;
+          Alcotest.test_case "BDD engine completes renamed proof" `Quick
+            test_bdd_renamed_proof;
+          Alcotest.test_case "BDD engine concrete witness" `Quick test_bdd_cex;
           Alcotest.test_case "sweep sat merges hidden duplicates" `Quick
             test_sweep_sat_strengthens;
           Alcotest.test_case "sweep sat folds hidden constants" `Quick

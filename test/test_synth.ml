@@ -1,7 +1,7 @@
 let lib = Cells.Library.vt90
 
 let check_equiv name a b =
-  match Synth.Equiv.check ~seed:5 a b with
+  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 5 }) a b with
   | Synth.Equiv.Refuted c ->
     Alcotest.failf "%s: mismatch at cycle %d on %s" name c.first.cycle
       c.first.output
@@ -48,7 +48,8 @@ let test_lower_matches_eval () =
    its oracle: it compiles the AIG on every run, parses each PI name
    ["sig[i]"] back into (input, bit) on every lookup, and finds each
    output bit's PO by a formatted name. *)
-let oracle_rtl_vs_aig ?(cycles = 64) ?(runs = 8) ~seed (d : Rtl.Design.t) g =
+let oracle_rtl_vs_aig ~seed (d : Rtl.Design.t) g =
+  let cycles = 64 and runs = 8 in
   let aig_run ~input =
     let c = Aig.Compiled.compile g in
     let s = Aig.Compiled.sim c in
@@ -141,8 +142,8 @@ let prop_rtl_vs_aig_matches_oracle =
       let flip g = Aig_util.invert_po (seed mod List.length (Aig.pos g)) g in
       List.for_all
         (fun g ->
-          Synth.Equiv.rtl_vs_aig ~cycles:24 ~runs:3 ~seed d g
-          = oracle_rtl_vs_aig ~cycles:24 ~runs:3 ~seed d g)
+          Synth.Equiv.rtl_vs_aig ~seed d g
+          = oracle_rtl_vs_aig ~seed d g)
         [ low; opt; flip low; flip opt ])
 
 let test_rtl_vs_aig_unknown_input () =
@@ -519,10 +520,10 @@ let test_reach_matches_ir () =
       (Core.Fsm_ir.config_bindings fsm)
   in
   let g = (Synth.Lower.run d).Synth.Lower.aig in
-  match Synth.Reach.latch_group g ~prefix:"state" with
+  match Reach.latch_group g ~prefix:"state" with
   | None -> Alcotest.fail "state group not found"
   | Some group ->
-    (match Synth.Reach.reachable_values g ~group with
+    (match Reach.reachable_values g ~group with
      | None -> Alcotest.fail "reachability gave up"
      | Some values ->
        let got = List.sort compare (List.map Bitvec.to_int values) in
@@ -597,20 +598,22 @@ let test_flow_fixpoint_skip_transparent () =
 
 (* --------------------------------------------------------------- symbolic *)
 
-(* Golden fingerprint of every BDD-backed check: Seq_check verdicts,
-   Reach value sets, Annot_check results and an exact structural digest of
-   Stateprop's output. Any change to variable numbering, budgets or
-   fixpoint shape shows up as a diff against test/golden/symbolic.txt. *)
+(* Golden fingerprint of every BDD-backed check: verdicts of the [Bdd]
+   equivalence engine, Reach value sets, Annot_check results and an exact
+   structural digest of Stateprop's output. Any change to variable
+   numbering, budgets or fixpoint shape shows up as a diff against
+   test/golden/symbolic.txt. *)
 
 let symbolic_fingerprint () =
   let b = Buffer.create 8192 in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
-  let seq = function
-    | Synth.Seq_check.Equivalent -> "equivalent"
-    | Synth.Seq_check.Counterexample o -> "counterexample " ^ o
-    | Synth.Seq_check.Gave_up r -> "gave up: " ^ r
+  let bdd g g' =
+    match Synth.Equiv.run (Synth.Equiv.Bdd { max_vars = 40 }) g g' with
+    | Synth.Equiv.Proved -> "equivalent"
+    | Synth.Equiv.Refuted c -> "counterexample " ^ c.first.output
+    | Synth.Equiv.Undecided r -> "gave up: " ^ r
   in
-  (* Seeds 0 to 60 together cover all verdicts, both Gave_up reasons
+  (* Seeds 0 to 60 together cover all verdicts, both give-up reasons
      included. *)
   List.iter
     (fun seed ->
@@ -619,14 +622,8 @@ let symbolic_fingerprint () =
       in
       let swept = Synth.Sweep.run low in
       let mutant = Aig_util.invert_first_po swept in
-      line "design %d run sweep: %s" seed
-        (seq (Synth.Seq_check.run ~max_vars:40 low swept));
-      line "design %d run mutant: %s" seed
-        (seq (Synth.Seq_check.run ~max_vars:40 low mutant));
-      line "design %d run_sat sweep: %s" seed
-        (seq (Synth.Seq_check.run_sat ~max_vars:40 ~frames:8 low swept));
-      line "design %d run_sat mutant: %s" seed
-        (seq (Synth.Seq_check.run_sat ~max_vars:40 ~frames:8 low mutant)))
+      line "design %d run sweep: %s" seed (bdd low swept);
+      line "design %d run mutant: %s" seed (bdd low mutant))
     (List.init 61 Fun.id);
   let annot_result = function
     | Synth.Annot_check.Proved -> "proved"
@@ -649,11 +646,11 @@ let symbolic_fingerprint () =
       (Aig_util.structural_digest (Synth.Stateprop.run ~annots:relocated swept))
   in
   let reach name g prefix =
-    match Synth.Reach.latch_group g ~prefix with
+    match Reach.latch_group g ~prefix with
     | None -> line "%s reach %s: no group" name prefix
     | Some group ->
       line "%s reach %s: %s" name prefix
-        (match Synth.Reach.reachable_values g ~group with
+        (match Reach.reachable_values g ~group with
          | None -> "none"
          | Some values ->
            String.concat " "
