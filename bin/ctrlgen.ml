@@ -82,7 +82,7 @@ let synth_cmd =
       print_report "mapped" result.Synth.Flow.report;
       print_string
         (Synth.Netlist.emit lib ~name:design.Rtl.Design.name
-           result.Synth.Flow.aig)
+           result.Synth.Flow.aig result.Synth.Flow.instances)
     end
     else begin
       let outcome =
@@ -234,7 +234,7 @@ let design_cmd =
         if dump_netlist then
           print_string
             (Synth.Netlist.emit lib ~name:design.Rtl.Design.name
-               result.Synth.Flow.aig);
+               result.Synth.Flow.aig result.Synth.Flow.instances);
         Option.iter
           (fun path -> Synth.Aiger.to_file path result.Synth.Flow.aig)
           aiger_out

@@ -81,4 +81,6 @@ let () =
   in
   let result = Synth.Flow.compile lib d in
   print_endline "\n--- gate-level netlist (specialized) ---";
-  print_string (Synth.Netlist.emit lib ~name:"burst_ctrl" result.Synth.Flow.aig)
+  print_string
+    (Synth.Netlist.emit lib ~name:"burst_ctrl" result.Synth.Flow.aig
+       result.Synth.Flow.instances)

@@ -120,27 +120,41 @@ let rec cofactor_node m n v b =
 
 let cofactor f v b = { man = f.man; node = cofactor_node f.man f.node v b }
 
-let rec constrain_node m f c =
-  match c with
-  | Leaf true -> f
-  | Leaf false -> invalid_arg "Bdd.constrain: zero constraint"
-  | Node _ ->
-    match f with
-    | Leaf _ -> f
-    | Node _ ->
-      let v = min (node_var f) (node_var c) in
-      let f0, f1 = branch v f and c0, c1 = branch v c in
-      if c0 == Leaf false then constrain_node m f1 c1
-      else if c1 == Leaf false then constrain_node m f0 c0
-      else mk m v (constrain_node m f0 c0) (constrain_node m f1 c1)
+(* Per-call memos of [constrain] and [and_exists], keyed on a node-id pair
+   packed into one int (ids stay far below 2^31). *)
+module Memo = Hashtbl.Make (Int)
 
+(* The memo only skips revisits of an (f, c) pair: the recursion order is
+   unchanged and [mk] is hash-consed, so every node comes out with the id
+   the unmemoized walk gives it, in time linear in the BDD sizes rather
+   than in their path counts. *)
 let constrain f c =
   same_man f c;
-  { man = f.man; node = constrain_node f.man f.node c.node }
-
-(* Per-call memo of [and_exists], keyed on a node-id pair packed into one
-   int (ids stay far below 2^31). *)
-module Memo = Hashtbl.Make (Int)
+  let m = f.man in
+  let memo = Memo.create 256 in
+  let rec go f c =
+    match c with
+    | Leaf true -> f
+    | Leaf false -> invalid_arg "Bdd.constrain: zero constraint"
+    | Node _ ->
+      match f with
+      | Leaf _ -> f
+      | Node _ ->
+        let key = (node_id f lsl 31) lor node_id c in
+        match Memo.find_opt memo key with
+        | Some r -> r
+        | None ->
+          let v = min (node_var f) (node_var c) in
+          let f0, f1 = branch v f and c0, c1 = branch v c in
+          let r =
+            if c0 == Leaf false then go f1 c1
+            else if c1 == Leaf false then go f0 c0
+            else mk m v (go f0 c0) (go f1 c1)
+          in
+          Memo.add memo key r;
+          r
+  in
+  { man = m; node = go f.node c.node }
 
 let and_exists vars f g =
   same_man f g;

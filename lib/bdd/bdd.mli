@@ -60,7 +60,8 @@ val cofactor : t -> int -> bool -> t
 
 val constrain : t -> t -> t
 (** [constrain f c] is the generalized cofactor f ⇓ c: a function that agrees
-    with [f] wherever [c] holds (and is typically smaller).
+    with [f] wherever [c] holds (and is typically smaller). One memoized
+    pass, linear in the sizes of [f] and [c].
     @raise Invalid_argument if [c] is the zero function. *)
 
 val exists : int list -> t -> t

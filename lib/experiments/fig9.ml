@@ -16,35 +16,41 @@ let mode_name = function
 
 let run () =
   let compile ?options d = Synth.Flow.compile ?options Exp_common.lib d in
-  let full = compile (Pctrl.Controller.full_design ()) in
-  let point mode level =
-    let result =
-      match level with
-      | Full -> full
-      | Auto -> compile (Pctrl.Controller.auto_design mode)
-      | Manual ->
-        compile ~options:Exp_common.annotated_flow
-          (Pctrl.Controller.manual_design mode)
-    in
+  let row mode level (result : Synth.Flow.result) ~config =
     let report = result.Synth.Flow.report in
-    (* The flexible design must be *programmed* before its activity means
-       anything: load the mode's microcode into the configuration bits. *)
-    let config =
-      match level with
-      | Full -> Pctrl.Controller.bindings mode
-      | Auto | Manual -> []
-    in
     let power =
       Synth.Power.total
         (Synth.Power.estimate ~cycles:128 ~config Exp_common.lib
-           result.Synth.Flow.aig)
+           result.Synth.Flow.aig report result.Synth.Flow.instances)
     in
     { mode; level; comb = report.Synth.Map.comb_area;
       seq = report.Synth.Map.seq_area; power }
   in
+  let modes = [ Pctrl.Controller.Cached; Pctrl.Controller.Uncached ] in
+  (* Both Full rows come from one compile, estimated at once so the large
+     flexible netlist is dead before the other compiles. The flexible
+     design must be *programmed* before its activity means anything: load
+     the mode's microcode into the configuration bits. *)
+  let full =
+    let result = compile (Pctrl.Controller.full_design ()) in
+    List.map
+      (fun mode ->
+        (mode, row mode Full result ~config:(Pctrl.Controller.bindings mode)))
+      modes
+  in
   List.concat_map
-    (fun mode -> List.map (point mode) [ Full; Auto; Manual ])
-    [ Pctrl.Controller.Cached; Pctrl.Controller.Uncached ]
+    (fun mode ->
+      let auto =
+        row mode Auto (compile (Pctrl.Controller.auto_design mode)) ~config:[]
+      in
+      let manual =
+        row mode Manual
+          (compile ~options:Exp_common.annotated_flow
+             (Pctrl.Controller.manual_design mode))
+          ~config:[]
+      in
+      [ List.assoc mode full; auto; manual ])
+    modes
 
 let print rows =
   let body =

@@ -1,24 +1,30 @@
 let bits_per_limb = 62
 
+let limbs k = ((1 lsl k) + bits_per_limb - 1) / bits_per_limb
+
+(* The [k] leaf patterns of a [k]-leaf window: bit [i] of pattern [j] is
+   bit [j] of assignment [i]. *)
+let leaf_patterns k =
+  let npat = 1 lsl k in
+  Array.init k (fun j ->
+      let arr = Array.make (limbs k) 0 in
+      for i = 0 to npat - 1 do
+        if i lsr j land 1 = 1 then begin
+          let limb = i / bits_per_limb and bit = i mod bits_per_limb in
+          arr.(limb) <- arr.(limb) lor (1 lsl bit)
+        end
+      done;
+      arr)
+
 (* Parallel window simulation: each cone node gets one bit per leaf
    assignment, packed into int limbs. [values] is indexed by node id and
    shared by every group of a pass: a group writes its leaves and nodes
-   before it reads them, and reads nothing else. *)
-let window_sim g values (leaves : int array) (nodes : int list) =
-  let k = Array.length leaves in
-  let npat = 1 lsl k in
-  let nlimbs = (npat + bits_per_limb - 1) / bits_per_limb in
-  let leaf_pattern j =
-    let arr = Array.make nlimbs 0 in
-    for i = 0 to npat - 1 do
-      if i lsr j land 1 = 1 then begin
-        let limb = i / bits_per_limb and bit = i mod bits_per_limb in
-        arr.(limb) <- arr.(limb) lor (1 lsl bit)
-      end
-    done;
-    arr
-  in
-  Array.iteri (fun j n -> values.(n) <- leaf_pattern j) leaves;
+   before it reads them, and reads nothing else. Leaf [j] takes
+   [patterns.(j)] itself: nothing writes into a leaf's array. *)
+let window_sim g values (patterns : int array array) (leaves : int array)
+    (nodes : int list) =
+  let nlimbs = limbs (Array.length leaves) in
+  Array.iteri (fun j n -> values.(n) <- patterns.(j)) leaves;
   let value_of_lit l =
     let n = Aig.node_of_lit l in
     let arr = if n = 0 then Array.make nlimbs 0 else values.(n) in
@@ -249,6 +255,13 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
   let root_map : (Aig.lit, Aig.lit) Hashtbl.t = Hashtbl.create 64 in
   let fanout = Aig.fanout_counts g in
   let values = Array.make (Aig.num_nodes g) [||] in
+  (* [patterns.(k)] holds the leaf patterns of a [k]-leaf window, built
+     on first use and shared by every group of that size. *)
+  let patterns = Array.make (max cap 0 + 1) [||] in
+  let patterns_of k =
+    if Array.length patterns.(k) = 0 then patterns.(k) <- leaf_patterns k;
+    patterns.(k)
+  in
   let uses = Array.make (Aig.num_nodes g) 0 in
   let leaf_lit leaves j = copy (Aig.lit_of_node leaves.(j) false) in
   (* Gather all combinational roots (in processing order). *)
@@ -291,7 +304,7 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
       List.sort_uniq Stdlib.compare
         (List.concat_map (Hashtbl.find root_cones) members)
     in
-    let read = window_sim g values leaves union_nodes in
+    let read = window_sim g values (patterns_of k) leaves union_nodes in
     let dc = constraint_dc annots leaves in
     let analyze rn =
       let read_root = read (Aig.lit_of_node rn false) in

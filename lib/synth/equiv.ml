@@ -27,15 +27,6 @@ let lanes = Aig.Compiled.lanes
 let cycles = 64
 let runs = 8
 
-(* One sequential run of an AIG through the compiled kernel: feed
-   per-cycle input bits by PI name, return the PO name row (declaration
-   order) plus one bool array per cycle. *)
-let aig_run g ~cycles ~input =
-  let c = Aig.Compiled.compile g in
-  ( Array.init (Aig.Compiled.num_pos c) (Aig.Compiled.po_name c),
-    Aig.Compiled.run (Aig.Compiled.sim c) ~cycles ~input:(fun cycle i ->
-        input cycle (Aig.Compiled.pi_name c i)) )
-
 (* The input names both graphs share, sorted. *)
 let check_interfaces a b =
   let names g =
@@ -60,26 +51,55 @@ let sorted_perm names =
     perm;
   perm
 
-let find_mismatch (names_a, rows_a) (names_b, rows_b) =
-  let pa = sorted_perm names_a and pb = sorted_perm names_b in
-  let k = Array.length pa in
-  let rec scan cycle j =
-    if cycle >= Array.length rows_a then None
-    else if j >= k then scan (cycle + 1) 0
+(* [tape] up to and including the cycle of mismatch [m]; a tape that ends
+   there is shared, not copied. *)
+let cex tape m =
+  let n = m.cycle + 1 in
+  { tape = (if n = Array.length tape then tape else Array.sub tape 0 n); first = m }
+
+(* The first mismatch, in sorted output order, of both compiled netlists'
+   scalar runs on one input tape, stepped in lockstep so the replay stops
+   at the mismatching cycle. Every row of a tape names the inputs in one
+   order (the shared sorted names), so row position [p] drives one PI slot
+   per side, resolved once from the first row. *)
+let replay ca cb (tape : (string * bool) list array) =
+  let slots c =
+    let slot = Array.make (List.length tape.(0)) 0 in
+    List.iteri
+      (fun p (name, _) -> slot.(p) <- Option.get (Aig.Compiled.pi_index c name))
+      tape.(0);
+    slot
+  in
+  let slot_a = slots ca and slot_b = slots cb in
+  let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
+  let names = Array.init (Aig.Compiled.num_pos ca) (Aig.Compiled.po_name ca) in
+  let pa = sorted_perm names
+  and pb =
+    sorted_perm (Array.init (Aig.Compiled.num_pos cb) (Aig.Compiled.po_name cb))
+  in
+  let drive p (_, v) =
+    let w = Aig.Compiled.replicate v in
+    Aig.Compiled.set_pi sa slot_a.(p) w;
+    Aig.Compiled.set_pi sb slot_b.(p) w
+  in
+  let rec run cycle =
+    if cycle >= Array.length tape then None
+    else begin
+      List.iteri drive tape.(cycle);
+      Aig.Compiled.step sa;
+      Aig.Compiled.step sb;
+      scan cycle 0
+    end
+  and scan cycle j =
+    if j >= Array.length pa then run (cycle + 1)
     else
-      let va = rows_a.(cycle).(pa.(j)) and vb = rows_b.(cycle).(pb.(j)) in
+      let va = Aig.Compiled.po sa pa.(j) land 1 = 1
+      and vb = Aig.Compiled.po sb pb.(j) land 1 = 1 in
       if va <> vb then
-        Some { cycle; output = names_a.(pa.(j)); got = va; expected = vb }
+        Some { cycle; output = names.(pa.(j)); got = va; expected = vb }
       else scan cycle (j + 1)
   in
-  scan 0 0
-
-(* The first mismatch, in sorted output order, of both netlists' scalar
-   runs on one input tape. *)
-let replay a b (tape : (string * bool) list array) =
-  let cycles = Array.length tape in
-  let input c name = List.assoc name tape.(c) in
-  find_mismatch (aig_run a ~cycles ~input) (aig_run b ~cycles ~input)
+  run 0
 
 let sim ~seed pi_a a b =
   let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
@@ -137,7 +157,6 @@ let sim ~seed pi_a a b =
           (fun name -> (name, Aig.Compiled.random_word st lsr lane land 1 = 1))
           pi_a)
   in
-  let trim tape m = Array.sub tape 0 (m.cycle + 1) in
   let rec run_i i =
     if i >= runs then None
     else
@@ -145,8 +164,8 @@ let sim ~seed pi_a a b =
       | None -> run_i (i + 1)
       | Some (cycle, j, lane) ->
         let tape = lane_tape i lane in
-        (match replay a b tape with
-         | Some m -> Some (m, trim tape m)
+        (match replay ca cb tape with
+         | Some m -> Some (cex tape m)
          | None ->
            (* Replay and packed kernel disagree — report the packed
               evidence rather than mask it. *)
@@ -154,10 +173,10 @@ let sim ~seed pi_a a b =
            let m =
              { cycle; output = po_names_a.(pa.(j)); got; expected = not got }
            in
-           Some (m, trim tape m))
+           Some (cex tape m))
   in
   match run_i 0 with
-  | Some (first, tape) -> Refuted { tape; first }
+  | Some c -> Refuted c
   | None ->
     Undecided
       (Printf.sprintf
@@ -207,8 +226,8 @@ let align_pairs pos_a pos_b =
    reported loudly, not masked; [Refuted] always carries a concrete
    simulation mismatch. *)
 let replay_tape a b tape =
-  match replay a b tape with
-  | Some m -> { tape = Array.sub tape 0 (m.cycle + 1); first = m }
+  match replay (Aig.Compiled.compile a) (Aig.Compiled.compile b) tape with
+  | Some m -> cex tape m
   | None ->
     failwith
       "Equiv.run: SAT counterexample failed to replay through the \

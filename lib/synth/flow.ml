@@ -16,6 +16,7 @@ let default =
 type result = {
   aig : Aig.t;
   report : Map.report;
+  instances : (int, Map.instance) Hashtbl.t;
 }
 
 let area r = Map.total r.report
@@ -114,12 +115,12 @@ let compile ?(options = default) ?(memo = Collapse.create_memo ()) lib design =
     end
     else traced_pass "sweep" ~iter:3 Sweep.run (collapse 2 g1)
   in
-  let report =
+  let report, instances =
     Obs.Span.with_span "flow.map" ~args:(if Obs.enabled () then graph_args "in" g else [])
       (fun () ->
-        let r = Map.run lib g in
+        let ((r, _) as mapped) = Map.run_full lib g in
         if Obs.enabled () then
           Obs.Span.add_args [ ("area", Obs.Span.Float (Map.total r)) ];
-        r)
+        mapped)
   in
-  { aig = g; report }
+  { aig = g; report; instances }

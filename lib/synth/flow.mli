@@ -27,10 +27,11 @@
     ([Sweep.run ~sat:true]) is a separate entry point, not a flow knob.
 
     The flow does not check its own output: callers that want a
-    certificate run {!Equiv.check_sat} (or the simulation engine
-    {!Equiv.check}) on the design's {!Lower.run} netlist against the
+    certificate run {!Equiv.run} (its [Sat] engine, or the simulation
+    engine [Sim]) on the design's {!Lower.run} netlist against the
     result's [aig]. The result keeps no pre-optimization netlist, so a
-    retained result costs only its optimized graph. *)
+    retained result costs only its optimized graph and that graph's
+    mapping. *)
 
 type options = {
   collapse_cap : int;
@@ -46,6 +47,10 @@ val default : options
 type result = {
   aig : Aig.t;  (** optimized netlist *)
   report : Map.report;
+  instances : (int, Map.instance) Hashtbl.t;
+      (** [aig]'s mapped gates, from the {!Map.run_full} that made [report];
+          {!Power.estimate} and {!Netlist.emit} read them instead of
+          mapping again. *)
 }
 
 val compile :

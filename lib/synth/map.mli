@@ -43,7 +43,8 @@ val run_full :
   Aig.t ->
   report * (int, instance) Hashtbl.t
 (** The report plus the mapped gate per AND node (pattern-internal nodes
-    have no entry) — consumed by {!Netlist} and {!selfcheck}. *)
+    have no entry). {!Flow.compile} keeps both in its result, for
+    {!Power.estimate} and {!Netlist}; {!selfcheck} maps afresh. *)
 
 val selfcheck :
   ?samples:int ->

@@ -14,8 +14,7 @@ let sanitize name =
 
 let pin_names = [| "A"; "B"; "C"; "D" |]
 
-let build lib ~name g =
-  let _report, instances = Map.run_full lib g in
+let build lib ~name g instances =
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let counts = Hashtbl.create 16 in
@@ -128,9 +127,9 @@ let build lib ~name g =
   out "endmodule\n";
   (Buffer.contents buf, counts)
 
-let emit lib ~name g = fst (build lib ~name g)
+let emit lib ~name g instances = fst (build lib ~name g instances)
 
-let instance_counts lib g =
-  let _, counts = build lib ~name:"" g in
+let instance_counts lib g instances =
+  let _, counts = build lib ~name:"" g instances in
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
   |> List.sort Stdlib.compare

@@ -14,8 +14,12 @@ let leakage_per_area = 0.01
    [Hashtbl.iter] order of [Map.run_full], then latches, so the float sum
    accumulates in a fixed order. [prev.(n) = -1] until node [n] is first
    seen; the first cycle counts no toggles. *)
-let estimate ?(cycles = 256) ?(config = []) lib g =
-  let report, instances = Map.run_full lib g in
+let estimate ?(cycles = 256) ?(config = []) lib g report instances =
+  Obs.Span.with_span
+    ~args:
+      [ ("cycles", Obs.Span.Int cycles); ("ands", Obs.Span.Int (Aig.num_ands g)) ]
+    "power.estimate"
+  @@ fun () ->
   let rng = Random.State.make [| 0x70777; 1 |] in
   let c = Aig.Compiled.compile g in
   let sim = Aig.Compiled.sim c in

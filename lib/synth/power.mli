@@ -27,9 +27,14 @@ val estimate :
   ?config:(string * Bitvec.t array) list ->
   Cells.Library.t ->
   Aig.t ->
+  Map.report ->
+  (int, Map.instance) Hashtbl.t ->
   estimate
-(** Simulates [cycles] (default 256) random-input clock cycles, from a
-    fixed seed, from the initial state. [config] loads configuration latches (named
-    ["table[entry][bit]"]) with real contents before simulating — without
-    it, a flexible design idles on all-zero microcode and its dynamic power
-    is meaninglessly low. *)
+(** [estimate lib g report instances] weighs [g]'s toggles by the cells of
+    its mapping, as {!Map.run_full} [lib g] returns it (a compiled design
+    passes its {!Flow.result}'s [report] and [instances]). Simulates
+    [cycles] (default 256) random-input clock cycles, from a fixed seed,
+    from the initial state, under a [power.estimate] span. [config] loads
+    configuration latches (named ["table[entry][bit]"]) with real contents
+    before simulating — without it, a flexible design idles on all-zero
+    microcode and its dynamic power is meaninglessly low. *)

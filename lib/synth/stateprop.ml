@@ -48,8 +48,10 @@ let run ~annots g =
         match bdds.(n) with
         | None -> ()
         | Some b ->
+          (* Annotated bits are variables [0, annot_var_count), and an
+             ROBDD's root is the least variable of its support. *)
           let touches_annot =
-            List.exists (fun v -> v < annot_var_count) (Bdd.support b)
+            (not (Bdd.is_const b)) && Bdd.top_var b < annot_var_count
           in
           if touches_annot then begin
             let c = Bdd.constrain b chi in

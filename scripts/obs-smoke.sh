@@ -5,7 +5,7 @@
 # --trace/--metrics must print the same stdout, and the emitted Chrome
 # trace must be valid enough to carry pass spans and the metrics snapshot,
 # and the --metrics counter/gauge table must read the same at -j 1 as at
-# -j 2.
+# -j 2. The span table must carry the flow.compile and power.estimate rows.
 # An intentional change to a figure regenerates the golden with
 # scripts/regen-golden.sh, and the diff is reviewed like source. Leaves
 # trace.json in the repo root for CI to upload as an artifact.
@@ -54,4 +54,6 @@ if [ "$(metric_rows "$err" | grep -c '^synth\.collapse\.')" -lt 2 ] ||
 fi
 grep -qE '^span +count +total s +self s' "$err"
 grep -qE '^flow\.compile ' "$err"
+# Fig. 9's activity estimates are attributed time of their own.
+grep -qE '^power\.estimate ' "$err"
 echo "observability smoke OK: stdout matches the golden, trace.json valid, metrics equal at -j 1 and -j 2"

@@ -243,6 +243,86 @@ let product_props =
         Bdd.equal r (Bdd.exists vars (Bdd.and_ f g)) && Bdd.equal r shannon);
   ]
 
+(* Generalized cofactor: the memoized [Bdd.constrain] against the
+   unmemoized recursion it replaced, written over the public API. The
+   oracle recurses in the same order (high branch first, as OCaml
+   evaluates [mk]'s arguments right to left), and every variable node
+   exists before either runs, so the two build the same nodes in the same
+   order: in one manager the results are the same node, and in two managers
+   built alike every node of the results carries the same uid and both
+   leave the same next id. *)
+let rec constrain_oracle m f c =
+  if Bdd.is_one c then f
+  else if Bdd.is_zero c then invalid_arg "constrain_oracle: zero constraint"
+  else if Bdd.is_const f then f
+  else begin
+    let v = min (Bdd.top_var f) (Bdd.top_var c) in
+    let f0 = Bdd.cofactor f v false and f1 = Bdd.cofactor f v true in
+    let c0 = Bdd.cofactor c v false and c1 = Bdd.cofactor c v true in
+    if Bdd.is_zero c0 then constrain_oracle m f1 c1
+    else if Bdd.is_zero c1 then constrain_oracle m f0 c0
+    else begin
+      let hi = constrain_oracle m f1 c1 in
+      let lo = constrain_oracle m f0 c0 in
+      Bdd.ite (Bdd.var m v) hi lo
+    end
+  end
+
+(* Every node's uid, in depth-first order (cofactors at the top variable
+   build no node). *)
+let rec uids b =
+  if Bdd.is_const b then [ Bdd.uid b ]
+  else
+    let v = Bdd.top_var b in
+    (Bdd.uid b :: uids (Bdd.cofactor b v false)) @ uids (Bdd.cofactor b v true)
+
+let arb_constrain =
+  Prop.make
+    ~show:(fun (n, f, c) ->
+      Printf.sprintf "%d vars, f = %s, c = %s" n (print_expr f) (print_expr c))
+    (fun rng ->
+      let n = 2 + Workload.Rng.int rng 9 in
+      (n, gen_over rng n, gen_over rng n))
+
+let constrain_props =
+  [
+    Prop.test "constrain = unmemoized recursion" arb_constrain (fun (n, f, c) ->
+        (* A manager holding every variable node, then [f] and [c]. *)
+        let build () =
+          let m = Bdd.make_man () in
+          for v = 0 to n - 1 do
+            ignore (Bdd.var m v)
+          done;
+          (m, to_bdd m f, to_bdd m c)
+        in
+        let m, bf, bc = build () in
+        if Bdd.is_zero bc then
+          match Bdd.constrain bf bc with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        else begin
+          let r = Bdd.constrain bf bc in
+          let next_id = Bdd.uid (Bdd.var m n) in
+          let m', bf', bc' = build () in
+          let r' = constrain_oracle m' bf' bc' in
+          uids r = uids r'
+          && next_id = Bdd.uid (Bdd.var m' n)
+          && Bdd.equal r (constrain_oracle m bf bc)
+        end);
+    Prop.test "constrain = f where c holds" arb_constrain
+      (fun (n, f, c) ->
+        let m = Bdd.make_man () in
+        let bf = to_bdd m f and bc = to_bdd m c in
+        Bdd.is_zero bc
+        ||
+        let r = Bdd.constrain bf bc in
+        Seq.for_all
+          (fun v ->
+            let env = Bitvec.get v in
+            (not (Bdd.eval bc env)) || Bdd.eval r env = Bdd.eval bf env)
+          (Bitvec.all_values n));
+  ]
+
 let test_basics () =
   let m = Bdd.make_man () in
   Alcotest.(check bool) "zero is zero" true (Bdd.is_zero (Bdd.zero m));
@@ -283,7 +363,7 @@ let () =
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "manager isolation" `Quick test_manager_isolation;
         ] );
-      ("properties", props);
+      ("properties", props @ constrain_props);
       ("truth tables", tt_props);
       ("product", product_props);
     ]

@@ -75,9 +75,11 @@ let netlist_counts_match seed =
   (* The structural writer instantiates exactly the cells the area report
      charged for. *)
   let d = Workload.Rand_design.generate ~seed in
-  let g = (Synth.Flow.compile lib d).Synth.Flow.aig in
-  let r = Synth.Map.run lib g in
-  let nc = Synth.Netlist.instance_counts lib g in
+  let c = Synth.Flow.compile lib d in
+  let r = c.Synth.Flow.report in
+  let nc =
+    Synth.Netlist.instance_counts lib c.Synth.Flow.aig c.Synth.Flow.instances
+  in
   if nc = r.Synth.Map.cell_counts then true
   else
     Printf.ksprintf failwith "report %s vs netlist %s"

@@ -110,7 +110,8 @@ let test_power_sanity () =
   in
   let power d =
     let g = (Synth.Lower.run d).Synth.Lower.aig in
-    Synth.Power.estimate ~cycles:64 lib g
+    let report, instances = Synth.Map.run_full lib g in
+    Synth.Power.estimate ~cycles:64 lib g report instances
   in
   let pc = power counter and ps = power still in
   Alcotest.(check bool) "counter toggles" true (pc.Synth.Power.toggles_per_cycle > 1.0);
@@ -124,10 +125,11 @@ let test_power_config_programs () =
   let tt = Workload.Rand_table.generate ~seed:5 ~depth:16 ~width:8 in
   let d = Core.Truth_table.to_flexible_rtl tt in
   let g = (Synth.Lower.run d).Synth.Lower.aig in
-  let empty = Synth.Power.estimate ~cycles:64 lib g in
+  let report, instances = Synth.Map.run_full lib g in
+  let empty = Synth.Power.estimate ~cycles:64 lib g report instances in
   let programmed =
     Synth.Power.estimate ~cycles:64 ~config:[ Core.Truth_table.config_binding tt ]
-      lib g
+      lib g report instances
   in
   Alcotest.(check bool)
     (Printf.sprintf "programmed (%.1f) > empty (%.1f)"
@@ -204,8 +206,10 @@ let reference_estimate ?(cycles = 256) ?(config = []) lib g =
     toggles_per_cycle = float_of_int !toggles /. float_of_int cycles;
   }
 
-let check_power_oracle ?cycles ?config name g =
-  let got = Synth.Power.estimate ?cycles ?config lib g in
+(* [mapped] is the netlist with its mapping: a compile's stored one, or
+   [Map.run_full]'s for a raw AIG. The oracle always maps afresh. *)
+let check_power_oracle ?cycles ?config name (g, report, instances) =
+  let got = Synth.Power.estimate ?cycles ?config lib g report instances in
   let want = reference_estimate ?cycles ?config lib g in
   let bits what f =
     Alcotest.(check int64) (name ^ " " ^ what)
@@ -217,11 +221,20 @@ let check_power_oracle ?cycles ?config name g =
 
 let test_power_matches_reference () =
   let tt = Workload.Rand_table.generate ~seed:5 ~depth:16 ~width:8 in
-  let flexible = (Synth.Lower.run (Core.Truth_table.to_flexible_rtl tt)).Synth.Lower.aig in
+  let raw g =
+    let report, instances = Synth.Map.run_full lib g in
+    (g, report, instances)
+  in
+  let flexible =
+    raw (Synth.Lower.run (Core.Truth_table.to_flexible_rtl tt)).Synth.Lower.aig
+  in
   check_power_oracle ~cycles:64 "table" flexible;
   check_power_oracle ~cycles:64 ~config:[ Core.Truth_table.config_binding tt ]
     "programmed table" flexible;
-  let compiled ?options d = (Synth.Flow.compile ?options lib d).Synth.Flow.aig in
+  let compiled ?options d =
+    let r = Synth.Flow.compile ?options lib d in
+    (r.Synth.Flow.aig, r.Synth.Flow.report, r.Synth.Flow.instances)
+  in
   check_power_oracle ~cycles:32 "pctrl auto uncached"
     (compiled (Pctrl.Controller.auto_design Pctrl.Controller.Uncached));
   check_power_oracle ~cycles:32 "pctrl manual uncached"
@@ -234,7 +247,7 @@ let test_power_matches_reference () =
   for seed = 0 to 19 do
     let d = Workload.Rand_design.generate ~seed in
     check_power_oracle (Printf.sprintf "rand %d lowered" seed)
-      (Synth.Lower.run d).Synth.Lower.aig;
+      (raw (Synth.Lower.run d).Synth.Lower.aig);
     check_power_oracle ~cycles:64 (Printf.sprintf "rand %d compiled" seed)
       (compiled d)
   done
@@ -253,8 +266,10 @@ let test_netlist_structure () =
       (Core.Fsm_ir.to_flexible_rtl fsm)
       (Core.Fsm_ir.config_bindings fsm)
   in
-  let g = (Synth.Flow.compile lib d).Synth.Flow.aig in
-  let text = Synth.Netlist.emit lib ~name:"fsm4" g in
+  let r = Synth.Flow.compile lib d in
+  let text =
+    Synth.Netlist.emit lib ~name:"fsm4" r.Synth.Flow.aig r.Synth.Flow.instances
+  in
   List.iter
     (fun fragment ->
       Alcotest.(check bool) ("contains " ^ fragment) true (contains text fragment))

@@ -508,6 +508,28 @@ let test_map_inverter_sharing () =
   let count name = Option.value ~default:0 (List.assoc_opt name r.Synth.Map.cell_counts) in
   Alcotest.(check int) "one shared INV" 1 (count "INV")
 
+(* A compile maps once and keeps that mapping: its instance table is the
+   one a fresh [Map.run_full] builds on the optimized AIG, entry for
+   entry, and so is its report. *)
+let test_map_compile_keeps_mapping () =
+  let cell (i : Synth.Map.instance) =
+    (i.Synth.Map.inst_cell.Cells.Cell.cname, i.Synth.Map.out_positive, i.Synth.Map.pins)
+  in
+  for seed = 0 to 9 do
+    let r = Synth.Flow.compile lib (Workload.Rand_design.generate ~seed) in
+    let report, instances = Synth.Map.run_full lib r.Synth.Flow.aig in
+    let name what = Printf.sprintf "rand %d %s" seed what in
+    Alcotest.(check int) (name "instances")
+      (Hashtbl.length instances) (Hashtbl.length r.Synth.Flow.instances);
+    Hashtbl.iter
+      (fun n i ->
+        Alcotest.(check bool) (name (Printf.sprintf "cell of node %d" n)) true
+          (Option.map cell (Hashtbl.find_opt r.Synth.Flow.instances n)
+           = Some (cell i)))
+      instances;
+    Alcotest.(check bool) (name "report") true (report = r.Synth.Flow.report)
+  done
+
 (* ------------------------------------------------------------------ reach *)
 
 let test_reach_matches_ir () =
@@ -1006,6 +1028,8 @@ let () =
           Alcotest.test_case "xor and mux cells" `Quick test_map_cells;
           Alcotest.test_case "flop kinds" `Quick test_map_flop_kinds;
           Alcotest.test_case "inverter sharing" `Quick test_map_inverter_sharing;
+          Alcotest.test_case "compile keeps its mapping" `Quick
+            test_map_compile_keeps_mapping;
         ] );
       ("reach", [ Alcotest.test_case "matches IR reachability" `Quick test_reach_matches_ir ]);
       ( "symbolic",
