@@ -536,7 +536,7 @@ let fault_cmd =
              ~doc:"Sample at most $(docv) fault sites (0 = exhaustive).")
   in
   let cycles_arg =
-    Arg.(value & opt (Cli.range 0) 40
+    Arg.(value & opt (Cli.range 1) 40
          & info [ "cycles" ] ~docv:"N" ~doc:"Stimulus length in cycles.")
   in
   let journal_arg =

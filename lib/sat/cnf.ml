@@ -62,7 +62,3 @@ and lit_of t l =
 let lit t l =
   let v = encode_node t (Aig.node_of_lit l) in
   if Aig.is_complemented l then -v else v
-
-let constrain t l b =
-  let sl = lit t l in
-  Solver.add_clause t.solver [ (if b then sl else -sl) ]

@@ -18,10 +18,6 @@ val create : Solver.t -> Aig.t -> t
 val lit : t -> Aig.lit -> int
 (** Solver literal for an AIG literal, encoding its cone on demand. *)
 
-val constrain : t -> Aig.lit -> bool -> unit
-(** Unit clause pinning an AIG literal's value (e.g. a configuration latch
-    bound to its microcode bit). *)
-
 val var_of_node : t -> int -> int option
 (** The solver variable already allocated for an AIG node, if its cone was
     encoded — the model-extraction read path ([None] means the node was

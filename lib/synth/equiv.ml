@@ -450,12 +450,20 @@ let bdd ~max_vars ?on_stats pi_a a b =
     let iterate = ref 0 in
     match
       let lit_a, lit_b, machine = product ~max_vars a b in
-      (* One miter per output of [a], against the first same-named output
-         of [b]. *)
+      (* One miter per output of [a], in [a]'s order, against the
+         same-numbered occurrence of its name in [b] (the pairing of
+         [align_pairs]). [Hashtbl.add] stacks bindings, so adding [b]'s
+         outputs last to first leaves each name's first occurrence on top,
+         and removing it exposes the next. *)
+      let outs_b = Hashtbl.create 16 in
+      List.iter (fun (name, l) -> Hashtbl.add outs_b name l)
+        (List.rev (Aig.pos b));
       let miters =
         List.map
           (fun (name, la) ->
-            Bdd.xor (lit_a la) (lit_b (List.assoc name (Aig.pos b))))
+            let lb = Hashtbl.find outs_b name in
+            Hashtbl.remove outs_b name;
+            Bdd.xor (lit_a la) (lit_b lb))
           (Aig.pos a)
       in
       Symbolic.reach ~max_iters machine ~visit:(fun r ->

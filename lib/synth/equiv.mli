@@ -64,10 +64,12 @@ type engine =
       (** One BDD transition relation over the union of both netlists'
           latches (inputs shared by name); each iterate of the reachable
           set from the joint initial state is checked against every output
-          miter. A miter that fires at iterate [i] is replayed by BMC over
-          [i + 1] frames. [Undecided] when current state, next state and
-          inputs do not fit in [max_vars] BDD variables, or when a BDD
-          exceeds 200_000 nodes or the fixpoint 10_000 image steps. *)
+          miter. Outputs pair as in the other engines: the k-th output of
+          a given name in [a] with the k-th of that name in [b]. A miter
+          that fires at iterate [i] is replayed by BMC over [i + 1]
+          frames. [Undecided] when current state, next state and inputs
+          do not fit in [max_vars] BDD variables, or when a BDD exceeds
+          200_000 nodes or the fixpoint 10_000 image steps. *)
 
 val run :
   ?on_stats:(Sat.Solver.stats -> unit) -> engine -> Aig.t -> Aig.t -> verdict

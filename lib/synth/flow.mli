@@ -23,9 +23,6 @@
       (the paper's n ≤ 32 cliff).
     - [retime]: forward retiming before optimization (Fig. 8's "Retimed").
 
-    Sweep always runs in its syntactic form; the SAT-validated sweep
-    ([Sweep.run ~sat:true]) is a separate entry point, not a flow knob.
-
     The flow does not check its own output: callers that want a
     certificate run {!Equiv.run} (its [Sat] engine, or the simulation
     engine [Sim]) on the design's {!Lower.run} netlist against the

@@ -1,16 +1,12 @@
 type t = {
   c : Aig.Compiled.t;
-  latch_sig : int array;      (* per latch slot: hash of its state words *)
   latch_changed : int array;  (* per latch slot: OR of (state XOR init) *)
 }
-
-let fnv_fold h w = (h * 0x100_0193) lxor (w land max_int)
 
 let compute g =
   let c = Aig.Compiled.compile g in
   let s = Aig.Compiled.sim c in
   let nl = Aig.Compiled.num_latches c in
-  let latch_sig = Array.make nl 0 in
   let latch_changed = Array.make nl 0 in
   let inits = Array.init nl (Aig.Compiled.latch_word s) in
   Aig.Compiled.with_metrics s @@ fun () ->
@@ -21,10 +17,6 @@ let compute g =
       for i = 0 to Aig.Compiled.num_pis c - 1 do
         Aig.Compiled.set_pi s i (Aig.Compiled.random_word st)
       done;
-      (* A latch node's value during a step is its state word before it. *)
-      for j = 0 to nl - 1 do
-        latch_sig.(j) <- fnv_fold latch_sig.(j) (Aig.Compiled.latch_word s j)
-      done;
       Aig.Compiled.step s;
       for j = 0 to nl - 1 do
         latch_changed.(j) <-
@@ -32,14 +24,9 @@ let compute g =
       done
     done
   done;
-  { c; latch_sig; latch_changed }
-
-let slot t fn id =
-  match Aig.Compiled.latch_slot t.c id with
-  | Some j -> j
-  | None -> invalid_arg ("Simsig." ^ fn ^ ": not a latch")
-
-let latch_signature t id = t.latch_sig.(slot t "latch_signature" id)
+  { c; latch_changed }
 
 let latch_may_be_const t id =
-  t.latch_changed.(slot t "latch_may_be_const" id) = 0
+  match Aig.Compiled.latch_slot t.c id with
+  | Some j -> t.latch_changed.(j) = 0
+  | None -> invalid_arg "Simsig.latch_may_be_const: not a latch"

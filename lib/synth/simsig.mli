@@ -1,17 +1,16 @@
-(** Packed random-simulation signatures for latches (ABC-style candidate
-    filtering).
+(** Packed random-simulation filter for latch constancy (ABC-style
+    candidate filtering).
 
     Two rounds of twelve {!Aig.Compiled} bit-parallel cycles from the
-    initial state give every latch a signature — a hash of its packed
-    state words across all simulated cycles — and a changed-bits word.
-    Latches with different signatures are proven inequivalent by a
-    witnessed input sequence, so the sweep's exact passes (the
-    constant-latch fixpoint and the SAT inductions) need only examine
-    signature-equal survivors.
+    initial state give every latch a changed-bits word: the OR, over all
+    simulated cycles, of its state XOR its init value. A latch with a
+    non-zero word was witnessed leaving its init value, so the sweep's
+    constant-latch fixpoint need only examine the latches whose word is
+    zero.
 
     The filter is one-sided by construction: simulation can only
-    {e refute} equivalence/constancy, never prove it, so consumers treat
-    a matching signature as "candidate" and re-verify exactly. *)
+    {e refute} constancy, never prove it, so the sweep treats a zero word
+    as "candidate" and re-verifies exactly. *)
 
 type t
 
@@ -20,12 +19,6 @@ val compute : Aig.t -> t
     values from a fixed seed, so the result is deterministic and covers
     [2 * 12 * 63] scalar patterns. Requires every latch's next-state to be
     set. *)
-
-val latch_signature : t -> int -> int
-(** Hash of the latch's packed state stream. Equal signatures = candidate
-    equivalent; different signatures = proven inequivalent (under the
-    simulated reachable states).
-    @raise Invalid_argument if the node is not a latch. *)
 
 val latch_may_be_const : t -> int -> bool
 (** [false] means the latch was observed leaving its init value in some

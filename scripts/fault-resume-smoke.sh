@@ -9,7 +9,7 @@
 # deterministic site ordering under `-j 4`. The second campaign is
 # stuck-at on the bound netlist, so the packed pre-pass, its exclusion of
 # resumed sites and the multi-domain map run together. Last, a negative
-# --sites must be refused at parse time.
+# --sites and a zero --cycles must be refused at parse time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,11 +63,14 @@ check() {
 check tables 12 --model tables --seed 3
 check stuck 12 --impl bound --model stuck
 
-# A negative site count is a usage error (exit 124), not an exhaustive run.
-rc=0
-"$CTRLGEN" fault --sites=-1 --model tables > /dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 124 ]; then
-  echo "fault-resume-smoke: expected exit 124 from --sites=-1, got $rc" >&2
-  exit 1
-fi
-echo "fault-resume-smoke: OK (--sites=-1 rejected)" >&2
+# A negative site count is a usage error (exit 124), not an exhaustive run,
+# and so is a zero-cycle stimulus, under which every site reads masked.
+for bad in --sites=-1 --cycles=0; do
+  rc=0
+  "$CTRLGEN" fault "$bad" --model tables > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 124 ]; then
+    echo "fault-resume-smoke: expected exit 124 from $bad, got $rc" >&2
+    exit 1
+  fi
+  echo "fault-resume-smoke: OK ($bad rejected)" >&2
+done

@@ -429,25 +429,6 @@ let prop_flow_never_refuted =
         failwith ("flow refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true)
 
-(* SAT-validated sweep: behaviour preserved, latch count never grows. *)
-let prop_sweep_sat_preserves =
-  Prop.test ~iters:80 ~seed:7000 "sweep ~sat:true preserves behaviour"
-    (Prop.int 1_000_000) (fun dseed ->
-      let d = Workload.Rand_design.generate ~seed:dseed in
-      let g = (Synth.Lower.run d).Synth.Lower.aig in
-      let g' = Synth.Sweep.run ~sat:true g in
-      let syn = Synth.Sweep.run g in
-      (match Synth.Equiv.run (Synth.Equiv.Sim { seed = dseed }) g g' with
-       | Synth.Equiv.Refuted c ->
-         failwith ("sweep broke: " ^ Synth.Equiv.mismatch_to_string c.first)
-       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
-      (match Synth.Equiv.run (Synth.Equiv.Sat { frames = 6 }) g g' with
-       | Synth.Equiv.Refuted c ->
-         failwith ("sweep refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
-       | _ -> ());
-      Aig.num_latches g' <= Aig.num_latches g
-      && Aig.num_latches g' <= Aig.num_latches syn)
-
 (* ------------------------------------------- directed engine regressions *)
 
 let test_check_sat_comb_refute () =
@@ -558,74 +539,35 @@ let test_bdd_cex () =
   | Synth.Equiv.Proved -> Alcotest.fail "proved inequivalent pair"
   | Synth.Equiv.Undecided s -> Alcotest.fail ("undecided: " ^ s)
 
-(* ------------------------------------------------- SAT-validated sweep *)
-
-let test_sweep_sat_strengthens () =
-  (* Two latches with logically equal but structurally different
-     next-state functions: invisible to the syntactic merge, proved equal
-     by the class induction. *)
-  let g = Aig.create () in
-  let a = Aig.pi g "a" in
-  let b = Aig.pi g "b" in
-  let c = Aig.pi g "c" in
-  let p = Aig.latch g "p" ~init:false ~reset:Rtl.Design.No_reset ~is_config:false in
-  let q = Aig.latch g "q" ~init:false ~reset:Rtl.Design.No_reset ~is_config:false in
-  Aig.set_next g p (Aig.and_ g a (Aig.or_ g b c));
-  Aig.set_next g q (Aig.or_ g (Aig.and_ g a b) (Aig.and_ g a c));
-  Aig.po g "p" p;
-  Aig.po g "q" q;
-  let syn = Synth.Sweep.run ~sat:false g in
-  let sat = Synth.Sweep.run ~sat:true g in
-  Alcotest.(check int) "syntactic keeps both" 2 (Aig.num_latches syn);
-  Alcotest.(check int) "sat merges" 1 (Aig.num_latches sat);
-  (match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) g sat with
-   | Synth.Equiv.Refuted c ->
-     Alcotest.fail ("merge broke: " ^ Synth.Equiv.mismatch_to_string c.first)
-   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ());
-  match Synth.Equiv.run (Synth.Equiv.Sat { frames = 16 }) g sat with
+let test_repeated_output_names () =
+  (* Two copies of one netlist whose two outputs share the name [o]: a
+     latch and a PI. Every engine pairs the k-th [o] of one side with the
+     k-th of the other; pairing each with the first [o] of the other side
+     would compare the latch with the PI. *)
+  let netlist () =
+    let g = Aig.create () in
+    let x = Aig.pi g "x" in
+    let y = Aig.pi g "y" in
+    let q = Aig.latch g "q" ~init:false ~reset:Rtl.Design.No_reset ~is_config:false in
+    Aig.set_next g q x;
+    Aig.po g "o" q;
+    Aig.po g "o" y;
+    g
+  in
+  let a = netlist () and b = netlist () in
+  let proves name engine =
+    match Synth.Equiv.run engine a b with
+    | Synth.Equiv.Proved -> ()
+    | Synth.Equiv.Refuted c ->
+      Alcotest.fail
+        (name ^ " refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
+    | Synth.Equiv.Undecided s -> Alcotest.fail (name ^ " undecided: " ^ s)
+  in
+  proves "SAT" (Synth.Equiv.Sat { frames = 4 });
+  proves "BDD" (Synth.Equiv.Bdd { max_vars = 40 });
+  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) a b with
   | Synth.Equiv.Refuted c ->
-    Alcotest.fail ("merge refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
-  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
-
-let test_sweep_sat_const () =
-  (* A latch fed by a logically-but-not-structurally false cone: only the
-     constant induction sees through it. *)
-  let g = Aig.create () in
-  let a = Aig.pi g "a" in
-  let b = Aig.pi g "b" in
-  let q = Aig.latch g "q" ~init:false ~reset:Rtl.Design.No_reset ~is_config:false in
-  let r = Aig.latch g "r" ~init:false ~reset:Rtl.Design.No_reset ~is_config:false in
-  Aig.set_next g q (Aig.and_ g (Aig.and_ g a b) (Aig.not_ a));
-  Aig.set_next g r a;
-  Aig.po g "f" (Aig.xor_ g q r);
-  let syn = Synth.Sweep.run ~sat:false g in
-  let sat = Synth.Sweep.run ~sat:true g in
-  Alcotest.(check int) "syntactic keeps both" 2 (Aig.num_latches syn);
-  Alcotest.(check int) "sat folds the dead latch" 1 (Aig.num_latches sat);
-  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) g sat with
-  | Synth.Equiv.Refuted c ->
-    Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
-  | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
-
-let test_sweep_sat_single_latch () =
-  (* The only latch, init 1, with a next state that is constant 1 but not
-     syntactically so: SAT must run even though a lone latch leaves the
-     syntactic pass without signatures. *)
-  let g = Aig.create () in
-  let a = Aig.pi g "a" in
-  let b = Aig.pi g "b" in
-  let q = Aig.latch g "q" ~init:true ~reset:Rtl.Design.No_reset ~is_config:false in
-  Aig.set_next g q
-    (Aig.or_list g
-       [ Aig.and_ g a b; Aig.and_ g a (Aig.not_ b); Aig.not_ a ]);
-  Aig.po g "f" (Aig.and_ g q b);
-  Alcotest.(check int) "syntactic keeps it" 1
-    (Aig.num_latches (Synth.Sweep.run ~sat:false g));
-  let sat = Synth.Sweep.run ~sat:true g in
-  Alcotest.(check int) "sat folds it" 0 (Aig.num_latches sat);
-  match Synth.Equiv.run (Synth.Equiv.Sim { seed = 1 }) g sat with
-  | Synth.Equiv.Refuted c ->
-    Alcotest.fail ("fold broke: " ^ Synth.Equiv.mismatch_to_string c.first)
+    Alcotest.fail ("sim refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
   | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> ()
 
 (* -------------------------------------------------- PCtrl certification *)
@@ -752,7 +694,6 @@ let () =
           prop_engines_agree;
           prop_bdd_agrees;
           prop_flow_never_refuted;
-          prop_sweep_sat_preserves;
           Alcotest.test_case "combinational refutation" `Quick
             test_check_sat_comb_refute;
           Alcotest.test_case "induction proof" `Quick
@@ -763,12 +704,8 @@ let () =
           Alcotest.test_case "BDD engine completes renamed proof" `Quick
             test_bdd_renamed_proof;
           Alcotest.test_case "BDD engine concrete witness" `Quick test_bdd_cex;
-          Alcotest.test_case "sweep sat merges hidden duplicates" `Quick
-            test_sweep_sat_strengthens;
-          Alcotest.test_case "sweep sat folds hidden constants" `Quick
-            test_sweep_sat_const;
-          Alcotest.test_case "sweep sat folds a lone latch" `Quick
-            test_sweep_sat_single_latch;
+          Alcotest.test_case "repeated output names align" `Quick
+            test_repeated_output_names;
           Alcotest.test_case "pctrl partial evaluation certified" `Quick
             test_pctrl_certified;
           Alcotest.test_case "pctrl mutation refuted" `Quick

@@ -365,8 +365,7 @@ let test_sweep_keeps_config () =
 let test_simsig_latch_filter () =
   (* A toggling latch leaves its init under simulation and must be
      disqualified as a constant candidate; a self-holding latch never
-     moves and stays one. Their state streams differ, so do their
-     signatures; a non-latch node has neither. *)
+     moves and stays one. A non-latch node has no slot to ask about. *)
   let g = Aig.create () in
   let x = Aig.pi g "x" in
   let t =
@@ -384,11 +383,9 @@ let test_simsig_latch_filter () =
     (Synth.Simsig.latch_may_be_const sigs t);
   Alcotest.(check bool) "self-holder stays candidate" true
     (Synth.Simsig.latch_may_be_const sigs h);
-  Alcotest.(check bool) "toggler and self-holder differ" true
-    (Synth.Simsig.latch_signature sigs t <> Synth.Simsig.latch_signature sigs h);
   Alcotest.check_raises "a PI is not a latch"
-    (Invalid_argument "Simsig.latch_signature: not a latch") (fun () ->
-      ignore (Synth.Simsig.latch_signature sigs (Aig.node_of_lit x)))
+    (Invalid_argument "Simsig.latch_may_be_const: not a latch") (fun () ->
+      ignore (Synth.Simsig.latch_may_be_const sigs (Aig.node_of_lit x)))
 
 let test_sweep_simfilter_two_latches () =
   (* Two latches puts Sweep.run on the signature-filtered path: the
@@ -941,7 +938,6 @@ let passes_fingerprint () =
       List.filter_map (Synth.Annots.relocate swept) (Synth.Annots.extract low)
     in
     row name "sweep" swept;
-    row name "sweep sat" (Synth.Sweep.run ~sat:true g);
     row name "retime" (Synth.Retime.run g);
     row name "stateprop" (Synth.Stateprop.run ~annots swept);
     row name "collapse" (Synth.Collapse.run ~annots swept);
