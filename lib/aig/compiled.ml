@@ -205,7 +205,6 @@ let step s =
   s.nsteps <- s.nsteps + 1
 
 let po s k = s.po_words.(k)
-let latch_word s j = s.state.(j)
 let node_value s id = s.values.(id)
 let steps s = s.nsteps
 
@@ -218,7 +217,7 @@ let run s ~cycles ~input =
       step s;
       Array.init no (fun k -> s.po_words.(k) land 1 = 1))
 
-let with_metrics ?(active_lanes = lanes) s f =
+let with_metrics ~active_lanes s f =
   if not (Obs.enabled ()) then f ()
   else
     Obs.Span.with_span

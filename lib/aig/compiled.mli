@@ -56,7 +56,7 @@ val pi_index : t -> string -> int option
 
 val latch_slot : t -> int -> int option
 (** Slot of a latch by node id: its position in {!Graph.latches}, the
-    index {!set_latch} and {!latch_word} take. [None] for any other node. *)
+    index {!set_latch} takes. [None] for any other node. *)
 
 val pi_name : t -> int -> string
 val po_name : t -> int -> string
@@ -99,12 +99,9 @@ val step : sim -> unit
 val po : sim -> int -> int
 (** Packed word of PO slot [k] as of the last {!step}. *)
 
-val latch_word : sim -> int -> int
-(** Current state word of latch slot [j] (post-{!step}). *)
-
 val node_value : sim -> int -> int
 (** Packed value of an arbitrary node as of the last {!step} — the probe
-    the signature pass reads. *)
+    [Power] reads for switching activity. *)
 
 val steps : sim -> int
 (** Cumulative {!step} count (for metrics). *)
@@ -118,10 +115,10 @@ val run : sim -> cycles:int -> input:(int -> int -> bool) -> bool array array
 
 (** {1 Observability} *)
 
-val with_metrics : ?active_lanes:int -> sim -> (unit -> 'a) -> 'a
+val with_metrics : active_lanes:int -> sim -> (unit -> 'a) -> 'a
 (** Run a simulation loop under an [aig.sim] {!Obs.Span}, then account the
     steps it performed to the kernel counters: [aig.sim.patterns] (lanes x
     cycles simulated) and [aig.sim.words_evaluated] (And-gate words); the
-    span keeps the time. [active_lanes] (default
-    {!lanes}) scales the pattern count when a pass uses fewer lanes. Free
-    when observability is disabled. *)
+    span keeps the time. [active_lanes] is the number of lanes the pass
+    drives ({!lanes} when it uses them all) and scales the pattern count.
+    Free when observability is disabled. *)

@@ -101,6 +101,20 @@ let replay ca cb (tape : (string * bool) list array) =
   in
   run 0
 
+(* A witness that fails to replay means an engine is unsound — reported
+   loudly, not masked; [Refuted] always carries a concrete simulation
+   mismatch. *)
+let replay_cex ~unsound ca cb tape =
+  match replay ca cb tape with
+  | Some m -> cex tape m
+  | None -> failwith ("Equiv.run: " ^ unsound)
+
+let replay_tape a b tape =
+  replay_cex (Aig.Compiled.compile a) (Aig.Compiled.compile b) tape
+    ~unsound:
+      "SAT counterexample failed to replay through the scalar simulator \
+       (encoder soundness bug)"
+
 let sim ~seed pi_a a b =
   let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
   let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
@@ -119,7 +133,8 @@ let sim ~seed pi_a a b =
   let pa = sorted_perm po_names_a and pb = sorted_perm po_names_b in
   let npo = Array.length pa in
   (* Packed pass for one run: 63 independent stimulus streams. Returns
-     the first (cycle, output slot, lane) where any lane diverges. *)
+     the lowest diverging lane of the first cycle and output slot where
+     any lane diverges. *)
   let packed_pass i =
     let st = Random.State.make [| seed; i |] in
     Aig.Compiled.reset sa;
@@ -139,8 +154,7 @@ let sim ~seed pi_a a b =
         let diff =
           Aig.Compiled.po sa pa.(!j) lxor Aig.Compiled.po sb pb.(!j)
         in
-        if diff <> 0 then
-          found := Some (!cycle, !j, Aig.Compiled.ctz diff);
+        if diff <> 0 then found := Some (Aig.Compiled.ctz diff);
         incr j
       done;
       incr cycle
@@ -162,18 +176,12 @@ let sim ~seed pi_a a b =
     else
       match packed_pass i with
       | None -> run_i (i + 1)
-      | Some (cycle, j, lane) ->
-        let tape = lane_tape i lane in
-        (match replay ca cb tape with
-         | Some m -> Some (cex tape m)
-         | None ->
-           (* Replay and packed kernel disagree — report the packed
-              evidence rather than mask it. *)
-           let got = Aig.Compiled.po sa pa.(j) lsr lane land 1 = 1 in
-           let m =
-             { cycle; output = po_names_a.(pa.(j)); got; expected = not got }
-           in
-           Some (cex tape m))
+      | Some lane ->
+        Some
+          (replay_cex ca cb (lane_tape i lane)
+             ~unsound:
+               "packed simulation mismatch failed to replay through the \
+                scalar simulator (kernel bug)")
   in
   match run_i 0 with
   | Some c -> Refuted c
@@ -221,17 +229,6 @@ let align_pairs pos_a pos_b =
   let pa = sorted_perm names_a and pb = sorted_perm names_b in
   List.init (Array.length pa) (fun k ->
       (names_a.(pa.(k)), lits_a.(pa.(k)), lits_b.(pb.(k))))
-
-(* A SAT witness that fails to replay means the CNF encoding is unsound —
-   reported loudly, not masked; [Refuted] always carries a concrete
-   simulation mismatch. *)
-let replay_tape a b tape =
-  match replay (Aig.Compiled.compile a) (Aig.Compiled.compile b) tape with
-  | Some m -> cex tape m
-  | None ->
-    failwith
-      "Equiv.run: SAT counterexample failed to replay through the \
-       scalar simulator (encoder soundness bug)"
 
 let latch_profile g =
   List.map

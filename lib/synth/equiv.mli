@@ -76,8 +76,8 @@ val run :
 (** [run engine a b] checks [a] against [b]; both graphs must have the same
     PI and PO names (latch sets may differ). [Refuted] always carries a
     tape that replays through the scalar simulator; [Failure] is raised if
-    a SAT model does not replay, or if BMC cannot reproduce a BDD
-    refutation — an engine soundness bug. [on_stats] receives the summed
+    a packed simulation mismatch or a SAT model does not replay, or if BMC
+    cannot reproduce a BDD refutation — an engine soundness bug. [on_stats] receives the summed
     solver statistics, once per call that used the solver: every [Sat]
     call and every [Bdd] refutation.
     @raise Invalid_argument if the interfaces differ. *)

@@ -5,23 +5,9 @@ let run_once g =
   let num_nodes = Aig.num_nodes g in
   let const = Array.make num_nodes (-1) in
   let rep = Array.make num_nodes (-1) in
-  (* Simulation-guided candidate filter: a latch observed leaving its
-     init value under packed random simulation can never satisfy the
-     constant criterion below (which implies the latch holds init on
-     every reachable trajectory), so the fixpoint skips it outright.
-     Everything the filter keeps is still verified exactly — simulation
-     only refutes, never proves. A couple of packed rounds cost
-     O(cycles * n) word ops and typically disqualify most latches; below
-     two latches they are skipped. Compilation fails when a next-state was
-     never set, and the fixpoint itself raises on those graphs anyway. *)
-  let may_be_const =
-    if Aig.num_latches g < 2 then fun _ -> true
-    else match Simsig.compute g with
-      | s -> Simsig.latch_may_be_const s
-      | exception Invalid_argument _ -> fun _ -> true
-  in
-  (* Fixpoint: which (non-config) latches are provably constant?
-     [memo.(n)] caches an And node's value as [const] does (-1 not
+  (* Fixpoint: which (non-config) latches are provably constant? The
+     answer is the least fixpoint, so latch order only decides in which
+     round a fold is found. [memo.(n)] caches an And node's value as [const] does (-1 not
      constant), with -2 for not yet evaluated; it is refilled each round,
      since [const] grows within one. *)
   let memo = Array.make num_nodes (-2) in
@@ -49,7 +35,7 @@ let run_once g =
     List.iter
       (fun n ->
         let _, init, _, is_config = Aig.latch_info g n in
-        if (not is_config) && may_be_const n && const.(n) < 0 then begin
+        if (not is_config) && const.(n) < 0 then begin
           let d = Aig.latch_next g n in
           (* A self-holding latch folds too. *)
           if d = Aig.lit_of_node n false || const_of_lit d = Bool.to_int init

@@ -360,36 +360,9 @@ let test_sweep_keeps_config () =
   let g' = Synth.Sweep.run g in
   Alcotest.(check int) "config latches survive" 16 (Aig.num_latches g')
 
-(* ---------------------------------------------------------------- simsig *)
-
-let test_simsig_latch_filter () =
-  (* A toggling latch leaves its init under simulation and must be
-     disqualified as a constant candidate; a self-holding latch never
-     moves and stays one. A non-latch node has no slot to ask about. *)
-  let g = Aig.create () in
-  let x = Aig.pi g "x" in
-  let t =
-    Aig.latch g "t" ~init:false ~reset:Rtl.Design.Sync_reset ~is_config:false
-  in
-  Aig.set_next g t (Aig.not_ t);
-  let h =
-    Aig.latch g "h" ~init:true ~reset:Rtl.Design.Sync_reset ~is_config:false
-  in
-  Aig.set_next g h h;
-  Aig.po g "o" (Aig.and_ g (Aig.and_ g t h) x);
-  let sigs = Synth.Simsig.compute g in
-  let t = Aig.node_of_lit t and h = Aig.node_of_lit h in
-  Alcotest.(check bool) "toggler disqualified" false
-    (Synth.Simsig.latch_may_be_const sigs t);
-  Alcotest.(check bool) "self-holder stays candidate" true
-    (Synth.Simsig.latch_may_be_const sigs h);
-  Alcotest.check_raises "a PI is not a latch"
-    (Invalid_argument "Simsig.latch_may_be_const: not a latch") (fun () ->
-      ignore (Synth.Simsig.latch_may_be_const sigs (Aig.node_of_lit x)))
-
-let test_sweep_simfilter_two_latches () =
-  (* Two latches puts Sweep.run on the signature-filtered path: the
-     self-holding constant still folds, the toggler survives. *)
+let test_sweep_holder_and_toggler () =
+  (* A self-holding latch folds to its init; a toggler next to it
+     survives. *)
   let g = Aig.create () in
   let x = Aig.pi g "x" in
   let c =
@@ -404,7 +377,33 @@ let test_sweep_simfilter_two_latches () =
   let g' = Synth.Sweep.run g in
   Alcotest.(check int) "constant folds, toggler survives" 1
     (Aig.num_latches g');
-  check_equiv "simfilter" g g'
+  check_equiv "holder and toggler" g g'
+
+let test_sweep_constant_chain () =
+  (* [b] is declared before [a] and reads it, so the fixpoint's first
+     round folds only [a] (next 0) and its second folds [b] (next a & x);
+     the toggler [t] survives. *)
+  let g = Aig.create () in
+  let x = Aig.pi g "x" in
+  let latch name =
+    Aig.latch g name ~init:false ~reset:Rtl.Design.Sync_reset ~is_config:false
+  in
+  let b = latch "b" in
+  let t = latch "t" in
+  let a = latch "a" in
+  let ax = Aig.and_ g a x in
+  Aig.set_next g b ax;
+  Aig.set_next g t (Aig.not_ t);
+  Aig.set_next g a Aig.false_;
+  Aig.po g "o" (Aig.or_ g (Aig.or_ g b t) ax);
+  let g' = Synth.Sweep.run g in
+  Alcotest.(check (list string)) "only the toggler survives" [ "t" ]
+    (List.map
+       (fun n ->
+         let name, _, _, _ = Aig.latch_info g' n in
+         name)
+       (Aig.latches g'));
+  check_equiv "constant chain" g g'
 
 (* ----------------------------------------------------------------- retime *)
 
@@ -1001,13 +1000,10 @@ let () =
           Alcotest.test_case "constant latch" `Quick test_sweep_constant_latch;
           Alcotest.test_case "duplicate latches" `Quick test_sweep_merges_duplicates;
           Alcotest.test_case "config exempt" `Quick test_sweep_keeps_config;
-          Alcotest.test_case "signature-filtered fixpoint" `Quick
-            test_sweep_simfilter_two_latches;
-        ] );
-      ( "simsig",
-        [
-          Alcotest.test_case "latch constancy filter" `Quick
-            test_simsig_latch_filter;
+          Alcotest.test_case "self-holder folds, toggler survives" `Quick
+            test_sweep_holder_and_toggler;
+          Alcotest.test_case "constant chain across rounds" `Quick
+            test_sweep_constant_chain;
         ] );
       ( "retime",
         [
