@@ -17,7 +17,14 @@ type t = {
   mutable names : string array;  (* PI names; "" otherwise *)
   mutable latch_recs : latch_record option array;
   mutable n : int;
-  strash : (int * int, int) Hashtbl.t;
+  (* Structural hash: open addressing with linear probing over the
+     packed key [(f0 lsl 31) lor f1] of an AND's ordered fanins, with
+     the node id in the same slot of [strash_ids]. A key is never 0
+     (f0 >= 2), so 0 marks an empty slot. The table holds at most half
+     as many ANDs as it has slots, [1 lsl strash_bits]. *)
+  mutable strash_keys : int array;
+  mutable strash_ids : int array;
+  mutable strash_bits : int;
   mutable pi_list : int list;      (* reversed *)
   mutable latch_list : int list;   (* reversed *)
   mutable po_list : (string * lit) list;  (* reversed *)
@@ -43,7 +50,7 @@ let node_of_lit l = l lsr 1
 let lit_of_node n c = (n lsl 1) lor (if c then 1 else 0)
 
 let create () =
-  let cap = 64 in
+  let cap = 64 (* = 1 lsl strash_bits *) in
   {
     kinds = Array.make cap Const;
     fan0 = Array.make cap 0;
@@ -51,7 +58,9 @@ let create () =
     names = Array.make cap "";
     latch_recs = Array.make cap None;
     n = 1;  (* node 0 is the constant *)
-    strash = Hashtbl.create 1024;
+    strash_keys = Array.make cap 0;
+    strash_ids = Array.make cap 0;
+    strash_bits = 6;
     pi_list = [];
     latch_list = [];
     po_list = [];
@@ -69,17 +78,21 @@ let create () =
 let grow t =
   let cap = Array.length t.kinds in
   if t.n >= cap then begin
-    let cap' = cap * 2 in
     let extend a fill = Array.append a (Array.make cap fill) in
     t.kinds <- extend t.kinds Const;
     t.fan0 <- extend t.fan0 0;
     t.fan1 <- extend t.fan1 0;
     t.names <- extend t.names "";
-    t.latch_recs <- extend t.latch_recs None;
-    ignore cap'
+    t.latch_recs <- extend t.latch_recs None
   end
 
+(* Node ids stay below 2^30, so a literal fits in 31 bits and the packed
+   strash key [(f0 lsl 31) lor f1] in 62. *)
+let max_nodes = 1 lsl 30
+
 let new_node t k =
+  if t.n >= max_nodes then
+    invalid_arg "Aig.new_node: graph exceeds 2^30 nodes (strash key bound)";
   grow t;
   let id = t.n in
   t.kinds.(id) <- k;
@@ -87,25 +100,25 @@ let new_node t k =
   id
 
 let pi t name =
+  if Hashtbl.mem t.by_pi_name name then
+    invalid_arg ("Aig.pi: duplicate input name " ^ name);
   let id = new_node t Pi in
   t.names.(id) <- name;
   t.pi_list <- id :: t.pi_list;
   t.n_pis <- t.n_pis + 1;
   t.pis_memo <- None;
-  if Hashtbl.mem t.by_pi_name name then
-    invalid_arg ("Aig.pi: duplicate input name " ^ name);
   Hashtbl.add t.by_pi_name name id;
   lit_of_node id false
 
 let latch t name ~init ~reset ~is_config =
+  if Hashtbl.mem t.by_latch_name name then
+    invalid_arg ("Aig.latch: duplicate latch name " ^ name);
   let id = new_node t Latch in
   t.latch_recs.(id) <-
     Some { lname = name; init; reset; is_config; next = None };
   t.latch_list <- id :: t.latch_list;
   t.n_latches <- t.n_latches + 1;
   t.latches_memo <- None;
-  if Hashtbl.mem t.by_latch_name name then
-    invalid_arg ("Aig.latch: duplicate latch name " ^ name);
   Hashtbl.add t.by_latch_name name id;
   lit_of_node id false
 
@@ -116,6 +129,32 @@ let set_next t q d =
   | None -> invalid_arg "Aig.set_next: not a latch"
   | Some r -> r.next <- Some d
 
+(* Index of [key]'s slot in [t]'s strash, or of the empty slot where it
+   would go. The first probe is the top [strash_bits] bits of a
+   multiplicative hash. [probe_from] is closed (no closure per call). *)
+let rec probe_from keys key i =
+  let k = Array.unsafe_get keys i in
+  if k = key || k = 0 then i
+  else probe_from keys key ((i + 1) land (Array.length keys - 1))
+
+let probe t key =
+  probe_from t.strash_keys key ((key * 0x1f3d5b79a3c4e1d7) lsr (63 - t.strash_bits))
+
+let strash_grow t =
+  let keys = t.strash_keys and ids = t.strash_ids in
+  let cap = 2 * Array.length keys in
+  t.strash_keys <- Array.make cap 0;
+  t.strash_ids <- Array.make cap 0;
+  t.strash_bits <- t.strash_bits + 1;
+  Array.iteri
+    (fun i key ->
+      if key <> 0 then begin
+        let j = probe t key in
+        t.strash_keys.(j) <- key;
+        t.strash_ids.(j) <- ids.(i)
+      end)
+    keys
+
 let and_ t a b =
   let a, b = if a <= b then (a, b) else (b, a) in
   if a = false_ then false_
@@ -123,15 +162,19 @@ let and_ t a b =
   else if a = b then a
   else if a = not_ b then false_
   else begin
-    match Hashtbl.find_opt t.strash (a, b) with
-    | Some id -> lit_of_node id false
-    | None ->
+    let key = (a lsl 31) lor b in
+    let i = probe t key in
+    if t.strash_keys.(i) = key then lit_of_node t.strash_ids.(i) false
+    else begin
       let id = new_node t And in
       t.fan0.(id) <- a;
       t.fan1.(id) <- b;
       t.n_ands <- t.n_ands + 1;
-      Hashtbl.add t.strash (a, b) id;
+      t.strash_keys.(i) <- key;
+      t.strash_ids.(i) <- id;
+      if 2 * t.n_ands > Array.length t.strash_keys then strash_grow t;
       lit_of_node id false
+    end
   end
 
 let or_ t a b = not_ (and_ t (not_ a) (not_ b))

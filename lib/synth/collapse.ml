@@ -20,26 +20,45 @@ let leaf_patterns k =
    assignment, packed into int limbs. [values] is indexed by node id and
    shared by every group of a pass: a group writes its leaves and nodes
    before it reads them, and reads nothing else. Leaf [j] takes
-   [patterns.(j)] itself: nothing writes into a leaf's array. *)
+   [patterns.(j)] itself: nothing writes into a leaf's array. A fanin
+   reads its node's limbs XORed with its complement mask (all ones when
+   complemented), so no complemented copy is made; the bits above a
+   window's patterns are never read. *)
 let window_sim g values (patterns : int array array) (leaves : int array)
-    (nodes : int list) =
+    (nodes : int array) =
   let nlimbs = limbs (Array.length leaves) in
   Array.iteri (fun j n -> values.(n) <- patterns.(j)) leaves;
-  let value_of_lit l =
+  let zeros = Array.make nlimbs 0 in
+  let limbs_of l =
     let n = Aig.node_of_lit l in
-    let arr = if n = 0 then Array.make nlimbs 0 else values.(n) in
-    if Aig.is_complemented l then Array.map lnot arr else arr
+    if n = 0 then zeros else values.(n)
   in
-  List.iter
+  let mask l = if Aig.is_complemented l then -1 else 0 in
+  Array.iter
     (fun n ->
       let f0, f1 = Aig.fanins g n in
-      let a = value_of_lit f0 and b = value_of_lit f1 in
-      values.(n) <- Array.init nlimbs (fun i -> a.(i) land b.(i)))
-    nodes;
-  fun l ->
-    let arr = value_of_lit l in
-    fun i ->
-      arr.(i / bits_per_limb) lsr (i mod bits_per_limb) land 1 = 1
+      let a = limbs_of f0 and ma = mask f0 in
+      let b = limbs_of f1 and mb = mask f1 in
+      let v = Array.make nlimbs 0 in
+      for i = 0 to nlimbs - 1 do
+        v.(i) <- (a.(i) lxor ma) land (b.(i) lxor mb)
+      done;
+      values.(n) <- v)
+    nodes
+
+(* The window signature of root node [rn] after {!window_sim}: byte [m]
+   is 2 where assignment [m] is a don't-care, else [rn]'s value there. *)
+let signature values dc k rn =
+  let v = values.(rn) in
+  let s = Bytes.create (1 lsl k) in
+  for m = 0 to (1 lsl k) - 1 do
+    Bytes.unsafe_set s m
+      (if dc m then '\002'
+       else if v.(m / bits_per_limb) lsr (m mod bits_per_limb) land 1 = 1 then
+         '\001'
+       else '\000')
+  done;
+  s
 
 (* Don't-care predicate from annotations fully contained in the leaf set:
    an assignment is DC when some annotated vector takes a disallowed value. *)
@@ -134,24 +153,25 @@ let sop_build ng leaf_lit (cover : Twolevel.Cover.t) =
   Aig.or_list ng (List.map cube_lit cover.Twolevel.Cover.cubes)
 
 (* Exclusive (MFFC-approximate) size of a node set: members all of whose
-   fanout stays inside the set, plus the root nodes themselves. [uses] is
-   indexed by node id, all zero on entry, and zero again on return. *)
-let exclusive_count g fanout uses root_nodes nodes =
+   fanout stays inside the set, plus the root nodes themselves ([is_root]).
+   [uses] is indexed by node id, all zero on entry, and zero again on
+   return. *)
+let exclusive_count g fanout uses is_root nodes =
   let update_fanins f n =
     let f0, f1 = Aig.fanins g n in
     let n0 = Aig.node_of_lit f0 and n1 = Aig.node_of_lit f1 in
     uses.(n0) <- f uses.(n0);
     uses.(n1) <- f uses.(n1)
   in
-  List.iter (update_fanins succ) nodes;
+  Array.iter (update_fanins succ) nodes;
   let count =
-    List.fold_left
+    Array.fold_left
       (fun acc n ->
-        if List.mem n root_nodes || fanout.(n) <= uses.(n) then acc + 1
+        if is_root n || fanout.(n) <= uses.(n) then acc + 1
         else acc)
       0 nodes
   in
-  List.iter (update_fanins (fun _ -> 0)) nodes;
+  Array.iter (update_fanins (fun _ -> 0)) nodes;
   count
 
 (* A root function's two-level analysis, keyed by its window signature
@@ -240,7 +260,14 @@ let memo_analysis memo k signature =
     Obs.Metrics.incr (if inserted then espresso_calls else memo_hits);
     a
 
+(* A window of [k] leaves is a dense table of [2^k] assignments, and
+   [Twolevel.Truthfn] holds at most 16 variables. *)
+let max_cap = 16
+
 let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
+  if cap < 0 || cap > max_cap then
+    invalid_arg
+      (Printf.sprintf "Collapse.run: cap %d outside 0..%d" cap max_cap);
   (* Generated designs repeat one block per bit-slice, so thousands of
      groups compute the same few truth functions. The packed window
      simulation gives each root an exact signature (its dense
@@ -257,12 +284,19 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
   let values = Array.make (Aig.num_nodes g) [||] in
   (* [patterns.(k)] holds the leaf patterns of a [k]-leaf window, built
      on first use and shared by every group of that size. *)
-  let patterns = Array.make (max cap 0 + 1) [||] in
+  let patterns = Array.make (cap + 1) [||] in
   let patterns_of k =
     if Array.length patterns.(k) = 0 then patterns.(k) <- leaf_patterns k;
     patterns.(k)
   in
   let uses = Array.make (Aig.num_nodes g) 0 in
+  (* Per-group marks indexed by node id: a node is in the current group's
+     union iff [in_union.(n) = !stamp], and one of its roots iff
+     [is_member.(n) = !stamp]. The union is gathered in [union_buf]. *)
+  let in_union = Array.make (Aig.num_nodes g) 0 in
+  let is_member = Array.make (Aig.num_nodes g) 0 in
+  let stamp = ref 0 in
+  let union_buf = Array.make (Aig.num_nodes g) 0 in
   let leaf_lit leaves j = copy (Aig.lit_of_node leaves.(j) false) in
   (* Gather all combinational roots (in processing order). *)
   let all_roots =
@@ -270,7 +304,7 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
     @ List.map (fun n -> Aig.latch_next g n) (Aig.latches g)
   in
   let root_nodes =
-    List.sort_uniq Stdlib.compare (List.map Aig.node_of_lit all_roots)
+    List.sort_uniq Int.compare (List.map Aig.node_of_lit all_roots)
     |> List.filter (fun n -> Aig.kind g n = Aig.And)
   in
   (* Group collapsible roots by their (canonically ordered) leaf set so the
@@ -279,7 +313,7 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
      illusion once each consumer is considered alone. A cone walk stops at
      leaf [cap + 1]: wider roots are only copied. *)
   let cone = Aig.bounded_cone g ~cap in
-  let root_cones = Hashtbl.create 64 in
+  let root_cones = Array.make (Aig.num_nodes g) [] in
   let groups : (int list, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let group_order = ref [] in
   List.iter
@@ -287,8 +321,8 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
       match cone rn with
       | None | Some ([], _) -> ()
       | Some (leaves, nodes) ->
-        let key = List.sort Stdlib.compare leaves in
-        Hashtbl.replace root_cones rn nodes;
+        let key = List.sort Int.compare leaves in
+        root_cones.(rn) <- nodes;
         (match Hashtbl.find_opt groups key with
          | Some l -> l := rn :: !l
          | None ->
@@ -300,20 +334,30 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
     let members = List.rev !(Hashtbl.find groups key) in
     let leaves = Array.of_list key in
     let k = Array.length leaves in
+    incr stamp;
+    let s = !stamp in
+    (* The members' cone nodes, each once, in increasing id order. *)
     let union_nodes =
-      List.sort_uniq Stdlib.compare
-        (List.concat_map (Hashtbl.find root_cones) members)
+      let len = ref 0 in
+      List.iter
+        (fun rn ->
+          is_member.(rn) <- s;
+          List.iter
+            (fun n ->
+              if in_union.(n) <> s then begin
+                in_union.(n) <- s;
+                union_buf.(!len) <- n;
+                incr len
+              end)
+            root_cones.(rn))
+        members;
+      let u = Array.sub union_buf 0 !len in
+      Array.stable_sort Int.compare u;
+      u
     in
-    let read = window_sim g values (patterns_of k) leaves union_nodes in
+    window_sim g values (patterns_of k) leaves union_nodes;
     let dc = constraint_dc annots leaves in
-    let analyze rn =
-      let read_root = read (Aig.lit_of_node rn false) in
-      let signature =
-        Bytes.init (1 lsl k) (fun m ->
-            if dc m then '\002' else if read_root m then '\001' else '\000')
-      in
-      (rn, memo_analysis memo k signature)
-    in
+    let analyze rn = (rn, memo_analysis memo k (signature values dc k rn)) in
     let analyzed = List.map analyze members in
     (* Exact candidate costs: build each candidate into a private scratch
        graph (with the window variables as inputs) and count strash-shared
@@ -356,7 +400,9 @@ let run ?(cap = 14) ?(memo = create_memo ()) ~annots g =
           (memo_add memo memo.costs costs_key
              (total_sop, total_tree, total_tree0))
     in
-    let cost_old = exclusive_count g fanout uses members union_nodes in
+    let cost_old =
+      exclusive_count g fanout uses (fun n -> is_member.(n) = s) union_nodes
+    in
     let best = min total_sop (min total_tree total_tree0) in
     if best < cost_old then begin
       if best = total_sop then

@@ -35,5 +35,7 @@ type memo
 val create_memo : unit -> memo
 
 val run : ?cap:int -> ?memo:memo -> annots:Annots.t list -> Aig.t -> Aig.t
-(** [cap] defaults to 14 (the dense truth-table window limit); [memo]
-    defaults to a fresh one. *)
+(** [cap] is the widest window, in leaves; it defaults to 14, and a cap
+    outside [0 .. 16] (16 is the dense truth-table limit of
+    {!Twolevel.Truthfn}) raises [Invalid_argument]. [memo] defaults to a
+    fresh one. *)

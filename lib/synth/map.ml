@@ -124,12 +124,14 @@ type instance = {
 let run_full ?(complex_cells = true) lib g =
   let patterns, covered = detect_patterns ~complex_cells g in
   let instances : (int, instance) Hashtbl.t = Hashtbl.create 256 in
-  (* Pin-level phase needs per node: (pos, neg) pair of bools. *)
-  let need_pos = Hashtbl.create 256 and need_neg = Hashtbl.create 256 in
+  let num_nodes = Aig.num_nodes g in
+  (* Pin-level phase needs per node id: is the positive (negative) phase
+     consumed somewhere? *)
+  let need_pos = Array.make num_nodes false
+  and need_neg = Array.make num_nodes false in
   let need l =
     let n = Aig.node_of_lit l in
-    if n <> 0 then
-      Hashtbl.replace (if Aig.is_complemented l then need_neg else need_pos) n ()
+    if n <> 0 then (if Aig.is_complemented l then need_neg else need_pos).(n) <- true
   in
   let pin_needs n =
     match patterns.(n) with
@@ -155,7 +157,7 @@ let run_full ?(complex_cells = true) lib g =
         need f0; need f1
       end
   in
-  for n = 1 to Aig.num_nodes g - 1 do
+  for n = 1 to num_nodes - 1 do
     if Aig.kind g n = Aig.And && not covered.(n) then pin_needs n
   done;
   List.iter (fun (_, l) -> need l) (Aig.pos g);
@@ -169,33 +171,34 @@ let run_full ?(complex_cells = true) lib g =
     Hashtbl.replace counts name (1 + Option.value ~default:0 (Hashtbl.find_opt counts name));
     c
   in
-  (* produced.(n) = Some true when the emitted cell outputs the positive
-     phase, Some false for negative. PIs and latches produce positive. *)
-  let produced : (int, bool) Hashtbl.t = Hashtbl.create 256 in
-  let arrival : (int, float) Hashtbl.t = Hashtbl.create 256 in
+  (* Indexed by node id: [driven.(n)] when a PI, latch or emitted cell
+     drives node [n]; [produced_pos.(n)] when that PI, latch or cell
+     outputs the positive phase (PIs and latches do; so does every
+     undriven node);
+     [arrival.(n)] its output arrival, 0 when undriven. *)
+  let driven = Array.make num_nodes false in
+  let produced_pos = Array.make num_nodes true in
+  let arrival = Array.make num_nodes 0.0 in
   let inv = Cells.Library.find lib "INV" in
   let flop_arrival n =
     let _, _, reset, _ = Aig.latch_info g n in
     (Cells.Library.flop lib reset).Cells.Cell.delay
   in
   let pin_arrival source_node want_pos =
-    let base = Option.value ~default:0.0 (Hashtbl.find_opt arrival source_node) in
-    let prod = Option.value ~default:true (Hashtbl.find_opt produced source_node) in
-    if prod = want_pos then base else base +. inv.Cells.Cell.delay
+    let base = arrival.(source_node) in
+    if produced_pos.(source_node) = want_pos then base
+    else base +. inv.Cells.Cell.delay
   in
-  let wants n = (Hashtbl.mem need_pos n, Hashtbl.mem need_neg n) in
-  for n = 1 to Aig.num_nodes g - 1 do
+  for n = 1 to num_nodes - 1 do
     match Aig.kind g n with
     | Aig.Const -> ()
-    | Aig.Pi ->
-      Hashtbl.replace produced n true;
-      Hashtbl.replace arrival n 0.0
+    | Aig.Pi -> driven.(n) <- true
     | Aig.Latch ->
-      Hashtbl.replace produced n true;
-      Hashtbl.replace arrival n (flop_arrival n)
+      driven.(n) <- true;
+      arrival.(n) <- flop_arrival n
     | Aig.And ->
       if not covered.(n) then begin
-        let p, ng_ = wants n in
+        let p = need_pos.(n) and ng_ = need_neg.(n) in
         let prefer_pos = p || not ng_ in
         let cell, out_pos, pins =
           match patterns.(n) with
@@ -259,27 +262,22 @@ let run_full ?(complex_cells = true) lib g =
             (fun acc (src, want_pos) -> Float.max acc (pin_arrival src want_pos))
             0.0 pins
         in
-        Hashtbl.replace produced n out_pos;
+        driven.(n) <- true;
+        produced_pos.(n) <- out_pos;
         Hashtbl.replace instances n
           { inst_cell = cell; out_positive = out_pos; pins };
-        Hashtbl.replace arrival n (arr +. cell.Cells.Cell.delay);
+        arrival.(n) <- arr +. cell.Cells.Cell.delay;
         (* Record which phases the pins actually consume (for INV count). *)
         List.iter
           (fun (src, want_pos) ->
-            if src <> 0 then
-              Hashtbl.replace (if want_pos then need_pos else need_neg) src ())
+            if src <> 0 then (if want_pos then need_pos else need_neg).(src) <- true)
           pins
       end
   done;
   (* Shared inverters: one per node phase that is needed but not produced. *)
-  for n = 1 to Aig.num_nodes g - 1 do
-    if Hashtbl.mem produced n then begin
-      let prod = Hashtbl.find produced n in
-      let needs_other =
-        if prod then Hashtbl.mem need_neg n else Hashtbl.mem need_pos n
-      in
-      if needs_other then ignore (emit "INV")
-    end
+  for n = 1 to num_nodes - 1 do
+    if driven.(n) && (if produced_pos.(n) then need_neg.(n) else need_pos.(n))
+    then ignore (emit "INV")
   done;
   (* Sequential area. *)
   let seq_area = ref 0.0 in

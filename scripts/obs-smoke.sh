@@ -6,6 +6,8 @@
 # trace must be valid enough to carry pass spans and the metrics snapshot,
 # and the --metrics counter/gauge table must read the same at -j 1 as at
 # -j 2. The span table must carry the flow.compile and power.estimate rows.
+# The counter/gauge rows and the span name/count columns of the -j 1 run
+# must match test/golden/quick.metrics; span seconds are not pinned.
 # An intentional change to a figure regenerates the golden with
 # scripts/regen-golden.sh, and the diff is reviewed like source. Leaves
 # trace.json in the repo root for CI to upload as an artifact.
@@ -52,8 +54,16 @@ if [ "$(metric_rows "$err" | grep -c '^synth\.collapse\.')" -lt 2 ] ||
   echo "error: metrics table differs between -j 2 and -j 1" >&2
   exit 1
 fi
+# Keep this awk in step with the one in scripts/regen-golden.sh.
+pinned_rows() {
+  awk '/^metric /{on=1} /^span /{on=2} on==1 {print} on==2 {print $1, $2}' "$1"
+}
+if ! diff -u test/golden/quick.metrics <(pinned_rows "$serial_err"); then
+  echo "error: quick metrics differ from test/golden/quick.metrics" >&2
+  exit 1
+fi
 grep -qE '^span +count +total s +self s' "$err"
 grep -qE '^flow\.compile ' "$err"
 # Fig. 9's activity estimates are attributed time of their own.
 grep -qE '^power\.estimate ' "$err"
-echo "observability smoke OK: stdout matches the golden, trace.json valid, metrics equal at -j 1 and -j 2"
+echo "observability smoke OK: stdout and metrics match the goldens, trace.json valid, metrics equal at -j 1 and -j 2"

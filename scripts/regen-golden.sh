@@ -2,8 +2,9 @@
 # Regenerate the golden fixtures under test/golden/ (Verilog pretty-printer,
 # VCD writer, design s-expression writer, the BDD-check and SAT-check
 # fingerprints, Espresso's cube lists, the digests of the bound designs,
-# the structural digests of every synthesis pass's output and the `bench
-# quick` and `bench all` figure tables).
+# the structural digests and mapper reports of every synthesis pass's
+# output, the `bench quick` and `bench all` figure tables, and the `bench
+# quick` counter/gauge rows with the span name/count columns).
 # Run after an intentional emitter or figure change, then review the diff
 # like any other source change.
 set -euo pipefail
@@ -24,5 +25,9 @@ GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_twolevel.exe test g
   GOLDEN_REGEN="$(pwd)/../../../test/golden" ./test_core.exe test golden)
 ./_build/default/bench/main.exe quick -j 2 --no-cache > test/golden/quick.stdout
 ./_build/default/bench/main.exe all -j 2 --no-cache > test/golden/all.stdout
+# Keep this awk in step with pinned_rows in scripts/obs-smoke.sh.
+./_build/default/bench/main.exe quick -j 1 --no-cache --metrics 2>&1 >/dev/null |
+  awk '/^metric /{on=1} /^span /{on=2} on==1 {print} on==2 {print $1, $2}' \
+    > test/golden/quick.metrics
 echo "regenerated:"
 ls -1 test/golden | sed 's/^/  test\/golden\//'

@@ -61,6 +61,29 @@ let test_latches () =
   Alcotest.(check bool) "not config" false is_config;
   Alcotest.(check bool) "find_latch" true (Aig.find_latch g "q" = Some (Aig.node_of_lit q))
 
+(* A rejected duplicate name must leave the graph as it was: no stray
+   node, input or latch, and a graph that still compiles. *)
+let test_duplicate_names_rejected () =
+  let g = Aig.create () in
+  let a = Aig.pi g "a" in
+  let q = Aig.latch g "q" ~init:false ~reset:Rtl.Design.No_reset ~is_config:false in
+  Aig.set_next g q (Aig.and_ g a q);
+  let counts () =
+    ( Aig.num_nodes g, Aig.num_pis g, Aig.num_latches g, Aig.num_ands g,
+      List.length (Aig.pis g), List.length (Aig.latches g) )
+  in
+  let before = counts () in
+  Alcotest.check_raises "duplicate input"
+    (Invalid_argument "Aig.pi: duplicate input name a") (fun () ->
+      ignore (Aig.pi g "a"));
+  Alcotest.check_raises "duplicate latch"
+    (Invalid_argument "Aig.latch: duplicate latch name q") (fun () ->
+      ignore
+        (Aig.latch g "q" ~init:true ~reset:Rtl.Design.No_reset
+           ~is_config:false));
+  Alcotest.(check bool) "counts unchanged" true (counts () = before);
+  ignore (Aig.Compiled.compile g)
+
 let test_cone () =
   let g = Aig.create () in
   let a = Aig.pi g "a" and b = Aig.pi g "b" and c = Aig.pi g "c" in
@@ -271,6 +294,102 @@ let prop_packed_matches_eval_all =
           packed_matches_eval_all ~cycles:8 ~seed
             (lower (Workload.Rand_design.generate ~seed))))
 
+(* The structural hash as it was before the packed-key table: a
+   tuple-keyed [Hashtbl] from ordered fanins to node ids, ids assigned in
+   creation order, and [Aig.and_]'s simplification rules. [or_], [xor_]
+   and [mux_] are spelled as in lib/aig/graph.ml. *)
+module Tuple_strash = struct
+  type t = {
+    strash : (int * int, int) Hashtbl.t;
+    fanins : (int, int * int) Hashtbl.t;
+    mutable n : int;
+  }
+
+  let create () = { strash = Hashtbl.create 1024; fanins = Hashtbl.create 64; n = 1 }
+
+  let pi t =
+    let id = t.n in
+    t.n <- id + 1;
+    2 * id
+
+  let not_ l = l lxor 1
+
+  let and_ t a b =
+    let a, b = if a <= b then (a, b) else (b, a) in
+    if a = 0 then 0
+    else if a = 1 then b
+    else if a = b then a
+    else if a = not_ b then 0
+    else
+      match Hashtbl.find_opt t.strash (a, b) with
+      | Some id -> 2 * id
+      | None ->
+        let id = t.n in
+        t.n <- id + 1;
+        Hashtbl.add t.strash (a, b) id;
+        Hashtbl.add t.fanins id (a, b);
+        2 * id
+
+  let or_ t a b = not_ (and_ t (not_ a) (not_ b))
+  let xor_ t a b = or_ t (and_ t a (not_ b)) (and_ t (not_ a) b)
+  let mux_ t s a b = or_ t (and_ t s a) (and_ t (not_ s) b)
+end
+
+(* Random [and_]/[or_]/[xor_]/[mux_] sequences over constants, inputs and
+   earlier results, each operand complemented at random, build the same
+   node ids, fanins and AND count in [Aig] as in the oracle. 3,000 steps
+   make 3k-6k ANDs, so the table grows from 64 slots to 8,192 or more. *)
+let prop_strash_matches_oracle =
+  Prop.test ~iters:30 "strash = tuple Hashtbl oracle" (Prop.int 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let g = Aig.create () and o = Tuple_strash.create () in
+      let pool = Array.make 3010 0 and size = ref 0 in
+      let push l =
+        pool.(!size) <- l;
+        incr size
+      in
+      push 0;
+      push 1;
+      for i = 0 to 5 do
+        let l = (Aig.pi g (Printf.sprintf "x%d" i) :> int) in
+        if l <> Tuple_strash.pi o then Alcotest.fail "input ids differ";
+        push l
+      done;
+      let operand () =
+        (* Favour recent results so deep chains and repeats both occur. *)
+        let i =
+          if Random.State.bool rng then Random.State.int rng !size
+          else max 0 (!size - 1 - Random.State.int rng 8)
+        in
+        pool.(i) lxor Random.State.int rng 2
+      in
+      let lit l = Aig.lit_of_node (l lsr 1) (l land 1 = 1) in
+      let ok = ref true in
+      for _ = 1 to 3000 do
+        let a = operand () and b = operand () and c = operand () in
+        let got, want =
+          match Random.State.int rng 4 with
+          | 0 -> (Aig.and_ g (lit a) (lit b), Tuple_strash.and_ o a b)
+          | 1 -> (Aig.or_ g (lit a) (lit b), Tuple_strash.or_ o a b)
+          | 2 -> (Aig.xor_ g (lit a) (lit b), Tuple_strash.xor_ o a b)
+          | _ -> (Aig.mux_ g (lit a) (lit b) (lit c), Tuple_strash.mux_ o a b c)
+        in
+        if (got :> int) <> want then ok := false;
+        push want
+      done;
+      (* Same fanins per node, and every AND, asked for again by its
+         fanins, is found rather than re-made. *)
+      !ok
+      && Aig.num_nodes g = o.Tuple_strash.n
+      && Aig.num_ands g = Hashtbl.length o.Tuple_strash.fanins
+      && Hashtbl.fold
+           (fun id (a, b) acc ->
+             let f0, f1 = Aig.fanins g id in
+             acc && (f0 :> int) = a && (f1 :> int) = b
+             && Aig.and_ g f0 f1 = Aig.lit_of_node id false)
+           o.Tuple_strash.fanins true)
+
 let prop_strash_never_duplicates =
   (* Random construction: building the same expression twice yields the
      same literal, and the node count does not grow. *)
@@ -307,6 +426,8 @@ let () =
           Alcotest.test_case "gate semantics" `Quick test_gates_semantics;
           Alcotest.test_case "balanced reduction" `Quick test_and_list_balanced;
           Alcotest.test_case "latches" `Quick test_latches;
+          Alcotest.test_case "duplicate names leave no trace" `Quick
+            test_duplicate_names_rejected;
           Alcotest.test_case "cones" `Quick test_cone;
           Alcotest.test_case "fanout counts" `Quick test_fanout;
           Alcotest.test_case "structural equality" `Quick test_equal;
@@ -318,5 +439,5 @@ let () =
           Alcotest.test_case "per-lane forces" `Quick test_compiled_force;
           prop_packed_matches_eval_all;
         ] );
-      ("properties", [ prop_strash_never_duplicates ]);
+      ("properties", [ prop_strash_never_duplicates; prop_strash_matches_oracle ]);
     ]

@@ -206,6 +206,30 @@ let test_collapse_preserves () =
   | Some m ->
     Alcotest.failf "t256x64_s2: mismatch at cycle %d on %s" m.cycle m.output
 
+(* The window cap is checked at entry: 0 and 16 (the dense truth-table
+   limit) run, -1 and 17 raise before any window is simulated. *)
+let test_collapse_cap_range () =
+  let fsm =
+    Workload.Rand_fsm.generate ~seed:13 ~num_inputs:3 ~num_outputs:6 ~num_states:7
+  in
+  let g =
+    (Synth.Lower.run
+       (Synth.Partial_eval.bind_tables
+          (Core.Fsm_ir.to_flexible_rtl fsm)
+          (Core.Fsm_ir.config_bindings fsm)))
+      .Synth.Lower.aig
+  in
+  List.iter
+    (fun cap -> check_equiv "collapse" g (Synth.Collapse.run ~cap ~annots:[] g))
+    [ 0; 16 ];
+  List.iter
+    (fun cap ->
+      Alcotest.check_raises (Printf.sprintf "cap %d" cap)
+        (Invalid_argument
+           (Printf.sprintf "Collapse.run: cap %d outside 0..16" cap))
+        (fun () -> ignore (Synth.Collapse.run ~cap ~annots:[] g)))
+    [ -1; 17 ]
+
 let test_collapse_with_constraints () =
   (* out = (y == 3) with y annotated to {0,1}: must fold to constant 0. *)
   let b = Rtl.Builder.create "con" in
@@ -914,12 +938,39 @@ let test_symbolic_golden () = Golden.check "symbolic.txt" (symbolic_fingerprint 
    the figures' three configurations. A pass that creates the same nodes
    in another order changes a digest here even when no area moves. PCtrl
    runs the default flow only: the single passes cost 12-57 s per PCtrl
-   design. *)
+   design.
 
-let passes_fingerprint () =
-  let b = Buffer.create 16384 in
+   The same walk fills test/golden/map.txt: the {!Synth.Map.run_full}
+   report of every graph, floats as [%h], with the instance count and an
+   MD5 over the instance table in its iteration order (the order
+   [Power.estimate] sums in). *)
+
+let map_row b name what g =
+  let r, instances = Synth.Map.run_full lib g in
+  let order = Buffer.create 4096 in
+  Hashtbl.iter
+    (fun n (i : Synth.Map.instance) ->
+      Printf.bprintf order "%d:%s,%b" n i.Synth.Map.inst_cell.Cells.Cell.cname
+        i.Synth.Map.out_positive;
+      List.iter (fun (src, pos) -> Printf.bprintf order ",%d%b" src pos)
+        i.Synth.Map.pins;
+      Buffer.add_char order ';')
+    instances;
+  Printf.bprintf b "%s %s: comb=%h seq=%h crit=%h flops=%d config=%d \
+                    instances=%d order=%s cells=%s\n"
+    name what r.Synth.Map.comb_area r.Synth.Map.seq_area
+    r.Synth.Map.critical_delay r.Synth.Map.num_flops r.Synth.Map.config_bits
+    (Hashtbl.length instances)
+    (Digest.to_hex (Digest.string (Buffer.contents order)))
+    (String.concat " "
+       (List.map (fun (c, k) -> Printf.sprintf "%s:%d" c k)
+          r.Synth.Map.cell_counts))
+
+let passes_fingerprints () =
+  let b = Buffer.create 16384 and m = Buffer.create 16384 in
   let row name what g =
-    Printf.bprintf b "%s %s: %s\n" name what (Aig_util.structural_digest g)
+    Printf.bprintf b "%s %s: %s\n" name what (Aig_util.structural_digest g);
+    map_row m name what g
   in
   let flow name (fname, options) d =
     row name ("flow " ^ fname) (Synth.Flow.compile ~options lib d).Synth.Flow.aig
@@ -971,9 +1022,12 @@ let passes_fingerprint () =
       flow ("pctrl auto " ^ mname) (List.hd flows)
         (Pctrl.Controller.auto_design mode))
     [ ("cached", Pctrl.Controller.Cached); ("uncached", Pctrl.Controller.Uncached) ];
-  Buffer.contents b
+  (Buffer.contents b, Buffer.contents m)
 
-let test_passes_golden () = Golden.check "passes.txt" (passes_fingerprint ())
+let fingerprints = lazy (passes_fingerprints ())
+
+let test_passes_golden () = Golden.check "passes.txt" (fst (Lazy.force fingerprints))
+let test_map_golden () = Golden.check "map.txt" (snd (Lazy.force fingerprints))
 
 let () =
   Alcotest.run "synth"
@@ -991,6 +1045,7 @@ let () =
         [
           Alcotest.test_case "preserves behaviour" `Quick test_collapse_preserves;
           Alcotest.test_case "exploits value-set DCs" `Quick test_collapse_with_constraints;
+          Alcotest.test_case "cap range" `Quick test_collapse_cap_range;
           Alcotest.test_case "shared memo = fresh memo" `Quick
             test_collapse_shared_memo;
           prop_bounded_cone;
@@ -1041,5 +1096,9 @@ let () =
           Alcotest.test_case "fixpoint skip is transparent" `Quick
             test_flow_fixpoint_skip_transparent;
         ] );
-      ("passes", [ Alcotest.test_case "golden digests" `Quick test_passes_golden ]);
+      ( "passes",
+        [
+          Alcotest.test_case "golden digests" `Quick test_passes_golden;
+          Alcotest.test_case "mapper golden" `Quick test_map_golden;
+        ] );
     ]
