@@ -31,10 +31,10 @@ let map ~jobs ~key ~settled ~settle f items =
   List.iteri (fun i (k, _) -> settle k results.(i)) fresh;
   List.map (function `Settled b -> Ok b | `Fresh i -> results.(i)) plan
 
-let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
-    items =
-  (* A resumed payload that no longer decodes (foreign or corrupt journal)
-     is recomputed rather than trusted; a resumed error stays an error. *)
+(* The settle rule for journaled items, keyed by the first entry per key:
+   a payload that no longer decodes (foreign or corrupt journal) is
+   recomputed rather than trusted; a resumed error stays an error. *)
+let resumed_table ~codec resume =
   let resumed = Hashtbl.create 64 in
   List.iter
     (fun (e : Journal.entry) ->
@@ -45,6 +45,17 @@ let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
              (match codec.decode enc with Ok b -> Some (Ok b) | Error _ -> None)
            | Error m -> Some (Error m)))
     resume;
+  resumed
+
+let pending ~key ~codec resume items =
+  let resumed = resumed_table ~codec resume in
+  List.filter
+    (fun x -> Option.is_none (Option.join (Hashtbl.find_opt resumed (key x))))
+    items
+
+let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
+    items =
+  let resumed = resumed_table ~codec resume in
   let settled k = Option.join (Hashtbl.find_opt resumed k) in
   let flatten = function Ok r -> r | Error e -> Error (Pool.error_message e) in
   let journaled = ref 0 in

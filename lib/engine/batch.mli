@@ -56,3 +56,15 @@ val run :
     - [on_checkpoint]: called after each newly journaled item with the
       count of items journaled by this run — the hook crash-injection
       tests use to die at a deterministic point. *)
+
+val pending :
+  key:('a -> string) ->
+  codec:'b codec ->
+  Journal.entry list ->
+  'a list ->
+  'a list
+(** [pending ~key ~codec resume items] is the items, in order, that
+    [run ~resume] would run rather than settle from the journal: those
+    whose key has no entry, or whose first entry is an [Ok] payload that
+    fails to decode. A client that precomputes work for a batch (the
+    fault campaign's packed stuck-at pass) covers exactly these. *)

@@ -11,7 +11,7 @@ let isolated f x =
     let backtrace = Printexc.get_backtrace () in
     Error (Exn { exn = Printexc.to_string e; backtrace })
 
-let map ?(jobs = 1) f = function
+let map ~jobs f = function
   | [] -> []
   | xs ->
     let items = Array.of_list xs in

@@ -11,8 +11,7 @@ type error =
 
 val error_message : error -> string
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, error) result list
+val map : jobs:int -> ('a -> 'b) -> 'a list -> ('b, error) result list
 (** [map ~jobs f xs] runs [f] over [xs] on [min jobs (length xs)] workers,
     the calling domain being one of them; each worker claims the next
-    unclaimed index until none is left. [jobs <= 1] (the default) spawns
-    no domain. *)
+    unclaimed index until none is left. [jobs <= 1] spawns no domain. *)

@@ -51,7 +51,7 @@ let twolevel () =
         List.map
           (fun seed ->
             let tf = random_fn nvars seed in
-            let qm, tq = time (fun () -> Twolevel.Qm.minimize ~exact:true tf) in
+            let qm, tq = time (fun () -> Twolevel.Qm.minimize tf) in
             let esp, te = time (fun () -> Twolevel.Espresso.minimize tf) in
             ( [
                 string_of_int nvars;
@@ -124,8 +124,8 @@ let library_richness () =
         [ Core.Truth_table.config_binding tt ]
     in
     let aig = (Synth.Flow.compile Exp_common.lib d).Synth.Flow.aig in
-    let full = Synth.Map.run Exp_common.lib aig in
-    let simple = Synth.Map.run ~complex_cells:false Exp_common.lib aig in
+    let full, _ = Synth.Map.run_full Exp_common.lib aig in
+    let simple, _ = Synth.Map.run_full ~complex_cells:false Exp_common.lib aig in
     [
       Printf.sprintf "%dx%d" depth width;
       Report.Table.fmt_area (Synth.Map.total full);

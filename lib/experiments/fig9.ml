@@ -20,7 +20,7 @@ let run () =
     let report = result.Synth.Flow.report in
     let power =
       Synth.Power.total
-        (Synth.Power.estimate ~cycles:128 ~config Exp_common.lib
+        (Synth.Power.estimate ~config Exp_common.lib
            result.Synth.Flow.aig report result.Synth.Flow.instances)
     in
     { mode; level; comb = report.Synth.Map.comb_area;

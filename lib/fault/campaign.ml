@@ -82,52 +82,29 @@ let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
   let needs_rtl =
     List.exists (function Site.Stuck_at _ -> false | _ -> true) injected
   in
-  let needs_aig =
-    List.exists (function Site.Stuck_at _ -> true | _ -> false) injected
-  in
-  (* Goldens are computed once, before the batch starts, and shared
+  (* The RTL golden is computed once, before the batch starts, and shared
      read-only with every worker. *)
   let g = if needs_rtl then Some (Sim.golden spec) else None in
-  let ag =
-    match (needs_aig, aig) with
-    | true, Some a -> Some (Sim.aig_golden a)
-    | _ -> None
-  in
-  (* Packed pre-pass: classify every fresh stuck-at site up front,
+  (* Packed pre-pass: classify every stuck-at site the batch will run,
      {!Aig.Compiled.lanes} sites per simulation pass, before the batch
      starts — workers then answer those sites from a read-only table.
-     Sites already settled in the resume journal are excluded (the batch
-     layer never re-runs them), so resumed campaigns do not pay for
-     packed passes over work they are about to skip. *)
+     Sites the resume journal settles are left out, by the batch's own
+     rule, so resumed campaigns do not pay for work they skip. *)
+  let stuck =
+    Engine.Batch.pending ~key:Site.key ~codec:outcome_codec resume
+      (List.filter (function Site.Stuck_at _ -> true | _ -> false) injected)
+  in
   let packed_results : (string, Sim.outcome) Hashtbl.t = Hashtbl.create 64 in
-  (match (aig, ag) with
-   | Some a, Some golden ->
-     let resumed = Hashtbl.create (List.length resume) in
-     List.iter
-       (fun (e : Engine.Journal.entry) -> Hashtbl.replace resumed e.key ())
-       resume;
-     let fresh_stuck =
-       List.filter
-         (function
-           | Site.Stuck_at _ as site -> not (Hashtbl.mem resumed (Site.key site))
-           | _ -> false)
-         injected
-     in
+  (match (aig, stuck) with
+   | Some a, _ :: _ ->
      List.iter
        (fun (site, outcome) ->
          Hashtbl.replace packed_results (Site.key site) outcome)
-       (Sim.aig_run_sites_packed a golden fresh_stuck)
+       (Sim.aig_run_sites_packed a (Sim.aig_golden a) stuck)
    | _ -> ());
-  let run_one site =
-    match site with
-    | Site.Stuck_at _ ->
-      (match Hashtbl.find_opt packed_results (Site.key site) with
-       | Some outcome -> outcome
-       | None ->
-         (match (aig, ag) with
-          | Some a, Some golden -> Sim.aig_run_site a golden site
-          | _ -> invalid_arg "Fault.Campaign.run: stuck-at sites need ~aig"))
-    | _ -> Sim.run_site spec (Option.get g) site
+  let run_one = function
+    | Site.Stuck_at _ as site -> Hashtbl.find packed_results (Site.key site)
+    | site -> Sim.run_site spec (Option.get g) site
   in
   let results =
     Engine.Batch.run ~jobs ?journal ~resume ?on_checkpoint ~key:Site.key

@@ -53,9 +53,13 @@ val run :
     {!Sim.aig_run_sites_packed} in a pre-pass — {!Aig.Compiled.lanes}
     sites per simulation — before the batch starts; batch workers then
     answer them from the precomputed table. Classifications equal
-    {!Sim.aig_run_site} site by site (the packed pass preserves scalar
-    mismatch attribution, and any packed failure falls back to scalar per
-    site). Sites already settled by [resume] are never re-simulated. *)
+    {!Sim.aig_run_site} site by site. The pre-pass covers exactly
+    {!Engine.Batch.pending}: sites settled by [resume] are never
+    re-simulated, and a journaled payload that no longer decodes is.
+
+    A site whose simulation raises is a [failed] row, through the batch's
+    per-item isolation; {!Sim.Hang} means only that [done] never
+    asserted. *)
 
 val first_mismatch : report -> Site.t option
 (** The first site classified as a mismatch — the one worth a VCD dump. *)

@@ -121,13 +121,11 @@ let run_traced spec site ~extend =
   let base = List.length spec.stimulus in
   if extend && Option.is_some spec.done_signal && not !done_seen then begin
     let budget = max 0 ((hang_factor - 1) * base) in
-    (try
-       for cycle = base to base + budget - 1 do
-         inject cycle;
-         check_done ();
-         if not !done_seen then Rtl.Eval.step st
-       done
-     with _ -> ())
+    for cycle = base to base + budget - 1 do
+      inject cycle;
+      check_done ();
+      if not !done_seen then Rtl.Eval.step st
+    done
   end;
   (samples, !done_seen)
 
@@ -155,15 +153,13 @@ let compare_samples spec ~golden ~faulty =
   rows 0 golden faulty
 
 let run_site spec (g : golden) site =
-  match run_traced spec site ~extend:true with
-  | exception e -> Hang ("simulation raised: " ^ Printexc.to_string e)
-  | faulty, done_seen ->
-    if Option.is_some spec.done_signal && g.done_seen && not done_seen then
-      Hang
-        (Printf.sprintf "%s never asserted within %d cycles"
-           (Option.get spec.done_signal)
-           (hang_factor * List.length spec.stimulus))
-    else compare_samples spec ~golden:g.samples ~faulty
+  let faulty, done_seen = run_traced spec site ~extend:true in
+  if Option.is_some spec.done_signal && g.done_seen && not done_seen then
+    Hang
+      (Printf.sprintf "%s never asserted within %d cycles"
+         (Option.get spec.done_signal)
+         (hang_factor * List.length spec.stimulus))
+  else compare_samples spec ~golden:g.samples ~faulty
 
 let trace_site spec site = fst (run_traced spec site ~extend:false)
 
@@ -220,19 +216,16 @@ let aig_run spec force =
 let aig_golden spec = aig_run spec (site_force Site.No_fault)
 
 let aig_run_site spec (g : aig_golden) site =
-  let force = site_force site in
-  match aig_run spec force with
-  | exception e -> Hang ("simulation raised: " ^ Printexc.to_string e)
-  | faulty ->
-    let names = Array.of_list (List.map fst (Aig.pos spec.aig)) in
-    let rec scan cycle k =
-      if cycle >= spec.cycles then Masked
-      else if k >= Array.length names then scan (cycle + 1) 0
-      else if g.(cycle).(k) <> faulty.(cycle).(k) then
-        Mismatch { cycle; signal = names.(k) }
-      else scan cycle (k + 1)
-    in
-    scan 0 0
+  let faulty = aig_run spec (site_force site) in
+  let names = Array.of_list (List.map fst (Aig.pos spec.aig)) in
+  let rec scan cycle k =
+    if cycle >= spec.cycles then Masked
+    else if k >= Array.length names then scan (cycle + 1) 0
+    else if g.(cycle).(k) <> faulty.(cycle).(k) then
+      Mismatch { cycle; signal = names.(k) }
+    else scan cycle (k + 1)
+  in
+  scan 0 0
 
 let rec take_chunk k acc = function
   | rest when k = 0 -> (List.rev acc, rest)
@@ -240,74 +233,58 @@ let rec take_chunk k acc = function
   | x :: rest -> take_chunk (k - 1) (x :: acc) rest
 
 let aig_run_sites_packed spec (g : aig_golden) sites =
-  let scalar chunk =
-    List.map (fun site -> (site, aig_run_site spec g site)) chunk
+  let c = Aig.Compiled.compile spec.aig in
+  let stim = aig_stimulus spec in
+  let npis = Aig.Compiled.num_pis c in
+  let npos = Aig.Compiled.num_pos c in
+  let po_names = Array.init npos (Aig.Compiled.po_name c) in
+  (* Golden PO words, replicated across lanes once per call. *)
+  let golden_words = Array.map (Array.map Aig.Compiled.replicate) g in
+  let s = Aig.Compiled.sim c in
+  (* One packed pass: lane [i] carries site [i] of the chunk via its force
+     masks; every undecided lane is compared against the golden word after
+     each cycle. Scan order (cycles outer, POs in declaration order inner,
+     first divergence wins) matches [aig_run_site] exactly, so
+     classifications are byte-identical. *)
+  let run_chunk chunk =
+    let site_arr = Array.of_list chunk in
+    let nsites = Array.length site_arr in
+    Aig.Compiled.clear_forces s;
+    Aig.Compiled.reset s;
+    Array.iteri (fun lane site -> site_force site s lane) site_arr;
+    let outcomes = Array.make nsites Masked in
+    let undecided =
+      ref
+        (if nsites >= Aig.Compiled.lanes then Aig.Compiled.all_lanes
+         else (1 lsl nsites) - 1)
+    in
+    Aig.Compiled.with_metrics ~active_lanes:nsites s (fun () ->
+        let cycle = ref 0 in
+        while !undecided <> 0 && !cycle < spec.cycles do
+          let piv = stim.(!cycle) in
+          for i = 0 to npis - 1 do
+            Aig.Compiled.set_pi s i (Aig.Compiled.replicate piv.(i))
+          done;
+          Aig.Compiled.step s;
+          let gw = golden_words.(!cycle) in
+          for k = 0 to npos - 1 do
+            let diff = ref ((Aig.Compiled.po s k lxor gw.(k)) land !undecided) in
+            while !diff <> 0 do
+              let lane = Aig.Compiled.ctz !diff in
+              outcomes.(lane) <-
+                Mismatch { cycle = !cycle; signal = po_names.(k) };
+              undecided := !undecided land lnot (1 lsl lane);
+              diff := !diff land (!diff - 1)
+            done
+          done;
+          incr cycle
+        done);
+    List.mapi (fun lane site -> (site, outcomes.(lane))) chunk
   in
-  match Aig.Compiled.compile spec.aig with
-  | exception _ ->
-    (* Uncompilable netlist: the scalar path reports the same failure
-       per site (as Hang), keeping classifications identical. *)
-    scalar sites
-  | c ->
-    let stim = aig_stimulus spec in
-    let npis = Aig.Compiled.num_pis c in
-    let npos = Aig.Compiled.num_pos c in
-    let po_names = Array.init npos (Aig.Compiled.po_name c) in
-    (* Golden PO words, replicated across lanes once per call. *)
-    let golden_words = Array.map (Array.map Aig.Compiled.replicate) g in
-    let s = Aig.Compiled.sim c in
-    (* One packed pass: lane [i] carries site [i] of the chunk via its
-       force masks; every undecided lane is compared against the golden
-       word after each cycle. Scan order (cycles outer, POs in
-       declaration order inner, first divergence wins) matches
-       [aig_run_site] exactly, so classifications are byte-identical. *)
-    let run_chunk chunk =
-      let site_arr = Array.of_list chunk in
-      let nsites = Array.length site_arr in
-      Aig.Compiled.clear_forces s;
-      Aig.Compiled.reset s;
-      Array.iteri (fun lane site -> site_force site s lane) site_arr;
-      let outcomes = Array.make nsites Masked in
-      let undecided =
-        ref
-          (if nsites >= Aig.Compiled.lanes then Aig.Compiled.all_lanes
-           else (1 lsl nsites) - 1)
-      in
-      Aig.Compiled.with_metrics ~active_lanes:nsites s (fun () ->
-          let cycle = ref 0 in
-          while !undecided <> 0 && !cycle < spec.cycles do
-            let piv = stim.(!cycle) in
-            for i = 0 to npis - 1 do
-              Aig.Compiled.set_pi s i (Aig.Compiled.replicate piv.(i))
-            done;
-            Aig.Compiled.step s;
-            let gw = golden_words.(!cycle) in
-            for k = 0 to npos - 1 do
-              let diff =
-                ref ((Aig.Compiled.po s k lxor gw.(k)) land !undecided)
-              in
-              while !diff <> 0 do
-                let lane = Aig.Compiled.ctz !diff in
-                outcomes.(lane) <-
-                  Mismatch { cycle = !cycle; signal = po_names.(k) };
-                undecided := !undecided land lnot (1 lsl lane);
-                diff := !diff land (!diff - 1)
-              done
-            done;
-            incr cycle
-          done);
-      List.mapi (fun lane site -> (site, outcomes.(lane))) chunk
-    in
-    let rec go acc = function
-      | [] -> List.concat (List.rev acc)
-      | rest ->
-        let chunk, rest = take_chunk Aig.Compiled.lanes [] rest in
-        let r =
-          (* Any packed failure falls back to the scalar path for the
-             whole chunk, which classifies (or raises) per site exactly
-             as a non-packed campaign would. *)
-          try run_chunk chunk with _ -> scalar chunk
-        in
-        go (r :: acc) rest
-    in
-    go [] sites
+  let rec go acc = function
+    | [] -> List.concat (List.rev acc)
+    | rest ->
+      let chunk, rest = take_chunk Aig.Compiled.lanes [] rest in
+      go (run_chunk chunk :: acc) rest
+  in
+  go [] sites

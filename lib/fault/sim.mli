@@ -8,15 +8,20 @@
       diverged.
     - {!Hang}: the golden run asserted the [done_signal] but the faulty
       run never did, even when clocked for twice the stimulus length with
-      inputs held — or the faulty simulation raised.
+      inputs held.
+
+    A simulation that raises is not an outcome: the exception propagates,
+    and a campaign reports that site as a failed row.
 
     RTL faults ({!Site.Table_bit}, {!Site.Reg_bit}) simulate through
     {!Rtl.Eval}; netlist stuck-at faults simulate on the {!Aig} through
-    the {!Aig.Compiled} bit-parallel kernel — a scalar per-site run
-    forces the stuck node on lane 0 and reads lane 0 only, while
-    {!aig_run_sites_packed} classifies up to {!Aig.Compiled.lanes} sites
-    per simulation pass with per-lane force masks. Both paths are pure functions of (spec, site),
-    safe to run concurrently from {!Engine} pool workers. *)
+    the {!Aig.Compiled} bit-parallel kernel: {!aig_run_sites_packed}
+    classifies up to {!Aig.Compiled.lanes} sites per simulation pass with
+    per-lane force masks, and is the classifier campaigns use. The scalar
+    {!aig_run_site} forces the stuck node on lane 0 and reads lane 0 only;
+    it is the reference the packed pass is checked against. Both are pure
+    functions of (spec, site), safe to run concurrently from {!Engine}
+    pool workers. *)
 
 type outcome =
   | Masked
@@ -65,9 +70,10 @@ val run_site : spec -> golden -> Site.t -> outcome
     persistently to a copy of the bound contents ({!Rtl.Design.Config}
     binding or ROM storage); register faults flip the bit at the start of
     their injection cycle via {!Rtl.Eval.poke_reg}. The spec's own
-    bindings are never mutated. A raising simulation classifies as
-    {!Hang}. @raise Invalid_argument on {!Site.Stuck_at} — netlist faults
-    go through {!aig_run_site}. *)
+    bindings are never mutated. A raising simulation raises here too.
+    @raise Invalid_argument on {!Site.Stuck_at} — netlist faults go
+    through {!aig_run_sites_packed} — and on a site naming a table or
+    register the design lacks. *)
 
 val vcd_site : spec -> Site.t -> string
 (** The faulty watch-signal trace over the stimulus window (no hang
@@ -88,7 +94,9 @@ val aig_golden : aig_spec -> aig_golden
 val aig_run_site : aig_spec -> aig_golden -> Site.t -> outcome
 (** Simulate with the stuck node forced to its stuck value (fanout sees
     the forced value; the fault is persistent) and compare primary
-    outputs. @raise Invalid_argument on RTL-state sites. *)
+    outputs, one site per simulation: the reference that
+    {!aig_run_sites_packed} is checked against.
+    @raise Invalid_argument on RTL-state sites. *)
 
 val aig_run_sites_packed :
   aig_spec -> aig_golden -> Site.t list -> (Site.t * outcome) list
@@ -98,6 +106,6 @@ val aig_run_sites_packed :
     replicated golden trace after every cycle (with early exit once all
     lanes have diverged). Classifications are byte-identical to mapping
     {!aig_run_site} over the list — the packed pass preserves the
-    first-cycle, first-output mismatch attribution, and any packed-pass
-    failure falls back to the scalar path for that chunk. Input order is
-    preserved in the result. @raise Invalid_argument on RTL-state sites. *)
+    first-cycle, first-output mismatch attribution. Input order is
+    preserved in the result. @raise Invalid_argument on RTL-state sites;
+    a netlist that does not compile raises as {!aig_golden} does. *)

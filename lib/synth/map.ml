@@ -316,8 +316,6 @@ let run_full ?(complex_cells = true) lib g =
     },
     instances )
 
-let run ?complex_cells lib g = fst (run_full ?complex_cells lib g)
-
 (* The mapped netlist must compute the same functions as the AIG: simulate
    the instances gate by gate against the AIG's own evaluation on random
    input/state assignments. *)

@@ -34,16 +34,14 @@ type instance = {
       (** (source node, wants-positive), in the cell's input-pin order *)
 }
 
-val run : ?complex_cells:bool -> Cells.Library.t -> Aig.t -> report
-(** [complex_cells] defaults to [true]. *)
-
 val run_full :
   ?complex_cells:bool ->
   Cells.Library.t ->
   Aig.t ->
   report * (int, instance) Hashtbl.t
-(** The report plus the mapped gate per AND node (pattern-internal nodes
-    have no entry). {!Flow.compile} keeps both in its result, for
+(** Map [g] onto the library: the report plus the mapped gate per AND node
+    (pattern-internal nodes have no entry). [complex_cells] defaults to
+    [true]. {!Flow.compile} keeps both in its result, for
     {!Power.estimate} and {!Netlist}; {!selfcheck} maps afresh. *)
 
 val selfcheck :

@@ -9,12 +9,14 @@ let total e = e.dynamic +. e.leakage
 (* Leakage per µm² — an arbitrary constant; only ratios matter. *)
 let leakage_per_area = 0.01
 
+let cycles = 128
+
 (* One compiled simulator on lane 0 replaces per-cycle hashtable
    evaluation. Observed nets sit in flat arrays: mapped instances in the
    [Hashtbl.iter] order of [Map.run_full], then latches, so the float sum
    accumulates in a fixed order. [prev.(n) = -1] until node [n] is first
    seen; the first cycle counts no toggles. *)
-let estimate ?(cycles = 256) ?(config = []) lib g report instances =
+let estimate ?(config = []) lib g report instances =
   Obs.Span.with_span
     ~args:
       [ ("cycles", Obs.Span.Int cycles); ("ands", Obs.Span.Int (Aig.num_ands g)) ]

@@ -22,8 +22,11 @@ type estimate = {
 
 val total : estimate -> float
 
+val cycles : int
+(** The simulated window: 128 random-input clock cycles, Fig. 9's
+    setting. *)
+
 val estimate :
-  ?cycles:int ->
   ?config:(string * Bitvec.t array) list ->
   Cells.Library.t ->
   Aig.t ->
@@ -33,8 +36,8 @@ val estimate :
 (** [estimate lib g report instances] weighs [g]'s toggles by the cells of
     its mapping, as {!Map.run_full} [lib g] returns it (a compiled design
     passes its {!Flow.result}'s [report] and [instances]). Simulates
-    [cycles] (default 256) random-input clock cycles, from a fixed seed,
-    from the initial state, under a [power.estimate] span. [config] loads
+    {!cycles} random-input clock cycles, from a fixed seed, from the
+    initial state, under a [power.estimate] span. [config] loads
     configuration latches (named ["table[entry][bit]"]) with real contents
     before simulating — without it, a flexible design idles on all-zero
     microcode and its dynamic power is meaninglessly low. *)

@@ -88,7 +88,11 @@ let select_greedy tf primes_list =
 
 exception Out_of_budget
 
-let select_exact ?(node_limit = 200_000) tf primes_list =
+(* Search nodes the exact cover may visit before greedy selection takes
+   over. *)
+let node_limit = 200_000
+
+let select_exact tf primes_list =
   let primes_arr = Array.of_list primes_list in
   let n = Array.length primes_arr in
   let candidates m =
@@ -134,13 +138,11 @@ let select_exact ?(node_limit = 200_000) tf primes_list =
   | () -> Option.map (List.map (fun i -> primes_arr.(i))) !best
   | exception Out_of_budget -> None
 
-let minimize ?(exact = false) tf =
+let minimize tf =
   let ps = primes tf in
   let cubes =
-    if exact then
-      match select_exact tf ps with
-      | Some sel -> sel
-      | None -> select_greedy tf ps
-    else select_greedy tf ps
+    match select_exact tf ps with
+    | Some sel -> sel
+    | None -> select_greedy tf ps
   in
   Cover.make ~nvars:(Truthfn.nvars tf) cubes

@@ -7,8 +7,12 @@
 # require the resumed stdout to be byte-identical to the uninterrupted
 # run. Exercises: JSONL checkpoint journal, torn-run recovery and
 # deterministic site ordering under `-j 4`. The second campaign is
-# stuck-at on the bound netlist, so the packed pre-pass, its exclusion of
-# resumed sites and the multi-domain map run together. Last, a negative
+# stuck-at on the bound netlist, so the packed pre-pass and the
+# multi-domain map run together. A third case resumes that campaign from
+# its full journal with the first payload spoiled: the pre-pass must cover
+# exactly the sites the batch will run (`--metrics` must count 1 packed
+# site, the one whose payload no longer decodes), and stdout must again
+# equal the reference. Last, a negative
 # --sites and a zero --cycles must be refused at parse time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,6 +66,31 @@ check() {
 
 check tables 12 --model tables --seed 3
 check stuck 12 --impl bound --model stuck
+
+# The stuck journal is complete now (crashed run plus resumed run).
+# Replace its first payload with one that does not decode and resume.
+stuck=(fault --impl bound --model stuck --sites 12 --cycles 24 -j 4)
+dir="$workdir/stuck"
+sed '1s/"v":"[^"]*"/"v":"no such outcome"/' "$dir/journal.jsonl" \
+  > "$dir/spoiled.jsonl"
+if ! head -n 1 "$dir/spoiled.jsonl" | grep -q '"v":"no such outcome"'; then
+  echo "fault-resume-smoke[spoiled]: could not spoil the first journal line" >&2
+  exit 1
+fi
+echo "fault-resume-smoke[spoiled]: resumed run, first payload spoiled" >&2
+"$CTRLGEN" "${stuck[@]}" --resume "$dir/spoiled.jsonl" --metrics \
+  > "$dir/spoiled.out" 2> "$dir/spoiled.err"
+if ! grep -qE '^fault\.campaign\.packed_sites +counter +1$' "$dir/spoiled.err"; then
+  echo "fault-resume-smoke[spoiled]: expected exactly 1 packed site:" >&2
+  grep 'packed_sites' "$dir/spoiled.err" >&2 || true
+  exit 1
+fi
+if ! cmp -s "$dir/reference.out" "$dir/spoiled.out"; then
+  echo "fault-resume-smoke[spoiled]: stdout differs from uninterrupted run:" >&2
+  diff "$dir/reference.out" "$dir/spoiled.out" >&2 || true
+  exit 1
+fi
+echo "fault-resume-smoke[spoiled]: OK (bad payload recomputed, output byte-identical)" >&2
 
 # A negative site count is a usage error (exit 124), not an exhaustive run,
 # and so is a zero-cycle stimulus, under which every site reads masked.

@@ -75,6 +75,21 @@ let test_reg_upset_hang () =
   | o ->
     Alcotest.failf "expected hang, got %s" (Fault.Sim.outcome_to_string o)
 
+let test_reg_upset_unknown_register_raises () =
+  (* A simulation that raises is not a classification: the exception
+     reaches the caller, and a campaign's batch turns it into a failed
+     row. *)
+  let spec = flexible_spec 1 in
+  let golden = Fault.Sim.golden spec in
+  match
+    Fault.Sim.run_site spec golden
+      (Fault.Site.Reg_bit { reg = "no_such_reg"; bit = 0; cycle = 0 })
+  with
+  | exception Invalid_argument _ -> ()
+  | o ->
+    Alcotest.failf "unknown register classified as %s"
+      (Fault.Sim.outcome_to_string o)
+
 let test_outcome_codec () =
   List.iter
     (fun o ->
@@ -235,24 +250,22 @@ let oracle_aig_run_site spec golden site =
     | Fault.Site.Table_bit _ | Fault.Site.Reg_bit _ ->
       invalid_arg "oracle: RTL-state site"
   in
-  match oracle_aig_run spec ~force with
-  | exception e -> Fault.Sim.Hang ("simulation raised: " ^ Printexc.to_string e)
-  | faulty ->
-    let rec rows cycle =
-      if cycle >= spec.Fault.Sim.cycles then Fault.Sim.Masked
-      else
-        let rec cells gs fs =
-          match (gs, fs) with
-          | [], [] -> None
-          | (name, gv) :: gs, (_, fv) :: fs ->
-            if gv = (fv : bool) then cells gs fs else Some name
-          | _ -> assert false
-        in
-        match cells golden.(cycle) faulty.(cycle) with
-        | Some signal -> Fault.Sim.Mismatch { cycle; signal }
-        | None -> rows (cycle + 1)
-    in
-    rows 0
+  let faulty = oracle_aig_run spec ~force in
+  let rec rows cycle =
+    if cycle >= spec.Fault.Sim.cycles then Fault.Sim.Masked
+    else
+      let rec cells gs fs =
+        match (gs, fs) with
+        | [], [] -> None
+        | (name, gv) :: gs, (_, fv) :: fs ->
+          if gv = (fv : bool) then cells gs fs else Some name
+        | _ -> assert false
+      in
+      match cells golden.(cycle) faulty.(cycle) with
+      | Some signal -> Fault.Sim.Mismatch { cycle; signal }
+      | None -> rows (cycle + 1)
+  in
+  rows 0
 
 let prop_scalar_site_matches_oracle =
   Prop.test ~iters:40 "scalar site run = all-lane oracle" (Prop.int 100_000)
@@ -271,15 +284,23 @@ let test_rtl_site_on_netlist_raises () =
   let aig = lowered_aig 2 in
   let aspec = { Fault.Sim.aig; cycles = 4; seed = 1 } in
   let golden = Fault.Sim.aig_golden aspec in
+  let scalar site = ignore (Fault.Sim.aig_run_site aspec golden site) in
+  (* The packed pass gets the RTL-state site after a stuck-at one, so it
+     raises mid-chunk, not on its first lane. *)
+  let packed site =
+    let stuck = List.hd (Fault.Site.stuck_sites aig) in
+    ignore (Fault.Sim.aig_run_sites_packed aspec golden [ stuck; site ])
+  in
   List.iter
-    (fun site ->
-      match Fault.Sim.aig_run_site aspec golden site with
+    (fun (run, site) ->
+      match run site with
       | exception Invalid_argument _ -> ()
-      | o ->
-        Alcotest.failf "RTL-state site on the netlist classified as %s"
-          (Fault.Sim.outcome_to_string o))
-    [ Fault.Site.Table_bit { table = "t"; entry = 0; bit = 0 };
-      Fault.Site.Reg_bit { reg = "r"; bit = 0; cycle = 0 } ]
+      | () ->
+        Alcotest.failf "RTL-state site %s on the netlist classified"
+          (Fault.Site.key site))
+    [ (scalar, Fault.Site.Table_bit { table = "t"; entry = 0; bit = 0 });
+      (scalar, Fault.Site.Reg_bit { reg = "r"; bit = 0; cycle = 0 });
+      (packed, Fault.Site.Reg_bit { reg = "r"; bit = 0; cycle = 0 }) ]
 
 let test_campaign_packed_identical () =
   let aig = lowered_aig 6 in
@@ -325,9 +346,9 @@ let test_campaign_packed_resume () =
   Sys.remove path
 
 let test_campaign_packed_resume_garbage () =
-  (* Every site is journaled, but one payload no longer decodes. Resumed
-     sites are left out of the packed pre-pass, so that one site is
-     recomputed through the scalar [Fault.Sim.aig_run_site] fallback. *)
+  (* Every site is journaled, but one payload no longer decodes. The
+     packed pre-pass covers exactly the sites the batch will run, so that
+     one site is its only lane. *)
   let aig = lowered_aig 7 in
   let aspec = { Fault.Sim.aig; cycles = 12; seed = 33 } in
   let spec = flexible_spec 7 in
@@ -368,7 +389,7 @@ let test_campaign_packed_resume_garbage () =
   in
   let recomputed = Engine.Journal.load path in
   Sys.remove path;
-  Alcotest.(check int) "no packed pass" 0 packed;
+  Alcotest.(check int) "only the spoiled site is packed" 1 packed;
   Alcotest.(check (list string)) "only the spoiled site ran" [ spoiled.key ]
     (List.map (fun (e : Engine.Journal.entry) -> e.key) recomputed);
   Alcotest.(check bool) "its payload is recomputed exactly" true
@@ -406,6 +427,8 @@ let () =
           Alcotest.test_case "table bit flip visible" `Quick
             test_table_flip_visible;
           Alcotest.test_case "register upset hang" `Quick test_reg_upset_hang;
+          Alcotest.test_case "unknown register raises" `Quick
+            test_reg_upset_unknown_register_raises;
           Alcotest.test_case "outcome codec round-trip" `Quick
             test_outcome_codec;
         ] );

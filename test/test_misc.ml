@@ -111,7 +111,7 @@ let test_power_sanity () =
   let power d =
     let g = (Synth.Lower.run d).Synth.Lower.aig in
     let report, instances = Synth.Map.run_full lib g in
-    Synth.Power.estimate ~cycles:64 lib g report instances
+    Synth.Power.estimate lib g report instances
   in
   let pc = power counter and ps = power still in
   Alcotest.(check bool) "counter toggles" true (pc.Synth.Power.toggles_per_cycle > 1.0);
@@ -126,10 +126,10 @@ let test_power_config_programs () =
   let d = Core.Truth_table.to_flexible_rtl tt in
   let g = (Synth.Lower.run d).Synth.Lower.aig in
   let report, instances = Synth.Map.run_full lib g in
-  let empty = Synth.Power.estimate ~cycles:64 lib g report instances in
+  let empty = Synth.Power.estimate lib g report instances in
   let programmed =
-    Synth.Power.estimate ~cycles:64 ~config:[ Core.Truth_table.config_binding tt ]
-      lib g report instances
+    Synth.Power.estimate ~config:[ Core.Truth_table.config_binding tt ] lib g
+      report instances
   in
   Alcotest.(check bool)
     (Printf.sprintf "programmed (%.1f) > empty (%.1f)"
@@ -140,7 +140,8 @@ let test_power_config_programs () =
 (* The hashtable estimator [Synth.Power.estimate] replaced, kept as an
    exact oracle: the same draws, the same toggle rule and the same float
    summation order, so the two must agree bit for bit. *)
-let reference_estimate ?(cycles = 256) ?(config = []) lib g =
+let reference_estimate ?(config = []) lib g =
+  let cycles = Synth.Power.cycles in
   let report, instances = Synth.Map.run_full lib g in
   let rng = Random.State.make [| 0x70777; 1 |] in
   let state = Hashtbl.create 16 in
@@ -208,9 +209,9 @@ let reference_estimate ?(cycles = 256) ?(config = []) lib g =
 
 (* [mapped] is the netlist with its mapping: a compile's stored one, or
    [Map.run_full]'s for a raw AIG. The oracle always maps afresh. *)
-let check_power_oracle ?cycles ?config name (g, report, instances) =
-  let got = Synth.Power.estimate ?cycles ?config lib g report instances in
-  let want = reference_estimate ?cycles ?config lib g in
+let check_power_oracle ?config name (g, report, instances) =
+  let got = Synth.Power.estimate ?config lib g report instances in
+  let want = reference_estimate ?config lib g in
   let bits what f =
     Alcotest.(check int64) (name ^ " " ^ what)
       (Int64.bits_of_float (f want)) (Int64.bits_of_float (f got))
@@ -228,19 +229,19 @@ let test_power_matches_reference () =
   let flexible =
     raw (Synth.Lower.run (Core.Truth_table.to_flexible_rtl tt)).Synth.Lower.aig
   in
-  check_power_oracle ~cycles:64 "table" flexible;
-  check_power_oracle ~cycles:64 ~config:[ Core.Truth_table.config_binding tt ]
+  check_power_oracle "table" flexible;
+  check_power_oracle ~config:[ Core.Truth_table.config_binding tt ]
     "programmed table" flexible;
   let compiled ?options d =
     let r = Synth.Flow.compile ?options lib d in
     (r.Synth.Flow.aig, r.Synth.Flow.report, r.Synth.Flow.instances)
   in
-  check_power_oracle ~cycles:32 "pctrl auto uncached"
+  check_power_oracle "pctrl auto uncached"
     (compiled (Pctrl.Controller.auto_design Pctrl.Controller.Uncached));
-  check_power_oracle ~cycles:32 "pctrl manual uncached"
+  check_power_oracle "pctrl manual uncached"
     (compiled ~options:Experiments.Exp_common.annotated_flow
        (Pctrl.Controller.manual_design Pctrl.Controller.Uncached));
-  check_power_oracle ~cycles:16
+  check_power_oracle
     ~config:(Pctrl.Controller.bindings Pctrl.Controller.Uncached)
     "pctrl full programmed"
     (compiled (Pctrl.Controller.full_design ()));
@@ -248,7 +249,7 @@ let test_power_matches_reference () =
     let d = Workload.Rand_design.generate ~seed in
     check_power_oracle (Printf.sprintf "rand %d lowered" seed)
       (raw (Synth.Lower.run d).Synth.Lower.aig);
-    check_power_oracle ~cycles:64 (Printf.sprintf "rand %d compiled" seed)
+    check_power_oracle (Printf.sprintf "rand %d compiled" seed)
       (compiled d)
   done
 

@@ -496,7 +496,7 @@ let test_map_cells () =
   let a = Aig.pi g "a" and b = Aig.pi g "b" and s = Aig.pi g "s" in
   Aig.po g "xor" (Aig.xor_ g a b);
   Aig.po g "mux" (Aig.mux_ g s a b);
-  let r = Synth.Map.run lib g in
+  let r, _ = Synth.Map.run_full lib g in
   let count name = Option.value ~default:0 (List.assoc_opt name r.Synth.Map.cell_counts) in
   Alcotest.(check int) "one XOR cell" 1 (count "XOR2" + count "XNOR2");
   Alcotest.(check int) "one MUX cell" 1 (count "MUX2");
@@ -510,7 +510,7 @@ let test_map_flop_kinds () =
   let r3 = Rtl.Builder.reg b "r3" ~reset:Rtl.Design.Async_reset ~d:r2 in
   Rtl.Builder.output b "o" r3;
   let d = Rtl.Builder.finish b in
-  let r = Synth.Map.run lib (Synth.Lower.run d).Synth.Lower.aig in
+  let r, _ = Synth.Map.run_full lib (Synth.Lower.run d).Synth.Lower.aig in
   let count name = Option.value ~default:0 (List.assoc_opt name r.Synth.Map.cell_counts) in
   Alcotest.(check int) "DFF" 1 (count "DFF");
   Alcotest.(check int) "SDFF" 1 (count "SDFF");
@@ -524,7 +524,7 @@ let test_map_inverter_sharing () =
   let a = Aig.pi g "a" and b = Aig.pi g "b" and c = Aig.pi g "c" in
   Aig.po g "o1" (Aig.and_ g (Aig.not_ a) b);
   Aig.po g "o2" (Aig.and_ g (Aig.not_ a) c);
-  let r = Synth.Map.run lib g in
+  let r, _ = Synth.Map.run_full lib g in
   let count name = Option.value ~default:0 (List.assoc_opt name r.Synth.Map.cell_counts) in
   Alcotest.(check int) "one shared INV" 1 (count "INV")
 

@@ -73,7 +73,7 @@ let test_qm_exact_small () =
         if m land 1 <> (m lsr 1) land 1 then Twolevel.Truthfn.On
         else Twolevel.Truthfn.Off)
   in
-  let cover = Twolevel.Qm.minimize ~exact:true tf in
+  let cover = Twolevel.Qm.minimize tf in
   Alcotest.(check int) "cubes" 2 (Twolevel.Cover.num_cubes cover);
   Alcotest.(check int) "literals" 4 (Twolevel.Cover.literals cover);
   Alcotest.(check bool) "agrees" true (Twolevel.Cover.agrees cover tf)
@@ -82,7 +82,7 @@ let test_qm_dc_exploited () =
   (* ON = {0}, DC = {1,2,3}: a single empty cube (constant true) suffices. *)
   let tf = Twolevel.Truthfn.create ~nvars:2 Twolevel.Truthfn.Dc in
   Twolevel.Truthfn.set tf 0 Twolevel.Truthfn.On;
-  let cover = Twolevel.Qm.minimize ~exact:true tf in
+  let cover = Twolevel.Qm.minimize tf in
   Alcotest.(check int) "one cube" 1 (Twolevel.Cover.num_cubes cover);
   Alcotest.(check int) "no literals" 0 (Twolevel.Cover.literals cover)
 
