@@ -229,7 +229,6 @@ let engine_stats_json (s : Engine.stats) =
       ("failed", Json.Int s.Engine.failed);
       ("mem_hits", Json.Int s.Engine.mem_hits);
       ("disk_hits", Json.Int s.Engine.disk_hits);
-      ("quarantined", Json.Int s.Engine.quarantined);
       ("wall_s", Json.Float s.Engine.wall_s);
       ("cpu_s", Json.Float s.Engine.cpu_s) ]
 

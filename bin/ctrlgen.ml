@@ -22,6 +22,17 @@ let lib = Cells.Library.vt90
 let print_report prefix (report : Synth.Map.report) =
   Format.printf "%s: %a@." prefix Synth.Map.pp_report report
 
+(* An output file that cannot be written is a run-time error: one line
+   naming the path, exit 2. *)
+let writing path f =
+  try f ()
+  with Sys_error msg ->
+    let msg =
+      if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+    in
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
+
 let flow_options ~annotate ~retime =
   { Synth.Flow.default with honor_generator_annots = annotate; retime }
 
@@ -236,7 +247,9 @@ let design_cmd =
             (Synth.Netlist.emit lib ~name:design.Rtl.Design.name
                result.Synth.Flow.aig result.Synth.Flow.instances);
         Option.iter
-          (fun path -> Synth.Aiger.to_file path result.Synth.Flow.aig)
+          (fun path ->
+            writing path (fun () ->
+                Synth.Aiger.to_file path result.Synth.Flow.aig))
           aiger_out
       end
       else if do_synth then begin
@@ -455,7 +468,11 @@ let fault_cmd =
       | Fault.Campaign.Control | Fault.Campaign.Tables | Fault.Campaign.Regs ->
         None
     in
-    let journal = Option.map Engine.Journal.open_append journal_path in
+    let journal =
+      Option.map
+        (fun path -> writing path (fun () -> Engine.Journal.open_append path))
+        journal_path
+    in
     let resume =
       match resume_path with
       | None -> []
@@ -490,8 +507,9 @@ let fault_cmd =
             "ctrlgen: first mismatch %s is a netlist fault; no RTL trace\n"
             (Fault.Site.key site)
         | Some site ->
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc (Fault.Sim.vcd_site spec site));
+          writing path (fun () ->
+              Out_channel.with_open_text path (fun oc ->
+                  output_string oc (Fault.Sim.vcd_site spec site)));
           Printf.eprintf "ctrlgen: wrote %s (site %s)\n" path
             (Fault.Site.key site))
       vcd_path;

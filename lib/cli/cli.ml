@@ -37,8 +37,18 @@ let term =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Disable synthesis result caching.")
   in
+  (* The trace is written at exit: a path it can never be written to is
+     refused now, not found out after the run. *)
+  let trace_path =
+    Arg.conv
+      ( (fun p ->
+          let dir = Filename.dirname p in
+          if Sys.file_exists dir && Sys.is_directory dir then Ok p
+          else Error (`Msg (Printf.sprintf "no such directory: %s" dir))),
+        Format.pp_print_string )
+  in
   let trace =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some trace_path) None
          & info [ "trace" ] ~docv:"PATH"
              ~doc:"Write a Chrome trace (chrome://tracing JSON, one span \
                    per synthesis pass / campaign) to $(docv) on exit. \

@@ -31,38 +31,37 @@ let map ~jobs ~key ~settled ~settle f items =
   List.iteri (fun i (k, _) -> settle k results.(i)) fresh;
   List.map (function `Settled b -> Ok b | `Fresh i -> results.(i)) plan
 
-(* The settle rule for journaled items, keyed by the first entry per key:
-   a payload that no longer decodes (foreign or corrupt journal) is
-   recomputed rather than trusted; a resumed error stays an error. *)
-let resumed_table ~codec resume =
+(* The settle rule for journaled items: per key, the first record whose
+   payload decodes, or the first error record. A payload that no longer
+   decodes (foreign or corrupt journal) is skipped, so a later good record
+   for the same key still settles it; a key with no such record runs. *)
+let resume_table ~codec resume =
   let resumed = Hashtbl.create 64 in
   List.iter
     (fun (e : Journal.entry) ->
       if not (Hashtbl.mem resumed e.key) then
-        Hashtbl.add resumed e.key
-          (match e.value with
-           | Ok enc ->
-             (match codec.decode enc with Ok b -> Some (Ok b) | Error _ -> None)
-           | Error m -> Some (Error m)))
+        match e.value with
+        | Ok enc ->
+          Result.iter (fun b -> Hashtbl.add resumed e.key (Ok b))
+            (codec.decode enc)
+        | Error m -> Hashtbl.add resumed e.key (Error m))
     resume;
   resumed
 
 let pending ~key ~codec resume items =
-  let resumed = resumed_table ~codec resume in
-  List.filter
-    (fun x -> Option.is_none (Option.join (Hashtbl.find_opt resumed (key x))))
-    items
+  let resumed = resume_table ~codec resume in
+  List.filter (fun x -> not (Hashtbl.mem resumed (key x))) items
 
 let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
     items =
-  let resumed = resumed_table ~codec resume in
-  let settled k = Option.join (Hashtbl.find_opt resumed k) in
+  let resumed = resume_table ~codec resume in
+  let settled = Hashtbl.find_opt resumed in
   let flatten = function Ok r -> r | Error e -> Error (Pool.error_message e) in
   let journaled = ref 0 in
   let settle k r =
     let r = flatten r in
     (* Later chunks see this item as settled. *)
-    Hashtbl.replace resumed k (Some r);
+    Hashtbl.replace resumed k r;
     Option.iter
       (fun j -> Journal.append j ~key:k ~value:(Result.map codec.encode r))
       journal;

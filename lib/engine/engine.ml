@@ -1,7 +1,6 @@
 module Fingerprint = Fingerprint
 module Summary = Summary
 module Pool = Pool
-module Cache = Cache
 module Journal = Journal
 module Batch = Batch
 
@@ -22,15 +21,21 @@ type stats = {
   failed : int;
   mem_hits : int;
   disk_hits : int;
-  quarantined : int;
   wall_s : float;
   cpu_s : float;
 }
 
+(* The on-disk store: the results journal before its first store, open
+   after it, or off (no cache dir, or a disk failure). *)
+type disk = Off | Closed of string | Open of Journal.t
+
 type t = {
   lib : Cells.Library.t;
   jobs : int;
-  cache : Cache.t option;
+  no_cache : bool;
+  memory : (string, Summary.t) Hashtbl.t;
+  loaded : (string, (Summary.t, string) result) Hashtbl.t;
+  mutable disk : disk;
   memo : Synth.Collapse.memo;
   mutable submitted : int;
   mutable executed : int;
@@ -40,11 +45,74 @@ type t = {
   mutable cpu_s : float;
 }
 
+(* Process-wide cache metrics, aggregated across engines. *)
+let m_mem_hits = Obs.Metrics.counter "engine.cache.mem_hits"
+let m_disk_hits = Obs.Metrics.counter "engine.cache.disk_hits"
+let m_misses = Obs.Metrics.counter "engine.cache.misses"
+let m_stores = Obs.Metrics.counter "engine.cache.stores"
+
+let codec = { Batch.encode = Summary.to_string; decode = Summary.of_string }
+
+let rec mkdir_p path =
+  if path <> "" && path <> "/" && not (Sys.file_exists path) then begin
+    mkdir_p (Filename.dirname path);
+    try Unix.mkdir path 0o755 with Unix.Unix_error _ -> ()
+  end
+
 let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
-  let cache = if no_cache then None else Some (Cache.create ?dir:cache_dir ()) in
-  { lib; jobs; cache; memo = Synth.Collapse.create_memo (); submitted = 0;
-    executed = 0; failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
+  let disk, loaded =
+    match cache_dir with
+    | Some dir when not no_cache ->
+      mkdir_p dir;
+      (* A cache dir that is not a directory would otherwise degrade to
+         silent store failures and a permanently cold cache. *)
+      if not (Sys.file_exists dir && Sys.is_directory dir) then
+        invalid_arg
+          (Printf.sprintf "Engine.create: %s is not a directory" dir);
+      let path = Filename.concat dir "results.jsonl" in
+      let records = try Journal.load path with Sys_error _ -> [] in
+      (Closed path, Batch.resume_table ~codec records)
+    | _ -> (Off, Hashtbl.create 1)
+  in
+  { lib; jobs; no_cache; memory = Hashtbl.create 64; loaded; disk;
+    memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
+    failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
+
+(* A disk failure turns the store off: the engine carries on memory-only. *)
+let rec persist t key s =
+  match t.disk with
+  | Off -> ()
+  | Closed path ->
+    t.disk <- (try Open (Journal.open_append path) with Sys_error _ -> Off);
+    persist t key s
+  | Open j ->
+    (try Journal.append j ~key ~value:(Ok (codec.encode s))
+     with Sys_error _ -> t.disk <- Off)
+
+(* Memory first; a record loaded from the journal serves its key once, as
+   a disk hit, and lives in memory from then on. An error record is a
+   miss. *)
+let find t key =
+  match Hashtbl.find_opt t.memory key with
+  | Some s ->
+    Obs.Metrics.incr m_mem_hits;
+    Some s
+  | None ->
+    (match Hashtbl.find_opt t.loaded key with
+     | Some (Ok s) ->
+       Hashtbl.replace t.memory key s;
+       t.disk_hits <- t.disk_hits + 1;
+       Obs.Metrics.incr m_disk_hits;
+       Some s
+     | Some (Error _) | None ->
+       Obs.Metrics.incr m_misses;
+       None)
+
+let store t key s =
+  Hashtbl.replace t.memory key s;
+  Obs.Metrics.incr m_stores;
+  persist t key s
 
 let now () = Unix.gettimeofday ()
 
@@ -54,18 +122,14 @@ let run t jobs =
   let t0 = now () in
   t.submitted <- t.submitted + List.length jobs;
   let settled key =
-    match Option.bind t.cache (fun c -> Cache.find c key) with
-    | Some (s, where) ->
-      if where = `Disk then t.disk_hits <- t.disk_hits + 1;
-      Some (s, 0.0)
-    | None -> None
+    if t.no_cache then None else Option.map (fun s -> (s, 0.0)) (find t key)
   in
   let settle key r =
     t.executed <- t.executed + 1;
     match r with
     | Ok (s, dt) ->
       t.cpu_s <- t.cpu_s +. dt;
-      Option.iter (fun c -> Cache.store c key s) t.cache
+      if not t.no_cache then store t key s
     | Error _ -> t.failed <- t.failed + 1
   in
   let compile j =
@@ -96,9 +160,7 @@ let report_exn t j =
 let stats t =
   { submitted = t.submitted; executed = t.executed; failed = t.failed;
     mem_hits = t.submitted - t.executed - t.disk_hits;
-    disk_hits = t.disk_hits;
-    quarantined = Option.fold ~none:0 ~some:Cache.quarantined t.cache;
-    wall_s = t.wall_s; cpu_s = t.cpu_s }
+    disk_hits = t.disk_hits; wall_s = t.wall_s; cpu_s = t.cpu_s }
 
 let stats_table (s : stats) =
   let f = Printf.sprintf "%.3f" in
@@ -109,7 +171,6 @@ let stats_table (s : stats) =
       [ "jobs submitted"; string_of_int s.submitted ];
       [ "cache hits (memory)"; string_of_int s.mem_hits ];
       [ "cache hits (disk)"; string_of_int s.disk_hits ];
-      [ "cache entries quarantined"; string_of_int s.quarantined ];
       [ "jobs executed"; string_of_int s.executed ];
       [ "jobs failed"; string_of_int s.failed ];
       [ "wall time (s)"; f s.wall_s ];

@@ -4,9 +4,10 @@
     record and cell library. The engine:
 
     - fingerprints each job ({!Fingerprint}) and serves repeats from a
-      result cache ({!Cache}) — in-memory always, on-disk when configured —
-      so sweeps never recompute an identical (design, options, library)
-      triple, within a run or across runs;
+      result cache — an in-memory table always, and with a [cache_dir] one
+      append-only {!Journal}, [<cache_dir>/results.jsonl] — so sweeps never
+      recompute an identical (design, options, library) triple, within a
+      run or across runs;
     - coalesces duplicate jobs inside one batch (each distinct key compiles
       once, every requester shares the result);
     - executes cache misses on worker domains, under exception isolation:
@@ -16,6 +17,16 @@
       ({!Synth.Collapse.memo}), created with the engine, so a window
       function that recurs across jobs is minimized once per engine.
 
+    The results journal holds one [{"k":key,"v":summary}] record per
+    compiled job. It is read once, when the engine is created, by the rule
+    fault-campaign resume uses ({!Batch.resume_table}): per key, the first
+    record that decodes wins, so a corrupt or torn record is a miss and the
+    recompiled job's record, appended after it, serves later runs. It is
+    opened for appending on the first store. Disk failures are soft: a
+    journal that cannot be opened or appended to leaves the engine running
+    memory-only. Hits, misses and stores are counted process-wide by the
+    [engine.cache.*] {!Obs.Metrics} counters.
+
     Determinism: [Synth.Flow.compile] is a pure function of the job inputs,
     so outcomes are independent of worker count, scheduling order, and
     cache temperature — [run] returns outcomes in request order, and a
@@ -24,7 +35,6 @@
 module Fingerprint = Fingerprint
 module Summary = Summary
 module Pool = Pool
-module Cache = Cache
 module Journal = Journal
 module Batch = Batch
 
@@ -46,8 +56,9 @@ type stats = {
   mem_hits : int;
       (** served from memory, incl. batch coalescing:
           [submitted - executed - disk_hits] *)
-  disk_hits : int;  (** served from the on-disk cache *)
-  quarantined : int; (** corrupt disk entries renamed aside ({!Cache}) *)
+  disk_hits : int;
+      (** served by a record of the results journal, the first time its
+          key came up; later requests for it are memory hits *)
   wall_s : float;   (** wall-clock spent inside [run] *)
   cpu_s : float;    (** summed per-job compile time across workers *)
 }
@@ -61,9 +72,11 @@ val create :
   Cells.Library.t ->
   t
 (** [jobs]: worker domains for cache-miss execution; [1] (default) compiles
-    on the calling domain. [no_cache] disables result caching entirely
-    ([cache_dir] is then ignored).
-    @raise Invalid_argument if [jobs < 1]. *)
+    on the calling domain. [cache_dir] is created (recursively) if missing,
+    and its results journal is loaded. [no_cache] disables result caching
+    entirely ([cache_dir] is then ignored).
+    @raise Invalid_argument if [jobs < 1], or if [cache_dir] is not a
+    directory. *)
 
 val run : t -> job list -> outcome list
 (** Outcomes in request order. Never raises on job failure. *)

@@ -2,9 +2,21 @@ type entry = { key : string; value : (string, string) result }
 
 type t = { oc : out_channel; mutable closed : bool }
 
+let ends_torn path =
+  In_channel.with_open_bin path (fun ic ->
+      let n = In_channel.length ic in
+      n > 0L
+      && (In_channel.seek ic (Int64.pred n);
+          In_channel.input_char ic <> Some '\n'))
+
 let open_append path =
-  { oc = Out_channel.open_gen [ Open_append; Open_creat; Open_text ] 0o644 path;
-    closed = false }
+  let oc =
+    Out_channel.open_gen [ Open_append; Open_creat; Open_text ] 0o644 path
+  in
+  (* A kill mid-write can leave a torn last line: end it, so the first new
+     record does not join it and get skipped with it. *)
+  if ends_torn path then Out_channel.output_char oc '\n';
+  { oc; closed = false }
 
 let append t ~key ~value =
   if t.closed then invalid_arg "Journal.append: journal is closed";

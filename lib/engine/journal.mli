@@ -13,7 +13,8 @@ type t
 (** An open journal writer (append mode). *)
 
 val open_append : string -> t
-(** Open (creating if needed) for appending. *)
+(** Open (creating if needed) for appending. A torn last line is ended
+    first, so the next record starts a line of its own. *)
 
 val append : t -> key:string -> value:(string, string) result -> unit
 (** Write one record and flush.

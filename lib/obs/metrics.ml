@@ -88,7 +88,7 @@ let kind_value = function
   | Gauge_v v -> ("gauge", v)
 
 (* Rendering: zero-valued metrics are kept — a counter stuck at 0 (e.g.
-   cache.quarantined) is information, and a fixed row set keeps diffs of
+   fault.failed) is information, and a fixed row set keeps diffs of
    two runs alignable. *)
 
 let to_table () =

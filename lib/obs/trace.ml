@@ -58,4 +58,8 @@ let write path =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e)
 
-let install_at_exit path = at_exit (fun () -> try write path with Sys_error _ -> ())
+let install_at_exit path =
+  at_exit (fun () ->
+      try write path
+      with Sys_error msg ->
+        Printf.eprintf "error: cannot write trace %s: %s\n%!" path msg)

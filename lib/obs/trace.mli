@@ -11,4 +11,5 @@ val write : string -> unit
 
 val install_at_exit : string -> unit
 (** Register an [at_exit] hook writing the trace — survives [exit 1] paths
-    such as failed sweeps. Write failures at exit are silently dropped. *)
+    such as failed sweeps. A write failure at exit is reported on stderr;
+    the exit status is left as it was. *)

@@ -16,6 +16,6 @@ val bind_aig_tables : Aig.t -> (string * Bitvec.t array) list -> Aig.t
     replaced by its constant; structural hashing folds the table-read mux
     trees on the fly. The result has only functional latches, so it can be
     checked against a lowered pre-bound design by register-correspondence
-    induction ({!Equiv.check_sat}) — the paper's specialization claim as a
-    provable statement.
+    induction ({!Equiv.run} with the [Sat] engine) — the paper's
+    specialization claim as a provable statement.
     @raise Invalid_argument if a bound bit has no matching config latch. *)

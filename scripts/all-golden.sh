@@ -3,19 +3,20 @@
 # fault table, the six ablations and the equivbench verdicts must match
 # the committed test/golden/all.stdout byte for byte in three runs: cold
 # at -j 2, cold at -j 1, and warm from a --cache-dir filled by a first
-# pass. Timings go to stderr, so stdout carries none. The cached runs'
-# engine tables (stderr) must show no quarantined entry, and the warm one
-# no executed job: a cache that silently missed would still match. An
-# intentional figure change regenerates the golden with
-# scripts/regen-golden.sh.
+# pass. Timings go to stderr, so stdout carries none. After the cold
+# cached run the cache directory must hold only results.jsonl, one record
+# per executed job (engine table, stderr); the warm run must execute no
+# job and leave that file byte-identical: a cache that silently missed
+# would still match. An intentional figure change regenerates the golden
+# with scripts/regen-golden.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
-out=$(mktemp) && err=$(mktemp) && cache=$(mktemp -d)
-trap 'rm -rf "$out" "$err" "$cache"' EXIT
+out=$(mktemp) && err=$(mktemp) && cache=$(mktemp -d) && snap=$(mktemp)
+trap 'rm -rf "$out" "$err" "$cache" "$snap"' EXIT
 
 check() {
   if ! diff -u test/golden/all.stdout "$out"; then
@@ -38,8 +39,20 @@ engine_row() {
 check "cold, -j 2"
 "$exe" all -j 1 --cache-dir "$cache" > "$out" 2> "$err"
 check "cold, -j 1"
-engine_row "cold, -j 1" "cache entries quarantined" 0
+executed=$(awk '/^jobs executed /{print $3}' "$err")
+records=$(wc -l < "$cache/results.jsonl")
+if [ "$(ls -A "$cache")" != results.jsonl ] || [ "$records" != "$executed" ]; then
+  echo "error: bench all (cold, -j 1): expected only results.jsonl with" \
+    "$executed records in the cache dir, got $records:" >&2
+  ls -A "$cache" >&2
+  exit 1
+fi
+cp "$cache/results.jsonl" "$snap"
 "$exe" all -j 2 --cache-dir "$cache" > "$out" 2> "$err"
 check "warm cache"
-engine_row "warm cache" "cache entries quarantined" 0
 engine_row "warm cache" "jobs executed" 0
+if ! cmp -s "$snap" "$cache/results.jsonl"; then
+  echo "error: bench all (warm cache) changed results.jsonl" >&2
+  exit 1
+fi
+echo "all-golden: $records records, unchanged by the warm run"

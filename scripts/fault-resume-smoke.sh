@@ -13,7 +13,8 @@
 # exactly the sites the batch will run (`--metrics` must count 1 packed
 # site, the one whose payload no longer decodes), and stdout must again
 # equal the reference. Last, a negative
-# --sites and a zero --cycles must be refused at parse time.
+# --sites and a zero --cycles must be refused at parse time, and a journal
+# in a missing directory must fail the run with exit 2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,3 +104,15 @@ for bad in --sites=-1 --cycles=0; do
   fi
   echo "fault-resume-smoke: OK ($bad rejected)" >&2
 done
+
+# A journal that cannot be opened is a run-time error (exit 2) with one
+# line naming the path, not an uncaught exception.
+rc=0
+"$CTRLGEN" fault --model tables --sites 2 --journal "$workdir/missing/j.jsonl" \
+  > /dev/null 2> "$workdir/journal.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "$workdir/missing/j.jsonl" "$workdir/journal.err"; then
+  echo "fault-resume-smoke: expected exit 2 naming the journal path, got $rc:" >&2
+  cat "$workdir/journal.err" >&2
+  exit 1
+fi
+echo "fault-resume-smoke: OK (unwritable --journal exits 2)" >&2

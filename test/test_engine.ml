@@ -22,7 +22,7 @@ let fresh_dir =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "engine-test-%d-%d" (Unix.getpid ()) !counter)
     in
-    (* Cache.create makes the directory itself. *)
+    (* Engine.create makes the directory itself. *)
     d
 
 (* ---------------------------------------------------------- fingerprint *)
@@ -148,32 +148,6 @@ let prop_summary_floats_exact =
         && s = s'
       | Error _ -> false)
 
-(* ----------------------------------------------------------- disk cache *)
-
-let test_cache_disk_roundtrip () =
-  let dir = fresh_dir () in
-  let s = compile_summary (fsm_design 11) in
-  let c1 = Engine.Cache.create ~dir () in
-  Engine.Cache.store c1 "somekey" s;
-  (* A different cache instance over the same directory sees the entry. *)
-  let c2 = Engine.Cache.create ~dir () in
-  (match Engine.Cache.find c2 "somekey" with
-   | Some (s', `Disk) when s' = s -> ()
-   | Some (_, `Disk) -> Alcotest.fail "disk entry differs from stored summary"
-   | Some (_, `Memory) -> Alcotest.fail "expected a disk hit"
-   | None -> Alcotest.fail "entry not found on disk");
-  (* Second lookup is served from memory. *)
-  (match Engine.Cache.find c2 "somekey" with
-   | Some (_, `Memory) -> ()
-   | _ -> Alcotest.fail "expected a memory hit");
-  (* A corrupt entry is a miss, not a crash. *)
-  Out_channel.with_open_text
-    (Filename.concat dir "badkey.json")
-    (fun oc -> Out_channel.output_string oc "garbage");
-  (match Engine.Cache.find c2 "badkey" with
-   | None -> ()
-   | Some _ -> Alcotest.fail "corrupt entry should miss")
-
 (* ----------------------------------------------------------------- pool *)
 
 let test_pool_isolation_and_order () =
@@ -204,39 +178,6 @@ let test_pool_isolation_and_order () =
         0
         (List.length (Engine.Pool.map ~jobs f [])))
     [ 1; 3; 16 ]
-
-(* ----------------------------------------------------------- quarantine *)
-
-let test_cache_quarantine () =
-  let dir = fresh_dir () in
-  let s = compile_summary (fsm_design 17) in
-  let c1 = Engine.Cache.create ~dir () in
-  Engine.Cache.store c1 "goodkey" s;
-  Out_channel.with_open_text
-    (Filename.concat dir "rotkey.json")
-    (fun oc -> Out_channel.output_string oc "not a summary at all");
-  (* An entry in the old line format has the old name: it is neither read
-     nor quarantined. *)
-  Out_channel.with_open_text
-    (Filename.concat dir "oldkey.summary")
-    (fun oc -> Out_channel.output_string oc "ctrlgen-summary v1\n");
-  let c2 = Engine.Cache.create ~dir () in
-  (match Engine.Cache.find c2 "rotkey" with
-   | None -> ()
-   | Some _ -> Alcotest.fail "corrupt entry should miss");
-  (match Engine.Cache.find c2 "oldkey" with
-   | None -> ()
-   | Some _ -> Alcotest.fail "an old-format entry was read");
-  Alcotest.(check int) "quarantined count" 1 (Engine.Cache.quarantined c2);
-  Alcotest.(check bool) "entry moved aside" true
-    (Sys.file_exists (Filename.concat dir "rotkey.corrupt"));
-  Alcotest.(check bool) "original gone" false
-    (Sys.file_exists (Filename.concat dir "rotkey.json"));
-  Alcotest.(check bool) "old-format entry left alone" true
-    (Sys.file_exists (Filename.concat dir "oldkey.summary"));
-  (match Engine.Cache.find c2 "goodkey" with
-   | Some (s', `Disk) when s' = s -> ()
-   | _ -> Alcotest.fail "good entry lost after quarantine")
 
 (* -------------------------------------------------------------- journal *)
 
@@ -352,7 +293,24 @@ let test_batch_journal_resume () =
    | [ Ok 1; Ok 4; Ok 9; Ok 16; Ok 25; Ok 36 ] -> ()
    | _ -> Alcotest.fail "resumed results differ");
   ignore first;
-  Sys.remove path
+  Sys.remove path;
+  (* A payload that does not decode does not shadow a later good record
+     for its key: the first record that decodes wins, and nothing runs. *)
+  let resume =
+    [ { Engine.Journal.key = "7"; value = Ok "garbage" };
+      { Engine.Journal.key = "7"; value = Ok "49" } ]
+  in
+  let calls_before = !calls in
+  (match
+     Engine.Batch.run ~resume ~key:string_of_int ~codec:batch_codec f [ 7 ]
+   with
+   | [ Ok 49 ] -> ()
+   | _ -> Alcotest.fail "bad-then-good pair did not resume the good record");
+  Alcotest.(check int) "bad-then-good pair ran nothing" calls_before !calls;
+  Alcotest.(check int) "nothing pending" 0
+    (List.length
+       (Engine.Batch.pending ~key:string_of_int ~codec:batch_codec resume
+          [ 7 ]))
 
 (* --------------------------------------------------------------- engine *)
 
@@ -454,6 +412,105 @@ let test_determinism_disk_cache () =
   (* Restore a clean default for any later test. *)
   Engine.set_default (Engine.create ~jobs:1 lib)
 
+(* ----------------------------------------------------------- disk cache *)
+
+let results_path dir = Filename.concat dir "results.jsonl"
+
+let test_cache_disk_roundtrip () =
+  let dir = fresh_dir () in
+  let d = fsm_design 11 in
+  let cold = Engine.create ~cache_dir:dir lib in
+  let s = Engine.run_one cold (Engine.job d) in
+  (* A second engine over the same directory: a disk hit, then a memory
+     hit, and never a compile. *)
+  let warm = Engine.create ~cache_dir:dir lib in
+  if Engine.run_one warm (Engine.job d) <> s then
+    Alcotest.fail "disk record differs from the compiled summary";
+  let st = Engine.stats warm in
+  Alcotest.(check (pair int int)) "disk hit, nothing executed" (1, 0)
+    (st.Engine.disk_hits, st.Engine.executed);
+  ignore (Engine.run_one warm (Engine.job d));
+  let st = Engine.stats warm in
+  Alcotest.(check (pair int int)) "then a memory hit" (1, 1)
+    (st.Engine.disk_hits, st.Engine.mem_hits);
+  Alcotest.(check (array string)) "the store is one journal"
+    [| "results.jsonl" |] (Sys.readdir dir)
+
+let test_cache_torn_tail () =
+  let dir = fresh_dir () in
+  let d = fsm_design 11 and d' = fsm_design 12 in
+  ignore (Engine.run_one (Engine.create ~cache_dir:dir lib) (Engine.job d));
+  (* A kill mid-append leaves a torn final line: here, the first half of
+     the one record. It is skipped, and the next engine's record starts a
+     line of its own. *)
+  let record =
+    In_channel.with_open_text (results_path dir) In_channel.input_all
+  in
+  Out_channel.with_open_gen [ Open_append; Open_text ] 0o644
+    (results_path dir)
+    (fun oc ->
+      Out_channel.output_string oc
+        (String.sub record 0 (String.length record / 2)));
+  let run_both () =
+    let e = Engine.create ~cache_dir:dir lib in
+    List.iter
+      (fun r -> if Result.is_error r then Alcotest.fail "job failed")
+      (Engine.run e [ Engine.job d; Engine.job d' ]);
+    let st = Engine.stats e in
+    (st.Engine.disk_hits, st.Engine.executed)
+  in
+  Alcotest.(check (pair int int)) "disk hit past the torn tail" (1, 1)
+    (run_both ());
+  Alcotest.(check (pair int int)) "the record after it reads back" (2, 0)
+    (run_both ())
+
+let test_cache_dir_not_directory () =
+  let file = Filename.temp_file "engine-test" ".file" in
+  (match Engine.create ~cache_dir:file lib with
+   | _ -> Alcotest.fail "a file accepted as cache_dir"
+   | exception Invalid_argument _ -> ());
+  Sys.remove file
+
+(* Spoil one record's payload in a warm directory: the next engine
+   recompiles exactly that job and appends a good record after the bad
+   one, which then serves every later engine. *)
+let test_cache_corrupt_record () =
+  let dir = fresh_dir () in
+  let engine () = Engine.create ~jobs:1 ~cache_dir:dir lib in
+  Engine.set_default (engine ());
+  let cold = fig5_rows () in
+  let lines =
+    In_channel.with_open_text (results_path dir) In_channel.input_lines
+  in
+  let spoil line =
+    match Report.Json.of_string line with
+    | Ok (Report.Json.Obj fields) ->
+      Report.Json.to_string
+        (Report.Json.Obj
+           (List.map
+              (fun (k, v) ->
+                (k, if k = "v" then Report.Json.String "garbage" else v))
+              fields))
+    | _ -> Alcotest.fail "results journal line is not a JSON object"
+  in
+  Out_channel.with_open_text (results_path dir) (fun oc ->
+      List.iteri
+        (fun i l ->
+          Out_channel.output_string oc (if i = 2 then spoil l else l);
+          Out_channel.output_char oc '\n')
+        lines);
+  let executed_by_fresh_engine () =
+    Engine.set_default (engine ());
+    check_rows_equal "cold vs warm after a spoiled record" cold
+      (fig5_rows ());
+    (Engine.stats (Engine.default ())).Engine.executed
+  in
+  Alcotest.(check int) "the spoiled job recompiles" 1
+    (executed_by_fresh_engine ());
+  Alcotest.(check int) "its new record serves the next engine" 0
+    (executed_by_fresh_engine ());
+  Engine.set_default (Engine.create ~jobs:1 lib)
+
 (* ------------------------------------------------------------------ cli *)
 
 (* Evaluate the shared flag term on [args], discarding cmdliner's error
@@ -471,7 +528,10 @@ let test_cli_rejects_bad_values () =
       match eval_cli args with
       | Error (`Parse | `Term) -> ()
       | _ -> Alcotest.failf "accepted %s" (String.concat " " args))
-    [ [ "-j"; "-1" ]; [ "-j=-1" ]; [ "-j"; "two" ] ];
+    [ [ "-j"; "-1" ]; [ "-j=-1" ]; [ "-j"; "two" ];
+      (* A trace is written at exit, so a missing directory is refused
+         at parse time. *)
+      [ "--trace"; Filename.concat (fresh_dir ()) "t.json" ] ];
   (* The range converter behind -j and ctrlgen's counts: both bounds are
      inclusive, and anything outside them or not an integer is refused. *)
   let parse = Cmdliner.Arg.conv_parser (Cli.range ~max:16 1) in
@@ -556,8 +616,12 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "disk round-trip" `Quick test_cache_disk_roundtrip;
-          Alcotest.test_case "corrupt entry quarantined" `Quick
-            test_cache_quarantine;
+          Alcotest.test_case "torn final line skipped" `Quick
+            test_cache_torn_tail;
+          Alcotest.test_case "non-directory cache_dir raises" `Quick
+            test_cache_dir_not_directory;
+          Alcotest.test_case "corrupt record recompiled once" `Quick
+            test_cache_corrupt_record;
         ] );
       ( "pool",
         [
