@@ -182,9 +182,9 @@ let parse text =
           expect_punct ':';
           (match key, next "attribute value" with
            | "function", (l, Str s) -> func := Some (parse_function l s)
-           | "flop", (_, Ident "none") -> flop := Some Rtl.Design.No_reset
-           | "flop", (_, Ident "sync") -> flop := Some Rtl.Design.Sync_reset
-           | "flop", (_, Ident "async") -> flop := Some Rtl.Design.Async_reset
+           | "flop", (_, Ident r) when Rtl.Design.reset_kind_of_string r <> None
+             ->
+             flop := Rtl.Design.reset_kind_of_string r
            | "area", (_, Num v) -> area := Some v
            | "delay", (_, Num v) -> delay := Some v
            | _, (l, _) -> fail l "bad attribute %s" key);
@@ -243,14 +243,8 @@ let print (lib : Library.t) =
         out "  cell (%s) { function : \"%s\"; area : %g; delay : %g; }\n"
           c.cname (function_of_table arity table) c.area c.delay
       | Cell.Flop reset ->
-        let r =
-          match reset with
-          | Rtl.Design.No_reset -> "none"
-          | Rtl.Design.Sync_reset -> "sync"
-          | Rtl.Design.Async_reset -> "async"
-        in
-        out "  cell (%s) { flop : %s; area : %g; delay : %g; }\n" c.cname r
-          c.area c.delay)
+        out "  cell (%s) { flop : %s; area : %g; delay : %g; }\n" c.cname
+          (Rtl.Design.reset_kind_to_string reset) c.area c.delay)
     lib.Library.cells;
   out "}\n";
   Buffer.contents buf

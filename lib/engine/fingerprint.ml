@@ -21,13 +21,7 @@ let cell (c : Cells.Cell.t) =
     | Cells.Cell.Comb { arity; table } ->
       Printf.sprintf "(comb %d %d)" arity table
     | Cells.Cell.Flop reset ->
-      let r =
-        match reset with
-        | Rtl.Design.No_reset -> "none"
-        | Rtl.Design.Sync_reset -> "sync"
-        | Rtl.Design.Async_reset -> "async"
-      in
-      Printf.sprintf "(flop %s)" r
+      Printf.sprintf "(flop %s)" (Rtl.Design.reset_kind_to_string reset)
   in
   (* %h renders floats bit-exactly, so area/delay tweaks always re-key. *)
   Printf.sprintf "(cell %s %s %h %h)" cname func area delay

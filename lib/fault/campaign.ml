@@ -79,21 +79,22 @@ let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
     "fault.campaign"
   @@ fun () ->
   let population, injected = enumerate ?aig ~seed ~sites ~model spec in
-  let needs_rtl =
-    List.exists (function Site.Stuck_at _ -> false | _ -> true) injected
+  (* Only the sites the resume journal leaves pending are simulated, by
+     the batch's own rule, so a resumed campaign pays for no work it
+     skips. The RTL golden is computed once, before the batch starts, and
+     only if some pending site needs it; it is shared read-only with every
+     worker. *)
+  let pending =
+    Engine.Batch.pending ~key:Site.key ~codec:outcome_codec resume injected
   in
-  (* The RTL golden is computed once, before the batch starts, and shared
-     read-only with every worker. *)
-  let g = if needs_rtl then Some (Sim.golden spec) else None in
-  (* Packed pre-pass: classify every stuck-at site the batch will run,
+  let is_stuck = function Site.Stuck_at _ -> true | _ -> false in
+  let g =
+    if List.for_all is_stuck pending then None else Some (Sim.golden spec)
+  in
+  (* Packed pre-pass: classify every pending stuck-at site,
      {!Aig.Compiled.lanes} sites per simulation pass, before the batch
-     starts — workers then answer those sites from a read-only table.
-     Sites the resume journal settles are left out, by the batch's own
-     rule, so resumed campaigns do not pay for work they skip. *)
-  let stuck =
-    Engine.Batch.pending ~key:Site.key ~codec:outcome_codec resume
-      (List.filter (function Site.Stuck_at _ -> true | _ -> false) injected)
-  in
+     starts — workers then answer those sites from a read-only table. *)
+  let stuck = List.filter is_stuck pending in
   let packed_results : (string, Sim.outcome) Hashtbl.t = Hashtbl.create 64 in
   (match (aig, stuck) with
    | Some a, _ :: _ ->

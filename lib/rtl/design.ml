@@ -1,5 +1,16 @@
 type reset_kind = No_reset | Sync_reset | Async_reset
 
+let reset_kind_to_string = function
+  | No_reset -> "none"
+  | Sync_reset -> "sync"
+  | Async_reset -> "async"
+
+let reset_kind_of_string = function
+  | "none" -> Some No_reset
+  | "sync" -> Some Sync_reset
+  | "async" -> Some Async_reset
+  | _ -> None
+
 type reg = {
   q : Signal.t;
   d : Expr.t;

@@ -15,6 +15,13 @@
 
 type reset_kind = No_reset | Sync_reset | Async_reset
 
+val reset_kind_to_string : reset_kind -> string
+(** ["none"], ["sync"] or ["async"]: the one spelling of a reset kind in
+    serialized designs, Liberty files and engine cache keys. *)
+
+val reset_kind_of_string : string -> reset_kind option
+(** Inverse of {!reset_kind_to_string}; [None] on any other string. *)
+
 type reg = {
   q : Signal.t;
   d : Expr.t;

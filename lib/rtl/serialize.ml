@@ -123,11 +123,7 @@ let write (d : Design.t) =
     (fun (r : Design.reg) ->
       signal r.q;
       add " (reset ";
-      add
-        (match r.reset with
-         | Design.No_reset -> "none"
-         | Design.Sync_reset -> "sync"
-         | Design.Async_reset -> "async");
+      add (Design.reset_kind_to_string r.reset);
       add ") (init "; bv r.init;
       add ") (config "; add (string_of_bool r.is_config); add ") ";
       Option.iter (fun en -> add "(enable "; expr en; add ") ") r.enable;
@@ -206,11 +202,11 @@ let rec parse_expr s : Expr.t =
   | List (Atom op :: _) -> fail "unknown expression form %s" op
   | _ -> fail "malformed expression"
 
-let parse_reset = function
-  | Atom "none" -> Design.No_reset
-  | Atom "sync" -> Design.Sync_reset
-  | Atom "async" -> Design.Async_reset
-  | s -> fail "unknown reset kind %a" pp_sexp s
+let parse_reset s =
+  match s with
+  | Atom a when Design.reset_kind_of_string a <> None ->
+    Option.get (Design.reset_kind_of_string a)
+  | _ -> fail "unknown reset kind %a" pp_sexp s
 
 let section name = function
   | List (Atom n :: rest) when n = name -> rest

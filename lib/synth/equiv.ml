@@ -21,8 +21,6 @@ type engine =
   | Sat of { frames : int }
   | Bdd of { max_vars : int }
 
-let lanes = Aig.Compiled.lanes
-
 (* Stimulus per simulation check: [runs] packed passes of [cycles] cycles. *)
 let cycles = 64
 let runs = 8
@@ -51,145 +49,139 @@ let sorted_perm names =
     perm;
   perm
 
-(* [tape] up to and including the cycle of mismatch [m]; a tape that ends
-   there is shared, not copied. *)
-let cex tape m =
-  let n = m.cycle + 1 in
-  { tape = (if n = Array.length tape then tape else Array.sub tape 0 n); first = m }
+(* Both compiled sides of one check: a simulator each, the PI slots of the
+   shared sorted input names, and the outputs aligned by [sorted_perm] —
+   the k-th occurrence of every name on each side, in sorted order. *)
+type pair = {
+  sa : Aig.Compiled.sim;
+  sb : Aig.Compiled.sim;
+  slots_a : int array;
+  slots_b : int array;
+  po_names : string array;  (* [a]'s output names, by PO slot *)
+  pa : int array;
+  pb : int array;
+}
 
-(* The first mismatch, in sorted output order, of both compiled netlists'
-   scalar runs on one input tape, stepped in lockstep so the replay stops
-   at the mismatching cycle. Every row of a tape names the inputs in one
-   order (the shared sorted names), so row position [p] drives one PI slot
-   per side, resolved once from the first row. *)
-let replay ca cb (tape : (string * bool) list array) =
+let pair pi_a a b =
+  let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
   let slots c =
-    let slot = Array.make (List.length tape.(0)) 0 in
-    List.iteri
-      (fun p (name, _) -> slot.(p) <- Option.get (Aig.Compiled.pi_index c name))
-      tape.(0);
-    slot
+    Array.of_list
+      (List.map (fun name -> Option.get (Aig.Compiled.pi_index c name)) pi_a)
   in
-  let slot_a = slots ca and slot_b = slots cb in
-  let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
-  let names = Array.init (Aig.Compiled.num_pos ca) (Aig.Compiled.po_name ca) in
-  let pa = sorted_perm names
-  and pb =
-    sorted_perm (Array.init (Aig.Compiled.num_pos cb) (Aig.Compiled.po_name cb))
+  let po_names c =
+    Array.init (Aig.Compiled.num_pos c) (Aig.Compiled.po_name c)
   in
-  let drive p (_, v) =
-    let w = Aig.Compiled.replicate v in
-    Aig.Compiled.set_pi sa slot_a.(p) w;
-    Aig.Compiled.set_pi sb slot_b.(p) w
-  in
-  let rec run cycle =
-    if cycle >= Array.length tape then None
+  let po_names_a = po_names ca in
+  {
+    sa = Aig.Compiled.sim ca;
+    sb = Aig.Compiled.sim cb;
+    slots_a = slots ca;
+    slots_b = slots cb;
+    po_names = po_names_a;
+    pa = sorted_perm po_names_a;
+    pb = sorted_perm (po_names cb);
+  }
+
+(* The one lockstep driver: both sides from reset, input [i] of cycle [c]
+   driven with [word c i], for at most [cycles] cycles. Returns the first
+   cycle, and the first aligned output [j] in it, at which any lane
+   differs, with the differing lanes; both simulators stay at that cycle. *)
+let first_divergence p ~cycles ~word =
+  Aig.Compiled.reset p.sa;
+  Aig.Compiled.reset p.sb;
+  let rec run c =
+    if c >= cycles then None
     else begin
-      List.iteri drive tape.(cycle);
-      Aig.Compiled.step sa;
-      Aig.Compiled.step sb;
-      scan cycle 0
+      for i = 0 to Array.length p.slots_a - 1 do
+        let w = word c i in
+        Aig.Compiled.set_pi p.sa p.slots_a.(i) w;
+        Aig.Compiled.set_pi p.sb p.slots_b.(i) w
+      done;
+      Aig.Compiled.step p.sa;
+      Aig.Compiled.step p.sb;
+      scan c 0
     end
-  and scan cycle j =
-    if j >= Array.length pa then run (cycle + 1)
+  and scan c j =
+    if j >= Array.length p.pa then run (c + 1)
     else
-      let va = Aig.Compiled.po sa pa.(j) land 1 = 1
-      and vb = Aig.Compiled.po sb pb.(j) land 1 = 1 in
-      if va <> vb then
-        Some { cycle; output = names.(pa.(j)); got = va; expected = vb }
-      else scan cycle (j + 1)
+      let diff =
+        Aig.Compiled.po p.sa p.pa.(j) lxor Aig.Compiled.po p.sb p.pb.(j)
+      in
+      if diff <> 0 then Some (c, j, diff) else scan c (j + 1)
   in
   run 0
 
-(* A witness that fails to replay means an engine is unsound — reported
-   loudly, not masked; [Refuted] always carries a concrete simulation
-   mismatch. *)
-let replay_cex ~unsound ca cb tape =
-  match replay ca cb tape with
-  | Some m -> cex tape m
+(* A tape through the driver, each row replicated to every lane; every
+   row names the shared sorted inputs in order, so row position [i] is
+   input [i]. The counterexample keeps the tape up to its mismatch cycle
+   (shared, not copied, when it ends there). A witness that does not
+   reproduce means an engine is unsound — reported loudly, not masked;
+   [Refuted] always carries a concrete simulation mismatch. *)
+let replay ~unsound p (tape : (string * bool) list array) =
+  let rows =
+    Array.map
+      (fun row ->
+        Array.of_list (List.map (fun (_, v) -> Aig.Compiled.replicate v) row))
+      tape
+  in
+  let word c i = rows.(c).(i) in
+  match first_divergence p ~cycles:(Array.length tape) ~word with
   | None -> failwith ("Equiv.run: " ^ unsound)
+  | Some (cycle, j, _) ->
+    let bit s k = Aig.Compiled.po s k land 1 = 1 in
+    let n = cycle + 1 in
+    {
+      tape = (if n = Array.length tape then tape else Array.sub tape 0 n);
+      first =
+        {
+          cycle;
+          output = p.po_names.(p.pa.(j));
+          got = bit p.sa p.pa.(j);
+          expected = bit p.sb p.pb.(j);
+        };
+    }
 
-let replay_tape a b tape =
-  replay_cex (Aig.Compiled.compile a) (Aig.Compiled.compile b) tape
+let replay_model pi_a a b tape =
+  replay (pair pi_a a b) tape
     ~unsound:
       "SAT counterexample failed to replay through the scalar simulator \
        (encoder soundness bug)"
 
+(* [runs] passes of the driver with random words, recorded as they are
+   driven. On a divergence the lowest differing lane's bits of those
+   words are its scalar tape, replayed on the same pair so the reported
+   counterexample is exact. *)
 let sim ~seed pi_a a b =
-  let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
-  let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
-  (* Shared stimulus order: sorted PI names, resolved to slots once. *)
-  let pi_names = Array.of_list pi_a in
-  let slot c name =
-    match Aig.Compiled.pi_index c name with
-    | Some i -> i
-    | None -> assert false
-  in
-  let slots_a = Array.map (slot ca) pi_names in
-  let slots_b = Array.map (slot cb) pi_names in
-  (* Output alignment: sorted (name, position) on each side. *)
-  let po_names_a = Array.init (Aig.Compiled.num_pos ca) (Aig.Compiled.po_name ca) in
-  let po_names_b = Array.init (Aig.Compiled.num_pos cb) (Aig.Compiled.po_name cb) in
-  let pa = sorted_perm po_names_a and pb = sorted_perm po_names_b in
-  let npo = Array.length pa in
-  (* Packed pass for one run: 63 independent stimulus streams. Returns
-     the lowest diverging lane of the first cycle and output slot where
-     any lane diverges. *)
-  let packed_pass i =
-    let st = Random.State.make [| seed; i |] in
-    Aig.Compiled.reset sa;
-    Aig.Compiled.reset sb;
-    let found = ref None in
-    let cycle = ref 0 in
-    while !found = None && !cycle < cycles do
-      for p = 0 to Array.length pi_names - 1 do
-        let w = Aig.Compiled.random_word st in
-        Aig.Compiled.set_pi sa slots_a.(p) w;
-        Aig.Compiled.set_pi sb slots_b.(p) w
-      done;
-      Aig.Compiled.step sa;
-      Aig.Compiled.step sb;
-      let j = ref 0 in
-      while !found = None && !j < npo do
-        let diff =
-          Aig.Compiled.po sa pa.(!j) lxor Aig.Compiled.po sb pb.(!j)
-        in
-        if diff <> 0 then found := Some (Aig.Compiled.ctz diff);
-        incr j
-      done;
-      incr cycle
-    done;
-    !found
-  in
-  (* One lane of run [i] as a scalar tape: regenerate the packed words and
-     keep the lane's bit per (cycle, PI). Replaying it makes the reported
-     counterexample exact. *)
-  let lane_tape i lane =
-    let st = Random.State.make [| seed; i |] in
-    Array.init cycles (fun _ ->
-        List.map
-          (fun name -> (name, Aig.Compiled.random_word st lsr lane land 1 = 1))
-          pi_a)
-  in
+  let p = pair pi_a a b in
+  let words = Array.make_matrix cycles (List.length pi_a) 0 in
   let rec run_i i =
-    if i >= runs then None
+    if i >= runs then
+      Undecided
+        (Printf.sprintf
+           "simulation: no mismatch in %d runs x %d lanes x %d cycles (not a proof)"
+           runs Aig.Compiled.lanes cycles)
     else
-      match packed_pass i with
+      let st = Random.State.make [| seed; i |] in
+      let word c i =
+        words.(c).(i) <- Aig.Compiled.random_word st;
+        words.(c).(i)
+      in
+      match first_divergence p ~cycles ~word with
       | None -> run_i (i + 1)
-      | Some lane ->
-        Some
-          (replay_cex ca cb (lane_tape i lane)
+      | Some (cycle, _, diff) ->
+        let lane = Aig.Compiled.ctz diff in
+        let tape =
+          Array.init (cycle + 1) (fun c ->
+              List.mapi (fun i name -> (name, words.(c).(i) lsr lane land 1 = 1))
+                pi_a)
+        in
+        Refuted
+          (replay p tape
              ~unsound:
                "packed simulation mismatch failed to replay through the \
                 scalar simulator (kernel bug)")
   in
-  match run_i 0 with
-  | Some c -> Refuted c
-  | None ->
-    Undecided
-      (Printf.sprintf
-         "simulation: no mismatch in %d runs x %d lanes x %d cycles (not a proof)"
-         runs lanes cycles)
+  run_i 0
 
 (* ------------------------------------------------------------ SAT engine *)
 
@@ -315,7 +307,7 @@ let induction ~sequential new_solver pi_a a b =
     let tape =
       [| List.map (fun name -> (name, model_input cnf u name)) pi_a |]
     in
-    Some (Refuted (replay_tape a b tape))
+    Some (Refuted (replay_model pi_a a b tape))
 
 (* Bounded model checking: unroll both netlists frame by frame into one
    fresh structurally-hashed miter AIG (frame-f inputs shared by name,
@@ -362,7 +354,7 @@ let bmc ~frames new_solver pi_a a b =
                 (fun name -> (name, model_input cnf u (frame_input c name)))
                 pi_a)
         in
-        Refuted (replay_tape a b tape)
+        Refuted (replay_model pi_a a b tape)
     end
   in
   frame 0
@@ -447,21 +439,17 @@ let bdd ~max_vars ?on_stats pi_a a b =
     let iterate = ref 0 in
     match
       let lit_a, lit_b, machine = product ~max_vars a b in
-      (* One miter per output of [a], in [a]'s order, against the
-         same-numbered occurrence of its name in [b] (the pairing of
-         [align_pairs]). [Hashtbl.add] stacks bindings, so adding [b]'s
-         outputs last to first leaves each name's first occurrence on top,
-         and removing it exposes the next. *)
-      let outs_b = Hashtbl.create 16 in
-      List.iter (fun (name, l) -> Hashtbl.add outs_b name l)
-        (List.rev (Aig.pos b));
+      (* One miter per output of [a], in [a]'s order (the converter numbers
+         inputs as it meets them), against its [sorted_perm] partner in
+         [b]: the pairing of every other engine. *)
+      let pos_a = Array.of_list (Aig.pos a) and pos_b = Array.of_list (Aig.pos b) in
+      let pa = sorted_perm (Array.map fst pos_a)
+      and pb = sorted_perm (Array.map fst pos_b) in
+      let partner = Array.make (Array.length pa) 0 in
+      Array.iteri (fun k i -> partner.(i) <- pb.(k)) pa;
       let miters =
-        List.map
-          (fun (name, la) ->
-            let lb = Hashtbl.find outs_b name in
-            Hashtbl.remove outs_b name;
-            Bdd.xor (lit_a la) (lit_b lb))
-          (Aig.pos a)
+        List.init (Array.length pos_a) (fun i ->
+            Bdd.xor (lit_a (snd pos_a.(i))) (lit_b (snd pos_b.(partner.(i)))))
       in
       Symbolic.reach ~max_iters machine ~visit:(fun r ->
           if List.exists (fun m -> not (Bdd.is_zero (Bdd.and_ r m))) miters

@@ -43,9 +43,11 @@ type engine =
   | Sim of { seed : int }
       (** Each of 8 passes drives {!Aig.Compiled.lanes} independent random
           stimulus streams, seeded from [seed], bit-parallel through both
-          compiled netlists for 64 cycles. On divergence the mismatching
-          lane is replayed as a single scalar tape. Agreement on every run
-          is [Undecided]. *)
+          compiled netlists for up to 64 cycles, recording the words it
+          drives. On divergence the lowest mismatching lane's bits of
+          those words are its scalar tape, replayed through the same
+          lockstep loop as every other engine's witness. Agreement on
+          every run is [Undecided]. *)
   | Sat of { frames : int }
       (** Both graphs are Tseitin-encoded into one incremental solver with
           primary inputs shared by name; each proof obligation (one aligned
@@ -105,6 +107,9 @@ val rtl_vs_aig :
     side; on the AIG side the same contents must already be reflected
     (bound designs) — flexible designs with unbound configuration latches
     can only be compared with all-zero config. Bits are matched by
-    {!Lower.bit_name}.
+    {!Lower.bit_name}. It is not a {!run} engine: its reference side is the
+    RTL interpreter ({!Rtl.Eval}), not a netlist, so there is no second AIG
+    to pair outputs with or build a miter from; and [perfbench/] reads its
+    [mismatch option].
     @raise Invalid_argument naming the bit if an AIG input is not an RTL
     input bit, or an RTL output bit has no AIG output. *)

@@ -12,7 +12,10 @@
 # its full journal with the first payload spoiled: the pre-pass must cover
 # exactly the sites the batch will run (`--metrics` must count 1 packed
 # site, the one whose payload no longer decodes), and stdout must again
-# equal the reference. Last, a negative
+# equal the reference. A fourth resumes a `tables` campaign from its full
+# journal with `--metrics`: no site is pending, so stdout must equal the
+# journaled run's and `rtl.eval.instances` must read 0 (the RTL golden is not
+# simulated). Last, a negative
 # --sites and a zero --cycles must be refused at parse time, and a journal
 # in a missing directory must fail the run with exit 2.
 set -euo pipefail
@@ -92,6 +95,26 @@ if ! cmp -s "$dir/reference.out" "$dir/spoiled.out"; then
   exit 1
 fi
 echo "fault-resume-smoke[spoiled]: OK (bad payload recomputed, output byte-identical)" >&2
+
+# A fully journaled RTL campaign resumes without simulating anything.
+full=(fault --model tables --sites 8)
+dir="$workdir/full"
+mkdir "$dir"
+echo "fault-resume-smoke[full]: journaled run, then resume from the full journal" >&2
+"$CTRLGEN" "${full[@]}" --journal "$dir/journal.jsonl" > "$dir/reference.out"
+"$CTRLGEN" "${full[@]}" --resume "$dir/journal.jsonl" --metrics \
+  > "$dir/resumed.out" 2> "$dir/resumed.err"
+if ! grep -qE '^rtl\.eval\.instances +counter +0$' "$dir/resumed.err"; then
+  echo "fault-resume-smoke[full]: expected 0 RTL simulations:" >&2
+  grep 'rtl\.eval\.instances' "$dir/resumed.err" >&2 || true
+  exit 1
+fi
+if ! cmp -s "$dir/reference.out" "$dir/resumed.out"; then
+  echo "fault-resume-smoke[full]: stdout differs from the journaled run:" >&2
+  diff "$dir/reference.out" "$dir/resumed.out" >&2 || true
+  exit 1
+fi
+echo "fault-resume-smoke[full]: OK (nothing simulated, output byte-identical)" >&2
 
 # A negative site count is a usage error (exit 124), not an exhaustive run,
 # and so is a zero-cycle stimulus, under which every site reads masked.

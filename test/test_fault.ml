@@ -152,6 +152,33 @@ let test_campaign_resume_identical () =
     (render resumed);
   Sys.remove path
 
+(* A campaign resumed from its full journal has no pending site, so it
+   must not even simulate the RTL golden. *)
+let test_campaign_full_resume_simulates_nothing () =
+  let spec = flexible_spec 3 in
+  let path = Filename.temp_file "fault-full" ".jsonl" in
+  Sys.remove path;
+  let model = Fault.Campaign.Tables in
+  let j = Engine.Journal.open_append path in
+  let fresh = Fault.Campaign.run ~journal:j ~seed:5 ~sites:8 ~model spec in
+  Engine.Journal.close j;
+  let entries = Engine.Journal.load path in
+  Sys.remove path;
+  Obs.reset ();
+  Obs.set_enabled true;
+  let resumed, instances =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        let r = Fault.Campaign.run ~resume:entries ~seed:5 ~sites:8 ~model spec in
+        ( r,
+          Obs.Metrics.counter_value (Obs.Metrics.counter "rtl.eval.instances") ))
+  in
+  Alcotest.(check int) "no RTL simulation" 0 instances;
+  Alcotest.(check bool) "resumed report = fresh report" true (fresh = resumed)
+
 (* ------------------------------------------------------------- netlist *)
 
 let test_stuck_at_netlist () =
@@ -438,6 +465,8 @@ let () =
             test_campaign_deterministic;
           Alcotest.test_case "journal resume identical" `Quick
             test_campaign_resume_identical;
+          Alcotest.test_case "full resume simulates nothing" `Quick
+            test_campaign_full_resume_simulates_nothing;
         ] );
       ( "netlist",
         [

@@ -429,6 +429,139 @@ let prop_flow_never_refuted =
         failwith ("flow refuted: " ^ Synth.Equiv.mismatch_to_string c.first)
       | Synth.Equiv.Proved | Synth.Equiv.Undecided _ -> true)
 
+(* -------------------------------------------- Sim engine witness oracle *)
+
+(* The [Sim] engine as it was when its packed search and its replay were
+   two loops: per run, a packed pass over both compiled netlists; on a
+   divergence, the lowest diverging lane's tape regenerated from a
+   reseeded stream and replayed on fresh scalar simulators. Kept over the
+   public [Aig.Compiled] API as an oracle for the engine's verdict,
+   [first] and [tape]. *)
+let oracle_sorted_perm names =
+  let perm = Array.init (Array.length names) Fun.id in
+  Array.sort
+    (fun i j ->
+      match String.compare names.(i) names.(j) with 0 -> compare i j | c -> c)
+    perm;
+  perm
+
+let oracle_po_perm c =
+  let names = Array.init (Aig.Compiled.num_pos c) (Aig.Compiled.po_name c) in
+  (names, oracle_sorted_perm names)
+
+let oracle_replay ca cb (tape : (string * bool) list array) =
+  let slots c =
+    Array.of_list
+      (List.map (fun (name, _) -> Option.get (Aig.Compiled.pi_index c name)) tape.(0))
+  in
+  let slot_a = slots ca and slot_b = slots cb in
+  let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
+  let names, pa = oracle_po_perm ca and _, pb = oracle_po_perm cb in
+  let rec run cycle =
+    if cycle >= Array.length tape then None
+    else begin
+      List.iteri
+        (fun p (_, v) ->
+          let w = Aig.Compiled.replicate v in
+          Aig.Compiled.set_pi sa slot_a.(p) w;
+          Aig.Compiled.set_pi sb slot_b.(p) w)
+        tape.(cycle);
+      Aig.Compiled.step sa;
+      Aig.Compiled.step sb;
+      scan cycle 0
+    end
+  and scan cycle j =
+    if j >= Array.length pa then run (cycle + 1)
+    else
+      let va = Aig.Compiled.po sa pa.(j) land 1 = 1
+      and vb = Aig.Compiled.po sb pb.(j) land 1 = 1 in
+      if va <> vb then
+        Some
+          { Synth.Equiv.cycle; output = names.(pa.(j)); got = va; expected = vb }
+      else scan cycle (j + 1)
+  in
+  run 0
+
+let oracle_sim ~seed a b =
+  let cycles = 64 and runs = 8 in
+  let pi_names = List.sort compare (List.map (Aig.pi_name a) (Aig.pis a)) in
+  let ca = Aig.Compiled.compile a and cb = Aig.Compiled.compile b in
+  let sa = Aig.Compiled.sim ca and sb = Aig.Compiled.sim cb in
+  let slots c =
+    Array.of_list
+      (List.map (fun name -> Option.get (Aig.Compiled.pi_index c name)) pi_names)
+  in
+  let slots_a = slots ca and slots_b = slots cb in
+  let _, pa = oracle_po_perm ca and _, pb = oracle_po_perm cb in
+  let packed_pass i =
+    let st = Random.State.make [| seed; i |] in
+    Aig.Compiled.reset sa;
+    Aig.Compiled.reset sb;
+    let found = ref None and cycle = ref 0 in
+    while !found = None && !cycle < cycles do
+      Array.iteri
+        (fun p slot_a ->
+          let w = Aig.Compiled.random_word st in
+          Aig.Compiled.set_pi sa slot_a w;
+          Aig.Compiled.set_pi sb slots_b.(p) w)
+        slots_a;
+      Aig.Compiled.step sa;
+      Aig.Compiled.step sb;
+      let j = ref 0 in
+      while !found = None && !j < Array.length pa do
+        let diff = Aig.Compiled.po sa pa.(!j) lxor Aig.Compiled.po sb pb.(!j) in
+        if diff <> 0 then found := Some (Aig.Compiled.ctz diff);
+        incr j
+      done;
+      incr cycle
+    done;
+    !found
+  in
+  let lane_tape i lane =
+    let st = Random.State.make [| seed; i |] in
+    Array.init cycles (fun _ ->
+        List.map
+          (fun name -> (name, Aig.Compiled.random_word st lsr lane land 1 = 1))
+          pi_names)
+  in
+  let rec run_i i =
+    if i >= runs then
+      Synth.Equiv.Undecided
+        (Printf.sprintf
+           "simulation: no mismatch in %d runs x %d lanes x %d cycles (not a proof)"
+           runs Aig.Compiled.lanes cycles)
+    else
+      match packed_pass i with
+      | None -> run_i (i + 1)
+      | Some lane ->
+        let tape = lane_tape i lane in
+        let m = Option.get (oracle_replay ca cb tape) in
+        Synth.Equiv.Refuted
+          { tape = Array.sub tape 0 (m.cycle + 1); first = m }
+  in
+  run_i 0
+
+(* The engine against the oracle on random designs paired with an
+   inverted-output mutant, with their flow output, and with perturbations
+   that diverge on some lanes or cycles only. *)
+let prop_sim_matches_oracle =
+  let p = Prop.pair (Prop.int 1_000_000) (Prop.int 4) in
+  Prop.test ~iters:60 ~seed:9000 "sim witness = two-loop oracle" p
+    (fun (dseed, kind) ->
+      let d = Workload.Rand_design.generate ~seed:dseed in
+      let low = (Synth.Lower.run d).Synth.Lower.aig in
+      let opt () = (Synth.Flow.compile lib d).Synth.Flow.aig in
+      let k = if Aig.num_pos low = 0 then 0 else dseed mod Aig.num_pos low in
+      let b =
+        match kind with
+        | 0 -> Aig_util.invert_po k low
+        | 1 -> opt ()
+        | 2 -> Aig_util.invert_po k (opt ())
+        | _ -> copy_perturbed ~perturb:`Xor_po_pi ~seed:dseed low
+      in
+      Synth.Equiv.run (Synth.Equiv.Sim { seed = dseed }) low b
+      = oracle_sim ~seed:dseed low b)
+
 (* ------------------------------------------- directed engine regressions *)
 
 let test_check_sat_comb_refute () =
@@ -694,6 +827,7 @@ let () =
           prop_engines_agree;
           prop_bdd_agrees;
           prop_flow_never_refuted;
+          prop_sim_matches_oracle;
           Alcotest.test_case "combinational refutation" `Quick
             test_check_sat_comb_refute;
           Alcotest.test_case "induction proof" `Quick
