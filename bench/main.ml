@@ -14,7 +14,8 @@
    Every command takes the shared engine and observability flags of
    [Cli] (-j, --cache-dir, --no-cache, --trace, --metrics) and --json
    PATH, which also writes the figure rows and the engine statistics as
-   JSON. Flags follow the command name.
+   JSON. Flags follow the command name. Each run builds one engine from
+   them and passes it to every experiment that compiles through it.
 
    Figure tables go to stdout; engine statistics, metrics and traces go to
    stderr or to their own files, so stdout is byte-identical across -j
@@ -80,59 +81,63 @@ let fig9_json rows =
 
 (* ------------------------------------------------------------ commands *)
 
-(* Each command returns its (figure name, rows-as-JSON) contributions. *)
+(* Each command takes the parsed flags and the run's one engine and returns
+   its (figure name, rows-as-JSON) contributions. Figure tables go to
+   stdout. *)
 
-let fig5 () =
-  let rows = Experiments.Fig5.run () in
-  Experiments.Fig5.print rows;
+let out = Format.std_formatter
+
+let fig5 _ engine =
+  let rows = Experiments.Fig5.run engine in
+  Experiments.Fig5.print out rows;
   [ ("fig5", fig5_json rows) ]
 
-let fig6 () =
-  let rows = Experiments.Fig6.run () in
-  Experiments.Fig6.print rows;
+let fig6 _ engine =
+  let rows = Experiments.Fig6.run engine in
+  Experiments.Fig6.print out rows;
   [ ("fig6", fig6_json rows) ]
 
-let fig8 () =
-  let rows = Experiments.Fig8.run () in
-  Experiments.Fig8.print rows;
+let fig8 _ engine =
+  let rows = Experiments.Fig8.run engine in
+  Experiments.Fig8.print out rows;
   [ ("fig8", fig8_json rows) ]
 
-let fig9 () =
+let fig9 _ _ =
   let rows = Experiments.Fig9.run () in
-  Experiments.Fig9.print rows;
+  Experiments.Fig9.print out rows;
   [ ("fig9", fig9_json rows) ]
 
-let fault (cli : Cli.t) =
+let fault (cli : Cli.t) _ =
   let rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs () in
-  Experiments.Fault_cmp.print rows;
+  Experiments.Fault_cmp.print out rows;
   [ ("fault", Experiments.Fault_cmp.to_json rows) ]
 
-let quick (cli : Cli.t) =
+let quick (cli : Cli.t) engine =
   let r5 =
-    Experiments.Fig5.run ~seeds:[ 0 ] ~grid:Experiments.Fig5.quick_grid ()
+    Experiments.Fig5.run ~seeds:[ 0 ] ~grid:Experiments.Fig5.quick_grid engine
   in
-  Experiments.Fig5.print r5;
+  Experiments.Fig5.print out r5;
   let r6 =
-    Experiments.Fig6.run ~seeds:[ 0 ] ~grid:Experiments.Fig6.quick_grid ()
+    Experiments.Fig6.run ~seeds:[ 0 ] ~grid:Experiments.Fig6.quick_grid engine
   in
-  Experiments.Fig6.print r6;
-  let r8 = Experiments.Fig8.run ~widths:[ 2; 8; 32; 64 ] () in
-  Experiments.Fig8.print r8;
+  Experiments.Fig6.print out r6;
+  let r8 = Experiments.Fig8.run ~widths:[ 2; 8; 32; 64 ] engine in
+  Experiments.Fig8.print out r8;
   let r9 = Experiments.Fig9.run () in
-  Experiments.Fig9.print r9;
+  Experiments.Fig9.print out r9;
   let fault_rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ~sites:8 () in
-  Experiments.Fault_cmp.print fault_rows;
+  Experiments.Fault_cmp.print out fault_rows;
   [ ("fig5", fig5_json r5); ("fig6", fig6_json r6); ("fig8", fig8_json r8);
     ("fig9", fig9_json r9);
     ("fault", Experiments.Fault_cmp.to_json fault_rows) ]
 
-let ablations () =
-  Experiments.Ablation.cone_cap ();
-  Experiments.Ablation.twolevel ();
-  Experiments.Ablation.annot_cap ();
-  Experiments.Ablation.encodings ();
-  Experiments.Ablation.library_richness ();
-  Experiments.Ablation.microcode_style ();
+let ablations _ engine =
+  Experiments.Ablation.cone_cap out engine;
+  Experiments.Ablation.twolevel out;
+  Experiments.Ablation.annot_cap out engine;
+  Experiments.Ablation.encodings out engine;
+  Experiments.Ablation.library_richness out;
+  Experiments.Ablation.microcode_style out engine;
   []
 
 (* ------------------------------------------------ equivalence benchmark *)
@@ -143,7 +148,7 @@ let ablations () =
    (a microcode bit flip that must be refuted with a concrete witness).
    Solver effort lands in the JSON so the proof cost is tracked alongside
    the synthesis figures. *)
-let equivbench () =
+let equivbench _ _ =
   print_endline
     "== SAT equivalence certification: PCtrl partial evaluation ==";
   let one name ~frames ~mutate mode =
@@ -210,14 +215,14 @@ let equivbench () =
 
 (* Each section is bound in paper order: the elements of a list literal
    are evaluated right to left. *)
-let all cli =
-  let f5 = fig5 () in
-  let f6 = fig6 () in
-  let f8 = fig8 () in
-  let f9 = fig9 () in
-  let fl = fault cli in
-  let ab = ablations () in
-  let eq = equivbench () in
+let all cli engine =
+  let f5 = fig5 cli engine in
+  let f6 = fig6 cli engine in
+  let f8 = fig8 cli engine in
+  let f9 = fig9 cli engine in
+  let fl = fault cli engine in
+  let ab = ablations cli engine in
+  let eq = equivbench cli engine in
   List.concat [ f5; f6; f8; f9; fl; ab; eq ]
 
 (* --------------------------------------------------------- entry point *)
@@ -232,12 +237,14 @@ let engine_stats_json (s : Engine.stats) =
       ("wall_s", Json.Float s.Engine.wall_s);
       ("cpu_s", Json.Float s.Engine.cpu_s) ]
 
-(* Run one command's figures, then report: stderr tables, the optional
-   JSON document, and exit 1 after listing any failed synthesis jobs. *)
+(* Run one command's figures on one engine, then report: stderr tables, the
+   optional JSON document, and exit 1 after listing the engine's failed
+   synthesis jobs. *)
 let emit command run cli json_path =
-  let figures = run cli in
-  Cli.finish cli;
-  let failures = Experiments.Exp_common.failures () in
+  let engine = Cli.engine cli Experiments.Exp_common.lib in
+  let figures = run cli engine in
+  Cli.finish cli (Some engine);
+  let failures = Engine.failures engine in
   Option.iter
     (fun path ->
       let doc =
@@ -246,7 +253,7 @@ let emit command run cli json_path =
             ("figures", Json.Obj figures);
             ("failures",
              Json.List (List.map (fun m -> Json.String m) failures));
-            ("engine", engine_stats_json (Engine.stats (Engine.default ())));
+            ("engine", engine_stats_json (Engine.stats engine));
             ("metrics",
              if Obs.enabled () then Obs.Metrics.to_json () else Json.Null);
             ("spans",
@@ -271,8 +278,7 @@ let json =
 
 let term command run = Term.(const (emit command run) $ Cli.term $ json)
 let command name ~doc run = Cmd.v (Cmd.info name ~doc) (term name run)
-let plain f _ = f ()
-let ablation f = plain (fun () -> f (); [])
+let ablation f _ engine = f engine; []
 
 let () =
   let info =
@@ -285,24 +291,24 @@ let () =
           [ command "all" ~doc:"Every figure, ablation and benchmark." all;
             command "quick" ~doc:"Subsampled Figs. 5/6/8/9 and fault smoke run."
               quick;
-            command "fig5" ~doc:"Fig. 5: table vs SOP area." (plain fig5);
-            command "fig6" ~doc:"Fig. 6: FSM implementations." (plain fig6);
-            command "fig8" ~doc:"Fig. 8: one-hot state vectors." (plain fig8);
-            command "fig9" ~doc:"Fig. 9: PCtrl Full/Auto/Manual." (plain fig9);
+            command "fig5" ~doc:"Fig. 5: table vs SOP area." fig5;
+            command "fig6" ~doc:"Fig. 6: FSM implementations." fig6;
+            command "fig8" ~doc:"Fig. 8: one-hot state vectors." fig8;
+            command "fig9" ~doc:"Fig. 9: PCtrl Full/Auto/Manual." fig9;
             command "fault" ~doc:"Fault-vulnerability comparison." fault;
-            command "ablations" ~doc:"Every ablation." (plain ablations);
+            command "ablations" ~doc:"Every ablation." ablations;
             command "ablate-cone" ~doc:"Collapse cone-cap ablation."
-              (ablation Experiments.Ablation.cone_cap);
+              (ablation (Experiments.Ablation.cone_cap out));
             command "ablate-twolevel" ~doc:"Two-level minimizer ablation."
-              (ablation Experiments.Ablation.twolevel);
+              (ablation (fun _ -> Experiments.Ablation.twolevel out));
             command "ablate-cap" ~doc:"Annotation width-cap ablation."
-              (ablation Experiments.Ablation.annot_cap);
+              (ablation (Experiments.Ablation.annot_cap out));
             command "ablate-encodings" ~doc:"State-encoding ablation."
-              (ablation Experiments.Ablation.encodings);
+              (ablation (Experiments.Ablation.encodings out));
             command "ablate-library" ~doc:"Cell-library richness ablation."
-              (ablation Experiments.Ablation.library_richness);
+              (ablation (fun _ -> Experiments.Ablation.library_richness out));
             command "ablate-ucode" ~doc:"Microcode-style ablation."
-              (ablation Experiments.Ablation.microcode_style);
+              (ablation (Experiments.Ablation.microcode_style out));
             command "equivbench"
               ~doc:"Timed SAT certification of the PCtrl partial evaluation."
-              (plain equivbench) ]))
+              equivbench ]))

@@ -12,7 +12,9 @@
      fault       run a fault-injection campaign on the PCtrl case study
 
    Every subcommand takes the shared engine and observability flags of
-   [Cli]. The paper's figures and ablations are regenerated by
+   [Cli]. [synth], [asm], [design] and [pctrl] build an engine from them;
+   [equiv] and [fault] never compile through one, so they leave
+   [--cache-dir] alone. The paper's figures and ablations are regenerated by
    bench/main.exe. *)
 
 open Cmdliner
@@ -58,6 +60,7 @@ let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 let synth_cmd =
   let run cli kind style seed depth width inputs outputs states
       annotate retime dump_verilog dump_netlist =
+    let engine = Cli.engine cli lib in
     let design =
       match kind with
       | `Table ->
@@ -96,10 +99,7 @@ let synth_cmd =
            result.Synth.Flow.aig result.Synth.Flow.instances)
     end
     else begin
-      let outcome =
-        Engine.run_one (Engine.default ()) (Engine.job ~options design)
-      in
-      match outcome with
+      match Engine.run_one engine (Engine.job ~options design) with
       | Ok s ->
         Format.printf "optimized: aig: %d latches, %d ANDs@."
           s.Engine.Summary.aig_latches s.Engine.Summary.aig_ands;
@@ -108,7 +108,7 @@ let synth_cmd =
         Format.eprintf "synthesis failed: %s@." (Engine.Pool.error_message e);
         exit 1
     end;
-    Cli.finish cli
+    Cli.finish cli (Some engine)
   in
   let positive default name doc =
     Arg.(value & opt (Cli.range 1) default & info [ name ] ~doc)
@@ -143,6 +143,7 @@ let synth_cmd =
 
 let asm_cmd =
   let run cli file dump_verilog storage do_synth =
+    let engine = Cli.engine cli lib in
     let source = In_channel.with_open_text file In_channel.input_all in
     match Core.Microasm.parse source with
     | exception Core.Microasm.Parse_error (line, msg) ->
@@ -171,8 +172,8 @@ let asm_cmd =
       let design = match storage with `Rom -> bound | `Config -> flexible in
       if dump_verilog then print_string (Rtl.Verilog.emit design);
       if do_synth then
-        print_report "mapped" (Experiments.Exp_common.compile_report bound);
-      Cli.finish cli
+        print_report "mapped" (Engine.report_exn engine (Engine.job bound));
+      Cli.finish cli (Some engine)
   in
   let file =
     Arg.(required & pos 0 (some file) None
@@ -193,23 +194,23 @@ let asm_cmd =
 
 let pctrl_cmd =
   let run cli =
+    let engine = Cli.engine cli lib in
+    let report ?options d = Engine.report_exn engine (Engine.job ?options d) in
     let full = Pctrl.Controller.full_design () in
     Format.printf "%s@." (Rtl.Design.stats full);
-    print_report "full" (Experiments.Exp_common.compile_report full);
+    print_report "full" (report full);
     List.iter
       (fun (name, mode) ->
         print_report
           (Printf.sprintf "auto %s" name)
-          (Experiments.Exp_common.compile_report
-             (Pctrl.Controller.auto_design mode));
+          (report (Pctrl.Controller.auto_design mode));
         print_report
           (Printf.sprintf "manual %s" name)
-          (Experiments.Exp_common.compile_report
-             ~options:Experiments.Exp_common.annotated_flow
+          (report ~options:Experiments.Exp_common.annotated_flow
              (Pctrl.Controller.manual_design mode)))
       [ ("cached", Pctrl.Controller.Cached);
         ("uncached", Pctrl.Controller.Uncached) ];
-    Cli.finish cli
+    Cli.finish cli (Some engine)
   in
   Cmd.v
     (Cmd.info "pctrl" ~doc:"Synthesize the PCtrl case study at every level.")
@@ -230,6 +231,9 @@ let design_cmd =
            Format.eprintf "%s: %s@." path msg;
            exit 1)
     in
+    (* Fingerprints include the library, so a cache directory shared with
+       vt90 runs never serves one library's results to another. *)
+    let engine = Cli.engine cli lib in
     match Rtl.Serialize.of_file file with
     | exception Rtl.Serialize.Parse_error msg ->
       Format.eprintf "%s: %s@." file msg;
@@ -252,14 +256,9 @@ let design_cmd =
                 Synth.Aiger.to_file path result.Synth.Flow.aig))
           aiger_out
       end
-      else if do_synth then begin
-        (* [lib] may be a user Liberty library; rebuild the default engine
-           around it (fingerprints include the library, so a shared cache
-           directory never leaks results across libraries). *)
-        cli.Cli.reconfigure lib;
-        print_report "mapped" (Experiments.Exp_common.compile_report design)
-      end;
-      Cli.finish cli
+      else if do_synth then
+        print_report "mapped" (Engine.report_exn engine (Engine.job design));
+      Cli.finish cli (Some engine)
   in
   let file =
     Arg.(required & pos 0 (some file) None
@@ -355,7 +354,7 @@ let equiv_cmd =
         (* Replay of a SAT model through the scalar simulator failed: an
            encoder soundness bug, never an input property. *)
         Format.printf "sat: SOUNDNESS FAILURE: %s@." msg;
-        Cli.finish cli;
+        Cli.finish cli None;
         exit 1
     in
     let verdicts =
@@ -366,7 +365,7 @@ let equiv_cmd =
         let s = run_sim () in
         [ s; run_sat () ]
     in
-    Cli.finish cli;
+    Cli.finish cli None;
     let refuted =
       List.exists (function Synth.Equiv.Refuted _ -> true | _ -> false) verdicts
     in
@@ -513,7 +512,7 @@ let fault_cmd =
           Printf.eprintf "ctrlgen: wrote %s (site %s)\n" path
             (Fault.Site.key site))
       vcd_path;
-    Cli.finish cli;
+    Cli.finish cli None;
     if report.Fault.Campaign.failed > 0 then exit 1
   in
   let impl_arg =

@@ -1,8 +1,9 @@
 open Cmdliner
 
 type t = {
-  reconfigure : Cells.Library.t -> unit;
   sim_jobs : int;
+  cache_dir : string option;
+  no_cache : bool;
   metrics : bool;
 }
 
@@ -67,21 +68,27 @@ let term =
        writes the trace even on nonzero-exit paths. *)
     if metrics || trace <> None then Obs.set_enabled true;
     Option.iter Obs.Trace.install_at_exit trace;
-    let reconfigure l =
-      match Engine.create ~jobs ?cache_dir ~no_cache l with
-      | e -> Engine.set_default e
-      | exception Invalid_argument msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    in
-    reconfigure Cells.Library.vt90;
-    { reconfigure; sim_jobs = jobs; metrics }
+    { sim_jobs = jobs; cache_dir; no_cache; metrics }
   in
   Term.(const setup $ jobs $ cache_dir $ no_cache $ trace $ metrics)
 
-let finish t =
-  let stats = Engine.stats (Engine.default ()) in
-  if stats.Engine.submitted > 0 then prerr_string (Engine.stats_table stats);
+let engine t lib =
+  match
+    Engine.create ~jobs:t.sim_jobs ?cache_dir:t.cache_dir ~no_cache:t.no_cache
+      lib
+  with
+  | e -> e
+  | exception Invalid_argument msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 2
+
+let finish t engine =
+  Option.iter
+    (fun e ->
+      let stats = Engine.stats e in
+      if stats.Engine.submitted > 0 then
+        prerr_string (Engine.stats_table stats))
+    engine;
   if t.metrics then begin
     prerr_string (Obs.Metrics.to_table ());
     prerr_string (Obs.Span.to_table ())

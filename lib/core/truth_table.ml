@@ -39,7 +39,9 @@ let to_sop_rtl t =
   let b = Rtl.Builder.create (t.name ^ "_sop") in
   let k = addr_bits t in
   let addr = Rtl.Builder.input b "addr" k in
-  (* Canonical SOP per output bit: OR of full minterms of the ON-set. *)
+  (* Canonical SOP per output bit: OR of full minterms of the ON-set. Each
+     minterm is built once and the immutable tree is shared by every bit
+     whose ON-set holds it. *)
   let minterm a =
     let literal i =
       let bit = Rtl.Expr.bit addr i in
@@ -50,18 +52,18 @@ let to_sop_rtl t =
       (literal 0)
       (List.init (k - 1) (fun i -> i + 1))
   in
+  let minterms = Array.init (depth t) minterm in
   let out_bit j =
     let ons =
-      List.filter
-        (fun a -> a < depth t && Bitvec.get t.entries.(a) j)
-        (List.init (1 lsl k) Fun.id)
+      List.filter (fun a -> Bitvec.get t.entries.(a) j)
+        (List.init (depth t) Fun.id)
     in
     match ons with
     | [] -> Rtl.Expr.of_int ~width:1 0
     | first :: rest ->
       List.fold_left
-        (fun acc a -> Rtl.Expr.or_ acc (minterm a))
-        (minterm first) rest
+        (fun acc a -> Rtl.Expr.or_ acc minterms.(a))
+        minterms.(first) rest
   in
   let bits = List.init t.width out_bit in
   Rtl.Builder.output b "data" (Rtl.Expr.concat (List.rev bits));

@@ -43,6 +43,7 @@ type t = {
   mutable disk_hits : int;
   mutable wall_s : float;
   mutable cpu_s : float;
+  mutable failures : string list;  (* newest first *)
 }
 
 (* Process-wide cache metrics, aggregated across engines. *)
@@ -77,7 +78,7 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   in
   { lib; jobs; no_cache; memory = Hashtbl.create 64; loaded; disk;
     memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
-    failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0 }
+    failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0; failures = [] }
 
 (* A disk failure turns the store off: the engine carries on memory-only. *)
 let rec persist t key s =
@@ -116,6 +117,9 @@ let store t key s =
 
 let now () = Unix.gettimeofday ()
 
+let failure_message j e =
+  Printf.sprintf "synthesis job %s failed: %s" j.jname (Pool.error_message e)
+
 (* A job neither settled in the cache nor coalesced with an earlier one
    compiles; its summary comes back with the compile's own time. *)
 let run t jobs =
@@ -143,17 +147,23 @@ let run t jobs =
       ~settled ~settle compile jobs
   in
   t.wall_s <- t.wall_s +. (now () -. t0);
-  List.map (Result.map fst) outcomes
+  List.map2
+    (fun j r ->
+      match r with
+      | Ok (s, _) -> Ok s
+      | Error e ->
+        t.failures <- failure_message j e :: t.failures;
+        Error e)
+    jobs outcomes
 
 let run_one t j = List.hd (run t [ j ])
 
 let report_exn t j =
   match run_one t j with
   | Ok s -> s.Summary.report
-  | Error e ->
-    failwith
-      (Printf.sprintf "synthesis job %s failed: %s" j.jname
-         (Pool.error_message e))
+  | Error e -> failwith (failure_message j e)
+
+let failures t = List.rev t.failures
 
 (* Every submitted job compiled, came from disk, or came from memory (an
    earlier batch or an earlier duplicate in its own batch). *)
@@ -179,15 +189,3 @@ let stats_table (s : stats) =
         (if s.wall_s > 0.0 then Printf.sprintf "%.2fx" (s.cpu_s /. s.wall_s)
          else "-") ];
     ]
-
-let the_default = ref None
-
-let set_default t = the_default := Some t
-
-let default () =
-  match !the_default with
-  | Some t -> t
-  | None ->
-    let t = create ~jobs:1 Cells.Library.vt90 in
-    set_default t;
-    t

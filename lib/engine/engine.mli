@@ -27,6 +27,10 @@
     memory-only. Hits, misses and stores are counted process-wide by the
     [engine.cache.*] {!Obs.Metrics} counters.
 
+    There is no process-wide engine. A front-end creates one per run and
+    passes it to every experiment that compiles through it, so each cache
+    lives exactly as long as the value its caller holds.
+
     Determinism: [Synth.Flow.compile] is a pure function of the job inputs,
     so outcomes are independent of worker count, scheduling order, and
     cache temperature — [run] returns outcomes in request order, and a
@@ -79,25 +83,24 @@ val create :
     directory. *)
 
 val run : t -> job list -> outcome list
-(** Outcomes in request order. Never raises on job failure. *)
+(** Outcomes in request order. Never raises on job failure; each failed
+    slot's message is recorded for {!failures}. *)
 
 val run_one : t -> job -> outcome
 
 val report_exn : t -> job -> Synth.Map.report
-(** [run_one] unwrapped: raises [Failure] with the job name on [Error]. *)
+(** [run_one] unwrapped: raises [Failure] with the job's
+    {!failure_message} on [Error]. *)
+
+val failure_message : job -> Pool.error -> string
+(** ["synthesis job NAME failed: REASON"]. *)
+
+val failures : t -> string list
+(** The {!failure_message} of every failed slot this engine has run, in
+    request order across calls: a front-end prints them and exits
+    nonzero. *)
 
 val stats : t -> stats
 
 val stats_table : stats -> string
 (** Two-column rendering via {!Report.Table}. *)
-
-(** {2 Process-wide default engine}
-
-    CLI front-ends configure one engine per process; library code
-    ({!Exp_common} and friends) reaches it here. *)
-
-val set_default : t -> unit
-
-val default : unit -> t
-(** The configured engine, or a lazily created sequential one with an
-    in-memory cache over {!Cells.Library.vt90}. *)

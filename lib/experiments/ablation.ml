@@ -1,6 +1,7 @@
-let area ?options d = Synth.Map.total (Exp_common.compile_report ?options d)
+let area engine ?options d =
+  Synth.Map.total (Engine.report_exn engine (Engine.job ?options d))
 
-let cone_cap () =
+let cone_cap fmt engine =
   let caps = [ 4; 6; 8; 10; 12; 14 ] in
   let cells = [ (16, 4); (64, 8); (256, 4) ] in
   let row cap =
@@ -15,14 +16,14 @@ let cone_cap () =
           in
           let direct = Core.Truth_table.to_sop_rtl tt in
           let options = { Synth.Flow.default with collapse_cap = cap } in
-          area ~options flexible /. area ~options direct)
+          area engine ~options flexible /. area engine ~options direct)
         cells
     in
     string_of_int cap
     :: List.map Report.Table.fmt_ratio ratios
     @ [ Report.Table.fmt_ratio (Exp_common.geomean ratios) ]
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Ablation A1: collapse window cap vs table/direct area ratio ==@.%s@.@."
     (Report.Table.render
        ~header:
@@ -31,7 +32,7 @@ let cone_cap () =
           @ [ "geomean" ])
        (List.map row caps))
 
-let twolevel () =
+let twolevel fmt =
   let nvars_list = [ 4; 6; 8 ] and seeds = [ 0; 1; 2 ] in
   let random_fn nvars seed =
     let rng = Workload.Rng.make (Hashtbl.hash ("ablate2", nvars, seed)) in
@@ -72,7 +73,7 @@ let twolevel () =
   in
   (* CPU times vary run to run, so they go to stderr: stdout stays
      byte-identical across runs. *)
-  Exp_common.printf
+  Format.fprintf fmt
     "== Ablation A2: exact QM vs Espresso-lite ==@.%s@.@."
     (Report.Table.render
        ~header:
@@ -83,16 +84,18 @@ let twolevel () =
        ~header:[ "nvars"; "seed"; "qm s"; "esp s" ]
        (List.map snd rows))
 
-let encodings () =
+let encodings fmt engine =
   let cases = [ (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 8, 17) ] in
   let row (m, n, s) =
     let fsm =
       Workload.Rand_fsm.generate ~seed:0 ~num_inputs:m ~num_outputs:n
         ~num_states:s
     in
-    let direct enc = area (Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm) in
+    let direct enc =
+      area engine (Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm)
+    in
     let direct_annotated enc =
-      area ~options:Exp_common.annotated_flow
+      area engine ~options:Exp_common.annotated_flow
         (Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm)
     in
     [
@@ -103,7 +106,7 @@ let encodings () =
       Report.Table.fmt_area (direct_annotated Core.Fsm_ir.One_hot);
     ]
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Ablation A4: state encodings on direct FSMs ==@.%s@.@."
     (Report.Table.render
        ~align:
@@ -112,7 +115,7 @@ let encodings () =
        ~header:[ "m/n/s"; "binary"; "gray"; "one-hot"; "one-hot+annot" ]
        (List.map row cases))
 
-let library_richness () =
+let library_richness fmt =
   let cases = [ (64, 8); (256, 16) ] in
   (* The "discrete nature of the standard cell library": the same netlist
      mapped with and without the 3-input cells. *)
@@ -135,22 +138,22 @@ let library_richness () =
       Report.Table.fmt_ratio (Synth.Map.total full /. Synth.Map.total simple);
     ]
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Ablation A5: cell-library richness (with vs without 3-input cells) ==@.%s@.@."
     (Report.Table.render
        ~header:
          [ "design"; "full um^2"; "full ns"; "2-in um^2"; "2-in ns"; "ratio" ]
        (List.map row cases))
 
-let microcode_style () =
+let microcode_style fmt engine =
   (* Horizontal vs vertical microcode stores (paper Section II-B) on the
      PCtrl dispatch programs. *)
   let row (name, p) =
     let flexible style = Core.Microcode.to_rtl ~style p in
     let bits style = Rtl.Design.config_bit_count (flexible style) in
-    let flexible_area style = area (flexible style) in
+    let flexible_area style = area engine (flexible style) in
     let bound_area style =
-      area
+      area engine
         (Synth.Partial_eval.bind_tables (flexible style)
            (Core.Microcode.config_bindings ~style p))
     in
@@ -166,7 +169,7 @@ let microcode_style () =
       Report.Table.fmt_area (bound_area `Vertical);
     ]
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Ablation A6: horizontal vs vertical microcode ==@.%s\
      (partial evaluation erases the difference: both bound areas converge)@.@."
     (Report.Table.render
@@ -181,7 +184,7 @@ let microcode_style () =
             ("pctrl-uncached", Pctrl.Dispatch.program Pctrl.Dispatch.Uncached);
           ]))
 
-let annot_cap () =
+let annot_cap fmt engine =
   let n = 64 and caps = [ 8; 16; 32; 64; 128 ] in
   let generic =
     Onehot_design.generic ~n ~style:(Onehot_design.Flop Rtl.Design.Sync_reset)
@@ -197,8 +200,8 @@ let annot_cap () =
             honor_generator_annots = true;
             annot_width_cap = cap }
         in
-        let g = area ~options generic in
-        let d = area ~options direct in
+        let g = area engine ~options generic in
+        let d = area engine ~options direct in
         [
           string_of_int cap;
           Report.Table.fmt_area g;
@@ -208,7 +211,7 @@ let annot_cap () =
         ])
       caps
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Ablation A3: annotation width cap at bus width n=%d ==@.%s@.@." n
     (Report.Table.render
        ~header:[ "cap"; "generic"; "direct"; "ratio"; "annotation" ]

@@ -10,19 +10,22 @@
       parameter.
     - {!encodings}: state-encoding sweep (binary / gray / one-hot) on the
       Fig. 6 workload — the generator-side answer to "s ∈ {3, 17} aren't
-      efficiently coded in binary". *)
+      efficiently coded in binary".
 
-val cone_cap : unit -> unit
-val twolevel : unit -> unit
-val annot_cap : unit -> unit
-val encodings : unit -> unit
+    Each ablation prints its table to the given formatter; those that
+    compile through the engine take it too. *)
 
-val library_richness : unit -> unit
+val cone_cap : Format.formatter -> Engine.t -> unit
+val twolevel : Format.formatter -> unit
+val annot_cap : Format.formatter -> Engine.t -> unit
+val encodings : Format.formatter -> Engine.t -> unit
+
+val library_richness : Format.formatter -> unit
 (** A5: the same optimized netlists mapped with and without the 3-input
     cells (NAND3/NOR3/AOI21/OAI21) — quantifying the "discrete standard
     cell library" effect the paper blames for residual scatter. *)
 
-val microcode_style : unit -> unit
+val microcode_style : Format.formatter -> Engine.t -> unit
 (** A6: horizontal vs vertical microcode stores on the PCtrl dispatch
     programs — config bits, flexible area, and the (converging) partially
     evaluated areas. *)

@@ -6,35 +6,13 @@ let annotated_flow = { Synth.Flow.default with honor_generator_annots = true }
 
 let retimed_flow = { Synth.Flow.default with retime = true }
 
-(* All figure synthesis funnels through the process-wide engine: repeated
-   (design, options) pairs are served from its cache and batches run on
-   several domains when the front-end configured -j. The default engine uses
-   vt90, matching [lib]. *)
-let engine () = Engine.default ()
-
-let compile_report ?options d =
-  Engine.report_exn (engine ()) (Engine.job ?options d)
-
-let failure_log : string list ref = ref []
-
-let record_failure msg = failure_log := msg :: !failure_log
-
-let failures () = List.rev !failure_log
-
-let areas_result jobs =
-  let e = engine () in
+let areas_result engine jobs =
   List.map2
-    (fun (j : Engine.job) outcome ->
+    (fun j outcome ->
       match outcome with
       | Ok s -> Ok (Engine.Summary.area s)
-      | Error err ->
-        let msg =
-          Printf.sprintf "synthesis job %s failed: %s" j.Engine.jname
-            (Engine.Pool.error_message err)
-        in
-        record_failure msg;
-        Error msg)
-    jobs (Engine.run e jobs)
+      | Error err -> Error (Engine.failure_message j err))
+    jobs (Engine.run engine jobs)
 
 let fmt_area_result = function
   | Ok a -> Report.Table.fmt_area a
@@ -60,7 +38,3 @@ let geomean = function
   | xs ->
     exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs
          /. float_of_int (List.length xs))
-
-let out = ref Format.std_formatter
-
-let printf fmt = Format.fprintf !out fmt

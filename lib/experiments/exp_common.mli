@@ -1,8 +1,8 @@
 (** Shared helpers for the paper-figure experiments.
 
-    Synthesis goes through the process-wide {!Engine.default} engine, so
-    figure sweeps pick up result caching and [-j] parallelism from whatever
-    the front-end configured. *)
+    Each sweep compiles through the engine its caller passes in, so figure
+    sweeps pick up result caching and [-j] parallelism from whatever engine
+    the front-end built. *)
 
 val lib : Cells.Library.t
 
@@ -13,21 +13,13 @@ val annotated_flow : Synth.Flow.options
 
 val retimed_flow : Synth.Flow.options
 
-val compile_report :
-  ?options:Synth.Flow.options -> Rtl.Design.t -> Synth.Map.report
-(** Mapped report of the optimized design, through the engine.
-    @raise Failure naming the design when its compile fails. *)
-
-val areas_result : Engine.job list -> (float, string) result list
-(** Total mapped area of each job, from one batch through the engine —
+val areas_result : Engine.t -> Engine.job list -> (float, string) result list
+(** Total mapped area of each job, from one batch through [engine] —
     cache-deduplicated, parallel when the engine has workers, results in
     job order. A failed compile yields [Error message] for its slot instead
-    of aborting the whole sweep, and the message is also appended to the process-wide {!failures} list so front-ends can
-    print a summary and exit nonzero. *)
-
-val failures : unit -> string list
-(** Every failure recorded by {!areas_result} so far, in occurrence
-    order. *)
+    of aborting the whole sweep; the engine also records the message
+    ({!Engine.failures}), so front-ends can print a summary and exit
+    nonzero. *)
 
 val fmt_area_result : (float, string) result -> string
 (** As {!Report.Table.fmt_area}, with ["FAIL"] for errors. *)
@@ -44,8 +36,3 @@ val ratio_opt :
 
 val geomean : float list -> float
 (** Geometric mean; 1.0 on the empty list. *)
-
-val out : Format.formatter ref
-(** Where experiment printers write (defaults to stdout). *)
-
-val printf : ('a, Format.formatter, unit) format -> 'a

@@ -69,7 +69,7 @@ let vulnerability (r : Fault.Campaign.report) =
   if r.injected = 0 then None
   else Some (float_of_int (r.mismatches + r.hangs) /. float_of_int r.injected)
 
-let print rows =
+let print fmt rows =
   let body =
     List.map
       (fun { impl; model; report = r } ->
@@ -87,7 +87,7 @@ let print rows =
         ])
       rows
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Fault vulnerability: flexible PCtrl vs partially evaluated ==@.%s@."
     (Report.Table.render
        ~align:
@@ -106,7 +106,7 @@ let print rows =
         else acc)
       0 rows
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "config-table bits at risk: flexible %d, bound %d (partial evaluation \
      folds the tables into logic)@.@."
     (table_pop Flexible) (table_pop Bound)

@@ -38,6 +38,6 @@ val run : ?sites:int -> ?jobs:int -> unit -> row list
     stuck-at model compiles the implementation's netlist on demand and
     simulates 40 random netlist-stimulus cycles. *)
 
-val print : row list -> unit
+val print : Format.formatter -> row list -> unit
 
 val to_json : row list -> Report.Json.t

@@ -9,7 +9,8 @@ type row = {
 let quick_grid =
   [ (2, 2); (8, 4); (16, 4); (32, 16); (64, 16); (256, 4); (1024, 2) ]
 
-let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_table.paper_grid) () =
+let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_table.paper_grid)
+    engine =
   let points =
     List.concat_map (fun cell -> List.map (fun seed -> (cell, seed)) seeds) grid
   in
@@ -35,9 +36,9 @@ let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_table.paper_grid) () =
       { depth; width; seed; table_area; sop_area } :: pair ps rest
     | _ -> assert false
   in
-  pair points (Exp_common.areas_result jobs)
+  pair points (Exp_common.areas_result engine jobs)
 
-let print rows =
+let print fmt rows =
   let body =
     List.map
       (fun r ->
@@ -51,7 +52,7 @@ let print rows =
         ])
       rows
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Fig. 5: combinational tables, partially evaluated vs direct SOP ==@.%s@."
     (Report.Table.render
        ~header:[ "depth"; "width"; "seed"; "table um^2"; "sop um^2"; "ratio" ]
@@ -61,10 +62,10 @@ let print rows =
   in
   let table_wins = List.length (List.filter (fun x -> x < 1.0) ratios) in
   if ratios = [] then
-    Exp_common.printf "points: %d  (no classifiable points)@.@."
+    Format.fprintf fmt "points: %d  (no classifiable points)@.@."
       (List.length rows)
   else
-    Exp_common.printf
+    Format.fprintf fmt
       "points: %d  geomean(table/sop): %.3f  min %.2f  max %.2f  table-better: %d@.@."
       (List.length rows)
       (Exp_common.geomean ratios)

@@ -14,15 +14,16 @@ type row = {
   table_area : (float, string) result;
   sop_area : (float, string) result;
       (** [Error message] when that point's compile failed; the sweep keeps
-          going and the failure is recorded in {!Exp_common.failures}. *)
+          going and the engine records the failure ({!Engine.failures}). *)
 }
 
-val run : ?seeds:int list -> ?grid:(int * int) list -> unit -> row list
-(** Defaults: seeds [[0; 1]], the paper grid. *)
+val run : ?seeds:int list -> ?grid:(int * int) list -> Engine.t -> row list
+(** Compiles every point as one batch through the engine. Defaults: seeds
+    [[0; 1; 2]], the paper grid. *)
 
 val quick_grid : (int * int) list
 (** A subsampled grid for smoke runs. *)
 
-val print : row list -> unit
+val print : Format.formatter -> row list -> unit
 (** Renders the table plus summary statistics (geomean ratio, spread, how
     many points favour the table-based form). *)

@@ -10,7 +10,8 @@ type row = {
 
 let quick_grid = [ (2, 2, 2); (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 2, 17) ]
 
-let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_fsm.paper_grid) () =
+let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_fsm.paper_grid)
+    engine =
   let points =
     List.concat_map (fun cell -> List.map (fun seed -> (cell, seed)) seeds) grid
   in
@@ -39,9 +40,9 @@ let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_fsm.paper_grid) () =
       :: pair ps rest
     | _ -> assert false
   in
-  pair points (Exp_common.areas_result jobs)
+  pair points (Exp_common.areas_result engine jobs)
 
-let print rows =
+let print fmt rows =
   let body =
     List.map
       (fun r ->
@@ -58,7 +59,7 @@ let print rows =
         ])
       rows
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Fig. 6: FSMs, flexible tables vs direct case style ==@.%s@."
     (Report.Table.render
        ~header:
@@ -73,8 +74,8 @@ let print rows =
   let gm sel l = Exp_common.geomean (List.filter_map sel l) in
   let reg_dir r = Exp_common.ratio_opt r.regular_area r.direct_area in
   let ann_dir r = Exp_common.ratio_opt r.annotated_area r.direct_area in
-  Exp_common.printf
+  Format.fprintf fmt
     "geomean regular/direct: %.3f (s in {3,17}: %.3f; others: %.3f)@."
     (gm reg_dir rows) (gm reg_dir odd) (gm reg_dir even);
-  Exp_common.printf "geomean annotated/direct: %.3f@.@."
+  Format.fprintf fmt "geomean annotated/direct: %.3f@.@."
     (gm ann_dir rows)

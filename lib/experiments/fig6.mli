@@ -21,11 +21,12 @@ type row = {
   regular_area : (float, string) result;
   annotated_area : (float, string) result;
       (** [Error message] when that compile failed; the sweep keeps going
-          and the failure is recorded in {!Exp_common.failures}. *)
+          and the engine records the failure ({!Engine.failures}). *)
 }
 
-val run : ?seeds:int list -> ?grid:(int * int * int) list -> unit -> row list
+val run :
+  ?seeds:int list -> ?grid:(int * int * int) list -> Engine.t -> row list
 
 val quick_grid : (int * int * int) list
 
-val print : row list -> unit
+val print : Format.formatter -> row list -> unit

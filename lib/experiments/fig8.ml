@@ -18,7 +18,7 @@ let flow_of = function
   | Retimed -> Exp_common.retimed_flow
   | Annotated -> Exp_common.annotated_flow
 
-let run ?(widths = Onehot_design.paper_widths) () =
+let run ?(widths = Onehot_design.paper_widths) engine =
   let points =
     List.concat_map
       (fun n ->
@@ -46,9 +46,9 @@ let run ?(widths = Onehot_design.paper_widths) () =
       { n; style_name; variant; generic_area; direct_area } :: pair ps rest
     | _ -> assert false
   in
-  pair points (Exp_common.areas_result jobs)
+  pair points (Exp_common.areas_result engine jobs)
 
-let print rows =
+let print fmt rows =
   let body =
     List.map
       (fun r ->
@@ -62,7 +62,7 @@ let print rows =
         ])
       rows
   in
-  Exp_common.printf
+  Format.fprintf fmt
     "== Fig. 8: one-hot bus behind a flop — generic vs direct ==@.%s@."
     (Report.Table.render
        ~align:
@@ -82,10 +82,10 @@ let print rows =
   in
   let classify pred label =
     (* Failed compiles can't be classified either way; they drop out of the
-       counts and surface through Exp_common.failures instead. *)
+       counts and surface through Engine.failures instead. *)
     let sub = List.filter (fun r -> pred r && classifiable r) rows in
     let good = List.length (List.filter ideal sub) in
-    Exp_common.printf "%-32s %d/%d ideal@." label good (List.length sub)
+    Format.fprintf fmt "%-32s %d/%d ideal@." label good (List.length sub)
   in
   classify (fun r -> r.style_name = "comb") "combinational (any variant):";
   classify
@@ -104,4 +104,4 @@ let print rows =
   classify
     (fun r -> r.style_name <> "comb" && r.variant = Annotated && r.n > 32)
     "flopped, annotated, n>32:";
-  Exp_common.printf "@."
+  Format.fprintf fmt "@."

@@ -20,11 +20,11 @@ type row = {
   generic_area : (float, string) result;
   direct_area : (float, string) result;
       (** [Error message] when that compile failed; the sweep keeps going
-          and the failure is recorded in {!Exp_common.failures}. *)
+          and the engine records the failure ({!Engine.failures}). *)
 }
 
-val run : ?widths:int list -> unit -> row list
+val run : ?widths:int list -> Engine.t -> row list
 
-val print : row list -> unit
+val print : Format.formatter -> row list -> unit
 
 val variant_name : variant -> string

@@ -52,7 +52,7 @@ let run () =
       [ List.assoc mode full; auto; manual ])
     modes
 
-let print rows =
+let print fmt rows =
   let body =
     List.map
       (fun r ->
@@ -66,7 +66,7 @@ let print rows =
         ])
       rows
   in
-  Exp_common.printf "== Fig. 9: PCtrl area by optimization level ==@.%s@."
+  Format.fprintf fmt "== Fig. 9: PCtrl area by optimization level ==@.%s@."
     (Report.Table.render
        ~align:
          [ Report.Table.Left; Report.Table.Left; Report.Table.Right;
@@ -78,7 +78,7 @@ let print rows =
   in
   let summarize mode =
     let f = find mode Full and a = find mode Auto and m = find mode Manual in
-    Exp_common.printf
+    Format.fprintf fmt
       "%s: auto/full comb %.2f, seq %.2f, power %.2f; manual saves %.1f%% area, %.1f%% power over auto@."
       (mode_name mode) (a.comb /. f.comb) (a.seq /. f.seq) (a.power /. f.power)
       (100.0 *. (1.0 -. ((m.comb +. m.seq) /. (a.comb +. a.seq))))
@@ -86,4 +86,4 @@ let print rows =
   in
   summarize Pctrl.Controller.Cached;
   summarize Pctrl.Controller.Uncached;
-  Exp_common.printf "@."
+  Format.fprintf fmt "@."

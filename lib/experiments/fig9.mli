@@ -31,4 +31,4 @@ val level_name : level -> string
 
 val run : unit -> row list
 
-val print : row list -> unit
+val print : Format.formatter -> row list -> unit

@@ -133,16 +133,11 @@ let manual_annotations mode =
       (Bitvec.zero 4 :: List.init 4 (fun i -> Bitvec.one_hot ~width:4 i))
   in
   let pipe_states =
-    let reachable =
-      Core.Fsm_ir.reachable_with Datapipe.fsm
-        ~inputs:
-          (List.concat_map
-             (fun cmd ->
-               [ Datapipe.input_assignment ~cmd ~rdy:false;
-                 Datapipe.input_assignment ~cmd ~rdy:true ])
-             (Dispatch.cmd_values mode))
+    let codes =
+      List.map
+        (Core.Fsm_ir.encode Datapipe.fsm)
+        (Datapipe.reachable_states_for_cmds (Dispatch.cmd_values mode))
     in
-    let codes = List.map (Core.Fsm_ir.encode Datapipe.fsm) reachable in
     List.init pipe_count (fun i ->
         Rtl.Annot.fsm_state_vector (Printf.sprintf "pipe%d_state" i) codes)
   in

@@ -86,6 +86,4 @@ let reachable_states_for_cmds cmds =
         [ input_assignment ~cmd ~rdy:false; input_assignment ~cmd ~rdy:true ])
       cmds
   in
-  List.map
-    (fun i -> states.(i))
-    (Core.Fsm_ir.reachable_with fsm ~inputs)
+  Core.Fsm_ir.reachable_with fsm ~inputs

@@ -23,6 +23,8 @@ val out_busy : int
 val streaming_states : string list
 (** Names of the states only line commands reach. *)
 
-val reachable_states_for_cmds : int list -> string list
-(** State names reachable when the microcode only ever issues the given
-    command values (ready may do anything). *)
+val reachable_states_for_cmds : int list -> int list
+(** Indices of the states reachable, in increasing order, when the
+    microcode only ever issues the given command values and idle (ready
+    may do anything). The Manual controller's pipe-state annotations are
+    these states' codes. *)

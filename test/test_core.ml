@@ -54,6 +54,56 @@ let test_table_implementations_agree () =
         [ st_rom; st_sop; st_flex ])
     (Bitvec.all_values 4)
 
+(* The SOP construction before minterms were shared across output bits:
+   every bit rebuilt each minterm of its ON-set. Kept as the oracle. *)
+let sop_unshared (tt : Core.Truth_table.t) =
+  let b = Rtl.Builder.create (tt.name ^ "_sop") in
+  let k = Core.Truth_table.addr_bits tt in
+  let depth = Core.Truth_table.depth tt in
+  let addr = Rtl.Builder.input b "addr" k in
+  let minterm a =
+    let literal i =
+      let bit = Rtl.Expr.bit addr i in
+      if a lsr i land 1 = 1 then bit else Rtl.Expr.not_ bit
+    in
+    List.fold_left
+      (fun acc i -> Rtl.Expr.and_ acc (literal i))
+      (literal 0)
+      (List.init (k - 1) (fun i -> i + 1))
+  in
+  let out_bit j =
+    let ons =
+      List.filter
+        (fun a -> a < depth && Bitvec.get tt.entries.(a) j)
+        (List.init (1 lsl k) Fun.id)
+    in
+    match ons with
+    | [] -> Rtl.Expr.of_int ~width:1 0
+    | first :: rest ->
+      List.fold_left
+        (fun acc a -> Rtl.Expr.or_ acc (minterm a))
+        (minterm first) rest
+  in
+  Rtl.Builder.output b "data"
+    (Rtl.Expr.concat (List.rev (List.init tt.width out_bit)));
+  Rtl.Builder.finish b
+
+(* Sharing the minterms changes no structure and no serialized text, so
+   every consumer (lowering, the engine's keys) sees today's design. *)
+let prop_sop_sharing_invisible =
+  Prop.test ~iters:60 ~examples:[ (0, 255, 15); (3, 0, 0) ]
+    "sop: shared minterms = per-bit rebuild"
+    (Prop.triple (Prop.int 10_000) (Prop.int 80) (Prop.int 9))
+    (fun (seed, depth, width) ->
+      let tt =
+        Workload.Rand_table.generate ~seed ~depth:(depth + 1)
+          ~width:(width + 1)
+      in
+      let shared = Core.Truth_table.to_sop_rtl tt in
+      let oracle = sop_unshared tt in
+      shared = oracle
+      && Rtl.Serialize.write shared = Rtl.Serialize.write oracle)
+
 (* -------------------------------------------------------------------- fsm *)
 
 let sample_fsm =
@@ -382,6 +432,7 @@ let () =
       ( "truth_table",
         [
           Alcotest.test_case "eval" `Quick test_table_eval;
+          prop_sop_sharing_invisible;
           Alcotest.test_case "implementations agree" `Quick
             test_table_implementations_agree;
         ] );

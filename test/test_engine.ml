@@ -347,45 +347,56 @@ let test_engine_coalesces_and_isolates () =
    | _ -> Alcotest.fail "crashing job must not poison its batch")
 
 (* fig5's quick grid, one seed: the determinism workhorse. *)
-let fig5_rows () =
-  Experiments.Fig5.run ~seeds:[ 0 ] ~grid:Experiments.Fig5.quick_grid ()
+let fig5_rows engine =
+  Experiments.Fig5.run ~seeds:[ 0 ] ~grid:Experiments.Fig5.quick_grid engine
 
 let check_rows_equal what (a : Experiments.Fig5.row list) b =
   (* Bit-identical areas: polymorphic equality on the float-carrying rows. *)
   if a <> b then Alcotest.failf "%s: fig5 rows differ" what
 
 let test_determinism_parallel () =
-  Engine.set_default (Engine.create ~jobs:1 lib);
-  let seq = fig5_rows () in
-  Engine.set_default (Engine.create ~jobs:4 lib);
-  let par = fig5_rows () in
+  let seq = fig5_rows (Engine.create ~jobs:1 lib) in
+  let e = Engine.create ~jobs:4 lib in
+  let par = fig5_rows e in
   check_rows_equal "sequential vs -j 4" seq par;
-  let s = Engine.stats (Engine.default ()) in
+  let s = Engine.stats e in
   Alcotest.(check int) "parallel run missed everything"
     s.Engine.submitted s.Engine.executed;
   (* Same engine again: everything is a cache hit and nothing recompiles. *)
-  let warm = fig5_rows () in
+  let warm = fig5_rows e in
   check_rows_equal "cold vs warm (memory)" seq warm;
-  let s' = Engine.stats (Engine.default ()) in
+  let s' = Engine.stats e in
   Alcotest.(check int) "warm run executed nothing"
     s.Engine.executed s'.Engine.executed;
   if s'.Engine.mem_hits <= s.Engine.mem_hits then
     Alcotest.fail "warm run reported no cache hits"
 
+(* No cache outlives the engine that holds it: a second fresh engine
+   compiles the whole sweep again. *)
+let test_fresh_engines_share_nothing () =
+  List.iter
+    (fun e ->
+      ignore (fig5_rows e);
+      let s = Engine.stats e in
+      Alcotest.(check (pair int int)) "every job executed, no hit"
+        (s.Engine.submitted, 0) (s.Engine.executed, s.Engine.mem_hits))
+    [ Engine.create lib; Engine.create lib ]
+
+let bad_job seed =
+  Engine.job { (fsm_design seed) with Rtl.Design.inputs = [] }
+
 let test_sweep_degrades_gracefully () =
   (* A sweep whose every job crashes (malformed designs: nets reference
      inputs that are gone) still yields a full row list of error cells and
      records each failure, instead of aborting on the first one. *)
-  Engine.set_default (Engine.create ~jobs:1 lib);
-  let before = List.length (Experiments.Exp_common.failures ()) in
-  let bad seed = Engine.job { (fsm_design seed) with Rtl.Design.inputs = [] } in
-  let res = Experiments.Exp_common.areas_result [ bad 19; bad 23 ] in
+  let e = Engine.create ~jobs:1 lib in
+  let res = Experiments.Exp_common.areas_result e [ bad_job 19; bad_job 23 ] in
   (match res with
    | [ Error _; Error _ ] -> ()
    | _ -> Alcotest.fail "expected every job to fail");
-  Alcotest.(check int) "failures recorded"
-    (before + 2)
-    (List.length (Experiments.Exp_common.failures ()));
+  Alcotest.(check (list string)) "failures recorded in slot order"
+    (List.filter_map (function Error m -> Some m | Ok _ -> None) res)
+    (Engine.failures e);
   Alcotest.(check string) "failed cell renders FAIL" "FAIL"
     (Experiments.Exp_common.fmt_area_result (Error "x"));
   Alcotest.(check string) "failed ratio renders dash" "-"
@@ -395,22 +406,38 @@ let test_sweep_degrades_gracefully () =
   Alcotest.(check string) "folded ratio renders const" "const"
     (Experiments.Exp_common.fmt_ratio_result (Ok 0.0) (Ok 0.0));
   Alcotest.(check (option (float 0.))) "folded ratio left out" None
-    (Experiments.Exp_common.ratio_opt (Ok 3.0) (Ok 0.0));
-  Engine.set_default (Engine.create ~jobs:1 lib)
+    (Experiments.Exp_common.ratio_opt (Ok 3.0) (Ok 0.0))
+
+(* Failures belong to the engine that ran them: two failing jobs list two
+   messages there, and none on another engine. *)
+let test_failures_stay_on_their_engine () =
+  let failing = Engine.create lib and other = Engine.create lib in
+  ignore (Engine.run other [ Engine.job (fsm_design 5) ]);
+  ignore (Engine.run failing [ bad_job 19; Engine.job (fsm_design 5) ]);
+  ignore (Engine.run failing [ bad_job 23 ]);
+  let prefix (j : Engine.job) =
+    Printf.sprintf "synthesis job %s failed: " j.jname
+  in
+  let failures = Engine.failures failing in
+  Alcotest.(check int) "two failures" 2 (List.length failures);
+  List.iter2
+    (fun j m ->
+      Alcotest.(check bool) ("in slot order: " ^ m) true
+        (String.starts_with ~prefix:(prefix j) m))
+    [ bad_job 19; bad_job 23 ] failures;
+  Alcotest.(check (list string)) "the other engine saw none" []
+    (Engine.failures other)
 
 let test_determinism_disk_cache () =
   let dir = fresh_dir () in
-  Engine.set_default (Engine.create ~jobs:1 ~cache_dir:dir lib);
-  let cold = fig5_rows () in
+  let cold = fig5_rows (Engine.create ~jobs:1 ~cache_dir:dir lib) in
   (* Fresh process-equivalent: new engine, same directory. *)
-  Engine.set_default (Engine.create ~jobs:1 ~cache_dir:dir lib);
-  let warm = fig5_rows () in
+  let e = Engine.create ~jobs:1 ~cache_dir:dir lib in
+  let warm = fig5_rows e in
   check_rows_equal "cold vs warm (disk)" cold warm;
-  let s = Engine.stats (Engine.default ()) in
+  let s = Engine.stats e in
   Alcotest.(check int) "warm disk run executed nothing" 0 s.Engine.executed;
-  if s.Engine.disk_hits = 0 then Alcotest.fail "no disk hits on warm run";
-  (* Restore a clean default for any later test. *)
-  Engine.set_default (Engine.create ~jobs:1 lib)
+  if s.Engine.disk_hits = 0 then Alcotest.fail "no disk hits on warm run"
 
 (* ----------------------------------------------------------- disk cache *)
 
@@ -477,8 +504,7 @@ let test_cache_dir_not_directory () =
 let test_cache_corrupt_record () =
   let dir = fresh_dir () in
   let engine () = Engine.create ~jobs:1 ~cache_dir:dir lib in
-  Engine.set_default (engine ());
-  let cold = fig5_rows () in
+  let cold = fig5_rows (engine ()) in
   let lines =
     In_channel.with_open_text (results_path dir) In_channel.input_lines
   in
@@ -500,16 +526,14 @@ let test_cache_corrupt_record () =
           Out_channel.output_char oc '\n')
         lines);
   let executed_by_fresh_engine () =
-    Engine.set_default (engine ());
-    check_rows_equal "cold vs warm after a spoiled record" cold
-      (fig5_rows ());
-    (Engine.stats (Engine.default ())).Engine.executed
+    let e = engine () in
+    check_rows_equal "cold vs warm after a spoiled record" cold (fig5_rows e);
+    (Engine.stats e).Engine.executed
   in
   Alcotest.(check int) "the spoiled job recompiles" 1
     (executed_by_fresh_engine ());
   Alcotest.(check int) "its new record serves the next engine" 0
-    (executed_by_fresh_engine ());
-  Engine.set_default (Engine.create ~jobs:1 lib)
+    (executed_by_fresh_engine ())
 
 (* ------------------------------------------------------------------ cli *)
 
@@ -568,8 +592,20 @@ let test_cli_values () =
       match eval_cli args with
       | Error (`Parse | `Term) -> ()
       | _ -> Alcotest.failf "accepted removed flag %s" (String.concat " " args))
-    [ [ "--timeout-s"; "2.5" ]; [ "--retries"; "3" ] ];
-  Engine.set_default (Engine.create ~jobs:1 lib)
+    [ [ "--timeout-s"; "2.5" ]; [ "--retries"; "3" ] ]
+
+(* Parsing the flags builds no engine: a fresh --cache-dir is created only
+   when an engine is built from them. *)
+let test_cli_term_creates_nothing () =
+  let dir = fresh_dir () in
+  match eval_cli [ "--cache-dir"; dir ] with
+  | Ok (`Ok (c : Cli.t)) ->
+    Alcotest.(check bool) "parsing created nothing" false
+      (Sys.file_exists dir);
+    ignore (Cli.engine c lib);
+    Alcotest.(check bool) "the engine created the directory" true
+      (Sys.is_directory dir)
+  | _ -> Alcotest.fail "--cache-dir rejected"
 
 (* The seeded negative control used by `ctrlgen equiv --mutate` and
    `bench equivbench`: the site is a pure function of the seed, and
@@ -648,6 +684,10 @@ let () =
             test_determinism_disk_cache;
           Alcotest.test_case "fig5 sequential = -j 4 = warm" `Quick
             test_determinism_parallel;
+          Alcotest.test_case "fresh engines share no cache" `Quick
+            test_fresh_engines_share_nothing;
+          Alcotest.test_case "failures stay on their engine" `Quick
+            test_failures_stay_on_their_engine;
           Alcotest.test_case "rejects ~jobs:0" `Quick
             test_engine_rejects_zero_jobs;
         ] );
@@ -656,6 +696,8 @@ let () =
           Alcotest.test_case "rejects bad flag values" `Quick
             test_cli_rejects_bad_values;
           Alcotest.test_case "resolves flag values" `Quick test_cli_values;
+          Alcotest.test_case "parsing creates no cache dir" `Quick
+            test_cli_term_creates_nothing;
           Alcotest.test_case "seeded binding mutation" `Quick
             test_mutate_bindings;
         ] );

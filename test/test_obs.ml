@@ -366,27 +366,26 @@ let test_symbolic_counters_deterministic () =
 
 (* ---------------------------------------------------- fig5 determinism *)
 
+(* Each capture compiles on a fresh engine, so every run goes through
+   Synth.Flow whatever ran before it. *)
 let capture_fig5 () =
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  let saved = !Experiments.Exp_common.out in
-  Experiments.Exp_common.out := fmt;
-  Fun.protect ~finally:(fun () -> Experiments.Exp_common.out := saved)
-    (fun () ->
-      let rows =
-        Experiments.Fig5.run ~seeds:[ 0 ] ~grid:[ (8, 4); (16, 4); (32, 4) ] ()
-      in
-      Experiments.Fig5.print rows;
-      Format.pp_print_flush fmt ();
-      Buffer.contents buf)
+  let rows =
+    Experiments.Fig5.run ~seeds:[ 0 ] ~grid:[ (8, 4); (16, 4); (32, 4) ]
+      (Engine.create Experiments.Exp_common.lib)
+  in
+  Experiments.Fig5.print fmt rows;
+  Format.pp_print_flush fmt ();
+  Buffer.contents buf
 
 let json_mem k = function
   | Report.Json.Obj fields -> List.mem_assoc k fields
   | _ -> false
 
 let test_fig5_determinism () =
-  (* Traced run first: the process-wide engine caches compile results, so a
-     second identical sweep would skip Synth.Flow and record no pass spans. *)
+  let plain = capture_fig5 () in
+  (* Same sweep with observability on: same bytes, plus a trace. *)
   let observed, trace_path =
     with_obs @@ fun () ->
     let out = capture_fig5 () in
@@ -394,8 +393,6 @@ let test_fig5_determinism () =
     Obs.Trace.write path;
     (out, path)
   in
-  (* Same sweep with observability off (cache-served, same bytes). *)
-  let plain = capture_fig5 () in
   Alcotest.(check string) "stdout byte-identical with observability on" plain
     observed;
   let text = In_channel.with_open_text trace_path In_channel.input_all in

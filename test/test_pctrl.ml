@@ -10,10 +10,14 @@ let test_pipe_fsm_shape () =
     (List.init 10 Fun.id) (Core.Fsm_ir.reachable fsm)
 
 let test_pipe_streaming_states_gated () =
+  let reachable cmds =
+    List.map
+      (fun i -> Pctrl.Datapipe.fsm.Core.Fsm_ir.states.(i))
+      (Pctrl.Datapipe.reachable_states_for_cmds cmds)
+  in
   (* Without line commands, the streaming states are unreachable. *)
   let without_line =
-    Pctrl.Datapipe.reachable_states_for_cmds
-      [ Pctrl.Protocol.cmd_read; Pctrl.Protocol.cmd_write ]
+    reachable [ Pctrl.Protocol.cmd_read; Pctrl.Protocol.cmd_write ]
   in
   List.iter
     (fun s ->
@@ -21,8 +25,7 @@ let test_pipe_streaming_states_gated () =
         (List.mem s without_line))
     Pctrl.Datapipe.streaming_states;
   let with_line =
-    Pctrl.Datapipe.reachable_states_for_cmds
-      [ Pctrl.Protocol.cmd_line_read; Pctrl.Protocol.cmd_line_write ]
+    reachable [ Pctrl.Protocol.cmd_line_read; Pctrl.Protocol.cmd_line_write ]
   in
   List.iter
     (fun s ->
