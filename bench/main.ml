@@ -20,7 +20,7 @@
    Figure tables go to stdout; engine statistics, metrics and traces go to
    stderr or to their own files, so stdout is byte-identical across -j
    values, cache temperatures and observability settings. A sweep with
-   failed compiles still prints every figure (failed cells render as FAIL)
+   failed compiles still prints every table (failed cells render as FAIL)
    and exits 1 after listing the failures on stderr. *)
 
 open Cmdliner

@@ -12,10 +12,10 @@
      fault       run a fault-injection campaign on the PCtrl case study
 
    Every subcommand takes the shared engine and observability flags of
-   [Cli]. [synth], [asm], [design] and [pctrl] build an engine from them;
-   [equiv] and [fault] never compile through one, so they leave
-   [--cache-dir] alone. The paper's figures and ablations are regenerated by
-   bench/main.exe. *)
+   [Cli]. [synth], [asm], [design] and [pctrl] submit their compiles as one
+   [Engine.run] batch and exit 1 on a failed one; the AIG dumps, [equiv]
+   and [fault] compile directly. The paper's figures and ablations are
+   regenerated by bench/main.exe. *)
 
 open Cmdliner
 
@@ -37,6 +37,17 @@ let writing path f =
 
 let flow_options ~annotate ~retime =
   { Synth.Flow.default with honor_generator_annots = annotate; retime }
+
+(* Every compiling subcommand submits its jobs as one [Engine.run] batch
+   and fails one way: the engine table, a line per failed job, exit 1. *)
+let compile cli engine jobs =
+  let outcomes = Engine.run engine jobs in
+  match Engine.failures engine with
+  | [] -> List.map Result.get_ok outcomes
+  | failures ->
+    Cli.finish cli (Some engine);
+    List.iter (Format.eprintf "synthesis failed: %s@.") failures;
+    exit 1
 
 (* ------------------------------------------------------------------ synth *)
 
@@ -98,16 +109,13 @@ let synth_cmd =
         (Synth.Netlist.emit lib ~name:design.Rtl.Design.name
            result.Synth.Flow.aig result.Synth.Flow.instances)
     end
-    else begin
-      match Engine.run_one engine (Engine.job ~options design) with
-      | Ok s ->
-        Format.printf "optimized: aig: %d latches, %d ANDs@."
-          s.Engine.Summary.aig_latches s.Engine.Summary.aig_ands;
-        print_report "mapped" s.Engine.Summary.report
-      | Error e ->
-        Format.eprintf "synthesis failed: %s@." (Engine.Pool.error_message e);
-        exit 1
-    end;
+    else
+      List.iter
+        (fun (s : Engine.Summary.t) ->
+          Format.printf "optimized: aig: %d latches, %d ANDs@." s.aig_latches
+            s.aig_ands;
+          print_report "mapped" s.report)
+        (compile cli engine [ Engine.job ~options design ]);
     Cli.finish cli (Some engine)
   in
   let positive default name doc =
@@ -172,7 +180,9 @@ let asm_cmd =
       let design = match storage with `Rom -> bound | `Config -> flexible in
       if dump_verilog then print_string (Rtl.Verilog.emit design);
       if do_synth then
-        print_report "mapped" (Engine.report_exn engine (Engine.job bound));
+        List.iter
+          (fun (s : Engine.Summary.t) -> print_report "mapped" s.report)
+          (compile cli engine [ Engine.job bound ]);
       Cli.finish cli (Some engine)
   in
   let file =
@@ -195,21 +205,23 @@ let asm_cmd =
 let pctrl_cmd =
   let run cli =
     let engine = Cli.engine cli lib in
-    let report ?options d = Engine.report_exn engine (Engine.job ?options d) in
     let full = Pctrl.Controller.full_design () in
     Format.printf "%s@." (Rtl.Design.stats full);
-    print_report "full" (report full);
-    List.iter
-      (fun (name, mode) ->
-        print_report
-          (Printf.sprintf "auto %s" name)
-          (report (Pctrl.Controller.auto_design mode));
-        print_report
-          (Printf.sprintf "manual %s" name)
-          (report ~options:Experiments.Exp_common.annotated_flow
-             (Pctrl.Controller.manual_design mode)))
-      [ ("cached", Pctrl.Controller.Cached);
-        ("uncached", Pctrl.Controller.Uncached) ];
+    (* One batch, so -j compiles the five variants in parallel. *)
+    let labelled =
+      ("full", Engine.job full)
+      :: List.concat_map
+           (fun (name, mode) ->
+             [ ("auto " ^ name, Engine.job (Pctrl.Controller.auto_design mode));
+               ("manual " ^ name,
+                Engine.job ~options:Experiments.Exp_common.annotated_flow
+                  (Pctrl.Controller.manual_design mode)) ])
+           [ ("cached", Pctrl.Controller.Cached);
+             ("uncached", Pctrl.Controller.Uncached) ]
+    in
+    List.iter2
+      (fun (label, _) (s : Engine.Summary.t) -> print_report label s.report)
+      labelled (compile cli engine (List.map snd labelled));
     Cli.finish cli (Some engine)
   in
   Cmd.v
@@ -257,7 +269,9 @@ let design_cmd =
           aiger_out
       end
       else if do_synth then
-        print_report "mapped" (Engine.report_exn engine (Engine.job design));
+        List.iter
+          (fun (s : Engine.Summary.t) -> print_report "mapped" s.report)
+          (compile cli engine [ Engine.job design ]);
       Cli.finish cli (Some engine)
   in
   let file =
@@ -283,6 +297,15 @@ let design_cmd =
           $ aiger $ do_synth)
 
 (* ------------------------------------------------------------------ equiv *)
+
+let mode_arg =
+  Arg.(value
+       & opt
+           (enum
+              [ ("cached", Pctrl.Controller.Cached);
+                ("uncached", Pctrl.Controller.Uncached) ])
+           Pctrl.Controller.Cached
+       & info [ "mode" ] ~doc:"PCtrl protocol mode.")
 
 let verdict_line = function
   | Synth.Equiv.Proved -> "proved"
@@ -390,15 +413,6 @@ let equiv_cmd =
                         found@.";
          exit 2
        end)
-  in
-  let mode_arg =
-    Arg.(value
-         & opt
-             (enum
-                [ ("cached", Pctrl.Controller.Cached);
-                  ("uncached", Pctrl.Controller.Uncached) ])
-             Pctrl.Controller.Cached
-         & info [ "mode" ] ~doc:"PCtrl protocol mode.")
   in
   let engine_arg =
     Arg.(value
@@ -522,15 +536,6 @@ let fault_cmd =
              ~doc:"Implementation under test: $(b,flexible) (configuration \
                    memories bound at run time) or $(b,bound) (partially \
                    evaluated).")
-  in
-  let mode_arg =
-    Arg.(value
-         & opt
-             (enum
-                [ ("cached", Pctrl.Controller.Cached);
-                  ("uncached", Pctrl.Controller.Uncached) ])
-             Pctrl.Controller.Cached
-         & info [ "mode" ] ~doc:"PCtrl protocol mode.")
   in
   let model_arg =
     Arg.(value

@@ -19,9 +19,10 @@ val term : t Cmdliner.Term.t
 
 val engine : t -> Cells.Library.t -> Engine.t
 (** A fresh engine over [lib] with the parsed [-j], [--cache-dir] and
-    [--no-cache]: the cache directory is created and its journal loaded
-    here. An engine the flags cannot build (e.g. a [--cache-dir] that names
-    a file) exits the process with status 2. *)
+    [--no-cache]. The cache directory is created and its journal loaded by
+    the engine's first job, so a run that compiles nothing leaves it alone.
+    An engine the flags cannot build (e.g. a [--cache-dir] that names a
+    file) exits the process with status 2. *)
 
 val range : ?max:int -> int -> int Cmdliner.Arg.conv
 (** [range ?max min] parses a decimal integer from [min] to [max]

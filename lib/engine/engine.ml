@@ -25,16 +25,17 @@ type stats = {
   cpu_s : float;
 }
 
-(* The on-disk store: the results journal before its first store, open
-   after it, or off (no cache dir, or a disk failure). *)
-type disk = Off | Closed of string | Open of Journal.t
+(* The on-disk store: a cache dir no job has touched yet, the results
+   journal before its first store, open after it, or off (no cache dir, or
+   a disk failure). *)
+type disk = Off | Dir of string | Closed of string | Open of Journal.t
 
 type t = {
   lib : Cells.Library.t;
   jobs : int;
   no_cache : bool;
   memory : (string, Summary.t) Hashtbl.t;
-  loaded : (string, (Summary.t, string) result) Hashtbl.t;
+  mutable loaded : (string, (Summary.t, string) result) Hashtbl.t;
   mutable disk : disk;
   memo : Synth.Collapse.memo;
   mutable submitted : int;
@@ -62,28 +63,38 @@ let rec mkdir_p path =
 
 let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
-  let disk, loaded =
+  let disk =
     match cache_dir with
     | Some dir when not no_cache ->
-      mkdir_p dir;
       (* A cache dir that is not a directory would otherwise degrade to
          silent store failures and a permanently cold cache. *)
-      if not (Sys.file_exists dir && Sys.is_directory dir) then
+      if Sys.file_exists dir && not (Sys.is_directory dir) then
         invalid_arg
           (Printf.sprintf "Engine.create: %s is not a directory" dir);
-      let path = Filename.concat dir "results.jsonl" in
-      let records = try Journal.load path with Sys_error _ -> [] in
-      (Closed path, Batch.resume_table ~codec records)
-    | _ -> (Off, Hashtbl.create 1)
+      Dir dir
+    | _ -> Off
   in
-  { lib; jobs; no_cache; memory = Hashtbl.create 64; loaded; disk;
+  { lib; jobs; no_cache; memory = Hashtbl.create 64;
+    loaded = Hashtbl.create 1; disk;
     memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
     failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0; failures = [] }
+
+(* The first job creates the cache dir and loads its journal. A dir that
+   cannot be created turns the store off, like any other disk failure. *)
+let open_dir t dir =
+  mkdir_p dir;
+  if Sys.file_exists dir && Sys.is_directory dir then begin
+    let path = Filename.concat dir "results.jsonl" in
+    let records = try Journal.load path with Sys_error _ -> [] in
+    t.loaded <- Batch.resume_table ~codec records;
+    t.disk <- Closed path
+  end
+  else t.disk <- Off
 
 (* A disk failure turns the store off: the engine carries on memory-only. *)
 let rec persist t key s =
   match t.disk with
-  | Off -> ()
+  | Off | Dir _ -> ()
   | Closed path ->
     t.disk <- (try Open (Journal.open_append path) with Sys_error _ -> Off);
     persist t key s
@@ -123,6 +134,7 @@ let failure_message j e =
 (* A job neither settled in the cache nor coalesced with an earlier one
    compiles; its summary comes back with the compile's own time. *)
 let run t jobs =
+  (match t.disk with Dir dir when jobs <> [] -> open_dir t dir | _ -> ());
   let t0 = now () in
   t.submitted <- t.submitted + List.length jobs;
   let settled key =
@@ -155,13 +167,6 @@ let run t jobs =
         t.failures <- failure_message j e :: t.failures;
         Error e)
     jobs outcomes
-
-let run_one t j = List.hd (run t [ j ])
-
-let report_exn t j =
-  match run_one t j with
-  | Ok s -> s.Summary.report
-  | Error e -> failwith (failure_message j e)
 
 let failures t = List.rev t.failures
 

@@ -18,14 +18,15 @@
       function that recurs across jobs is minimized once per engine.
 
     The results journal holds one [{"k":key,"v":summary}] record per
-    compiled job. It is read once, when the engine is created, by the rule
-    fault-campaign resume uses ({!Batch.resume_table}): per key, the first
-    record that decodes wins, so a corrupt or torn record is a miss and the
-    recompiled job's record, appended after it, serves later runs. It is
-    opened for appending on the first store. Disk failures are soft: a
-    journal that cannot be opened or appended to leaves the engine running
-    memory-only. Hits, misses and stores are counted process-wide by the
-    [engine.cache.*] {!Obs.Metrics} counters.
+    compiled job. The engine's first job creates the cache dir and reads
+    the journal, once, by the rule fault-campaign resume uses
+    ({!Batch.resume_table}): per key, the first record that decodes wins,
+    so a corrupt or torn record is a miss and the recompiled job's record,
+    appended after it, serves later runs. It is opened for appending on the
+    first store. Disk failures are soft: a cache dir that cannot be
+    created, or a journal that cannot be opened or appended to, leaves the
+    engine running memory-only. Hits, misses and stores are counted
+    process-wide by the [engine.cache.*] {!Obs.Metrics} counters.
 
     There is no process-wide engine. A front-end creates one per run and
     passes it to every experiment that compiles through it, so each cache
@@ -54,7 +55,7 @@ val job : ?options:Synth.Flow.options -> Rtl.Design.t -> job
 type outcome = (Summary.t, Pool.error) result
 
 type stats = {
-  submitted : int;  (** jobs requested through [run]/[run_one] *)
+  submitted : int;  (** jobs requested through [run] *)
   executed : int;   (** jobs that actually compiled *)
   failed : int;     (** executed jobs that settled in [Error] *)
   mem_hits : int;
@@ -76,21 +77,18 @@ val create :
   Cells.Library.t ->
   t
 (** [jobs]: worker domains for cache-miss execution; [1] (default) compiles
-    on the calling domain. [cache_dir] is created (recursively) if missing,
-    and its results journal is loaded. [no_cache] disables result caching
-    entirely ([cache_dir] is then ignored).
-    @raise Invalid_argument if [jobs < 1], or if [cache_dir] is not a
-    directory. *)
+    on the calling domain. [cache_dir] is left untouched until the first
+    job: [run] creates it (recursively) if missing and loads its results
+    journal then, so an engine that never compiles leaves no trace on disk.
+    [no_cache] disables result caching entirely ([cache_dir] is then
+    ignored).
+    @raise Invalid_argument if [jobs < 1], or if [cache_dir] exists and is
+    not a directory. *)
 
 val run : t -> job list -> outcome list
-(** Outcomes in request order. Never raises on job failure; each failed
-    slot's message is recorded for {!failures}. *)
-
-val run_one : t -> job -> outcome
-
-val report_exn : t -> job -> Synth.Map.report
-(** [run_one] unwrapped: raises [Failure] with the job's
-    {!failure_message} on [Error]. *)
+(** The engine's one entry point: outcomes in request order. Never raises
+    on job failure; each failed slot's message is recorded for
+    {!failures}. *)
 
 val failure_message : job -> Pool.error -> string
 (** ["synthesis job NAME failed: REASON"]. *)

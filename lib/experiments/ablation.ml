@@ -1,27 +1,34 @@
-let area engine ?options d =
-  Synth.Map.total (Engine.report_exn engine (Engine.job ?options d))
-
 let cone_cap fmt engine =
   let caps = [ 4; 6; 8; 10; 12; 14 ] in
   let cells = [ (16, 4); (64, 8); (256, 4) ] in
-  let row cap =
-    let ratios =
-      List.map
-        (fun (depth, width) ->
-          let tt = Workload.Rand_table.generate ~seed:0 ~depth ~width in
-          let flexible =
-            Synth.Partial_eval.bind_tables
-              (Core.Truth_table.to_flexible_rtl tt)
-              [ Core.Truth_table.config_binding tt ]
-          in
-          let direct = Core.Truth_table.to_sop_rtl tt in
-          let options = { Synth.Flow.default with collapse_cap = cap } in
-          area engine ~options flexible /. area engine ~options direct)
-        cells
-    in
-    string_of_int cap
-    :: List.map Report.Table.fmt_ratio ratios
-    @ [ Report.Table.fmt_ratio (Exp_common.geomean ratios) ]
+  let designs =
+    List.map
+      (fun (depth, width) ->
+        let tt = Workload.Rand_table.generate ~seed:0 ~depth ~width in
+        ( Synth.Partial_eval.bind_tables
+            (Core.Truth_table.to_flexible_rtl tt)
+            [ Core.Truth_table.config_binding tt ],
+          Core.Truth_table.to_sop_rtl tt ))
+      cells
+  in
+  let jobs cap =
+    let options = { Synth.Flow.default with collapse_cap = cap } in
+    List.concat_map
+      (fun (flexible, direct) ->
+        [ Engine.job ~options flexible; Engine.job ~options direct ])
+      designs
+  in
+  (* Each cap's areas alternate flexible and direct. *)
+  let rec ratios = function
+    | a :: b :: rest ->
+      (Exp_common.fmt_ratio_result a b, Exp_common.ratio_opt a b) :: ratios rest
+    | _ -> []
+  in
+  let row (cap, areas) =
+    let cells, members = List.split (ratios areas) in
+    (string_of_int cap :: cells)
+    @ [ Report.Table.fmt_ratio
+          (Exp_common.geomean (List.filter_map Fun.id members)) ]
   in
   Format.fprintf fmt
     "== Ablation A1: collapse window cap vs table/direct area ratio ==@.%s@.@."
@@ -30,7 +37,7 @@ let cone_cap fmt engine =
          ("cap"
           :: List.map (fun (d, w) -> Printf.sprintf "%dx%d" d w) cells
           @ [ "geomean" ])
-       (List.map row caps))
+       (List.map row (Exp_common.sweep engine jobs caps)))
 
 let twolevel fmt =
   let nvars_list = [ 4; 6; 8 ] and seeds = [ 0; 1; 2 ] in
@@ -86,25 +93,21 @@ let twolevel fmt =
 
 let encodings fmt engine =
   let cases = [ (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 8, 17) ] in
-  let row (m, n, s) =
+  let jobs (m, n, s) =
     let fsm =
       Workload.Rand_fsm.generate ~seed:0 ~num_inputs:m ~num_outputs:n
         ~num_states:s
     in
-    let direct enc =
-      area engine (Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm)
-    in
-    let direct_annotated enc =
-      area engine ~options:Exp_common.annotated_flow
-        (Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm)
-    in
-    [
-      Printf.sprintf "%d/%d/%d" m n s;
-      Report.Table.fmt_area (direct Core.Fsm_ir.Binary);
-      Report.Table.fmt_area (direct Core.Fsm_ir.Gray);
-      Report.Table.fmt_area (direct Core.Fsm_ir.One_hot);
-      Report.Table.fmt_area (direct_annotated Core.Fsm_ir.One_hot);
-    ]
+    let direct enc = Core.Fsm_ir.to_direct_rtl ~encoding:enc fsm in
+    [ Engine.job (direct Core.Fsm_ir.Binary);
+      Engine.job (direct Core.Fsm_ir.Gray);
+      Engine.job (direct Core.Fsm_ir.One_hot);
+      Engine.job ~options:Exp_common.annotated_flow
+        (direct Core.Fsm_ir.One_hot) ]
+  in
+  let row ((m, n, s), areas) =
+    Printf.sprintf "%d/%d/%d" m n s
+    :: List.map Exp_common.fmt_area_result areas
   in
   Format.fprintf fmt
     "== Ablation A4: state encodings on direct FSMs ==@.%s@.@."
@@ -113,7 +116,7 @@ let encodings fmt engine =
          [ Report.Table.Left; Report.Table.Right; Report.Table.Right;
            Report.Table.Right; Report.Table.Right ]
        ~header:[ "m/n/s"; "binary"; "gray"; "one-hot"; "one-hot+annot" ]
-       (List.map row cases))
+       (List.map row (Exp_common.sweep engine jobs cases)))
 
 let library_richness fmt =
   let cases = [ (64, 8); (256, 16) ] in
@@ -148,26 +151,28 @@ let library_richness fmt =
 let microcode_style fmt engine =
   (* Horizontal vs vertical microcode stores (paper Section II-B) on the
      PCtrl dispatch programs. *)
-  let row (name, p) =
-    let flexible style = Core.Microcode.to_rtl ~style p in
-    let bits style = Rtl.Design.config_bit_count (flexible style) in
-    let flexible_area style = area engine (flexible style) in
-    let bound_area style =
-      area engine
-        (Synth.Partial_eval.bind_tables (flexible style)
-           (Core.Microcode.config_bindings ~style p))
+  let flexible p style = Core.Microcode.to_rtl ~style p in
+  let jobs (_, p) =
+    let bound style =
+      Synth.Partial_eval.bind_tables (flexible p style)
+        (Core.Microcode.config_bindings ~style p)
     in
-    [
-      name;
-      string_of_int (Core.Microcode.depth p);
-      string_of_int (Core.Microcode.distinct_control_words p);
-      string_of_int (bits `Horizontal);
-      string_of_int (bits `Vertical);
-      Report.Table.fmt_area (flexible_area `Horizontal);
-      Report.Table.fmt_area (flexible_area `Vertical);
-      Report.Table.fmt_area (bound_area `Horizontal);
-      Report.Table.fmt_area (bound_area `Vertical);
-    ]
+    List.map Engine.job
+      [ flexible p `Horizontal; flexible p `Vertical; bound `Horizontal;
+        bound `Vertical ]
+  in
+  let row ((name, p), areas) =
+    let bits style = Rtl.Design.config_bit_count (flexible p style) in
+    name
+    :: string_of_int (Core.Microcode.depth p)
+    :: string_of_int (Core.Microcode.distinct_control_words p)
+    :: string_of_int (bits `Horizontal)
+    :: string_of_int (bits `Vertical)
+    :: List.map Exp_common.fmt_area_result areas
+  in
+  let programs =
+    [ ("pctrl-cached", Pctrl.Dispatch.program Pctrl.Dispatch.Cached);
+      ("pctrl-uncached", Pctrl.Dispatch.program Pctrl.Dispatch.Uncached) ]
   in
   Format.fprintf fmt
     "== Ablation A6: horizontal vs vertical microcode ==@.%s\
@@ -178,41 +183,31 @@ let microcode_style fmt engine =
        ~header:
          [ "program"; "uops"; "words"; "h bits"; "v bits"; "h flex";
            "v flex"; "h bound"; "v bound" ]
-       (List.map row
-          [
-            ("pctrl-cached", Pctrl.Dispatch.program Pctrl.Dispatch.Cached);
-            ("pctrl-uncached", Pctrl.Dispatch.program Pctrl.Dispatch.Uncached);
-          ]))
+       (List.map row (Exp_common.sweep engine jobs programs)))
 
 let annot_cap fmt engine =
   let n = 64 and caps = [ 8; 16; 32; 64; 128 ] in
-  let generic =
-    Onehot_design.generic ~n ~style:(Onehot_design.Flop Rtl.Design.Sync_reset)
+  let style = Onehot_design.Flop Rtl.Design.Sync_reset in
+  let generic = Onehot_design.generic ~n ~style
+  and direct = Onehot_design.direct ~n ~style in
+  let jobs cap =
+    let options =
+      { Synth.Flow.default with
+        honor_generator_annots = true;
+        annot_width_cap = cap }
+    in
+    [ Engine.job ~options generic; Engine.job ~options direct ]
   in
-  let direct =
-    Onehot_design.direct ~n ~style:(Onehot_design.Flop Rtl.Design.Sync_reset)
-  in
-  let rows =
-    List.map
-      (fun cap ->
-        let options =
-          { Synth.Flow.default with
-            honor_generator_annots = true;
-            annot_width_cap = cap }
-        in
-        let g = area engine ~options generic in
-        let d = area engine ~options direct in
-        [
-          string_of_int cap;
-          Report.Table.fmt_area g;
-          Report.Table.fmt_area d;
-          Report.Table.fmt_ratio (g /. d);
-          (if cap >= n then "honoured" else "ignored");
-        ])
-      caps
+  let row (cap, areas) =
+    match areas with
+    | [ g; d ] ->
+      [ string_of_int cap; Exp_common.fmt_area_result g;
+        Exp_common.fmt_area_result d; Exp_common.fmt_ratio_result g d;
+        (if cap >= n then "honoured" else "ignored") ]
+    | _ -> assert false
   in
   Format.fprintf fmt
     "== Ablation A3: annotation width cap at bus width n=%d ==@.%s@.@." n
     (Report.Table.render
        ~header:[ "cap"; "generic"; "direct"; "ratio"; "annotation" ]
-       rows)
+       (List.map row (Exp_common.sweep engine jobs caps)))

@@ -12,8 +12,9 @@
       Fig. 6 workload — the generator-side answer to "s ∈ {3, 17} aren't
       efficiently coded in binary".
 
-    Each ablation prints its table to the given formatter; those that
-    compile through the engine take it too. *)
+    Each ablation prints its table to the given formatter. Those that
+    compile take the engine and submit one {!Exp_common.sweep} batch: a
+    failed compile prints [FAIL] and is listed by {!Engine.failures}. *)
 
 val cone_cap : Format.formatter -> Engine.t -> unit
 val twolevel : Format.formatter -> unit

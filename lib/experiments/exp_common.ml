@@ -6,13 +6,20 @@ let annotated_flow = { Synth.Flow.default with honor_generator_annots = true }
 
 let retimed_flow = { Synth.Flow.default with retime = true }
 
-let areas_result engine jobs =
-  List.map2
-    (fun j outcome ->
-      match outcome with
-      | Ok s -> Ok (Engine.Summary.area s)
-      | Error err -> Error (Engine.failure_message j err))
-    jobs (Engine.run engine jobs)
+let sweep engine jobs_of points =
+  let jobs = List.map jobs_of points in
+  let outcomes = Array.of_list (Engine.run engine (List.concat jobs)) in
+  let cell first i (j : Engine.job) =
+    Result.map Engine.Summary.area
+      (Result.map_error (Engine.failure_message j) outcomes.(first + i))
+  in
+  (* Each point takes as many outcomes as it gave jobs. *)
+  let _, cells =
+    List.fold_left_map
+      (fun first js -> (first + List.length js, List.mapi (cell first) js))
+      0 jobs
+  in
+  List.combine points cells
 
 let fmt_area_result = function
   | Ok a -> Report.Table.fmt_area a

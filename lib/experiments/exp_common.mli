@@ -13,11 +13,15 @@ val annotated_flow : Synth.Flow.options
 
 val retimed_flow : Synth.Flow.options
 
-val areas_result : Engine.t -> Engine.job list -> (float, string) result list
-(** Total mapped area of each job, from one batch through [engine] —
-    cache-deduplicated, parallel when the engine has workers, results in
-    job order. A failed compile yields [Error message] for its slot instead
-    of aborting the whole sweep; the engine also records the message
+val sweep :
+  Engine.t -> ('p -> Engine.job list) -> 'p list ->
+  ('p * (float, string) result list) list
+(** [sweep engine jobs points]: the jobs of every point, submitted through
+    [engine] as one batch — cache-deduplicated, parallel when the engine
+    has workers — and each point paired with the total mapped area of its
+    own jobs, in job order. This is the one way an experiment compiles
+    through the engine. A failed compile yields [Error message] in its slot
+    instead of aborting the sweep; the engine also records the message
     ({!Engine.failures}), so front-ends can print a summary and exit
     nonzero. *)
 

@@ -14,29 +14,23 @@ let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_table.paper_grid)
   let points =
     List.concat_map (fun cell -> List.map (fun seed -> (cell, seed)) seeds) grid
   in
-  (* Designs are generated up front; the compiles go to the engine as one
-     batch so a parallel engine spreads the whole sweep over its workers. *)
-  let jobs =
-    List.concat_map
-      (fun ((depth, width), seed) ->
-        let tt = Workload.Rand_table.generate ~seed ~depth ~width in
-        let flexible =
-          Synth.Partial_eval.bind_tables
-            (Core.Truth_table.to_flexible_rtl tt)
-            [ Core.Truth_table.config_binding tt ]
-        in
-        let direct = Core.Truth_table.to_sop_rtl tt in
-        [ Engine.job flexible; Engine.job direct ])
-      points
+  (* The compiles of every point go to the engine as one batch, so a
+     parallel engine spreads the whole sweep over its workers. *)
+  let jobs ((depth, width), seed) =
+    let tt = Workload.Rand_table.generate ~seed ~depth ~width in
+    let flexible =
+      Synth.Partial_eval.bind_tables
+        (Core.Truth_table.to_flexible_rtl tt)
+        [ Core.Truth_table.config_binding tt ]
+    in
+    [ Engine.job flexible; Engine.job (Core.Truth_table.to_sop_rtl tt) ]
   in
-  let rec pair points areas =
-    match (points, areas) with
-    | [], [] -> []
-    | ((depth, width), seed) :: ps, table_area :: sop_area :: rest ->
-      { depth; width; seed; table_area; sop_area } :: pair ps rest
-    | _ -> assert false
-  in
-  pair points (Exp_common.areas_result engine jobs)
+  List.map
+    (fun (((depth, width), seed), areas) ->
+      match areas with
+      | [ table_area; sop_area ] -> { depth; width; seed; table_area; sop_area }
+      | _ -> assert false)
+    (Exp_common.sweep engine jobs points)
 
 let print fmt rows =
   let body =

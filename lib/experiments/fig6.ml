@@ -15,32 +15,26 @@ let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_fsm.paper_grid)
   let points =
     List.concat_map (fun cell -> List.map (fun seed -> (cell, seed)) seeds) grid
   in
-  let jobs =
-    List.concat_map
-      (fun ((m, n, s), seed) ->
-        let fsm =
-          Workload.Rand_fsm.generate ~seed ~num_inputs:m ~num_outputs:n
-            ~num_states:s
-        in
-        let bind d =
-          Synth.Partial_eval.bind_tables d (Core.Fsm_ir.config_bindings fsm)
-        in
-        [ Engine.job (Core.Fsm_ir.to_direct_rtl fsm);
-          Engine.job (bind (Core.Fsm_ir.to_flexible_rtl ~annotate:false fsm));
-          Engine.job ~options:Exp_common.annotated_flow
-            (bind (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)) ])
-      points
+  let jobs ((m, n, s), seed) =
+    let fsm =
+      Workload.Rand_fsm.generate ~seed ~num_inputs:m ~num_outputs:n
+        ~num_states:s
+    in
+    let bind d =
+      Synth.Partial_eval.bind_tables d (Core.Fsm_ir.config_bindings fsm)
+    in
+    [ Engine.job (Core.Fsm_ir.to_direct_rtl fsm);
+      Engine.job (bind (Core.Fsm_ir.to_flexible_rtl ~annotate:false fsm));
+      Engine.job ~options:Exp_common.annotated_flow
+        (bind (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)) ]
   in
-  let rec pair points areas =
-    match (points, areas) with
-    | [], [] -> []
-    | ((m, n, s), seed) :: ps,
-      direct_area :: regular_area :: annotated_area :: rest ->
-      { m; n; s; seed; direct_area; regular_area; annotated_area }
-      :: pair ps rest
-    | _ -> assert false
-  in
-  pair points (Exp_common.areas_result engine jobs)
+  List.map
+    (fun (((m, n, s), seed), areas) ->
+      match areas with
+      | [ direct_area; regular_area; annotated_area ] ->
+        { m; n; s; seed; direct_area; regular_area; annotated_area }
+      | _ -> assert false)
+    (Exp_common.sweep engine jobs points)
 
 let print fmt rows =
   let body =

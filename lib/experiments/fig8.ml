@@ -30,23 +30,18 @@ let run ?(widths = Onehot_design.paper_widths) engine =
           Onehot_design.all_styles)
       widths
   in
-  let jobs =
-    List.concat_map
-      (fun (n, (_, style), variant) ->
-        let options = flow_of variant in
-        [ Engine.job ~options (Onehot_design.generic ~n ~style);
-          Engine.job ~options (Onehot_design.direct ~n ~style) ])
-      points
+  let jobs (n, (_, style), variant) =
+    let options = flow_of variant in
+    [ Engine.job ~options (Onehot_design.generic ~n ~style);
+      Engine.job ~options (Onehot_design.direct ~n ~style) ]
   in
-  let rec pair points areas =
-    match (points, areas) with
-    | [], [] -> []
-    | (n, (style_name, _), variant) :: ps,
-      generic_area :: direct_area :: rest ->
-      { n; style_name; variant; generic_area; direct_area } :: pair ps rest
-    | _ -> assert false
-  in
-  pair points (Exp_common.areas_result engine jobs)
+  List.map
+    (fun ((n, (style_name, _), variant), areas) ->
+      match areas with
+      | [ generic_area; direct_area ] ->
+        { n; style_name; variant; generic_area; direct_area }
+      | _ -> assert false)
+    (Exp_common.sweep engine jobs points)
 
 let print fmt rows =
   let body =

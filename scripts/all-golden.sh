@@ -7,8 +7,9 @@
 # cached run the cache directory must hold only results.jsonl, one record
 # per executed job (engine table, stderr); the warm run must execute no
 # job and leave that file byte-identical: a cache that silently missed
-# would still match. An intentional figure change regenerates the golden
-# with scripts/regen-golden.sh.
+# would still match. A run that compiles nothing (ablate-twolevel) must
+# not create its --cache-dir. An intentional figure change regenerates the
+# golden with scripts/regen-golden.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +17,8 @@ dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
 out=$(mktemp) && err=$(mktemp) && cache=$(mktemp -d) && snap=$(mktemp)
-trap 'rm -rf "$out" "$err" "$cache" "$snap"' EXIT
+idle=$(mktemp -d)
+trap 'rm -rf "$out" "$err" "$cache" "$snap" "$idle"' EXIT
 
 check() {
   if ! diff -u test/golden/all.stdout "$out"; then
@@ -56,3 +58,11 @@ if ! cmp -s "$snap" "$cache/results.jsonl"; then
   exit 1
 fi
 echo "all-golden: $records records, unchanged by the warm run"
+
+"$exe" ablate-twolevel --cache-dir "$idle/unused" > /dev/null 2>&1
+if [ -e "$idle/unused" ]; then
+  echo "error: bench ablate-twolevel compiled nothing but created its" \
+    "--cache-dir" >&2
+  exit 1
+fi
+echo "all-golden: a run that compiles nothing leaves --cache-dir absent"

@@ -22,7 +22,7 @@ let fresh_dir =
         (Filename.get_temp_dir_name ())
         (Printf.sprintf "engine-test-%d-%d" (Unix.getpid ()) !counter)
     in
-    (* Engine.create makes the directory itself. *)
+    (* The engine's first job makes the directory itself. *)
     d
 
 (* ---------------------------------------------------------- fingerprint *)
@@ -390,7 +390,12 @@ let test_sweep_degrades_gracefully () =
      inputs that are gone) still yields a full row list of error cells and
      records each failure, instead of aborting on the first one. *)
   let e = Engine.create ~jobs:1 lib in
-  let res = Experiments.Exp_common.areas_result e [ bad_job 19; bad_job 23 ] in
+  let res =
+    List.concat_map snd
+      (Experiments.Exp_common.sweep e
+         (fun j -> [ j ])
+         [ bad_job 19; bad_job 23 ])
+  in
   (match res with
    | [ Error _; Error _ ] -> ()
    | _ -> Alcotest.fail "expected every job to fail");
@@ -407,6 +412,73 @@ let test_sweep_degrades_gracefully () =
     (Experiments.Exp_common.fmt_ratio_result (Ok 0.0) (Ok 0.0));
   Alcotest.(check (option (float 0.))) "folded ratio left out" None
     (Experiments.Exp_common.ratio_opt (Ok 3.0) (Ok 0.0))
+
+(* [Exp_common.sweep] over points of 0–3 jobs each, good designs mixed
+   with failing ones: every point gets back its own cells in job order,
+   failures stay in their slots and [Engine.failures] lists them in slot
+   order, and the engine counts every job once. *)
+let prop_sweep_cells_per_point =
+  let good =
+    Array.init 3 (fun seed ->
+        Core.Truth_table.to_sop_rtl
+          (Workload.Rand_table.generate ~seed ~depth:4 ~width:2))
+  in
+  let area =
+    Array.map (fun d -> Engine.Summary.area (compile_summary d)) good
+  in
+  let job = function
+    | `Good i -> Engine.job good.(i)
+    | `Bad i -> bad_job i
+  in
+  let gen rng =
+    List.init (Workload.Rng.int rng 5) (fun p ->
+        ( p,
+          List.init (Workload.Rng.int rng 4) (fun _ ->
+              let i = Workload.Rng.int rng 3 in
+              if Workload.Rng.int rng 3 = 0 then `Bad i else `Good i) ))
+  in
+  let show points =
+    String.concat "; "
+      (List.map
+         (fun (p, slots) ->
+           Printf.sprintf "%d:[%s]" p
+             (String.concat ","
+                (List.map
+                   (function
+                     | `Good i -> Printf.sprintf "good %d" i
+                     | `Bad i -> Printf.sprintf "bad %d" i)
+                   slots)))
+         points)
+  in
+  Prop.test ~iters:40 "sweep: cells per point, in order"
+    ~examples:[ [ (0, []); (1, [ `Bad 0; `Good 1 ]); (2, [ `Good 1 ]) ] ]
+    (Prop.make ~show gen)
+    (fun points ->
+      let e = Engine.create ~jobs:2 lib in
+      let swept =
+        Experiments.Exp_common.sweep e (fun (_, slots) -> List.map job slots)
+          points
+      in
+      let cell_ok slot cell =
+        match (slot, cell) with
+        | `Good i, Ok a -> a = area.(i)
+        | `Bad _, Error m ->
+          String.starts_with
+            ~prefix:
+              (Printf.sprintf "synthesis job %s failed: " (job slot).jname)
+            m
+        | _ -> false
+      in
+      let cells = List.concat_map snd swept in
+      List.map fst swept = points
+      && List.for_all2
+           (fun (_, slots) (_, cells) ->
+             List.length slots = List.length cells
+             && List.for_all2 cell_ok slots cells)
+           points swept
+      && Engine.failures e
+         = List.filter_map (function Error m -> Some m | Ok _ -> None) cells
+      && (Engine.stats e).submitted = List.length (List.concat_map snd points))
 
 (* Failures belong to the engine that ran them: two failing jobs list two
    messages there, and none on another engine. *)
@@ -447,16 +519,16 @@ let test_cache_disk_roundtrip () =
   let dir = fresh_dir () in
   let d = fsm_design 11 in
   let cold = Engine.create ~cache_dir:dir lib in
-  let s = Engine.run_one cold (Engine.job d) in
+  let s = Engine.run cold [ Engine.job d ] in
   (* A second engine over the same directory: a disk hit, then a memory
      hit, and never a compile. *)
   let warm = Engine.create ~cache_dir:dir lib in
-  if Engine.run_one warm (Engine.job d) <> s then
+  if Engine.run warm [ Engine.job d ] <> s then
     Alcotest.fail "disk record differs from the compiled summary";
   let st = Engine.stats warm in
   Alcotest.(check (pair int int)) "disk hit, nothing executed" (1, 0)
     (st.Engine.disk_hits, st.Engine.executed);
-  ignore (Engine.run_one warm (Engine.job d));
+  ignore (Engine.run warm [ Engine.job d ]);
   let st = Engine.stats warm in
   Alcotest.(check (pair int int)) "then a memory hit" (1, 1)
     (st.Engine.disk_hits, st.Engine.mem_hits);
@@ -466,7 +538,7 @@ let test_cache_disk_roundtrip () =
 let test_cache_torn_tail () =
   let dir = fresh_dir () in
   let d = fsm_design 11 and d' = fsm_design 12 in
-  ignore (Engine.run_one (Engine.create ~cache_dir:dir lib) (Engine.job d));
+  ignore (Engine.run (Engine.create ~cache_dir:dir lib) [ Engine.job d ]);
   (* A kill mid-append leaves a torn final line: here, the first half of
      the one record. It is skipped, and the next engine's record starts a
      line of its own. *)
@@ -490,6 +562,15 @@ let test_cache_torn_tail () =
     (run_both ());
   Alcotest.(check (pair int int)) "the record after it reads back" (2, 0)
     (run_both ())
+
+(* An engine that runs no job leaves a fresh cache dir absent, even when
+   it is handed an empty batch. *)
+let test_cache_dir_idle_engine () =
+  let dir = Filename.concat (fresh_dir ()) "nested" in
+  let e = Engine.create ~cache_dir:dir lib in
+  Alcotest.(check int) "an empty batch" 0 (List.length (Engine.run e []));
+  Alcotest.(check bool) "no directory left behind" false
+    (Sys.file_exists (Filename.dirname dir))
 
 let test_cache_dir_not_directory () =
   let file = Filename.temp_file "engine-test" ".file" in
@@ -594,16 +675,19 @@ let test_cli_values () =
       | _ -> Alcotest.failf "accepted removed flag %s" (String.concat " " args))
     [ [ "--timeout-s"; "2.5" ]; [ "--retries"; "3" ] ]
 
-(* Parsing the flags builds no engine: a fresh --cache-dir is created only
-   when an engine is built from them. *)
+(* Parsing the flags builds no engine, and building one touches no disk:
+   a fresh --cache-dir is created by the engine's first job. *)
 let test_cli_term_creates_nothing () =
   let dir = fresh_dir () in
   match eval_cli [ "--cache-dir"; dir ] with
   | Ok (`Ok (c : Cli.t)) ->
     Alcotest.(check bool) "parsing created nothing" false
       (Sys.file_exists dir);
-    ignore (Cli.engine c lib);
-    Alcotest.(check bool) "the engine created the directory" true
+    let e = Cli.engine c lib in
+    Alcotest.(check bool) "building the engine created nothing" false
+      (Sys.file_exists dir);
+    ignore (Engine.run e [ Engine.job (fsm_design 11) ]);
+    Alcotest.(check bool) "the first job created the directory" true
       (Sys.is_directory dir)
   | _ -> Alcotest.fail "--cache-dir rejected"
 
@@ -656,6 +740,8 @@ let () =
             test_cache_torn_tail;
           Alcotest.test_case "non-directory cache_dir raises" `Quick
             test_cache_dir_not_directory;
+          Alcotest.test_case "idle engine creates no cache dir" `Quick
+            test_cache_dir_idle_engine;
           Alcotest.test_case "corrupt record recompiled once" `Quick
             test_cache_corrupt_record;
         ] );
@@ -688,6 +774,7 @@ let () =
             test_fresh_engines_share_nothing;
           Alcotest.test_case "failures stay on their engine" `Quick
             test_failures_stay_on_their_engine;
+          prop_sweep_cells_per_point;
           Alcotest.test_case "rejects ~jobs:0" `Quick
             test_engine_rejects_zero_jobs;
         ] );
