@@ -15,7 +15,7 @@
    [Cli] (-j, --cache-dir, --no-cache, --trace, --metrics) and --json
    PATH, which also writes the figure rows and the engine statistics as
    JSON. Flags follow the command name. Each run builds one engine from
-   them and passes it to every experiment that compiles through it.
+   them and passes it to every experiment that compiles, netlists too.
 
    Figure tables go to stdout; engine statistics, metrics and traces go to
    stderr or to their own files, so stdout is byte-identical across -j
@@ -102,13 +102,13 @@ let fig8 _ engine =
   Experiments.Fig8.print out rows;
   [ ("fig8", fig8_json rows) ]
 
-let fig9 _ _ =
-  let rows = Experiments.Fig9.run () in
+let fig9 _ engine =
+  let rows = Experiments.Fig9.rows engine in
   Experiments.Fig9.print out rows;
   [ ("fig9", fig9_json rows) ]
 
-let fault (cli : Cli.t) _ =
-  let rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs () in
+let fault (cli : Cli.t) engine =
+  let rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs engine in
   Experiments.Fault_cmp.print out rows;
   [ ("fault", Experiments.Fault_cmp.to_json rows) ]
 
@@ -123,9 +123,9 @@ let quick (cli : Cli.t) engine =
   Experiments.Fig6.print out r6;
   let r8 = Experiments.Fig8.run ~widths:[ 2; 8; 32; 64 ] engine in
   Experiments.Fig8.print out r8;
-  let r9 = Experiments.Fig9.run () in
+  let r9 = Experiments.Fig9.rows engine in
   Experiments.Fig9.print out r9;
-  let fault_rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ~sites:8 () in
+  let fault_rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ~sites:8 engine in
   Experiments.Fault_cmp.print out fault_rows;
   [ ("fig5", fig5_json r5); ("fig6", fig6_json r6); ("fig8", fig8_json r8);
     ("fig9", fig9_json r9);
@@ -136,7 +136,7 @@ let ablations _ engine =
   Experiments.Ablation.twolevel out;
   Experiments.Ablation.annot_cap out engine;
   Experiments.Ablation.encodings out engine;
-  Experiments.Ablation.library_richness out;
+  Experiments.Ablation.library_richness out engine;
   Experiments.Ablation.microcode_style out engine;
   []
 
@@ -243,7 +243,7 @@ let engine_stats_json (s : Engine.stats) =
 let emit command run cli json_path =
   let engine = Cli.engine cli Experiments.Exp_common.lib in
   let figures = run cli engine in
-  Cli.finish cli (Some engine);
+  Cli.finish cli engine;
   let failures = Engine.failures engine in
   Option.iter
     (fun path ->
@@ -306,7 +306,7 @@ let () =
             command "ablate-encodings" ~doc:"State-encoding ablation."
               (ablation (Experiments.Ablation.encodings out));
             command "ablate-library" ~doc:"Cell-library richness ablation."
-              (ablation (fun _ -> Experiments.Ablation.library_richness out));
+              (ablation (Experiments.Ablation.library_richness out));
             command "ablate-ucode" ~doc:"Microcode-style ablation."
               (ablation (Experiments.Ablation.microcode_style out));
             command "equivbench"

@@ -12,10 +12,9 @@
      fault       run a fault-injection campaign on the PCtrl case study
 
    Every subcommand takes the shared engine and observability flags of
-   [Cli]. [synth], [asm], [design] and [pctrl] submit their compiles as one
-   [Engine.run] batch and exit 1 on a failed one; the AIG dumps, [equiv]
-   and [fault] compile directly. The paper's figures and ablations are
-   regenerated by bench/main.exe. *)
+   [Cli]. Each submits its compiles as one engine batch ([Engine.netlists]
+   where it reads the netlist) and exits 1 on a failed one. The paper's
+   figures and ablations are regenerated by bench/main.exe. *)
 
 open Cmdliner
 
@@ -38,14 +37,15 @@ let writing path f =
 let flow_options ~annotate ~retime =
   { Synth.Flow.default with honor_generator_annots = annotate; retime }
 
-(* Every compiling subcommand submits its jobs as one [Engine.run] batch
-   and fails one way: the engine table, a line per failed job, exit 1. *)
-let compile cli engine jobs =
-  let outcomes = Engine.run engine jobs in
+(* Every compiling subcommand submits its jobs as one batch ([submit] is
+   [Engine.run] or [Engine.netlists]) and fails one way: the engine table,
+   a line per failed job, exit 1. *)
+let compile cli engine submit jobs =
+  let outcomes = submit engine jobs in
   match Engine.failures engine with
   | [] -> List.map Result.get_ok outcomes
   | failures ->
-    Cli.finish cli (Some engine);
+    Cli.finish cli engine;
     List.iter (Format.eprintf "synthesis failed: %s@.") failures;
     exit 1
 
@@ -99,10 +99,9 @@ let synth_cmd =
     Format.printf "%s@." (Rtl.Design.stats design);
     if dump_verilog then print_string (Rtl.Verilog.emit design);
     let options = flow_options ~annotate ~retime in
+    let job = Engine.job ~options design in
     if dump_netlist then begin
-      (* The netlist needs the full AIG, which the engine's summaries
-         deliberately don't keep — compile directly. *)
-      let result = Synth.Flow.compile ~options lib design in
+      let result = List.hd (compile cli engine Engine.netlists [ job ]) in
       Format.printf "optimized: %s@." (Aig.stats result.Synth.Flow.aig);
       print_report "mapped" result.Synth.Flow.report;
       print_string
@@ -115,8 +114,8 @@ let synth_cmd =
           Format.printf "optimized: aig: %d latches, %d ANDs@." s.aig_latches
             s.aig_ands;
           print_report "mapped" s.report)
-        (compile cli engine [ Engine.job ~options design ]);
-    Cli.finish cli (Some engine)
+        (compile cli engine Engine.run [ job ]);
+    Cli.finish cli engine
   in
   let positive default name doc =
     Arg.(value & opt (Cli.range 1) default & info [ name ] ~doc)
@@ -182,8 +181,8 @@ let asm_cmd =
       if do_synth then
         List.iter
           (fun (s : Engine.Summary.t) -> print_report "mapped" s.report)
-          (compile cli engine [ Engine.job bound ]);
-      Cli.finish cli (Some engine)
+          (compile cli engine Engine.run [ Engine.job bound ]);
+      Cli.finish cli engine
   in
   let file =
     Arg.(required & pos 0 (some file) None
@@ -208,21 +207,13 @@ let pctrl_cmd =
     let full = Pctrl.Controller.full_design () in
     Format.printf "%s@." (Rtl.Design.stats full);
     (* One batch, so -j compiles the five variants in parallel. *)
-    let labelled =
-      ("full", Engine.job full)
-      :: List.concat_map
-           (fun (name, mode) ->
-             [ ("auto " ^ name, Engine.job (Pctrl.Controller.auto_design mode));
-               ("manual " ^ name,
-                Engine.job ~options:Experiments.Exp_common.annotated_flow
-                  (Pctrl.Controller.manual_design mode)) ])
-           [ ("cached", Pctrl.Controller.Cached);
-             ("uncached", Pctrl.Controller.Uncached) ]
-    in
+    let open Experiments.Fig9 in
     List.iter2
-      (fun (label, _) (s : Engine.Summary.t) -> print_report label s.report)
-      labelled (compile cli engine (List.map snd labelled));
-    Cli.finish cli (Some engine)
+      (fun (m, l) (s : Engine.Summary.t) ->
+        print_report (variant_name m l) s.report)
+      variants
+      (compile cli engine Engine.run (List.map (fun (m, l) -> job m l) variants));
+    Cli.finish cli engine
   in
   Cmd.v
     (Cmd.info "pctrl" ~doc:"Synthesize the PCtrl case study at every level.")
@@ -254,9 +245,9 @@ let design_cmd =
       Format.printf "%s@." (Rtl.Design.stats design);
       if dump_verilog then print_string (Rtl.Verilog.emit design);
       if dump_netlist || aiger_out <> None then begin
-        (* Netlist/AIGER dumps need the optimized AIG itself, which cached
-           summaries don't carry — compile directly. *)
-        let result = Synth.Flow.compile lib design in
+        let result =
+          List.hd (compile cli engine Engine.netlists [ Engine.job design ])
+        in
         print_report "mapped" result.Synth.Flow.report;
         if dump_netlist then
           print_string
@@ -271,8 +262,8 @@ let design_cmd =
       else if do_synth then
         List.iter
           (fun (s : Engine.Summary.t) -> print_report "mapped" s.report)
-          (compile cli engine [ Engine.job design ]);
-      Cli.finish cli (Some engine)
+          (compile cli engine Engine.run [ Engine.job design ]);
+      Cli.finish cli engine
   in
   let file =
     Arg.(required & pos 0 (some file) None
@@ -314,7 +305,8 @@ let verdict_line = function
   | Synth.Equiv.Undecided s -> "undecided: " ^ s
 
 let equiv_cmd =
-  let run cli mode engine frames opt mutate expect =
+  let run cli mode checker frames opt mutate expect =
+    let engine = Cli.engine cli lib in
     let bindings = Pctrl.Controller.bindings mode in
     let bindings, mutation =
       match mutate with
@@ -329,8 +321,8 @@ let equiv_cmd =
     let a, b = Pctrl.Controller.certification_pair ~bindings mode in
     let b =
       if opt then
-        (Synth.Flow.compile lib (Pctrl.Controller.auto_design mode))
-          .Synth.Flow.aig
+        let job = Experiments.Fig9.job mode Experiments.Fig9.Auto in
+        (List.hd (compile cli engine Engine.netlists [ job ])).Synth.Flow.aig
       else b
     in
     Format.printf "equiv: pctrl %s, flexible(bound at AIG level) vs %s@."
@@ -346,14 +338,14 @@ let equiv_cmd =
     in
     (* One span per engine call. They open here rather than inside
        [Equiv], where perfbench would file their time under [flow]. *)
-    let span engine f =
+    let span checker f =
       let args =
         ("mode", Obs.Span.Str (Experiments.Fig9.mode_name mode))
         :: Option.fold ~none:[]
              ~some:(fun (_, seed) -> [ ("mutation", Obs.Span.Int seed) ])
              mutation
       in
-      Obs.Span.with_span ~args ("equiv." ^ engine) f
+      Obs.Span.with_span ~args ("equiv." ^ checker) f
     in
     let run_sim () =
       print_verdict "sim"
@@ -377,18 +369,18 @@ let equiv_cmd =
         (* Replay of a SAT model through the scalar simulator failed: an
            encoder soundness bug, never an input property. *)
         Format.printf "sat: SOUNDNESS FAILURE: %s@." msg;
-        Cli.finish cli None;
+        Cli.finish cli engine;
         exit 1
     in
     let verdicts =
-      match engine with
+      match checker with
       | `Sim -> [ run_sim () ]
       | `Sat -> [ run_sat () ]
       | `Both ->
         let s = run_sim () in
         [ s; run_sat () ]
     in
-    Cli.finish cli None;
+    Cli.finish cli engine;
     let refuted =
       List.exists (function Synth.Equiv.Refuted _ -> true | _ -> false) verdicts
     in
@@ -414,7 +406,7 @@ let equiv_cmd =
          exit 2
        end)
   in
-  let engine_arg =
+  let checker_arg =
     Arg.(value
          & opt (enum [ ("sim", `Sim); ("sat", `Sat); ("both", `Both) ]) `Both
          & info [ "engine" ]
@@ -457,7 +449,7 @@ let equiv_cmd =
   Cmd.v
     (Cmd.info "equiv"
        ~doc:"Certify flexible-vs-partially-evaluated PCtrl equivalence.")
-    Term.(const run $ Cli.term $ mode_arg $ engine_arg $ frames_arg
+    Term.(const run $ Cli.term $ mode_arg $ checker_arg $ frames_arg
           $ opt_arg $ mutate_arg $ expect_arg)
 
 (* ------------------------------------------------------------------ fault *)
@@ -465,18 +457,20 @@ let equiv_cmd =
 let fault_cmd =
   let run cli impl mode model seed sites cycles journal_path resume_path
       crash_after vcd_path =
-    let impl =
+    let impl, level =
       match impl with
-      | `Flexible -> Experiments.Fault_cmp.Flexible
-      | `Bound -> Experiments.Fault_cmp.Bound
+      | `Flexible -> (Experiments.Fault_cmp.Flexible, Experiments.Fig9.Full)
+      | `Bound -> (Experiments.Fault_cmp.Bound, Experiments.Fig9.Auto)
     in
+    let engine = Cli.engine cli lib in
     let spec = Experiments.Fault_cmp.spec_of ~cycles ~mode impl in
     (* The stuck-at population lives on the synthesized netlist; other
        models never need the compile. *)
     let aig =
       match model with
       | Fault.Campaign.Stuck | Fault.Campaign.All ->
-        let result = Synth.Flow.compile lib spec.Fault.Sim.design in
+        let job = Experiments.Fig9.job mode level in
+        let result = List.hd (compile cli engine Engine.netlists [ job ]) in
         Some { Fault.Sim.aig = result.Synth.Flow.aig; cycles; seed }
       | Fault.Campaign.Control | Fault.Campaign.Tables | Fault.Campaign.Regs ->
         None
@@ -526,7 +520,7 @@ let fault_cmd =
           Printf.eprintf "ctrlgen: wrote %s (site %s)\n" path
             (Fault.Site.key site))
       vcd_path;
-    Cli.finish cli None;
+    Cli.finish cli engine;
     if report.Fault.Campaign.failed > 0 then exit 1
   in
   let impl_arg =

@@ -83,12 +83,8 @@ let engine t lib =
     exit 2
 
 let finish t engine =
-  Option.iter
-    (fun e ->
-      let stats = Engine.stats e in
-      if stats.Engine.submitted > 0 then
-        prerr_string (Engine.stats_table stats))
-    engine;
+  let stats = Engine.stats engine in
+  if stats.Engine.submitted > 0 then prerr_string (Engine.stats_table stats);
   if t.metrics then begin
     prerr_string (Obs.Metrics.to_table ());
     prerr_string (Obs.Span.to_table ())

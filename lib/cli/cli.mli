@@ -29,8 +29,8 @@ val range : ?max:int -> int -> int Cmdliner.Arg.conv
     inclusive ([max] unbounded when absent); anything else is a usage
     error, which cmdliner reports with exit status 124. *)
 
-val finish : t -> Engine.t option -> unit
+val finish : t -> Engine.t -> unit
 (** Print the end-of-run tables to stderr: the engine's statistics when it
-    is given and saw at least one job, then, when [--metrics] was given,
+    saw at least one job, then, when [--metrics] was given,
     the process metrics and the time per span name
     ({!Obs.Span.to_table}). Stdout is never touched. *)

@@ -31,40 +31,41 @@ let map ~jobs ~key ~settled ~settle f items =
   List.iteri (fun i (k, _) -> settle k results.(i)) fresh;
   List.map (function `Settled b -> Ok b | `Fresh i -> results.(i)) plan
 
+let records resume =
+  let records = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Journal.entry) -> Hashtbl.add records e.key e.value)
+    (List.rev resume);
+  records
+
 (* The settle rule for journaled items: per key, the first record whose
    payload decodes, or the first error record. A payload that no longer
    decodes (foreign or corrupt journal) is skipped, so a later good record
    for the same key still settles it; a key with no such record runs. *)
-let resume_table ~codec resume =
-  let resumed = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Journal.entry) ->
-      if not (Hashtbl.mem resumed e.key) then
-        match e.value with
-        | Ok enc ->
-          Result.iter (fun b -> Hashtbl.add resumed e.key (Ok b))
-            (codec.decode enc)
-        | Error m -> Hashtbl.add resumed e.key (Error m))
-    resume;
-  resumed
+let first_good ~decode =
+  List.find_map (function
+    | Ok enc -> Result.to_option (Result.map Result.ok (decode enc))
+    | Error m -> Some (Error m))
 
 let pending ~key ~codec resume items =
-  let resumed = resume_table ~codec resume in
-  List.filter (fun x -> not (Hashtbl.mem resumed (key x))) items
+  let records = records resume in
+  List.filter
+    (fun x ->
+      Option.is_none
+        (first_good ~decode:codec.decode (Hashtbl.find_all records (key x))))
+    items
 
 let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ~key ~codec f
     items =
-  let resumed = resume_table ~codec resume in
-  let settled = Hashtbl.find_opt resumed in
+  let records = records resume in
+  let settled k = first_good ~decode:codec.decode (Hashtbl.find_all records k) in
   let flatten = function Ok r -> r | Error e -> Error (Pool.error_message e) in
   let journaled = ref 0 in
   let settle k r =
-    let r = flatten r in
+    let value = Result.map codec.encode (flatten r) in
     (* Later chunks see this item as settled. *)
-    Hashtbl.replace resumed k r;
-    Option.iter
-      (fun j -> Journal.append j ~key:k ~value:(Result.map codec.encode r))
-      journal;
+    Hashtbl.add records k value;
+    Option.iter (fun j -> Journal.append j ~key:k ~value) journal;
     incr journaled;
     Option.iter (fun cb -> cb !journaled) on_checkpoint
   in

@@ -4,7 +4,7 @@
     jobs against the result cache, and {!run} settles fault sites against
     an append-only {!Journal}, so a killed campaign restarts where it left
     off. Fault campaigns ([lib/fault]) are {!run}'s main client. Both read
-    a journal back through {!resume_table}.
+    a journal back through {!first_good}.
 
     Determinism: results come back in item order regardless of [jobs], and
     an item resumed from a journal yields the decoded payload of the
@@ -51,22 +51,25 @@ val run :
     - [journal]: every settled item is appended (encoded via [codec]) and
       flushed, in item order, chunk by chunk.
     - [resume]: entries from {!Journal.load}; items that
-      {!resume_table} settles are not re-run, and an item settled by an
+      {!first_good} settles are not re-run, and an item settled by an
       error record stays an error result. Resumed items are not
       re-journaled.
     - [on_checkpoint]: called after each newly journaled item with the
       count of items journaled by this run — the hook crash-injection
       tests use to die at a deterministic point. *)
 
-val resume_table :
-  codec:'b codec ->
-  Journal.entry list ->
-  (string, ('b, string) result) Hashtbl.t
-(** The one rule for reading a journal back: each key maps to its first
-    record whose payload decodes through [codec], or to its first error
+val records : Journal.entry list -> (string, (string, string) result) Hashtbl.t
+(** Undecoded; [Hashtbl.find_all] gives a key's values in file order. *)
+
+val first_good :
+  decode:(string -> ('b, string) result) ->
+  (string, string) result list ->
+  ('b, string) result option
+(** The one rule for reading a journal back, applied to one key's
+    {!records}: its first record whose payload decodes, or its first error
     record, whichever comes first. A payload that fails to decode is
-    skipped, so a later good record for the same key still counts; a key
-    with no such record is absent, and its item runs again. *)
+    skipped, so a later good record for the same key still counts; with no
+    such record the item runs again. *)
 
 val pending :
   key:('a -> string) ->
@@ -76,6 +79,6 @@ val pending :
   'a list
 (** [pending ~key ~codec resume items] is the items, in order, that
     [run ~resume] would run rather than settle from the journal: those
-    whose key {!resume_table} leaves absent. A client that precomputes
+    whose key {!first_good} leaves [None]. A client that precomputes
     work for a batch (the fault campaign's packed stuck-at pass) covers
     exactly these. *)

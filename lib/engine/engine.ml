@@ -30,12 +30,23 @@ type stats = {
    a disk failure). *)
 type disk = Off | Dir of string | Closed of string | Open of Journal.t
 
+(* What a job gives back. Its key is the area key plus [kind]; [encode]
+   is [None] for a result that is kept in memory but not journaled. *)
+type 'a product = {
+  kind : string;
+  memory : (string, 'a) Hashtbl.t;
+  of_flow : Synth.Flow.result -> 'a;
+  encode : 'a -> string option;
+  decode : string -> ('a, string) result;
+}
+
 type t = {
   lib : Cells.Library.t;
   jobs : int;
   no_cache : bool;
-  memory : (string, Summary.t) Hashtbl.t;
-  mutable loaded : (string, (Summary.t, string) result) Hashtbl.t;
+  areas : Summary.t product;
+  netlists : Synth.Flow.result product;
+  mutable loaded : (string, (string, string) result) Hashtbl.t;
   mutable disk : disk;
   memo : Synth.Collapse.memo;
   mutable submitted : int;
@@ -53,7 +64,19 @@ let m_disk_hits = Obs.Metrics.counter "engine.cache.disk_hits"
 let m_misses = Obs.Metrics.counter "engine.cache.misses"
 let m_stores = Obs.Metrics.counter "engine.cache.stores"
 
-let codec = { Batch.encode = Summary.to_string; decode = Summary.of_string }
+(* A netlist record is AIGER text; the mapping is a pure function of the
+   graph, so it is rebuilt rather than stored. *)
+let netlist_product lib =
+  let decode text =
+    match Synth.Aiger.read text with
+    | aig ->
+      let report, instances = Synth.Map.run_full lib aig in
+      Ok { Synth.Flow.aig; report; instances }
+    | exception Synth.Aiger.Parse_error (_, m) -> Error m
+  in
+  { kind = " netlist"; memory = Hashtbl.create 8; of_flow = Fun.id; decode;
+    encode = (fun (r : Synth.Flow.result) ->
+      if Synth.Aiger.ordered r.aig then Some (Synth.Aiger.write r.aig) else None) }
 
 let rec mkdir_p path =
   if path <> "" && path <> "/" && not (Sys.file_exists path) then begin
@@ -74,8 +97,12 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
       Dir dir
     | _ -> Off
   in
-  { lib; jobs; no_cache; memory = Hashtbl.create 64;
-    loaded = Hashtbl.create 1; disk;
+  { lib; jobs; no_cache;
+    areas =
+      { kind = ""; memory = Hashtbl.create 64; of_flow = Summary.of_flow;
+        encode = (fun s -> Some (Summary.to_string s));
+        decode = Summary.of_string };
+    netlists = netlist_product lib; loaded = Hashtbl.create 1; disk;
     memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
     failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0; failures = [] }
 
@@ -85,46 +112,46 @@ let open_dir t dir =
   mkdir_p dir;
   if Sys.file_exists dir && Sys.is_directory dir then begin
     let path = Filename.concat dir "results.jsonl" in
-    let records = try Journal.load path with Sys_error _ -> [] in
-    t.loaded <- Batch.resume_table ~codec records;
+    t.loaded <- Batch.records (try Journal.load path with Sys_error _ -> []);
     t.disk <- Closed path
   end
   else t.disk <- Off
 
 (* A disk failure turns the store off: the engine carries on memory-only. *)
-let rec persist t key s =
+let rec persist t key value =
   match t.disk with
   | Off | Dir _ -> ()
   | Closed path ->
     t.disk <- (try Open (Journal.open_append path) with Sys_error _ -> Off);
-    persist t key s
+    persist t key value
   | Open j ->
-    (try Journal.append j ~key ~value:(Ok (codec.encode s))
+    (try Journal.append j ~key ~value:(Ok value)
      with Sys_error _ -> t.disk <- Off)
 
-(* Memory first; a record loaded from the journal serves its key once, as
-   a disk hit, and lives in memory from then on. An error record is a
+(* Memory first; a key's journal records are decoded when it is first
+   asked for, and the one {!Batch.first_good} picks serves it once, as a
+   disk hit, and lives in memory from then on. An error record is a
    miss. *)
-let find t key =
-  match Hashtbl.find_opt t.memory key with
-  | Some s ->
+let find t p key =
+  match Hashtbl.find_opt p.memory key with
+  | Some v ->
     Obs.Metrics.incr m_mem_hits;
-    Some s
+    Some v
   | None ->
-    (match Hashtbl.find_opt t.loaded key with
-     | Some (Ok s) ->
-       Hashtbl.replace t.memory key s;
+    (match Batch.first_good ~decode:p.decode (Hashtbl.find_all t.loaded key) with
+     | Some (Ok v) ->
+       Hashtbl.replace p.memory key v;
        t.disk_hits <- t.disk_hits + 1;
        Obs.Metrics.incr m_disk_hits;
-       Some s
+       Some v
      | Some (Error _) | None ->
        Obs.Metrics.incr m_misses;
        None)
 
-let store t key s =
-  Hashtbl.replace t.memory key s;
+let store t p key v =
+  Hashtbl.replace p.memory key v;
   Obs.Metrics.incr m_stores;
-  persist t key s
+  Option.iter (persist t key) (p.encode v)
 
 let now () = Unix.gettimeofday ()
 
@@ -132,41 +159,47 @@ let failure_message j e =
   Printf.sprintf "synthesis job %s failed: %s" j.jname (Pool.error_message e)
 
 (* A job neither settled in the cache nor coalesced with an earlier one
-   compiles; its summary comes back with the compile's own time. *)
-let run t jobs =
+   compiles; its product comes back with the compile's own time. *)
+let submit t p jobs =
   (match t.disk with Dir dir when jobs <> [] -> open_dir t dir | _ -> ());
   let t0 = now () in
   t.submitted <- t.submitted + List.length jobs;
   let settled key =
-    if t.no_cache then None else Option.map (fun s -> (s, 0.0)) (find t key)
+    if t.no_cache then None else Option.map (fun v -> (v, 0.0)) (find t p key)
   in
   let settle key r =
     t.executed <- t.executed + 1;
     match r with
-    | Ok (s, dt) ->
+    | Ok (v, dt) ->
       t.cpu_s <- t.cpu_s +. dt;
-      if not t.no_cache then store t key s
+      if not t.no_cache then store t p key v
     | Error _ -> t.failed <- t.failed + 1
   in
   let compile j =
+    Obs.Span.with_span ~args:[ ("job", Obs.Span.Str j.jname) ] "engine.job"
+    @@ fun () ->
     let jt0 = now () in
     let r = Synth.Flow.compile ~options:j.options ~memo:t.memo t.lib j.design in
-    (Summary.of_flow r, now () -. jt0)
+    (p.of_flow r, now () -. jt0)
   in
   let outcomes =
     Batch.map ~jobs:t.jobs
-      ~key:(fun j -> Fingerprint.job ~lib:t.lib ~options:j.options j.design)
+      ~key:(fun j ->
+        Fingerprint.job ~lib:t.lib ~options:j.options j.design ^ p.kind)
       ~settled ~settle compile jobs
   in
   t.wall_s <- t.wall_s +. (now () -. t0);
   List.map2
     (fun j r ->
       match r with
-      | Ok (s, _) -> Ok s
+      | Ok (v, _) -> Ok v
       | Error e ->
         t.failures <- failure_message j e :: t.failures;
         Error e)
     jobs outcomes
+
+let run t jobs = submit t t.areas jobs
+let netlists t jobs = submit t t.netlists jobs
 
 let failures t = List.rev t.failures
 

@@ -1,7 +1,8 @@
 (** Parallel synthesis job engine with content-addressed result caching.
 
     A {e job} is one [Synth.Flow.compile] of a design under a given option
-    record and cell library. The engine:
+    record and cell library, returning {!run}'s area {!Summary} or
+    {!netlists}' whole [Synth.Flow.result]. The engine:
 
     - fingerprints each job ({!Fingerprint}) and serves repeats from a
       result cache — an in-memory table always, and with a [cache_dir] one
@@ -15,22 +16,28 @@
       are one call of {!Batch.map}, the runner fault campaigns use too;
     - gives every compile it runs one shared collapse analysis memo
       ({!Synth.Collapse.memo}), created with the engine, so a window
-      function that recurs across jobs is minimized once per engine.
+      function that recurs across jobs is minimized once per engine; each
+      compile is an [engine.job] span carrying the job's name.
 
-    The results journal holds one [{"k":key,"v":summary}] record per
-    compiled job. The engine's first job creates the cache dir and reads
-    the journal, once, by the rule fault-campaign resume uses
-    ({!Batch.resume_table}): per key, the first record that decodes wins,
-    so a corrupt or torn record is a miss and the recompiled job's record,
-    appended after it, serves later runs. It is opened for appending on the
-    first store. Disk failures are soft: a cache dir that cannot be
-    created, or a journal that cannot be opened or appended to, leaves the
-    engine running memory-only. Hits, misses and stores are counted
-    process-wide by the [engine.cache.*] {!Obs.Metrics} counters.
+    The results journal holds one [{"k":key,"v":payload}] record per
+    compiled job: {!Fingerprint.job} and a {!Summary}, or for a netlist
+    that key plus [" netlist"] and [Synth.Aiger.write] text, decoded by
+    [Synth.Aiger.read] and [Synth.Map.run_full]. A result that is not
+    [Synth.Aiger.ordered] would not read back node for node, so it is kept
+    in memory only. The engine's first job creates the cache dir and loads
+    the journal, undecoded; a key's records are decoded when the key is
+    first asked for, by the rule fault-campaign resume uses
+    ({!Batch.first_good}): the first record that decodes wins, so a corrupt
+    or torn record is a miss and the recompiled job's record, appended
+    after it, serves later runs. It is opened for appending on the first
+    store. Disk failures are soft: a cache dir that cannot be created, or a
+    journal that cannot be opened or appended to, leaves the engine running
+    memory-only. Hits, misses and stores are counted process-wide by the
+    [engine.cache.*] {!Obs.Metrics} counters.
 
     There is no process-wide engine. A front-end creates one per run and
     passes it to every experiment that compiles through it, so each cache
-    lives exactly as long as the value its caller holds.
+    lives exactly as long as the value its caller holds, netlists too.
 
     Determinism: [Synth.Flow.compile] is a pure function of the job inputs,
     so outcomes are independent of worker count, scheduling order, and
@@ -55,7 +62,7 @@ val job : ?options:Synth.Flow.options -> Rtl.Design.t -> job
 type outcome = (Summary.t, Pool.error) result
 
 type stats = {
-  submitted : int;  (** jobs requested through [run] *)
+  submitted : int;  (** jobs requested through [run] and [netlists] *)
   executed : int;   (** jobs that actually compiled *)
   failed : int;     (** executed jobs that settled in [Error] *)
   mem_hits : int;
@@ -64,7 +71,7 @@ type stats = {
   disk_hits : int;
       (** served by a record of the results journal, the first time its
           key came up; later requests for it are memory hits *)
-  wall_s : float;   (** wall-clock spent inside [run] *)
+  wall_s : float;   (** wall-clock spent inside [run] and [netlists] *)
   cpu_s : float;    (** summed per-job compile time across workers *)
 }
 
@@ -78,7 +85,7 @@ val create :
   t
 (** [jobs]: worker domains for cache-miss execution; [1] (default) compiles
     on the calling domain. [cache_dir] is left untouched until the first
-    job: [run] creates it (recursively) if missing and loads its results
+    job, which creates it (recursively) if missing and loads its results
     journal then, so an engine that never compiles leaves no trace on disk.
     [no_cache] disables result caching entirely ([cache_dir] is then
     ignored).
@@ -86,9 +93,11 @@ val create :
     not a directory. *)
 
 val run : t -> job list -> outcome list
-(** The engine's one entry point: outcomes in request order. Never raises
-    on job failure; each failed slot's message is recorded for
-    {!failures}. *)
+(** Area summaries, in request order. Never raises on job failure; each
+    failed slot's message is recorded for {!failures}. *)
+
+val netlists : t -> job list -> (Synth.Flow.result, Pool.error) result list
+(** {!run}, returning each job's whole flow result. *)
 
 val failure_message : job -> Pool.error -> string
 (** ["synthesis job NAME failed: REASON"]. *)

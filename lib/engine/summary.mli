@@ -1,10 +1,10 @@
 (** What the engine remembers about a finished synthesis job.
 
-    Deliberately *not* the full {!Synth.Flow.result}: netlists are large and
-    cheap to regenerate when actually needed, while sweeps only consume the
-    mapped report and coarse AIG statistics. The summary is small enough to
-    persist for every job ever run, and it is a pure function of the job:
-    it records no timing.
+    Deliberately *not* the full {!Synth.Flow.result}, which a caller that
+    reads the netlist asks for with [Engine.netlists]: sweeps only consume
+    the mapped report and coarse AIG statistics. The summary is small
+    enough to persist for every job ever run, and it is a pure function of
+    the job: it records no timing.
 
     [to_string]/[of_string] write and read one {!Report.Json} object whose
     floats are hexadecimal ([%h]) strings, so a summary read back from disk

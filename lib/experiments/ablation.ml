@@ -118,35 +118,39 @@ let encodings fmt engine =
        ~header:[ "m/n/s"; "binary"; "gray"; "one-hot"; "one-hot+annot" ]
        (List.map row (Exp_common.sweep engine jobs cases)))
 
-let library_richness fmt =
+let library_richness fmt engine =
   let cases = [ (64, 8); (256, 16) ] in
   (* The "discrete nature of the standard cell library": the same netlist
      mapped with and without the 3-input cells. *)
-  let row (depth, width) =
+  let job (depth, width) =
     let tt = Workload.Rand_table.generate ~seed:0 ~depth ~width in
-    let d =
-      Synth.Partial_eval.bind_tables
-        (Core.Truth_table.to_flexible_rtl tt)
-        [ Core.Truth_table.config_binding tt ]
-    in
-    let aig = (Synth.Flow.compile Exp_common.lib d).Synth.Flow.aig in
-    let full, _ = Synth.Map.run_full Exp_common.lib aig in
-    let simple, _ = Synth.Map.run_full ~complex_cells:false Exp_common.lib aig in
-    [
-      Printf.sprintf "%dx%d" depth width;
-      Report.Table.fmt_area (Synth.Map.total full);
-      Printf.sprintf "%.3f" full.Synth.Map.critical_delay;
-      Report.Table.fmt_area (Synth.Map.total simple);
-      Printf.sprintf "%.3f" simple.Synth.Map.critical_delay;
-      Report.Table.fmt_ratio (Synth.Map.total full /. Synth.Map.total simple);
-    ]
+    Engine.job
+      (Synth.Partial_eval.bind_tables
+         (Core.Truth_table.to_flexible_rtl tt)
+         [ Core.Truth_table.config_binding tt ])
+  in
+  let row (depth, width) result =
+    Printf.sprintf "%dx%d" depth width
+    ::
+    (match result with
+     | Error _ -> List.init 5 (fun _ -> "FAIL")
+     | Ok (r : Synth.Flow.result) ->
+       let full = r.Synth.Flow.report in
+       let simple, _ =
+         Synth.Map.run_full ~complex_cells:false Exp_common.lib r.Synth.Flow.aig
+       in
+       [ Report.Table.fmt_area (Synth.Map.total full);
+         Printf.sprintf "%.3f" full.Synth.Map.critical_delay;
+         Report.Table.fmt_area (Synth.Map.total simple);
+         Printf.sprintf "%.3f" simple.Synth.Map.critical_delay;
+         Report.Table.fmt_ratio (Synth.Map.total full /. Synth.Map.total simple) ])
   in
   Format.fprintf fmt
     "== Ablation A5: cell-library richness (with vs without 3-input cells) ==@.%s@.@."
     (Report.Table.render
        ~header:
          [ "design"; "full um^2"; "full ns"; "2-in um^2"; "2-in ns"; "ratio" ]
-       (List.map row cases))
+       (List.map2 row cases (Engine.netlists engine (List.map job cases))))
 
 let microcode_style fmt engine =
   (* Horizontal vs vertical microcode stores (paper Section II-B) on the

@@ -13,15 +13,15 @@
       efficiently coded in binary".
 
     Each ablation prints its table to the given formatter. Those that
-    compile take the engine and submit one {!Exp_common.sweep} batch: a
-    failed compile prints [FAIL] and is listed by {!Engine.failures}. *)
+    compile take the engine and submit one batch: a failed compile prints
+    [FAIL] and is listed by {!Engine.failures}. *)
 
 val cone_cap : Format.formatter -> Engine.t -> unit
 val twolevel : Format.formatter -> unit
 val annot_cap : Format.formatter -> Engine.t -> unit
 val encodings : Format.formatter -> Engine.t -> unit
 
-val library_richness : Format.formatter -> unit
+val library_richness : Format.formatter -> Engine.t -> unit
 (** A5: the same optimized netlists mapped with and without the 3-input
     cells (NAND3/NOR3/AOI21/OAI21) — quantifying the "discrete standard
     cell library" effect the paper blames for residual scatter. *)

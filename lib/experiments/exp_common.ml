@@ -21,6 +21,12 @@ let sweep engine jobs_of points =
   in
   List.combine points cells
 
+let netlists engine jobs =
+  let get j = Result.fold ~ok:Fun.id ~error:(fun e ->
+      failwith (Engine.failure_message j e))
+  in
+  List.map2 get jobs (Engine.netlists engine jobs)
+
 let fmt_area_result = function
   | Ok a -> Report.Table.fmt_area a
   | Error _ -> "FAIL"

@@ -1,7 +1,7 @@
 (** Shared helpers for the paper-figure experiments.
 
-    Each sweep compiles through the engine its caller passes in, so figure
-    sweeps pick up result caching and [-j] parallelism from whatever engine
+    Every experiment compiles through the engine its caller passes in, so
+    it picks up result caching and [-j] parallelism from whatever engine
     the front-end built. *)
 
 val lib : Cells.Library.t
@@ -19,11 +19,14 @@ val sweep :
 (** [sweep engine jobs points]: the jobs of every point, submitted through
     [engine] as one batch — cache-deduplicated, parallel when the engine
     has workers — and each point paired with the total mapped area of its
-    own jobs, in job order. This is the one way an experiment compiles
-    through the engine. A failed compile yields [Error message] in its slot
-    instead of aborting the sweep; the engine also records the message
+    own jobs, in job order. A failed compile yields [Error message] in its
+    slot instead of aborting the sweep; the engine also records the message
     ({!Engine.failures}), so front-ends can print a summary and exit
     nonzero. *)
+
+val netlists : Engine.t -> Engine.job list -> Synth.Flow.result list
+(** {!Engine.netlists}, raising [Failure] with a failed job's
+    {!Engine.failure_message}. *)
 
 val fmt_area_result : (float, string) result -> string
 (** As {!Report.Table.fmt_area}, with ["FAIL"] for errors. *)

@@ -37,24 +37,24 @@ let models =
   [ Fault.Campaign.Control; Fault.Campaign.Tables; Fault.Campaign.Regs;
     Fault.Campaign.Stuck ]
 
-let run ?(sites = 48) ?(jobs = 1) () =
+let run ?(sites = 48) ?(jobs = 1) engine =
   let seed = 0 and cycles = default_cycles in
-  let campaigns impl =
+  (* The stuck-at population lives on the synthesized netlists: Fig. 9's
+     Full and Auto cached compiles, so an engine that ran Fig. 9 serves
+     both from memory. *)
+  let netlists =
+    Exp_common.netlists engine
+      [ Fig9.job Pctrl.Controller.Cached Fig9.Full;
+        Fig9.job Pctrl.Controller.Cached Fig9.Auto ]
+  in
+  let campaigns impl (result : Synth.Flow.result) =
     let spec = spec_of impl in
-    (* The stuck-at population lives on the synthesized netlist; the
-       compile is deferred so the RTL-only models never pay for it. *)
-    let aig =
-      lazy
-        (let result =
-           Synth.Flow.compile Exp_common.lib spec.Fault.Sim.design
-         in
-         { Fault.Sim.aig = result.Synth.Flow.aig; cycles; seed })
-    in
+    let aig = { Fault.Sim.aig = result.Synth.Flow.aig; cycles; seed } in
     List.map
       (fun model ->
         let aig =
           match model with
-          | Fault.Campaign.Stuck | Fault.Campaign.All -> Some (Lazy.force aig)
+          | Fault.Campaign.Stuck | Fault.Campaign.All -> Some aig
           | Fault.Campaign.Control | Fault.Campaign.Tables
           | Fault.Campaign.Regs -> None
         in
@@ -63,7 +63,7 @@ let run ?(sites = 48) ?(jobs = 1) () =
             Fault.Campaign.run ~jobs ?aig ~seed ~sites ~model spec })
       models
   in
-  campaigns Flexible @ campaigns Bound
+  List.concat (List.map2 campaigns [ Flexible; Bound ] netlists)
 
 let vulnerability (r : Fault.Campaign.report) =
   if r.injected = 0 then None

@@ -11,9 +11,8 @@
     Both implementations run the same Copy_line transaction (the
     [test_pctrl] stimulus) and are scored by {!Fault.Campaign} under the
     control, table-SEU, register-upset and netlist stuck-at models; the
-    stuck-at campaign synthesizes each implementation with
-    {!Synth.Flow.compile} and classifies sites bit-parallel through the
-    {!Aig.Compiled} kernel. *)
+    stuck-at campaign compiles each implementation through the engine and
+    classifies sites bit-parallel through the {!Aig.Compiled} kernel. *)
 
 type impl = Flexible | Bound
 
@@ -31,12 +30,12 @@ val spec_of :
     config (for [mode], default [Cached]), Copy_line stimulus, watched
     outputs, [resp] as done signal. *)
 
-val run : ?sites:int -> ?jobs:int -> unit -> row list
+val run : ?sites:int -> ?jobs:int -> Engine.t -> row list
 (** Campaigns for both implementations under each model, with seed 0.
     [sites] caps each campaign's sample (defaults 48); register models
     sample injection cycles within the 40-cycle stimulus of {!spec_of}. The
-    stuck-at model compiles the implementation's netlist on demand and
-    simulates 40 random netlist-stimulus cycles. *)
+    stuck-at model simulates 40 random netlist-stimulus cycles on Fig. 9's
+    Full and Auto cached netlists ({!Exp_common.netlists}). *)
 
 val print : Format.formatter -> row list -> unit
 

@@ -14,9 +14,30 @@ let mode_name = function
   | Pctrl.Controller.Cached -> "cached"
   | Pctrl.Controller.Uncached -> "uncached"
 
-let run () =
-  let compile ?options d = Synth.Flow.compile ?options Exp_common.lib d in
-  let row mode level (result : Synth.Flow.result) ~config =
+let modes = [ Pctrl.Controller.Cached; Pctrl.Controller.Uncached ]
+
+let variants =
+  (Pctrl.Controller.Cached, Full)
+  :: List.concat_map (fun mode -> [ (mode, Auto); (mode, Manual) ]) modes
+
+let variant_name mode level =
+  level_name level ^ if level = Full then "" else " " ^ mode_name mode
+
+let job mode level =
+  let design, options =
+    match level with
+    | Full -> (Pctrl.Controller.full_design (), Exp_common.default_flow)
+    | Auto -> (Pctrl.Controller.auto_design mode, Exp_common.default_flow)
+    | Manual -> (Pctrl.Controller.manual_design mode, Exp_common.annotated_flow)
+  in
+  { (Engine.job ~options design) with
+    Engine.jname = "pctrl " ^ variant_name mode level }
+
+let rows engine =
+  let row (mode, level) (result : Synth.Flow.result) =
+    (* The flexible design must be *programmed* before its activity means
+       anything: load the mode's microcode into the configuration bits. *)
+    let config = if level = Full then Pctrl.Controller.bindings mode else [] in
     let report = result.Synth.Flow.report in
     let power =
       Synth.Power.total
@@ -26,31 +47,22 @@ let run () =
     { mode; level; comb = report.Synth.Map.comb_area;
       seq = report.Synth.Map.seq_area; power }
   in
-  let modes = [ Pctrl.Controller.Cached; Pctrl.Controller.Uncached ] in
   (* Both Full rows come from one compile, estimated at once so the large
-     flexible netlist is dead before the other compiles. The flexible
-     design must be *programmed* before its activity means anything: load
-     the mode's microcode into the configuration bits. *)
+     flexible netlist is dead, unless the engine caches it, before the
+     other compiles run as one batch. *)
   let full =
-    let result = compile (Pctrl.Controller.full_design ()) in
-    List.map
-      (fun mode ->
-        (mode, row mode Full result ~config:(Pctrl.Controller.bindings mode)))
-      modes
+    List.concat_map
+      (fun r -> List.map (fun mode -> row (mode, Full) r) modes)
+      (Exp_common.netlists engine [ job Pctrl.Controller.Cached Full ])
   in
-  List.concat_map
-    (fun mode ->
-      let auto =
-        row mode Auto (compile (Pctrl.Controller.auto_design mode)) ~config:[]
-      in
-      let manual =
-        row mode Manual
-          (compile ~options:Exp_common.annotated_flow
-             (Pctrl.Controller.manual_design mode))
-          ~config:[]
-      in
-      [ List.assoc mode full; auto; manual ])
-    modes
+  let rest = List.tl variants in
+  let others =
+    List.map2 row rest
+      (Exp_common.netlists engine (List.map (fun (m, l) -> job m l) rest))
+  in
+  List.concat_map (fun m -> List.filter (fun r -> r.mode = m) (full @ others)) modes
+
+let run () = rows (Engine.create ~no_cache:true Exp_common.lib)
 
 let print fmt rows =
   let body =

@@ -29,6 +29,17 @@ val mode_name : Pctrl.Controller.mode -> string
 val level_name : level -> string
 (** ["full"] / ["auto"] / ["manual"]. *)
 
+val variants : (Pctrl.Controller.mode * level) list
+val variant_name : Pctrl.Controller.mode -> level -> string
+val job : Pctrl.Controller.mode -> level -> Engine.job
+(** The five compiles ({!variants}: Full, then Auto and Manual per mode),
+    each named ["pctrl "] and its {!variant_name}: ["pctrl full"],
+    ["pctrl auto cached"], …; Full ignores the mode. *)
+
+val rows : Engine.t -> row list
+(** The Full job first, then the rest as one {!Exp_common.netlists}. *)
+
 val run : unit -> row list
+(** [rows] on an engine that caches nothing, kept for [perfbench/]. *)
 
 val print : Format.formatter -> row list -> unit

@@ -298,7 +298,7 @@ let read text =
     let design =
       { Design.name; inputs; outputs; nets; regs; tables; annots }
     in
-    Design.validate design;
+    (try Design.validate design with Invalid_argument m -> fail "%s" m);
     design
   | _ -> fail "design must have name/inputs/nets/regs/tables/outputs/annots"
 

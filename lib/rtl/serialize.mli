@@ -31,7 +31,7 @@ exception Parse_error of string
 
 val read : string -> Design.t
 (** Parses and {!Design.validate}s.
-    @raise Parse_error on syntax errors, [Invalid_argument] on designs that
-    do not validate. *)
+    @raise Parse_error on syntax errors and on designs that do not
+    validate (the message is {!Design.validate}'s). *)
 
 val of_file : string -> Design.t

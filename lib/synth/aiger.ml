@@ -53,7 +53,19 @@ let write g =
       out "l%d %s\n" i name)
     latches;
   List.iteri (fun i (name, _) -> out "o%d %s\n" i name) outputs;
+  (* The comment section: what AIGER cannot say about each latch. *)
+  if latches <> [] then out "c\n";
+  List.iteri
+    (fun i n ->
+      let _, _, r, c = Aig.latch_info g n in
+      out "l%d %s %b\n" i (Rtl.Design.reset_kind_to_string r) c)
+    latches;
   Buffer.contents buf
+
+let ordered g =
+  List.equal Int.equal
+    (Aig.pis g @ Aig.latches g)
+    (List.init (Aig.num_pis g + Aig.num_latches g) succ)
 
 let to_file path g =
   Out_channel.with_open_text path (fun oc ->
@@ -71,8 +83,8 @@ let read text =
     |> List.filter (fun x -> x <> "")
     |> List.map (fun x ->
            match int_of_string_opt x with
-           | Some v -> v
-           | None -> fail lineno "bad integer %s" x)
+           | Some v when v >= 0 -> v
+           | _ -> fail lineno "bad integer %s" x)
   in
   if Array.length lines = 0 then fail 1 "empty file";
   let ni, nl, no, m, na =
@@ -95,26 +107,21 @@ let read text =
     if k >= Array.length lines then fail k "unexpected end of file"
     else lines.(k)
   in
-  (* Symbol table. *)
+  (* Symbol table, then the comment section, whose latch flags are kept
+     under "c" ^ key. *)
   let names = Hashtbl.create 16 in
-  let rec scan k =
+  let rec scan prefix k =
     if k < Array.length lines then begin
       let l = String.trim lines.(k) in
-      if l = "c" then ()
-      else begin
-        (match String.index_opt l ' ' with
-         | Some sp when String.length l > 1 ->
-           let key = String.sub l 0 sp in
-           let name = String.sub l (sp + 1) (String.length l - sp - 1) in
-           (match key.[0] with
-            | 'i' | 'l' | 'o' -> Hashtbl.replace names key name
-            | _ -> ())
-         | _ -> ());
-        scan (k + 1)
-      end
+      (match String.index_opt l ' ' with
+       | Some sp ->
+         Hashtbl.replace names (prefix ^ String.sub l 0 sp)
+           (String.sub l (sp + 1) (String.length l - sp - 1))
+       | None -> ());
+      scan (if l = "c" then "c" else prefix) (k + 1)
     end
   in
-  scan need;
+  scan "" need;
   let name_of prefix i default =
     Option.value ~default
       (Hashtbl.find_opt names (Printf.sprintf "%c%d" prefix i))
@@ -139,17 +146,22 @@ let read text =
     List.init nl (fun i ->
         let k = 1 + ni + i in
         match ints (k + 1) (line_at k) with
-        | [ v; nxt ] | [ v; nxt; 0 ] ->
-          let q =
-            Aig.latch g (name_of 'l' i (Printf.sprintf "l%d" i)) ~init:false
-              ~reset:Rtl.Design.No_reset ~is_config:false
+        | v :: nxt :: (([] | [ 0 ] | [ 1 ]) as init) ->
+          let key = Printf.sprintf "l%d" i in
+          let reset, is_config =
+            match
+              Option.map (String.split_on_char ' ')
+                (Hashtbl.find_opt names ("c" ^ key))
+            with
+            | Some [ r; c ] ->
+              ( Option.value ~default:Rtl.Design.No_reset
+                  (Rtl.Design.reset_kind_of_string r),
+                c = "true" )
+            | _ -> (Rtl.Design.No_reset, false)
           in
-          define (k + 1) v q;
-          (q, nxt, k + 1)
-        | [ v; nxt; 1 ] ->
           let q =
-            Aig.latch g (name_of 'l' i (Printf.sprintf "l%d" i)) ~init:true
-              ~reset:Rtl.Design.No_reset ~is_config:false
+            Aig.latch g (name_of 'l' i key) ~init:(init = [ 1 ]) ~reset
+              ~is_config
           in
           define (k + 1) v q;
           (q, nxt, k + 1)

@@ -5,14 +5,21 @@
     repository consumable by external tools, and reading it lets external
     AIGs run through this flow.
 
-    Caveats inherent to the format: reset styles are not representable
-    (latches read back as [No_reset]; initial values are preserved via the
-    optional init field), and structural hashing may merge AND nodes on
-    read, so a write/read roundtrip preserves *behaviour* (checked in the
-    tests by sequential equivalence), not node counts. *)
+    Reset styles and configuration flags, which the format cannot express,
+    round-trip through the comment section (initial values through the
+    init field). [write] renumbers inputs, then latches, then ANDs, and
+    structural hashing may merge AND nodes on read, so a roundtrip
+    preserves *behaviour* (checked by sequential equivalence), not node
+    ids — unless the graph is {!ordered}. *)
 
 val write : Aig.t -> string
-(** The graph in [aag] format with a full symbol table. *)
+(** The graph in [aag] format with a full symbol table, then
+    [l<i> RESET CONFIG] comment lines for its latches. *)
+
+val ordered : Aig.t -> bool
+(** The inputs are nodes [1..I] and the latches the next [L], as in every
+    flow result: [write] renumbers nothing, and [read (write g)] is
+    {!Aig.equal} to a [g] built through {!Aig.and_}. *)
 
 val to_file : string -> Aig.t -> unit
 

@@ -15,7 +15,11 @@
 # equal the reference. A fourth resumes a `tables` campaign from its full
 # journal with `--metrics`: no site is pending, so stdout must equal the
 # journaled run's and `rtl.eval.instances` must read 0 (the RTL golden is not
-# simulated). Last, a negative
+# simulated). A fifth runs a stuck-at campaign twice over one --cache-dir:
+# the second run's netlist comes from the engine's journal (its engine
+# table must read `jobs executed 0`) and its stdout must equal the first's;
+# stuck-at sites are sampled in node order, so this checks that the
+# journaled netlist keeps its node ids. Last, a negative
 # --sites and a zero --cycles must be refused at parse time, and a journal
 # in a missing directory must fail the run with exit 2.
 set -euo pipefail
@@ -115,6 +119,25 @@ if ! cmp -s "$dir/reference.out" "$dir/resumed.out"; then
   exit 1
 fi
 echo "fault-resume-smoke[full]: OK (nothing simulated, output byte-identical)" >&2
+
+# A stuck-at campaign on a netlist read back from the engine's journal.
+cached=(fault --model stuck --sites 12 --cycles 24 --cache-dir "$workdir/cache")
+dir="$workdir/cached"
+mkdir "$dir"
+echo "fault-resume-smoke[cached]: cold run, then warm from --cache-dir" >&2
+"$CTRLGEN" "${cached[@]}" > "$dir/cold.out" 2> /dev/null
+"$CTRLGEN" "${cached[@]}" > "$dir/warm.out" 2> "$dir/warm.err"
+if ! grep -qE '^jobs executed +0$' "$dir/warm.err"; then
+  echo "fault-resume-smoke[cached]: expected the warm run to execute 0 jobs:" >&2
+  cat "$dir/warm.err" >&2
+  exit 1
+fi
+if ! cmp -s "$dir/cold.out" "$dir/warm.out"; then
+  echo "fault-resume-smoke[cached]: warm stdout differs from the cold run:" >&2
+  diff "$dir/cold.out" "$dir/warm.out" >&2 || true
+  exit 1
+fi
+echo "fault-resume-smoke[cached]: OK (journaled netlist, output byte-identical)" >&2
 
 # A negative site count is a usage error (exit 124), not an exhaustive run,
 # and so is a zero-cycle stimulus, under which every site reads masked.

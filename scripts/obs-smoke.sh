@@ -5,7 +5,8 @@
 # --trace/--metrics must print the same stdout, and the emitted Chrome
 # trace must be valid enough to carry pass spans and the metrics snapshot,
 # and the --metrics counter/gauge table must read the same at -j 1 as at
-# -j 2. The span table must carry the flow.compile and power.estimate rows.
+# -j 2. The span table must carry the engine.job, flow.compile and
+# power.estimate rows.
 # The counter/gauge rows and the span name/count columns of the -j 1 run
 # must match test/golden/quick.metrics; span seconds are not pinned.
 # An intentional change to a figure regenerates the golden with
@@ -63,6 +64,7 @@ if ! diff -u test/golden/quick.metrics <(pinned_rows "$serial_err"); then
   exit 1
 fi
 grep -qE '^span +count +total s +self s' "$err"
+grep -qE '^engine\.job ' "$err"
 grep -qE '^flow\.compile ' "$err"
 # Fig. 9's activity estimates are attributed time of their own.
 grep -qE '^power\.estimate ' "$err"

@@ -579,13 +579,9 @@ let test_cache_dir_not_directory () =
    | exception Invalid_argument _ -> ());
   Sys.remove file
 
-(* Spoil one record's payload in a warm directory: the next engine
-   recompiles exactly that job and appends a good record after the bad
-   one, which then serves every later engine. *)
-let test_cache_corrupt_record () =
-  let dir = fresh_dir () in
-  let engine () = Engine.create ~jobs:1 ~cache_dir:dir lib in
-  let cold = fig5_rows (engine ()) in
+(* Replace the payload of the journal's record [i] with one that does
+   not decode. *)
+let spoil_record dir i =
   let lines =
     In_channel.with_open_text (results_path dir) In_channel.input_lines
   in
@@ -602,10 +598,19 @@ let test_cache_corrupt_record () =
   in
   Out_channel.with_open_text (results_path dir) (fun oc ->
       List.iteri
-        (fun i l ->
-          Out_channel.output_string oc (if i = 2 then spoil l else l);
+        (fun j l ->
+          Out_channel.output_string oc (if j = i then spoil l else l);
           Out_channel.output_char oc '\n')
-        lines);
+        lines)
+
+(* Spoil one record's payload in a warm directory: the next engine
+   recompiles exactly that job and appends a good record after the bad
+   one, which then serves every later engine. *)
+let test_cache_corrupt_record () =
+  let dir = fresh_dir () in
+  let engine () = Engine.create ~jobs:1 ~cache_dir:dir lib in
+  let cold = fig5_rows (engine ()) in
+  spoil_record dir 2;
   let executed_by_fresh_engine () =
     let e = engine () in
     check_rows_equal "cold vs warm after a spoiled record" cold (fig5_rows e);
@@ -615,6 +620,91 @@ let test_cache_corrupt_record () =
     (executed_by_fresh_engine ());
   Alcotest.(check int) "its new record serves the next engine" 0
     (executed_by_fresh_engine ())
+
+(* ------------------------------------------------------------- netlists *)
+
+let journal_keys dir =
+  List.map
+    (fun (e : Engine.Journal.entry) -> e.key)
+    (Engine.Journal.load (results_path dir))
+
+(* The same graph node for node, the same report and the same instance
+   table in the same iteration order: what power and netlist emission
+   read. *)
+let check_same_result name (a : Synth.Flow.result) (b : Synth.Flow.result) =
+  Alcotest.(check bool) (name ^ ": aig") true
+    (Aig.equal a.Synth.Flow.aig b.Synth.Flow.aig);
+  Alcotest.(check bool) (name ^ ": report") true
+    (a.Synth.Flow.report = b.Synth.Flow.report);
+  Alcotest.(check bool) (name ^ ": instances") true
+    (List.of_seq (Hashtbl.to_seq a.Synth.Flow.instances)
+     = List.of_seq (Hashtbl.to_seq b.Synth.Flow.instances))
+
+(* A fresh engine over [dir] serves [jobs]' netlists, each equal to a
+   direct compile's; returns how many jobs it executed. *)
+let warm_netlists dir jobs =
+  let e = Engine.create ~cache_dir:dir lib in
+  List.iter2
+    (fun (j : Engine.job) -> function
+      | Ok r ->
+        check_same_result j.jname
+          (Synth.Flow.compile ~options:j.options lib j.design) r
+      | Error _ -> Alcotest.fail "netlist job failed")
+    jobs (Engine.netlists e jobs);
+  (Engine.stats e).Engine.executed
+
+let test_netlists_journal_roundtrip () =
+  let dir = fresh_dir () in
+  let jobs =
+    List.map Engine.job
+      [ fsm_design 11; Workload.Rand_design.generate ~seed:5;
+        Workload.Rand_design.generate ~seed:9 ]
+  in
+  ignore (Engine.netlists (Engine.create ~cache_dir:dir lib) jobs);
+  Alcotest.(check int) "one record per job" 3
+    (List.length (journal_keys dir));
+  Alcotest.(check int) "a second engine executes nothing" 0
+    (warm_netlists dir jobs)
+
+let test_netlists_spoiled_record () =
+  let dir = fresh_dir () in
+  let jobs = [ Engine.job (fsm_design 11) ] in
+  ignore (Engine.netlists (Engine.create ~cache_dir:dir lib) jobs);
+  spoil_record dir 0;
+  Alcotest.(check int) "the spoiled netlist recompiles" 1
+    (warm_netlists dir jobs);
+  Alcotest.(check int) "its new record serves a third engine" 0
+    (warm_netlists dir jobs)
+
+(* Area keys are unchanged, so caches written before netlist jobs existed
+   stay valid; a netlist job of the same design keys apart. *)
+let test_netlist_key () =
+  let dir = fresh_dir () in
+  let e = Engine.create ~cache_dir:dir lib in
+  ignore (Engine.run e [ Engine.job (fsm_design 3) ]);
+  ignore (Engine.netlists e [ Engine.job (fsm_design 3) ]);
+  match journal_keys dir with
+  | [ area; netlist ] ->
+    Alcotest.(check string) "area key" "31ecc830fbfc01b2c2ebf068207ee79a" area;
+    if netlist = area then Alcotest.fail "netlist key equals the area key"
+  | keys -> Alcotest.failf "expected 2 records, got %d" (List.length keys)
+
+(* Fault_cmp's netlists are Fig. 9's Full and Auto cached compiles: an
+   engine that ran Fig. 9 serves both from memory, and the table equals a
+   fresh engine's. *)
+let test_fault_cmp_reuses_fig9 () =
+  let table e =
+    Format.asprintf "%a" Experiments.Fault_cmp.print
+      (Experiments.Fault_cmp.run ~sites:4 e)
+  in
+  let e = Engine.create ~jobs:2 lib in
+  ignore (Experiments.Fig9.rows e);
+  let before = (Engine.stats e).Engine.mem_hits in
+  let warm = table e in
+  Alcotest.(check int) "two memory hits" 2
+    ((Engine.stats e).Engine.mem_hits - before);
+  Alcotest.(check string) "same fault table" (table (Engine.create ~jobs:2 lib))
+    warm
 
 (* ------------------------------------------------------------------ cli *)
 
@@ -744,6 +834,17 @@ let () =
             test_cache_dir_idle_engine;
           Alcotest.test_case "corrupt record recompiled once" `Quick
             test_cache_corrupt_record;
+        ] );
+      ( "netlists",
+        [
+          Alcotest.test_case "journal round-trip" `Quick
+            test_netlists_journal_roundtrip;
+          Alcotest.test_case "spoiled record recompiled once" `Quick
+            test_netlists_spoiled_record;
+          Alcotest.test_case "area key unchanged, netlist key apart" `Quick
+            test_netlist_key;
+          Alcotest.test_case "fault reuses Fig. 9's netlists" `Quick
+            test_fault_cmp_reuses_fig9;
         ] );
       ( "pool",
         [

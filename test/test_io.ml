@@ -166,7 +166,9 @@ let test_aiger_errors () =
   (* undefined variable used by the output *)
   bad "aag 2 1 0 1 0\n2\n6\n";
   (* redefinition *)
-  bad "aag 1 1 0 0 1\n2\n2 0 0\n"
+  bad "aag 1 1 0 0 1\n2\n2 0 0\n";
+  (* a negative literal *)
+  bad "aag 1 1 0 1 0\n2\n-2\n"
 
 let test_aiger_header_counts () =
   let g = Aig.create () in
@@ -174,6 +176,47 @@ let test_aiger_header_counts () =
   Aig.po g "x" (Aig.and_ g a (Aig.not_ b));
   let text = Synth.Aiger.write g in
   Alcotest.(check bool) "header" true (contains text "aag 3 2 0 1 1")
+
+(* A flow result is in AIGER's node order, so it reads back node for node,
+   reset styles and configuration flags included: the engine journals
+   netlists this way. *)
+let check_netlist_roundtrip name (r : Synth.Flow.result) =
+  let g = r.Synth.Flow.aig in
+  if not (Synth.Aiger.ordered g) then Alcotest.failf "%s: not ordered" name;
+  if not (Aig.equal g (Synth.Aiger.read (Synth.Aiger.write g))) then
+    Alcotest.failf "%s: read (write g) differs from g" name
+
+let prop_aiger_flow_roundtrip =
+  Prop.test ~iters:30 "flow results read back node for node" (Prop.int 2001)
+    (fun seed ->
+      check_netlist_roundtrip (string_of_int seed)
+        (Synth.Flow.compile Cells.Library.vt90
+           (Workload.Rand_design.generate ~seed));
+      true)
+
+let test_aiger_fig9_roundtrip () =
+  let flags = ref [] in
+  List.iter
+    (fun (mode, level) ->
+      let j = Experiments.Fig9.job mode level in
+      let r =
+        Synth.Flow.compile ~options:j.options Cells.Library.vt90 j.design
+      in
+      List.iter
+        (fun n ->
+          let _, _, reset, config = Aig.latch_info r.Synth.Flow.aig n in
+          flags := (reset, config) :: !flags)
+        (Aig.latches r.Synth.Flow.aig);
+      check_netlist_roundtrip j.jname r)
+    Pctrl.Controller.
+      [ (Cached, Experiments.Fig9.Full); (Cached, Experiments.Fig9.Auto);
+        (Cached, Experiments.Fig9.Manual); (Uncached, Experiments.Fig9.Auto);
+        (Uncached, Experiments.Fig9.Manual) ];
+  (* The comment section carries something [read] would otherwise lose. *)
+  Alcotest.(check bool) "some latch has a reset" true
+    (List.exists (fun (r, _) -> r <> Rtl.Design.No_reset) !flags);
+  Alcotest.(check bool) "some latch is a config bit" true
+    (List.exists snd !flags)
 
 (* ----------------------------------------------------------------- sexp *)
 
@@ -215,7 +258,16 @@ let test_sexp_errors () =
   bad "(not a design)";
   bad "(design (name x))";
   bad "(design (name x) (inputs) (nets) (regs) (tables) (outputs) (annots";
-  bad "(design (name x) (inputs (a zero)) (nets) (regs) (tables) (outputs) (annots))"
+  bad "(design (name x) (inputs (a zero)) (nets) (regs) (tables) (outputs) (annots))";
+  (* Well-formed, but the output reads a signal nothing defines. *)
+  match
+    Rtl.Serialize.read
+      "(design (name m) (inputs (a 1)) (nets) (regs) (tables)\n\
+      \ (outputs (m 1 (sig ghost 1))) (annots))"
+  with
+  | _ -> Alcotest.fail "accepted an undefined signal"
+  | exception Rtl.Serialize.Parse_error m ->
+    Alcotest.(check bool) ("names the signal: " ^ m) true (contains m "ghost")
 
 (* [counter ()] as [write] laid it out through Format boxes before it went
    flat (the example in serialize.mli, in its old layout): files written
@@ -274,6 +326,9 @@ let () =
           prop_aiger_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_aiger_errors;
           Alcotest.test_case "header counts" `Quick test_aiger_header_counts;
+          prop_aiger_flow_roundtrip;
+          Alcotest.test_case "Fig. 9 netlists node for node" `Quick
+            test_aiger_fig9_roundtrip;
         ] );
       ( "sexp",
         [
