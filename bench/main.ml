@@ -81,38 +81,37 @@ let fig9_json rows =
 
 (* ------------------------------------------------------------ commands *)
 
-(* Each command takes the parsed flags and the run's one engine and returns
-   its (figure name, rows-as-JSON) contributions. Figure tables go to
-   stdout. *)
+(* Each command takes the run's one engine and returns its (figure name,
+   rows-as-JSON) contributions. Figure tables go to stdout. *)
 
 let out = Format.std_formatter
 
-let fig5 _ engine =
+let fig5 engine =
   let rows = Experiments.Fig5.run engine in
   Experiments.Fig5.print out rows;
   [ ("fig5", fig5_json rows) ]
 
-let fig6 _ engine =
+let fig6 engine =
   let rows = Experiments.Fig6.run engine in
   Experiments.Fig6.print out rows;
   [ ("fig6", fig6_json rows) ]
 
-let fig8 _ engine =
+let fig8 engine =
   let rows = Experiments.Fig8.run engine in
   Experiments.Fig8.print out rows;
   [ ("fig8", fig8_json rows) ]
 
-let fig9 _ engine =
+let fig9 engine =
   let rows = Experiments.Fig9.rows engine in
   Experiments.Fig9.print out rows;
   [ ("fig9", fig9_json rows) ]
 
-let fault (cli : Cli.t) engine =
-  let rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs engine in
+let fault engine =
+  let rows = Experiments.Fault_cmp.run engine in
   Experiments.Fault_cmp.print out rows;
   [ ("fault", Experiments.Fault_cmp.to_json rows) ]
 
-let quick (cli : Cli.t) engine =
+let quick engine =
   let r5 =
     Experiments.Fig5.run ~seeds:[ 0 ] ~grid:Experiments.Fig5.quick_grid engine
   in
@@ -125,13 +124,13 @@ let quick (cli : Cli.t) engine =
   Experiments.Fig8.print out r8;
   let r9 = Experiments.Fig9.rows engine in
   Experiments.Fig9.print out r9;
-  let fault_rows = Experiments.Fault_cmp.run ~jobs:cli.sim_jobs ~sites:8 engine in
+  let fault_rows = Experiments.Fault_cmp.run ~sites:8 engine in
   Experiments.Fault_cmp.print out fault_rows;
   [ ("fig5", fig5_json r5); ("fig6", fig6_json r6); ("fig8", fig8_json r8);
     ("fig9", fig9_json r9);
     ("fault", Experiments.Fault_cmp.to_json fault_rows) ]
 
-let ablations _ engine =
+let ablations engine =
   Experiments.Ablation.cone_cap out engine;
   Experiments.Ablation.twolevel out;
   Experiments.Ablation.annot_cap out engine;
@@ -148,7 +147,7 @@ let ablations _ engine =
    (a microcode bit flip that must be refuted with a concrete witness).
    Solver effort lands in the JSON so the proof cost is tracked alongside
    the synthesis figures. *)
-let equivbench _ _ =
+let equivbench _ =
   print_endline
     "== SAT equivalence certification: PCtrl partial evaluation ==";
   let one name ~frames ~mutate mode =
@@ -215,14 +214,14 @@ let equivbench _ _ =
 
 (* Each section is bound in paper order: the elements of a list literal
    are evaluated right to left. *)
-let all cli engine =
-  let f5 = fig5 cli engine in
-  let f6 = fig6 cli engine in
-  let f8 = fig8 cli engine in
-  let f9 = fig9 cli engine in
-  let fl = fault cli engine in
-  let ab = ablations cli engine in
-  let eq = equivbench cli engine in
+let all engine =
+  let f5 = fig5 engine in
+  let f6 = fig6 engine in
+  let f8 = fig8 engine in
+  let f9 = fig9 engine in
+  let fl = fault engine in
+  let ab = ablations engine in
+  let eq = equivbench engine in
   List.concat [ f5; f6; f8; f9; fl; ab; eq ]
 
 (* --------------------------------------------------------- entry point *)
@@ -242,7 +241,7 @@ let engine_stats_json (s : Engine.stats) =
    synthesis jobs. *)
 let emit command run cli json_path =
   let engine = Cli.engine cli Experiments.Exp_common.lib in
-  let figures = run cli engine in
+  let figures = run engine in
   Cli.finish cli engine;
   let failures = Engine.failures engine in
   Option.iter
@@ -278,7 +277,7 @@ let json =
 
 let term command run = Term.(const (emit command run) $ Cli.term $ json)
 let command name ~doc run = Cmd.v (Cmd.info name ~doc) (term name run)
-let ablation f _ engine = f engine; []
+let ablation f engine = f engine; []
 
 let () =
   let info =

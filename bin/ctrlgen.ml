@@ -10,6 +10,7 @@
      equiv       certify flexible vs partially-evaluated PCtrl equivalence
                  (simulation and/or complete SAT engine)
      fault       run a fault-injection campaign on the PCtrl case study
+                 (--cache-dir stores its site outcomes: a rerun resumes)
 
    Every subcommand takes the shared engine and observability flags of
    [Cli]. Each submits its compiles as one engine batch ([Engine.netlists]
@@ -455,8 +456,7 @@ let equiv_cmd =
 (* ------------------------------------------------------------------ fault *)
 
 let fault_cmd =
-  let run cli impl mode model seed sites cycles journal_path resume_path
-      crash_after vcd_path =
+  let run cli impl mode model seed sites cycles crash_after vcd_path =
     let impl, level =
       match impl with
       | `Flexible -> (Experiments.Fault_cmp.Flexible, Experiments.Fig9.Full)
@@ -475,35 +475,18 @@ let fault_cmd =
       | Fault.Campaign.Control | Fault.Campaign.Tables | Fault.Campaign.Regs ->
         None
     in
-    let journal =
-      Option.map
-        (fun path -> writing path (fun () -> Engine.Journal.open_append path))
-        journal_path
-    in
-    let resume =
-      match resume_path with
-      | None -> []
-      | Some path ->
-        let entries = Engine.Journal.load path in
-        Printf.eprintf "resuming: %d journaled site(s) from %s\n%!"
-          (List.length entries) path;
-        entries
-    in
     let on_checkpoint =
       Option.map
         (fun k n ->
           if n >= k then begin
-            Printf.eprintf "crash-after: exiting after %d journaled site(s)\n%!"
-              n;
+            Printf.eprintf "crash-after: exiting after %d stored site(s)\n%!" n;
             exit 3
           end)
         crash_after
     in
     let report =
-      Fault.Campaign.run ~jobs:cli.Cli.sim_jobs ?journal ~resume
-        ?on_checkpoint ?aig ~seed ~sites ~model spec
+      Fault.Campaign.run ~engine ?on_checkpoint ?aig ~seed ~sites ~model spec
     in
-    Option.iter Engine.Journal.close journal;
     Fault.Campaign.print stdout report;
     Option.iter
       (fun path ->
@@ -555,24 +538,11 @@ let fault_cmd =
     Arg.(value & opt (Cli.range 1) 40
          & info [ "cycles" ] ~docv:"N" ~doc:"Stimulus length in cycles.")
   in
-  let journal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Append each classified site to the JSONL checkpoint \
-                   journal at $(docv).")
-  in
-  let resume_arg =
-    Arg.(value & opt (some string) None
-         & info [ "resume" ] ~docv:"PATH"
-             ~doc:"Skip sites already journaled in $(docv); combined with \
-                   $(b,--journal) on the same path this makes the campaign \
-                   restartable after a kill, with byte-identical output.")
-  in
   let crash_after_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (Cli.range 1)) None
          & info [ "crash-after" ] ~docv:"K"
-             ~doc:"Testing hook: exit(3) once $(docv) sites have been \
-                   journaled this run.")
+             ~doc:"Testing hook: exit(3) once $(docv) site outcomes have \
+                   been stored this run.")
   in
   let vcd_arg =
     Arg.(value & opt (some string) None
@@ -584,8 +554,7 @@ let fault_cmd =
     (Cmd.info "fault"
        ~doc:"Run a fault-injection campaign on the PCtrl case study.")
     Term.(const run $ Cli.term $ impl_arg $ mode_arg $ model_arg $ seed_arg
-          $ sites_arg $ cycles_arg $ journal_arg $ resume_arg
-          $ crash_after_arg $ vcd_arg)
+          $ sites_arg $ cycles_arg $ crash_after_arg $ vcd_arg)
 
 let () =
   let info =

@@ -425,6 +425,23 @@ let equal a b =
        (fun (na, la) (nb, lb) -> String.equal na nb && la = lb)
        (pos a) (pos b)
 
+let digest t =
+  let b = Buffer.create (16 * t.n) in
+  for id = 1 to t.n - 1 do
+    match t.kinds.(id) with
+    | Const -> ()
+    | Pi -> Printf.bprintf b "i %S\n" t.names.(id)
+    | And -> Printf.bprintf b "a %d %d\n" t.fan0.(id) t.fan1.(id)
+    | Latch ->
+      let r = latch_record t id in
+      Printf.bprintf b "l %S %s %b %b %d\n" r.lname
+        (Rtl.Design.reset_kind_to_string r.reset)
+        r.init r.is_config
+        (Option.value r.next ~default:(-1))
+  done;
+  List.iter (fun (name, l) -> Printf.bprintf b "o %S %d\n" name l) (pos t);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let stats t =
   let lv = levels t in
   let depth =

@@ -139,4 +139,8 @@ val equal : t -> t -> bool
     order. Equal graphs are indistinguishable to every pass, so a
     deterministic pass maps them to equal results. *)
 
+val digest : t -> string
+(** Hex MD5 of everything {!equal} compares, in one pass over the nodes:
+    results computed from a graph can be stored under its digest. *)
+
 val stats : t -> string

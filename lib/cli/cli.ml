@@ -1,7 +1,7 @@
 open Cmdliner
 
 type t = {
-  sim_jobs : int;
+  jobs : int;
   cache_dir : string option;
   no_cache : bool;
   metrics : bool;
@@ -31,8 +31,9 @@ let term =
   let cache_dir =
     Arg.(value & opt (some string) None
          & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persist synthesis results under $(docv) and reuse them \
-                   across invocations.")
+             ~doc:"Persist synthesis results and fault-campaign site \
+                   outcomes under $(docv) and reuse them across \
+                   invocations: a killed campaign rerun resumes.")
   in
   let no_cache =
     Arg.(value & flag
@@ -68,13 +69,13 @@ let term =
        writes the trace even on nonzero-exit paths. *)
     if metrics || trace <> None then Obs.set_enabled true;
     Option.iter Obs.Trace.install_at_exit trace;
-    { sim_jobs = jobs; cache_dir; no_cache; metrics }
+    { jobs; cache_dir; no_cache; metrics }
   in
   Term.(const setup $ jobs $ cache_dir $ no_cache $ trace $ metrics)
 
 let engine t lib =
   match
-    Engine.create ~jobs:t.sim_jobs ?cache_dir:t.cache_dir ~no_cache:t.no_cache
+    Engine.create ~jobs:t.jobs ?cache_dir:t.cache_dir ~no_cache:t.no_cache
       lib
   with
   | e -> e

@@ -6,14 +6,10 @@
     requested; it builds no engine and touches no cache directory. A
     front-end that compiles through the engine builds one with {!engine}. *)
 
-type t = {
-  sim_jobs : int;
-      (** resolved [-j] value, the engine's worker count too; [-j 0] is
-          [Domain.recommended_domain_count ()] *)
-  cache_dir : string option;  (** [--cache-dir] *)
-  no_cache : bool;  (** [--no-cache] was given *)
-  metrics : bool;  (** [--metrics] was given *)
-}
+type t
+(** The parsed flags. [-j 0] resolves to
+    [Domain.recommended_domain_count ()], and reaches a run as the
+    worker count of its engine ({!Engine.jobs}). *)
 
 val term : t Cmdliner.Term.t
 

@@ -25,9 +25,9 @@ type stats = {
   cpu_s : float;
 }
 
-(* The on-disk store: a cache dir no job has touched yet, the results
-   journal before its first store, open after it, or off (no cache dir, or
-   a disk failure). *)
+(* The on-disk store: a cache dir no job or lookup has touched yet, the
+   results journal before its first store, open after it, or off (no cache
+   dir, [no_cache], or a disk failure). *)
 type disk = Off | Dir of string | Closed of string | Open of Journal.t
 
 (* What a job gives back. Its key is the area key plus [kind]; [encode]
@@ -46,7 +46,7 @@ type t = {
   no_cache : bool;
   areas : Summary.t product;
   netlists : Synth.Flow.result product;
-  mutable loaded : (string, (string, string) result) Hashtbl.t;
+  loaded : (string, string) Hashtbl.t;
   mutable disk : disk;
   memo : Synth.Collapse.memo;
   mutable submitted : int;
@@ -102,20 +102,26 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
       { kind = ""; memory = Hashtbl.create 64; of_flow = Summary.of_flow;
         encode = (fun s -> Some (Summary.to_string s));
         decode = Summary.of_string };
-    netlists = netlist_product lib; loaded = Hashtbl.create 1; disk;
+    netlists = netlist_product lib; loaded = Hashtbl.create 64; disk;
     memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
     failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0; failures = [] }
 
-(* The first job creates the cache dir and loads its journal. A dir that
-   cannot be created turns the store off, like any other disk failure. *)
-let open_dir t dir =
-  mkdir_p dir;
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    let path = Filename.concat dir "results.jsonl" in
-    t.loaded <- Batch.records (try Journal.load path with Sys_error _ -> []);
-    t.disk <- Closed path
-  end
-  else t.disk <- Off
+(* The first job or lookup creates the cache dir and loads its journal,
+   undecoded, a key's payloads in file order. A dir that cannot be created
+   turns the store off, like any other disk failure. *)
+let open_dir t =
+  match t.disk with
+  | Dir dir ->
+    mkdir_p dir;
+    if Sys.file_exists dir && Sys.is_directory dir then begin
+      let path = Filename.concat dir "results.jsonl" in
+      List.iter
+        (fun (e : Journal.entry) -> Hashtbl.add t.loaded e.key e.value)
+        (List.rev (try Journal.load path with Sys_error _ -> []));
+      t.disk <- Closed path
+    end
+    else t.disk <- Off
+  | Off | Closed _ | Open _ -> ()
 
 (* A disk failure turns the store off: the engine carries on memory-only. *)
 let rec persist t key value =
@@ -125,13 +131,11 @@ let rec persist t key value =
     t.disk <- (try Open (Journal.open_append path) with Sys_error _ -> Off);
     persist t key value
   | Open j ->
-    (try Journal.append j ~key ~value:(Ok value)
-     with Sys_error _ -> t.disk <- Off)
+    (try Journal.append j ~key ~value with Sys_error _ -> t.disk <- Off)
 
 (* Memory first; a key's journal records are decoded when it is first
    asked for, and the one {!Batch.first_good} picks serves it once, as a
-   disk hit, and lives in memory from then on. An error record is a
-   miss. *)
+   disk hit, and lives in memory from then on. *)
 let find t p key =
   match Hashtbl.find_opt p.memory key with
   | Some v ->
@@ -139,12 +143,12 @@ let find t p key =
     Some v
   | None ->
     (match Batch.first_good ~decode:p.decode (Hashtbl.find_all t.loaded key) with
-     | Some (Ok v) ->
+     | Some v ->
        Hashtbl.replace p.memory key v;
        t.disk_hits <- t.disk_hits + 1;
        Obs.Metrics.incr m_disk_hits;
        Some v
-     | Some (Error _) | None ->
+     | None ->
        Obs.Metrics.incr m_misses;
        None)
 
@@ -161,7 +165,7 @@ let failure_message j e =
 (* A job neither settled in the cache nor coalesced with an earlier one
    compiles; its product comes back with the compile's own time. *)
 let submit t p jobs =
-  (match t.disk with Dir dir when jobs <> [] -> open_dir t dir | _ -> ());
+  if jobs <> [] then open_dir t;
   let t0 = now () in
   t.submitted <- t.submitted + List.length jobs;
   let settled key =
@@ -202,6 +206,24 @@ let run t jobs = submit t t.areas jobs
 let netlists t jobs = submit t t.netlists jobs
 
 let failures t = List.rev t.failures
+
+let jobs t = t.jobs
+
+(* Keyed clients share the journal but not the books. With no record
+   loaded or stored there is nothing to find: the key is not forced. *)
+let lookup t ~decode key =
+  open_dir t;
+  if Hashtbl.length t.loaded = 0 then None
+  else Batch.first_good ~decode (Hashtbl.find_all t.loaded (Lazy.force key))
+
+let append t key value =
+  open_dir t;
+  match t.disk with
+  | Off -> ()
+  | Dir _ | Closed _ | Open _ ->
+    let key = Lazy.force key in
+    Hashtbl.add t.loaded key value;
+    persist t key value
 
 (* Every submitted job compiled, came from disk, or came from memory (an
    earlier batch or an earlier duplicate in its own batch). *)

@@ -85,8 +85,9 @@ val create :
   t
 (** [jobs]: worker domains for cache-miss execution; [1] (default) compiles
     on the calling domain. [cache_dir] is left untouched until the first
-    job, which creates it (recursively) if missing and loads its results
-    journal then, so an engine that never compiles leaves no trace on disk.
+    job or {!lookup}, which creates it (recursively) if missing and loads
+    its results journal then, so an engine that is never asked leaves no
+    trace on disk.
     [no_cache] disables result caching entirely ([cache_dir] is then
     ignored).
     @raise Invalid_argument if [jobs < 1], or if [cache_dir] exists and is
@@ -106,6 +107,24 @@ val failures : t -> string list
 (** The {!failure_message} of every failed slot this engine has run, in
     request order across calls: a front-end prints them and exits
     nonzero. *)
+
+val jobs : t -> int
+(** The worker count the engine was created with. *)
+
+(** {1 The store, for keyed clients}
+
+    Clients that content-address their own results (fault campaigns)
+    keep them in the results journal. Neither call counts in {!stats} or
+    the [engine.cache.*] metrics, or forces the key without a store
+    ([cache_dir], and not [no_cache]). *)
+
+val lookup :
+  t -> decode:(string -> ('a, string) result) -> string Lazy.t -> 'a option
+(** The first record for the key that decodes ({!Batch.first_good}). *)
+
+val append : t -> string Lazy.t -> string -> unit
+(** [append t key payload] stores a record, flushed, and serves it to
+    later {!lookup}s on [t]; soft on disk failure, as compile records. *)
 
 val stats : t -> stats
 

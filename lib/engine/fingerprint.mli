@@ -18,6 +18,10 @@
     to any canonical form bumps the tag, so that a persisted [--cache-dir]
     stops serving summaries of the old flow. *)
 
+val version : string
+(** The tag. Fault-campaign site keys cover it too, so a deliberate
+    change to a fault classification bumps it. *)
+
 val job :
   lib:Cells.Library.t -> options:Synth.Flow.options -> Rtl.Design.t -> string
 (** Hex MD5 key for (design, options, library). *)

@@ -37,7 +37,7 @@ let models =
   [ Fault.Campaign.Control; Fault.Campaign.Tables; Fault.Campaign.Regs;
     Fault.Campaign.Stuck ]
 
-let run ?(sites = 48) ?(jobs = 1) engine =
+let run ?(sites = 48) engine =
   let seed = 0 and cycles = default_cycles in
   (* The stuck-at population lives on the synthesized netlists: Fig. 9's
      Full and Auto cached compiles, so an engine that ran Fig. 9 serves
@@ -50,17 +50,11 @@ let run ?(sites = 48) ?(jobs = 1) engine =
   let campaigns impl (result : Synth.Flow.result) =
     let spec = spec_of impl in
     let aig = { Fault.Sim.aig = result.Synth.Flow.aig; cycles; seed } in
+    (* Only the stuck-at model reads the netlist. *)
     List.map
       (fun model ->
-        let aig =
-          match model with
-          | Fault.Campaign.Stuck | Fault.Campaign.All -> Some aig
-          | Fault.Campaign.Control | Fault.Campaign.Tables
-          | Fault.Campaign.Regs -> None
-        in
         { impl; model;
-          report =
-            Fault.Campaign.run ~jobs ?aig ~seed ~sites ~model spec })
+          report = Fault.Campaign.run ~engine ~aig ~seed ~sites ~model spec })
       models
   in
   List.concat (List.map2 campaigns [ Flexible; Bound ] netlists)

@@ -30,12 +30,14 @@ val spec_of :
     config (for [mode], default [Cached]), Copy_line stimulus, watched
     outputs, [resp] as done signal. *)
 
-val run : ?sites:int -> ?jobs:int -> Engine.t -> row list
-(** Campaigns for both implementations under each model, with seed 0.
-    [sites] caps each campaign's sample (defaults 48); register models
-    sample injection cycles within the 40-cycle stimulus of {!spec_of}. The
-    stuck-at model simulates 40 random netlist-stimulus cycles on Fig. 9's
-    Full and Auto cached netlists ({!Exp_common.netlists}). *)
+val run : ?sites:int -> Engine.t -> row list
+(** Campaigns for both implementations under each model, with seed 0, on
+    the engine's workers and against its store, so a warm [--cache-dir]
+    simulates no site. [sites] caps each campaign's sample (defaults 48);
+    register models sample injection cycles within the 40-cycle stimulus
+    of {!spec_of}. The stuck-at model simulates 40 random netlist-stimulus
+    cycles on Fig. 9's Full and Auto cached netlists
+    ({!Exp_common.netlists}). *)
 
 val print : Format.formatter -> row list -> unit
 

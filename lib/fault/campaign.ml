@@ -21,12 +21,6 @@ type report = {
   rows : row list;
 }
 
-let outcome_codec =
-  {
-    Engine.Batch.encode = Sim.outcome_to_string;
-    decode = Sim.outcome_of_string;
-  }
-
 (* Enumerate the full site population for [model], then (for [sites > 0])
    sample it down. Everything downstream of [seed] is deterministic: the
    register injection cycles and the sample draw use independent
@@ -68,8 +62,37 @@ let enumerate ?aig ~seed ~sites ~model (spec : Sim.spec) =
   in
   (population, sampled)
 
-let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
-    ~model (spec : Sim.spec) =
+(* A site's outcome is a pure function of the site and what it runs on
+   (the RTL spec, or the netlist and its stimulus): it is stored under the
+   digest of that, then the site key. Names hold no whitespace. *)
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+let line tag atoms = String.concat " " (tag :: atoms)
+
+let rtl_digest (spec : Sim.spec) =
+  let bv = Bitvec.to_string in
+  let config (n, c) = line "config" (n :: List.map bv (Array.to_list c)) in
+  let cycle r = line "cycle" (List.concat_map (fun (n, v) -> [ n; bv v ]) r) in
+  digest
+    ([ Engine.Fingerprint.version; "fault rtl";
+       Rtl.Serialize.write spec.design; line "watch" spec.watch;
+       line "done" (Option.to_list spec.done_signal) ]
+     @ List.map config spec.config @ List.map cycle spec.stimulus)
+
+let aig_digest (a : Sim.aig_spec) =
+  digest
+    [ Engine.Fingerprint.version; "fault stuck"; Aig.digest a.aig;
+      Printf.sprintf "cycles %d seed %d" a.cycles a.seed ]
+
+let is_stuck = function Site.Stuck_at _ -> true | _ -> false
+
+let rec split n = function
+  | x :: tl when n > 0 ->
+    let a, b = split (n - 1) tl in
+    (x :: a, b)
+  | l -> ([], l)
+
+let run ?jobs ?engine ?on_checkpoint ?aig ~seed ~sites ~model
+    (spec : Sim.spec) =
   Obs.Span.with_span
     ~args:
       [
@@ -79,39 +102,76 @@ let run ?(jobs = 1) ?journal ?(resume = []) ?on_checkpoint ?aig ~seed ~sites
     "fault.campaign"
   @@ fun () ->
   let population, injected = enumerate ?aig ~seed ~sites ~model spec in
-  (* Only the sites the resume journal leaves pending are simulated, by
-     the batch's own rule, so a resumed campaign pays for no work it
-     skips. The RTL golden is computed once, before the batch starts, and
-     only if some pending site needs it; it is shared read-only with every
-     worker. *)
-  let pending =
-    Engine.Batch.pending ~key:Site.key ~codec:outcome_codec resume injected
+  let jobs =
+    Option.value jobs ~default:(Option.fold ~none:1 ~some:Engine.jobs engine)
   in
-  let is_stuck = function Site.Stuck_at _ -> true | _ -> false in
+  (* The digests are computed only if the engine has a store. *)
+  let rtl = lazy (rtl_digest spec)
+  and stuck = lazy (aig_digest (Option.get aig)) in
+  let store_key site =
+    let scope = if is_stuck site then stuck else rtl in
+    lazy (Lazy.force scope ^ " " ^ Site.key site)
+  in
+  (* Each site settles from the store, or is simulated and stored. *)
+  let known = Hashtbl.create 64 in
+  let recall e site =
+    Engine.lookup e ~decode:Sim.outcome_of_string (store_key site)
+    |> Option.iter (fun o -> Hashtbl.replace known (Site.key site) (Ok o))
+  in
+  Option.iter (fun e -> List.iter (recall e) injected) engine;
+  let pending =
+    List.filter (fun site -> not (Hashtbl.mem known (Site.key site))) injected
+  in
+  (* Only the pending sites are simulated, so a resumed campaign pays for
+     no work it skips. The RTL golden is computed once, and only if some
+     pending site needs it; it is shared read-only with every worker. *)
   let g =
     if List.for_all is_stuck pending then None else Some (Sim.golden spec)
   in
   (* Packed pre-pass: classify every pending stuck-at site,
-     {!Aig.Compiled.lanes} sites per simulation pass, before the batch
-     starts — workers then answer those sites from a read-only table. *)
-  let stuck = List.filter is_stuck pending in
-  let packed_results : (string, Sim.outcome) Hashtbl.t = Hashtbl.create 64 in
-  (match (aig, stuck) with
-   | Some a, _ :: _ ->
+     {!Aig.Compiled.lanes} sites per simulation pass, before the workers
+     start — they then answer those sites from a read-only table. *)
+  let packed_results = Hashtbl.create 64 in
+  (match (aig, List.filter is_stuck pending) with
+   | Some a, (_ :: _ as stuck_sites) ->
      List.iter
-       (fun (site, outcome) ->
-         Hashtbl.replace packed_results (Site.key site) outcome)
-       (Sim.aig_run_sites_packed a (Sim.aig_golden a) stuck)
+       (fun (site, o) -> Hashtbl.replace packed_results (Site.key site) o)
+       (Sim.aig_run_sites_packed a (Sim.aig_golden a) stuck_sites)
    | _ -> ());
   let run_one = function
     | Site.Stuck_at _ as site -> Hashtbl.find packed_results (Site.key site)
     | site -> Sim.run_site spec (Option.get g) site
   in
-  let results =
-    Engine.Batch.run ~jobs ?journal ~resume ?on_checkpoint ~key:Site.key
-      ~codec:outcome_codec run_one injected
+  (* Sites run in chunks of [4 * jobs], each stored as it settles, in site
+     order, so a kill loses at most the chunk in flight. A failure is not
+     stored: the site runs again next time, and fails the same way. *)
+  let stored = ref 0 in
+  let store site o e =
+    Engine.append e (store_key site) (Sim.outcome_to_string o)
   in
-  let rows = List.map2 (fun site result -> { site; result }) injected results in
+  let settle site r =
+    Hashtbl.replace known (Site.key site)
+      (Result.map_error Engine.Pool.error_message r);
+    Result.iter
+      (fun o ->
+        Option.iter (store site o) engine;
+        incr stored;
+        Option.iter (fun f -> f !stored) on_checkpoint)
+      r
+  in
+  let rec chunks = function
+    | [] -> ()
+    | rest ->
+      let chunk, rest = split (4 * max 1 jobs) rest in
+      List.iter2 settle chunk (Engine.Pool.map ~jobs run_one chunk);
+      chunks rest
+  in
+  chunks pending;
+  let rows =
+    List.map
+      (fun site -> { site; result = Hashtbl.find known (Site.key site) })
+      injected
+  in
   let count p = List.length (List.filter p rows) in
   let report =
     {

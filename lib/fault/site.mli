@@ -21,7 +21,7 @@ type t =
   | Stuck_at of { node : int; value : bool }
 
 val key : t -> string
-(** Stable, unique identifier — the journal/checkpoint key
+(** Stable, unique identifier within a campaign, the tail of its store key
     (e.g. ["table:pc.ucode:3:7"], ["reg:state:2@14"], ["stuck:41:1"]). *)
 
 val table_sites :

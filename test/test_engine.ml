@@ -184,61 +184,54 @@ let test_pool_isolation_and_order () =
 let test_journal_roundtrip () =
   let path = Filename.temp_file "journal" ".jsonl" in
   let j = Engine.Journal.open_append path in
-  Engine.Journal.append j ~key:"a" ~value:(Ok "masked");
-  Engine.Journal.append j ~key:"b\"x\\y" ~value:(Ok "mismatch 3 out\twith tab");
-  Engine.Journal.append j ~key:"c" ~value:(Error "boom: \"quoted\"");
-  Engine.Journal.append j ~key:"d" ~value:(Ok "bell\007 nul\000");
-  Engine.Journal.close j;
+  Engine.Journal.append j ~key:"a" ~value:"masked";
+  Engine.Journal.append j ~key:"b\"x\\y" ~value:"mismatch 3 out\twith tab";
+  Engine.Journal.append j ~key:"d" ~value:"bell\007 nul\000";
   (* Lines a journal reader must skip: valid JSON that is not a record
-     (the payload is not a string), and a blank line. *)
+     (the payload is not a string), an error record of older journals,
+     and a blank line. *)
   Out_channel.with_open_gen
     [ Open_append; Open_text ]
     0o644 path
-    (fun oc -> Out_channel.output_string oc "{\"k\":\"x\",\"v\":1}\n\n");
+    (fun oc ->
+      Out_channel.output_string oc
+        "{\"k\":\"x\",\"v\":1}\n{\"k\":\"c\",\"e\":\"boom\"}\n\n");
   (match Engine.Journal.load path with
-   | [ a; b; c; d ] ->
-     Alcotest.(check string) "key a" "a" a.Engine.Journal.key;
-     (match a.Engine.Journal.value with
-      | Ok "masked" -> ()
-      | _ -> Alcotest.fail "value a");
-     Alcotest.(check string) "escaped key" "b\"x\\y" b.Engine.Journal.key;
-     (match b.Engine.Journal.value with
-      | Ok "mismatch 3 out\twith tab" -> ()
-      | _ -> Alcotest.fail "escaped value");
-     (match c.Engine.Journal.value with
-      | Error "boom: \"quoted\"" -> ()
-      | _ -> Alcotest.fail "error entry");
-     (match d.Engine.Journal.value with
-      | Ok "bell\007 nul\000" -> ()
-      | _ -> Alcotest.fail "control bytes")
-   | l -> Alcotest.failf "expected 4 entries, got %d" (List.length l));
+   | [ a; b; d ] ->
+     Alcotest.(check (pair string string)) "record a" ("a", "masked")
+       (a.Engine.Journal.key, a.Engine.Journal.value);
+     Alcotest.(check (pair string string)) "escaped key and value"
+       ("b\"x\\y", "mismatch 3 out\twith tab")
+       (b.Engine.Journal.key, b.Engine.Journal.value);
+     Alcotest.(check string) "control bytes" "bell\007 nul\000"
+       d.Engine.Journal.value
+   | l -> Alcotest.failf "expected 3 entries, got %d" (List.length l));
   (* A torn tail record (kill mid-write) is skipped; prior entries load. *)
   Out_channel.with_open_gen
     [ Open_append; Open_text ]
     0o644 path
     (fun oc -> Out_channel.output_string oc "{\"k\":\"d\",\"v\":\"tru");
-  Alcotest.(check int) "torn tail skipped" 4
+  Alcotest.(check int) "torn tail skipped" 3
     (List.length (Engine.Journal.load path));
   Sys.remove path
 
 (* ---------------------------------------------------------------- batch *)
 
-let batch_codec =
-  {
-    Engine.Batch.encode = string_of_int;
-    decode =
-      (fun s ->
-        match int_of_string_opt s with
-        | Some i -> Ok i
-        | None -> Error "not an int");
-  }
-
 let test_batch_error_rows () =
-  (* A deterministic failure settles as an Error row; the batch finishes. *)
+  (* A deterministic failure settles as an Error row and is not handed to
+     [settle] as a result; the batch finishes. *)
   let f x = if x = 3 then failwith "boom" else x * 10 in
-  match Engine.Batch.run ~key:string_of_int ~codec:batch_codec f [ 1; 2; 3; 4 ] with
-  | [ Ok 10; Ok 20; Error _; Ok 40 ] -> ()
-  | _ -> Alcotest.fail "unexpected batch results"
+  let failed = ref [] in
+  (match
+     Engine.Batch.map ~jobs:2 ~key:string_of_int
+       ~settled:(fun _ -> None)
+       ~settle:(fun k r -> if Result.is_error r then failed := k :: !failed)
+       f [ 1; 2; 3; 4 ]
+   with
+   | [ Ok 10; Ok 20; Error _; Ok 40 ] -> ()
+   | _ -> Alcotest.fail "unexpected batch results");
+  Alcotest.(check (list string)) "the failure settles as an error" [ "3" ]
+    !failed
 
 let test_batch_map_coalesces () =
   (* Duplicate keys run once; a settled key never runs; every position gets
@@ -265,52 +258,43 @@ let test_batch_map_coalesces () =
   | [ Ok 30; Ok 10; Ok 30; Ok 700; Ok 10; Ok 30; Ok 700; Ok 50 ] -> ()
   | _ -> Alcotest.fail "unexpected map results"
 
+(* The engine's store for keyed clients: records appended through one
+   engine serve it at once and a later engine over the same directory;
+   the first record per key that decodes wins; without a store nothing
+   is kept and the key is never computed. *)
 let test_batch_journal_resume () =
-  let path = Filename.temp_file "batch" ".jsonl" in
-  Sys.remove path;
-  let calls = ref 0 in
-  let f x =
-    incr calls;
-    x * x
+  let decode s =
+    match int_of_string_opt s with Some i -> Ok i | None -> Error "not an int"
   in
-  let j = Engine.Journal.open_append path in
-  let first =
-    Engine.Batch.run ~journal:j ~key:string_of_int ~codec:batch_codec f
-      [ 1; 2; 3; 4; 5 ]
-  in
-  Engine.Journal.close j;
-  Alcotest.(check int) "computed every item" 5 !calls;
-  (* Resume: journaled results are decoded, never recomputed; new items
-     still run. *)
-  let resume = Engine.Journal.load path in
-  Alcotest.(check int) "everything journaled" 5 (List.length resume);
-  let again =
-    Engine.Batch.run ~resume ~key:string_of_int ~codec:batch_codec f
-      [ 1; 2; 3; 4; 5; 6 ]
-  in
-  Alcotest.(check int) "only the new item ran" 6 !calls;
-  (match again with
-   | [ Ok 1; Ok 4; Ok 9; Ok 16; Ok 25; Ok 36 ] -> ()
-   | _ -> Alcotest.fail "resumed results differ");
-  ignore first;
-  Sys.remove path;
+  let dir = fresh_dir () in
+  let key k = lazy (string_of_int k) in
+  let e = Engine.create ~cache_dir:dir lib in
+  Alcotest.(check (option int)) "a cold store has nothing" None
+    (Engine.lookup e ~decode (key 1));
+  List.iter (fun k -> Engine.append e (key k) (string_of_int (k * k))) [ 1; 2 ];
+  Alcotest.(check (option int)) "a stored record serves the same engine"
+    (Some 4) (Engine.lookup e ~decode (key 2));
+  let warm = Engine.create ~cache_dir:dir lib in
+  Alcotest.(check (list (option int))) "and a later engine"
+    [ Some 1; Some 4; None ]
+    (List.map (fun k -> Engine.lookup warm ~decode (key k)) [ 1; 2; 3 ]);
+  Alcotest.(check int) "keyed records are not jobs" 0
+    (Engine.stats warm).Engine.submitted;
   (* A payload that does not decode does not shadow a later good record
-     for its key: the first record that decodes wins, and nothing runs. *)
-  let resume =
-    [ { Engine.Journal.key = "7"; value = Ok "garbage" };
-      { Engine.Journal.key = "7"; value = Ok "49" } ]
-  in
-  let calls_before = !calls in
-  (match
-     Engine.Batch.run ~resume ~key:string_of_int ~codec:batch_codec f [ 7 ]
-   with
-   | [ Ok 49 ] -> ()
-   | _ -> Alcotest.fail "bad-then-good pair did not resume the good record");
-  Alcotest.(check int) "bad-then-good pair ran nothing" calls_before !calls;
-  Alcotest.(check int) "nothing pending" 0
-    (List.length
-       (Engine.Batch.pending ~key:string_of_int ~codec:batch_codec resume
-          [ 7 ]))
+     for its key. *)
+  Engine.append warm (key 7) "garbage";
+  Engine.append warm (key 7) "49";
+  Alcotest.(check (option int)) "bad-then-good pair reads the good record"
+    (Some 49)
+    (Engine.lookup (Engine.create ~cache_dir:dir lib) ~decode (key 7));
+  (* No store: appends are dropped and keys are never forced. *)
+  let unforced = lazy (Alcotest.fail "key forced without a store") in
+  List.iter
+    (fun e ->
+      Engine.append e unforced "1";
+      Alcotest.(check (option int)) "no store, no record" None
+        (Engine.lookup e ~decode unforced))
+    [ Engine.create lib; Engine.create ~cache_dir:dir ~no_cache:true lib ]
 
 (* --------------------------------------------------------------- engine *)
 
@@ -748,15 +732,22 @@ let test_cli_rejects_bad_values () =
 
 let test_cli_values () =
   (match eval_cli [ "-j"; "0" ] with
-   | Ok (`Ok (c : Cli.t)) ->
+   | Ok (`Ok c) ->
      Alcotest.(check int) "-j 0 means one job per core"
-       (Domain.recommended_domain_count ()) c.sim_jobs
+       (Domain.recommended_domain_count ())
+       (Engine.jobs (Cli.engine c lib))
    | _ -> Alcotest.fail "-j 0 rejected");
+  (* Observability is on exactly when a sink was requested. *)
+  Obs.set_enabled false;
   (match eval_cli [ "--no-cache" ] with
-   | Ok (`Ok (c : Cli.t)) ->
-     Alcotest.(check int) "default -j" 1 c.sim_jobs;
-     Alcotest.(check bool) "no --metrics" false c.metrics
+   | Ok (`Ok c) ->
+     Alcotest.(check int) "default -j" 1 (Engine.jobs (Cli.engine c lib));
+     Alcotest.(check bool) "no --metrics" false (Obs.enabled ())
    | _ -> Alcotest.fail "valid flags rejected");
+  (match eval_cli [ "--metrics" ] with
+   | Ok (`Ok _) -> Alcotest.(check bool) "--metrics" true (Obs.enabled ())
+   | _ -> Alcotest.fail "--metrics rejected");
+  Obs.set_enabled false;
   (* The timeout and retry flags are gone. *)
   List.iter
     (fun args ->
@@ -770,7 +761,7 @@ let test_cli_values () =
 let test_cli_term_creates_nothing () =
   let dir = fresh_dir () in
   match eval_cli [ "--cache-dir"; dir ] with
-  | Ok (`Ok (c : Cli.t)) ->
+  | Ok (`Ok c) ->
     Alcotest.(check bool) "parsing created nothing" false
       (Sys.file_exists dir);
     let e = Cli.engine c lib in

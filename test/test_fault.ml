@@ -1,6 +1,7 @@
 (* The fault-injection subsystem: site enumeration, golden-vs-faulty
    classification (masked / mismatch / hang), campaign determinism across
-   worker counts, and crash-resilient journal resume. *)
+   worker counts, and crash-resilient resume from the engine's results
+   journal. *)
 
 let lib = Cells.Library.vt90
 
@@ -126,58 +127,107 @@ let test_campaign_deterministic () =
   Alcotest.(check bool) "control site retained" true
     (List.mem Fault.Site.No_fault (sites a))
 
+(* ---------------------------------------------------------------- store *)
+
+(* A campaign's store is an engine over a cache dir; the tests truncate,
+   spoil and read back its results journal. *)
+let journal dir = Filename.concat dir "results.jsonl"
+let store dir = Engine.create ~cache_dir:dir lib
+
+(* [f dir] on a fresh cache dir, removed afterwards. *)
+let with_dir =
+  let counter = ref 0 in
+  fun f ->
+    incr counter;
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "fault-test-%d-%d" (Unix.getpid ()) !counter)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        if Sys.file_exists (journal dir) then Sys.remove (journal dir);
+        if Sys.file_exists dir then Sys.rmdir dir)
+      (fun () -> f dir)
+let records dir = Engine.Journal.load (journal dir)
+
+let rewrite_journal dir f =
+  let lines = In_channel.with_open_text (journal dir) In_channel.input_lines in
+  Out_channel.with_open_text (journal dir) (fun oc ->
+      List.iteri (fun i l -> Out_channel.output_string oc (f i l)) lines)
+
+(* The state a kill leaves: every record is flushed, so the journal holds
+   the first [n] records and at most a torn part of the next. *)
+let kill_after dir n =
+  rewrite_journal dir (fun i l ->
+      if i < n then l ^ "\n"
+      else if i = n then String.sub l 0 (String.length l / 2)
+      else "")
+
+(* [f ()] and what it added to the counter [name]. *)
+let counting name f =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let r = f () in
+      (r, Obs.Metrics.counter_value (Obs.Metrics.counter name)))
+
+let render r = Fault.Campaign.to_table r ^ Fault.Campaign.summary_line r
+
 let test_campaign_resume_identical () =
   let spec = flexible_spec 3 in
-  let path = Filename.temp_file "fault" ".jsonl" in
-  Sys.remove path;
+  with_dir @@ fun dir ->
   let model = Fault.Campaign.Tables in
-  let fresh = Fault.Campaign.run ~seed:5 ~sites:16 ~model spec in
-  let j = Engine.Journal.open_append path in
-  let journaled = Fault.Campaign.run ~journal:j ~seed:5 ~sites:16 ~model spec in
-  Engine.Journal.close j;
-  Alcotest.(check bool) "journaling does not change the report" true
-    (fresh = journaled);
-  let entries = Engine.Journal.load path in
-  Alcotest.(check int) "every site journaled" 16 (List.length entries);
+  let run ?engine ?on_checkpoint () =
+    Fault.Campaign.run ?engine ?on_checkpoint ~seed:5 ~sites:16 ~model spec
+  in
+  let fresh = run () in
+  Alcotest.(check bool) "storing does not change the report" true
+    (fresh = run ~engine:(store dir) ());
+  Alcotest.(check int) "every site stored" 16 (List.length (records dir));
   (* Resume from a partial journal, as if the first run was killed. *)
-  let partial = List.filteri (fun i _ -> i < 7) entries in
+  kill_after dir 7;
+  let stored = ref 0 in
   let resumed =
-    Fault.Campaign.run ~resume:partial ~seed:5 ~sites:16 ~model spec
+    run ~engine:(store dir) ~on_checkpoint:(fun n -> stored := n) ()
   in
   Alcotest.(check bool) "resumed report = fresh report" true (fresh = resumed);
-  let render r =
-    Fault.Campaign.to_table r ^ Fault.Campaign.summary_line r
-  in
   Alcotest.(check string) "rendered output byte-identical" (render fresh)
     (render resumed);
-  Sys.remove path
+  Alcotest.(check int) "only the lost sites ran and were stored" 9 !stored
 
 (* A campaign resumed from its full journal has no pending site, so it
    must not even simulate the RTL golden. *)
 let test_campaign_full_resume_simulates_nothing () =
   let spec = flexible_spec 3 in
-  let path = Filename.temp_file "fault-full" ".jsonl" in
-  Sys.remove path;
+  with_dir @@ fun dir ->
   let model = Fault.Campaign.Tables in
-  let j = Engine.Journal.open_append path in
-  let fresh = Fault.Campaign.run ~journal:j ~seed:5 ~sites:8 ~model spec in
-  Engine.Journal.close j;
-  let entries = Engine.Journal.load path in
-  Sys.remove path;
-  Obs.reset ();
-  Obs.set_enabled true;
-  let resumed, instances =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.set_enabled false;
-        Obs.reset ())
-      (fun () ->
-        let r = Fault.Campaign.run ~resume:entries ~seed:5 ~sites:8 ~model spec in
-        ( r,
-          Obs.Metrics.counter_value (Obs.Metrics.counter "rtl.eval.instances") ))
+  let run () =
+    Fault.Campaign.run ~engine:(store dir) ~seed:5 ~sites:8 ~model spec
   in
+  let fresh = run () in
+  let resumed, instances = counting "rtl.eval.instances" run in
   Alcotest.(check int) "no RTL simulation" 0 instances;
   Alcotest.(check bool) "resumed report = fresh report" true (fresh = resumed)
+
+(* A store written at one stimulus length serves no site of a campaign
+   at another: the rerun equals a storeless run. *)
+let test_campaign_stale_rtl () =
+  with_dir @@ fun dir ->
+  let run ?engine cycles =
+    Fault.Campaign.run ?engine ~seed:2 ~sites:24 ~model:Fault.Campaign.Tables
+      (flexible_spec ~cycles 3)
+  in
+  let long = run ~engine:(store dir) 12 in
+  let short = run 2 in
+  Alcotest.(check bool) "the two lengths classify differently" true
+    (long.Fault.Campaign.rows <> short.Fault.Campaign.rows);
+  Alcotest.(check string) "rerun at 2 cycles = storeless run" (render short)
+    (render (run ~engine:(store dir) 2))
 
 (* ------------------------------------------------------------- netlist *)
 
@@ -353,75 +403,65 @@ let test_campaign_packed_resume () =
   let aig = lowered_aig 7 in
   let aspec = { Fault.Sim.aig; cycles = 12; seed = 33 } in
   let spec = flexible_spec 7 in
-  let model = Fault.Campaign.Stuck in
-  let path = Filename.temp_file "fault-packed" ".jsonl" in
-  Sys.remove path;
-  let fresh = Fault.Campaign.run ~aig:aspec ~seed:3 ~sites:70 ~model spec in
-  let j = Engine.Journal.open_append path in
-  let journaled =
-    Fault.Campaign.run ~journal:j ~aig:aspec ~seed:3 ~sites:70 ~model spec
+  with_dir @@ fun dir ->
+  let run ?engine () =
+    Fault.Campaign.run ?engine ~aig:aspec ~seed:3 ~sites:70
+      ~model:Fault.Campaign.Stuck spec
   in
-  Engine.Journal.close j;
-  Alcotest.(check bool) "journaling does not change the report" true
-    (fresh = journaled);
-  let entries = Engine.Journal.load path in
-  let partial = List.filteri (fun i _ -> i < 31) entries in
-  let resumed =
-    Fault.Campaign.run ~resume:partial ~aig:aspec ~seed:3 ~sites:70 ~model spec
-  in
-  Alcotest.(check bool) "packed resume = fresh report" true (fresh = resumed);
-  Sys.remove path
+  let fresh = run () in
+  Alcotest.(check bool) "storing does not change the report" true
+    (fresh = run ~engine:(store dir) ());
+  kill_after dir 31;
+  Alcotest.(check bool) "packed resume = fresh report" true
+    (fresh = run ~engine:(store dir) ())
 
 let test_campaign_packed_resume_garbage () =
-  (* Every site is journaled, but one payload no longer decodes. The
-     packed pre-pass covers exactly the sites the batch will run, so that
+  (* Every site is stored, but one payload no longer decodes. The packed
+     pre-pass covers exactly the sites the store leaves unsettled, so that
      one site is its only lane. *)
   let aig = lowered_aig 7 in
   let aspec = { Fault.Sim.aig; cycles = 12; seed = 33 } in
   let spec = flexible_spec 7 in
-  let model = Fault.Campaign.Stuck in
-  let run ?journal resume =
-    Fault.Campaign.run ?journal ~resume ~aig:aspec ~seed:3 ~sites:70 ~model
-      spec
+  with_dir @@ fun dir ->
+  let run () =
+    Fault.Campaign.run ~engine:(store dir) ~aig:aspec ~seed:3 ~sites:70
+      ~model:Fault.Campaign.Stuck spec
   in
-  let path = Filename.temp_file "fault-garbage" ".jsonl" in
-  Sys.remove path;
-  let j = Engine.Journal.open_append path in
-  let fresh = run ~journal:j [] in
-  Engine.Journal.close j;
-  let entries = Engine.Journal.load path in
-  Sys.remove path;
-  let spoiled = List.nth entries 17 in
-  let resume =
-    List.map
-      (fun (e : Engine.Journal.entry) ->
-        if e.key = spoiled.key then { e with value = Ok "no such outcome" }
-        else e)
-      entries
-  in
-  Obs.reset ();
-  Obs.set_enabled true;
-  let j = Engine.Journal.open_append path in
-  let resumed, packed =
-    Fun.protect
-      ~finally:(fun () ->
-        Engine.Journal.close j;
-        Obs.set_enabled false;
-        Obs.reset ())
-      (fun () ->
-        let r = run ~journal:j resume in
-        ( r,
-          Obs.Metrics.counter_value
-            (Obs.Metrics.counter "fault.campaign.packed_sites") ))
-  in
-  let recomputed = Engine.Journal.load path in
-  Sys.remove path;
+  let fresh = run () in
+  let spoiled = List.nth (records dir) 17 in
+  rewrite_journal dir (fun i l ->
+      if i <> 17 then l ^ "\n"
+      else
+        Report.Json.to_string
+          (Report.Json.Obj
+             [ ("k", Report.Json.String spoiled.key);
+               ("v", Report.Json.String "no such outcome") ])
+        ^ "\n");
+  let resumed, packed = counting "fault.campaign.packed_sites" run in
+  let recomputed = List.filteri (fun i _ -> i >= 70) (records dir) in
   Alcotest.(check int) "only the spoiled site is packed" 1 packed;
-  Alcotest.(check (list string)) "only the spoiled site ran" [ spoiled.key ]
-    (List.map (fun (e : Engine.Journal.entry) -> e.key) recomputed);
-  Alcotest.(check bool) "its payload is recomputed exactly" true
-    ((List.hd recomputed).value = spoiled.value);
+  Alcotest.(check (list (pair string string)))
+    "only the spoiled site ran, its payload recomputed exactly"
+    [ (spoiled.key, spoiled.value) ]
+    (List.map (fun (e : Engine.Journal.entry) -> (e.key, e.value)) recomputed);
   Alcotest.(check bool) "resumed report = fresh report" true (fresh = resumed)
+
+(* A store written at 12 netlist cycles serves no site of a 1-cycle
+   campaign on the same netlist: the rerun equals a storeless run. *)
+let test_campaign_stale_stuck () =
+  let aig = lowered_aig 7 in
+  with_dir @@ fun dir ->
+  let run ?engine cycles =
+    Fault.Campaign.run ?engine
+      ~aig:{ Fault.Sim.aig; cycles; seed = 33 }
+      ~seed:3 ~sites:70 ~model:Fault.Campaign.Stuck (flexible_spec 7)
+  in
+  let long = run ~engine:(store dir) 12 in
+  let short = run 1 in
+  Alcotest.(check bool) "the two lengths classify differently" true
+    (long.Fault.Campaign.rows <> short.Fault.Campaign.rows);
+  Alcotest.(check string) "rerun at 1 cycle = storeless run" (render short)
+    (render (run ~engine:(store dir) 1))
 
 (* ----------------------------------------------------------------- vcd *)
 
@@ -467,6 +507,8 @@ let () =
             test_campaign_resume_identical;
           Alcotest.test_case "full resume simulates nothing" `Quick
             test_campaign_full_resume_simulates_nothing;
+          Alcotest.test_case "no stale resume across stimulus lengths" `Quick
+            test_campaign_stale_rtl;
         ] );
       ( "netlist",
         [
@@ -482,6 +524,8 @@ let () =
             test_campaign_packed_resume;
           Alcotest.test_case "packed resume recomputes a bad payload" `Quick
             test_campaign_packed_resume_garbage;
+          Alcotest.test_case "no stale resume across netlist cycles" `Quick
+            test_campaign_stale_stuck;
         ] );
       ( "vcd", [ Alcotest.test_case "first mismatch trace" `Quick
                    test_vcd_of_first_mismatch ] );
