@@ -19,9 +19,9 @@
 
    Figure tables go to stdout; engine statistics, metrics and traces go to
    stderr or to their own files, so stdout is byte-identical across -j
-   values, cache temperatures and observability settings. A sweep with
-   failed compiles still prints every table (failed cells render as FAIL)
-   and exits 1 after listing the failures on stderr. *)
+   values, cache temperatures and observability settings. A run with
+   failed compiles still prints every table (failed cells render as FAIL);
+   Cli.finish then lists the failures on stderr and exits 1. *)
 
 open Cmdliner
 module Json = Report.Json
@@ -236,14 +236,11 @@ let engine_stats_json (s : Engine.stats) =
       ("wall_s", Json.Float s.Engine.wall_s);
       ("cpu_s", Json.Float s.Engine.cpu_s) ]
 
-(* Run one command's figures on one engine, then report: stderr tables, the
-   optional JSON document, and exit 1 after listing the engine's failed
-   synthesis jobs. *)
+(* Run one command's figures on one engine, write the optional JSON
+   document, then end the run in [Cli.finish]. *)
 let emit command run cli json_path =
   let engine = Cli.engine cli Experiments.Exp_common.lib in
   let figures = run engine in
-  Cli.finish cli engine;
-  let failures = Engine.failures engine in
   Option.iter
     (fun path ->
       let doc =
@@ -251,7 +248,8 @@ let emit command run cli json_path =
           [ ("command", Json.String command);
             ("figures", Json.Obj figures);
             ("failures",
-             Json.List (List.map (fun m -> Json.String m) failures));
+             Json.List
+               (List.map (fun m -> Json.String m) (Engine.failures engine)));
             ("engine", engine_stats_json (Engine.stats engine));
             ("metrics",
              if Obs.enabled () then Obs.Metrics.to_json () else Json.Null);
@@ -263,11 +261,7 @@ let emit command run cli json_path =
         Printf.eprintf "error: cannot write JSON output: %s\n" msg;
         exit 2)
     json_path;
-  if failures <> [] then begin
-    Printf.eprintf "%d synthesis job(s) failed:\n" (List.length failures);
-    List.iter (fun m -> Printf.eprintf "  %s\n" m) failures;
-    exit 1
-  end
+  Cli.finish cli engine
 
 let json =
   Arg.(value & opt (some string) None

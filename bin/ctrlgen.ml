@@ -14,8 +14,9 @@
 
    Every subcommand takes the shared engine and observability flags of
    [Cli]. Each submits its compiles as one engine batch ([Engine.netlists]
-   where it reads the netlist) and exits 1 on a failed one. The paper's
-   figures and ablations are regenerated by bench/main.exe. *)
+   where it reads the netlist); a failed one ends the run in [Cli.finish]
+   with exit 1. The paper's figures and ablations are regenerated by
+   bench/main.exe. *)
 
 open Cmdliner
 
@@ -39,16 +40,12 @@ let flow_options ~annotate ~retime =
   { Synth.Flow.default with honor_generator_annots = annotate; retime }
 
 (* Every compiling subcommand submits its jobs as one batch ([submit] is
-   [Engine.run] or [Engine.netlists]) and fails one way: the engine table,
-   a line per failed job, exit 1. *)
+   [Engine.run] or [Engine.netlists]); a failed one ends the run in
+   [Cli.finish], which lists it and exits 1. *)
 let compile cli engine submit jobs =
   let outcomes = submit engine jobs in
-  match Engine.failures engine with
-  | [] -> List.map Result.get_ok outcomes
-  | failures ->
-    Cli.finish cli engine;
-    List.iter (Format.eprintf "synthesis failed: %s@.") failures;
-    exit 1
+  if Engine.failures engine <> [] then Cli.finish cli engine;
+  List.map Result.get_ok outcomes
 
 (* ------------------------------------------------------------------ synth *)
 

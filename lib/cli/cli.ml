@@ -89,4 +89,10 @@ let finish t engine =
   if t.metrics then begin
     prerr_string (Obs.Metrics.to_table ());
     prerr_string (Obs.Span.to_table ())
-  end
+  end;
+  match Engine.failures engine with
+  | [] -> ()
+  | failures ->
+    Printf.eprintf "%d synthesis job(s) failed:\n" (List.length failures);
+    List.iter (Printf.eprintf "  %s\n") failures;
+    exit 1

@@ -26,7 +26,8 @@ val range : ?max:int -> int -> int Cmdliner.Arg.conv
     error, which cmdliner reports with exit status 124. *)
 
 val finish : t -> Engine.t -> unit
-(** Print the end-of-run tables to stderr: the engine's statistics when it
-    saw at least one job, then, when [--metrics] was given,
-    the process metrics and the time per span name
-    ({!Obs.Span.to_table}). Stdout is never touched. *)
+(** End a run on stderr: the engine's statistics when it saw a job; with
+    [--metrics], the process metrics and the time per span name
+    ({!Obs.Span.to_table}); then, if a job failed, [N synthesis job(s)
+    failed:] and each of {!Engine.failures} indented, and exit 1. Stdout
+    is never touched. Both executables end every run here. *)

@@ -1,4 +1,4 @@
-type error = Exn of { exn : string; backtrace : string }
+type error = Exn of { exn : string }
 
 let error_message (Exn { exn; _ }) = exn
 
@@ -7,9 +7,7 @@ let m_jobs = Obs.Metrics.counter "engine.pool.jobs"
 let isolated f x =
   match f x with
   | v -> Ok v
-  | exception e ->
-    let backtrace = Printexc.get_backtrace () in
-    Error (Exn { exn = Printexc.to_string e; backtrace })
+  | exception e -> Error (Exn { exn = Printexc.to_string e })
 
 let map ~jobs f = function
   | [] -> []

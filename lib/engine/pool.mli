@@ -6,8 +6,8 @@
     a pure [f] gives the same list at every [jobs]. *)
 
 type error =
-  | Exn of { exn : string; backtrace : string }
-      (** the item raised; both strings are for reporting only *)
+  | Exn of { exn : string }
+      (** the item raised: [Printexc.to_string] of its exception *)
 
 val error_message : error -> string
 

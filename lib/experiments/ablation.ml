@@ -37,7 +37,7 @@ let cone_cap fmt engine =
          ("cap"
           :: List.map (fun (d, w) -> Printf.sprintf "%dx%d" d w) cells
           @ [ "geomean" ])
-       (List.map row (Exp_common.sweep engine jobs caps)))
+       (List.map row (Exp_common.sweep Exp_common.areas engine jobs caps)))
 
 let twolevel fmt =
   let nvars_list = [ 4; 6; 8 ] and seeds = [ 0; 1; 2 ] in
@@ -116,7 +116,7 @@ let encodings fmt engine =
          [ Report.Table.Left; Report.Table.Right; Report.Table.Right;
            Report.Table.Right; Report.Table.Right ]
        ~header:[ "m/n/s"; "binary"; "gray"; "one-hot"; "one-hot+annot" ]
-       (List.map row (Exp_common.sweep engine jobs cases)))
+       (List.map row (Exp_common.sweep Exp_common.areas engine jobs cases)))
 
 let library_richness fmt engine =
   let cases = [ (64, 8); (256, 16) ] in
@@ -129,12 +129,11 @@ let library_richness fmt engine =
          (Core.Truth_table.to_flexible_rtl tt)
          [ Core.Truth_table.config_binding tt ])
   in
-  let row (depth, width) result =
+  let row ((depth, width), result) =
     Printf.sprintf "%dx%d" depth width
     ::
     (match result with
-     | Error _ -> List.init 5 (fun _ -> "FAIL")
-     | Ok (r : Synth.Flow.result) ->
+     | [ Ok (r : Synth.Flow.result) ] ->
        let full = r.Synth.Flow.report in
        let simple, _ =
          Synth.Map.run_full ~complex_cells:false Exp_common.lib r.Synth.Flow.aig
@@ -143,14 +142,16 @@ let library_richness fmt engine =
          Printf.sprintf "%.3f" full.Synth.Map.critical_delay;
          Report.Table.fmt_area (Synth.Map.total simple);
          Printf.sprintf "%.3f" simple.Synth.Map.critical_delay;
-         Report.Table.fmt_ratio (Synth.Map.total full /. Synth.Map.total simple) ])
+         Report.Table.fmt_ratio (Synth.Map.total full /. Synth.Map.total simple) ]
+     | _ -> List.init 5 (fun _ -> "FAIL"))
   in
   Format.fprintf fmt
     "== Ablation A5: cell-library richness (with vs without 3-input cells) ==@.%s@.@."
     (Report.Table.render
        ~header:
          [ "design"; "full um^2"; "full ns"; "2-in um^2"; "2-in ns"; "ratio" ]
-       (List.map2 row cases (Engine.netlists engine (List.map job cases))))
+       (List.map row
+          (Exp_common.sweep Engine.netlists engine (fun c -> [ job c ]) cases)))
 
 let microcode_style fmt engine =
   (* Horizontal vs vertical microcode stores (paper Section II-B) on the
@@ -187,7 +188,7 @@ let microcode_style fmt engine =
        ~header:
          [ "program"; "uops"; "words"; "h bits"; "v bits"; "h flex";
            "v flex"; "h bound"; "v bound" ]
-       (List.map row (Exp_common.sweep engine jobs programs)))
+       (List.map row (Exp_common.sweep Exp_common.areas engine jobs programs)))
 
 let annot_cap fmt engine =
   let n = 64 and caps = [ 8; 16; 32; 64; 128 ] in
@@ -214,4 +215,4 @@ let annot_cap fmt engine =
     "== Ablation A3: annotation width cap at bus width n=%d ==@.%s@.@." n
     (Report.Table.render
        ~header:[ "cap"; "generic"; "direct"; "ratio"; "annotation" ]
-       (List.map row (Exp_common.sweep engine jobs caps)))
+       (List.map row (Exp_common.sweep Exp_common.areas engine jobs caps)))

@@ -6,12 +6,14 @@ let annotated_flow = { Synth.Flow.default with honor_generator_annots = true }
 
 let retimed_flow = { Synth.Flow.default with retime = true }
 
-let sweep engine jobs_of points =
+let areas engine jobs =
+  List.map (Result.map Engine.Summary.area) (Engine.run engine jobs)
+
+let sweep submit engine jobs_of points =
   let jobs = List.map jobs_of points in
-  let outcomes = Array.of_list (Engine.run engine (List.concat jobs)) in
+  let outcomes = Array.of_list (submit engine (List.concat jobs)) in
   let cell first i (j : Engine.job) =
-    Result.map Engine.Summary.area
-      (Result.map_error (Engine.failure_message j) outcomes.(first + i))
+    Result.map_error (Engine.failure_message j) outcomes.(first + i)
   in
   (* Each point takes as many outcomes as it gave jobs. *)
   let _, cells =
@@ -20,12 +22,6 @@ let sweep engine jobs_of points =
       0 jobs
   in
   List.combine points cells
-
-let netlists engine jobs =
-  let get j = Result.fold ~ok:Fun.id ~error:(fun e ->
-      failwith (Engine.failure_message j e))
-  in
-  List.map2 get jobs (Engine.netlists engine jobs)
 
 let fmt_area_result = function
   | Ok a -> Report.Table.fmt_area a

@@ -2,7 +2,7 @@
 
     Every experiment compiles through the engine its caller passes in, so
     it picks up result caching and [-j] parallelism from whatever engine
-    the front-end built. *)
+    the front-end built, and reads the outcomes through {!sweep}. *)
 
 val lib : Cells.Library.t
 
@@ -13,20 +13,20 @@ val annotated_flow : Synth.Flow.options
 
 val retimed_flow : Synth.Flow.options
 
-val sweep :
-  Engine.t -> ('p -> Engine.job list) -> 'p list ->
-  ('p * (float, string) result list) list
-(** [sweep engine jobs points]: the jobs of every point, submitted through
-    [engine] as one batch — cache-deduplicated, parallel when the engine
-    has workers — and each point paired with the total mapped area of its
-    own jobs, in job order. A failed compile yields [Error message] in its
-    slot instead of aborting the sweep; the engine also records the message
-    ({!Engine.failures}), so front-ends can print a summary and exit
-    nonzero. *)
+val areas :
+  Engine.t -> Engine.job list -> (float, Engine.Pool.error) result list
+(** {!Engine.run}, keeping each summary's total mapped area. *)
 
-val netlists : Engine.t -> Engine.job list -> Synth.Flow.result list
-(** {!Engine.netlists}, raising [Failure] with a failed job's
-    {!Engine.failure_message}. *)
+val sweep :
+  (Engine.t -> Engine.job list -> ('a, Engine.Pool.error) result list) ->
+  Engine.t -> ('p -> Engine.job list) -> 'p list ->
+  ('p * ('a, string) result list) list
+(** [sweep submit engine jobs points]: the jobs of every point, submitted
+    through [engine] as one batch by [submit] ({!areas} or
+    {!Engine.netlists}), and each point paired with its own jobs'
+    products, in job order. A failed compile yields [Error message] in its
+    slot ({!Engine.failure_message}) instead of raising, and the engine
+    records the message for the end-of-run report ({!Engine.failures}). *)
 
 val fmt_area_result : (float, string) result -> string
 (** As {!Report.Table.fmt_area}, with ["FAIL"] for errors. *)

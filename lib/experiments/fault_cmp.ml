@@ -5,6 +5,7 @@ let impl_name = function Flexible -> "flexible" | Bound -> "bound"
 type row = {
   impl : impl;
   model : Fault.Campaign.model;
+  compiled : bool;
   report : Fault.Campaign.report;
 }
 
@@ -41,23 +42,26 @@ let run ?(sites = 48) engine =
   let seed = 0 and cycles = default_cycles in
   (* The stuck-at population lives on the synthesized netlists: Fig. 9's
      Full and Auto cached compiles, so an engine that ran Fig. 9 serves
-     both from memory. *)
-  let netlists =
-    Exp_common.netlists engine
-      [ Fig9.job Pctrl.Controller.Cached Fig9.Full;
-        Fig9.job Pctrl.Controller.Cached Fig9.Auto ]
-  in
-  let campaigns impl (result : Synth.Flow.result) =
+     both from memory. An impl whose netlist failed has no stuck-at sites. *)
+  let campaigns ((impl, _), netlist) =
     let spec = spec_of impl in
-    let aig = { Fault.Sim.aig = result.Synth.Flow.aig; cycles; seed } in
+    let aig =
+      match netlist with
+      | [ Ok (r : Synth.Flow.result) ] ->
+        Some { Fault.Sim.aig = r.aig; cycles; seed }
+      | _ -> None
+    in
     (* Only the stuck-at model reads the netlist. *)
     List.map
       (fun model ->
-        { impl; model;
-          report = Fault.Campaign.run ~engine ~aig ~seed ~sites ~model spec })
+        { impl; model; compiled = aig <> None || model <> Fault.Campaign.Stuck;
+          report = Fault.Campaign.run ~engine ?aig ~seed ~sites ~model spec })
       models
   in
-  List.concat (List.map2 campaigns [ Flexible; Bound ] netlists)
+  List.concat_map campaigns
+    (Exp_common.sweep Engine.netlists engine
+       (fun (_, level) -> [ Fig9.job Pctrl.Controller.Cached level ])
+       [ (Flexible, Fig9.Full); (Bound, Fig9.Auto) ])
 
 let vulnerability (r : Fault.Campaign.report) =
   if r.injected = 0 then None
@@ -66,19 +70,19 @@ let vulnerability (r : Fault.Campaign.report) =
 let print fmt rows =
   let body =
     List.map
-      (fun { impl; model; report = r } ->
-        [
-          impl_name impl;
-          Fault.Campaign.model_name model;
-          Printf.sprintf "%d/%d" r.injected r.population;
-          string_of_int r.masked;
-          string_of_int r.mismatches;
-          string_of_int r.hangs;
-          string_of_int r.failed;
-          (match vulnerability r with
-           | None -> "-"
-           | Some v -> Printf.sprintf "%.1f%%" (100.0 *. v));
-        ])
+      (fun { impl; model; compiled; report = r } ->
+        impl_name impl :: Fault.Campaign.model_name model
+        ::
+        (if not compiled then List.init 6 (fun _ -> "FAIL")
+         else
+           [ Printf.sprintf "%d/%d" r.injected r.population;
+             string_of_int r.masked;
+             string_of_int r.mismatches;
+             string_of_int r.hangs;
+             string_of_int r.failed;
+             (match vulnerability r with
+              | None -> "-"
+              | Some v -> Printf.sprintf "%.1f%%" (100.0 *. v)) ]))
       rows
   in
   Format.fprintf fmt
@@ -108,7 +112,7 @@ let print fmt rows =
 let to_json rows =
   Report.Json.List
     (List.map
-       (fun { impl; model; report } ->
+       (fun { impl; model; report; _ } ->
          match Fault.Campaign.to_json report with
          | Report.Json.Obj fields ->
            Report.Json.Obj

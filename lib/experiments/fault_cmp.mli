@@ -21,6 +21,7 @@ val impl_name : impl -> string
 type row = {
   impl : impl;
   model : Fault.Campaign.model;
+  compiled : bool;  (** [false]: a stuck-at row with no netlist, [FAIL] *)
   report : Fault.Campaign.report;
 }
 
@@ -36,8 +37,8 @@ val run : ?sites:int -> Engine.t -> row list
     simulates no site. [sites] caps each campaign's sample (defaults 48);
     register models sample injection cycles within the 40-cycle stimulus
     of {!spec_of}. The stuck-at model simulates 40 random netlist-stimulus
-    cycles on Fig. 9's Full and Auto cached netlists
-    ({!Exp_common.netlists}). *)
+    cycles on Fig. 9's Full and Auto cached netlists; an impl whose
+    netlist failed runs that campaign without one (no sites). *)
 
 val print : Format.formatter -> row list -> unit
 

@@ -30,7 +30,7 @@ let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_table.paper_grid)
       match areas with
       | [ table_area; sop_area ] -> { depth; width; seed; table_area; sop_area }
       | _ -> assert false)
-    (Exp_common.sweep engine jobs points)
+    (Exp_common.sweep Exp_common.areas engine jobs points)
 
 let print fmt rows =
   let body =

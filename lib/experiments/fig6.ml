@@ -34,7 +34,7 @@ let run ?(seeds = [ 0; 1; 2 ]) ?(grid = Workload.Rand_fsm.paper_grid)
       | [ direct_area; regular_area; annotated_area ] ->
         { m; n; s; seed; direct_area; regular_area; annotated_area }
       | _ -> assert false)
-    (Exp_common.sweep engine jobs points)
+    (Exp_common.sweep Exp_common.areas engine jobs points)
 
 let print fmt rows =
   let body =

@@ -41,7 +41,7 @@ let run ?(widths = Onehot_design.paper_widths) engine =
       | [ generic_area; direct_area ] ->
         { n; style_name; variant; generic_area; direct_area }
       | _ -> assert false)
-    (Exp_common.sweep engine jobs points)
+    (Exp_common.sweep Exp_common.areas engine jobs points)
 
 let print fmt rows =
   let body =

@@ -49,34 +49,34 @@ let rows engine =
   in
   (* Both Full rows come from one compile, estimated at once so the large
      flexible netlist is dead, unless the engine caches it, before the
-     other compiles run as one batch. *)
-  let full =
+     other compiles run as one batch. A variant that failed has no row. *)
+  let compile variants =
     List.concat_map
-      (fun r -> List.map (fun mode -> row (mode, Full) r) modes)
-      (Exp_common.netlists engine [ job Pctrl.Controller.Cached Full ])
+      (function
+        | (_, Full), [ Ok r ] -> List.map (fun m -> row (m, Full) r) modes
+        | v, [ Ok r ] -> [ row v r ]
+        | _ -> [])
+      (Exp_common.sweep Engine.netlists engine (fun (m, l) -> [ job m l ])
+         variants)
   in
-  let rest = List.tl variants in
-  let others =
-    List.map2 row rest
-      (Exp_common.netlists engine (List.map (fun (m, l) -> job m l) rest))
-  in
+  let full = compile [ List.hd variants ] in
+  let others = compile (List.tl variants) in
   List.concat_map (fun m -> List.filter (fun r -> r.mode = m) (full @ others)) modes
 
 let run () = rows (Engine.create ~no_cache:true Exp_common.lib)
 
 let print fmt rows =
-  let body =
-    List.map
-      (fun r ->
-        [
-          mode_name r.mode;
-          level_name r.level;
-          Report.Table.fmt_area r.comb;
-          Report.Table.fmt_area r.seq;
-          Report.Table.fmt_area (r.comb +. r.seq);
-          Report.Table.fmt_area r.power;
-        ])
-      rows
+  let find mode level =
+    List.find_opt (fun r -> r.mode = mode && r.level = level) rows
+  in
+  let levels = [ Full; Auto; Manual ] in
+  let line mode level =
+    mode_name mode :: level_name level
+    ::
+    (match find mode level with
+     | Some r ->
+       List.map Report.Table.fmt_area [ r.comb; r.seq; r.comb +. r.seq; r.power ]
+     | None -> List.init 4 (fun _ -> "FAIL"))
   in
   Format.fprintf fmt "== Fig. 9: PCtrl area by optimization level ==@.%s@."
     (Report.Table.render
@@ -84,18 +84,16 @@ let print fmt rows =
          [ Report.Table.Left; Report.Table.Left; Report.Table.Right;
            Report.Table.Right; Report.Table.Right; Report.Table.Right ]
        ~header:[ "config"; "level"; "comb um^2"; "seq um^2"; "total"; "power" ]
-       body);
-  let find mode level =
-    List.find (fun r -> r.mode = mode && r.level = level) rows
-  in
+       (List.concat_map (fun mode -> List.map (line mode) levels) modes));
   let summarize mode =
-    let f = find mode Full and a = find mode Auto and m = find mode Manual in
-    Format.fprintf fmt
-      "%s: auto/full comb %.2f, seq %.2f, power %.2f; manual saves %.1f%% area, %.1f%% power over auto@."
-      (mode_name mode) (a.comb /. f.comb) (a.seq /. f.seq) (a.power /. f.power)
-      (100.0 *. (1.0 -. ((m.comb +. m.seq) /. (a.comb +. a.seq))))
-      (100.0 *. (1.0 -. (m.power /. a.power)))
+    match List.map (find mode) levels with
+    | [ Some f; Some a; Some m ] ->
+      Format.fprintf fmt
+        "%s: auto/full comb %.2f, seq %.2f, power %.2f; manual saves %.1f%% area, %.1f%% power over auto@."
+        (mode_name mode) (a.comb /. f.comb) (a.seq /. f.seq) (a.power /. f.power)
+        (100.0 *. (1.0 -. ((m.comb +. m.seq) /. (a.comb +. a.seq))))
+        (100.0 *. (1.0 -. (m.power /. a.power)))
+    | _ -> ()
   in
-  summarize Pctrl.Controller.Cached;
-  summarize Pctrl.Controller.Uncached;
+  List.iter summarize modes;
   Format.fprintf fmt "@."

@@ -37,9 +37,12 @@ val job : Pctrl.Controller.mode -> level -> Engine.job
     ["pctrl auto cached"], …; Full ignores the mode. *)
 
 val rows : Engine.t -> row list
-(** The Full job first, then the rest as one {!Exp_common.netlists}. *)
+(** The rows of the variants that compiled: the Full job first, then the
+    rest as one batch, both through {!Exp_common.sweep}. *)
 
 val run : unit -> row list
 (** [rows] on an engine that caches nothing, kept for [perfbench/]. *)
 
 val print : Format.formatter -> row list -> unit
+(** The table, with [FAIL] cells for a variant that has no row, then the
+    summary line of each mode whose three rows exist. *)

@@ -6,7 +6,8 @@
 # trace must be valid enough to carry pass spans and the metrics snapshot,
 # and the --metrics counter/gauge table must read the same at -j 1 as at
 # -j 2. The span table must carry the engine.job, flow.compile and
-# power.estimate rows.
+# power.estimate rows. The -j 1 run also writes --json, which must name
+# every figure, list no failure and carry the engine counts.
 # The counter/gauge rows and the span name/count columns of the -j 1 run
 # must match test/golden/quick.metrics; span seconds are not pinned.
 # An intentional change to a figure regenerates the golden with
@@ -19,8 +20,8 @@ dune build bench/main.exe
 exe=./_build/default/bench/main.exe
 
 plain=$(mktemp) && plain_err=$(mktemp) && traced=$(mktemp) && err=$(mktemp)
-serial_err=$(mktemp)
-trap 'rm -f "$plain" "$plain_err" "$traced" "$err" "$serial_err"' EXIT
+serial=$(mktemp) && serial_err=$(mktemp) && json=$(mktemp)
+trap 'rm -f "$plain" "$plain_err" "$traced" "$err" "$serial" "$serial_err" "$json"' EXIT
 
 # --no-cache so the traced run actually executes the synthesis passes
 # rather than replaying engine cache hits.
@@ -48,7 +49,20 @@ grep -q 'synth\.flow\.' "$err"
 # Metrics count work, so the whole counter/gauge table must not depend on
 # the number of worker domains. The engine table before it and the span
 # time table after it hold wall times and are left out.
-"$exe" quick -j 1 --no-cache --metrics > /dev/null 2> "$serial_err"
+# The same run writes the --json document: every figure, no failure and
+# the engine counts, and the same stdout.
+"$exe" quick -j 1 --no-cache --metrics --json "$json" > "$serial" 2> "$serial_err"
+if ! diff -u test/golden/quick.stdout "$serial"; then
+  echo "error: quick --json stdout differs from test/golden/quick.stdout" >&2
+  exit 1
+fi
+for key in '"figures"' '"fig5"' '"fig6"' '"fig8"' '"fig9"' '"fault"' \
+  '"failures":\[\]' '"submitted":'; do
+  if ! grep -q "$key" "$json"; then
+    echo "error: quick --json output lacks $key" >&2
+    exit 1
+  fi
+done
 metric_rows() { awk '/^metric /{on=1} /^span /{on=0} on' "$1"; }
 if [ "$(metric_rows "$err" | grep -c '^synth\.collapse\.')" -lt 2 ] ||
   ! diff -u <(metric_rows "$err") <(metric_rows "$serial_err"); then

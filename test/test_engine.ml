@@ -13,17 +13,8 @@ let fsm_design seed =
     (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
     (Core.Fsm_ir.config_bindings fsm)
 
-let fresh_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "engine-test-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (* The engine's first job makes the directory itself. *)
-    d
+(* [f dir] on a fresh cache dir, removed afterwards. *)
+let with_dir f = Temp_dir.with_dir "engine-test" f
 
 (* ---------------------------------------------------------- fingerprint *)
 
@@ -266,7 +257,7 @@ let test_batch_journal_resume () =
   let decode s =
     match int_of_string_opt s with Some i -> Ok i | None -> Error "not an int"
   in
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let key k = lazy (string_of_int k) in
   let e = Engine.create ~cache_dir:dir lib in
   Alcotest.(check (option int)) "a cold store has nothing" None
@@ -376,7 +367,7 @@ let test_sweep_degrades_gracefully () =
   let e = Engine.create ~jobs:1 lib in
   let res =
     List.concat_map snd
-      (Experiments.Exp_common.sweep e
+      (Experiments.Exp_common.sweep Experiments.Exp_common.areas e
          (fun j -> [ j ])
          [ bad_job 19; bad_job 23 ])
   in
@@ -440,7 +431,8 @@ let prop_sweep_cells_per_point =
     (fun points ->
       let e = Engine.create ~jobs:2 lib in
       let swept =
-        Experiments.Exp_common.sweep e (fun (_, slots) -> List.map job slots)
+        Experiments.Exp_common.sweep Experiments.Exp_common.areas e
+          (fun (_, slots) -> List.map job slots)
           points
       in
       let cell_ok slot cell =
@@ -484,8 +476,55 @@ let test_failures_stay_on_their_engine () =
   Alcotest.(check (list string)) "the other engine saw none" []
     (Engine.failures other)
 
+(* One failure path: over a library without its inverter every compile
+   fails in mapping, and Fig. 9, the fault comparison and A5 still print
+   their tables, FAIL in each cell a failed compile leaves empty, while
+   the engine lists every failed job in request order. *)
+let test_failed_compiles_print_fail () =
+  let no_inv =
+    { lib with
+      Cells.Library.cells =
+        List.filter
+          (fun (c : Cells.Cell.t) -> c.cname <> "INV")
+          lib.Cells.Library.cells }
+  in
+  let e = Engine.create ~jobs:2 no_inv in
+  let words text =
+    List.concat_map (String.split_on_char ' ')
+      (String.split_on_char '\n' text)
+  in
+  let fails text = List.length (List.filter (( = ) "FAIL") (words text)) in
+  let rows = Experiments.Fig9.rows e in
+  Alcotest.(check int) "no Fig. 9 row" 0 (List.length rows);
+  let fig9 = Format.asprintf "%a" Experiments.Fig9.print rows in
+  Alcotest.(check int) "Fig. 9: 6 rows of 4 FAIL cells" 24 (fails fig9);
+  Alcotest.(check bool) "Fig. 9: no summary line" false
+    (List.mem "auto/full" (words fig9));
+  let fault =
+    Format.asprintf "%a" Experiments.Fault_cmp.print
+      (Experiments.Fault_cmp.run ~sites:2 e)
+  in
+  Alcotest.(check int) "fault: 2 stuck-at rows of 6 FAIL cells" 12
+    (fails fault);
+  let a5 = Format.asprintf "%t" (fun fmt ->
+      Experiments.Ablation.library_richness fmt e)
+  in
+  Alcotest.(check int) "A5: 2 rows of 5 FAIL cells" 10 (fails a5);
+  let failures = Engine.failures e in
+  Alcotest.(check int) "every failed job listed" 9 (List.length failures);
+  Alcotest.(check int) "and counted" 9 (Engine.stats e).Engine.failed;
+  List.iter2
+    (fun name m ->
+      Alcotest.(check bool) ("in request order: " ^ m) true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "synthesis job %s failed: " name) m))
+    [ "pctrl full"; "pctrl auto cached"; "pctrl manual cached";
+      "pctrl auto uncached"; "pctrl manual uncached"; "pctrl full";
+      "pctrl auto cached" ]
+    (List.filteri (fun i _ -> i < 7) failures)
+
 let test_determinism_disk_cache () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let cold = fig5_rows (Engine.create ~jobs:1 ~cache_dir:dir lib) in
   (* Fresh process-equivalent: new engine, same directory. *)
   let e = Engine.create ~jobs:1 ~cache_dir:dir lib in
@@ -500,7 +539,7 @@ let test_determinism_disk_cache () =
 let results_path dir = Filename.concat dir "results.jsonl"
 
 let test_cache_disk_roundtrip () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d = fsm_design 11 in
   let cold = Engine.create ~cache_dir:dir lib in
   let s = Engine.run cold [ Engine.job d ] in
@@ -520,7 +559,7 @@ let test_cache_disk_roundtrip () =
     [| "results.jsonl" |] (Sys.readdir dir)
 
 let test_cache_torn_tail () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let d = fsm_design 11 and d' = fsm_design 12 in
   ignore (Engine.run (Engine.create ~cache_dir:dir lib) [ Engine.job d ]);
   (* A kill mid-append leaves a torn final line: here, the first half of
@@ -550,7 +589,8 @@ let test_cache_torn_tail () =
 (* An engine that runs no job leaves a fresh cache dir absent, even when
    it is handed an empty batch. *)
 let test_cache_dir_idle_engine () =
-  let dir = Filename.concat (fresh_dir ()) "nested" in
+  with_dir @@ fun root ->
+  let dir = Filename.concat root "nested" in
   let e = Engine.create ~cache_dir:dir lib in
   Alcotest.(check int) "an empty batch" 0 (List.length (Engine.run e []));
   Alcotest.(check bool) "no directory left behind" false
@@ -591,7 +631,7 @@ let spoil_record dir i =
    recompiles exactly that job and appends a good record after the bad
    one, which then serves every later engine. *)
 let test_cache_corrupt_record () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let engine () = Engine.create ~jobs:1 ~cache_dir:dir lib in
   let cold = fig5_rows (engine ()) in
   spoil_record dir 2;
@@ -638,7 +678,7 @@ let warm_netlists dir jobs =
   (Engine.stats e).Engine.executed
 
 let test_netlists_journal_roundtrip () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let jobs =
     List.map Engine.job
       [ fsm_design 11; Workload.Rand_design.generate ~seed:5;
@@ -651,7 +691,7 @@ let test_netlists_journal_roundtrip () =
     (warm_netlists dir jobs)
 
 let test_netlists_spoiled_record () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let jobs = [ Engine.job (fsm_design 11) ] in
   ignore (Engine.netlists (Engine.create ~cache_dir:dir lib) jobs);
   spoil_record dir 0;
@@ -663,7 +703,7 @@ let test_netlists_spoiled_record () =
 (* Area keys are unchanged, so caches written before netlist jobs existed
    stay valid; a netlist job of the same design keys apart. *)
 let test_netlist_key () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let e = Engine.create ~cache_dir:dir lib in
   ignore (Engine.run e [ Engine.job (fsm_design 3) ]);
   ignore (Engine.netlists e [ Engine.job (fsm_design 3) ]);
@@ -702,6 +742,7 @@ let eval_cli args =
     cmd
 
 let test_cli_rejects_bad_values () =
+  with_dir @@ fun missing ->
   List.iter
     (fun args ->
       match eval_cli args with
@@ -710,7 +751,7 @@ let test_cli_rejects_bad_values () =
     [ [ "-j"; "-1" ]; [ "-j=-1" ]; [ "-j"; "two" ];
       (* A trace is written at exit, so a missing directory is refused
          at parse time. *)
-      [ "--trace"; Filename.concat (fresh_dir ()) "t.json" ] ];
+      [ "--trace"; Filename.concat missing "t.json" ] ];
   (* The range converter behind -j and ctrlgen's counts: both bounds are
      inclusive, and anything outside them or not an integer is refused. *)
   let parse = Cmdliner.Arg.conv_parser (Cli.range ~max:16 1) in
@@ -759,7 +800,7 @@ let test_cli_values () =
 (* Parsing the flags builds no engine, and building one touches no disk:
    a fresh --cache-dir is created by the engine's first job. *)
 let test_cli_term_creates_nothing () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   match eval_cli [ "--cache-dir"; dir ] with
   | Ok (`Ok c) ->
     Alcotest.(check bool) "parsing created nothing" false
@@ -866,6 +907,8 @@ let () =
             test_fresh_engines_share_nothing;
           Alcotest.test_case "failures stay on their engine" `Quick
             test_failures_stay_on_their_engine;
+          Alcotest.test_case "failed compiles print FAIL" `Quick
+            test_failed_compiles_print_fail;
           prop_sweep_cells_per_point;
           Alcotest.test_case "rejects ~jobs:0" `Quick
             test_engine_rejects_zero_jobs;

@@ -135,20 +135,7 @@ let journal dir = Filename.concat dir "results.jsonl"
 let store dir = Engine.create ~cache_dir:dir lib
 
 (* [f dir] on a fresh cache dir, removed afterwards. *)
-let with_dir =
-  let counter = ref 0 in
-  fun f ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "fault-test-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if Sys.file_exists (journal dir) then Sys.remove (journal dir);
-        if Sys.file_exists dir then Sys.rmdir dir)
-      (fun () -> f dir)
+let with_dir f = Temp_dir.with_dir "fault-test" f
 let records dir = Engine.Journal.load (journal dir)
 
 let rewrite_journal dir f =
