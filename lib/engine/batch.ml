@@ -11,7 +11,7 @@ let map ~jobs ~key ~settled ~settle f items =
         | None ->
           let p =
             match settled k with
-            | Some b -> `Settled b
+            | Some r -> `Settled r
             | None ->
               fresh := (k, x) :: !fresh;
               incr n;
@@ -23,8 +23,8 @@ let map ~jobs ~key ~settled ~settle f items =
   in
   let fresh = List.rev !fresh in
   let results = Array.of_list (Pool.map ~jobs (fun (_, x) -> f x) fresh) in
-  List.iteri (fun i (k, _) -> settle k results.(i)) fresh;
-  List.map (function `Settled b -> Ok b | `Fresh i -> results.(i)) plan
+  List.iteri (fun i (k, x) -> settle k x results.(i)) fresh;
+  List.map (function `Settled r -> r | `Fresh i -> results.(i)) plan
 
 (* The read rule for journal records: per key, the first payload that
    decodes. One that no longer decodes (foreign or corrupt journal) is

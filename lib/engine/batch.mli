@@ -9,17 +9,18 @@
 val map :
   jobs:int ->
   key:('a -> string) ->
-  settled:(string -> 'b option) ->
-  settle:(string -> ('b, Pool.error) result -> unit) ->
+  settled:(string -> ('b, Pool.error) result option) ->
+  settle:(string -> 'a -> ('b, Pool.error) result -> unit) ->
   ('a -> 'b) ->
   'a list ->
   ('b, Pool.error) result list
 (** [map ~jobs ~key ~settled ~settle f items] keys each item once. An
-    item runs only if [settled] has no answer for its key and no earlier
-    item had the same key: duplicates share one answer. The items that run
-    go through {!Pool.map} on [jobs] workers, and each fresh result goes
-    to [settle], in item order, before [map] returns. Results come back in
-    item order. *)
+    item runs only if [settled] has no answer for its key (a result or a
+    remembered error) and no earlier item had the same key: duplicates
+    share one answer. The items that run go through {!Pool.map} on [jobs]
+    workers, and each fresh result goes to [settle] with its key and item,
+    in item order, before [map] returns. Results come back in item
+    order. *)
 
 val first_good :
   decode:(string -> ('b, string) result) -> string list -> 'b option

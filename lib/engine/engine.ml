@@ -47,6 +47,7 @@ type t = {
   areas : Summary.t product;
   netlists : Synth.Flow.result product;
   loaded : (string, string) Hashtbl.t;
+  errors : (string, Pool.error) Hashtbl.t;  (* failed keys; never journaled *)
   mutable disk : disk;
   memo : Synth.Collapse.memo;
   mutable submitted : int;
@@ -102,7 +103,8 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
       { kind = ""; memory = Hashtbl.create 64; of_flow = Summary.of_flow;
         encode = (fun s -> Some (Summary.to_string s));
         decode = Summary.of_string };
-    netlists = netlist_product lib; loaded = Hashtbl.create 64; disk;
+    netlists = netlist_product lib; loaded = Hashtbl.create 64;
+    errors = Hashtbl.create 8; disk;
     memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
     failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0; failures = [] }
 
@@ -163,21 +165,32 @@ let failure_message j e =
   Printf.sprintf "synthesis job %s failed: %s" j.jname (Pool.error_message e)
 
 (* A job neither settled in the cache nor coalesced with an earlier one
-   compiles; its product comes back with the compile's own time. *)
+   compiles; its product comes back with the compile's own time. A failed
+   key is remembered in memory, so a repeat request gets the same [Error]
+   as a memory hit and is listed in {!failures} once. *)
 let submit t p jobs =
   if jobs <> [] then open_dir t;
   let t0 = now () in
   t.submitted <- t.submitted + List.length jobs;
   let settled key =
-    if t.no_cache then None else Option.map (fun v -> (v, 0.0)) (find t p key)
+    if t.no_cache then None
+    else
+      match Hashtbl.find_opt t.errors key with
+      | Some e ->
+        Obs.Metrics.incr m_mem_hits;
+        Some (Error e)
+      | None -> Option.map (fun v -> Ok (v, 0.0)) (find t p key)
   in
-  let settle key r =
+  let settle key j r =
     t.executed <- t.executed + 1;
     match r with
     | Ok (v, dt) ->
       t.cpu_s <- t.cpu_s +. dt;
       if not t.no_cache then store t p key v
-    | Error _ -> t.failed <- t.failed + 1
+    | Error e ->
+      t.failed <- t.failed + 1;
+      t.failures <- failure_message j e :: t.failures;
+      if not t.no_cache then Hashtbl.replace t.errors key e
   in
   let compile j =
     Obs.Span.with_span ~args:[ ("job", Obs.Span.Str j.jname) ] "engine.job"
@@ -193,14 +206,7 @@ let submit t p jobs =
       ~settled ~settle compile jobs
   in
   t.wall_s <- t.wall_s +. (now () -. t0);
-  List.map2
-    (fun j r ->
-      match r with
-      | Ok (v, _) -> Ok v
-      | Error e ->
-        t.failures <- failure_message j e :: t.failures;
-        Error e)
-    jobs outcomes
+  List.map (Result.map fst) outcomes
 
 let run t jobs = submit t t.areas jobs
 let netlists t jobs = submit t t.netlists jobs

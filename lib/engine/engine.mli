@@ -95,7 +95,9 @@ val create :
 
 val run : t -> job list -> outcome list
 (** Area summaries, in request order. Never raises on job failure; each
-    failed slot's message is recorded for {!failures}. *)
+    failed job's message is recorded for {!failures}. A failed key stays
+    in memory (not in the journal, and not under [no_cache]): a repeat
+    request gets the same [Error] as a memory hit. *)
 
 val netlists : t -> job list -> (Synth.Flow.result, Pool.error) result list
 (** {!run}, returning each job's whole flow result. *)
@@ -104,9 +106,10 @@ val failure_message : job -> Pool.error -> string
 (** ["synthesis job NAME failed: REASON"]. *)
 
 val failures : t -> string list
-(** The {!failure_message} of every failed slot this engine has run, in
-    request order across calls: a front-end prints them and exits
-    nonzero. *)
+(** The {!failure_message} of every job this engine has run that failed,
+    in request order across calls: a front-end prints them and exits
+    nonzero. A failed key is listed once (under [no_cache], once per
+    batch that runs it). *)
 
 val jobs : t -> int
 (** The worker count the engine was created with. *)

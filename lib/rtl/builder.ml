@@ -34,15 +34,12 @@ let output b name e =
 
 let reg_declare b ?(reset = Design.Sync_reset) ?init ?(is_config = false) name
     ~width =
-  if Hashtbl.mem b.regs name then
-    invalid_arg ("Builder.reg_declare: duplicate register " ^ name);
   let q = Signal.make name width in
   let init = Option.value init ~default:(Bitvec.zero width) in
   let preg =
-    { Design.q; d = Expr.signal q (* placeholder: hold *) ; reset; init;
-      enable = None; is_config = false }
+    { Design.q; d = Expr.signal q (* placeholder: hold *); reset; init;
+      enable = None; is_config }
   in
-  let preg = { preg with is_config } in
   Hashtbl.add b.regs name { preg; connected = false };
   b.reg_order <- b.reg_order @ [ name ];
   Expr.signal q
@@ -61,10 +58,7 @@ let reg b ?reset ?init ?enable name ~d =
   reg_connect b ?enable name d;
   q
 
-let add_table b table =
-  if List.exists (fun (t : Design.table) -> t.tname = table.Design.tname) b.tables
-  then invalid_arg ("Builder: duplicate table " ^ table.Design.tname);
-  b.tables <- b.tables @ [ table ]
+let add_table b table = b.tables <- b.tables @ [ table ]
 
 let rom b name ~width contents =
   add_table b
@@ -91,9 +85,5 @@ let finish b =
         p.preg)
       b.reg_order
   in
-  let d =
-    { Design.name = b.name; inputs = b.inputs; outputs = b.outputs;
-      nets = b.nets; regs; tables = b.tables; annots = b.annots }
-  in
-  Design.validate d;
-  d
+  Design.make ~name:b.name ~inputs:b.inputs ~outputs:b.outputs ~nets:b.nets
+    ~regs ~tables:b.tables ~annots:b.annots

@@ -58,5 +58,7 @@ val read_table : t -> string -> Expr.t -> Expr.t
 val annotate : t -> Annot.t -> unit
 
 val finish : t -> Design.t
-(** Assembles and {!Design.validate}s the design.
-    @raise Invalid_argument on dangling registers or validation failure. *)
+(** Assembles the design through {!Design.make}, which reports every
+    design-level error (duplicate registers and tables among them).
+    @raise Invalid_argument on dangling registers or a design {!Design.make}
+    refuses. *)

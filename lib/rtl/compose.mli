@@ -14,8 +14,8 @@ val instantiate :
   Expr.t
 (** [instantiate b ~name sub ~inputs] splices [sub] into [b] with every
     signal/table renamed to ["<name>_<original>"]. [inputs] must bind every
-    input port of [sub] (width-checked). The returned function maps an
-    output port name of [sub] to its expression in the parent.
+    input port of [sub]; {!Builder.finish} checks their widths. The
+    returned function maps an output port name of [sub] to its expression
+    in the parent.
 
-    @raise Invalid_argument on missing/extra input bindings or width
-    mismatch. *)
+    @raise Invalid_argument on missing/extra input bindings. *)

@@ -97,82 +97,94 @@ let net_order d =
   in
   rounds []
 
-let validate d =
+(* ROM contents must match the declared geometry. *)
+let check_rom d t contents =
+  if Array.length contents <> t.depth then
+    fail "Design %s: table %s has %d entries, declared depth %d" d.name t.tname
+      (Array.length contents) t.depth;
+  Array.iter
+    (fun v ->
+      if Bitvec.width v <> t.twidth then
+        fail "Design %s: table %s entry width mismatch" d.name t.tname)
+    contents
+
+(* [width_of n] is the width of the signal named [n], if one is defined. *)
+let check_annot d width_of (a : Annot.t) =
+  match width_of a.target with
+  | None -> fail "Design %s: annotation targets unknown signal %s" d.name a.target
+  | Some w ->
+    if Annot.signal_width a <> w then
+      fail "Design %s: annotation on %s has width %d (signal is %d)" d.name
+        a.target (Annot.signal_width a) w
+
+let make ~name ~inputs ~outputs ~nets ~regs ~tables ~annots =
+  let d = { name; inputs; outputs; nets; regs; tables; annots } in
+  if not (Signal.is_atom d.name) then
+    fail "Design name %S is not a valid name atom" d.name;
   (* Unique names. *)
-  let all = defined_signals d in
   let seen = Hashtbl.create 64 in
   List.iter
     (fun (s : Signal.t) ->
       if Hashtbl.mem seen s.name then fail "Design %s: duplicate signal %s" d.name s.name;
       Hashtbl.add seen s.name s.width)
-    all;
+    (defined_signals d);
+  let tables = Hashtbl.create 8 in
   List.iter
     (fun t ->
+      if not (Signal.is_atom t.tname) then
+        fail "Design %s: table name %S is not a valid name atom" d.name t.tname;
       if Hashtbl.mem seen t.tname then
         fail "Design %s: table name %s collides with a signal" d.name t.tname;
+      if Hashtbl.mem tables t.tname then
+        fail "Design %s: duplicate table %s" d.name t.tname;
+      if t.twidth <= 0 || t.depth <= 0 then
+        fail "Design %s: table %s needs a positive width and depth" d.name t.tname;
+      Hashtbl.add tables t.tname t;
       match t.storage with
-      | Rom contents ->
-        if Array.length contents <> t.depth then
-          fail "Design %s: table %s has %d entries, declared depth %d" d.name
-            t.tname (Array.length contents) t.depth;
-        Array.iter
-          (fun v ->
-            if Bitvec.width v <> t.twidth then
-              fail "Design %s: table %s entry width mismatch" d.name t.tname)
-          contents
+      | Rom contents -> check_rom d t contents
       | Config -> ())
     d.tables;
-  (* References and widths. *)
-  let check_expr ctx e =
-    Expr.fold_signals
-      (fun s () ->
-        match Hashtbl.find_opt seen s.Signal.name with
-        | None -> fail "Design %s: %s references undefined signal %s" d.name ctx s.Signal.name
-        | Some w ->
-          if w <> s.Signal.width then
-            fail "Design %s: %s references %s with width %d (declared %d)"
-              d.name ctx s.Signal.name s.Signal.width w)
-      e ();
-    Expr.fold_tables
-      (fun name () ->
-        match List.find_opt (fun t -> t.tname = name) d.tables with
-        | None -> fail "Design %s: %s reads undeclared table %s" d.name ctx name
-        | Some _ -> ())
-      e ();
-    (* Table read geometry. *)
-    let rec geom e =
-      match e with
-      | Expr.Table_read { table; addr; width } ->
-        let t = find_table d table in
-        if width <> t.twidth then
-          fail "Design %s: %s reads table %s at width %d (declared %d)" d.name
-            ctx table width t.twidth;
-        if Expr.width addr <> addr_bits t then
-          fail "Design %s: %s addresses table %s with %d bits (needs %d)"
-            d.name ctx table (Expr.width addr) (addr_bits t);
-        geom addr
-      | Expr.Const _ | Expr.Signal _ -> ()
-      | Expr.Unop (_, a) -> geom a
-      | Expr.Binop (_, a, b) -> geom a; geom b
-      | Expr.Mux (s, a, b) -> geom s; geom a; geom b
-      | Expr.Concat es -> List.iter geom es
-      | Expr.Slice { e; _ } -> geom e
-    in
-    geom e
+  (* References, widths and table read geometry. *)
+  let rec check_expr ctx (e : Expr.t) =
+    match e with
+    | Signal s ->
+      (match Hashtbl.find_opt seen s.name with
+       | None -> fail "Design %s: %s references undefined signal %s" d.name ctx s.name
+       | Some w ->
+         if w <> s.width then
+           fail "Design %s: %s references %s with width %d (declared %d)"
+             d.name ctx s.name s.width w)
+    | Table_read { table; addr; width } ->
+      (match Hashtbl.find_opt tables table with
+       | None -> fail "Design %s: %s reads undeclared table %s" d.name ctx table
+       | Some t ->
+         if width <> t.twidth then
+           fail "Design %s: %s reads table %s at width %d (declared %d)" d.name
+             ctx table width t.twidth;
+         if Expr.width addr <> addr_bits t then
+           fail "Design %s: %s addresses table %s with %d bits (needs %d)"
+             d.name ctx table (Expr.width addr) (addr_bits t));
+      check_expr ctx addr
+    | Const _ -> ()
+    | Unop (_, a) | Slice { e = a; _ } -> check_expr ctx a
+    | Binop (_, a, b) -> check_expr ctx a; check_expr ctx b
+    | Mux (s, a, b) -> check_expr ctx s; check_expr ctx a; check_expr ctx b
+    | Concat es -> List.iter (check_expr ctx) es
   in
+  let driven kind ((s : Signal.t), e) =
+    check_expr (kind ^ " " ^ s.name) e;
+    if Expr.width e <> s.width then
+      fail "Design %s: %s %s width %d driven at width %d" d.name kind s.name
+        s.width (Expr.width e)
+  in
+  List.iter (driven "net") d.nets;
+  let outputs = Hashtbl.create 8 in
   List.iter
-    (fun ((s : Signal.t), e) ->
-      check_expr ("net " ^ s.name) e;
-      if Expr.width e <> s.width then
-        fail "Design %s: net %s width %d driven at width %d" d.name s.name
-          s.width (Expr.width e))
-    d.nets;
-  List.iter
-    (fun ((s : Signal.t), e) ->
-      check_expr ("output " ^ s.name) e;
-      if Expr.width e <> s.width then
-        fail "Design %s: output %s width %d driven at width %d" d.name s.name
-          s.width (Expr.width e))
+    (fun (((s : Signal.t), _) as o) ->
+      if Hashtbl.mem outputs s.name then
+        fail "Design %s: duplicate output %s" d.name s.name;
+      Hashtbl.add outputs s.name ();
+      driven "output" o)
     d.outputs;
   List.iter
     (fun r ->
@@ -188,29 +200,14 @@ let validate d =
             fail "Design %s: register %s enable must be 1 bit" d.name r.q.Signal.name)
         r.enable)
     d.regs;
-  (* Annotations. *)
-  List.iter
-    (fun (a : Annot.t) ->
-      match Hashtbl.find_opt seen a.target with
-      | None -> fail "Design %s: annotation targets unknown signal %s" d.name a.target
-      | Some w ->
-        if Annot.signal_width a <> w then
-          fail "Design %s: annotation on %s has width %d (signal is %d)" d.name
-            a.target (Annot.signal_width a) w)
-    d.annots;
+  List.iter (check_annot d (Hashtbl.find_opt seen)) d.annots;
   (* Cycle check. *)
-  ignore (net_order d)
+  ignore (net_order d);
+  d
 
 let with_rom_contents d name contents =
   let t = find_table d name in
-  if Array.length contents <> t.depth then
-    fail "with_rom_contents: %s expects %d entries, got %d" name t.depth
-      (Array.length contents);
-  Array.iter
-    (fun v ->
-      if Bitvec.width v <> t.twidth then
-        fail "with_rom_contents: %s entry width mismatch" name)
-    contents;
+  check_rom d t contents;
   let tables =
     List.map
       (fun u -> if u.tname = name then { u with storage = Rom contents } else u)
@@ -232,7 +229,13 @@ let config_bit_count d =
   in
   table_bits + reg_bits
 
-let add_annots d annots = { d with annots = d.annots @ annots }
+let add_annots d annots =
+  let widths = Hashtbl.create 64 in
+  List.iter
+    (fun (s : Signal.t) -> Hashtbl.replace widths s.name s.width)
+    (defined_signals d);
+  List.iter (check_annot d (Hashtbl.find_opt widths)) annots;
+  { d with annots = d.annots @ annots }
 
 let stats d =
   Printf.sprintf

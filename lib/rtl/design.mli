@@ -45,7 +45,7 @@ type table = {
 val addr_bits : table -> int
 (** ceil(log2 depth), minimum 1. *)
 
-type t = {
+type t = private {
   name : string;
   inputs : Signal.t list;
   outputs : (Signal.t * Expr.t) list;
@@ -55,12 +55,20 @@ type t = {
   annots : Annot.t list;
 }
 
-val validate : t -> unit
-(** Checks: unique names across inputs/nets/registers; all referenced signals
-    defined; net/output/register driver widths match; table reads reference
-    declared tables with the right address width; ROM contents match the
-    declared geometry; no combinational cycles through nets; annotation
-    targets exist with matching width.
+val make :
+  name:string ->
+  inputs:Signal.t list ->
+  outputs:(Signal.t * Expr.t) list ->
+  nets:(Signal.t * Expr.t) list ->
+  regs:reg list ->
+  tables:table list ->
+  annots:Annot.t list ->
+  t
+(** The one design check, and the only way to build a [t]: every name is
+    a {!Signal.is_atom}; signal, table and output names are each unique
+    (outputs have their own namespace); every reference is defined at its
+    width, and drivers, table reads, ROM contents and annotations match
+    their declarations; nets have no combinational cycle.
     @raise Invalid_argument with a descriptive message on violation. *)
 
 val find_table : t -> string -> table
@@ -70,11 +78,11 @@ val find_reg : t -> string -> reg
 (** @raise Not_found *)
 
 val net_order : t -> (Signal.t * Expr.t) list
-(** Nets in topological (driver-before-use) order.
-    @raise Invalid_argument on a combinational cycle. *)
+(** Nets in topological (driver-before-use) order. *)
 
 val with_rom_contents : t -> string -> Bitvec.t array -> t
-(** Replace the storage of the named table (typically [Config] → [Rom]).
+(** Replace the storage of the named table (typically [Config] → [Rom]),
+    checking the contents with {!make}'s ROM-geometry rule.
     @raise Invalid_argument if geometry does not match, [Not_found] if there
     is no such table. *)
 
@@ -83,6 +91,8 @@ val config_bit_count : t -> int
     registers). *)
 
 val add_annots : t -> Annot.t list -> t
+(** Appends annotations, checking each with {!make}'s annotation rule.
+    @raise Invalid_argument if a target is unknown or of another width. *)
 
 val stats : t -> string
 (** One-line human-readable summary. *)

@@ -37,9 +37,8 @@ let rec compile ~read ~values (slots : (string, int) Hashtbl.t) e =
   match (e : Expr.t) with
   | Const v -> fun () -> v
   | Signal s ->
-    (match Hashtbl.find_opt slots s.name with
-     | Some i -> fun () -> values.(i)
-     | None -> fun () -> invalid_arg ("Eval: use of undriven signal " ^ s.name))
+    let i = Hashtbl.find slots s.name in
+    fun () -> values.(i)
   | Unop (Not, a) -> unop Bitvec.lognot a
   | Unop (Red_and, a) -> unop (fun v -> bool_bv (Bitvec.reduce_and v)) a
   | Unop (Red_or, a) -> unop (fun v -> bool_bv (Bitvec.reduce_or v)) a
@@ -61,32 +60,19 @@ let rec compile ~read ~values (slots : (string, int) Hashtbl.t) e =
   | Slice { e; hi; lo } -> unop (fun v -> Bitvec.slice v ~hi ~lo) e
   | Table_read { table; addr; _ } -> unop (read table) addr
 
-(* One reader per table, resolved at creation. An unbound configuration
+(* One reader per ROM, resolved at creation. An unbound configuration
    table still raises when (and every time) a cycle actually reads it. *)
-let table_readers (d : Design.t) config =
+let table_readers (d : Design.t) =
   let readers = Hashtbl.create 8 in
   List.iter
     (fun (t : Design.table) ->
-      let bound contents =
-        let zero = Bitvec.zero t.twidth in
-        fun addr ->
-          let idx = Bitvec.to_int addr in
-          if idx < Array.length contents then contents.(idx) else zero
-      in
       match t.storage with
-      | Design.Rom contents -> Hashtbl.replace readers t.tname (bound contents)
-      | Design.Config ->
-        (match List.assoc_opt t.tname config with
-         | Some contents ->
-           if Array.length contents <> t.depth then
-             invalid_arg ("Eval.create: config size mismatch for " ^ t.tname);
-           Array.iter
-             (fun v ->
-               if Bitvec.width v <> t.twidth then
-                 invalid_arg ("Eval.create: config width mismatch for " ^ t.tname))
-             contents;
-           Hashtbl.replace readers t.tname (bound contents)
-         | None -> ()))
+      | Design.Rom contents ->
+        let zero = Bitvec.zero t.twidth in
+        Hashtbl.replace readers t.tname (fun addr ->
+            let idx = Bitvec.to_int addr in
+            if idx < Array.length contents then contents.(idx) else zero)
+      | Design.Config -> ())
     d.tables;
   fun name ->
     match Hashtbl.find_opt readers name with
@@ -95,8 +81,17 @@ let table_readers (d : Design.t) config =
       fun _ -> invalid_arg ("Eval: reading unbound configuration table " ^ name)
 
 let create ?(config = []) (d : Design.t) =
-  Design.validate d;
-  let read = table_readers d config in
+  (* A bound configuration table reads like a ROM; [with_rom_contents]
+     checks the caller's contents against its geometry. *)
+  let d =
+    List.fold_left
+      (fun d (t : Design.table) ->
+        match (t.storage, List.assoc_opt t.tname config) with
+        | Design.Config, Some contents -> Design.with_rom_contents d t.tname contents
+        | _ -> d)
+      d d.tables
+  in
+  let read = table_readers d in
   let ordered_nets = Design.net_order d in
   let signals =
     Array.of_list
@@ -129,9 +124,7 @@ let create ?(config = []) (d : Design.t) =
   in
   let outputs = Hashtbl.create 8 in
   List.iter
-    (fun ((s : Signal.t), e) ->
-      if not (Hashtbl.mem outputs s.name) then
-        Hashtbl.replace outputs s.name (compile e))
+    (fun ((s : Signal.t), e) -> Hashtbl.replace outputs s.name (compile e))
     d.outputs;
   Obs.Metrics.incr m_instances;
   { slots; values; num_inputs; nets; regs; outputs; valid = false; rst = false }

@@ -19,7 +19,9 @@ type state
 val create : ?config:(string * Bitvec.t array) list -> Design.t -> state
 (** Fresh state: registers hold their [init] values, inputs are zero.
     [config] binds the contents of [Config] tables; reading an unbound
-    configuration table raises [Invalid_argument]. *)
+    configuration table raises [Invalid_argument].
+    @raise Invalid_argument if bound contents do not match their table's
+    geometry ({!Design.with_rom_contents}). *)
 
 val set_input : state -> string -> Bitvec.t -> unit
 (** @raise Invalid_argument on unknown port or wrong width. *)

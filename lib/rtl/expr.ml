@@ -87,28 +87,23 @@ let rec fold_signals f e acc =
   | Slice { e; _ } -> fold_signals f e acc
   | Table_read { addr; _ } -> fold_signals f addr acc
 
-let rec fold_tables f e acc =
-  match e with
-  | Const _ | Signal _ -> acc
-  | Unop (_, a) -> fold_tables f a acc
-  | Binop (_, a, b) -> fold_tables f a (fold_tables f b acc)
-  | Mux (s, a, b) -> fold_tables f s (fold_tables f a (fold_tables f b acc))
-  | Concat es -> List.fold_left (fun acc e -> fold_tables f e acc) acc es
-  | Slice { e; _ } -> fold_tables f e acc
-  | Table_read { table; addr; _ } -> f table (fold_tables f addr acc)
-
+(* A leaf keeps its width, so every node above it stays well-formed. *)
 let rec map_leaves ~signal ~table e =
   let recur = map_leaves ~signal ~table in
+  let leaf w e' =
+    if width e' <> w then invalid_arg "Expr.map_leaves: a leaf changes width";
+    e'
+  in
   match e with
   | Const _ -> e
-  | Signal s -> signal s
+  | Signal s -> leaf s.width (signal s)
   | Unop (op, a) -> Unop (op, recur a)
   | Binop (op, a, b) -> Binop (op, recur a, recur b)
   | Mux (s, a, b) -> Mux (recur s, recur a, recur b)
   | Concat es -> Concat (List.map recur es)
   | Slice { e; hi; lo } -> Slice { e = recur e; hi; lo }
   | Table_read { table = name; addr; width } ->
-    table name (recur addr) width
+    leaf width (table name (recur addr) width)
 
 let bool_bv b = if b then Bitvec.ones 1 else Bitvec.zero 1
 

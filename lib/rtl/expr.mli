@@ -2,14 +2,15 @@
 
     Word-level combinational expressions. Every expression has a width
     computable by {!width}; the smart constructors check operand widths and
-    raise [Invalid_argument] on mismatch, so a constructed expression is
-    always well-formed. *)
+    slice ranges and raise [Invalid_argument] on a mismatch. The type is
+    private, so they are the only way to build one and every [t] is
+    well-formed: consumers match on it and never check widths again. *)
 
 type unop = Not | Red_and | Red_or | Red_xor
 
 type binop = And | Or | Xor | Add | Sub | Eq | Ne | Ult
 
-type t =
+type t = private
   | Const of Bitvec.t
   | Signal of Signal.t
   | Unop of unop * t
@@ -61,14 +62,13 @@ val select : t -> (int * t) list -> default:t -> t
 (** {1 Traversal} *)
 
 val fold_signals : (Signal.t -> 'a -> 'a) -> t -> 'a -> 'a
-val fold_tables : (string -> 'a -> 'a) -> t -> 'a -> 'a
 
 val map_leaves :
   signal:(Signal.t -> t) -> table:(string -> t -> int -> t) -> t -> t
 (** [map_leaves ~signal ~table e] rebuilds [e], replacing every signal leaf
-    via [signal] and every table read via [table name addr width]. Width
-    correctness of the substitution is the caller's burden (checked by the
-    smart constructors). *)
+    via [signal] and every table read via [table name addr width].
+    @raise Invalid_argument if a replacement has another width than its
+    leaf: then the result is well-formed like every other [t]. *)
 
 val eval : (Signal.t -> Bitvec.t) -> (string -> Bitvec.t -> Bitvec.t) -> t -> Bitvec.t
 (** [eval lookup read_table e] — direct interpreter. *)

@@ -59,22 +59,10 @@ let parse_sexp text =
 
 (* --------------------------------------------------------------- writing *)
 
-(* A name the reader would split or drop (see [parse_sexp]) would not read
-   back as itself, and two designs could then share one engine key. *)
-let name_atom n =
-  if
-    n = ""
-    || String.exists
-         (function ' ' | '\t' | '\n' | '\r' | '(' | ')' | ';' -> true | _ -> false)
-         n
-  then
-    invalid_arg (Printf.sprintf "Serialize.write: %S is not a valid name atom" n);
-  n
-
 let write (d : Design.t) =
   let b = Buffer.create 4096 in
   let add = Buffer.add_string b and sp () = Buffer.add_char b ' ' in
-  let name n = add (name_atom n) in
+  let name = add in
   (* Digits by hand: [string_of_int] is a formatted C call, and every
      signal reference carries a width. *)
   let rec digits i =
@@ -162,8 +150,8 @@ let parse_bv = function
      | Some i when i + 1 < String.length a && a.[i + 1] = 'b' ->
        let bits = String.sub a (i + 2) (String.length a - i - 2) in
        let v = Bitvec.of_binary_string bits in
-       let w = int_of_string (String.sub a 0 i) in
-       if Bitvec.width v <> w then fail "bit vector width mismatch in %s" a;
+       if int_of_string_opt (String.sub a 0 i) <> Some (Bitvec.width v) then
+         fail "bit vector width mismatch in %s" a;
        v
      | _ -> fail "expected bit vector, got %s" a)
   | List _ -> fail "expected bit vector atom"
@@ -212,13 +200,7 @@ let section name = function
   | List (Atom n :: rest) when n = name -> rest
   | s -> fail "expected (%s ...), got %a" name pp_sexp s
 
-let read text =
-  let d =
-    match parse_sexp text with
-    | List (Atom "design" :: sections) -> sections
-    | _ -> fail "expected (design ...)"
-  in
-  match d with
+let design_of_sections = function
   | [ name_s; inputs_s; nets_s; regs_s; tables_s; outputs_s; annots_s ] ->
     let name =
       match section "name" name_s with
@@ -256,7 +238,10 @@ let read text =
               reset = parse_reset r;
               init = parse_bv iv;
               enable;
-              is_config = bool_of_string cfg;
+              is_config =
+                (match bool_of_string_opt cfg with
+                 | Some b -> b
+                 | None -> fail "bad config flag %s" cfg);
             }
           | s -> fail "bad register %a" pp_sexp s)
         (section "regs" regs_s)
@@ -295,11 +280,15 @@ let read text =
           | s -> fail "bad annotation %a" pp_sexp s)
         (section "annots" annots_s)
     in
-    let design =
-      { Design.name; inputs; outputs; nets; regs; tables; annots }
-    in
-    (try Design.validate design with Invalid_argument m -> fail "%s" m);
-    design
+    Design.make ~name ~inputs ~outputs ~nets ~regs ~tables ~annots
   | _ -> fail "design must have name/inputs/nets/regs/tables/outputs/annots"
+
+(* The one reader boundary: every constructor's refusal ([Signal], [Expr],
+   [Annot], [Design.make]) becomes a parse error. *)
+let read text =
+  match parse_sexp text with
+  | List (Atom "design" :: sections) -> (
+    try design_of_sections sections with Invalid_argument m -> fail "%s" m)
+  | _ -> fail "expected (design ...)"
 
 let of_file path = read (In_channel.with_open_text path In_channel.input_all)

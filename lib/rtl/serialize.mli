@@ -24,14 +24,15 @@
     same atoms reads back too. *)
 
 val write : Design.t -> string
-(** @raise Invalid_argument on a name that is empty or contains
-    whitespace, [(], [)] or [;]: such a name would not read back as itself. *)
+(** Total: every name in a {!Design.t} is a {!Signal.is_atom}, so it reads
+    back as itself. *)
 
 exception Parse_error of string
 
 val read : string -> Design.t
-(** Parses and {!Design.validate}s.
-    @raise Parse_error on syntax errors and on designs that do not
-    validate (the message is {!Design.validate}'s). *)
+(** Parses, building every value through its checked constructor, and
+    {!Design.make} last.
+    @raise Parse_error on syntax errors and on any constructor's refusal
+    (with its message); no other exception escapes. *)
 
 val of_file : string -> Design.t

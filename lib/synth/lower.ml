@@ -23,7 +23,6 @@ let rec mux_tree g (addr : Aig.lit array) leaf pos base =
   end
 
 let run (d : Rtl.Design.t) =
-  Rtl.Design.validate d;
   let g = Aig.create () in
   let signals = Hashtbl.create 64 in
   (* Inputs. *)

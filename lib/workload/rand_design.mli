@@ -3,7 +3,7 @@
     Generates small sequential designs exercising every IR construct:
     word-level operators, slices/concats, muxes, registers with all three
     reset styles (with and without enables), and ROM tables. The generator
-    only produces valid designs ({!Rtl.Design.validate} passes by
+    only produces valid designs ({!Rtl.Design.make} accepts them by
     construction), so any downstream failure is a tool bug, not a workload
     bug.
 

@@ -13,6 +13,12 @@ let fsm_design seed =
     (Core.Fsm_ir.to_flexible_rtl ~annotate:true fsm)
     (Core.Fsm_ir.config_bindings fsm)
 
+(* A job that fails in the flow: collapse takes a cap in 0..16. *)
+let bad_job seed =
+  Engine.job
+    ~options:{ Synth.Flow.default with collapse_cap = 17 }
+    (fsm_design seed)
+
 (* [f dir] on a fresh cache dir, removed afterwards. *)
 let with_dir f = Temp_dir.with_dir "engine-test" f
 
@@ -216,7 +222,7 @@ let test_batch_error_rows () =
   (match
      Engine.Batch.map ~jobs:2 ~key:string_of_int
        ~settled:(fun _ -> None)
-       ~settle:(fun k r -> if Result.is_error r then failed := k :: !failed)
+       ~settle:(fun k _ r -> if Result.is_error r then failed := k :: !failed)
        f [ 1; 2; 3; 4 ]
    with
    | [ Ok 10; Ok 20; Error _; Ok 40 ] -> ()
@@ -235,8 +241,8 @@ let test_batch_map_coalesces () =
   let settled_keys = ref [] in
   let results =
     Engine.Batch.map ~jobs:2 ~key:string_of_int
-      ~settled:(fun k -> if k = "7" then Some 700 else None)
-      ~settle:(fun k r ->
+      ~settled:(fun k -> if k = "7" then Some (Ok 700) else None)
+      ~settle:(fun k _ r ->
         settled_keys := k :: !settled_keys;
         if Result.is_error r then Alcotest.failf "item %s failed" k)
       f [ 3; 1; 3; 7; 1; 3; 7; 5 ]
@@ -310,10 +316,8 @@ let test_engine_coalesces_and_isolates () =
   let s = Engine.stats e in
   Alcotest.(check int) "still executed once" 1 s.Engine.executed;
   Alcotest.(check int) "memory hit" 3 s.Engine.mem_hits;
-  (* A malformed design (nets referencing inputs that are gone) crashes its
-     own job during lowering and nothing else. *)
-  let bad_design = { d with Rtl.Design.inputs = [] } in
-  let outcomes = Engine.run e [ Engine.job bad_design; Engine.job d ] in
+  (* Options collapse refuses crash their own job and nothing else. *)
+  let outcomes = Engine.run e [ bad_job 13; Engine.job d ] in
   (match outcomes with
    | [ Error (Engine.Pool.Exn _); Ok _ ] -> ()
    | [ Error e1; _ ] ->
@@ -357,13 +361,10 @@ let test_fresh_engines_share_nothing () =
         (s.Engine.submitted, 0) (s.Engine.executed, s.Engine.mem_hits))
     [ Engine.create lib; Engine.create lib ]
 
-let bad_job seed =
-  Engine.job { (fsm_design seed) with Rtl.Design.inputs = [] }
-
 let test_sweep_degrades_gracefully () =
-  (* A sweep whose every job crashes (malformed designs: nets reference
-     inputs that are gone) still yields a full row list of error cells and
-     records each failure, instead of aborting on the first one. *)
+  (* A sweep whose every job crashes (options collapse refuses) still
+     yields a full row list of error cells and records each failure,
+     instead of aborting on the first one. *)
   let e = Engine.create ~jobs:1 lib in
   let res =
     List.concat_map snd
@@ -390,8 +391,8 @@ let test_sweep_degrades_gracefully () =
 
 (* [Exp_common.sweep] over points of 0–3 jobs each, good designs mixed
    with failing ones: every point gets back its own cells in job order,
-   failures stay in their slots and [Engine.failures] lists them in slot
-   order, and the engine counts every job once. *)
+   failures stay in their slots and [Engine.failures] lists each failed
+   job once, in slot order, and the engine counts every job once. *)
 let prop_sweep_cells_per_point =
   let good =
     Array.init 3 (fun seed ->
@@ -453,7 +454,12 @@ let prop_sweep_cells_per_point =
              && List.for_all2 cell_ok slots cells)
            points swept
       && Engine.failures e
-         = List.filter_map (function Error m -> Some m | Ok _ -> None) cells
+         = List.fold_left
+             (fun seen c ->
+               match c with
+               | Error m when not (List.mem m seen) -> seen @ [ m ]
+               | _ -> seen)
+             [] cells
       && (Engine.stats e).submitted = List.length (List.concat_map snd points))
 
 (* Failures belong to the engine that ran them: two failing jobs list two
@@ -475,6 +481,32 @@ let test_failures_stay_on_their_engine () =
     [ bad_job 19; bad_job 23 ] failures;
   Alcotest.(check (list string)) "the other engine saw none" []
     (Engine.failures other)
+
+(* A failed key is remembered in memory: a repeat request, in the same
+   batch or a later one, gets the same error as a memory hit, compiles
+   nothing and is listed once; the journal keeps no record of it. Under
+   [no_cache] every batch that asks compiles it again. *)
+let test_failed_job_remembered () =
+  with_dir @@ fun dir ->
+  let e = Engine.create ~jobs:2 ~cache_dir:dir lib in
+  let first = Engine.run e [ bad_job 19; Engine.job (fsm_design 5); bad_job 19 ] in
+  let again = Engine.run e [ bad_job 19 ] in
+  (match first @ again with
+   | [ Error a; Ok _; Error b; Error c ] when a = b && b = c -> ()
+   | _ -> Alcotest.fail "expected one shared error");
+  let s = Engine.stats e in
+  Alcotest.(check (list int)) "executed, failed, memory hits" [ 2; 1; 2 ]
+    [ s.Engine.executed; s.Engine.failed; s.Engine.mem_hits ];
+  Alcotest.(check int) "listed once" 1 (List.length (Engine.failures e));
+  Alcotest.(check int) "only the good job journaled" 1
+    (List.length
+       (Engine.Journal.load (Filename.concat dir "results.jsonl")));
+  let nc = Engine.create ~no_cache:true lib in
+  ignore (Engine.run nc [ bad_job 19 ]);
+  ignore (Engine.run nc [ bad_job 19 ]);
+  let s = Engine.stats nc in
+  Alcotest.(check (list int)) "no_cache: executed, failed" [ 2; 2 ]
+    [ s.Engine.executed; s.Engine.failed ]
 
 (* One failure path: over a library without its inverter every compile
    fails in mapping, and Fig. 9, the fault comparison and A5 still print
@@ -510,18 +542,21 @@ let test_failed_compiles_print_fail () =
       Experiments.Ablation.library_richness fmt e)
   in
   Alcotest.(check int) "A5: 2 rows of 5 FAIL cells" 10 (fails a5);
+  (* The fault comparison asks again for two of Fig. 9's failed netlists:
+     the engine remembers them, so each failed job is listed once. *)
   let failures = Engine.failures e in
-  Alcotest.(check int) "every failed job listed" 9 (List.length failures);
-  Alcotest.(check int) "and counted" 9 (Engine.stats e).Engine.failed;
+  Alcotest.(check int) "every failed job listed once" 7
+    (List.length failures);
+  Alcotest.(check int) "and counted once" 7 (Engine.stats e).Engine.failed;
   List.iter2
     (fun name m ->
       Alcotest.(check bool) ("in request order: " ^ m) true
         (String.starts_with
            ~prefix:(Printf.sprintf "synthesis job %s failed: " name) m))
     [ "pctrl full"; "pctrl auto cached"; "pctrl manual cached";
-      "pctrl auto uncached"; "pctrl manual uncached"; "pctrl full";
-      "pctrl auto cached" ]
-    (List.filteri (fun i _ -> i < 7) failures)
+      "pctrl auto uncached"; "pctrl manual uncached"; "t64x8_s0";
+      "t256x16_s0" ]
+    failures
 
 let test_determinism_disk_cache () =
   with_dir @@ fun dir ->
@@ -907,6 +942,8 @@ let () =
             test_fresh_engines_share_nothing;
           Alcotest.test_case "failures stay on their engine" `Quick
             test_failures_stay_on_their_engine;
+          Alcotest.test_case "failed job remembered" `Quick
+            test_failed_job_remembered;
           Alcotest.test_case "failed compiles print FAIL" `Quick
             test_failed_compiles_print_fail;
           prop_sweep_cells_per_point;

@@ -452,11 +452,6 @@ let test_campaign_stale_stuck () =
 
 (* ----------------------------------------------------------------- vcd *)
 
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
-
 let test_vcd_of_first_mismatch () =
   let spec = flexible_spec 1 in
   let report =
@@ -467,9 +462,9 @@ let test_vcd_of_first_mismatch () =
   | Some site ->
     let vcd = Fault.Sim.vcd_site spec site in
     Alcotest.(check bool) "declares the watched signal" true
-      (contains vcd "out");
+      (Text.contains vcd "out");
     Alcotest.(check bool) "well-formed header" true
-      (contains vcd "$enddefinitions")
+      (Text.contains vcd "$enddefinitions")
 
 let () =
   Alcotest.run "fault"

@@ -1,13 +1,8 @@
 (* Interchange formats: VCD waveforms and AIGER netlists. *)
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let count_lines_with text needle =
   String.split_on_char '\n' text
-  |> List.filter (fun l -> contains l needle)
+  |> List.filter (fun l -> Text.contains l needle)
   |> List.length
 
 (* ------------------------------------------------------------------ vcd *)
@@ -29,7 +24,7 @@ let test_vcd_structure () =
   let vcd = Rtl.Vcd.of_run d ~stimulus:stim ~watch:[ "en"; "q" ] in
   List.iter
     (fun fragment ->
-      Alcotest.(check bool) ("contains " ^ fragment) true (contains vcd fragment))
+      Alcotest.(check bool) ("contains " ^ fragment) true (Text.contains vcd fragment))
     [ "$timescale"; "$var wire 1"; "$var wire 3"; "$enddefinitions"; "#0";
       "#50" ];
   (* clk toggles twice per cycle. *)
@@ -175,7 +170,7 @@ let test_aiger_header_counts () =
   let a = Aig.pi g "a" and b = Aig.pi g "b" in
   Aig.po g "x" (Aig.and_ g a (Aig.not_ b));
   let text = Synth.Aiger.write g in
-  Alcotest.(check bool) "header" true (contains text "aag 3 2 0 1 1")
+  Alcotest.(check bool) "header" true (Text.contains text "aag 3 2 0 1 1")
 
 (* A flow result is in AIGER's node order, so it reads back node for node,
    reset styles and configuration flags included: the engine journals
@@ -267,7 +262,7 @@ let test_sexp_errors () =
   with
   | _ -> Alcotest.fail "accepted an undefined signal"
   | exception Rtl.Serialize.Parse_error m ->
-    Alcotest.(check bool) ("names the signal: " ^ m) true (contains m "ghost")
+    Alcotest.(check bool) ("names the signal: " ^ m) true (Text.contains m "ghost")
 
 (* [counter ()] as [write] laid it out through Format boxes before it went
    flat (the example in serialize.mli, in its old layout): files written
@@ -285,24 +280,144 @@ let test_sexp_old_layout () =
     (Rtl.Serialize.write (Rtl.Serialize.read old_layout))
 
 (* The engine keys jobs by [write]'s text, so [write] must be injective: a
-   name the reader would split is refused rather than written. *)
+   name the reader would split is refused where it is made, by
+   [Signal.make] or [Design.make]. *)
 let test_sexp_bad_names () =
   let d = counter () in
-  let refused what d =
-    match Rtl.Serialize.write d with
-    | _ -> Alcotest.failf "wrote %s" what
+  let remake ?(name = d.name) ?(tables = d.tables) () =
+    Rtl.Design.make ~name ~inputs:d.inputs ~outputs:d.outputs ~nets:d.nets
+      ~regs:d.regs ~tables ~annots:d.annots
+  in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "made %s" what
     | exception Invalid_argument _ -> ()
   in
   List.iter
     (fun n ->
-      refused (Printf.sprintf "design name %S" n) { d with Rtl.Design.name = n };
-      refused
-        (Printf.sprintf "input name %S" n)
-        { d with Rtl.Design.inputs = [ { Rtl.Signal.name = n; width = 1 } ] })
+      refused (Printf.sprintf "design name %S" n) (fun () -> remake ~name:n ());
+      refused (Printf.sprintf "signal name %S" n) (fun () -> Rtl.Signal.make n 1);
+      refused (Printf.sprintf "table name %S" n) (fun () ->
+          remake
+            ~tables:
+              [ { Rtl.Design.tname = n; twidth = 1; depth = 2;
+                  storage = Rtl.Design.Config } ]
+            ()))
     [ ""; "a b"; "a\tb"; "a\nb"; "a\rb"; "a(b"; "a)"; ";a"; "a;b" ];
-  let odd = { d with Rtl.Design.name = "a'b.c[3]" } in
+  refused "a built design named \"a b\"" (fun () ->
+      Rtl.Builder.finish (Rtl.Builder.create "a b"));
+  let odd = remake ~name:"a'b.c[3]" () in
   Alcotest.(check string) "other punctuation reads back" "a'b.c[3]"
     (Rtl.Serialize.read (Rtl.Serialize.write odd)).Rtl.Design.name
+
+(* ---------------------------------------------------- adversarial reader *)
+
+(* Well-formed files that no design can be: each constructor refuses one. *)
+let malformed =
+  let file ?(tables = "") ?(outputs = "(m 1 (sig a 1))") () =
+    Printf.sprintf
+      "(design (name m) (inputs (a 1)) (nets) (regs) (tables %s)\n\
+      \ (outputs %s) (annots))"
+      tables outputs
+  in
+  [ ("undefined signal", file ~outputs:"(m 1 (sig ghost 1))" ());
+    ("width mismatch", file ~outputs:"(m 1 (and (sig a 1) (const 2'b01)))" ());
+    ("bad slice", file ~outputs:"(m 1 (slice (sig a 1) 3 2))" ());
+    ("zero width", file ~outputs:"(m 1 (sig a 0))" ());
+    ("empty concat", file ~outputs:"(m 1 (concat))" ());
+    ("duplicate table", file ~tables:"(t 1 2 (config)) (t 1 2 (config))" ());
+    ("repeated output", file ~outputs:"(m 1 (sig a 1)) (m 1 (sig a 1))" ()) ]
+
+let test_sexp_malformed () =
+  List.iter
+    (fun (what, text) ->
+      match Rtl.Serialize.read text with
+      | _ -> Alcotest.failf "accepted a design with a %s" what
+      | exception Rtl.Serialize.Parse_error _ -> ())
+    malformed
+
+(* The reader's tokens: parentheses and atoms. *)
+let tokens text =
+  let atoms = ref [] and cur = Buffer.create 16 in
+  let flush () =
+    if Buffer.length cur > 0 then begin
+      atoms := Buffer.contents cur :: !atoms;
+      Buffer.clear cur
+    end
+  in
+  String.iter
+    (function
+      | ' ' | '\n' | '\t' | '\r' -> flush ()
+      | ('(' | ')') as c -> flush (); atoms := String.make 1 c :: !atoms
+      | c -> Buffer.add_char cur c)
+    text;
+  flush ();
+  Array.of_list (List.rev !atoms)
+
+(* One edit of a token array: drop a token, rename an atom, change a width,
+   a depth or a slice bound (an integer atom, or a bit vector's width
+   prefix), or duplicate a parenthesized entry in place (a table, a net,
+   an output ...). *)
+let mutate rng toks =
+  let n = Array.length toks in
+  let pick p =
+    match List.filter (fun i -> p toks.(i)) (List.init n Fun.id) with
+    | [] -> None
+    | is -> Some (Workload.Rng.pick rng is)
+  in
+  let splice at ins drop =
+    Array.concat
+      [ Array.sub toks 0 at; ins; Array.sub toks (at + drop) (n - at - drop) ]
+  in
+  let edit p f = match pick p with Some i -> f i | None -> toks in
+  match Workload.Rng.int rng 4 with
+  | 0 -> splice (Workload.Rng.int rng n) [||] 1
+  | 1 ->
+    edit
+      (fun t -> t <> "(" && t <> ")")
+      (fun i ->
+        splice i
+          [| Workload.Rng.pick rng [ "a"; "c"; "s"; "x"; "y"; "st"; "lut"; "out" ] |]
+          1)
+  | 2 ->
+    edit
+      (fun t -> int_of_string_opt t <> None || String.contains t '\'')
+      (fun i ->
+        let t = toks.(i) in
+        let q = Option.value (String.index_opt t '\'') ~default:(String.length t) in
+        let w = Workload.Rng.pick rng [ -1; 0; 1; 2; 3; 4; 5; 6; 10 ] in
+        splice i [| string_of_int w ^ String.sub t q (String.length t - q) |] 1)
+  | _ ->
+    edit (String.equal "(") (fun i ->
+        let rec close j depth =
+          let depth = depth + (match toks.(j) with "(" -> 1 | ")" -> -1 | _ -> 0) in
+          if depth = 0 then j else close (j + 1) depth
+        in
+        let j = close i 0 in
+        splice (j + 1) (Array.sub toks i (j - i + 1)) 0)
+
+(* The reader's gate: every mutation of [golden/design.sexp] (the text of
+   [every_form ()]) either reads to a design that writes and reads back
+   equal, or is a [Parse_error]; no other exception escapes [read]. *)
+let prop_sexp_adversarial =
+  let golden = tokens (Rtl.Serialize.write (every_form ())) in
+  let gen rng =
+    let toks = ref golden in
+    for _ = 1 to 1 + Workload.Rng.int rng 3 do
+      toks := mutate rng !toks
+    done;
+    String.concat " " (Array.to_list !toks)
+  in
+  Prop.test ~iters:400 "mutated files read back or are refused"
+    ~examples:(List.map snd malformed)
+    (Prop.make ~show:Fun.id gen)
+    (fun text ->
+      match Rtl.Serialize.read text with
+      | d ->
+        let written = Rtl.Serialize.write d in
+        let d' = Rtl.Serialize.read written in
+        d' = d && String.equal (Rtl.Serialize.write d') written
+      | exception Rtl.Serialize.Parse_error _ -> true)
 
 let () =
   Alcotest.run "io"
@@ -337,5 +452,8 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_sexp_errors;
           Alcotest.test_case "old layout reads" `Quick test_sexp_old_layout;
           Alcotest.test_case "bad names refused" `Quick test_sexp_bad_names;
+          Alcotest.test_case "malformed files refused" `Quick
+            test_sexp_malformed;
+          prop_sexp_adversarial;
         ] );
     ]

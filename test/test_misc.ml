@@ -253,11 +253,6 @@ let test_power_matches_reference () =
       (compiled d)
   done
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_netlist_structure () =
   let fsm =
     Workload.Rand_fsm.generate ~seed:1 ~num_inputs:2 ~num_outputs:3 ~num_states:4
@@ -273,10 +268,10 @@ let test_netlist_structure () =
   in
   List.iter
     (fun fragment ->
-      Alcotest.(check bool) ("contains " ^ fragment) true (contains text fragment))
+      Alcotest.(check bool) ("contains " ^ fragment) true (Text.contains text fragment))
     [ "module fsm4"; "input clk"; "SDFF"; ".CLK(clk)"; "endmodule" ];
   (* No dangling markers. *)
-  Alcotest.(check bool) "name substituted" false (contains text "%NAME%")
+  Alcotest.(check bool) "name substituted" false (Text.contains text "%NAME%")
 
 let test_flow_report_consistency () =
   (* comb_area equals the summed area of the combinational cells in the
