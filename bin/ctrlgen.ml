@@ -353,10 +353,9 @@ let equiv_cmd =
     let run_sat () =
       let on_stats (s : Sat.Solver.stats) =
         Printf.eprintf
-          "sat: %d solve(s), %d conflicts, %d decisions, %d propagations, \
-           %.3fs\n%!"
+          "sat: %d solve(s), %d conflicts, %d decisions, %d propagations\n%!"
           s.Sat.Solver.solves s.Sat.Solver.conflicts s.Sat.Solver.decisions
-          s.Sat.Solver.propagations s.Sat.Solver.solve_s
+          s.Sat.Solver.propagations
       in
       match
         span "sat" (fun () ->

@@ -22,7 +22,6 @@ type stats = {
   mem_hits : int;
   disk_hits : int;
   wall_s : float;
-  cpu_s : float;
 }
 
 (* The on-disk store: a cache dir no job or lookup has touched yet, the
@@ -52,18 +51,10 @@ type t = {
   memo : Synth.Collapse.memo;
   mutable submitted : int;
   mutable executed : int;
-  mutable failed : int;
   mutable disk_hits : int;
   mutable wall_s : float;
-  mutable cpu_s : float;
   mutable failures : string list;  (* newest first *)
 }
-
-(* Process-wide cache metrics, aggregated across engines. *)
-let m_mem_hits = Obs.Metrics.counter "engine.cache.mem_hits"
-let m_disk_hits = Obs.Metrics.counter "engine.cache.disk_hits"
-let m_misses = Obs.Metrics.counter "engine.cache.misses"
-let m_stores = Obs.Metrics.counter "engine.cache.stores"
 
 (* A netlist record is AIGER text; the mapping is a pure function of the
    graph, so it is rebuilt rather than stored. *)
@@ -106,7 +97,7 @@ let create ?(jobs = 1) ?cache_dir ?(no_cache = false) lib =
     netlists = netlist_product lib; loaded = Hashtbl.create 64;
     errors = Hashtbl.create 8; disk;
     memo = Synth.Collapse.create_memo (); submitted = 0; executed = 0;
-    failed = 0; disk_hits = 0; wall_s = 0.0; cpu_s = 0.0; failures = [] }
+    disk_hits = 0; wall_s = 0.0; failures = [] }
 
 (* The first job or lookup creates the cache dir and loads its journal,
    undecoded, a key's payloads in file order. A dir that cannot be created
@@ -140,64 +131,50 @@ let rec persist t key value =
    disk hit, and lives in memory from then on. *)
 let find t p key =
   match Hashtbl.find_opt p.memory key with
-  | Some v ->
-    Obs.Metrics.incr m_mem_hits;
-    Some v
+  | Some _ as hit -> hit
   | None ->
     (match Batch.first_good ~decode:p.decode (Hashtbl.find_all t.loaded key) with
-     | Some v ->
+     | Some v as hit ->
        Hashtbl.replace p.memory key v;
        t.disk_hits <- t.disk_hits + 1;
-       Obs.Metrics.incr m_disk_hits;
-       Some v
-     | None ->
-       Obs.Metrics.incr m_misses;
-       None)
+       hit
+     | None -> None)
 
 let store t p key v =
   Hashtbl.replace p.memory key v;
-  Obs.Metrics.incr m_stores;
   Option.iter (persist t key) (p.encode v)
-
-let now () = Unix.gettimeofday ()
 
 let failure_message j e =
   Printf.sprintf "synthesis job %s failed: %s" j.jname (Pool.error_message e)
 
 (* A job neither settled in the cache nor coalesced with an earlier one
-   compiles; its product comes back with the compile's own time. A failed
-   key is remembered in memory, so a repeat request gets the same [Error]
-   as a memory hit and is listed in {!failures} once. *)
+   compiles, timed by its [engine.job] span. A failed key is remembered in
+   memory, so a repeat request gets the same [Error] as a memory hit and
+   is listed in {!failures} once. The batch clock times what no job span
+   does: keying and settling. *)
 let submit t p jobs =
   if jobs <> [] then open_dir t;
-  let t0 = now () in
+  let t0 = Unix.gettimeofday () in
   t.submitted <- t.submitted + List.length jobs;
   let settled key =
     if t.no_cache then None
     else
       match Hashtbl.find_opt t.errors key with
-      | Some e ->
-        Obs.Metrics.incr m_mem_hits;
-        Some (Error e)
-      | None -> Option.map (fun v -> Ok (v, 0.0)) (find t p key)
+      | Some e -> Some (Error e)
+      | None -> Option.map Result.ok (find t p key)
   in
   let settle key j r =
     t.executed <- t.executed + 1;
     match r with
-    | Ok (v, dt) ->
-      t.cpu_s <- t.cpu_s +. dt;
-      if not t.no_cache then store t p key v
+    | Ok v -> if not t.no_cache then store t p key v
     | Error e ->
-      t.failed <- t.failed + 1;
       t.failures <- failure_message j e :: t.failures;
       if not t.no_cache then Hashtbl.replace t.errors key e
   in
   let compile j =
     Obs.Span.with_span ~args:[ ("job", Obs.Span.Str j.jname) ] "engine.job"
     @@ fun () ->
-    let jt0 = now () in
-    let r = Synth.Flow.compile ~options:j.options ~memo:t.memo t.lib j.design in
-    (p.of_flow r, now () -. jt0)
+    p.of_flow (Synth.Flow.compile ~options:j.options ~memo:t.memo t.lib j.design)
   in
   let outcomes =
     Batch.map ~jobs:t.jobs
@@ -205,8 +182,8 @@ let submit t p jobs =
         Fingerprint.job ~lib:t.lib ~options:j.options j.design ^ p.kind)
       ~settled ~settle compile jobs
   in
-  t.wall_s <- t.wall_s +. (now () -. t0);
-  List.map (Result.map fst) outcomes
+  t.wall_s <- t.wall_s +. (Unix.gettimeofday () -. t0);
+  outcomes
 
 let run t jobs = submit t t.areas jobs
 let netlists t jobs = submit t t.netlists jobs
@@ -232,14 +209,15 @@ let append t key value =
     persist t key value
 
 (* Every submitted job compiled, came from disk, or came from memory (an
-   earlier batch or an earlier duplicate in its own batch). *)
+   earlier batch or an earlier duplicate in its own batch); every failure
+   is one executed job. *)
 let stats t =
-  { submitted = t.submitted; executed = t.executed; failed = t.failed;
+  { submitted = t.submitted; executed = t.executed;
+    failed = List.length t.failures;
     mem_hits = t.submitted - t.executed - t.disk_hits;
-    disk_hits = t.disk_hits; wall_s = t.wall_s; cpu_s = t.cpu_s }
+    disk_hits = t.disk_hits; wall_s = t.wall_s }
 
 let stats_table (s : stats) =
-  let f = Printf.sprintf "%.3f" in
   Report.Table.render
     ~align:[ Report.Table.Left; Report.Table.Right ]
     ~header:[ "engine"; "value" ]
@@ -249,9 +227,5 @@ let stats_table (s : stats) =
       [ "cache hits (disk)"; string_of_int s.disk_hits ];
       [ "jobs executed"; string_of_int s.executed ];
       [ "jobs failed"; string_of_int s.failed ];
-      [ "wall time (s)"; f s.wall_s ];
-      [ "cpu time (s)"; f s.cpu_s ];
-      [ "parallel speedup";
-        (if s.wall_s > 0.0 then Printf.sprintf "%.2fx" (s.cpu_s /. s.wall_s)
-         else "-") ];
+      [ "wall time (s)"; Printf.sprintf "%.3f" s.wall_s ];
     ]

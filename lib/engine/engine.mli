@@ -32,8 +32,8 @@
     after it, serves later runs. It is opened for appending on the first
     store. Disk failures are soft: a cache dir that cannot be created, or a
     journal that cannot be opened or appended to, leaves the engine running
-    memory-only. Hits, misses and stores are counted process-wide by the
-    [engine.cache.*] {!Obs.Metrics} counters.
+    memory-only. Hits and executions are counted in {!stats}, the
+    engine's one set of books.
 
     There is no process-wide engine. A front-end creates one per run and
     passes it to every experiment that compiles through it, so each cache
@@ -64,15 +64,18 @@ type outcome = (Summary.t, Pool.error) result
 type stats = {
   submitted : int;  (** jobs requested through [run] and [netlists] *)
   executed : int;   (** jobs that actually compiled *)
-  failed : int;     (** executed jobs that settled in [Error] *)
+  failed : int;
+      (** executed jobs that settled in [Error]: the length of
+          {!failures} *)
   mem_hits : int;
       (** served from memory, incl. batch coalescing:
           [submitted - executed - disk_hits] *)
   disk_hits : int;
       (** served by a record of the results journal, the first time its
           key came up; later requests for it are memory hits *)
-  wall_s : float;   (** wall-clock spent inside [run] and [netlists] *)
-  cpu_s : float;    (** summed per-job compile time across workers *)
+  wall_s : float;
+      (** wall-clock spent inside [run] and [netlists]: the [engine.job]
+          spans plus the serial keying and settling around them *)
 }
 
 type t
@@ -117,9 +120,9 @@ val jobs : t -> int
 (** {1 The store, for keyed clients}
 
     Clients that content-address their own results (fault campaigns)
-    keep them in the results journal. Neither call counts in {!stats} or
-    the [engine.cache.*] metrics, or forces the key without a store
-    ([cache_dir], and not [no_cache]). *)
+    keep them in the results journal. Neither call counts in {!stats},
+    or forces the key without a store ([cache_dir], and not
+    [no_cache]). *)
 
 val lookup :
   t -> decode:(string -> ('a, string) result) -> string Lazy.t -> 'a option

@@ -48,48 +48,37 @@ let twolevel fmt =
         else if Workload.Rng.int rng 100 < 8 then Twolevel.Truthfn.Dc
         else Twolevel.Truthfn.Off)
   in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
+  (* Each minimizer call is a span, so its time is read from --metrics or
+     a trace and stdout stays byte-identical across runs. *)
+  let span name nvars seed f =
+    Obs.Span.with_span
+      ~args:[ ("nvars", Obs.Span.Int nvars); ("seed", Obs.Span.Int seed) ]
+      name f
   in
-  let rows =
-    List.concat_map
-      (fun nvars ->
-        List.map
-          (fun seed ->
-            let tf = random_fn nvars seed in
-            let qm, tq = time (fun () -> Twolevel.Qm.minimize tf) in
-            let esp, te = time (fun () -> Twolevel.Espresso.minimize tf) in
-            ( [
-                string_of_int nvars;
-                string_of_int seed;
-                string_of_int (Twolevel.Cover.num_cubes qm);
-                string_of_int (Twolevel.Cover.literals qm);
-                string_of_int (Twolevel.Cover.num_cubes esp);
-                string_of_int (Twolevel.Cover.literals esp);
-              ],
-              [
-                string_of_int nvars;
-                string_of_int seed;
-                Printf.sprintf "%.4f" tq;
-                Printf.sprintf "%.4f" te;
-              ] ))
-          seeds)
-      nvars_list
+  let row nvars seed =
+    let tf = random_fn nvars seed in
+    let qm = span "twolevel.qm" nvars seed (fun () -> Twolevel.Qm.minimize tf) in
+    let esp =
+      span "twolevel.espresso" nvars seed (fun () ->
+          Twolevel.Espresso.minimize tf)
+    in
+    [
+      string_of_int nvars;
+      string_of_int seed;
+      string_of_int (Twolevel.Cover.num_cubes qm);
+      string_of_int (Twolevel.Cover.literals qm);
+      string_of_int (Twolevel.Cover.num_cubes esp);
+      string_of_int (Twolevel.Cover.literals esp);
+    ]
   in
-  (* CPU times vary run to run, so they go to stderr: stdout stays
-     byte-identical across runs. *)
   Format.fprintf fmt
     "== Ablation A2: exact QM vs Espresso-lite ==@.%s@.@."
     (Report.Table.render
        ~header:
          [ "nvars"; "seed"; "qm cubes"; "qm lits"; "esp cubes"; "esp lits" ]
-       (List.map fst rows));
-  Format.eprintf "A2 minimizer CPU time:@.%s@.@."
-    (Report.Table.render
-       ~header:[ "nvars"; "seed"; "qm s"; "esp s" ]
-       (List.map snd rows))
+       (List.concat_map
+          (fun nvars -> List.map (row nvars) seeds)
+          nvars_list))
 
 let encodings fmt engine =
   let cases = [ (2, 8, 3); (2, 16, 17); (8, 8, 8); (8, 8, 17) ] in

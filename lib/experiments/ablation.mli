@@ -4,7 +4,8 @@
     - {!cone_cap}: how large must the collapse window be before table-based
       and direct implementations converge (sweeps the window cap)?
     - {!twolevel}: exact Quine–McCluskey vs the Espresso-lite heuristic on
-      random functions — cover cost and runtime.
+      random functions — cover cost, with each call timed by a
+      [twolevel.qm] or [twolevel.espresso] span.
     - {!annot_cap}: the annotation width cap swept across the Fig. 8 design
       at a fixed bus width, reproducing the n ≤ 32 cliff as a flow
       parameter.

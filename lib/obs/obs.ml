@@ -6,8 +6,6 @@ let set_enabled = Ctl.set_enabled
 
 let enabled = Ctl.on
 
-let now_us = Ctl.now_us
-
 let reset () =
   Span.reset ();
   Metrics.reset ()

@@ -20,9 +20,5 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val now_us : unit -> float
-(** Microseconds since the process-wide anchor — the span clock, exposed
-    so code can time a region without a Unix dependency. *)
-
 val reset : unit -> unit
 (** Clear completed spans and zero all metrics (registrations survive). *)

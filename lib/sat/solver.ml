@@ -25,7 +25,6 @@ type stats = {
   learned_lits : int;
   restarts : int;
   max_vars : int;
-  solve_s : float;
 }
 
 type t = {
@@ -63,7 +62,6 @@ type t = {
   mutable st_learned : int;
   mutable st_learned_lits : int;
   mutable st_restarts : int;
-  mutable st_solve_s : float;
 }
 
 let create () =
@@ -95,7 +93,6 @@ let create () =
     st_learned = 0;
     st_learned_lits = 0;
     st_restarts = 0;
-    st_solve_s = 0.0;
   }
 
 let ok s = s.ok
@@ -403,12 +400,9 @@ let rec luby i =
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - ((1 lsl (!k - 1)) - 1))
 
-let now_s () = Obs.now_us () /. 1e6
-
 type result = Sat | Unsat
 
-let record_metrics s ~d0 ~c0 ~p0 ~l0 ~t0 =
-  s.st_solve_s <- s.st_solve_s +. (now_s () -. t0);
+let record_metrics s ~d0 ~c0 ~p0 ~l0 =
   if Obs.enabled () then begin
     let bump name by =
       if by > 0 then Obs.Metrics.incr ~by (Obs.Metrics.counter name)
@@ -423,7 +417,6 @@ let record_metrics s ~d0 ~c0 ~p0 ~l0 ~t0 =
 
 let solve ?(assumptions = []) s =
   List.iter (check_lit s) assumptions;
-  let t0 = now_s () in
   let d0 = s.st_decisions
   and c0 = s.st_conflicts
   and p0 = s.st_propagations
@@ -432,7 +425,7 @@ let solve ?(assumptions = []) s =
   s.have_model <- false;
   let finish r =
     cancel_until s 0;
-    record_metrics s ~d0 ~c0 ~p0 ~l0 ~t0;
+    record_metrics s ~d0 ~c0 ~p0 ~l0;
     r
   in
   if not s.ok then finish Unsat
@@ -529,5 +522,4 @@ let stats s =
     learned_lits = s.st_learned_lits;
     restarts = s.st_restarts;
     max_vars = s.nvars;
-    solve_s = s.st_solve_s;
   }

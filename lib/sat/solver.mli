@@ -58,7 +58,6 @@ type stats = {
   learned_lits : int;
   restarts : int;
   max_vars : int;
-  solve_s : float;  (** cumulative wall time inside {!solve} *)
 }
 
 val stats : t -> stats

@@ -195,7 +195,6 @@ let zero_stats : Sat.Solver.stats =
     learned_lits = 0;
     restarts = 0;
     max_vars = 0;
-    solve_s = 0.;
   }
 
 let add_stats (x : Sat.Solver.stats) (y : Sat.Solver.stats) : Sat.Solver.stats =
@@ -208,7 +207,6 @@ let add_stats (x : Sat.Solver.stats) (y : Sat.Solver.stats) : Sat.Solver.stats =
     learned_lits = x.learned_lits + y.learned_lits;
     restarts = x.restarts + y.restarts;
     max_vars = max x.max_vars y.max_vars;
-    solve_s = x.solve_s +. y.solve_s;
   }
 
 (* Aligned (name, a-side, b-side) pairs — the k-th occurrence of every name

@@ -3,7 +3,9 @@
 # fault table, the six ablations and the equivbench verdicts must match
 # the committed test/golden/all.stdout byte for byte in three runs: cold
 # at -j 2, cold at -j 1, and warm from a --cache-dir filled by a first
-# pass. Timings go to stderr, so stdout carries none. After the cold
+# pass. Timings are spans, so stdout carries none. The cold -j 2 run's
+# --metrics counter/gauge rows and span name/count columns must match
+# test/golden/all.metrics (span seconds are not pinned). After the cold
 # cached run the cache directory must hold only results.jsonl: one compile
 # record per executed job (engine table, stderr) and one site record per
 # fault site the run simulated (`fault.sites`, --metrics); the warm run
@@ -12,7 +14,7 @@
 # here) and leave that file byte-identical: a cache that silently missed
 # would still match. A run that compiles nothing (ablate-twolevel) must
 # not create its --cache-dir. An intentional figure change regenerates the
-# golden with scripts/regen-golden.sh.
+# goldens with scripts/regen-golden.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +42,14 @@ engine_row() {
   fi
 }
 
-"$exe" all -j 2 --no-cache > "$out" 2> /dev/null
+"$exe" all -j 2 --no-cache --metrics > "$out" 2> "$err"
 check "cold, -j 2"
+if ! diff -u test/golden/all.metrics \
+  <(awk -f scripts/pinned-rows.awk "$err"); then
+  echo "error: bench all metrics differ from test/golden/all.metrics" >&2
+  exit 1
+fi
+echo "all-golden: metrics match"
 "$exe" all -j 1 --cache-dir "$cache" --metrics > "$out" 2> "$err"
 check "cold, -j 1"
 executed=$(awk '/^jobs executed /{print $3}' "$err")

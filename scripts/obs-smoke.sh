@@ -6,7 +6,10 @@
 # trace must be valid enough to carry pass spans and the metrics snapshot,
 # and the --metrics counter/gauge table must read the same at -j 1 as at
 # -j 2. The span table must carry the engine.job, flow.compile and
-# power.estimate rows. The -j 1 run also writes --json, which must name
+# power.estimate rows. Proof and minimizer times are spans too:
+# `bench equivbench --metrics` must count three equiv.sat spans and
+# `bench ablate-twolevel --metrics` nine twolevel.qm and nine
+# twolevel.espresso spans. The -j 1 run also writes --json, which must name
 # every figure, list no failure and carry the engine counts.
 # The counter/gauge rows and the span name/count columns of the -j 1 run
 # must match test/golden/quick.metrics; span seconds are not pinned.
@@ -69,11 +72,8 @@ if [ "$(metric_rows "$err" | grep -c '^synth\.collapse\.')" -lt 2 ] ||
   echo "error: metrics table differs between -j 2 and -j 1" >&2
   exit 1
 fi
-# Keep this awk in step with the one in scripts/regen-golden.sh.
-pinned_rows() {
-  awk '/^metric /{on=1} /^span /{on=2} on==1 {print} on==2 {print $1, $2}' "$1"
-}
-if ! diff -u test/golden/quick.metrics <(pinned_rows "$serial_err"); then
+if ! diff -u test/golden/quick.metrics \
+  <(awk -f scripts/pinned-rows.awk "$serial_err"); then
   echo "error: quick metrics differ from test/golden/quick.metrics" >&2
   exit 1
 fi
@@ -82,4 +82,11 @@ grep -qE '^engine\.job ' "$err"
 grep -qE '^flow\.compile ' "$err"
 # Fig. 9's activity estimates are attributed time of their own.
 grep -qE '^power\.estimate ' "$err"
+
+# The SAT proofs and the A2 minimizer calls are timed by spans only.
+"$exe" equivbench --metrics > /dev/null 2> "$err"
+grep -qE '^equiv\.sat +3 ' "$err"
+"$exe" ablate-twolevel --metrics > /dev/null 2> "$err"
+grep -qE '^twolevel\.qm +9 ' "$err"
+grep -qE '^twolevel\.espresso +9 ' "$err"
 echo "observability smoke OK: stdout and metrics match the goldens, trace.json valid, metrics equal at -j 1 and -j 2"

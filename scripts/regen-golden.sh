@@ -3,8 +3,8 @@
 # VCD writer, design s-expression writer, the BDD-check and SAT-check
 # fingerprints, Espresso's cube lists, the digests of the bound designs,
 # the structural digests and mapper reports of every synthesis pass's
-# output, the `bench quick` and `bench all` figure tables, and the `bench
-# quick` counter/gauge rows with the span name/count columns).
+# output, the `bench quick` and `bench all` figure tables, and their
+# counter/gauge rows with the span name/count columns).
 # Run after an intentional emitter or figure change, then review the diff
 # like any other source change.
 set -euo pipefail
@@ -24,10 +24,10 @@ GOLDEN_REGEN="$(pwd)/test/golden" ./_build/default/test/test_twolevel.exe test g
 (cd _build/default/test &&
   GOLDEN_REGEN="$(pwd)/../../../test/golden" ./test_core.exe test golden)
 ./_build/default/bench/main.exe quick -j 2 --no-cache > test/golden/quick.stdout
-./_build/default/bench/main.exe all -j 2 --no-cache > test/golden/all.stdout
-# Keep this awk in step with pinned_rows in scripts/obs-smoke.sh.
+./_build/default/bench/main.exe all -j 2 --no-cache --metrics \
+  2>&1 > test/golden/all.stdout |
+  awk -f scripts/pinned-rows.awk > test/golden/all.metrics
 ./_build/default/bench/main.exe quick -j 1 --no-cache --metrics 2>&1 >/dev/null |
-  awk '/^metric /{on=1} /^span /{on=2} on==1 {print} on==2 {print $1, $2}' \
-    > test/golden/quick.metrics
+  awk -f scripts/pinned-rows.awk > test/golden/quick.metrics
 echo "regenerated:"
 ls -1 test/golden | sed 's/^/  test\/golden\//'

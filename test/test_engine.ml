@@ -508,6 +508,22 @@ let test_failed_job_remembered () =
   Alcotest.(check (list int)) "no_cache: executed, failed" [ 2; 2 ]
     [ s.Engine.executed; s.Engine.failed ]
 
+(* [failed] is read off the failure list, never counted beside it: two
+   batches that each ask for the failing key, once under [no_cache]
+   (two executions, two listings) and once with the memory cache (one
+   of each). *)
+let test_failed_is_failures () =
+  List.iter
+    (fun (no_cache, expected) ->
+      let e = Engine.create ~no_cache lib in
+      ignore (Engine.run e [ bad_job 19; Engine.job (fsm_design 5) ]);
+      ignore (Engine.run e [ bad_job 19 ]);
+      let s = Engine.stats e in
+      Alcotest.(check int) "failed = length of failures"
+        (List.length (Engine.failures e)) s.Engine.failed;
+      Alcotest.(check int) "failures" expected s.Engine.failed)
+    [ (true, 2); (false, 1) ]
+
 (* One failure path: over a library without its inverter every compile
    fails in mapping, and Fig. 9, the fault comparison and A5 still print
    their tables, FAIL in each cell a failed compile leaves empty, while
@@ -944,6 +960,8 @@ let () =
             test_failures_stay_on_their_engine;
           Alcotest.test_case "failed job remembered" `Quick
             test_failed_job_remembered;
+          Alcotest.test_case "failed = length of failures" `Quick
+            test_failed_is_failures;
           Alcotest.test_case "failed compiles print FAIL" `Quick
             test_failed_compiles_print_fail;
           prop_sweep_cells_per_point;
